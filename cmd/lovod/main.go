@@ -139,14 +139,13 @@ func main() {
 			log.Printf("snapshot written to %s", *saveFile)
 		}
 	}
-	st := eng.Stats()
+	status := eng.Status()
+	st := status.Ingest
 	log.Printf("ready: %d keyframes, %d indexed patch vectors (aggregate shard-time: processing %s, indexing %s)",
 		st.Keyframes, st.Tokens, st.Processing.Round(1e6), st.Indexing.Round(1e6))
-	if *streaming {
-		if seg, ok := eng.SegmentStats(); ok {
-			log.Printf("streaming: %d sealed / %d building segments, %d vectors growing (POST /ingest accepts live footage)",
-				seg.Sealed, seg.Building, seg.GrowingLen)
-		}
+	if seg := status.Segments; seg.Streaming {
+		log.Printf("streaming: %d sealed / %d building segments, %d vectors growing (POST /ingest accepts live footage)",
+			seg.Sealed, seg.Building, seg.GrowingLen)
 	}
 
 	srv := server.New(eng, server.Config{

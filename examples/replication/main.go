@@ -82,7 +82,7 @@ func main() {
 	fmt.Printf("\nanswers identical to the healthy baseline: %t (%d divergences)\n\n",
 		divergences == 0, divergences)
 	fmt.Println("per-replica state after the drill:")
-	for gi, group := range eng.ReplicaStats() {
+	for gi, group := range eng.Status().ReplicaGroups {
 		for ri, st := range group {
 			fmt.Printf("  shard %d replica %d: healthy=%-5t reads=%d\n", gi, ri, st.Healthy, st.Reads)
 		}

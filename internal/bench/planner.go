@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/server"
+	"repro/internal/shard"
 )
 
 func init() {
@@ -139,16 +140,16 @@ func plannerBench(o Options) (*Table, error) {
 // which changes the cache key but not the recognised terms.
 func cacheSweep(o Options) (*Table, error) {
 	ds := datasets.Bellevue(datasets.Config{Seed: o.Seed, Scale: o.Scale * 0.5})
-	sys, err := core.New(core.Config{Seed: o.Seed})
+	// The serving tier fronts an engine; one shard answers byte-identically
+	// to the single system.
+	eng, err := shard.New(1, core.Config{Seed: o.Seed})
 	if err != nil {
 		return nil, err
 	}
-	for i := range ds.Videos {
-		if err := sys.Ingest(&ds.Videos[i]); err != nil {
-			return nil, err
-		}
+	if err := eng.IngestDataset(ds); err != nil {
+		return nil, err
 	}
-	if err := sys.BuildIndex(); err != nil {
+	if err := eng.BuildIndex(); err != nil {
 		return nil, err
 	}
 
@@ -179,7 +180,7 @@ func cacheSweep(o Options) (*Table, error) {
 	}
 	var points []point
 	for _, size := range sizes {
-		srv := server.New(sys, server.Config{CacheSize: size, Shards: 1})
+		srv := server.New(eng, server.Config{CacheSize: size, Shards: 1})
 		// One deterministic Zipfian replay per size: same seed, same mix.
 		zipf := rand.NewZipf(rand.New(rand.NewSource(int64(o.Seed)+1)), 1.07, 1, universe-1)
 		start := time.Now()

@@ -170,7 +170,7 @@ func streamingServeExperiment(o Options) (*Table, error) {
 	steadyP99 := percentile(steady, 0.99)
 	addRow("streaming steady", steady, steadyWall, steadyP99, 0)
 
-	segBefore, _ := eng.SegmentStats()
+	segBefore := eng.Status().Segments
 	stopFeed := feed(2000, eng.Ingest)
 	under, underWall, err := runPhase(eng)
 	chunks := stopFeed()
@@ -178,7 +178,7 @@ func streamingServeExperiment(o Options) (*Table, error) {
 		return nil, err
 	}
 	ratio := addRow("streaming under ingest", under, underWall, steadyP99, chunks)
-	segAfter, _ := eng.SegmentStats()
+	segAfter := eng.Status().Segments
 
 	// Batch control: the pre-streaming way to stay fresh — every chunk
 	// pays a full synchronous rebuild that holds the collection write

@@ -171,10 +171,10 @@ func (c Config) withDefaults() Config {
 		c.PlannerValidateEvery = 64
 	}
 	if c.Streaming && c.SegmentSize <= 0 {
-		// Mirror vectordb.NewSegmented's default so Resolved reports the
-		// threshold the store actually runs with — coordinator/worker config
-		// verification compares resolved summaries.
-		c.SegmentSize = 4096
+		// Resolved must report the threshold the store actually runs with:
+		// coordinator/worker config verification compares resolved
+		// summaries.
+		c.SegmentSize = vectordb.DefaultSegmentSize
 	}
 	return c
 }

@@ -4,8 +4,8 @@
 //
 // The surface is ShardBackend: the per-shard operations internal/shard's
 // Engine fans out — the two query stages (FastSearch, GroundCandidates),
-// ingest and index builds, stats/health introspection, and snapshot
-// save/load. shard.Local implements it in-process (a replica group of R
+// ingest and index builds, the planning digest, one Status snapshot that
+// answers every "what are you right now" question, and snapshot save/load. shard.Local implements it in-process (a replica group of R
 // equal-seeded systems); Client implements it over a length-prefixed binary
 // protocol on persistent connections, and Server hosts any implementation
 // behind a net.Listener. Because both sides speak the exact stage functions
@@ -13,8 +13,11 @@
 // answers byte-identically to the single-process system — the conformance
 // suite in this package pins that bit for bit over in-memory pipes.
 //
-// Failure semantics: read operations (both query stages, stats, pings) are
-// idempotent and retried a bounded number of times on transport errors;
+// Failure semantics: read operations (both query stages, the planning
+// digest, snapshot save) are idempotent and retried a bounded number of times
+// on transport errors; Status takes one attempt under a dial-scale deadline
+// (it rides every serving request, so a blackholed worker must cost one
+// DialTimeout, not the retry budget);
 // mutating operations (ingest, index builds, snapshot load) are dispatched
 // at most once — a transport failure after the request may have left the
 // client surfaces as an error instead of risking a double apply. Worker-side
@@ -92,6 +95,40 @@ func (s ConfigSummary) Compatible(o ConfigSummary) bool {
 		s.Streaming == o.Streaming && s.SegmentSize == o.SegmentSize
 }
 
+// ShardStatus is one consistent snapshot of a shard: everything the
+// coordinator ever asks a shard about itself, read in one call (one RPC for
+// a remote shard) so the fields describe the same moment. Every field is a
+// counter load — assembling it never walks an index — which is what lets the
+// same shape serve the per-request built/generation check and a /stats
+// scrape.
+type ShardStatus struct {
+	// BootID is the hosting remote.Server's instance nonce (0 in-process):
+	// it changes when the worker process restarts, and since workers boot
+	// empty a change after recorded ingest progress means the shard's slice
+	// of the corpus is gone.
+	BootID uint64
+	// Addr is the worker address, stamped by Client ("" in-process) — also
+	// beside an error, so an unreachable worker can still be named.
+	Addr string
+	// Gen is the shard's mutation generation — the minimum across replicas,
+	// so a cached answer can never outlive a laggard.
+	Gen uint64
+	// Built reports whether every non-empty replica has built its index.
+	Built bool
+	// Entities is the indexed patch-vector count and Ingest the ingest
+	// statistics (one replica's view; copies don't multiply the corpus).
+	Entities int
+	Ingest   core.IngestStats
+	// Replicas is per-replica health, read counts and in-flight load. A
+	// shard with no healthy replica cannot serve.
+	Replicas []ReplicaStat
+	// Segments is the primary replica's streaming segment breakdown;
+	// Streaming=false for a batch store.
+	Segments vectordb.SegmentStats
+	// Config digests the shard's resolved configuration.
+	Config ConfigSummary
+}
+
 // ShardBackend is one shard of a scatter-gather engine: the stage surface
 // Engine composes, whether the shard lives in-process (shard.Local) or on
 // another host (Client). Every method is safe for concurrent use.
@@ -112,32 +149,19 @@ type ShardBackend interface {
 	// GroundCandidates runs stage 2 over the candidate frames this shard
 	// owns; groundings align with refs. Context as on FastSearch.
 	GroundCandidates(ctx context.Context, text string, refs []core.FrameRef, workers int) ([]core.Grounding, error)
-	// Stats returns the shard's ingest statistics (one replica's view).
-	Stats() (core.IngestStats, error)
-	// Entities returns the shard's indexed patch-vector count.
-	Entities() (int, error)
-	// Built reports whether every non-empty replica has built its index.
-	Built() (bool, error)
-	// IngestGen returns the shard's mutation generation (the minimum
-	// across replicas, so a cached answer can never outlive a laggard).
-	IngestGen() (uint64, error)
 	// PlanStats exports the shard's planning digest — selectivity sample,
 	// per-term posting statistics and calibrated effort ladder — which the
 	// coordinator's planner combines across shards (calibrating the shard
 	// lazily if its corpus changed since the last export).
 	PlanStats() (core.PlanStats, error)
-	// ReplicaStats snapshots per-replica health and read counts.
-	ReplicaStats() ([]ReplicaStat, error)
-	// ConfigSummary digests the shard's resolved configuration.
-	ConfigSummary() (ConfigSummary, error)
+	// Status snapshots the shard's identity, generation, health and
+	// statistics. An error means the shard is unreachable.
+	Status() (ShardStatus, error)
 	// SaveSnapshot serialises one replica's full system state.
 	SaveSnapshot() ([]byte, error)
 	// LoadSnapshot restores a SaveSnapshot payload into every replica of
 	// this freshly-constructed shard.
 	LoadSnapshot(data []byte) error
-	// Ping verifies the shard is reachable and can serve (at least one
-	// healthy replica behind it).
-	Ping() error
 	// Close releases client-side resources (no-op for in-process shards).
 	Close() error
 }
@@ -148,14 +172,4 @@ type ShardBackend interface {
 // Ingest calls otherwise.
 type BulkIngester interface {
 	IngestVideos(vs []*video.Video) error
-}
-
-// SegmentReporter is the optional streaming-mode introspection surface: a
-// backend hosting streaming systems reports its primary replica's segment
-// breakdown (growing/building/sealed counts, bytes, seal and compaction
-// totals). A monolithic backend either doesn't implement it or returns
-// stats with Streaming=false; the serving tier's /stats and /metrics
-// surface whatever is reported.
-type SegmentReporter interface {
-	SegmentStats() (vectordb.SegmentStats, error)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Connect builds one client per worker address and health-checks each with
-// an eager Ping, so a coordinator fails fast at boot — with the offending
+// an eager Status read, so a coordinator fails fast at boot — with the offending
 // address named in the error — instead of hanging until the first query
 // discovers a dead worker. On any failure every already-opened client is
 // closed before returning.
@@ -24,7 +24,7 @@ func Connect(addrs []string, opts ClientOptions) ([]*Client, error) {
 			return nil, fmt.Errorf("remote: shard address %d is empty", i)
 		}
 		c := NewClient(addr, opts)
-		if err := c.Ping(); err != nil {
+		if _, err := c.Status(); err != nil {
 			c.Close()
 			closeAll()
 			return nil, fmt.Errorf("remote: shard %d (%s) unreachable: %w", i, addr, err)
@@ -40,11 +40,11 @@ func Connect(addrs []string, opts ClientOptions) ([]*Client, error) {
 // embedding space, so a mismatch is a boot error, not a runtime surprise.
 func VerifyConfig(clients []*Client, want ConfigSummary) error {
 	for i, c := range clients {
-		got, err := c.ConfigSummary()
+		st, err := c.Status()
 		if err != nil {
 			return fmt.Errorf("remote: shard %d (%s): fetching config: %w", i, c.Addr(), err)
 		}
-		if !got.Compatible(want) {
+		if got := st.Config; !got.Compatible(want) {
 			return fmt.Errorf(
 				"remote: shard %d (%s) config mismatch: worker %+v, coordinator %+v (boot workers and coordinator with the same -seed/-index)",
 				i, c.Addr(), got, want)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/vectordb"
 	"repro/internal/video"
 )
 
@@ -86,7 +85,8 @@ type Client struct {
 }
 
 // NewClient constructs a client for the worker at addr. No connection is
-// opened until the first call (Connect pings eagerly for fail-fast boots).
+// opened until the first call (Connect reads each worker's status eagerly
+// for fail-fast boots).
 func NewClient(addr string, opts ClientOptions) *Client {
 	opts = opts.withDefaults(addr)
 	return &Client{addr: addr, opts: opts, idle: make(chan net.Conn, opts.PoolSize)}
@@ -177,18 +177,6 @@ func (c *Client) call(op byte, body []byte, mutating bool) ([]byte, error) {
 // answer.
 func (c *Client) callCtx(ctx context.Context, op byte, body []byte) ([]byte, error) {
 	return c.do(ctx, op, body, false, false)
-}
-
-// meta performs a lightweight metadata exchange (stats, health, generation
-// counters — everything the worker answers from memory). These ride the hot
-// serving path — the HTTP tier consults Built and IngestGen on every
-// request — so they take one fresh-dial attempt under a dial-scale deadline
-// instead of the full read-retry budget: one blackholed worker costs a
-// request one DialTimeout, not Retries x Timeout. Stale pooled connections
-// still discard and redial for free.
-func (c *Client) meta(op byte) ([]byte, error) {
-	//lovo:ctx-ok sub-millisecond metadata exchange, deliberately untraced: a span per Built/IngestGen poll would dwarf the traces it decorates
-	return c.do(context.Background(), op, nil, false, true)
 }
 
 func (c *Client) do(ctx context.Context, op byte, body []byte, mutating, light bool) ([]byte, error) {
@@ -283,8 +271,6 @@ func (c *Client) exchange(conn net.Conn, req []byte, mutating, light bool) ([]by
 
 func opName(op byte) string {
 	switch op {
-	case opPing:
-		return "ping"
 	case opIngest:
 		return "ingest"
 	case opBuildIndex:
@@ -293,18 +279,6 @@ func opName(op byte) string {
 		return "fast-search"
 	case opGround:
 		return "ground"
-	case opStats:
-		return "stats"
-	case opEntities:
-		return "entities"
-	case opBuilt:
-		return "built"
-	case opIngestGen:
-		return "ingest-gen"
-	case opReplicaStats:
-		return "replica-stats"
-	case opConfigSummary:
-		return "config-summary"
 	case opSaveSnapshot:
 		return "save-snapshot"
 	case opLoadSnapshot:
@@ -313,38 +287,35 @@ func opName(op byte) string {
 		return "ingest-batch"
 	case opPlanStats:
 		return "plan-stats"
-	case opSegmentStats:
-		return "segment-stats"
+	case opStatus:
+		return "status"
 	}
 	return fmt.Sprintf("op-%d", op)
 }
 
 // --- ShardBackend implementation ---------------------------------------
 
-// Ping verifies the worker is reachable and serving. It is the health
-// probe: one dial attempt, dial-scale deadline — a blackholed worker costs
-// one DialTimeout, not the full read-retry budget, so /healthz stays
-// responsive while a host is down.
-func (c *Client) Ping() error {
-	_, err := c.BootID()
-	return err
-}
-
-// BootID pings the worker and returns its server instance nonce. The
-// coordinator compares successive values: a changed nonce means the worker
-// process restarted — and, since workers boot empty, that its slice of the
-// corpus is gone until restored.
-func (c *Client) BootID() (uint64, error) {
-	resp, err := c.meta(opPing)
+// Status fetches the worker's snapshot and stamps this client's address on
+// it — on an error too, so an unreachable worker can still be named. It
+// rides the hot serving path — the HTTP tier reads built, generation and
+// health from it on every request — and the worker answers from memory, so
+// it takes one attempt under a dial-scale deadline instead of the full
+// read-retry budget: one blackholed worker costs a request one DialTimeout,
+// not Retries x Timeout. Stale pooled connections still discard and redial
+// for free.
+func (c *Client) Status() (ShardStatus, error) {
+	//lovo:ctx-ok sub-millisecond metadata exchange, deliberately untraced: a span per status poll would dwarf the traces it decorates
+	resp, err := c.do(context.Background(), opStatus, nil, false, true)
 	if err != nil {
-		return 0, err
+		return ShardStatus{Addr: c.addr}, err
 	}
 	d := &dec{b: resp}
-	id := d.u64()
+	st := readStatus(d)
 	if err := d.finish(); err != nil {
-		return 0, err
+		return ShardStatus{Addr: c.addr}, err
 	}
-	return id, nil
+	st.Addr = c.addr
+	return st, nil
 }
 
 // Ingest ships one video to the worker (gob-encoded inside the frame; the
@@ -438,7 +409,7 @@ func (c *Client) FastSearch(ctx context.Context, text string, plan core.Plan) ([
 }
 
 // PlanStats fetches the worker's planning digest. It rides the retried
-// read path (not the metadata fast path): the first fetch after a corpus
+// read path (not Status's single-attempt path): the first fetch after a corpus
 // change calibrates worker-side, and the sample payload is KB-scale.
 func (c *Client) PlanStats() (core.PlanStats, error) {
 	resp, err := c.call(opPlanStats, nil, false)
@@ -477,106 +448,6 @@ func (c *Client) GroundCandidates(ctx context.Context, text string, refs []core.
 		return nil, err
 	}
 	return gs, nil
-}
-
-// Stats fetches the worker's ingest statistics.
-func (c *Client) Stats() (core.IngestStats, error) {
-	resp, err := c.meta(opStats)
-	if err != nil {
-		return core.IngestStats{}, err
-	}
-	d := &dec{b: resp}
-	st := readStats(d)
-	if err := d.finish(); err != nil {
-		return core.IngestStats{}, err
-	}
-	return st, nil
-}
-
-// Entities fetches the worker's indexed vector count.
-func (c *Client) Entities() (int, error) {
-	resp, err := c.meta(opEntities)
-	if err != nil {
-		return 0, err
-	}
-	d := &dec{b: resp}
-	n := d.intv()
-	if err := d.finish(); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// Built reports whether the worker's index is built.
-func (c *Client) Built() (bool, error) {
-	resp, err := c.meta(opBuilt)
-	if err != nil {
-		return false, err
-	}
-	d := &dec{b: resp}
-	b := d.boolean()
-	if err := d.finish(); err != nil {
-		return false, err
-	}
-	return b, nil
-}
-
-// IngestGen fetches the worker's mutation generation.
-func (c *Client) IngestGen() (uint64, error) {
-	resp, err := c.meta(opIngestGen)
-	if err != nil {
-		return 0, err
-	}
-	d := &dec{b: resp}
-	g := d.u64()
-	if err := d.finish(); err != nil {
-		return 0, err
-	}
-	return g, nil
-}
-
-// SegmentStats fetches the worker's streaming segment breakdown — counts
-// answered from memory, so it rides the metadata fast path. A monolithic
-// worker reports Streaming=false.
-func (c *Client) SegmentStats() (vectordb.SegmentStats, error) {
-	resp, err := c.meta(opSegmentStats)
-	if err != nil {
-		return vectordb.SegmentStats{}, err
-	}
-	d := &dec{b: resp}
-	st := readSegmentStats(d)
-	if err := d.finish(); err != nil {
-		return vectordb.SegmentStats{}, err
-	}
-	return st, nil
-}
-
-// ReplicaStats fetches the worker's per-replica health and read counts.
-func (c *Client) ReplicaStats() ([]ReplicaStat, error) {
-	resp, err := c.meta(opReplicaStats)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: resp}
-	sts := readReplicaStats(d)
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return sts, nil
-}
-
-// ConfigSummary fetches the worker's resolved configuration digest.
-func (c *Client) ConfigSummary() (ConfigSummary, error) {
-	resp, err := c.meta(opConfigSummary)
-	if err != nil {
-		return ConfigSummary{}, err
-	}
-	d := &dec{b: resp}
-	sum := readConfigSummary(d)
-	if err := d.finish(); err != nil {
-		return ConfigSummary{}, err
-	}
-	return sum, nil
 }
 
 // SaveSnapshot fetches one replica's serialised system state.

@@ -503,3 +503,29 @@ func readSegmentStats(d *dec) vectordb.SegmentStats {
 		Compactions:   d.u64(),
 	}
 }
+
+func appendStatus(e *enc, st ShardStatus) {
+	e.u64(st.BootID)
+	e.u64(st.Gen)
+	e.boolean(st.Built)
+	e.i64(int64(st.Entities))
+	appendStats(e, st.Ingest)
+	appendReplicaStats(e, st.Replicas)
+	appendSegmentStats(e, st.Segments)
+	appendConfigSummary(e, st.Config)
+}
+
+// readStatus decodes a ShardStatus. Addr never travels: the client knows
+// which worker it dialed and stamps it after decoding.
+func readStatus(d *dec) ShardStatus {
+	return ShardStatus{
+		BootID:   d.u64(),
+		Gen:      d.u64(),
+		Built:    d.boolean(),
+		Entities: d.intv(),
+		Ingest:   readStats(d),
+		Replicas: readReplicaStats(d),
+		Segments: readSegmentStats(d),
+		Config:   readConfigSummary(d),
+	}
+}

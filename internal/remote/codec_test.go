@@ -309,6 +309,60 @@ func TestSegmentStatsRoundTrip(t *testing.T) {
 	}
 }
 
+// statusCases spans the ShardStatus shapes that matter on the wire: the
+// all-zero snapshot (zero replicas, Streaming=false), a batch worker, a
+// streaming replica group, and every counter at its widest.
+func statusCases() []ShardStatus {
+	return []ShardStatus{
+		{},
+		{BootID: 1, Gen: 7, Built: true, Entities: 4096,
+			Ingest:   core.IngestStats{Videos: 3, Frames: 900, Keyframes: 40, Tokens: 4096, Processing: time.Second, Indexing: time.Millisecond},
+			Replicas: []ReplicaStat{{Healthy: true, Reads: 12}},
+			Config:   ConfigSummary{Dim: 64, ProjDim: 32, Seed: 9, Index: "imi", FastK: 100, TopN: 10, RerankFrames: 16, Replicas: 1}},
+		{BootID: 2, Gen: 1, Entities: 1,
+			Replicas: []ReplicaStat{{Healthy: true}, {Healthy: false, Inflight: 3}, {Healthy: true, Reads: 1}},
+			Segments: vectordb.SegmentStats{Streaming: true, Sealed: 2, Building: 1, Growing: 1, GrowingLen: 17, SealedVectors: 128, RawBytes: 1 << 20, IndexBytes: 1 << 18, Seals: 3, Compactions: 1},
+			Config:   ConfigSummary{Index: "flat", Streaming: true, SegmentSize: 64, Replicas: 3}},
+		{BootID: math.MaxUint64, Gen: math.MaxUint64, Built: true, Entities: math.MaxInt,
+			Ingest: core.IngestStats{Videos: math.MaxInt, Frames: math.MaxInt, Keyframes: math.MaxInt, Tokens: math.MaxInt,
+				Processing: time.Duration(math.MaxInt64), Indexing: time.Duration(math.MinInt64)},
+			Replicas: []ReplicaStat{{Healthy: true, Reads: math.MaxUint64, Inflight: math.MinInt64}},
+			Segments: vectordb.SegmentStats{Streaming: true, Sealed: math.MaxInt, Building: math.MaxInt, Growing: math.MaxInt,
+				GrowingLen: math.MaxInt, SealedVectors: math.MaxInt, RawBytes: math.MaxInt64, IndexBytes: math.MaxInt64,
+				Seals: math.MaxUint64, Compactions: math.MaxUint64},
+			Config: ConfigSummary{Dim: math.MaxInt, ProjDim: math.MaxInt, Seed: math.MaxUint64, Index: strings.Repeat("x", 1<<10),
+				FastK: math.MaxInt, TopN: math.MaxInt, RerankFrames: math.MaxInt, Streaming: true, SegmentSize: math.MaxInt, Replicas: math.MaxInt}},
+	}
+}
+
+// forgedStatus encodes a status whose replica count claims far more
+// entries than the payload carries.
+func forgedStatus() []byte {
+	e := &enc{}
+	e.u64(1)        // boot id
+	e.u64(1)        // generation
+	e.boolean(true) // built
+	e.i64(1)        // entities
+	appendStats(e, core.IngestStats{})
+	e.u32(1 << 28) // replica count, with nothing behind it
+	return e.b
+}
+
+// TestStatusRoundTrip: the one metadata message round-trips exactly and
+// every strict prefix of its encoding fails to decode.
+func TestStatusRoundTrip(t *testing.T) {
+	for _, c := range statusCases() {
+		roundTrip(t, "status", c, appendStatus, readStatus)
+	}
+	d := &dec{b: forgedStatus()}
+	if st := readStatus(d); len(st.Replicas) != 0 {
+		t.Fatalf("forged replica count decoded to %d replicas", len(st.Replicas))
+	}
+	if err := d.finish(); err == nil {
+		t.Fatal("forged replica count must error")
+	}
+}
+
 // TestDecoderRejectsForgedCounts: a list count claiming more elements than
 // the payload could possibly hold must fail fast without allocating a
 // giant slice.

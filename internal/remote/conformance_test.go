@@ -122,10 +122,10 @@ func TestRemoteEngineMatchesLocalEngine(t *testing.T) {
 			if got, want := eng.Entities(), local.Entities(); got != want {
 				t.Fatalf("entities: remote %d, local %d", got, want)
 			}
-			if got, want := eng.IngestGen(), local.IngestGen(); got != want {
+			if got, want := eng.Status().Gen, local.Status().Gen; got != want {
 				t.Fatalf("ingest gen: remote %d, local %d", got, want)
 			}
-			if got, want := eng.Stats(), local.Stats(); got.Videos != want.Videos ||
+			if got, want := eng.Status().Ingest, local.Status().Ingest; got.Videos != want.Videos ||
 				got.Keyframes != want.Keyframes || got.Tokens != want.Tokens {
 				t.Fatalf("stats diverge: remote %+v, local %+v", got, want)
 			}
@@ -176,7 +176,7 @@ func TestRemoteReplicatedWorker(t *testing.T) {
 		want[i] = res
 	}
 
-	stats := eng.ReplicaStats()
+	stats := eng.Status().ReplicaGroups
 	for gi, g := range stats {
 		if len(g) != 2 {
 			t.Fatalf("shard %d: %d replica stats over RPC, want 2", gi, len(g))
@@ -197,7 +197,7 @@ func TestRemoteReplicatedWorker(t *testing.T) {
 			t.Fatalf("%s: failover changed the answer", q.ID)
 		}
 	}
-	st := eng.ReplicaStats()
+	st := eng.Status().ReplicaGroups
 	for gi, g := range st {
 		if g[0].Healthy {
 			t.Fatalf("shard %d replica 0 should report unhealthy over RPC", gi)

@@ -28,9 +28,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		{0x01},
 		bytes.Repeat([]byte{0xAB}, 300),
 		bytes.Repeat([]byte{0xCD}, frameReadChunk+17),
+		{opStatus},
+		append([]byte{statusOK}, forgedStatus()...),
 	} {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, payload, fuzzMaxFrame); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	// Real opStatus responses, the frame every serving request reads.
+	for _, st := range statusCases() {
+		e := &enc{b: []byte{statusOK}}
+		appendStatus(e, st)
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, e.b, fuzzMaxFrame); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

@@ -69,7 +69,7 @@ func TestMixedBackendsMatchAllLocal(t *testing.T) {
 	if got, want := eng.Entities(), ref.Entities(); got != want {
 		t.Fatalf("entities: mixed %d, local %d", got, want)
 	}
-	if got, want := eng.IngestGen(), ref.IngestGen(); got != want {
+	if got, want := eng.Status().Gen, ref.Status().Gen; got != want {
 		t.Fatalf("ingest gen: mixed %d, local %d", got, want)
 	}
 	queries := ds.Queries
@@ -90,7 +90,7 @@ func TestMixedBackendsMatchAllLocal(t *testing.T) {
 		}
 	}
 	// Health probes see both kinds.
-	stats := eng.BackendStats()
+	stats := eng.Status().Backends
 	kinds := map[string]int{}
 	for _, st := range stats {
 		if !st.Healthy {
@@ -132,9 +132,9 @@ func TestMixedSnapshotRoundTrip(t *testing.T) {
 	}
 
 	for _, restored := range []*shard.Engine{restoredMixed, restoredLocal} {
-		if restored.Entities() != orig.Entities() || !restored.Built() {
+		if restored.Entities() != orig.Entities() || !restored.Status().Built {
 			t.Fatalf("restored engine: %d entities (want %d), built=%t",
-				restored.Entities(), orig.Entities(), restored.Built())
+				restored.Entities(), orig.Entities(), restored.Status().Built)
 		}
 	}
 	for _, q := range ds.Queries[:3] {

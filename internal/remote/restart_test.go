@@ -3,11 +3,12 @@ package remote_test
 // Restart-detection suite: workers boot empty, so a worker that crashes and
 // comes back is NOT safe to serve from — it would answer every stage call
 // with zero hits and the coordinator would return merges silently missing
-// that shard's slice of the corpus. The engine detects the restart two
-// independent ways (the server boot nonce changes; the mutation generation
-// regresses to zero after recorded progress), fails Built() so the serving
-// tier refuses queries, reports the backend unhealthy with a state-lost
-// error, and recovers via a snapshot restore.
+// that shard's slice of the corpus. The engine detects the restart on its
+// next status read — any status read, including the one every serving
+// request makes — two independent ways (the server boot nonce changes; the
+// mutation generation regresses to zero after recorded progress), reports
+// Built=false so the serving tier refuses queries, reports the backend
+// unhealthy with a state-lost error, and recovers via a snapshot restore.
 
 import (
 	"bytes"
@@ -39,12 +40,12 @@ func TestRestartedEmptyWorkerDetected(t *testing.T) {
 
 	// Learn the healthy baseline: boot nonces, generations, reference
 	// answers, and a snapshot for the recovery step.
-	for _, st := range eng.BackendStats() {
+	for _, st := range eng.Status().Backends {
 		if !st.Healthy {
 			t.Fatalf("healthy engine reports %+v", st)
 		}
 	}
-	genBefore := eng.IngestGen()
+	genBefore := eng.Status().Gen
 	if genBefore == 0 {
 		t.Fatal("ingested engine must have a nonzero generation")
 	}
@@ -61,32 +62,29 @@ func TestRestartedEmptyWorkerDetected(t *testing.T) {
 		}
 		want[i] = res
 	}
-	if !eng.Built() {
+	if !eng.Status().Built {
 		t.Fatal("healthy engine must report built")
 	}
 
-	// Detector 1: the boot nonce. Restart worker 1 empty; the next health
-	// probe sees a new server instance behind recorded progress.
+	// Restart worker 1 empty; the very next status read sees a new server
+	// instance with a zero generation behind recorded progress, and reports
+	// unbuilt in that same snapshot.
 	hosts[1].restart(freshLocal(t, cfg))
-	st := eng.BackendStats()
+	status := eng.Status()
+	st := status.Backends
 	if st[1].Healthy {
 		t.Fatal("restarted-empty worker must report unhealthy")
 	}
 	if !strings.Contains(st[1].Error, "state lost") {
 		t.Fatalf("backend error should say state lost, got %q", st[1].Error)
 	}
-	if eng.Built() {
+	if status.Built {
 		t.Fatal("engine with a state-lost shard must not report built — serving would return partial merges")
 	}
 
-	// Detector 2: generation regression. Restart worker 2 empty; the next
-	// IngestGen observes gen 0 after recorded progress — no health probe
-	// needed, the per-query cache lookup path catches it.
 	hosts[2].restart(freshLocal(t, cfg))
-	eng.IngestGen()
-	st = eng.BackendStats()
-	if st[2].Healthy {
-		t.Fatal("generation regression must mark the worker state-lost")
+	if st = eng.Status().Backends; st[2].Healthy {
+		t.Fatal("second restarted-empty worker must be marked state-lost")
 	}
 
 	// Recovery: restart the remaining worker empty too, restore the
@@ -96,10 +94,10 @@ func TestRestartedEmptyWorkerDetected(t *testing.T) {
 	if err := eng.LoadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Built() {
+	if !eng.Status().Built {
 		t.Fatal("restored engine must report built")
 	}
-	for _, st := range eng.BackendStats() {
+	for _, st := range eng.Status().Backends {
 		if !st.Healthy {
 			t.Fatalf("restored engine reports %+v", st)
 		}

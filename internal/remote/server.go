@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/vectordb"
 	"repro/internal/video"
 )
 
@@ -24,11 +23,11 @@ import (
 // net.Pipe connections with ServeConn directly.
 type Server struct {
 	backend ShardBackend
-	// nonce identifies this server instance: opPing returns it, so a
-	// coordinator can tell "same worker, transient blip" from "worker
-	// restarted (empty) since I last spoke to it" — the latter means the
-	// shard's corpus is gone and serving on would silently drop its slice
-	// from every merge.
+	// nonce identifies this server instance: opStatus stamps it on every
+	// snapshot as BootID, so a coordinator can tell "same worker, transient
+	// blip" from "worker restarted (empty) since I last spoke to it" — the
+	// latter means the shard's corpus is gone and serving on would silently
+	// drop its slice from every merge.
 	nonce uint64
 	// MaxFrame bounds request payloads (DefaultMaxFrame when zero).
 	MaxFrame uint32
@@ -218,15 +217,6 @@ func (s *Server) handle(op byte, body []byte) (status byte, resp []byte) {
 	d := &dec{b: body}
 	e := &enc{}
 	switch op {
-	case opPing:
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		if err := s.backend.Ping(); err != nil {
-			return encodeError(err)
-		}
-		e.u64(s.nonce)
-
 	case opIngest:
 		raw := d.bytesv()
 		if err := d.finish(); err != nil {
@@ -320,81 +310,16 @@ func (s *Server) handle(op byte, body []byte) (status byte, resp []byte) {
 		appendGroundings(e, gs)
 		appendTrace(e, root)
 
-	case opStats:
+	case opStatus:
 		if err := d.finish(); err != nil {
 			return encodeError(err)
 		}
-		st, err := s.backend.Stats()
+		st, err := s.backend.Status()
 		if err != nil {
 			return encodeError(err)
 		}
-		appendStats(e, st)
-
-	case opEntities:
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		n, err := s.backend.Entities()
-		if err != nil {
-			return encodeError(err)
-		}
-		e.i64(int64(n))
-
-	case opBuilt:
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		b, err := s.backend.Built()
-		if err != nil {
-			return encodeError(err)
-		}
-		e.boolean(b)
-
-	case opIngestGen:
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		g, err := s.backend.IngestGen()
-		if err != nil {
-			return encodeError(err)
-		}
-		e.u64(g)
-
-	case opSegmentStats:
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		// A backend without the optional surface (a monolithic store, or a
-		// test fake) answers like a monolithic worker: zero stats with
-		// Streaming=false.
-		var st vectordb.SegmentStats
-		if sr, ok := s.backend.(SegmentReporter); ok {
-			var err error
-			if st, err = sr.SegmentStats(); err != nil {
-				return encodeError(err)
-			}
-		}
-		appendSegmentStats(e, st)
-
-	case opReplicaStats:
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		sts, err := s.backend.ReplicaStats()
-		if err != nil {
-			return encodeError(err)
-		}
-		appendReplicaStats(e, sts)
-
-	case opConfigSummary:
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		sum, err := s.backend.ConfigSummary()
-		if err != nil {
-			return encodeError(err)
-		}
-		appendConfigSummary(e, sum)
+		st.BootID = s.nonce
+		appendStatus(e, st)
 
 	case opSaveSnapshot:
 		if err := d.finish(); err != nil {

@@ -103,9 +103,9 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 	// The segment breakdown travels the RPC boundary: one growing segment
 	// per shard (the primary replica speaks for its group), and the tiny
 	// threshold must have forced seals on both shards.
-	st, ok := eng.SegmentStats()
-	if !ok || !st.Streaming {
-		t.Fatalf("streaming remote engine must report segment stats, got ok=%v %+v", ok, st)
+	st := eng.Status().Segments
+	if !st.Streaming {
+		t.Fatalf("streaming remote engine must report segment stats, got %+v", st)
 	}
 	if st.Growing != 2 {
 		t.Errorf("growing segments = %d, want one per shard (2)", st.Growing)
@@ -115,12 +115,12 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 	}
 }
 
-// TestBatchRemoteReportsNoSegments pins the negative: a batch fleet answers
-// the segment-stats RPC with Streaming=false and the engine reports ok=false.
+// TestBatchRemoteReportsNoSegments pins the negative: a batch fleet's
+// status carries Streaming=false and the engine folds it to the same.
 func TestBatchRemoteReportsNoSegments(t *testing.T) {
 	eng, _ := remoteEngine(t, 2, 1, core.Config{Seed: 7}, remote.ClientOptions{})
-	if st, ok := eng.SegmentStats(); ok || st.Streaming {
-		t.Fatalf("batch remote engine must not report segment stats, got ok=%v %+v", ok, st)
+	if st := eng.Status().Segments; st != (vectordb.SegmentStats{}) {
+		t.Fatalf("batch remote engine must not report segment stats, got %+v", st)
 	}
 }
 

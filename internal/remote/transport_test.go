@@ -129,6 +129,19 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 			t.Fatalf("%s: malformed request must answer a non-OK status, got % x", name, resp)
 		}
 	}
+	// Retired op bytes (the per-field metadata reads Status replaced) are
+	// unknown ops now — with or without a body — never a dispatch.
+	for _, op := range []byte{1, 6, 7, 8, 9, 10, 11, 16} {
+		for _, payload := range [][]byte{{op}, {op, 0xFF, 0xFF, 0xFF, 0xFF}} {
+			resp, err := rawExchange(t, h, frame(payload))
+			if err != nil {
+				t.Fatalf("retired op %d: want an error response, got transport error %v", op, err)
+			}
+			if len(resp) == 0 || resp[0] == 0 || !strings.Contains(string(resp[1:]), "unknown op") {
+				t.Fatalf("retired op %d must answer unknown op, got % x %q", op, resp[:1], resp[1:])
+			}
+		}
+	}
 	// Empty frame: answered with an error, then the connection closes.
 	resp, err := rawExchange(t, h, frame(nil))
 	if err != nil {
@@ -143,7 +156,8 @@ func pingHost(t *testing.T, h *pipeHost) error {
 	t.Helper()
 	c := remote.NewClient("pipe://ping", remote.ClientOptions{Dial: h.dial, Timeout: 2 * time.Second})
 	defer c.Close()
-	return c.Ping()
+	_, err := c.Status()
+	return err
 }
 
 // TestClientRejectsOversizedResponse pins the symmetric bound: a server
@@ -166,7 +180,7 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 	}
 	c := remote.NewClient("pipe://bigmouth", remote.ClientOptions{Dial: dial, Timeout: time.Second, Retries: 1})
 	defer c.Close()
-	err := c.Ping()
+	_, err := c.Status()
 	if err == nil {
 		t.Fatal("oversized response must error")
 	}
@@ -196,7 +210,7 @@ func TestNoRecognisedTermsCrossesTheWire(t *testing.T) {
 	if !errors.Is(err, core.ErrNoRecognisedTerms) {
 		t.Fatalf("sentinel lost over RPC: %v", err)
 	}
-	for gi, g := range eng.ReplicaStats() {
+	for gi, g := range eng.Status().ReplicaGroups {
 		for ri, st := range g {
 			if !st.Healthy {
 				t.Fatalf("replica (%d,%d) burned health on a client error", gi, ri)
@@ -349,7 +363,7 @@ func TestFaultInjectionNeverChangesAnswers(t *testing.T) {
 			t.Fatal("query with a dead shard must error, not return a partial merge")
 		}
 		// The engine's health probe sees it too.
-		stats := eng.BackendStats()
+		stats := eng.Status().Backends
 		if stats[1].Healthy {
 			t.Fatal("dead worker must report unhealthy")
 		}

@@ -22,32 +22,29 @@ import (
 // rejected without allocating — the receiver answers with an error frame and
 // closes the connection, so a corrupt or hostile length can neither panic
 // the server nor drive an unbounded allocation.
+//
+// Op values are explicit and never reused: a retired value (1, 6-11, 16)
+// must keep answering "unknown op".
 const (
-	opPing byte = iota + 1
-	opIngest
-	opBuildIndex
-	opFastSearch
-	opGround
-	opStats
-	opEntities
-	opBuilt
-	opIngestGen
-	opReplicaStats
-	opConfigSummary
-	opSaveSnapshot
-	opLoadSnapshot
+	opIngest       byte = 2
+	opBuildIndex   byte = 3
+	opFastSearch   byte = 4
+	opGround       byte = 5
+	opSaveSnapshot byte = 12
+	opLoadSnapshot byte = 13
 	// opIngestBatch ships many videos in one frame (a list of per-video
 	// gob blobs), amortising the per-call dial + round trip that
 	// dataset-scale ingest would otherwise pay once per video.
-	opIngestBatch
+	opIngestBatch byte = 14
 	// opPlanStats fetches the shard's planning digest (selectivity sample,
 	// posting statistics, calibrated effort ladder) for the coordinator's
 	// accuracy-bounded planner.
-	opPlanStats
-	// opSegmentStats fetches the shard's streaming segment breakdown
-	// (growing/building/sealed counts, bytes, maintenance totals); a
-	// monolithic worker answers with Streaming=false.
-	opSegmentStats
+	opPlanStats byte = 15
+	// opStatus fetches the shard's ShardStatus snapshot — the one metadata
+	// read: boot nonce, generation, built, entities, ingest stats,
+	// per-replica health, segment breakdown and config summary, all
+	// answered from memory worker-side.
+	opStatus byte = 17
 )
 
 const (

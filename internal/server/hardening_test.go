@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/shard"
+	"repro/internal/video"
 )
 
 // fakeBackend is a controllable Backend: QueryPlanned can be gated to hold
@@ -30,7 +31,7 @@ type fakeBackend struct {
 	entered chan struct{} // receives one token per QueryPlanned entry, if set
 	release chan struct{} // QueryPlanned blocks until closed, if set
 
-	notBuilt bool  // Built() reports false, so queries answer 503
+	notBuilt bool  // Status reports Built=false, so queries answer 503
 	queryErr error // QueryPlanned fails with this, if set
 }
 
@@ -72,10 +73,11 @@ func (f *fakeBackend) QueryBatchPlanned(ctx context.Context, texts []string, pla
 	return out, nil
 }
 
-func (f *fakeBackend) Stats() core.IngestStats { return core.IngestStats{} }
-func (f *fakeBackend) Entities() int           { return 1 }
-func (f *fakeBackend) Built() bool             { return !f.notBuilt }
-func (f *fakeBackend) IngestGen() uint64       { return 1 }
+func (f *fakeBackend) Ingest(*video.Video) error { return nil }
+
+func (f *fakeBackend) Status() shard.Status {
+	return shard.Status{Gen: 1, Built: !f.notBuilt, Entities: 1}
+}
 
 // TestOptionValidationRejectsBadKnobs pins the input-validation hardening:
 // negative or absurd integer knobs and a min_recall outside (0, 1] must

@@ -59,7 +59,7 @@ func TestIngestEndpoint(t *testing.T) {
 
 	// Warm the cache, remember the generation.
 	_, _ = postJSON(t, ts.URL+"/query", queryRequest{Query: text})
-	genBefore := eng.IngestGen()
+	genBefore := eng.Status().Gen
 
 	v := freshVideo(t, 4000)
 	resp, data := postJSON(t, ts.URL+"/ingest", v)
@@ -146,14 +146,6 @@ func TestIngestMethodAndAvailability(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest status %d, want 405", resp.StatusCode)
-	}
-
-	// A backend without the Ingester surface answers 501, not a panic.
-	fts := httptest.NewServer(New(&fakeBackend{}, Config{}))
-	defer fts.Close()
-	resp2, data := postJSON(t, fts.URL+"/ingest", freshVideo(t, 1))
-	if resp2.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("non-ingester status %d, want 501: %s", resp2.StatusCode, data)
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package server is LOVO's network serving tier: a net/http JSON API over a
-// query backend — the sharded scatter-gather engine or a single core.System
-// — fronted by a bounded LRU query-result cache and text-format metrics.
+// Package server is LOVO's network serving tier: a net/http JSON API over
+// the sharded scatter-gather engine, fronted by a bounded LRU query-result
+// cache and text-format metrics.
 //
 // Endpoints:
 //
@@ -46,59 +46,20 @@ import (
 	"repro/internal/video"
 )
 
-// Backend answers queries for the server: both *core.System and
-// *shard.Engine satisfy it. The server always queries in two steps — plan,
-// then execute — so it can key the result cache on the resolved plan and
-// report which plans the backend is choosing. The query contexts carry the
-// request's tracing recorder (see internal/obs); tracing never changes an
-// answer.
+// Backend is what the server serves: *shard.Engine satisfies it (a single
+// system is served as a one-shard engine). The server always queries in two
+// steps — plan, then execute — so it can key the result cache on the
+// resolved plan and report which plans the backend is choosing. The query
+// contexts carry the request's tracing recorder (see internal/obs); tracing
+// never changes an answer. Status is the backend's one consistent snapshot:
+// every request reads built, generation and backend health from one call,
+// and /stats, /healthz and /metrics each render from one.
 type Backend interface {
 	PlanQueryCtx(ctx context.Context, text string, opts core.QueryOptions) (core.Plan, error)
 	QueryPlanned(ctx context.Context, text string, plan core.Plan, workers int) (*core.Result, error)
 	QueryBatchPlanned(ctx context.Context, texts []string, plans []core.Plan, workers, clients int) ([]*core.Result, error)
-	Stats() core.IngestStats
-	Entities() int
-	Built() bool
-	IngestGen() uint64
-}
-
-// RecallReporter is the optional backend surface of a planning backend
-// (*core.System and *shard.Engine both satisfy it); when present, /stats
-// reports the most recent recall measured by the planner's validation loop.
-type RecallReporter interface {
-	LastMeasuredRecall() float64
-}
-
-// ReplicaReporter is the optional backend surface of a replicated engine
-// (*shard.Engine satisfies it); when present, /stats and /metrics report
-// per-group replica health and read counts.
-type ReplicaReporter interface {
-	Replicas() int
-	ReplicaStats() [][]shard.ReplicaStat
-}
-
-// BackendReporter is the optional backend surface of a distributed engine
-// (*shard.Engine satisfies it); when present, /healthz, /stats and /metrics
-// report per-shard backend health — so a killed remote worker flips
-// /healthz to "degraded" without waiting for a query to trip over it.
-type BackendReporter interface {
-	BackendStats() []shard.BackendStat
-}
-
-// Ingester is the optional backend surface of a live-ingest deployment
-// (*core.System and *shard.Engine both satisfy it); when present, POST
-// /ingest accepts footage while the server keeps answering queries.
-type Ingester interface {
 	Ingest(v *video.Video) error
-}
-
-// SegmentReporter is the optional backend surface of a streaming deployment
-// (*core.System and *shard.Engine both satisfy it); when the reported stats
-// carry Streaming=true, /stats and /metrics surface the segment breakdown —
-// growing/building/sealed counts and the seal/compaction totals that show
-// background maintenance making progress.
-type SegmentReporter interface {
-	SegmentStats() (vectordb.SegmentStats, bool)
+	Status() shard.Status
 }
 
 // Config tunes the serving tier.
@@ -336,27 +297,31 @@ func toResponse(res *core.Result, plan core.Plan, cached bool) QueryResponse {
 	}
 }
 
+// downBackends names the unhealthy shard backends: the worker address for
+// a remote shard, the kind otherwise.
+func downBackends(st shard.Status) []string {
+	var down []string
+	for _, b := range st.Backends {
+		if !b.Healthy {
+			name := b.Kind
+			if b.Addr != "" {
+				name = b.Addr
+			}
+			down = append(down, name)
+		}
+	}
+	return down
+}
+
 // failUnavailable answers the not-ready 503, distinguishing "the index is
 // still building" from "a shard backend is unreachable" — a distributed
-// engine reports Built()=false in both cases, and telling an operator to
+// engine reports Built=false in both cases, and telling an operator to
 // wait for an index that will never build wastes their incident.
-func (s *Server) failUnavailable(w http.ResponseWriter) {
-	if bb, ok := s.backend.(BackendReporter); ok {
-		var down []string
-		for _, st := range bb.BackendStats() {
-			if !st.Healthy {
-				name := st.Kind
-				if st.Addr != "" {
-					name = st.Addr
-				}
-				down = append(down, name)
-			}
-		}
-		if len(down) > 0 {
-			s.failKind(w, http.StatusServiceUnavailable, "backend_down",
-				"%d shard backend(s) unreachable: %s", len(down), strings.Join(down, ", "))
-			return
-		}
+func (s *Server) failUnavailable(w http.ResponseWriter, st shard.Status) {
+	if down := downBackends(st); len(down) > 0 {
+		s.failKind(w, http.StatusServiceUnavailable, "backend_down",
+			"%d shard backend(s) unreachable: %s", len(down), strings.Join(down, ", "))
+		return
 	}
 	s.fail(w, http.StatusServiceUnavailable, "index not built yet")
 }
@@ -389,8 +354,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.backend.Built() {
-		s.failUnavailable(w)
+	st := s.backend.Status()
+	if !st.Built {
+		s.failUnavailable(w, st)
 		return
 	}
 	opts := s.resolveOptions(req.Options)
@@ -416,7 +382,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx = obs.With(ctx, root)
 	}
 	start := time.Now()
-	res, plan, cached, err := s.query(ctx, req.Query, opts)
+	res, plan, cached, err := s.query(ctx, req.Query, opts, st.Gen)
 	if err != nil {
 		s.fail(w, queryErrStatus(err), "%v", err)
 		return
@@ -452,8 +418,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // Keying on the resolved plan (rather than the raw options) means requests
 // that resolve to the same execution — a pinned plan and the option knobs
 // it mirrors, say — share one cache entry, and adaptive requests are cached
-// per chosen plan, not per bound.
-func (s *Server) query(ctx context.Context, text string, opts core.QueryOptions) (*core.Result, core.Plan, bool, error) {
+// per chosen plan, not per bound. gen is the backend generation the
+// request's status read observed; it stamps the cache lookup and entry.
+func (s *Server) query(ctx context.Context, text string, opts core.QueryOptions, gen uint64) (*core.Result, core.Plan, bool, error) {
 	planStart := time.Now()
 	pctx, psp := obs.Start(ctx, "plan")
 	plan, err := s.backend.PlanQueryCtx(pctx, text, opts)
@@ -466,7 +433,6 @@ func (s *Server) query(ctx context.Context, text string, opts core.QueryOptions)
 	cacheStart := time.Now()
 	_, csp := obs.Start(ctx, "cache")
 	key := cacheKey(text, plan)
-	gen := s.backend.IngestGen()
 	res, hit := s.cache.get(key, gen)
 	if hit {
 		csp.Detail("hit")
@@ -528,10 +494,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.backend.Built() {
-		s.failUnavailable(w)
+	st := s.backend.Status()
+	if !st.Built {
+		s.failUnavailable(w, st)
 		return
 	}
+	gen := st.Gen
 	opts := s.resolveOptions(req.Options)
 	// The same rerank-width guard handleQuery applies: a batch overlapping
 	// any other /query or /query/batch must narrow each query's grounding
@@ -542,7 +510,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		opts.Workers = 1
 	}
 	defer s.inflight.Add(-1)
-	gen := s.backend.IngestGen()
 
 	// Plan every query, serve what the cache can (keyed on each resolved
 	// plan), and batch the rest through the backend's concurrent client
@@ -613,11 +580,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.allowMethod(w, r, http.MethodPost) {
 		return
 	}
-	ing, ok := s.backend.(Ingester)
-	if !ok {
-		s.fail(w, http.StatusNotImplemented, "backend does not accept live ingest")
-		return
-	}
 	var v video.Video
 	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
@@ -645,7 +607,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := ing.Ingest(&v); err != nil {
+	if err := s.backend.Ingest(&v); err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, vectordb.ErrDuplicate) || errors.Is(err, relational.ErrDuplicateKey) {
 			// The patch IDs collided: this video (or one reusing its ID) is
@@ -660,11 +622,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestResponse{
 		VideoID:   v.ID,
 		Frames:    len(v.Frames),
-		IngestGen: s.backend.IngestGen(),
+		IngestGen: s.backend.Status().Gen,
 	})
 }
 
-// StatsResponse is the /stats payload.
+// StatsResponse is the /stats payload. Every backend-derived field comes
+// from one Status snapshot, so the fields of one response describe the same
+// moment.
 type StatsResponse struct {
 	Ingest   core.IngestStats `json:"ingest"`
 	Entities int              `json:"entities"`
@@ -672,10 +636,9 @@ type StatsResponse struct {
 	Shards   int              `json:"shards"`
 	Replicas int              `json:"replicas,omitempty"`
 	// ReplicaGroups reports per-group replica health, read counts and
-	// in-flight load when the backend is a replicated engine.
+	// in-flight load.
 	ReplicaGroups [][]shard.ReplicaStat `json:"replica_groups,omitempty"`
-	// Backends reports per-shard backend kind, address and health when the
-	// backend is a distributed engine.
+	// Backends reports per-shard backend kind, address and health.
 	Backends []shard.BackendStat `json:"backends,omitempty"`
 	// Segments reports the streaming segment breakdown (summed across
 	// shards) when the backend streams; absent for monolithic batch
@@ -715,15 +678,10 @@ type SegmentStatsJSON struct {
 	IngestsTotal  uint64 `json:"ingests_total"`
 }
 
-// segmentStats fetches the backend's streaming segment breakdown; nil for
-// monolithic backends (or ones without the optional surface).
-func (s *Server) segmentStats() *SegmentStatsJSON {
-	sr, ok := s.backend.(SegmentReporter)
-	if !ok {
-		return nil
-	}
-	st, ok := sr.SegmentStats()
-	if !ok || !st.Streaming {
+// segmentStats renders the streaming segment breakdown; nil for batch
+// backends.
+func (s *Server) segmentStats(st vectordb.SegmentStats) *SegmentStatsJSON {
+	if !st.Streaming {
 		return nil
 	}
 	return &SegmentStatsJSON{
@@ -744,36 +702,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !s.allowMethod(w, r, http.MethodGet) {
 		return
 	}
-	var replicas int
-	var groups [][]shard.ReplicaStat
-	if rb, ok := s.backend.(ReplicaReporter); ok {
-		replicas = rb.Replicas()
-		groups = rb.ReplicaStats()
-	}
-	var backends []shard.BackendStat
-	if bb, ok := s.backend.(BackendReporter); ok {
-		backends = bb.BackendStats()
-	}
-	var measured float64
-	if rr, ok := s.backend.(RecallReporter); ok {
-		measured = rr.LastMeasuredRecall()
-	}
+	st := s.backend.Status()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Ingest:             s.backend.Stats(),
-		Entities:           s.backend.Entities(),
-		Built:              s.backend.Built(),
+		Ingest:             st.Ingest,
+		Entities:           st.Entities,
+		Built:              st.Built,
 		Shards:             s.cfg.Shards,
-		Replicas:           replicas,
-		ReplicaGroups:      groups,
-		Backends:           backends,
-		Segments:           s.segmentStats(),
-		IngestGen:          s.backend.IngestGen(),
+		Replicas:           st.Replicas,
+		ReplicaGroups:      st.ReplicaGroups,
+		Backends:           st.Backends,
+		Segments:           s.segmentStats(st.Segments),
+		IngestGen:          st.Gen,
 		Cache:              s.cache.stats(),
 		QueriesTotal:       s.metrics.queries.Load(),
 		BatchTotal:         s.metrics.batchQueries.Load(),
 		ErrorsTotal:        s.metrics.errors.Load(),
 		Plans:              s.metrics.planCounts(),
-		LastMeasuredRecall: measured,
+		LastMeasuredRecall: st.LastMeasuredRecall,
 		LatencyP50Ms:       s.metrics.latency.quantile(0.50) * 1000,
 		LatencyP99Ms:       s.metrics.latency.quantile(0.99) * 1000,
 		KernelTier:         mat.KernelTier(),
@@ -785,29 +730,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.allowMethod(w, r, http.MethodGet) {
 		return
 	}
-	resp := map[string]any{
-		"status":   "ok",
-		"built":    s.backend.Built(),
-		"entities": s.backend.Entities(),
+	st := s.backend.Status()
+	down := len(downBackends(st))
+	// Any unhealthy shard backend degrades the health report (still 200 —
+	// the serving tier itself is alive; orchestrators key on the status
+	// string).
+	status := "ok"
+	if down > 0 {
+		status = "degraded"
 	}
-	// A distributed engine probes its shard backends: any unreachable
-	// worker degrades the health report (still 200 — the serving tier
-	// itself is alive; orchestrators key on the status string).
-	if bb, ok := s.backend.(BackendReporter); ok {
-		stats := bb.BackendStats()
-		down := 0
-		for _, st := range stats {
-			if !st.Healthy {
-				down++
-			}
-		}
-		resp["backends"] = stats
-		resp["backends_down"] = down
-		if down > 0 {
-			resp["status"] = "degraded"
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status":        status,
+		"built":         st.Built,
+		"entities":      st.Entities,
+		"backends":      st.Backends,
+		"backends_down": down,
+	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -816,6 +754,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	cs := s.cache.stats()
+	st := s.backend.Status()
 	counter(w, "lovod_queries_total", s.metrics.queries.Load())
 	counter(w, "lovod_batch_queries_total", s.metrics.batchQueries.Load())
 	counter(w, "lovod_ingest_total", s.metrics.ingests.Load())
@@ -826,19 +765,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter(w, "lovod_cache_evictions_total", cs.Evicted)
 	counter(w, "lovod_cache_coalesced_total", cs.Coalesced)
 	gauge(w, "lovod_cache_entries", float64(cs.Entries))
-	gauge(w, "lovod_index_entities", float64(s.backend.Entities()))
-	gauge(w, "lovod_ingest_generation", float64(s.backend.IngestGen()))
+	gauge(w, "lovod_index_entities", float64(st.Entities))
+	gauge(w, "lovod_ingest_generation", float64(st.Gen))
 	writePlanMetrics(w, s.metrics.planCounts())
-	if rr, ok := s.backend.(RecallReporter); ok {
-		gauge(w, "lovod_planner_last_measured_recall", rr.LastMeasuredRecall())
-	}
-	if rb, ok := s.backend.(ReplicaReporter); ok {
-		writeReplicaMetrics(w, rb.ReplicaStats())
-	}
-	if bb, ok := s.backend.(BackendReporter); ok {
-		writeBackendMetrics(w, bb.BackendStats())
-	}
-	if seg := s.segmentStats(); seg != nil {
+	gauge(w, "lovod_planner_last_measured_recall", st.LastMeasuredRecall)
+	writeReplicaMetrics(w, st.ReplicaGroups)
+	writeBackendMetrics(w, st.Backends)
+	if seg := s.segmentStats(st.Segments); seg != nil {
 		writeSegmentMetrics(w, seg)
 	}
 	s.metrics.latency.writeProm(w, "lovod_query_latency_seconds")

@@ -36,6 +36,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -53,19 +54,14 @@ type Engine struct {
 	backends []remote.ShardBackend
 	cfg      core.Config // defaults resolved
 	replicas int         // R when uniform (local constructors), 0 otherwise
-	// lastGen caches the last generation each backend reported, so an
-	// unreachable remote shard doesn't wobble the engine generation (and
-	// with it, cache validity) while it is down.
-	lastGen []atomic.Uint64
-	// bootID remembers each remote backend's server-instance nonce
-	// (0 = not yet learned).
-	bootID []atomic.Uint64
-	// stateLost marks a backend whose worker restarted empty after this
-	// engine recorded ingest progress on it: its generation regressed to
-	// zero, or its boot nonce changed. Serving on would silently drop that
-	// shard's slice from every merge, so a state-lost backend reports
-	// unhealthy and fails Built() until a snapshot restore (LoadSnapshot
-	// clears the mark) or a coordinator reboot.
+	// lastGen, bootID and stateLost are the engine's durable per-backend
+	// record, maintained by observe on every status read: the highest
+	// generation each backend reported, its server-instance nonce (0 = not
+	// yet learned, or in-process), and whether its worker was seen to
+	// restart empty. A state-lost backend stays marked until a snapshot
+	// restore (LoadSnapshot clears the record) or a coordinator reboot.
+	lastGen   []atomic.Uint64
+	bootID    []atomic.Uint64
 	stateLost []atomic.Bool
 	// faultHook, when set (tests only), may inject an error before a
 	// replica call on a local backend, exercising the failover path.
@@ -475,164 +471,160 @@ func (e *Engine) QueryBatchPlanned(ctx context.Context, texts []string, plans []
 	return core.ExecutePlanBatch(ctx, engineTarget{e}, texts, normalized, workers, clients)
 }
 
-// Stats aggregates ingest statistics across shards, counting each shard's
-// primary replica once — replicas hold the same corpus, so an R-replica
-// engine reports the same statistics as an R=1 engine. Counter fields sum;
-// duration fields sum too, so they report aggregate shard-time, not
-// wall-clock (shards ingest in parallel). Unreachable shards contribute
-// nothing (their health shows in BackendStats).
-func (e *Engine) Stats() core.IngestStats {
-	stats := make([]core.IngestStats, len(e.backends))
-	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		st, err := e.backends[i].Stats()
-		if err != nil {
-			return
-		}
-		stats[i] = st
-	})
-	var agg core.IngestStats
-	for _, st := range stats {
-		agg.Videos += st.Videos
-		agg.Frames += st.Frames
-		agg.Keyframes += st.Keyframes
-		agg.Tokens += st.Tokens
-		agg.Processing += st.Processing
-		agg.Indexing += st.Indexing
+// BackendStat is the coordinator's view of one shard backend, surfaced by
+// the serving tier's /stats, /healthz and /metrics.
+type BackendStat struct {
+	// Kind is "local" for in-process shards, "remote" for RPC workers.
+	Kind string `json:"kind"`
+	// Addr is the worker address (remote shards only).
+	Addr string `json:"addr,omitempty"`
+	// Healthy reports the shard answered its status read, has a healthy
+	// replica and still holds the corpus this engine fed it.
+	Healthy bool `json:"healthy"`
+	// Error carries the reason when unhealthy.
+	Error string `json:"error,omitempty"`
+}
+
+// Status is the engine's one consistent view of itself: every field folds
+// the same scatter of ShardBackend.Status reads, one per shard, so the
+// serving tier's per-request built/generation check and a full /stats
+// scrape both cost one metadata read per shard and describe one moment.
+type Status struct {
+	// Gen sums each shard's mutation generation (itself the minimum across
+	// the shard's replicas): any ingest or index build anywhere advances it
+	// once every replica has it, which is all a result cache needs. An
+	// unreachable shard contributes its last reported generation, so Gen
+	// holds steady — rather than wobbling cache validity — while a worker
+	// is down.
+	Gen uint64
+	// Built reports whether every shard has built its index. An unreachable
+	// or state-lost shard makes it false — the engine cannot serve complete
+	// answers without it.
+	Built bool
+	// Entities and Ingest total the reachable shards, counting each shard's
+	// primary replica once — replicas hold the same corpus, so an R-replica
+	// engine reports what an R=1 engine does. Ingest's duration fields sum
+	// too, so they report aggregate shard-time, not wall-clock.
+	Entities int
+	Ingest   core.IngestStats
+	// Replicas is the uniform replica count of a local engine (see
+	// Engine.Replicas).
+	Replicas int
+	// ReplicaGroups is per-replica health, read counts and in-flight load,
+	// indexed [shard][replica]; an unreachable shard reports a single
+	// unhealthy placeholder entry.
+	ReplicaGroups [][]ReplicaStat
+	// Backends is per-shard kind, address and health.
+	Backends []BackendStat
+	// Segments sums the streaming segment breakdown across reachable
+	// streaming shards, so Sealed/Building/GrowingLen are fleet-wide totals;
+	// Streaming is false for a batch fleet (or one whose every streaming
+	// worker is unreachable).
+	Segments vectordb.SegmentStats
+	// LastMeasuredRecall is the planner's most recent validation
+	// measurement (0 until the loop has run).
+	LastMeasuredRecall float64
+}
+
+// Status reads every shard's snapshot in parallel — the engine's only
+// metadata scatter — and folds them.
+func (e *Engine) Status() Status {
+	n := len(e.backends)
+	shards := make([]remote.ShardStatus, n)
+	out := Status{
+		Built:              true,
+		Replicas:           e.replicas,
+		ReplicaGroups:      make([][]ReplicaStat, n),
+		Backends:           make([]BackendStat, n),
+		LastMeasuredRecall: math.Float64frombits(e.planner.lastMeasured.Load()),
 	}
-	return agg
-}
-
-// Entities returns the total indexed patch vectors across reachable shards
-// (one replica per shard; copies don't multiply the corpus).
-func (e *Engine) Entities() int {
-	counts := make([]int, len(e.backends))
-	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		c, err := e.backends[i].Entities()
-		if err != nil {
-			return
-		}
-		counts[i] = c
+	core.ParallelFor(n, n, func(i int) {
+		st, err := e.backends[i].Status()
+		out.Backends[i] = e.observe(i, &st, err)
+		shards[i] = st
 	})
-	n := 0
-	for _, c := range counts {
-		n += c
+	for i := range shards {
+		st := &shards[i]
+		out.Gen += st.Gen
+		out.Built = out.Built && st.Built
+		out.Entities += st.Entities
+		out.Ingest.Videos += st.Ingest.Videos
+		out.Ingest.Frames += st.Ingest.Frames
+		out.Ingest.Keyframes += st.Ingest.Keyframes
+		out.Ingest.Tokens += st.Ingest.Tokens
+		out.Ingest.Processing += st.Ingest.Processing
+		out.Ingest.Indexing += st.Ingest.Indexing
+		out.ReplicaGroups[i] = st.Replicas
+		if len(st.Replicas) == 0 {
+			out.ReplicaGroups[i] = []ReplicaStat{{Healthy: false}}
+		}
+		if seg := st.Segments; seg.Streaming {
+			agg := &out.Segments
+			agg.Streaming = true
+			agg.Sealed += seg.Sealed
+			agg.Building += seg.Building
+			agg.Growing += seg.Growing
+			agg.GrowingLen += seg.GrowingLen
+			agg.SealedVectors += seg.SealedVectors
+			agg.RawBytes += seg.RawBytes
+			agg.IndexBytes += seg.IndexBytes
+			agg.Seals += seg.Seals
+			agg.Compactions += seg.Compactions
+		}
 	}
-	return n
+	return out
 }
 
-// SegmentStats aggregates the streaming segment breakdown across reachable
-// shards (one replica per shard — replicas converge to identical segment
-// structures). The second return is false when no shard reported streaming
-// stats: a monolithic fleet, or every streaming worker unreachable.
-// Counter and byte fields sum across shards; Sealed/Building/GrowingLen
-// therefore report fleet-wide totals.
-func (e *Engine) SegmentStats() (vectordb.SegmentStats, bool) {
-	stats := make([]vectordb.SegmentStats, len(e.backends))
-	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		sr, ok := e.backends[i].(remote.SegmentReporter)
-		if !ok {
-			return
-		}
-		st, err := sr.SegmentStats()
-		if err != nil {
-			return
-		}
-		stats[i] = st
-	})
-	var agg vectordb.SegmentStats
-	for _, st := range stats {
-		if !st.Streaming {
-			continue
-		}
-		agg.Streaming = true
-		agg.Sealed += st.Sealed
-		agg.Building += st.Building
-		agg.Growing += st.Growing
-		agg.GrowingLen += st.GrowingLen
-		agg.SealedVectors += st.SealedVectors
-		agg.RawBytes += st.RawBytes
-		agg.IndexBytes += st.IndexBytes
-		agg.Seals += st.Seals
-		agg.Compactions += st.Compactions
+// observe folds one backend's status read into the engine's durable view
+// and normalises the snapshot for the fold. An unreachable backend keeps
+// its address and contributes its last-known generation and nothing else.
+// A reachable one advances the monotonic generation record — and is marked
+// state-lost when its worker restarted empty after this engine recorded
+// ingest progress on it: the boot nonce changed, or the generation
+// regressed to zero (a live system's generation never decreases; benign
+// interleavings under concurrent ingest deliver slightly stale non-zero
+// reads, which the monotonic max absorbs without false alarms). Such a
+// worker would answer — with zero hits — and silently drop its slice from
+// every merge, so it reports unbuilt and unhealthy.
+func (e *Engine) observe(i int, st *remote.ShardStatus, err error) BackendStat {
+	bs := BackendStat{Kind: "local", Addr: st.Addr, Healthy: true}
+	if st.Addr != "" {
+		bs.Kind = "remote"
 	}
-	return agg, agg.Streaming
-}
-
-// Built reports whether every shard has built its index. An unreachable or
-// state-lost shard reports false — the engine cannot serve complete answers
-// without it.
-func (e *Engine) Built() bool {
-	var notBuilt atomic.Bool
-	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		if e.stateLost[i].Load() {
-			notBuilt.Store(true)
-			return
-		}
-		built, err := e.backends[i].Built()
-		if err != nil || !built {
-			notBuilt.Store(true)
-		}
-	})
-	return !notBuilt.Load()
-}
-
-// noteGen folds one backend's freshly-observed generation into the
-// engine's monotonic view. A generation of zero after progress was
-// recorded can only mean a new, empty system behind the same address — a
-// restarted worker — since a live system's generation never decreases.
-// (Benign interleavings under concurrent ingest can deliver slightly stale
-// non-zero reads, which the monotonic max absorbs without false alarms.)
-func (e *Engine) noteGen(i int, gen uint64) {
-	for {
-		last := e.lastGen[i].Load()
-		if gen == 0 && last > 0 {
+	last := e.lastGen[i].Load()
+	if err != nil {
+		*st = remote.ShardStatus{Addr: st.Addr, Gen: last}
+		bs.Healthy, bs.Error = false, err.Error()
+	} else {
+		if prev := e.bootID[i].Swap(st.BootID); last > 0 && (st.Gen == 0 || (prev != 0 && prev != st.BootID)) {
 			e.stateLost[i].Store(true)
-			return
 		}
-		if gen <= last {
-			return
+		for last < st.Gen && !e.lastGen[i].CompareAndSwap(last, st.Gen) {
+			last = e.lastGen[i].Load()
 		}
-		if e.lastGen[i].CompareAndSwap(last, gen) {
-			return
+		healthy := false
+		for _, r := range st.Replicas {
+			healthy = healthy || r.Healthy
+		}
+		if !healthy {
+			bs.Healthy, bs.Error = false, ErrAllReplicasDown.Error()
 		}
 	}
+	if e.stateLost[i].Load() {
+		st.Built = false
+		bs.Healthy = false
+		bs.Error = "shard state lost (worker restarted empty): restore a snapshot or reboot the coordinator to re-ingest"
+	}
+	return bs
 }
 
-// IngestGen sums each shard's mutation generation (itself the minimum
-// across the shard's replicas); any ingest or index build anywhere advances
-// it once every replica has it, which is all a result cache needs. An
-// unreachable shard contributes its last reported generation, so the engine
-// generation holds steady — rather than wobbling cache validity — while a
-// worker is down. A shard whose generation regressed to zero (worker
-// restarted empty) is marked state-lost, which fails Built() and degrades
-// health until the corpus is restored.
-func (e *Engine) IngestGen() uint64 {
-	gens := make([]uint64, len(e.backends))
-	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		gen, err := e.backends[i].IngestGen()
-		if err != nil {
-			gens[i] = e.lastGen[i].Load()
-			return
-		}
-		e.noteGen(i, gen)
-		gens[i] = gen
-	})
-	var total uint64
-	for _, g := range gens {
-		total += g
-	}
-	return total
-}
+// Entities returns the total indexed patch vectors across reachable shards.
+func (e *Engine) Entities() int { return e.Status().Entities }
 
 // Replicas returns the replica count per shard for uniformly-replicated
 // local engines (New, NewReplicated); 0 for explicit backend sets, whose
-// shards each manage their own replica count (see ReplicaStats).
-func (e *Engine) Replicas() int {
-	if e.replicas > 0 {
-		return e.replicas
-	}
-	return 0
-}
+// shards each manage their own replica count (see Status.ReplicaGroups).
+func (e *Engine) Replicas() int { return e.replicas }
 
 // FailReplica removes one in-process replica from query routing — the
 // operational "kill" used by failover drills. The replica keeps receiving
@@ -641,77 +633,6 @@ func (e *Engine) FailReplica(group, replica int) { e.local(group).Fail(replica) 
 
 // ReviveReplica returns a failed in-process replica to query routing.
 func (e *Engine) ReviveReplica(group, replica int) { e.local(group).Revive(replica) }
-
-// ReplicaStats snapshots per-replica health, read counts and in-flight
-// load, indexed [shard][replica]. A shard whose stats are unreachable
-// reports a single unhealthy placeholder entry.
-func (e *Engine) ReplicaStats() [][]ReplicaStat {
-	out := make([][]ReplicaStat, len(e.backends))
-	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		sts, err := e.backends[i].ReplicaStats()
-		if err != nil {
-			out[i] = []ReplicaStat{{Healthy: false}}
-			return
-		}
-		out[i] = sts
-	})
-	return out
-}
-
-// BackendStat is the coordinator's view of one shard backend, surfaced by
-// the serving tier's /stats, /healthz and /metrics.
-type BackendStat struct {
-	// Kind is "local" for in-process shards, "remote" for RPC workers.
-	Kind string `json:"kind"`
-	// Addr is the worker address (remote shards only).
-	Addr string `json:"addr,omitempty"`
-	// Healthy reports the shard answered a health probe.
-	Healthy bool `json:"healthy"`
-	// Error carries the probe failure when unhealthy.
-	Error string `json:"error,omitempty"`
-}
-
-// bootIDer is the transport-level restart detector (remote.Client
-// implements it): the worker's server instance nonce changes across
-// process restarts.
-type bootIDer interface {
-	BootID() (uint64, error)
-}
-
-// BackendStats probes every shard backend in parallel — a remote worker
-// that died since the last request shows up unhealthy here (and flips the
-// serving tier's /healthz to degraded) without waiting for a query to trip
-// over it. A worker that restarted empty after this engine fed it corpus
-// (its boot nonce changed, or its generation regressed to zero) is
-// reported unhealthy too: it would answer — with zero hits — and silently
-// drop its slice from every merge.
-func (e *Engine) BackendStats() []BackendStat {
-	out := make([]BackendStat, len(e.backends))
-	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		st := BackendStat{Kind: "local", Healthy: true}
-		if a, ok := e.backends[i].(interface{ Addr() string }); ok {
-			st.Kind, st.Addr = "remote", a.Addr()
-		}
-		if bi, ok := e.backends[i].(bootIDer); ok {
-			id, err := bi.BootID()
-			if err != nil {
-				st.Healthy = false
-				st.Error = err.Error()
-			} else if prev := e.bootID[i].Swap(id); prev != 0 && prev != id && e.lastGen[i].Load() > 0 {
-				e.stateLost[i].Store(true)
-			}
-		} else if err := e.backends[i].Ping(); err != nil {
-			st.Healthy = false
-			st.Error = err.Error()
-		}
-		if e.stateLost[i].Load() {
-			st.Healthy = false
-			st.Error = "shard state lost (worker restarted empty): restore a snapshot or reboot the coordinator to re-ingest"
-		}
-		out[i] = st
-	})
-	return out
-}
 
 // Close releases every backend's resources (remote connection pools; no-op
 // for in-process shards).

@@ -165,7 +165,7 @@ func TestMoreShardsThanVideos(t *testing.T) {
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Built() {
+	if !eng.Status().Built {
 		t.Fatal("engine must report built")
 	}
 	res, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{})
@@ -289,7 +289,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	gen := eng.IngestGen()
+	gen := eng.Status().Gen
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -319,10 +319,10 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if eng.IngestGen() <= gen {
+	if eng.Status().Gen <= gen {
 		t.Fatal("ingest generation must advance across ingest and rebuild")
 	}
-	st := eng.Stats()
+	st := eng.Status().Ingest
 	if st.Videos != len(ds.Videos) {
 		t.Fatalf("stats videos = %d want %d", st.Videos, len(ds.Videos))
 	}
@@ -368,9 +368,9 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if err := restored.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Entities() != orig.Entities() || !restored.Built() {
+	if restored.Entities() != orig.Entities() || !restored.Status().Built {
 		t.Fatalf("restored engine: %d entities (want %d), built=%t",
-			restored.Entities(), orig.Entities(), restored.Built())
+			restored.Entities(), orig.Entities(), restored.Status().Built)
 	}
 	for _, q := range ds.Queries[:3] {
 		want, err := orig.Query(q.Text, core.QueryOptions{})

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"context"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -39,7 +41,10 @@ type enginePlanner struct {
 	planned       int
 	validateEvery int
 	validateRR    int
-	lastMeasured  float64
+	// lastMeasured holds math.Float64bits of the most recent validation
+	// measurement; atomic so Engine.Status reads it without queueing behind
+	// a plan in progress.
+	lastMeasured atomic.Uint64
 }
 
 func newEnginePlanner(cfg core.Config) *enginePlanner {
@@ -55,7 +60,7 @@ func newEnginePlanner(cfg core.Config) *enginePlanner {
 // shard). Returns false when any shard's digest is unavailable — the
 // caller falls back to exact planning rather than guessing.
 func (p *enginePlanner) refreshStatsLocked(e *Engine) bool {
-	gen := e.IngestGen()
+	gen := e.Status().Gen
 	if p.haveStats && gen == p.statsGen {
 		return true
 	}
@@ -294,7 +299,7 @@ func (p *enginePlanner) plan(ctx context.Context, e *Engine, text string, opts c
 		si := p.validateRR % len(e.backends)
 		p.validateRR++
 		if measured, err := e.shardStageRecall(ctx, si, text, pl); err == nil {
-			p.lastMeasured = measured
+			p.lastMeasured.Store(math.Float64bits(measured))
 			if measured < opts.MinRecall {
 				grow := p.margin + (opts.MinRecall - measured) + 0.01
 				if grow > 0.25 {
@@ -379,12 +384,4 @@ func (e *Engine) StageRecall(text string, plan core.Plan) (float64, error) {
 		}
 	}
 	return float64(overlap) / float64(len(exact)), nil
-}
-
-// LastMeasuredRecall reports the engine planner's most recent validation
-// measurement (0 until the loop has run).
-func (e *Engine) LastMeasuredRecall() float64 {
-	e.planner.mu.Lock()
-	defer e.planner.mu.Unlock()
-	return e.planner.lastMeasured
 }

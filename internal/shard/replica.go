@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/remote"
-	"repro/internal/vectordb"
 	"repro/internal/video"
 )
 
@@ -339,68 +338,39 @@ func (l *Local) GroundCandidates(ctx context.Context, text string, refs []core.F
 	return gs, nil
 }
 
-// Stats returns one replica's ingest statistics (copies don't multiply the
-// corpus, so the primary speaks for the group).
-func (l *Local) Stats() (core.IngestStats, error) { return l.replicas[0].Stats(), nil }
-
-// Entities returns the shard's indexed patch-vector count.
-func (l *Local) Entities() (int, error) { return l.replicas[0].Entities(), nil }
-
-// Built reports whether every non-empty replica has built its index.
-func (l *Local) Built() (bool, error) {
-	for _, s := range l.replicas {
+// Status assembles the shard's snapshot from counter reads alone. The
+// primary replica speaks for the group's corpus figures (copies don't
+// multiply the corpus, and replicas converge to identical segment
+// structures). The generation is the MINIMUM across replicas — not the
+// primary's value — which matters mid-fan-out: a request may be served by a
+// replica that hasn't received the newest video yet, and stamping its answer
+// with a generation the laggard hasn't reached would let that stale answer
+// survive in a cache forever. Built holds when every non-empty replica has
+// built its index.
+func (l *Local) Status() (remote.ShardStatus, error) {
+	primary := l.replicas[0]
+	st := remote.ShardStatus{
+		Gen:      primary.IngestGen(),
+		Built:    true,
+		Entities: primary.Entities(),
+		Ingest:   primary.Stats(),
+		Replicas: make([]ReplicaStat, len(l.replicas)),
+		Config:   remote.Summarize(l.Config(), len(l.replicas)),
+	}
+	st.Segments, _ = primary.SegmentStats()
+	for ri, s := range l.replicas {
+		if gen := s.IngestGen(); gen < st.Gen {
+			st.Gen = gen
+		}
 		if s.Entities() > 0 && !s.Built() {
-			return false, nil
+			st.Built = false
 		}
-	}
-	return true, nil
-}
-
-// IngestGen returns the minimum replica mutation generation. The minimum —
-// not the primary's value — matters mid-fan-out: a request may be served by
-// a replica that hasn't received the newest video yet, and stamping its
-// answer with a generation the laggard hasn't reached would let that stale
-// answer survive in a cache forever. Under the minimum, the generation only
-// advances after the laggard catches up, invalidating anything computed
-// before.
-func (l *Local) IngestGen() (uint64, error) {
-	gen := l.replicas[0].IngestGen()
-	for _, s := range l.replicas[1:] {
-		if sg := s.IngestGen(); sg < gen {
-			gen = sg
+		rs := &l.state[ri]
+		st.Replicas[ri] = ReplicaStat{
+			Healthy:  !rs.failed.Load(),
+			Reads:    rs.reads.Load(),
+			Inflight: rs.inflight.Load(),
 		}
-	}
-	return gen, nil
-}
-
-// ReplicaStats snapshots per-replica health, read counts and in-flight
-// load.
-func (l *Local) ReplicaStats() ([]ReplicaStat, error) {
-	out := make([]ReplicaStat, len(l.replicas))
-	for ri := range l.replicas {
-		st := &l.state[ri]
-		out[ri] = ReplicaStat{
-			Healthy:  !st.failed.Load(),
-			Reads:    st.reads.Load(),
-			Inflight: st.inflight.Load(),
-		}
-	}
-	return out, nil
-}
-
-// ConfigSummary digests the shard's resolved configuration.
-func (l *Local) ConfigSummary() (remote.ConfigSummary, error) {
-	return remote.Summarize(l.Config(), len(l.replicas)), nil
-}
-
-// SegmentStats reports the primary replica's streaming segment breakdown
-// (replicas converge to identical segment structures, so the primary speaks
-// for the group); Streaming=false in monolithic mode. Implements
-// remote.SegmentReporter.
-func (l *Local) SegmentStats() (vectordb.SegmentStats, error) {
-	st, ok := l.replicas[0].SegmentStats()
-	if !ok {
-		return vectordb.SegmentStats{}, nil
 	}
 	return st, nil
 }
@@ -425,16 +395,6 @@ func (l *Local) LoadSnapshot(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// Ping reports whether the shard can serve: at least one healthy replica.
-func (l *Local) Ping() error {
-	for ri := range l.replicas {
-		if !l.state[ri].failed.Load() {
-			return nil
-		}
-	}
-	return ErrAllReplicasDown
 }
 
 // Close is a no-op for an in-process shard.

@@ -43,7 +43,7 @@ func TestReplicatedMatchesUnreplicated(t *testing.T) {
 	if got, want := repl.Entities(), base.Entities(); got != want {
 		t.Fatalf("replicated entities = %d, base = %d", got, want)
 	}
-	if got, want := repl.Stats(), base.Stats(); got.Videos != want.Videos || got.Keyframes != want.Keyframes || got.Tokens != want.Tokens {
+	if got, want := repl.Status().Ingest, base.Status().Ingest; got.Videos != want.Videos || got.Keyframes != want.Keyframes || got.Tokens != want.Tokens {
 		t.Fatalf("replicated stats diverge: %+v vs %+v", got, want)
 	}
 
@@ -162,7 +162,7 @@ func TestErrorMarksReplicaUnhealthy(t *testing.T) {
 			t.Fatalf("query %d: failover answer diverges", i)
 		}
 	}
-	stats := eng.ReplicaStats()
+	stats := eng.Status().ReplicaGroups
 	if stats[0][0].Healthy {
 		t.Fatal("faulty replica (0,0) must be marked unhealthy")
 	}
@@ -171,13 +171,13 @@ func TestErrorMarksReplicaUnhealthy(t *testing.T) {
 	}
 
 	// Once marked, the dead replica stops receiving reads.
-	before := eng.ReplicaStats()[0][0].Reads
+	before := eng.Status().ReplicaGroups[0][0].Reads
 	for i := 0; i < 4; i++ {
 		if _, err := eng.Query(ds.Queries[1].Text, core.QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := eng.ReplicaStats()[0][0].Reads; after != before {
+	if after := eng.Status().ReplicaGroups[0][0].Reads; after != before {
 		t.Fatalf("failed replica still routed: reads %d -> %d", before, after)
 	}
 }
@@ -197,7 +197,7 @@ func TestGroupWideFaultDoesNotBrickGroup(t *testing.T) {
 	if _, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{}); err == nil {
 		t.Fatal("group-wide fault must surface as an error")
 	}
-	for ri, st := range eng.ReplicaStats()[0] {
+	for ri, st := range eng.Status().ReplicaGroups[0] {
 		if !st.Healthy {
 			t.Fatalf("replica (0,%d) left bricked after a group-wide fault", ri)
 		}
@@ -213,7 +213,7 @@ func TestGroupWideFaultDoesNotBrickGroup(t *testing.T) {
 	if _, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{}); !errors.Is(err, ErrAllReplicasDown) {
 		t.Fatalf("manually downed group: got %v, want ErrAllReplicasDown", err)
 	}
-	if st := eng.ReplicaStats()[0]; st[0].Healthy || st[1].Healthy {
+	if st := eng.Status().ReplicaGroups[0]; st[0].Healthy || st[1].Healthy {
 		t.Fatal("manual kills must survive the per-request revive")
 	}
 }
@@ -226,7 +226,7 @@ func TestQueryFaultDoesNotFailover(t *testing.T) {
 	if _, err := eng.Query("zorgon blaxt", core.QueryOptions{}); !errors.Is(err, core.ErrNoRecognisedTerms) {
 		t.Fatalf("unparseable query: got %v", err)
 	}
-	for gi, g := range eng.ReplicaStats() {
+	for gi, g := range eng.Status().ReplicaGroups {
 		for ri, st := range g {
 			if !st.Healthy {
 				t.Fatalf("replica (%d,%d) failed on a client error", gi, ri)
@@ -244,7 +244,7 @@ func TestReplicaRoutingBalances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for gi, g := range eng.ReplicaStats() {
+	for gi, g := range eng.Status().ReplicaGroups {
 		for ri, st := range g {
 			if st.Reads == 0 {
 				t.Fatalf("replica (%d,%d) never served a read", gi, ri)
@@ -275,9 +275,9 @@ func TestReplicatedSnapshotRoundTrip(t *testing.T) {
 		if err := restored.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("R=%d: %v", r, err)
 		}
-		if restored.Entities() != orig.Entities() || !restored.Built() {
+		if restored.Entities() != orig.Entities() || !restored.Status().Built {
 			t.Fatalf("R=%d restored engine: %d entities (want %d), built=%t",
-				r, restored.Entities(), orig.Entities(), restored.Built())
+				r, restored.Entities(), orig.Entities(), restored.Status().Built)
 		}
 		for _, q := range ds.Queries[:3] {
 			want, err := orig.Query(q.Text, core.QueryOptions{})
@@ -357,7 +357,7 @@ func TestReplicatedConcurrentQueriesDuringIngest(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	st := eng.Stats()
+	st := eng.Status().Ingest
 	if st.Videos != len(ds.Videos) {
 		t.Fatalf("stats videos = %d want %d", st.Videos, len(ds.Videos))
 	}

@@ -115,14 +115,18 @@ type SegmentStats struct {
 	Seals, Compactions uint64
 }
 
-// NewSegmented creates a segmented collection. sealThreshold <= 0 defaults
-// to 4096 vectors per segment.
+// DefaultSegmentSize is the seal threshold, in vectors per segment, that a
+// non-positive sealThreshold (and core's SegmentSize) resolves to.
+const DefaultSegmentSize = 4096
+
+// NewSegmented creates a segmented collection. sealThreshold <= 0 selects
+// DefaultSegmentSize.
 func NewSegmented(name string, schema Schema, kind IndexKind, opts IndexOptions, sealThreshold int) (*SegmentedCollection, error) {
 	if schema.Dim <= 0 {
 		return nil, fmt.Errorf("%w: dim %d", ErrDimension, schema.Dim)
 	}
 	if sealThreshold <= 0 {
-		sealThreshold = 4096
+		sealThreshold = DefaultSegmentSize
 	}
 	s := &SegmentedCollection{
 		name:          name,

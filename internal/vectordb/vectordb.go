@@ -95,6 +95,11 @@ type Collection struct {
 	index   ann.Index
 	kind    IndexKind
 	options IndexOptions
+	// indexBytes is index.Memory() as recorded when the index was
+	// installed, so Stats on an immutable sealed segment is a counter read
+	// instead of a walk over every posting list. An Insert into a built
+	// index invalidates it (-1) until the next build.
+	indexBytes int64
 }
 
 // DB is a set of collections.
@@ -192,6 +197,7 @@ func (c *Collection) Insert(id int64, v mat.Vec) error {
 		if err := c.index.Add(id, w); err != nil {
 			return fmt.Errorf("vectordb: index insert: %w", err)
 		}
+		c.indexBytes = -1
 	}
 	return nil
 }
@@ -290,8 +296,15 @@ func (c *Collection) BuildIndex(kind IndexKind, opts IndexOptions) error {
 	if err != nil {
 		return err
 	}
-	c.index, c.kind, c.options = ix, kind, opts
+	c.installIndex(ix, kind, opts)
 	return nil
+}
+
+// installIndex swaps in a freshly built index and records its footprint
+// (caller holds the write lock).
+func (c *Collection) installIndex(ix ann.Index, kind IndexKind, opts IndexOptions) {
+	c.index, c.kind, c.options = ix, kind, opts
+	c.indexBytes = ix.Memory()
 }
 
 // BuildIndexSealed constructs the index off-lock: the vector set is
@@ -309,7 +322,7 @@ func (c *Collection) BuildIndexSealed(kind IndexKind, opts IndexOptions) error {
 		return err
 	}
 	c.mu.Lock()
-	c.index, c.kind, c.options = ix, kind, opts
+	c.installIndex(ix, kind, opts)
 	c.mu.Unlock()
 	return nil
 }
@@ -452,7 +465,9 @@ func (c *Collection) Stats() Stats {
 		RawBytes:  int64(len(c.data))*4 + int64(len(c.ids))*8,
 	}
 	if c.index != nil {
-		s.IndexBytes = c.index.Memory()
+		if s.IndexBytes = c.indexBytes; s.IndexBytes < 0 {
+			s.IndexBytes = c.index.Memory()
+		}
 	}
 	return s
 }

@@ -136,6 +136,18 @@ func TestBuildIndexKinds(t *testing.T) {
 			if st.IndexBytes <= 0 || st.RawBytes <= 0 || st.Count != 300 {
 				t.Fatalf("stats = %+v", st)
 			}
+			// The footprint recorded at build time is the index's own
+			// figure, and an insert into the built index must not leave a
+			// stale recording behind.
+			if st.IndexBytes != c.index.Memory() {
+				t.Fatalf("recorded index bytes %d != index.Memory() %d", st.IndexBytes, c.index.Memory())
+			}
+			if err := c.Insert(301, unit(300)); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Stats().IndexBytes; got != c.index.Memory() || got <= st.IndexBytes {
+				t.Fatalf("after a post-build insert: stats %d, index.Memory() %d, before %d", got, c.index.Memory(), st.IndexBytes)
+			}
 		})
 	}
 }

@@ -85,7 +85,7 @@ type Options struct {
 	FastK int
 	// TopN is the number of reranked frames returned (default 10).
 	TopN int
-	// NProbe is the number of clusters probed per subspace (default 8).
+	// NProbe is the number of clusters probed per subspace (default 16).
 	NProbe int
 	// Dim and ProjDim set the embedding dimensions D and D′ (defaults
 	// 64 and 32).
@@ -142,18 +142,11 @@ func Open(opts Options) (*System, error) {
 		SegmentSize: opts.SegmentSize,
 		Workers:     opts.Workers,
 	}
-	switch opts.Index {
-	case "", "imi":
-		cfg.Index = vectordb.IndexIMI
-	case "ivfpq":
-		cfg.Index = vectordb.IndexIVFPQ
-	case "hnsw":
-		cfg.Index = vectordb.IndexHNSW
-	case "flat", "bf":
-		cfg.Index = vectordb.IndexFlat
-	default:
-		return nil, fmt.Errorf("lovo: unknown index %q", opts.Index)
+	kind, err := vectordb.ParseKind(opts.Index)
+	if err != nil {
+		return nil, fmt.Errorf("lovo: %w", err)
 	}
+	cfg.Index = kind
 	switch opts.Keyframes {
 	case "", "mvmed":
 		cfg.Keyframe = keyframe.MVMed{}
@@ -261,7 +254,7 @@ func (s *System) QueryBatch(texts []string, opts QueryOptions, clients int) ([]*
 // Stats returns ingest statistics (aggregated across shards when sharded).
 func (s *System) Stats() IngestStats {
 	if s.engine != nil {
-		return s.engine.Stats()
+		return s.engine.Status().Ingest
 	}
 	return s.inner.Stats()
 }
@@ -277,8 +270,9 @@ func (s *System) Engine() *shard.Engine { return s.engine }
 
 // Save persists the full system state — patch vectors with the index
 // recipe, relational metadata, keyframes and stats — so a later Load
-// serves queries without re-running Video Summary. Unsupported in
-// streaming mode. Must not run concurrently with Ingest or BuildIndex.
+// serves queries without re-running Video Summary. A streaming system
+// saves its segments as they stand and must be loaded into a streaming
+// system. Must not run concurrently with Ingest or BuildIndex.
 func (s *System) Save(w io.Writer) error {
 	if s.engine != nil {
 		return s.engine.SaveSnapshot(w)
