@@ -13,9 +13,12 @@ import (
 	"repro/internal/ann/flat"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/embed"
 	"repro/internal/mat"
 	"repro/internal/quant"
+	"repro/internal/query"
 	"repro/internal/vectordb"
+	"repro/internal/xmodal"
 )
 
 func init() {
@@ -28,7 +31,10 @@ func init() {
 //
 //   - microkernels: ns/op and allocs/op for Dot, ScoreRows, MatMul, the PQ
 //     table build and the batch ADC scan, each against a faithful
-//     re-implementation of the pre-kernel scalar code;
+//     re-implementation of the pre-kernel scalar code; the GEMM at the
+//     rerank's projection shape once per kernel tier, and one whole rerank
+//     forward pass (xmodal.GroundFrame) on the portable kernels vs the
+//     widest tier;
 //   - tier sweep: mat.ScoreRows over an L1-resident block, avx2 against
 //     sse2, at the system's 32d and at a compute-bound 128d — the ≥1.5x
 //     avx2-over-sse2 acceptance gate reads the 128d pair, because at 32d
@@ -153,6 +159,56 @@ func kernelsExperiment(o Options) (*Table, error) {
 				mat.MatMulInto(mc, ma, mb)
 			}
 		})
+
+	// --- GEMM per kernel tier, at the rerank's projection shape ----------
+	// 48 region tokens through a 64×64 weight matrix, against the seed's
+	// scalar triple loop: the register tiles (avx2 4×16, sse2 4×8) next to
+	// the AXPY formulation (purego), all bit-identical.
+	ga := &mat.Matrix{Rows: 48, Cols: 64, Data: randVec(48 * 64)}
+	gc := mat.NewMatrix(48, 64)
+	gemmBaseNs, _ := bestOf(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			matMulScalarRef(ga, mb)
+		}
+	})
+	for _, tier := range mat.KernelTiers() {
+		prev, err := mat.SetKernelTier(tier)
+		if err != nil {
+			return nil, err
+		}
+		ns, allocs := bestOf(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mat.MatMulInto(gc, ga, mb)
+			}
+		})
+		if _, err := mat.SetKernelTier(prev); err != nil {
+			return nil, err
+		}
+		t.Add(fmt.Sprintf("gemm 48x64x64 [%s]", tier),
+			fmt.Sprintf("%.0fns", gemmBaseNs),
+			fmt.Sprintf("%.0fns", ns),
+			fmt.Sprintf("%.2fx", gemmBaseNs/ns),
+			fmt.Sprintf("%d", allocs))
+	}
+
+	// --- One rerank forward pass: portable kernels vs the widest tier ----
+	gfSpace := embed.NewSpace(64, 32, o.Seed)
+	gfModel := xmodal.New(gfSpace, xmodal.Config{Seed: o.Seed})
+	gfToks := (&embed.TextEncoder{Space: gfSpace}).Tokens(query.Parse(
+		"A red car side by side with another car, both positioned in the center of the road."))
+	gfFrame := syntheticFrame(0, 6)
+	groundFrame := func(simd bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			prev := mat.SetVectorKernels(simd)
+			defer mat.SetVectorKernels(prev)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gfModel.GroundFrame(gfFrame, gfToks)
+			}
+		}
+	}
+	micro(fmt.Sprintf("ground frame [%s]", mat.KernelTier()), groundFrame(false), groundFrame(true))
 
 	// PQ table build + list scan against the seed's [][]float32 layout.
 	pqData := make([]mat.Vec, 256)

@@ -16,13 +16,20 @@
 // their answers must match bit for bit whatever the architecture.
 //
 // MatMul is different: its per-output-element reduction stays in plain
-// increasing-k order (the AXPY formulation), which SIMD over the output
-// columns cannot perturb — vector lanes there hold *different* output
-// elements, never partial sums of one element.
+// increasing-k order, which SIMD over the output columns cannot perturb —
+// vector lanes and register tiles there hold *different* output elements,
+// never partial sums of one element (gemm.go).
+//
+// The portable kernels wrap every product in an explicit float32(...)
+// conversion. On amd64 that is a no-op; on architectures with a fused
+// multiply-add (arm64) it is what forbids the compiler from contracting
+// acc += x*y into one single-rounding instruction — the Go spec allows the
+// fusion otherwise — which would break bit-identity with the two-rounding
+// assembly tiers.
 //
 // Speed comes from: SSE kernels that score four rows per pass against a
 // register-resident query (amd64), bounds-check-eliminated 4-way unrolled
-// loops everywhere else, cache-aware column blocking in MatMul, and
+// loops everywhere else, register-tiled GEMM micro-kernels, and
 // allocation-free operation via the scratch pool (pool.go).
 
 package mat
@@ -53,14 +60,14 @@ func dotKernel(a, b []float32) float32 {
 	for ; i+4 <= len(a); i += 4 {
 		x := a[i : i+4 : i+4]
 		y := b[i : i+4 : i+4]
-		l0 += x[0] * y[0]
-		l1 += x[1] * y[1]
-		l2 += x[2] * y[2]
-		l3 += x[3] * y[3]
+		l0 += float32(x[0] * y[0])
+		l1 += float32(x[1] * y[1])
+		l2 += float32(x[2] * y[2])
+		l3 += float32(x[3] * y[3])
 	}
 	s := (l0 + l2) + (l1 + l3)
 	for ; i < len(a); i++ {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }
@@ -89,21 +96,21 @@ func dot8rowsGeneric(dst []float32, q, block []float32) {
 	dot4rowsGeneric(dst[4:8:8], q, block[4*n:8*n])
 }
 
-// axpyGeneric computes dst[j] += alpha*x[j]. Each output element owns its
-// accumulation chain, so unrolling (or SIMD lanes) cannot change any
-// reduction order.
+// axpyGeneric computes dst[j] += alpha*x[j], the product rounded before the
+// add. Each output element owns its accumulation chain, so unrolling (or
+// SIMD lanes) cannot change any reduction order.
 func axpyGeneric(dst []float32, alpha float32, x []float32) {
 	j := 0
 	for ; j+4 <= len(dst); j += 4 {
 		d := dst[j : j+4 : j+4]
 		v := x[j : j+4 : j+4]
-		d[0] += alpha * v[0]
-		d[1] += alpha * v[1]
-		d[2] += alpha * v[2]
-		d[3] += alpha * v[3]
+		d[0] += float32(alpha * v[0])
+		d[1] += float32(alpha * v[1])
+		d[2] += float32(alpha * v[2])
+		d[3] += float32(alpha * v[3])
 	}
 	for ; j < len(dst); j++ {
-		dst[j] += alpha * x[j]
+		dst[j] += float32(alpha * x[j])
 	}
 }
 
@@ -200,18 +207,11 @@ func ScoreRowsBatch(dsts [][]float32, qs []Vec, block []float32, dim int) [][]fl
 	return dsts
 }
 
-// matMulBlock is the column-tile width of MatMulInto: output and B-row
-// tiles of this width stay resident in L1/L2 across the k loop. Blocking
-// partitions only the independent output columns — the k reduction order of
-// every output element is untouched.
-const matMulBlock = 256
-
 // MatMulInto computes dst = a·b into a caller-supplied matrix and returns
 // dst. dst must be shaped a.Rows×b.Cols and must not alias a or b; its
-// previous contents are overwritten. The kernel is cache-blocked over
-// output columns with a SIMD/unrolled AXPY core; every out[i][j]
-// accumulates its k terms in increasing-k order, bit-identical to the
-// naive triple loop.
+// previous contents are overwritten. It is Gemm over whole matrices: every
+// out[i][j] accumulates its k terms in increasing-k order, bit-identical
+// to the naive triple loop on every tier.
 func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -219,28 +219,7 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	axpy := axpyKernel
-	if !vectorKernels || activeTier == tidPurego {
-		axpy = axpyGeneric
-	}
-	n := b.Cols
-	for j0 := 0; j0 < n; j0 += matMulBlock {
-		j1 := j0 + matMulBlock
-		if j1 > n {
-			j1 = n
-		}
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)[j0:j1]
-			for j := range orow {
-				orow[j] = 0
-			}
-			for k, av := range arow {
-				brow := b.Row(k)[j0:j1]
-				axpy(orow, av, brow)
-			}
-		}
-	}
+	Gemm(dst.Data, dst.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, b.Cols, a.Cols)
 	return dst
 }
 

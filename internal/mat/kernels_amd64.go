@@ -28,3 +28,38 @@ func dot8rows(dst []float32, q, block []float32)
 //
 //go:noescape
 func axpyKernel(dst []float32, alpha float32, x []float32)
+
+// gemm4x16 is the AVX2 GEMM tile: dst[0:4][0:16] = a[0:4][0:k]·b[0:k][0:16]
+// with row strides ldd/lda/ldb in floats and k >= 1; see gemm_amd64.s.
+//
+//go:noescape
+func gemm4x16(dst *float32, ldd int, a *float32, lda int, b *float32, ldb int, k int)
+
+// gemm4x8 is the SSE2 GEMM tile: the same contract over 8 columns.
+//
+//go:noescape
+func gemm4x8(dst *float32, ldd int, a *float32, lda int, b *float32, ldb int, k int)
+
+// gemmTiles runs the active tier's tile kernel over every whole tile of the
+// m×n output (k >= 1, operands bounds-checked by Gemm) and returns the
+// extent it covered; Gemm finishes the remaining rows and columns. Column
+// panels are the outer loop so a k×16 panel of b stays in L1 while the row
+// tiles sweep past it.
+func gemmTiles(dst []float32, ldd int, a []float32, lda int, b []float32, ldb int, m, n, k int) (mt, nt int) {
+	wide := activeTier == tidAVX2
+	w := 8
+	if wide {
+		w = 16
+	}
+	mt, nt = m&^3, n-n%w
+	for j := 0; j < nt; j += w {
+		for i := 0; i < mt; i += 4 {
+			if wide {
+				gemm4x16(&dst[i*ldd+j], ldd, &a[i*lda], lda, &b[j], ldb, k)
+			} else {
+				gemm4x8(&dst[i*ldd+j], ldd, &a[i*lda], lda, &b[j], ldb, k)
+			}
+		}
+	}
+	return mt, nt
+}

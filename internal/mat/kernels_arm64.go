@@ -25,3 +25,9 @@ func axpyKernel(dst []float32, alpha float32, x []float32)
 // dot8rows exists on arm64 only to satisfy the tier dispatch; hasAVX2 is
 // constant-false here, so it is never selected.
 func dot8rows(dst []float32, q, block []float32) { dot8rowsGeneric(dst, q, block) }
+
+// gemmTiles covers nothing on arm64: there is no tile kernel here yet, so
+// Gemm runs entirely through the NEON axpyKernel.
+func gemmTiles(dst []float32, ldd int, a []float32, lda int, b []float32, ldb int, m, n, k int) (mt, nt int) {
+	return 0, 0
+}

@@ -50,16 +50,6 @@ func benchmarkScoreRows(b *testing.B, dim, rows int) {
 	}
 }
 
-func BenchmarkMatMul64(b *testing.B) {
-	x := &Matrix{Rows: 64, Cols: 64, Data: benchVec(64*64, 5)}
-	y := &Matrix{Rows: 64, Cols: 64, Data: benchVec(64*64, 6)}
-	dst := NewMatrix(64, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
-	}
-}
-
 func BenchmarkMatMulT64(b *testing.B) {
 	x := &Matrix{Rows: 64, Cols: 64, Data: benchVec(64*64, 7)}
 	y := &Matrix{Rows: 64, Cols: 64, Data: benchVec(64*64, 8)}

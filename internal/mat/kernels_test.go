@@ -10,7 +10,9 @@ import (
 // documented in kernels.go — so every test here demands bit-identical
 // results (math.Float32bits equality, not tolerance) between the optimized
 // kernels (including the amd64 assembly) and plain reference loops, across
-// zero lengths, odd lengths and non-multiple-of-4 dimensions.
+// zero lengths, odd lengths and non-multiple-of-4 dimensions. The
+// references round every product with an explicit float32(...) like the
+// kernels do, so they too stay unfused on architectures with an FMA.
 
 // dotRef is the reference scalar inner product, spelling out the canonical
 // 4-lane reduction order naively: lane l accumulates elements i ≡ l (mod 4)
@@ -21,11 +23,11 @@ func dotRef(a, b []float32) float32 {
 	var lanes [4]float32
 	n := len(a) &^ 3
 	for i := 0; i < n; i++ {
-		lanes[i%4] += a[i] * b[i]
+		lanes[i%4] += float32(a[i] * b[i])
 	}
 	s := (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 	for i := n; i < len(a); i++ {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }
@@ -38,7 +40,7 @@ func matMulRef(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Cols; j++ {
 			var s float32
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += float32(a.At(i, k) * b.At(k, j))
 			}
 			out.Set(i, j, s)
 		}
@@ -60,7 +62,7 @@ func matMulSkipZeroRef(a, b *Matrix) *Matrix {
 			}
 			brow := b.Row(k)
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -199,7 +201,7 @@ func TestSqDistBitIdenticalToReference(t *testing.T) {
 		var want float32
 		for i := range a {
 			d := a[i] - b[i]
-			want += d * d
+			want += float32(d * d)
 		}
 		if got := SqDist(a, b); math.Float32bits(got) != math.Float32bits(want) {
 			t.Fatalf("n=%d: SqDist=%x ref=%x", n, math.Float32bits(got), math.Float32bits(want))
@@ -213,7 +215,7 @@ func TestNormBitIdenticalToReference(t *testing.T) {
 		v := randVec(rng, n)
 		var s float32
 		for _, x := range v {
-			s += x * x
+			s += float32(x * x)
 		}
 		want := float32(math.Sqrt(float64(s)))
 		if got := Norm(v); math.Float32bits(got) != math.Float32bits(want) {

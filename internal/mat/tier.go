@@ -18,6 +18,10 @@
 // scoring more rows per memory pass, never from changing any row's
 // reduction order.
 //
+// The same tier selects the GEMM micro-kernel (gemm.go): a 4×16 register
+// tile on avx2, 4×8 on sse2, the AXPY formulation on neon and purego — all
+// bit-identical to the naive increasing-k triple loop.
+//
 // The active tier can be pinned with SetKernelTier (the lovod/lovo
 // -kernels flag) or the LOVO_KERNELS environment variable — deployments
 // pin a tier for reproducible triage, and bit-identity investigations

@@ -33,13 +33,13 @@ func Norm(v Vec) float32 {
 	i := 0
 	for ; i+4 <= len(v); i += 4 {
 		x := v[i : i+4 : i+4]
-		s += x[0] * x[0]
-		s += x[1] * x[1]
-		s += x[2] * x[2]
-		s += x[3] * x[3]
+		s += float32(x[0] * x[0])
+		s += float32(x[1] * x[1])
+		s += float32(x[2] * x[2])
+		s += float32(x[3] * x[3])
 	}
 	for ; i < len(v); i++ {
-		s += v[i] * v[i]
+		s += float32(v[i] * v[i])
 	}
 	return float32(math.Sqrt(float64(s)))
 }
@@ -88,17 +88,17 @@ func SqDist(a, b Vec) float32 {
 		x := a[i : i+4 : i+4]
 		y := b[i : i+4 : i+4]
 		d0 := x[0] - y[0]
-		s += d0 * d0
+		s += float32(d0 * d0)
 		d1 := x[1] - y[1]
-		s += d1 * d1
+		s += float32(d1 * d1)
 		d2 := x[2] - y[2]
-		s += d2 * d2
+		s += float32(d2 * d2)
 		d3 := x[3] - y[3]
-		s += d3 * d3
+		s += float32(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float32(d * d)
 	}
 	return s
 }
@@ -130,7 +130,7 @@ func Scale(v Vec, s float32) Vec {
 // Axpy computes dst += alpha*x element-wise and returns dst.
 func Axpy(dst Vec, alpha float32, x Vec) Vec {
 	for i := range dst {
-		dst[i] += alpha * x[i]
+		dst[i] += float32(alpha * x[i])
 	}
 	return dst
 }
@@ -184,18 +184,19 @@ func LayerNorm(v, gain, bias Vec) Vec {
 	var varsum float32
 	for _, x := range v {
 		d := x - mean
-		varsum += d * d
+		varsum += float32(d * d)
 	}
 	const eps = 1e-5
 	inv := 1 / float32(math.Sqrt(float64(varsum/float32(len(v))+eps)))
 	for i := range v {
-		v[i] = (v[i] - mean) * inv
+		x := float32((v[i] - mean) * inv)
 		if gain != nil {
-			v[i] *= gain[i]
+			x = float32(x * gain[i])
 		}
 		if bias != nil {
-			v[i] += bias[i]
+			x += bias[i]
 		}
+		v[i] = x
 	}
 	return v
 }
@@ -210,13 +211,63 @@ func ReLU(v Vec) Vec {
 	return v
 }
 
-// GELU applies the tanh-approximated Gaussian error linear unit in place and
-// returns v.
+// GELU applies the tanh-approximated Gaussian error linear unit
+// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))) in place and returns v.
+//
+// It is ONE portable float32 formulation — no assembly, no tiers — so it
+// is trivially identical across kernel tiers and architectures: every
+// product is wrapped in an explicit float32(...) conversion, which forbids
+// the compiler from fusing it into a multiply-add. The result stays within
+// 1e-6·max(1,|x|) of the float64 evaluation of the same formula (pinned by
+// TestGELUWithinBoundOfFloat64). NaN maps to NaN, +Inf to +Inf, and −Inf —
+// ∞·0, as in the float64 formula — to NaN.
 func GELU(v Vec) Vec {
-	const c = 0.7978845608028654 // sqrt(2/pi)
+	const (
+		c = 0.7978845608028654 // sqrt(2/pi)
+		k = 0.044715
+	)
 	for i, x := range v {
-		x64 := float64(x)
-		v[i] = float32(0.5 * x64 * (1 + math.Tanh(c*(x64+0.044715*x64*x64*x64))))
+		x3 := float32(x * float32(x*x))
+		u := float32(c * (x + float32(k*x3)))
+		v[i] = float32(float32(0.5*x) * (1 + tanh32(u)))
 	}
 	return v
+}
+
+// tanh32 approximates tanh(x) to within a few float32 ulps as a clamped
+// odd/even rational p(x)/q(x) evaluated by Horner's rule in float32 (the
+// minimax fit used by Eigen and XLA). Beyond the clamp the quotient has
+// already rounded to ±1. NaN propagates: it fails both clamp comparisons.
+func tanh32(x float32) float32 {
+	const (
+		clamp = 7.90531110763549805
+		a1    = 4.89352455891786e-03
+		a3    = 6.37261928875436e-04
+		a5    = 1.48572235717979e-05
+		a7    = 5.12229709037114e-08
+		a9    = -8.60467152213735e-11
+		a11   = 2.00018790482477e-13
+		a13   = -2.76076847742355e-16
+		b0    = 4.89352518554385e-03
+		b2    = 2.26843463243900e-03
+		b4    = 1.18534705686654e-04
+		b6    = 1.19825839466702e-06
+	)
+	if x > clamp {
+		x = clamp
+	} else if x < -clamp {
+		x = -clamp
+	}
+	x2 := float32(x * x)
+	p := float32(x2*a13) + a11
+	p = float32(x2*p) + a9
+	p = float32(x2*p) + a7
+	p = float32(x2*p) + a5
+	p = float32(x2*p) + a3
+	p = float32(x2*p) + a1
+	p = float32(x * p)
+	q := float32(x2*b6) + b4
+	q = float32(x2*q) + b2
+	q = float32(x2*q) + b0
+	return p / q
 }

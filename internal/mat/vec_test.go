@@ -117,7 +117,7 @@ func TestLayerNorm(t *testing.T) {
 	approx(t, mean/4, 0, 1e-5, "layernorm mean")
 	var varsum float32
 	for _, x := range v {
-		varsum += x * x
+		varsum += float32(x * x)
 	}
 	approx(t, varsum/4, 1, 1e-3, "layernorm variance")
 }
@@ -139,6 +139,74 @@ func TestReLUAndGELU(t *testing.T) {
 	approx(t, g[0], 0, 1e-3, "gelu(-10)")
 	approx(t, g[1], 0, 1e-6, "gelu(0)")
 	approx(t, g[2], 10, 1e-3, "gelu(10)")
+}
+
+// geluFloat64 evaluates the GELU tanh formula in float64 through math.Tanh
+// — what GELU itself did before it became one float32 formulation.
+func geluFloat64(x float32) float32 {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	x64 := float64(x)
+	return float32(0.5 * x64 * (1 + math.Tanh(c*(x64+0.044715*x64*x64*x64))))
+}
+
+func gelu1(x float32) float32 { return GELU(Vec{x})[0] }
+
+// TestGELUWithinBoundOfFloat64 sweeps a dense grid over [-10, 10]: the
+// float32 formula stays within 1e-6·max(1,|x|) of the float64 evaluation.
+func TestGELUWithinBoundOfFloat64(t *testing.T) {
+	var worst float64
+	for i := -1000000; i <= 1000000; i++ {
+		x := float32(i) * 1e-5
+		d := math.Abs(float64(gelu1(x)) - float64(geluFloat64(x)))
+		d /= math.Max(1, math.Abs(float64(x)))
+		if d > worst {
+			worst = d
+		}
+		if d > 1e-6 {
+			t.Fatalf("GELU(%v) = %v, float64 formula %v: off by %g·max(1,|x|)", x, gelu1(x), geluFloat64(x), d)
+		}
+	}
+	t.Logf("max deviation %.3g·max(1,|x|)", worst)
+}
+
+func TestGELUSpecialValuesAndTails(t *testing.T) {
+	inf := float32(math.Inf(1))
+	if g := gelu1(float32(math.NaN())); g == g {
+		t.Fatalf("GELU(NaN) = %v, want NaN", g)
+	}
+	if g := gelu1(inf); g != inf {
+		t.Fatalf("GELU(+Inf) = %v, want +Inf", g)
+	}
+	// -Inf is Inf·0 in the formula: NaN, exactly as in float64.
+	if g, ref := gelu1(-inf), geluFloat64(-inf); g == g || ref == ref {
+		t.Fatalf("GELU(-Inf) = %v, float64 formula %v, want NaN from both", g, ref)
+	}
+	if g := gelu1(0); g != 0 {
+		t.Fatalf("GELU(0) = %v", g)
+	}
+	// Positive side: non-decreasing (GELU's slope there is at least 1/2),
+	// never above x, and the identity once tanh has saturated; x³
+	// overflowing float32 must not disturb that.
+	prev := gelu1(0)
+	for i := 1; i <= 20000; i++ {
+		x := float32(i) * 1e-3
+		g := gelu1(x)
+		if g < prev || g > x {
+			t.Fatalf("GELU(%v) = %v after %v: positive side must be non-decreasing and at most x", x, g, prev)
+		}
+		prev = g
+	}
+	for _, x := range []float32{9, 20, 1e13, 3e38} {
+		if g := gelu1(x); g != x {
+			t.Fatalf("GELU(%v) = %v, want the identity in the saturated tail", x, g)
+		}
+	}
+	// Negative tail: saturates to exactly zero and stays there.
+	for _, x := range []float32{-6, -9, -20, -1e13, -3e38} {
+		if g := gelu1(x); g != 0 {
+			t.Fatalf("GELU(%v) = %v, want 0 in the saturated tail", x, g)
+		}
+	}
 }
 
 // Property: normalisation is idempotent and yields unit norm.

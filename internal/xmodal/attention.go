@@ -24,7 +24,7 @@ import (
 // mha is one multi-head cross-attention block with output projection.
 type mha struct {
 	heads int
-	wq    *mat.Matrix // D×D, consumed in per-head column slices
+	wq    *mat.Matrix // D×D, consumed in per-head column blocks
 	wk    *mat.Matrix
 	wv    *mat.Matrix
 	wo    *mat.Matrix
@@ -40,60 +40,57 @@ func newMHA(dim, heads int, sigma float64, seed uint64) *mha {
 	}
 }
 
-// headSlice extracts the per-head column block [h*dh, (h+1)*dh) of x·W
-// into an arena-backed matrix.
-func headSlice(ar *mat.Arena, xw *mat.Matrix, h, dh int) *mat.Matrix {
-	out := ar.Matrix(xw.Rows, dh)
-	for i := 0; i < xw.Rows; i++ {
-		copy(out.Row(i), xw.Row(i)[h*dh:(h+1)*dh])
-	}
-	return out
-}
-
 // apply computes multi-head attention with queries from a and keys/values
-// from b, returning a matrix shaped like a. Every temporary — projections,
-// per-head slices, attention scores, the concatenated output — lives in
-// the arena, so a forward pass is allocation-free in steady state.
+// from b, returning a matrix shaped like a. No head is ever copied: Q and
+// V heads are column-block views of the projected matrices, K is projected
+// straight into head-major order (head h's b.Rows×dh keys are one
+// contiguous block, the layout the row-scoring kernels take), and each
+// head's output lands directly in its column block of concat. Every
+// temporary lives in the arena, so a forward pass is allocation-free in
+// steady state.
 func (m *mha) apply(ar *mat.Arena, a, b *mat.Matrix) *mat.Matrix {
 	dim := a.Cols
 	dh := dim / m.heads
-	aw := mat.MatMulInto(ar.Matrix(a.Rows, dim), a, m.wq)
-	bk := mat.MatMulInto(ar.Matrix(b.Rows, dim), b, m.wk)
-	bv := mat.MatMulInto(ar.Matrix(b.Rows, dim), b, m.wv)
-	concat := ar.Matrix(a.Rows, dim)
+	na, nb := a.Rows, b.Rows
+	q := mat.MatMulInto(ar.Matrix(na, dim), a, m.wq)
+	v := mat.MatMulInto(ar.Matrix(nb, dim), b, m.wv)
+	k := ar.Matrix(m.heads*nb, dh)
+	scores := ar.Matrix(na, nb)
+	concat := ar.Matrix(na, dim)
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	for h := 0; h < m.heads; h++ {
-		qh := headSlice(ar, aw, h, dh)
-		kh := headSlice(ar, bk, h, dh)
-		vh := headSlice(ar, bv, h, dh)
-		scores := mat.MatMulTInto(ar.Matrix(qh.Rows, kh.Rows), qh, kh)
+		c0 := h * dh
+		kh := k.Data[h*nb*dh : (h+1)*nb*dh]
+		mat.Gemm(kh, dh, b.Data, dim, m.wk.Data[c0:], dim, nb, dh, dim)
+		for i := 0; i < na; i++ {
+			mat.ScoreRows(scores.Row(i), q.Row(i)[c0:c0+dh], kh, dh)
+		}
 		scores.ScaleInPlace(scale)
 		scores.SoftmaxRows()
-		oh := mat.MatMulInto(ar.Matrix(scores.Rows, vh.Cols), scores, vh)
-		for i := 0; i < a.Rows; i++ {
-			copy(concat.Row(i)[h*dh:(h+1)*dh], oh.Row(i))
-		}
+		mat.Gemm(concat.Data[c0:], dim, scores.Data, nb, v.Data[c0:], dim, na, dh, nb)
 	}
-	return mat.MatMulInto(ar.Matrix(concat.Rows, m.wo.Cols), concat, m.wo)
+	return mat.MatMulInto(ar.Matrix(na, dim), concat, m.wo)
 }
 
 // ffn is a two-layer feed-forward block with GELU.
 type ffn struct {
 	w1, w2 *mat.Matrix
+	// act is the elementwise activation, mat.GELU; a field so the tests
+	// can run the same weights under the float64 reference formula.
+	act func(mat.Vec) mat.Vec
 }
 
 func newFFN(dim int, sigma float64, seed uint64) *ffn {
 	return &ffn{
-		w1: mat.NearIdentity(dim, sigma, seed^0x75),
-		w2: mat.NearIdentity(dim, sigma, seed^0x76),
+		w1:  mat.NearIdentity(dim, sigma, seed^0x75),
+		w2:  mat.NearIdentity(dim, sigma, seed^0x76),
+		act: mat.GELU,
 	}
 }
 
 func (f *ffn) apply(ar *mat.Arena, x *mat.Matrix) *mat.Matrix {
 	h := mat.MatMulInto(ar.Matrix(x.Rows, f.w1.Cols), x, f.w1)
-	for i := 0; i < h.Rows; i++ {
-		mat.GELU(h.Row(i))
-	}
+	f.act(h.Data)
 	return mat.MatMulInto(ar.Matrix(h.Rows, f.w2.Cols), h, f.w2)
 }
 

@@ -1,28 +1,12 @@
 package xmodal
 
-import (
-	"testing"
-
-	"repro/internal/embed"
-	"repro/internal/query"
-	"repro/internal/video"
-)
+import "testing"
 
 // BenchmarkGroundFrame measures the per-keyframe rerank cost (Fig. 11(d)'s
 // unit of work).
 func BenchmarkGroundFrame(b *testing.B) {
-	space := embed.NewSpace(64, 32, 1)
-	model := New(space, Config{Seed: 1})
-	te := &embed.TextEncoder{Space: space}
-	toks := te.Tokens(query.Parse("A red car side by side with another car, both positioned in the center of the road."))
-	f := &video.Frame{VideoID: 1, Index: 0, Context: []string{"road"}}
-	for i := 0; i < 6; i++ {
-		f.Objects = append(f.Objects, video.Object{
-			Track: int64(i), Class: "car", Attrs: []string{"red"},
-			Box:       video.Box{X: 0.1 * float64(i), Y: 0.4, W: 0.1, H: 0.07},
-			Behaviors: []string{"driving"},
-		})
-	}
+	model, f, toks := benchFrame()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		model.GroundFrame(f, toks)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/mat"
@@ -16,7 +17,7 @@ import (
 type Config struct {
 	// Heads is the attention head count; zero defaults to 4.
 	Heads int
-	// EnhancerLayers is the feature-enhancer depth; zero defaults to 2.
+	// EnhancerLayers is the feature-enhancer depth; zero defaults to 1.
 	EnhancerLayers int
 	// DecoderLayers is the decoder depth; zero defaults to 1.
 	DecoderLayers int
@@ -93,16 +94,18 @@ type Grounding struct {
 // arena-backed vector.
 func (m *Model) posEncoding(ar *mat.Arena, b video.Box) mat.Vec {
 	cx, cy := b.Center()
-	raw := [8]float32{
-		float32(math.Sin(2 * math.Pi * cx)), float32(math.Cos(2 * math.Pi * cx)),
-		float32(math.Sin(2 * math.Pi * cy)), float32(math.Cos(2 * math.Pi * cy)),
-		float32(b.W), float32(b.H),
-		float32(math.Sin(4 * math.Pi * cx)), float32(math.Cos(4 * math.Pi * cy)),
-	}
-	return mat.MatVecInto(ar.Vec(m.posProj.Rows), m.posProj, raw[:])
+	raw := ar.Vec(8) // in the arena: a stack array would escape through the kernel dispatch
+	raw[0], raw[1] = float32(math.Sin(2*math.Pi*cx)), float32(math.Cos(2*math.Pi*cx))
+	raw[2], raw[3] = float32(math.Sin(2*math.Pi*cy)), float32(math.Cos(2*math.Pi*cy))
+	raw[4], raw[5] = float32(b.W), float32(b.H)
+	raw[6], raw[7] = float32(math.Sin(4*math.Pi*cx)), float32(math.Cos(4*math.Pi*cy))
+	return mat.MatVecInto(ar.Vec(m.posProj.Rows), m.posProj, raw)
 }
 
-func tokenSeed(seed uint64, track int64, frame int, term string) uint64 {
+// tokenSeed hashes (seed, track, frame, prefix+term) into a per-token noise
+// seed; prefix and term are written back to back, so no concatenated
+// string is ever built.
+func tokenSeed(seed uint64, track int64, frame int, prefix, term string) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
@@ -114,47 +117,68 @@ func tokenSeed(seed uint64, track int64, frame int, term string) uint64 {
 	put(seed)
 	put(uint64(track))
 	put(uint64(uint32(frame)))
+	_, _ = h.Write([]byte(prefix))
 	_, _ = h.Write([]byte(term))
 	return h.Sum64()
 }
 
-// regionTok is one image-side token: a unit feature vector plus an evidence
-// weight. Weights survive the transformer's layer norms by applying at
-// scoring time: a term observed on a neighbour (weight 0.85) can never beat
-// the same term observed on the object itself.
+// regionTok is one image-side token: a unit feature vector, the object it
+// was observed on, and an evidence weight. Weights survive the
+// transformer's layer norms by applying at scoring time: a term observed on
+// a neighbour (weight 0.85) can never beat the same term observed on the
+// object itself.
 type regionTok struct {
 	vec    mat.Vec
+	owner  int
 	weight float32
 }
 
-// regionTokens extracts the fine-grained token set for object i of frame f:
-// one noisy token per ground-truth term (including spatial relations, which
-// single-object embeddings cannot carry), neighbour terms at reduced weight
-// (supporting relational queries such as Q3.4), and a box positional
-// component folded into every token.
-func (m *Model) regionTokens(ar *mat.Arena, f *video.Frame, i int) []regionTok {
+// groundScratch is GroundFrame's per-call bookkeeping that is not float32
+// data (that lives in the mat.Arena): the frame's token list, the
+// per-object and per-term marks, and ONE noise generator re-seeded in
+// place for every token — rand.New(rand.NewPCG(a, b)) per token draws the
+// same stream and costs two heap objects each time.
+type groundScratch struct {
+	pcg    rand.PCG
+	rng    *rand.Rand // over pcg
+	toks   []regionTok
+	seen   []bool
+	seenNb map[string]bool
+}
+
+var groundScratchPool = sync.Pool{New: func() any {
+	sc := &groundScratch{seenNb: make(map[string]bool)}
+	sc.rng = rand.New(&sc.pcg)
+	return sc
+}}
+
+// regionTokens appends the fine-grained token set for object i of frame f
+// to sc.toks: one noisy token per ground-truth term (including spatial
+// relations, which single-object embeddings cannot carry), neighbour terms
+// at reduced weight (supporting relational queries such as Q3.4), and a
+// box positional component folded into every token.
+func (m *Model) regionTokens(ar *mat.Arena, sc *groundScratch, f *video.Frame, i int) {
 	o := &f.Objects[i]
 	pos := m.posEncoding(ar, o.Box)
-	var toks []regionTok
 
 	appendTok := func(term string, weight float32) {
-		seed := tokenSeed(m.cfg.Seed, o.Track, f.Index, term)
-		rng := rand.New(rand.NewPCG(seed, seed^0x70c5))
+		seed := tokenSeed(m.cfg.Seed, o.Track, f.Index, "", term)
+		sc.pcg.Seed(seed, seed^0x70c5)
 		base := m.space.TermVec(term)
 		v := ar.Vec(m.space.Dim)
 		mat.Axpy(v, 1, base)
 		mat.Axpy(v, 0.12, pos)
 		for d := range v {
-			v[d] += float32(rng.NormFloat64() * m.cfg.TokenNoise)
+			v[d] += float32(sc.rng.NormFloat64() * m.cfg.TokenNoise)
 		}
-		toks = append(toks, regionTok{vec: mat.Normalize(v), weight: weight})
+		sc.toks = append(sc.toks, regionTok{vec: mat.Normalize(v), owner: i, weight: weight})
 	}
 
 	for _, term := range f.ObjectTerms(i) {
 		if isRelationTerm(term) {
-			seed := tokenSeed(m.cfg.Seed, o.Track, f.Index, "drop:"+term)
-			rng := rand.New(rand.NewPCG(seed, seed^0xd20b))
-			if rng.Float64() < m.cfg.RelationDropout {
+			seed := tokenSeed(m.cfg.Seed, o.Track, f.Index, "drop:", term)
+			sc.pcg.Seed(seed, seed^0xd20b)
+			if sc.rng.Float64() < m.cfg.RelationDropout {
 				continue
 			}
 		}
@@ -170,17 +194,20 @@ func (m *Model) regionTokens(ar *mat.Arena, f *video.Frame, i int) []regionTok {
 		})
 		neighbors = neighbors[:2]
 	}
-	seenNb := make(map[string]bool)
-	for _, j := range neighbors {
-		nb := &f.Objects[j]
-		for _, term := range append([]string{nb.Class}, nb.Attrs...) {
-			if !seenNb[term] {
-				seenNb[term] = true
-				appendTok(term, 0.85)
-			}
+	clear(sc.seenNb)
+	appendNb := func(term string) {
+		if !sc.seenNb[term] {
+			sc.seenNb[term] = true
+			appendTok(term, 0.85)
 		}
 	}
-	return toks
+	for _, j := range neighbors {
+		nb := &f.Objects[j]
+		appendNb(nb.Class)
+		for _, term := range nb.Attrs {
+			appendNb(term)
+		}
+	}
 }
 
 // textTokenWeight returns the importance of a query token in the MaxSim
@@ -245,25 +272,21 @@ func (m *Model) GroundFrame(f *video.Frame, toks []embed.Token) []Grounding {
 
 	// Assemble the frame's region-token matrix with object attribution
 	// and per-token evidence weights.
-	var owners []int
-	var weights []float32
-	var rows []mat.Vec
+	sc := groundScratchPool.Get().(*groundScratch)
+	defer groundScratchPool.Put(sc)
+	sc.toks = sc.toks[:0]
 	for i := range f.Objects {
-		rt := m.regionTokens(ar, f, i)
-		for _, tok := range rt {
-			owners = append(owners, i)
-			weights = append(weights, tok.weight)
-			rows = append(rows, tok.vec)
-		}
+		m.regionTokens(ar, sc, f, i)
 	}
-	if len(rows) == 0 {
+	rtoks := sc.toks
+	if len(rtoks) == 0 {
 		return nil
 	}
-	xi := ar.Matrix(len(rows), m.space.Dim)
-	for i, r := range rows {
-		copy(xi.Row(i), r)
+	xi := ar.Matrix(len(rtoks), m.space.Dim)
+	for i, rt := range rtoks {
+		copy(xi.Row(i), rt.vec)
 	}
-	tweights := make([]float32, len(toks))
+	tweights := ar.Vec(len(toks))
 	primaryIdx := firstClassIdx(toks)
 	xt := ar.Matrix(len(toks), m.space.Dim)
 	for i, t := range toks {
@@ -293,7 +316,8 @@ func (m *Model) GroundFrame(f *video.Frame, toks []embed.Token) []Grounding {
 	wsums := ar.Vec(nObj)
 	primaryBest := ar.Vec(nObj)
 	best := ar.Vec(nObj)
-	seen := make([]bool, nObj)
+	sc.seen = append(sc.seen[:0], make([]bool, nObj)...)
+	seen := sc.seen
 	for ti := 0; ti < sim.Rows; ti++ {
 		row := sim.Row(ti)
 		for o := 0; o < nObj; o++ {
@@ -301,8 +325,8 @@ func (m *Model) GroundFrame(f *video.Frame, toks []embed.Token) []Grounding {
 			seen[o] = false
 		}
 		for ri, s := range row {
-			s *= weights[ri]
-			o := owners[ri]
+			s *= rtoks[ri].weight
+			o := rtoks[ri].owner
 			if !seen[o] || s > best[o] {
 				best[o], seen[o] = s, true
 			}
@@ -311,7 +335,7 @@ func (m *Model) GroundFrame(f *video.Frame, toks []embed.Token) []Grounding {
 		for o := 0; o < nObj; o++ {
 			if seen[o] {
 				//lovo:kernel-ok fixed-order per-object gather over terms, not a dot-product reduction; term order is the slice order, already deterministic
-				scores[o] += tw * best[o]
+				scores[o] += float32(tw * best[o]) // rounded product: no FMA contraction on arm64
 				wsums[o] += tw
 				if ti == primaryIdx {
 					primaryBest[o] = best[o]
