@@ -26,7 +26,6 @@ func main() {
 		seed       = flag.Uint64("seed", 7, "workload seed")
 		scale      = flag.Float64("scale", 0, "dataset duration scale (0 = default)")
 		quick      = flag.Bool("quick", false, "shrink sweeps for smoke runs")
-		workers    = flag.Int("workers", 0, "max worker count for the throughput sweep (0 = max(4, NumCPU))")
 		jsonDir    = flag.String("json", "", "also write each table as a BENCH_<id>.json snapshot into this directory")
 	)
 	flag.Parse()
@@ -37,7 +36,7 @@ func main() {
 		}
 		return
 	}
-	opts := bench.Options{Seed: *seed, Scale: *scale, Quick: *quick, Workers: *workers}
+	opts := bench.Options{Seed: *seed, Scale: *scale, Quick: *quick}
 	run := func(name string) error {
 		start := time.Now()
 		t, err := bench.Run(name, opts)

@@ -1,6 +1,7 @@
-// Concurrent clients: serve a query mix from many goroutines with
-// QueryBatch while fresh footage keeps streaming in on another goroutine —
-// the production shape of the concurrent execution engine. Parallel ingest
+// Concurrent clients: serve a query mix with QueryBatch — one batched
+// stage-1 sweep, the stage-2 reranks fanned out across a client pool —
+// while fresh footage keeps streaming in on another goroutine: the
+// production shape of the concurrent execution engine. Parallel ingest
 // encoding, the parallel stage-2 rerank and the client pool all share one
 // Workers knob, and every answer is byte-identical to a serial run.
 package main

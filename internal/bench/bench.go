@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -27,9 +28,6 @@ type Options struct {
 	// Quick further shrinks sweeps for use inside unit tests and smoke
 	// benchmarks.
 	Quick bool
-	// Workers caps the worker counts the concurrency sweep measures
-	// (the "throughput" experiment). Zero sweeps up to max(4, NumCPU).
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -137,6 +135,21 @@ func ms(d time.Duration) string { return fmt.Sprintf("%.2fms", float64(d.Microse
 
 // f3 formats a float with three decimals.
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
+
+// percentile returns the q-quantile of sorted latencies (nearest-rank).
+func percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q*float64(len(sorted))+0.5) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
+}
+
+// rootCtx is the context every experiment queries under.
+func rootCtx() context.Context {
+	//lovo:ctx-ok table runners are context roots: nothing above an experiment carries a trace
+	return context.Background()
+}
 
 // runner produces one experiment table.
 type runner func(Options) (*Table, error)

@@ -13,8 +13,7 @@ func TestExperimentsRegistered(t *testing.T) {
 		"fig2", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11a", "fig11b", "fig11c", "fig11d",
 		"table3", "table4", "table5", "table7",
-		"throughput", "sharding", "replication", "kernels",
-		"streamingserve",
+		"kernels", "planner", "cachesweep",
 	}
 	have := Experiments()
 	set := map[string]bool{}
@@ -139,29 +138,6 @@ func TestFig11bStorageGrows(t *testing.T) {
 	}
 }
 
-func TestThroughputStructure(t *testing.T) {
-	// Cap the sweep at 2 workers so the smoke run stays fast everywhere.
-	opts := quickOpts
-	opts.Workers = 2
-	tbl, err := Run("throughput", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two stages (query, ingest) × the {1, 2} worker sweep.
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[0] != "query" && row[0] != "ingest" {
-			t.Fatalf("unknown stage %q", row[0])
-		}
-	}
-	// The 1-worker baseline rows must report speedup 1.00x.
-	if tbl.Rows[0][5] != "1.00x" || tbl.Rows[2][5] != "1.00x" {
-		t.Fatalf("baseline speedup rows: %v / %v", tbl.Rows[0], tbl.Rows[2])
-	}
-}
-
 func TestTable4AblationStructure(t *testing.T) {
 	tbl, err := Run("table4", quickOpts)
 	if err != nil {
@@ -228,69 +204,6 @@ func TestKernelsStructure(t *testing.T) {
 	}
 	if len(tbl.Notes) == 0 || !strings.Contains(tbl.Notes[0], "2x") {
 		t.Fatalf("missing speedup-gate note: %v", tbl.Notes)
-	}
-}
-
-func TestShardingStructure(t *testing.T) {
-	tbl, err := Run("sharding", quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Quick mode sweeps shard counts {1, 2}.
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
-	}
-	if tbl.Rows[0][0] != "1" || tbl.Rows[1][0] != "2" {
-		t.Fatalf("shard sweep: %v / %v", tbl.Rows[0], tbl.Rows[1])
-	}
-	// The 1-shard baseline row must report speedup 1.00x.
-	if tbl.Rows[0][7] != "1.00x" {
-		t.Fatalf("baseline speedup: %v", tbl.Rows[0])
-	}
-}
-
-func TestReplicationStructure(t *testing.T) {
-	tbl, err := Run("replication", quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Quick mode sweeps replica counts {1, 2}; the experiment itself
-	// verifies every row answers byte-identically to the R=1 baseline.
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
-	}
-	if tbl.Rows[0][0] != "1" || tbl.Rows[1][0] != "2" {
-		t.Fatalf("replica sweep: %v / %v", tbl.Rows[0], tbl.Rows[1])
-	}
-	if tbl.Rows[0][7] != "1.00x" {
-		t.Fatalf("baseline speedup: %v", tbl.Rows[0])
-	}
-}
-
-func TestStreamingServeStructure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two engines plus timed phases too slow for -short")
-	}
-	tbl, err := Run("streamingserve", quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Four phases: streaming/batch x steady/under-ingest. The p99 ratio is
-	// not asserted — it is scheduling-sensitive (see the experiment notes);
-	// the no-blocking property is pinned by the vectordb regression tests.
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tbl.Rows))
-	}
-	wantLabels := []string{"streaming steady", "streaming under ingest", "batch steady", "batch rebuild under ingest"}
-	for i, w := range wantLabels {
-		if tbl.Rows[i][0] != w {
-			t.Fatalf("row %d label %q, want %q", i, tbl.Rows[i][0], w)
-		}
-	}
-	for _, i := range []int{0, 2} {
-		if tbl.Rows[i][6] != "1.00x" {
-			t.Fatalf("steady row %d ratio %q, want 1.00x", i, tbl.Rows[i][6])
-		}
 	}
 }
 

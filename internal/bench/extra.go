@@ -130,7 +130,7 @@ func extraStreaming(o Options) (*Table, error) {
 				maxIdx = step
 			}
 		}
-		res, err := sys.Query(q, core.QueryOptions{FastK: 3 * depth, TopN: 40, RerankFrames: 40})
+		res, err := core.Query(rootCtx(), sys, q, core.QueryOptions{FastK: 3 * depth, TopN: 40, RerankFrames: 40})
 		if err != nil {
 			return err
 		}

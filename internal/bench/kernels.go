@@ -447,7 +447,7 @@ func kernelsExperiment(o Options) (*Table, error) {
 				for i := 0; i < queries; i++ {
 					text := ds.Queries[i%len(ds.Queries)].Text
 					start := time.Now()
-					res, err := sys.Query(text, core.QueryOptions{Workers: 1})
+					res, err := core.Query(rootCtx(), sys, text, core.QueryOptions{Workers: 1})
 					if err != nil {
 						return nil, nil, err
 					}

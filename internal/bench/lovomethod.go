@@ -100,7 +100,7 @@ func (l *LOVOMethod) Query(text string, depth int) ([]metrics.Retrieved, time.Du
 	if rerankFrames > 40 {
 		rerankFrames = 40
 	}
-	res, err := l.sys.Query(text, core.QueryOptions{
+	res, err := core.Query(rootCtx(), l.sys, text, core.QueryOptions{
 		DisableRerank: l.NoRerank,
 		Exhaustive:    l.NoANNS,
 		FastK:         fastK,

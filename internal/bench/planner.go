@@ -87,12 +87,12 @@ func plannerBench(o Options) (*Table, error) {
 		kinds := map[string]bool{}
 		var recall float64
 		for _, text := range texts {
-			plan, err := sys.PlanQuery(text, m.opts)
+			plan, err := sys.PlanQueryCtx(rootCtx(), text, m.opts)
 			if err != nil {
 				return nil, err
 			}
 			kinds[string(plan.Kind)] = true
-			r, err := sys.StageRecall(text, plan)
+			r, err := core.StageRecall(rootCtx(), sys.Target(), text, plan)
 			if err != nil {
 				return nil, err
 			}
@@ -103,7 +103,7 @@ func plannerBench(o Options) (*Table, error) {
 		for rep := 0; rep < reps; rep++ {
 			for _, text := range texts {
 				start := time.Now()
-				if _, err := sys.Query(text, m.opts); err != nil {
+				if _, err := core.Query(rootCtx(), sys, text, m.opts); err != nil {
 					return nil, err
 				}
 				lats = append(lats, time.Since(start))

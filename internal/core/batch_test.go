@@ -60,6 +60,24 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 					t.Errorf("%q under plan %s: batch answers diverge from lone QueryPlanned", text, plans[i])
 				}
 			}
+			// Plan-then-execute on top: QueryBatch plans each query and
+			// runs the same batch executor, so it must equal lone Query
+			// calls under fixed and planner-resolved options alike.
+			for _, opts := range []QueryOptions{{}, {MinRecall: 0.9}, {DisableRerank: true, FastK: 24}} {
+				batch, err := QueryBatch(context.Background(), sys, texts, opts, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, text := range texts {
+					lone, err := Query(context.Background(), sys, text, opts)
+					if err != nil {
+						t.Fatalf("%q: %v", text, err)
+					}
+					if !reflect.DeepEqual(batch[i].Objects, lone.Objects) {
+						t.Errorf("%q under %+v: QueryBatch diverges from lone Query", text, opts)
+					}
+				}
+			}
 		})
 	}
 }
@@ -134,7 +152,7 @@ func TestPlannerInt8RecallGate(t *testing.T) {
 			const bound = 0.5
 			var picked bool
 			for _, q := range ds.Queries[:4] {
-				plan, err := sys.PlanQuery(q.Text, QueryOptions{MinRecall: bound})
+				plan, err := sys.PlanQueryCtx(context.Background(), q.Text, QueryOptions{MinRecall: bound})
 				if err != nil {
 					t.Fatalf("%s: plan: %v", q.ID, err)
 				}
@@ -142,7 +160,7 @@ func TestPlannerInt8RecallGate(t *testing.T) {
 					continue
 				}
 				picked = true
-				rec, err := sys.StageRecall(q.Text, plan)
+				rec, err := StageRecall(context.Background(), sys.Target(), q.Text, plan)
 				if err != nil {
 					t.Fatalf("%s: measuring recall: %v", q.ID, err)
 				}
@@ -160,7 +178,7 @@ func TestPlannerInt8RecallGate(t *testing.T) {
 
 			// MinRecall=1 escalates to exact, which never scores int8 — even
 			// when the caller pinned it.
-			plan, err := sys.PlanQuery(ds.Queries[0].Text, QueryOptions{MinRecall: 1, Int8: true})
+			plan, err := sys.PlanQueryCtx(context.Background(), ds.Queries[0].Text, QueryOptions{MinRecall: 1, Int8: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +194,7 @@ func TestPlannerInt8RecallGate(t *testing.T) {
 // (finite, descending) results.
 func TestPinnedInt8PlanExecutes(t *testing.T) {
 	sys, ds := plannerSystem(t, vectordb.IndexFlat)
-	plan, err := sys.PlanQuery(ds.Queries[0].Text, QueryOptions{Int8: true})
+	plan, err := sys.PlanQueryCtx(context.Background(), ds.Queries[0].Text, QueryOptions{Int8: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -104,11 +105,11 @@ func TestParallelIngestDeterminism(t *testing.T) {
 			ss.Tokens, ss.Keyframes, ps.Tokens, ps.Keyframes)
 	}
 	for _, q := range queries {
-		want, err := serial.Query(q, QueryOptions{Workers: 1})
+		want, err := Query(context.Background(), serial, q, QueryOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := parallel.Query(q, QueryOptions{Workers: 1})
+		got, err := Query(context.Background(), parallel, q, QueryOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,12 +127,12 @@ func TestParallelRerankDeterminism(t *testing.T) {
 	ds := datasets.Bellevue(cfg)
 	s := buildSystem(t, ds, Config{Seed: 1})
 	for _, q := range queries {
-		want, err := s.Query(q, QueryOptions{Workers: 1})
+		want, err := Query(context.Background(), s, q, QueryOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 4, 8} {
-			got, err := s.Query(q, QueryOptions{Workers: w})
+			got, err := Query(context.Background(), s, q, QueryOptions{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +151,7 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 	cfg, queries := concurrencyWorkload(t)
 	ds := datasets.Bellevue(cfg)
 	s := buildSystem(t, ds, Config{Seed: 1})
-	batch, err := s.QueryBatch(queries, QueryOptions{}, 4)
+	batch, err := QueryBatch(context.Background(), s, queries, QueryOptions{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 		t.Fatalf("batch returned %d results for %d queries", len(batch), len(queries))
 	}
 	for i, q := range queries {
-		want, err := s.Query(q, QueryOptions{})
+		want, err := Query(context.Background(), s, q, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 func TestQueryBatchPropagatesFirstError(t *testing.T) {
 	ds := datasets.Bellevue(datasets.Config{Seed: 7, FPS: 1, Scale: 0.05})
 	s := buildSystem(t, ds, Config{Seed: 1})
-	_, err := s.QueryBatch([]string{"car", "zorgon blarf", "bus"}, QueryOptions{}, 2)
+	_, err := QueryBatch(context.Background(), s, []string{"car", "zorgon blarf", "bus"}, QueryOptions{}, 2)
 	if err == nil {
 		t.Fatal("batch containing a nonsense query must error")
 	}
@@ -217,7 +218,7 @@ func TestConcurrentQueryDuringIngest(t *testing.T) {
 				default:
 				}
 				q := concurrencyQueries[(g+i)%len(concurrencyQueries)]
-				res, err := s.Query(q, QueryOptions{})
+				res, err := Query(context.Background(), s, q, QueryOptions{})
 				if err != nil {
 					errCh <- fmt.Errorf("query %q during ingest: %w", q, err)
 					return

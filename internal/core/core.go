@@ -195,6 +195,7 @@ type System struct {
 	space  *embed.Space
 	vision *embed.VisionEncoder
 	text   *embed.TextEncoder
+	enc    *QueryEncoder // query texts into the fast-search space, over space and text
 	vitCfg vit.Config
 	model  *xmodal.Model
 
@@ -279,7 +280,8 @@ func New(cfg Config) (*System, error) {
 
 		keyframes: make(map[frameKey]*video.Frame),
 	}
-	s.planner = newPlanner(cfg)
+	s.enc = &QueryEncoder{space: space, text: s.text}
+	s.planner = newPlanner(cfg, s.enc)
 	s.vitCfg = vit.Config{GridW: cfg.GridW, GridH: cfg.GridH, Encoder: s.vision}
 	if cfg.Streaming {
 		seg, err := vectordb.NewSegmented("patches",
@@ -480,7 +482,11 @@ func (s *System) Entities() int {
 }
 
 // Segmented exposes the streaming-mode store (nil in monolithic mode).
-func (s *System) Segmented() *vectordb.SegmentedCollection { return s.seg }
+func (s *System) Segmented() *vectordb.SegmentedCollection {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.seg
+}
 
 // SegmentStats reports the per-state segment breakdown of the streaming
 // store; ok is false in monolithic mode.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datasets"
@@ -64,7 +65,7 @@ func TestIngestPopulatesStores(t *testing.T) {
 func TestQuerySimpleRetrievesRelevantObjects(t *testing.T) {
 	ds := datasets.Bellevue(dsCfg)
 	s := buildSystem(t, ds, Config{Seed: 1})
-	res, err := s.Query("A bus driving on the road.", QueryOptions{})
+	res, err := Query(context.Background(), s, "A bus driving on the road.", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestQueryComplexRelationBenefitsFromRerank(t *testing.T) {
 	if len(gt) == 0 {
 		t.Skip("no ground truth at this scale")
 	}
-	withRerank, err := s.Query(q, QueryOptions{})
+	withRerank, err := Query(context.Background(), s, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := s.Query(q, QueryOptions{DisableRerank: true})
+	without, err := Query(context.Background(), s, q, QueryOptions{DisableRerank: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func termsOf(q string) []string {
 func TestQueryUnknownTermsErrors(t *testing.T) {
 	ds := datasets.Bellevue(datasets.Config{Seed: 7, FPS: 1, Scale: 0.05})
 	s := buildSystem(t, ds, Config{Seed: 1})
-	if _, err := s.Query("zorgon blarf", QueryOptions{}); err == nil {
+	if _, err := Query(context.Background(), s, "zorgon blarf", QueryOptions{}); err == nil {
 		t.Fatal("nonsense query must error")
 	}
 }
@@ -170,7 +171,7 @@ func TestQueryBeforeBuildFallsBackToScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.Query("car", QueryOptions{})
+	res, err := Query(context.Background(), s, "car", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +183,11 @@ func TestQueryBeforeBuildFallsBackToScan(t *testing.T) {
 func TestExhaustiveSlowerSameAnswers(t *testing.T) {
 	ds := datasets.Bellevue(dsCfg)
 	s := buildSystem(t, ds, Config{Seed: 1})
-	fast, err := s.Query("A red car driving in the center of the road.", QueryOptions{})
+	fast, err := Query(context.Background(), s, "A red car driving in the center of the road.", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := s.Query("A red car driving in the center of the road.", QueryOptions{Exhaustive: true})
+	ex, err := Query(context.Background(), s, "A red car driving in the center of the road.", QueryOptions{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestIndexVariants(t *testing.T) {
 	for _, kind := range []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIVFPQ, vectordb.IndexHNSW} {
 		t.Run(string(kind), func(t *testing.T) {
 			s := buildSystem(t, ds, Config{Seed: 1, Index: kind})
-			res, err := s.Query("A bus driving on the road.", QueryOptions{})
+			res, err := Query(context.Background(), s, "A bus driving on the road.", QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +237,7 @@ func TestResultTotalSums(t *testing.T) {
 func TestTopNLimitsFrames(t *testing.T) {
 	ds := datasets.Bellevue(dsCfg)
 	s := buildSystem(t, ds, Config{Seed: 1})
-	res, err := s.Query("car", QueryOptions{TopN: 2})
+	res, err := Query(context.Background(), s, "car", QueryOptions{TopN: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

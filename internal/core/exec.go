@@ -24,6 +24,13 @@ type PlanTarget interface {
 	// ScatterSearch runs stage 1 on every leg, returning one canonical
 	// (score desc, patch ID asc) hit list per leg.
 	ScatterSearch(ctx context.Context, text string, plan Plan) ([][]ResultObject, error)
+	// ScatterSearchBatch runs stage 1 for MANY (text, plan) pairs in one
+	// call, so the target can amortize one memory sweep across the whole
+	// batch (flat scans score every query per cache-resident block; shard
+	// engines issue one scatter round-trip per backend instead of one per
+	// query). out[i][leg] is query i's canonical hit list from that leg,
+	// bit-identical to a per-query ScatterSearch call.
+	ScatterSearchBatch(ctx context.Context, texts []string, plans []Plan) ([][][]ResultObject, error)
 	// ScatterGround runs stage 2 over the candidate frames; groundings
 	// align with refs.
 	ScatterGround(ctx context.Context, text string, refs []FrameRef, workers int) ([]Grounding, error)
@@ -81,45 +88,40 @@ func ExecutePlan(ctx context.Context, t PlanTarget, text string, plan Plan, work
 	return res, nil
 }
 
-// BatchTarget is the optional batched stage-1 surface a PlanTarget may
-// implement: scatter stage 1 for MANY queries in one call, so the target can
-// amortize one memory sweep across the whole batch (flat scans score every
-// query per cache-resident block; shard engines issue one scatter round-trip
-// per backend instead of one per query). Per-query results must be
-// bit-identical to per-query ScatterSearch calls.
-type BatchTarget interface {
-	PlanTarget
-	// ScatterSearchBatch runs stage 1 for every (text, plan) pair;
-	// out[i][leg] is query i's canonical hit list from that leg.
-	ScatterSearchBatch(ctx context.Context, texts []string, plans []Plan) ([][][]ResultObject, error)
-}
-
-// ExecutePlanBatch runs one pre-resolved plan per query against the target.
-// When the target implements BatchTarget, stage 1 for the WHOLE batch is one
-// scatter call — queries with identical search shapes share a single memory
-// sweep — and only stage 2 (rerank) fans out per query across at most
-// clients goroutines. Otherwise each query runs the full ExecutePlan
-// composition concurrently. Results align with texts and are bit-identical
-// to per-query ExecutePlan runs; the first failing query (lowest index)
-// reports its error once in-flight work drains.
-func ExecutePlanBatch(ctx context.Context, t PlanTarget, texts []string, plans []Plan, workers, clients int) ([]*Result, error) {
+// ExecutePlanBatch runs one plan per query against the target — the ONE
+// batch execution. Stage 1 for the WHOLE batch is one scatter call: queries
+// with identical search shapes share a single memory sweep. Only stage 2
+// (rerank) fans out per query, across at most clients goroutines (zero
+// inherits cfg.Workers). Plans are normalized against cfg; results align
+// with texts and are bit-identical to per-query ExecutePlan runs; the first
+// failing query (lowest index) reports its error once in-flight work drains.
+func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []string, plans []Plan, workers, clients int) ([]*Result, error) {
 	if len(plans) != len(texts) {
 		return nil, fmt.Errorf("core: batch of %d texts given %d plans", len(texts), len(plans))
 	}
+	if clients == 0 {
+		clients = cfg.Workers
+	}
+	clients = ResolveWorkers(clients)
+	// Batch-level concurrency already saturates the cores, so unless the
+	// caller explicitly widened the per-query rerank, run each query's
+	// stage 2 serially — nested NumCPU-wide pools would oversubscribe the
+	// CPU with no throughput to show for it. Results are identical at every
+	// width.
+	if workers == 0 && clients > 1 {
+		workers = 1
+	}
+	plans = append([]Plan(nil), plans...) // the caller's slice is never written
+	for i := range plans {
+		plans[i] = cfg.NormalizePlan(plans[i])
+	}
 	results := make([]*Result, len(texts))
 	errs := make([]error, len(texts))
-	bt, ok := t.(BatchTarget)
-	if !ok {
-		ParallelFor(len(texts), clients, func(i int) {
-			results[i], errs[i] = ExecutePlan(ctx, t, texts[i], plans[i], workers)
-		})
-		return firstBatchError(results, errs, texts)
-	}
 
 	//lovo:nondeterministic-ok Result.FastSearch is reported stage latency; hit selection and order never read it
 	start := time.Now()
 	sctx, ssp := obs.Start(ctx, "stage1")
-	allLists, err := bt.ScatterSearchBatch(sctx, texts, plans)
+	allLists, err := t.ScatterSearchBatch(sctx, texts, plans)
 	if err != nil {
 		ssp.End()
 		return nil, err
@@ -140,8 +142,7 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, texts []string, plans [
 	fastElapsed := time.Since(start)
 
 	// Stage 2 is per-query work (transformer forward passes over each
-	// query's own candidate frames), so it fans out across the batch like
-	// the unbatched path.
+	// query's own candidate frames), so it fans out across the batch.
 	ParallelFor(len(texts), clients, func(i int) {
 		res := &Result{CandidateFrames: len(refs[i]), FastSearch: fastElapsed}
 		if plans[i].SkipRerank {
@@ -168,12 +169,6 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, texts []string, plans [
 		res.Rerank = time.Since(rstart)
 		results[i] = res
 	})
-	return firstBatchError(results, errs, texts)
-}
-
-// firstBatchError reports the lowest-index failing query of a batch, or the
-// aligned results when every query succeeded.
-func firstBatchError(results []*Result, errs []error, texts []string) ([]*Result, error) {
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: batch query %d (%q): %w", i, texts[i], err)
@@ -181,6 +176,55 @@ func firstBatchError(results []*Result, errs []error, texts []string) ([]*Result
 	}
 	return results, nil
 }
+
+// StageRecall measures a resolved plan's stage-1 recall on a target:
+// |plan hits ∩ exact hits| / |exact hits|, each side the target's scatter
+// merged to the global top-FastK. It is the ONE recall measurement — the
+// planner's validation probe (on a System, or on one shard leg of an
+// engine), the conformance tests and the bench harness's "measured recall"
+// column all call it.
+func StageRecall(ctx context.Context, t PlanTarget, text string, plan Plan) (float64, error) {
+	xp := plan
+	xp.Exact, xp.Int8, xp.ShardKs, xp.ShardK = true, false, nil, plan.FastK
+	var merged [2][]ResultObject
+	for i, p := range [2]Plan{xp, plan} {
+		lists, err := t.ScatterSearch(ctx, text, p)
+		if err != nil {
+			return 0, err
+		}
+		merged[i] = MergeHits(lists, plan.FastK)
+	}
+	patchID := func(o ResultObject) int64 { return o.PatchID }
+	return recallOf(idSet(merged[0], patchID), merged[1], patchID), nil
+}
+
+// idSet collects the IDs of a hit list.
+func idSet[T any](hits []T, id func(T) int64) map[int64]bool {
+	ids := make(map[int64]bool, len(hits))
+	for _, h := range hits {
+		ids[id(h)] = true
+	}
+	return ids
+}
+
+// recallOf is |hits ∩ truth| / |truth| — the one overlap computation under
+// StageRecall and ladder calibration. An empty truth set is recall 1.
+func recallOf[T any](truth map[int64]bool, hits []T, id func(T) int64) float64 {
+	if len(truth) == 0 {
+		return 1
+	}
+	overlap := 0
+	for _, h := range hits {
+		if truth[id(h)] {
+			overlap++
+		}
+	}
+	return float64(overlap) / float64(len(truth))
+}
+
+// Target exposes the system as the one-leg PlanTarget (StageRecall
+// measurements; QueryPlanned is the execution path).
+func (s *System) Target() PlanTarget { return systemTarget{s} }
 
 // systemTarget adapts a System to the one-leg PlanTarget.
 type systemTarget struct{ s *System }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/ann"
@@ -14,7 +15,7 @@ import (
 func TestEndToEndQVHighlights(t *testing.T) {
 	ds := datasets.QVHighlights(datasets.Config{Seed: 7, Scale: 0.12})
 	s := buildSystem(t, ds, Config{Seed: 1})
-	res, err := s.Query("A woman smiling sitting inside car.", QueryOptions{})
+	res, err := Query(context.Background(), s, "A woman smiling sitting inside car.", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +129,6 @@ func TestMetadataJoinConsistency(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestStreamingMode exercises segmented incremental indexing: per-video
 // ingest+seal, queries answered across segments, no full rebuilds.
 func TestStreamingMode(t *testing.T) {
@@ -158,7 +152,7 @@ func TestStreamingMode(t *testing.T) {
 	if sealed < 2 {
 		t.Fatalf("expected multiple sealed segments, got %d (+%d growing)", sealed, growing)
 	}
-	res, err := s.Query("A woman smiling sitting inside car.", QueryOptions{})
+	res, err := Query(context.Background(), s, "A woman smiling sitting inside car.", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +185,11 @@ func TestStreamingMatchesBatchAnswers(t *testing.T) {
 		t.Fatalf("entity counts differ: %d vs %d", batch.Entities(), stream.Entities())
 	}
 	const q = "A bus driving on the road."
-	rb, err := batch.Query(q, QueryOptions{})
+	rb, err := Query(context.Background(), batch, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := stream.Query(q, QueryOptions{})
+	rs, err := Query(context.Background(), stream, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

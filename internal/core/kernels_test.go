@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestFlatFastSearchBitIdenticalToOracleScan(t *testing.T) {
 		"A person walking on the street.",
 		"A truck driving on the road.",
 	} {
-		fh, err := s.FastSearch(text, QueryOptions{})
+		fh, err := s.SearchPlanned(context.Background(), text, s.Config().FixedPlan(QueryOptions{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestQueryIdenticalAcrossIndexKindsExhaustive(t *testing.T) {
 	var baseline *Result
 	for _, kind := range []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIMI, vectordb.IndexIVFPQ, vectordb.IndexHNSW} {
 		s := buildSystem(t, ds, Config{Seed: 7, Index: kind})
-		res, err := s.Query(text, QueryOptions{Exhaustive: true})
+		res, err := Query(context.Background(), s, text, QueryOptions{Exhaustive: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestPlannerMeetsRecallBoundAllKinds(t *testing.T) {
 			}
 			for _, q := range queries {
 				opts := QueryOptions{MinRecall: bound}
-				plan, err := sys.PlanQuery(q.Text, opts)
+				plan, err := sys.PlanQueryCtx(context.Background(), q.Text, opts)
 				if err != nil {
 					t.Fatalf("%s: plan: %v", q.ID, err)
 				}
@@ -65,7 +66,7 @@ func TestPlannerMeetsRecallBoundAllKinds(t *testing.T) {
 					t.Fatalf("%s: plan predicts %v below the %v bound: %s",
 						q.ID, plan.PredictedRecall, bound, plan)
 				}
-				rec, err := sys.StageRecall(q.Text, plan)
+				rec, err := StageRecall(context.Background(), sys.Target(), q.Text, plan)
 				if err != nil {
 					t.Fatalf("%s: measuring recall: %v", q.ID, err)
 				}
@@ -73,7 +74,7 @@ func TestPlannerMeetsRecallBoundAllKinds(t *testing.T) {
 					t.Errorf("%s: measured recall %v below bound %v under plan %s",
 						q.ID, rec, bound, plan)
 				}
-				again, err := sys.PlanQuery(q.Text, opts)
+				again, err := sys.PlanQueryCtx(context.Background(), q.Text, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +86,7 @@ func TestPlannerMeetsRecallBoundAllKinds(t *testing.T) {
 			}
 			// A bound of exactly 1 must escalate to exact search on
 			// approximate indexes (recall 1 by construction).
-			plan, err := sys.PlanQuery(queries[0].Text, QueryOptions{MinRecall: 1})
+			plan, err := sys.PlanQueryCtx(context.Background(), queries[0].Text, QueryOptions{MinRecall: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +97,7 @@ func TestPlannerMeetsRecallBoundAllKinds(t *testing.T) {
 	}
 }
 
-// TestDefaultPlanMatchesFixedKnobs pins the no-bound default: PlanQuery
+// TestDefaultPlanMatchesFixedKnobs pins the no-bound default: PlanQueryCtx
 // without a bound or a pin resolves to the fixed plan — the exact knobs
 // every query ran with before plans existed — and executing it answers
 // byte-identically to Query.
@@ -109,14 +110,14 @@ func TestDefaultPlanMatchesFixedKnobs(t *testing.T) {
 		{Exhaustive: true, RerankFrames: 12},
 	} {
 		text := ds.Queries[0].Text
-		plan, err := sys.PlanQuery(text, opts)
+		plan, err := sys.PlanQueryCtx(context.Background(), text, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := sys.cfg.FixedPlan(opts); !reflect.DeepEqual(plan, want) {
 			t.Fatalf("default plan %+v != fixed plan %+v", plan, want)
 		}
-		want, err := sys.Query(text, opts)
+		want, err := Query(context.Background(), sys, text, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,6 +162,87 @@ func TestPlannerCalibration(t *testing.T) {
 				(r.NProbe == prev.NProbe && !(prev.Int8 && !r.Int8)) {
 				t.Fatalf("rungs not at increasing effort: %+v", st.Rungs)
 			}
+		}
+	}
+}
+
+// TestPlannerRecalibratesAfterSeal: a ladder calibrated while most vectors
+// sat in the exact-scanned growing segment reads recall 1 at every rung. A
+// background seal then moves them behind an approximate index without
+// advancing the ingest generation or the entity count — the ladder must be
+// re-measured, or bounded plans keep the cheapest rung and miss the bound.
+func TestPlannerRecalibratesAfterSeal(t *testing.T) {
+	const bound = 0.9
+	ds := datasets.QVHighlights(datasets.Config{Seed: 17, Scale: 0.05})
+	// A seal threshold no ingest here reaches: only explicit seals happen.
+	sys, err := New(Config{Seed: 17, Streaming: true, SegmentSize: 1 << 20, PlannerValidateEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Boot empty and built, as a live-ingest worker does; everything then
+	// arrives into the growing segment.
+	if err := sys.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ds.Videos {
+		if err := sys.Ingest(&ds.Videos[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := ds.Queries[0].Text
+	opts := QueryOptions{MinRecall: bound}
+	before, err := sys.PlanQueryCtx(context.Background(), text, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := sys.Segmented()
+	if err := seg.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range ds.Queries {
+		plan, err := sys.PlanQueryCtx(context.Background(), q.Text, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := StageRecall(context.Background(), sys.Target(), q.Text, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec < bound {
+			t.Errorf("%s: measured recall %v below bound %v after the seal (plan before: %s, after: %s)",
+				q.ID, rec, bound, before, plan)
+		}
+	}
+}
+
+// TestAdaptMarginRule pins the one margin rule both deployment shapes plan
+// under: a validation miss grows the margin by the shortfall plus a step,
+// capped, and escalates; a comfortable hit decays it, floored — never below
+// the floor, which is where two hand-copied versions of this rule had
+// drifted apart.
+func TestAdaptMarginRule(t *testing.T) {
+	for _, c := range []struct {
+		name                    string
+		margin, bound, measured float64
+		want                    float64
+		miss                    bool
+	}{
+		{"miss grows by shortfall plus step", 0.02, 0.9, 0.85, 0.02 + 0.05 + plannerMarginStep, true},
+		{"miss is capped", 0.2, 0.9, 0.5, plannerMaxMargin, true},
+		{"miss at the cap stays there", plannerMaxMargin, 0.9, 0.89, plannerMaxMargin, true},
+		{"hit inside the margin holds", 0.02, 0.9, 0.91, 0.02, false},
+		{"hit exactly on the bound holds", 0.02, 0.9, 0.9, 0.02, false},
+		{"comfortable hit decays", 0.1, 0.8, 0.95, 0.1 * plannerMarginDecay, false},
+		{"decay is floored", 0.0105, 0.8, 1, plannerMinMargin, false},
+		{"the floor is a fixed point", plannerMinMargin, 0.8, 1, plannerMinMargin, false},
+	} {
+		got, miss := adaptMargin(c.margin, c.bound, c.measured)
+		if math.Abs(got-c.want) > 1e-12 || miss != c.miss {
+			t.Errorf("%s: adaptMargin(%v, %v, %v) = (%v, %v), want (%v, %v)",
+				c.name, c.margin, c.bound, c.measured, got, miss, c.want, c.miss)
 		}
 	}
 }

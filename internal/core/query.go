@@ -136,39 +136,21 @@ type FastHits struct {
 	Elapsed time.Duration
 }
 
-// encodeQuery parses and embeds a query text into the projected fast-search
-// space, rejecting texts with no recognised vocabulary term.
-func (s *System) encodeQuery(text string) (mat.Vec, error) {
-	parsed := query.Parse(text)
-	qvec := s.text.FastVec(parsed)
-	if mat.Norm(qvec) == 0 {
-		return nil, fmt.Errorf("core: query %q: %w", text, ErrNoRecognisedTerms)
-	}
-	return s.space.Project(qvec), nil
-}
-
-// FastSearch runs stage 1 of Algorithm 2 under the fixed plan the options
-// resolve to: encode the query, fast-search the vector index for the
-// top-fastK patches, and join the hits against the relational store. Hits
-// are returned in canonical (score desc, patch ID asc) order. Safe to call
-// concurrently with Ingest.
-func (s *System) FastSearch(text string, opts QueryOptions) (*FastHits, error) {
-	//lovo:ctx-ok public ctx-less wrapper; SearchPlanned is the traced path
-	return s.SearchPlanned(context.Background(), text, s.cfg.FixedPlan(opts))
-}
-
-// SearchPlanned runs stage 1 under an explicit plan: the leg's own depth
-// (ShardK) and index effort (Exact/NProbe/Ef) come from the plan, not the
-// Config. This is the stage-1 leg every deployment shape executes — the
-// single system directly, each shard of an engine via Plan.Leg, and RPC
-// workers behind the wire's fast-search op. A traced context records
-// encode / ANN / metadata-join sub-spans.
+// SearchPlanned runs stage 1 of Algorithm 2 under an explicit plan: encode
+// the query, fast-search the vector index and join the hits against the
+// relational store, returning them in canonical (score desc, patch ID asc)
+// order. The leg's own depth (ShardK) and index effort (Exact/NProbe/Ef)
+// come from the plan, not the Config. This is the stage-1 leg every
+// deployment shape executes — the single system directly, each shard of an
+// engine via Plan.Leg, and RPC workers behind the wire's fast-search op. A
+// traced context records encode / ANN / metadata-join sub-spans. Safe to
+// call concurrently with Ingest.
 func (s *System) SearchPlanned(ctx context.Context, text string, plan Plan) (*FastHits, error) {
 	plan = s.cfg.NormalizePlan(plan)
 	//lovo:nondeterministic-ok Elapsed is reported latency metadata; hit selection and order never read it
 	start := time.Now()
 	_, esp := obs.Start(ctx, "encode")
-	qproj, err := s.encodeQuery(text)
+	qproj, err := s.enc.Encode(text)
 	esp.End()
 	if err != nil {
 		return nil, err
@@ -241,7 +223,7 @@ func (s *System) SearchPlannedBatch(ctx context.Context, texts []string, plans [
 	_, esp := obs.Start(ctx, "encode")
 	qs := make([]mat.Vec, len(texts))
 	for i, text := range texts {
-		q, err := s.encodeQuery(text)
+		q, err := s.enc.Encode(text)
 		if err != nil {
 			esp.End()
 			return nil, fmt.Errorf("core: batch query %d (%q): %w", i, text, err)
@@ -499,18 +481,59 @@ func RankGroundings(groundings []Grounding, topN int) []ResultObject {
 	return kept
 }
 
-// PlanQuery resolves the plan one query will execute: the pinned plan when
-// QueryOptions.Plan is set, the planner's cheapest bound-satisfying plan
-// when MinRecall is set, and otherwise the fixed default plan — exactly the
-// knobs every query ran with before plans existed.
-func (s *System) PlanQuery(text string, opts QueryOptions) (Plan, error) {
-	//lovo:ctx-ok public ctx-less wrapper mirroring Query/QueryCtx; PlanQueryCtx is the traced path
-	return s.PlanQueryCtx(context.Background(), text, opts)
+// Querier is the whole-query surface of a deployment: resolve a plan under
+// a context, execute one plan, execute a batch of plans. core.System and
+// shard.Engine both are one (and it is all the serving tier and the RPC
+// workers call); Query and QueryBatch below are the plan-then-execute
+// conveniences over it.
+type Querier interface {
+	PlanQueryCtx(ctx context.Context, text string, opts QueryOptions) (Plan, error)
+	QueryPlanned(ctx context.Context, text string, plan Plan, workers int) (*Result, error)
+	QueryBatchPlanned(ctx context.Context, texts []string, plans []Plan, workers, clients int) ([]*Result, error)
 }
 
-// PlanQueryCtx is PlanQuery with a caller context: the planner's inline
-// validation probe (a real exact-vs-plan measurement on the live query)
-// runs under it, so a traced caller sees validation cost in its trace.
+// planTraced resolves one query's plan under a "plan" span.
+func planTraced(ctx context.Context, q Querier, text string, opts QueryOptions) (Plan, error) {
+	pctx, psp := obs.Start(ctx, "plan")
+	defer psp.End()
+	return q.PlanQueryCtx(pctx, text, opts)
+}
+
+// Query executes the two-stage strategy of Algorithm 2 on any deployment
+// shape: resolve a plan (fixed, pinned or planner-chosen per the options),
+// then run it. A traced context records plan and execution spans; tracing
+// never changes the answer.
+func Query(ctx context.Context, q Querier, text string, opts QueryOptions) (*Result, error) {
+	plan, err := planTraced(ctx, q, text, opts)
+	if err != nil {
+		return nil, err
+	}
+	return q.QueryPlanned(ctx, text, plan, opts.Workers)
+}
+
+// QueryBatch plans every query, then executes the batch through
+// QueryBatchPlanned — stage 1 shares one scatter, stage 2 fans out across
+// at most clients goroutines (zero inherits Config.Workers). Results align
+// with texts and each equals what a lone Query call would return; the first
+// failing query (lowest index) fails the batch.
+func QueryBatch(ctx context.Context, q Querier, texts []string, opts QueryOptions, clients int) ([]*Result, error) {
+	plans := make([]Plan, len(texts))
+	for i, text := range texts {
+		var err error
+		if plans[i], err = planTraced(ctx, q, text, opts); err != nil {
+			return nil, fmt.Errorf("core: batch query %d (%q): %w", i, text, err)
+		}
+	}
+	return q.QueryBatchPlanned(ctx, texts, plans, opts.Workers, clients)
+}
+
+// PlanQueryCtx resolves the plan one query will execute: the pinned plan
+// when QueryOptions.Plan is set, the planner's cheapest bound-satisfying
+// plan when MinRecall is set, and otherwise the fixed default plan —
+// exactly the knobs every query ran with before plans existed. The
+// planner's inline validation probe (a real exact-vs-plan measurement on
+// the live query) runs under ctx, so a traced caller sees validation cost
+// in its trace.
 func (s *System) PlanQueryCtx(ctx context.Context, text string, opts QueryOptions) (Plan, error) {
 	if err := ValidateMinRecall(opts.MinRecall); err != nil {
 		return Plan{}, err
@@ -533,88 +556,13 @@ func (s *System) QueryPlanned(ctx context.Context, text string, plan Plan, worke
 	return ExecutePlan(ctx, systemTarget{s}, text, s.cfg.NormalizePlan(plan), workers)
 }
 
-// Query executes the two-stage strategy of Algorithm 2: resolve a plan
-// (fixed, pinned or planner-chosen per the options), then run it through
-// the shared executor — the same stage composition shard.Engine scatters
-// across shards, so a one-shard engine answers byte-identically to this
-// path.
-func (s *System) Query(text string, opts QueryOptions) (*Result, error) {
-	//lovo:ctx-ok public ctx-less wrapper; QueryCtx is the traced path
-	return s.QueryCtx(context.Background(), text, opts)
-}
-
-// QueryCtx is Query with a caller context, so a traced caller gets plan
-// and execution spans in its trace. Tracing never changes the answer:
-// QueryCtx and Query return identical bytes for identical inputs.
-func (s *System) QueryCtx(ctx context.Context, text string, opts QueryOptions) (*Result, error) {
-	pctx, psp := obs.Start(ctx, "plan")
-	plan, err := s.PlanQueryCtx(pctx, text, opts)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	return s.QueryPlanned(ctx, text, plan, opts.Workers)
-}
-
-// QueryBatch answers many queries concurrently across at most clients
-// goroutines (zero inherits Config.Workers, which defaults to
-// runtime.NumCPU()). Results align with texts; each result is identical to
-// what a lone Query call would return. The first failing query (lowest
-// index) aborts the batch with its error once in-flight queries drain.
-//
-// QueryBatch is the concurrent-clients surface: it is safe to call from
-// many goroutines and while ingest continues on another goroutine.
-func (s *System) QueryBatch(texts []string, opts QueryOptions, clients int) ([]*Result, error) {
-	if clients == 0 {
-		clients = s.cfg.Workers
-	}
-	clients = ResolveWorkers(clients)
-	// Batch-level concurrency already saturates the cores, so unless the
-	// caller explicitly widened the per-query rerank, run each query's
-	// stage 2 serially — nested NumCPU-wide pools would oversubscribe
-	// the CPU with no throughput to show for it. Results are identical
-	// at every width.
-	if opts.Workers == 0 && clients > 1 {
-		opts.Workers = 1
-	}
-	results := make([]*Result, len(texts))
-	errs := make([]error, len(texts))
-	ParallelFor(len(texts), clients, func(i int) {
-		results[i], errs[i] = s.Query(texts[i], opts)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: batch query %d (%q): %w", i, texts[i], err)
-		}
-	}
-	return results, nil
-}
-
-// QueryBatchPlanned executes one pre-resolved plan per query — the serving
-// tier's batch path, which plans (and cache-keys) each query before
-// execution. Stage 1 for the whole batch runs through the batched scatter
-// (ExecutePlanBatch): queries whose plans resolve to identical search
-// shapes share ONE cache-blocked memory sweep over the stored vectors,
-// while stage 2 fans out per query across at most clients goroutines.
-// Plans align with texts; results align with texts and are bit-identical
-// to per-query QueryPlanned runs. The context threads the tracing recorder
-// into every query of the batch.
+// QueryBatchPlanned executes one pre-resolved plan per query (see
+// ExecutePlanBatch): queries whose plans resolve to identical search shapes
+// share ONE cache-blocked memory sweep over the stored vectors, while stage
+// 2 fans out per query across at most clients goroutines. Safe to call from
+// many goroutines and while ingest continues on another.
 func (s *System) QueryBatchPlanned(ctx context.Context, texts []string, plans []Plan, workers, clients int) ([]*Result, error) {
-	if len(plans) != len(texts) {
-		return nil, fmt.Errorf("core: batch of %d texts given %d plans", len(texts), len(plans))
-	}
-	if clients == 0 {
-		clients = s.cfg.Workers
-	}
-	clients = ResolveWorkers(clients)
-	if workers == 0 && clients > 1 {
-		workers = 1
-	}
-	normalized := make([]Plan, len(plans))
-	for i := range plans {
-		normalized[i] = s.cfg.NormalizePlan(plans[i])
-	}
-	return ExecutePlanBatch(ctx, systemTarget{s}, texts, normalized, workers, clients)
+	return ExecutePlanBatch(ctx, systemTarget{s}, s.cfg, texts, plans, workers, clients)
 }
 
 // DedupHits removes near-duplicate fast-search hits and truncates to limit:

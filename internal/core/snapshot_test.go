@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -38,11 +39,11 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 	// Every benchmark query answers byte-identically — vectors, metadata
 	// join and keyframes all survived the round trip.
 	for _, q := range ds.Queries {
-		want, err := orig.Query(q.Text, QueryOptions{})
+		want, err := Query(context.Background(), orig, q.Text, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.Query(q.Text, QueryOptions{})
+		got, err := Query(context.Background(), restored, q.Text, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 	if err := restored.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := restored.Query(ds.Queries[0].Text, QueryOptions{}); err != nil {
+	if _, err := Query(context.Background(), restored, ds.Queries[0].Text, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,7 +106,24 @@ func TestStreamingSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.LoadSnapshot(&buf); err != nil {
+	// LoadSnapshot swaps the store under the system lock while a reader
+	// polls Segmented(): the accessor must take that lock (-race asserts).
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = restored.Segmented()
+			}
+		}
+	}()
+	err = restored.LoadSnapshot(&buf)
+	close(stop)
+	<-polled
+	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Entities() != orig.Entities() {
@@ -115,11 +133,11 @@ func TestStreamingSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored segment stats = %+v", st)
 	}
 	for _, q := range ds.Queries {
-		want, err := orig.Query(q.Text, QueryOptions{})
+		want, err := Query(context.Background(), orig, q.Text, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.Query(q.Text, QueryOptions{})
+		got, err := Query(context.Background(), restored, q.Text, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +155,7 @@ func TestStreamingSnapshotRoundTrip(t *testing.T) {
 	if err := restored.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := restored.Query(ds.Queries[0].Text, QueryOptions{}); err != nil {
+	if _, err := Query(context.Background(), restored, ds.Queries[0].Text, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -33,13 +33,13 @@ func tracedSystem(t testing.TB) (*System, *datasets.Dataset) {
 func TestTracingDoesNotChangeAnswer(t *testing.T) {
 	sys, ds := tracedSystem(t)
 	for _, q := range ds.Queries[:4] {
-		want, err := sys.Query(q.Text, QueryOptions{})
+		want, err := Query(context.Background(), sys, q.Text, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s untraced: %v", q.ID, err)
 		}
 		tr := obs.NewTrace(obs.NewID())
 		root := tr.Root("query")
-		got, err := sys.QueryCtx(obs.With(context.Background(), root), q.Text, QueryOptions{})
+		got, err := Query(obs.With(context.Background(), root), sys, q.Text, QueryOptions{})
 		root.End()
 		if err != nil {
 			t.Fatalf("%s traced: %v", q.ID, err)
@@ -60,7 +60,7 @@ func TestTracingDoesNotChangeAnswer(t *testing.T) {
 func BenchmarkQueryTracingOff(b *testing.B) {
 	sys, ds := tracedSystem(b)
 	text := ds.Queries[0].Text
-	plan, err := sys.PlanQuery(text, QueryOptions{})
+	plan, err := sys.PlanQueryCtx(context.Background(), text, QueryOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func BenchmarkQueryTracingOff(b *testing.B) {
 func BenchmarkQueryTracingOn(b *testing.B) {
 	sys, ds := tracedSystem(b)
 	text := ds.Queries[0].Text
-	plan, err := sys.PlanQuery(text, QueryOptions{})
+	plan, err := sys.PlanQueryCtx(context.Background(), text, QueryOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 // equal-seeded systems); Client implements it over a length-prefixed binary
 // protocol on persistent connections, and Server hosts any implementation
 // behind a net.Listener. Because both sides speak the exact stage functions
-// core.System.Query composes, an engine whose backends are all remote
+// core.ExecutePlan composes, an engine whose backends are all remote
 // answers byte-identically to the single-process system — the conformance
 // suite in this package pins that bit for bit over in-memory pipes.
 //

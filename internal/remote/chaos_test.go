@@ -159,7 +159,7 @@ func TestChaosQueriesMatchOrFailCleanly(t *testing.T) {
 	want := make(map[string][]core.ResultObject, len(texts))
 	for i, q := range ds.Queries {
 		texts[i] = q.Text
-		res, err := eng.Query(q.Text, core.QueryOptions{})
+		res, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestChaosQueriesMatchOrFailCleanly(t *testing.T) {
 	succeeded, failed := 0, 0
 	for round := 0; round < rounds; round++ {
 		for _, text := range texts {
-			res, err := eng.Query(text, core.QueryOptions{Workers: 1})
+			res, err := core.Query(context.Background(), eng, text, core.QueryOptions{Workers: 1})
 			if err != nil {
 				failed++
 				continue
@@ -208,7 +208,7 @@ func TestChaosAlwaysErroringShardFailsWholeQuery(t *testing.T) {
 	chaos[1].pErr = 1.0
 	chaos[1].mu.Unlock()
 	for _, q := range ds.Queries[:3] {
-		if _, err := eng.Query(q.Text, core.QueryOptions{}); err == nil {
+		if _, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{}); err == nil {
 			t.Fatalf("%s: query must fail when a shard always errors", q.ID)
 		}
 	}
@@ -256,7 +256,7 @@ func TestChaosUnderConcurrentIngest(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				// Chaotic failures are fine; crashes, races and partial
 				// merges are what -race and the post-quiesce check catch.
-				eng.Query(texts[(c+i)%len(texts)], core.QueryOptions{Workers: 1})
+				core.Query(context.Background(), eng, texts[(c+i)%len(texts)], core.QueryOptions{Workers: 1})
 			}
 		}(c)
 	}
@@ -273,11 +273,11 @@ func TestChaosUnderConcurrentIngest(t *testing.T) {
 	}
 	ingestAll(t, ref, ds)
 	for _, q := range ds.Queries[:4] {
-		want, err := ref.Query(q.Text, core.QueryOptions{})
+		want, err := core.Query(context.Background(), ref, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Query(q.Text, core.QueryOptions{})
+		got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ package remote_test
 //     for bit — the acceptance criterion.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -71,11 +72,11 @@ func TestRemoteEngineMatchesSingleSystemExact(t *testing.T) {
 					{Exhaustive: true, DisableRerank: true},
 					{Exhaustive: true, FastK: 40, TopN: 5},
 				} {
-					want, err := single.Query(q.Text, opts)
+					want, err := core.Query(context.Background(), single, q.Text, opts)
 					if err != nil {
 						t.Fatalf("%s single: %v", q.ID, err)
 					}
-					got, err := eng.Query(q.Text, opts)
+					got, err := core.Query(context.Background(), eng, q.Text, opts)
 					if err != nil {
 						t.Fatalf("%s remote: %v", q.ID, err)
 					}
@@ -134,11 +135,11 @@ func TestRemoteEngineMatchesLocalEngine(t *testing.T) {
 				queries = queries[:2]
 			}
 			for _, q := range queries {
-				want, err := local.Query(q.Text, core.QueryOptions{})
+				want, err := core.Query(context.Background(), local, q.Text, core.QueryOptions{})
 				if err != nil {
 					t.Fatalf("%s local: %v", q.ID, err)
 				}
-				got, err := eng.Query(q.Text, core.QueryOptions{})
+				got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 				if err != nil {
 					t.Fatalf("%s remote: %v", q.ID, err)
 				}
@@ -169,7 +170,7 @@ func TestRemoteReplicatedWorker(t *testing.T) {
 	}
 	want := make([]*core.Result, len(queries))
 	for i, q := range queries {
-		res, err := eng.Query(q.Text, core.QueryOptions{})
+		res, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestRemoteReplicatedWorker(t *testing.T) {
 		h.local.Fail(0)
 	}
 	for i, q := range queries {
-		got, err := eng.Query(q.Text, core.QueryOptions{})
+		got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s with worker-side replica down: %v", q.ID, err)
 		}

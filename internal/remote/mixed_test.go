@@ -8,6 +8,7 @@ package remote_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -77,11 +78,11 @@ func TestMixedBackendsMatchAllLocal(t *testing.T) {
 		queries = queries[:3]
 	}
 	for _, q := range queries {
-		want, err := ref.Query(q.Text, core.QueryOptions{})
+		want, err := core.Query(context.Background(), ref, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Query(q.Text, core.QueryOptions{})
+		got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,12 +139,12 @@ func TestMixedSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	for _, q := range ds.Queries[:3] {
-		want, err := orig.Query(q.Text, core.QueryOptions{})
+		want, err := core.Query(context.Background(), orig, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, restored := range map[string]*shard.Engine{"mixed": restoredMixed, "local": restoredLocal} {
-			got, err := restored.Query(q.Text, core.QueryOptions{})
+			got, err := core.Query(context.Background(), restored, q.Text, core.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

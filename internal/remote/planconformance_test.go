@@ -9,6 +9,7 @@ package remote_test
 // engine plans from the same PlanStats digests the workers export.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -58,12 +59,12 @@ func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 				for pi, plan := range pinnedPlans {
 					p := plan
 					opts := core.QueryOptions{Plan: &p}
-					want, err := local.Query(q.Text, opts)
+					want, err := core.Query(context.Background(), local, q.Text, opts)
 					if err != nil {
 						t.Fatalf("%s plan %d local: %v", q.ID, pi, err)
 					}
 					for name, eng := range map[string]*shard.Engine{"remote": rem, "replicated": repl} {
-						got, err := eng.Query(q.Text, opts)
+						got, err := core.Query(context.Background(), eng, q.Text, opts)
 						if err != nil {
 							t.Fatalf("%s plan %d %s: %v", q.ID, pi, name, err)
 						}
@@ -108,11 +109,11 @@ func TestPinnedExactPlanMatchesMonolith(t *testing.T) {
 				} {
 					p := plan
 					opts := core.QueryOptions{Plan: &p}
-					want, err := single.Query(q.Text, opts)
+					want, err := core.Query(context.Background(), single, q.Text, opts)
 					if err != nil {
 						t.Fatalf("%s single: %v", q.ID, err)
 					}
-					got, err := rem.Query(q.Text, opts)
+					got, err := core.Query(context.Background(), rem, q.Text, opts)
 					if err != nil {
 						t.Fatalf("%s remote: %v", q.ID, err)
 					}
@@ -147,14 +148,14 @@ func TestRemoteBoundedPlanMeetsRecall(t *testing.T) {
 				queries = queries[:4]
 			}
 			for _, q := range queries {
-				plan, err := rem.PlanQuery(q.Text, core.QueryOptions{MinRecall: bound})
+				plan, err := rem.PlanQueryCtx(context.Background(), q.Text, core.QueryOptions{MinRecall: bound})
 				if err != nil {
 					t.Fatalf("%s: plan over RPC: %v", q.ID, err)
 				}
 				if plan.Kind != core.PlanAdaptive && plan.Kind != core.PlanAdaptiveExact {
 					t.Fatalf("%s: bounded plan has kind %q", q.ID, plan.Kind)
 				}
-				rec, err := rem.StageRecall(q.Text, plan)
+				rec, err := core.StageRecall(context.Background(), rem.Target(), q.Text, plan)
 				if err != nil {
 					t.Fatalf("%s: measuring recall over RPC: %v", q.ID, err)
 				}
@@ -162,7 +163,7 @@ func TestRemoteBoundedPlanMeetsRecall(t *testing.T) {
 					t.Errorf("%s: measured recall %v below bound %v under plan %s", q.ID, rec, bound, plan)
 				}
 				// The bounded query must execute cleanly end to end.
-				if _, err := rem.Query(q.Text, core.QueryOptions{MinRecall: bound}); err != nil {
+				if _, err := core.Query(context.Background(), rem, q.Text, core.QueryOptions{MinRecall: bound}); err != nil {
 					t.Fatalf("%s: bounded query: %v", q.ID, err)
 				}
 			}

@@ -12,6 +12,7 @@ package remote_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,7 +57,7 @@ func TestRestartedEmptyWorkerDetected(t *testing.T) {
 	queries := ds.Queries[:3]
 	want := make([]*core.Result, len(queries))
 	for i, q := range queries {
-		res, err := eng.Query(q.Text, core.QueryOptions{})
+		res, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestRestartedEmptyWorkerDetected(t *testing.T) {
 		}
 	}
 	for i, q := range queries {
-		got, err := eng.Query(q.Text, core.QueryOptions{})
+		got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

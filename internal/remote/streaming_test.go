@@ -11,6 +11,7 @@ package remote_test
 // uniformly, so segment layout must never leak into an answer.
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -83,11 +84,11 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 					{Exhaustive: true},
 					{Exhaustive: true, FastK: 40, TopN: 5},
 				} {
-					want, err := ref.Query(q.Text, opts)
+					want, err := core.Query(context.Background(), ref, q.Text, opts)
 					if err != nil {
 						t.Fatalf("%s batch: %v", q.ID, err)
 					}
-					got, err := eng.Query(q.Text, opts)
+					got, err := core.Query(context.Background(), eng, q.Text, opts)
 					if err != nil {
 						t.Fatalf("%s streaming: %v", q.ID, err)
 					}

@@ -32,7 +32,7 @@ func tracedQuery(t *testing.T, eng *shard.Engine, text string, opts core.QueryOp
 	t.Helper()
 	tr := obs.NewTrace(obs.NewID())
 	root := tr.Root("query")
-	res, err := eng.QueryCtx(obs.With(context.Background(), root), text, opts)
+	res, err := core.Query(obs.With(context.Background(), root), eng, text, opts)
 	root.End()
 	if err != nil {
 		t.Fatalf("traced query %q: %v", text, err)
@@ -120,7 +120,7 @@ func TestConformanceWithTracingForcedOn(t *testing.T) {
 			}
 			for _, q := range queries {
 				// Exact search: the monolithic system is the reference.
-				want, err := single.Query(q.Text, core.QueryOptions{Exhaustive: true})
+				want, err := core.Query(context.Background(), single, q.Text, core.QueryOptions{Exhaustive: true})
 				if err != nil {
 					t.Fatalf("%s single: %v", q.ID, err)
 				}
@@ -137,7 +137,7 @@ func TestConformanceWithTracingForcedOn(t *testing.T) {
 
 				// Default (approximate) plan: the same engine untraced is
 				// the reference.
-				uw, err := eng.Query(q.Text, core.QueryOptions{})
+				uw, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 				if err != nil {
 					t.Fatalf("%s untraced: %v", q.ID, err)
 				}
@@ -199,7 +199,7 @@ func TestTraceAttributesInjectedLatency(t *testing.T) {
 	ingestAll(t, eng, ds)
 
 	text := ds.Queries[0].Text
-	want, err := eng.Query(text, core.QueryOptions{})
+	want, err := core.Query(context.Background(), eng, text, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package remote_test
 // connections invisible to answers.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -206,7 +207,7 @@ func TestNoRecognisedTermsCrossesTheWire(t *testing.T) {
 	ds := datasets.Bellevue(datasets.Config{Seed: 1, Scale: 0.05})
 	eng, _ := remoteEngine(t, 2, 1, core.Config{Seed: 1}, remote.ClientOptions{})
 	ingestAll(t, eng, ds)
-	_, err := eng.Query("zorgon blaxt", core.QueryOptions{})
+	_, err := core.Query(context.Background(), eng, "zorgon blaxt", core.QueryOptions{})
 	if !errors.Is(err, core.ErrNoRecognisedTerms) {
 		t.Fatalf("sentinel lost over RPC: %v", err)
 	}
@@ -278,7 +279,7 @@ func TestFaultInjectionNeverChangesAnswers(t *testing.T) {
 	}
 	want := make([]*core.Result, len(queries))
 	for i, q := range queries {
-		res, err := eng.Query(q.Text, core.QueryOptions{})
+		res, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +288,7 @@ func TestFaultInjectionNeverChangesAnswers(t *testing.T) {
 
 	check := func(t *testing.T) {
 		for i, q := range queries {
-			got, err := eng.Query(q.Text, core.QueryOptions{})
+			got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s under fault: %v", q.ID, err)
 			}
@@ -358,7 +359,7 @@ func TestFaultInjectionNeverChangesAnswers(t *testing.T) {
 	t.Run("worker killed entirely fails cleanly", func(t *testing.T) {
 		hosts[1].kill()
 		defer hosts[1].revive()
-		_, err := eng.Query(queries[0].Text, core.QueryOptions{})
+		_, err := core.Query(context.Background(), eng, queries[0].Text, core.QueryOptions{})
 		if err == nil {
 			t.Fatal("query with a dead shard must error, not return a partial merge")
 		}

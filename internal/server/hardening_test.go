@@ -137,6 +137,40 @@ func TestOptionValidationRejectsBadKnobs(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesAnswer413: every body-reading endpoint stops reading
+// at its limit and answers 413 naming it — a hostile request costs bounded
+// memory — without the backend ever being consulted.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	fb := &fakeBackend{}
+	srv := New(fb, Config{CacheSize: 4})
+	for _, c := range []struct {
+		path  string
+		limit int
+	}{
+		{"/query", maxQueryBody},
+		{"/query/batch", maxQueryBody},
+		{"/ingest", maxIngestBody},
+	} {
+		// Valid JSON all the way: only the size can be the reason to refuse.
+		// (A recorder, not a socket: a server that answers mid-upload may
+		// reset the connection before a real client reads the reply.)
+		body := `{"query":"` + strings.Repeat("a", c.limit) + `"}`
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d want 413: %s", c.path, rec.Code, rec.Body)
+		}
+		if want := fmt.Sprint(c.limit); !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s: error %q must name the %s-byte limit", c.path, rec.Body, want)
+		}
+	}
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	if fb.queryCalls != 0 || len(fb.batchWorkers) != 0 {
+		t.Fatal("an oversized body must never reach the backend")
+	}
+}
+
 // TestDefaultMinRecallApplied: a server booted with a default accuracy
 // bound applies it to requests that set no min_recall of their own, and a
 // request's explicit bound always wins.

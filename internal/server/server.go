@@ -170,6 +170,10 @@ func (s *Server) resolveOptions(o QueryOptionsJSON) core.QueryOptions {
 // backend to absurd allocation.
 const maxKnob = 1 << 20
 
+// maxQueryBody bounds a /query or /query/batch request body: a query is a
+// sentence and a handful of knobs, so past a mebibyte the payload is abuse.
+const maxQueryBody = 1 << 20
+
 // validateOptions rejects unexecutable option payloads up front, naming the
 // offending field — negative or absurd knobs would otherwise surface as
 // undefined backend behaviour (or an allocation) deep in the query path.
@@ -337,13 +341,27 @@ func (s *Server) allowMethod(w http.ResponseWriter, r *http.Request, method stri
 	return true
 }
 
+// decodeBody reads at most limit bytes of JSON request body into v, so a
+// hostile request costs bounded memory: an oversized body answers 413
+// naming the limit, malformed JSON 400. It reports whether v is usable.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", limit)
+	case err != nil:
+		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	return err == nil
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.allowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !s.decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -476,8 +494,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !s.decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -571,6 +588,12 @@ type IngestResponse struct {
 // of footage in one request body — past it the payload is abuse, not video.
 const maxIngestFrames = 1 << 20
 
+// maxIngestBody bounds an /ingest request body, so the frame-count check
+// above never runs over a video already buffered without limit. Live clips
+// are tens of frames (a few hundred KiB of scene JSON); 64 MiB leaves
+// ample room for long ones.
+const maxIngestBody = 64 << 20
+
 // handleIngest is the live-ingest serving path: one video.Video as JSON,
 // routed to the owning shard (which fans it out to its replicas). The
 // ingest generation moving invalidates stale cache entries on their next
@@ -581,8 +604,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var v video.Video
-	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !s.decodeBody(w, r, maxIngestBody, &v) {
 		return
 	}
 	switch {

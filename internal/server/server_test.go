@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -66,7 +67,7 @@ func TestQueryEndpointMatchesEngine(t *testing.T) {
 	if err := json.Unmarshal(data, &qr); err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Query(text, core.QueryOptions{})
+	want, err := core.Query(context.Background(), eng, text, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@
 // into the global top-fastK (descending score, ascending patch ID — the
 // same canonical order every index kind produces), and stage-2 rerank
 // candidates route back to the shard owning each keyframe. Because the
-// engine composes the exact stage functions core.System.Query composes, a
-// one-shard engine answers byte-identically to the single-system path, and
+// engine runs the same shared executor (core.ExecutePlan) a core.System
+// runs, a one-shard engine answers byte-identically to the single system, and
 // an N-shard engine under exact search differs only in index approximation,
 // not in merge logic. The same holds whether a shard answers from this
 // process or over the wire — the conformance suite in internal/remote pins
@@ -36,7 +36,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -226,11 +225,17 @@ func (e *Engine) BuildIndex() error {
 	return firstErr(errs)
 }
 
+// Target exposes the engine as the N-leg PlanTarget (core.StageRecall
+// measurements; QueryPlanned is the execution path).
+func (e *Engine) Target() core.PlanTarget { return engineTarget{e} }
+
 // engineTarget adapts an Engine to the shared executor's N-leg PlanTarget:
 // stage 1 scatters every shard with its own plan leg, stage 2 routes each
 // candidate frame to the shard owning its keyframe and reassembles
 // groundings in global candidate order — so the final ranking sees exactly
-// what a single system would.
+// what a single system would. Any shard leg that fails (after worker-side
+// failover and transport retries) fails the whole query: a partial merge is
+// never returned.
 type engineTarget struct{ e *Engine }
 
 func (t engineTarget) ScatterSearch(ctx context.Context, text string, plan core.Plan) ([][]core.ResultObject, error) {
@@ -263,8 +268,7 @@ type batchSearchBackend interface {
 	FastSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][]core.ResultObject, error)
 }
 
-// ScatterSearchBatch implements core.BatchTarget: stage 1 for the WHOLE
-// batch is one call per shard — an in-process shard answers every query of
+// ScatterSearchBatch runs stage 1 for the WHOLE batch as one call per shard — an in-process shard answers every query of
 // the batch from one cache-blocked sweep over its slice, a remote shard
 // falls back to per-query legs. out[query][shard] holds each query's
 // canonical per-leg hit lists, bit-identical to per-query ScatterSearch.
@@ -358,18 +362,13 @@ func (t engineTarget) ScatterGround(ctx context.Context, text string, refs []cor
 	return groundings, nil
 }
 
-// PlanQuery resolves the plan one query will execute: the pinned plan when
-// QueryOptions.Plan is set, the engine planner's cheapest bound-satisfying
-// scatter plan when MinRecall is set, and otherwise the fixed default plan.
-func (e *Engine) PlanQuery(text string, opts core.QueryOptions) (core.Plan, error) {
-	//lovo:ctx-ok public ctx-less wrapper mirroring Query/QueryCtx; PlanQueryCtx is the traced path
-	return e.PlanQueryCtx(context.Background(), text, opts)
-}
-
-// PlanQueryCtx is PlanQuery with a caller context: the planner's inline
-// validation probe fast-searches a shard, and under a traced context that
-// probe records its RPC legs in the query's trace instead of vanishing.
-// The context never changes which plan is chosen.
+// PlanQueryCtx resolves the plan one query will execute: the pinned plan
+// when QueryOptions.Plan is set, the engine planner's cheapest
+// bound-satisfying scatter plan when MinRecall is set, and otherwise the
+// fixed default plan. The planner's inline validation probe fast-searches a
+// shard, and under a traced context that probe records its RPC legs in the
+// query's trace instead of vanishing. The context never changes which plan
+// is chosen.
 func (e *Engine) PlanQueryCtx(ctx context.Context, text string, opts core.QueryOptions) (core.Plan, error) {
 	if err := core.ValidateMinRecall(opts.MinRecall); err != nil {
 		return core.Plan{}, err
@@ -384,91 +383,23 @@ func (e *Engine) PlanQueryCtx(ctx context.Context, text string, opts core.QueryO
 }
 
 // QueryPlanned executes an explicit plan through the shared executor — the
-// same stage composition core.System.Query runs, scattered across shards,
-// so equal plans answer byte-identically on every deployment shape. The
-// context carries the tracing recorder (see internal/obs); an untraced
+// same stage composition a core.System runs, scattered across shards, so
+// equal plans answer byte-identically on every deployment shape, whichever
+// replicas — or hosts — served. The context carries the tracing recorder
+// (see internal/obs): a traced caller sees both scattered stages down to
+// per-shard legs, replica attempts and remote-worker spans; an untraced
 // context runs the allocation-free disabled path.
 func (e *Engine) QueryPlanned(ctx context.Context, text string, plan core.Plan, workers int) (*core.Result, error) {
 	return core.ExecutePlan(ctx, engineTarget{e}, text, e.cfg.NormalizePlan(plan), workers)
 }
 
-// Query answers a natural-language object query with both stages scattered:
-// every shard fast-searches its local index under its plan leg, the hit
-// lists merge into the deterministic global top-fastK, and each candidate
-// frame reranks on the shard that owns its keyframe. The final ranking runs
-// the same core.RankGroundings the single-system path runs, and the answer
-// is independent of which replicas — or hosts — served. Any shard leg that
-// fails (after worker-side failover and transport retries) fails the whole
-// query: a partial merge is never returned.
-func (e *Engine) Query(text string, opts core.QueryOptions) (*core.Result, error) {
-	//lovo:ctx-ok public ctx-less wrapper; QueryCtx is the traced path
-	return e.QueryCtx(context.Background(), text, opts)
-}
-
-// QueryCtx is Query with a caller context, so a traced caller sees plan
-// resolution and both scattered stages — down to per-shard legs, replica
-// attempts and remote-worker spans — in its trace. Tracing never changes
-// the answer.
-func (e *Engine) QueryCtx(ctx context.Context, text string, opts core.QueryOptions) (*core.Result, error) {
-	pctx, psp := obs.Start(ctx, "plan")
-	plan, err := e.PlanQueryCtx(pctx, text, opts)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	return e.QueryPlanned(ctx, text, plan, opts.Workers)
-}
-
-// QueryBatch answers many queries concurrently across at most clients
-// goroutines (zero inherits Config.Workers, which defaults to
-// runtime.NumCPU()). Results align with texts; the first failing query
-// aborts the batch with its error once in-flight queries drain.
-func (e *Engine) QueryBatch(texts []string, opts core.QueryOptions, clients int) ([]*core.Result, error) {
-	if clients == 0 {
-		clients = e.cfg.Workers
-	}
-	clients = core.ResolveWorkers(clients)
-	// As on a single system: with many concurrent clients, per-query
-	// rerank parallelism would only oversubscribe the cores.
-	if opts.Workers == 0 && clients > 1 {
-		opts.Workers = 1
-	}
-	results := make([]*core.Result, len(texts))
-	errs := make([]error, len(texts))
-	core.ParallelFor(len(texts), clients, func(i int) {
-		results[i], errs[i] = e.Query(texts[i], opts)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard: batch query %d (%q): %w", i, texts[i], err)
-		}
-	}
-	return results, nil
-}
-
-// QueryBatchPlanned executes one pre-resolved plan per query — the serving
-// tier's batch path. Stage 1 for the whole batch scatters as ONE call per
-// shard (core.ExecutePlanBatch via the engine's BatchTarget surface), so an
-// in-process shard amortizes one memory sweep over every query of the
-// batch; stage 2 fans out per query across at most clients goroutines.
-// Plans align with texts; results align with texts and are bit-identical to
-// per-query QueryPlanned runs.
+// QueryBatchPlanned executes one pre-resolved plan per query (see
+// core.ExecutePlanBatch). Stage 1 for the whole batch scatters as ONE call
+// per shard, so an in-process shard amortizes one memory sweep over every
+// query of the batch; stage 2 fans out per query across at most clients
+// goroutines.
 func (e *Engine) QueryBatchPlanned(ctx context.Context, texts []string, plans []core.Plan, workers, clients int) ([]*core.Result, error) {
-	if len(plans) != len(texts) {
-		return nil, fmt.Errorf("shard: batch of %d texts given %d plans", len(texts), len(plans))
-	}
-	if clients == 0 {
-		clients = e.cfg.Workers
-	}
-	clients = core.ResolveWorkers(clients)
-	if workers == 0 && clients > 1 {
-		workers = 1
-	}
-	normalized := make([]core.Plan, len(plans))
-	for i := range plans {
-		normalized[i] = e.cfg.NormalizePlan(plans[i])
-	}
-	return core.ExecutePlanBatch(ctx, engineTarget{e}, texts, normalized, workers, clients)
+	return core.ExecutePlanBatch(ctx, engineTarget{e}, e.cfg, texts, plans, workers, clients)
 }
 
 // BackendStat is the coordinator's view of one shard backend, surfaced by
@@ -536,7 +467,7 @@ func (e *Engine) Status() Status {
 		Replicas:           e.replicas,
 		ReplicaGroups:      make([][]ReplicaStat, n),
 		Backends:           make([]BackendStat, n),
-		LastMeasuredRecall: math.Float64frombits(e.planner.lastMeasured.Load()),
+		LastMeasuredRecall: e.planner.policy.LastMeasured(),
 	}
 	core.ParallelFor(n, n, func(i int) {
 		st, err := e.backends[i].Status()

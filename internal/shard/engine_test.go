@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -81,11 +82,11 @@ func TestShardedQueryMatchesSingleSystem(t *testing.T) {
 			{DisableRerank: true},
 			{FastK: 40, TopN: 5},
 		} {
-			want, err := single.Query(q.Text, opts)
+			want, err := core.Query(context.Background(), single, q.Text, opts)
 			if err != nil {
 				t.Fatalf("%s single: %v", q.ID, err)
 			}
-			got, err := eng.Query(q.Text, opts)
+			got, err := core.Query(context.Background(), eng, q.Text, opts)
 			if err != nil {
 				t.Fatalf("%s sharded: %v", q.ID, err)
 			}
@@ -136,16 +137,117 @@ func TestOneShardMatchesSingleSystemDefaultIndex(t *testing.T) {
 		queries = queries[:2]
 	}
 	for _, q := range queries {
-		want, err := single.Query(q.Text, core.QueryOptions{})
+		want, err := core.Query(context.Background(), single, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Query(q.Text, core.QueryOptions{})
+		got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Objects, want.Objects) {
 			t.Errorf("%s: one-shard engine diverges from single system", q.ID)
+		}
+	}
+}
+
+// TestPlannerConformanceOneShardMatchesSystem: one planning policy serves
+// both deployment shapes, so on every index kind a core.System (planning
+// from its own digest) and a one-shard engine (planning from that shard's
+// exported digest) resolve a bound to the same executable plan with the
+// same predicted recall.
+func TestPlannerConformanceOneShardMatchesSystem(t *testing.T) {
+	kinds := []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIMI, vectordb.IndexIVFPQ, vectordb.IndexHNSW}
+	if testing.Short() {
+		kinds = kinds[:2]
+	}
+	ds := datasets.QVHighlights(datasets.Config{Seed: 17, Scale: 0.05})
+	for _, kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := core.Config{Seed: 17, Index: kind}
+			single, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := New(1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ds.Videos {
+				if err := single.Ingest(&ds.Videos[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.IngestDataset(ds); err != nil {
+				t.Fatal(err)
+			}
+			if err := single.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			for _, bound := range []float64{0.8, 0.9, 0.95} {
+				for _, q := range ds.Queries {
+					opts := core.QueryOptions{MinRecall: bound}
+					want, err := single.PlanQueryCtx(context.Background(), q.Text, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := eng.PlanQueryCtx(context.Background(), q.Text, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Key() != want.Key() || got.PredictedRecall != want.PredictedRecall || got.Kind != want.Kind {
+						t.Errorf("%s at %v: engine plans %s (predicted %v), system plans %s (predicted %v)",
+							q.ID, bound, got, got.PredictedRecall, want, want.PredictedRecall)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEnginePlannerRefetchesDigestsAfterSeal is the engine half of the
+// planner staleness fix: a shard's background seal advances no ingest
+// generation, so the engine must key its digest cache on the fleet's
+// maintenance generation too — or it keeps planning from the ladder its
+// shard measured while everything was still exact-scanned.
+func TestEnginePlannerRefetchesDigestsAfterSeal(t *testing.T) {
+	const bound = 0.9
+	ds := datasets.QVHighlights(datasets.Config{Seed: 17, Scale: 0.05})
+	eng, err := New(1, core.Config{Seed: 17, Streaming: true, SegmentSize: 1 << 20, PlannerValidateEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Shard(0).BuildIndex(); err != nil { // boot empty and built, as a live-ingest worker does
+		t.Fatal(err)
+	}
+	if err := eng.IngestDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+	opts := core.QueryOptions{MinRecall: bound}
+	if _, err := eng.PlanQueryCtx(context.Background(), ds.Queries[0].Text, opts); err != nil {
+		t.Fatal(err)
+	}
+	seg := eng.Shard(0).Segmented()
+	if err := seg.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range ds.Queries {
+		plan, err := eng.PlanQueryCtx(context.Background(), q.Text, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := core.StageRecall(context.Background(), eng.Target(), q.Text, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec < bound {
+			t.Errorf("%s: measured recall %v below bound %v after the seal under plan %s", q.ID, rec, bound, plan)
 		}
 	}
 }
@@ -168,7 +270,7 @@ func TestMoreShardsThanVideos(t *testing.T) {
 	if !eng.Status().Built {
 		t.Fatal("engine must report built")
 	}
-	res, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{})
+	res, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +292,13 @@ func TestQueryBatchMatchesLoneQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	texts := queryMix(ds)
-	batch, err := eng.QueryBatch(texts, core.QueryOptions{}, 4)
+	batch, err := core.QueryBatch(context.Background(), eng, texts, core.QueryOptions{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lone := make([]*core.Result, len(texts))
 	for i, q := range texts {
-		lone[i], err = eng.Query(q, core.QueryOptions{})
+		lone[i], err = core.Query(context.Background(), eng, q, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +338,7 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 		case 2:
 			opts.Int8 = true
 		}
-		if plans[i], err = eng.PlanQuery(text, opts); err != nil {
+		if plans[i], err = eng.PlanQueryCtx(context.Background(), text, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +369,7 @@ func TestUnknownTermsError(t *testing.T) {
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Query("zorgon blaxt", core.QueryOptions{}); err == nil {
+	if _, err := core.Query(context.Background(), eng, "zorgon blaxt", core.QueryOptions{}); err == nil {
 		t.Fatal("unparseable query must error")
 	}
 }
@@ -311,7 +413,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, err := eng.Query(texts[(c+i)%len(texts)], core.QueryOptions{Workers: 1}); err != nil {
+				if _, err := core.Query(context.Background(), eng, texts[(c+i)%len(texts)], core.QueryOptions{Workers: 1}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -373,11 +475,11 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 			restored.Entities(), orig.Entities(), restored.Status().Built)
 	}
 	for _, q := range ds.Queries[:3] {
-		want, err := orig.Query(q.Text, core.QueryOptions{})
+		want, err := core.Query(context.Background(), orig, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.Query(q.Text, core.QueryOptions{})
+		got, err := core.Query(context.Background(), restored, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -57,14 +58,14 @@ func TestReplicatedMatchesUnreplicated(t *testing.T) {
 			{DisableRerank: true},
 			{FastK: 40, TopN: 5},
 		} {
-			want, err := base.Query(q.Text, opts)
+			want, err := core.Query(context.Background(), base, q.Text, opts)
 			if err != nil {
 				t.Fatalf("%s base: %v", q.ID, err)
 			}
 			// Ask repeatedly so the round-robin picker cycles through
 			// every replica of every group.
 			for rep := 0; rep < 3; rep++ {
-				got, err := repl.Query(q.Text, opts)
+				got, err := core.Query(context.Background(), repl, q.Text, opts)
 				if err != nil {
 					t.Fatalf("%s replicated: %v", q.ID, err)
 				}
@@ -89,7 +90,7 @@ func TestFailoverWithOneReplicaPerGroupDown(t *testing.T) {
 
 	var want []*core.Result
 	for _, q := range ds.Queries {
-		res, err := eng.Query(q.Text, core.QueryOptions{})
+		res, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestFailoverWithOneReplicaPerGroupDown(t *testing.T) {
 		}
 	}
 	for i, q := range ds.Queries {
-		got, err := eng.Query(q.Text, core.QueryOptions{})
+		got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s with failed replicas: %v", q.ID, err)
 		}
@@ -119,13 +120,13 @@ func TestFailoverWithOneReplicaPerGroupDown(t *testing.T) {
 	for ri := 0; ri < eng.Replicas(); ri++ {
 		eng.FailReplica(0, ri)
 	}
-	if _, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{}); !errors.Is(err, ErrAllReplicasDown) {
+	if _, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{}); !errors.Is(err, ErrAllReplicasDown) {
 		t.Fatalf("all-replicas-down query: got %v, want ErrAllReplicasDown", err)
 	}
 
 	// Revive one and service resumes with the same answer.
 	eng.ReviveReplica(0, 1)
-	got, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{})
+	got, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestFailoverWithOneReplicaPerGroupDown(t *testing.T) {
 func TestErrorMarksReplicaUnhealthy(t *testing.T) {
 	eng, ds := bootReplicated(t, 2, 2, core.Config{Seed: 5})
 
-	want, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{})
+	want, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestErrorMarksReplicaUnhealthy(t *testing.T) {
 	// Drive enough queries that the picker would certainly have routed to
 	// (0,0); every one must succeed via failover.
 	for i := 0; i < 6; i++ {
-		got, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{})
+		got, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("query %d during fault: %v", i, err)
 		}
@@ -173,7 +174,7 @@ func TestErrorMarksReplicaUnhealthy(t *testing.T) {
 	// Once marked, the dead replica stops receiving reads.
 	before := eng.Status().ReplicaGroups[0][0].Reads
 	for i := 0; i < 4; i++ {
-		if _, err := eng.Query(ds.Queries[1].Text, core.QueryOptions{}); err != nil {
+		if _, err := core.Query(context.Background(), eng, ds.Queries[1].Text, core.QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +195,7 @@ func TestGroupWideFaultDoesNotBrickGroup(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{}); err == nil {
+	if _, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{}); err == nil {
 		t.Fatal("group-wide fault must surface as an error")
 	}
 	for ri, st := range eng.Status().ReplicaGroups[0] {
@@ -204,13 +205,13 @@ func TestGroupWideFaultDoesNotBrickGroup(t *testing.T) {
 	}
 	// Clearing the fault restores normal service without any revive call.
 	eng.faultHook = nil
-	if _, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{}); err != nil {
+	if _, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{}); err != nil {
 		t.Fatalf("group must answer again once the fault clears: %v", err)
 	}
 	// Manually-failed replicas are NOT resurrected by the error path.
 	eng.FailReplica(0, 0)
 	eng.FailReplica(0, 1)
-	if _, err := eng.Query(ds.Queries[0].Text, core.QueryOptions{}); !errors.Is(err, ErrAllReplicasDown) {
+	if _, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{}); !errors.Is(err, ErrAllReplicasDown) {
 		t.Fatalf("manually downed group: got %v, want ErrAllReplicasDown", err)
 	}
 	if st := eng.Status().ReplicaGroups[0]; st[0].Healthy || st[1].Healthy {
@@ -223,7 +224,7 @@ func TestGroupWideFaultDoesNotBrickGroup(t *testing.T) {
 // any replica's health.
 func TestQueryFaultDoesNotFailover(t *testing.T) {
 	eng, _ := bootReplicated(t, 2, 2, core.Config{Seed: 3})
-	if _, err := eng.Query("zorgon blaxt", core.QueryOptions{}); !errors.Is(err, core.ErrNoRecognisedTerms) {
+	if _, err := core.Query(context.Background(), eng, "zorgon blaxt", core.QueryOptions{}); !errors.Is(err, core.ErrNoRecognisedTerms) {
 		t.Fatalf("unparseable query: got %v", err)
 	}
 	for gi, g := range eng.Status().ReplicaGroups {
@@ -240,7 +241,7 @@ func TestQueryFaultDoesNotFailover(t *testing.T) {
 func TestReplicaRoutingBalances(t *testing.T) {
 	eng, ds := bootReplicated(t, 2, 2, core.Config{Seed: 11})
 	for i := 0; i < 8; i++ {
-		if _, err := eng.Query(ds.Queries[i%len(ds.Queries)].Text, core.QueryOptions{}); err != nil {
+		if _, err := core.Query(context.Background(), eng, ds.Queries[i%len(ds.Queries)].Text, core.QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,13 +281,13 @@ func TestReplicatedSnapshotRoundTrip(t *testing.T) {
 				r, restored.Entities(), orig.Entities(), restored.Status().Built)
 		}
 		for _, q := range ds.Queries[:3] {
-			want, err := orig.Query(q.Text, core.QueryOptions{})
+			want, err := core.Query(context.Background(), orig, q.Text, core.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Repeat so the picker touches every restored replica.
 			for rep := 0; rep < r; rep++ {
-				got, err := restored.Query(q.Text, core.QueryOptions{})
+				got, err := core.Query(context.Background(), restored, q.Text, core.QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -349,7 +350,7 @@ func TestReplicatedConcurrentQueriesDuringIngest(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, err := eng.Query(texts[(c+i)%len(texts)], core.QueryOptions{Workers: 1}); err != nil {
+				if _, err := core.Query(context.Background(), eng, texts[(c+i)%len(texts)], core.QueryOptions{Workers: 1}); err != nil {
 					t.Error(err)
 					return
 				}

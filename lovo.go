@@ -26,6 +26,7 @@
 package lovo
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -210,21 +211,33 @@ func (s *System) BuildIndex() error {
 	return s.inner.BuildIndex()
 }
 
-// Query answers a natural-language object query (Algorithm 2). Queries may
-// run from many goroutines concurrently, including while Ingest continues.
-// On a sharded system both stages scatter and the merged answer is
-// deterministic — byte-identical to the single-system path for one shard.
+// querier is the deployment shape behind this system as the one
+// whole-query surface core defines: plan under a context, execute plans.
+func (s *System) querier() core.Querier {
+	if s.engine != nil {
+		return s.engine
+	}
+	return s.inner
+}
+
+// Query answers a natural-language object query (Algorithm 2): resolve a
+// plan, then execute it (core.Query). Queries may run from many goroutines
+// concurrently, including while Ingest continues. On a sharded system both
+// stages scatter and the merged answer is deterministic — byte-identical to
+// the single-system path for one shard.
 //
 // With no options set, Query executes the system's fixed default plan.
 // Setting QueryOptions.MinRecall (in (0, 1]) instead asks the cost-based
 // planner for the cheapest plan predicted to reach that stage-1 recall,
 // calibrated against exact-search ground truth at build time; setting
 // QueryOptions.Plan replays a previously resolved plan verbatim.
+//
+// Query, PlanQuery and QueryBatch are the only context-less query entry
+// points in the repository; everything beneath them takes a context (the
+// tracing recorder rides it).
 func (s *System) Query(text string, opts QueryOptions) (*Result, error) {
-	if s.engine != nil {
-		return s.engine.Query(text, opts)
-	}
-	return s.inner.Query(text, opts)
+	//lovo:ctx-ok public ctx-less convenience over core.Query; servers and workers call the ctx-taking surface directly
+	return core.Query(context.Background(), s.querier(), text, opts)
 }
 
 // PlanQuery resolves the plan Query would execute for text under opts —
@@ -234,21 +247,19 @@ func (s *System) Query(text string, opts QueryOptions) (*Result, error) {
 // replay it byte-identically, on this system or any other deployment
 // shape built from the same corpus and seed.
 func (s *System) PlanQuery(text string, opts QueryOptions) (Plan, error) {
-	if s.engine != nil {
-		return s.engine.PlanQuery(text, opts)
-	}
-	return s.inner.PlanQuery(text, opts)
+	//lovo:ctx-ok public ctx-less convenience over Querier.PlanQueryCtx
+	return s.querier().PlanQueryCtx(context.Background(), text, opts)
 }
 
-// QueryBatch answers many queries concurrently across at most clients
-// goroutines (zero uses the system's Workers setting, which defaults to
-// runtime.NumCPU()). Results align with texts, and each equals what a lone
-// Query call would return; the first failing query aborts the batch.
+// QueryBatch plans every query, then executes the whole batch at once
+// (core.QueryBatch): stage 1 shares one sweep over the stored vectors and
+// stage 2 fans out across at most clients goroutines (zero uses the
+// system's Workers setting, which defaults to runtime.NumCPU()). Results
+// align with texts, and each equals what a lone Query call would return;
+// the first failing query fails the batch.
 func (s *System) QueryBatch(texts []string, opts QueryOptions, clients int) ([]*Result, error) {
-	if s.engine != nil {
-		return s.engine.QueryBatch(texts, opts, clients)
-	}
-	return s.inner.QueryBatch(texts, opts, clients)
+	//lovo:ctx-ok public ctx-less convenience over core.QueryBatch
+	return core.QueryBatch(context.Background(), s.querier(), texts, opts, clients)
 }
 
 // Stats returns ingest statistics (aggregated across shards when sharded).
