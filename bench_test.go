@@ -107,7 +107,7 @@ func BenchmarkFastSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := col.BuildIndex(vectordb.IndexIMI, vectordb.IndexOptions{P: 4, M: 64, KeepRaw: true, Seed: 1}); err != nil {
+	if err := col.BuildIndex(vectordb.IndexIMI, vectordb.IndexOptions{P: 4, M: 64, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 	q := mat.UnitGaussianVec(32, 999)

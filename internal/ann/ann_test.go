@@ -1,6 +1,7 @@
 package ann_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -37,39 +38,57 @@ func corpus(n, nClusters int, seed uint64) ([]int64, []mat.Vec) {
 	return ids, vecs
 }
 
-// buildAll constructs every index kind over the corpus.
+// rowsOf stores the corpus in a row store.
+func rowsOf(t *testing.T, ids []int64, vecs []mat.Vec) *ann.Rows {
+	t.Helper()
+	rows := ann.NewRows(dim)
+	for i := range ids {
+		if _, ok := rows.Append(ids[i], vecs[i]); !ok {
+			t.Fatalf("duplicate id %d", ids[i])
+		}
+	}
+	return rows
+}
+
+// builders construct each index kind over every row of a store.
+var builders = map[string]func(*ann.Rows) (ann.Index, error){
+	"flat": func(r *ann.Rows) (ann.Index, error) { return flat.New(r), nil },
+	"ivfpq": func(r *ann.Rows) (ann.Index, error) {
+		return ivfpq.Build(r, ivfpq.Config{NList: 16, P: 8, M: 32, Seed: 5})
+	},
+	"imi": func(r *ann.Rows) (ann.Index, error) { return imi.Build(r, imi.Config{P: 4, M: 32, Seed: 6}) },
+	"hnsw": func(r *ann.Rows) (ann.Index, error) {
+		return hnsw.New(r, hnsw.Config{M: 12, EfConstruction: 80, Seed: 7}), nil
+	},
+}
+
+// buildAll constructs every index kind over the corpus, all borrowing one
+// row store.
 func buildAll(t *testing.T, ids []int64, vecs []mat.Vec) map[string]ann.Index {
 	t.Helper()
+	rows := rowsOf(t, ids, vecs)
 	out := map[string]ann.Index{}
-
-	fl := flat.New(dim)
-	for i := range ids {
-		if err := fl.Add(ids[i], vecs[i]); err != nil {
+	for kind, build := range builders {
+		ix, err := build(rows)
+		if err != nil {
 			t.Fatal(err)
 		}
+		out[kind] = ix
 	}
-	out["flat"] = fl
-
-	iv, err := ivfpq.Build(ids, vecs, ivfpq.Config{NList: 16, P: 8, M: 32, KeepRaw: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["ivfpq"] = iv
-
-	im, err := imi.Build(ids, vecs, imi.Config{P: 4, M: 32, KeepRaw: true, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["imi"] = im
-
-	hn := hnsw.New(dim, hnsw.Config{M: 12, EfConstruction: 80, Seed: 7})
-	for i := range ids {
-		if err := hn.Add(ids[i], vecs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out["hnsw"] = hn
 	return out
+}
+
+// sameResults fails unless a and b match id for id and bit for bit.
+func sameResults(t *testing.T, what string, a, b []mat.Scored) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d results vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float32bits(a[i].Score) != math.Float32bits(b[i].Score) {
+			t.Fatalf("%s: rank %d: %v vs %v", what, i, a[i], b[i])
+		}
+	}
 }
 
 func recallAtK(exact, approx []mat.Scored) float64 {
@@ -180,7 +199,7 @@ func TestApproximateRecallAgainstFlat(t *testing.T) {
 }
 
 func TestExhaustiveMatchesFlatForIMI(t *testing.T) {
-	// With Exhaustive + KeepRaw, IMI must agree exactly with brute force.
+	// Exhaustive IMI is the flat scan itself: it agrees exactly.
 	ids, vecs := corpus(300, 6, 4)
 	indexes := buildAll(t, ids, vecs)
 	q := mat.UnitGaussianVec(dim, 999)
@@ -198,14 +217,12 @@ func TestExhaustiveMatchesFlatForIMI(t *testing.T) {
 
 func TestNProbeTradesRecallForWork(t *testing.T) {
 	ids, vecs := corpus(800, 16, 5)
-	im, err := imi.Build(ids, vecs, imi.Config{P: 4, M: 32, KeepRaw: true, Seed: 8})
+	rows := rowsOf(t, ids, vecs)
+	im, err := imi.Build(rows, imi.Config{P: 4, M: 32, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := flat.New(dim)
-	for i := range ids {
-		_ = fl.Add(ids[i], vecs[i])
-	}
+	fl := flat.New(rows)
 	q := mat.Normalized(vecs[100])
 	exact := fl.Search(q, 10, ann.Params{})
 	lo := recallAtK(exact, im.Search(q, 10, ann.Params{NProbe: 1}))
@@ -220,19 +237,19 @@ func TestNProbeTradesRecallForWork(t *testing.T) {
 
 func TestIncrementalAddAfterBuild(t *testing.T) {
 	ids, vecs := corpus(300, 6, 6)
-	im, err := imi.Build(ids, vecs, imi.Config{P: 4, M: 16, KeepRaw: true, Seed: 9})
+	rows := rowsOf(t, ids, vecs)
+	im, err := imi.Build(rows, imi.Config{P: 4, M: 16, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := ivfpq.Build(ids, vecs, ivfpq.Config{NList: 8, P: 8, M: 16, KeepRaw: true, Seed: 10})
+	iv, err := ivfpq.Build(rows, ivfpq.Config{NList: 8, P: 8, M: 16, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nv := mat.UnitGaussianVec(dim, 4242)
+	row, _ := rows.Append(9999, nv)
 	for _, ix := range []ann.Index{im, iv} {
-		if err := ix.Add(9999, nv); err != nil {
-			t.Fatal(err)
-		}
+		ix.Add(row)
 		res := ix.Search(nv, 1, ann.Params{NProbe: 16})
 		if len(res) != 1 || res[0].ID != 9999 {
 			t.Errorf("%s: new vector not retrievable: %v", ix.Kind(), res)
@@ -242,36 +259,133 @@ func TestIncrementalAddAfterBuild(t *testing.T) {
 
 func TestDuplicateIDRejected(t *testing.T) {
 	ids, vecs := corpus(100, 4, 7)
-	im, err := imi.Build(ids, vecs, imi.Config{P: 4, M: 8, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
+	rows := rowsOf(t, ids, vecs)
+	if _, ok := rows.Append(ids[0], vecs[1]); ok {
+		t.Fatal("the row store must reject duplicate ids")
 	}
-	if err := im.Add(ids[0], vecs[0]); err == nil {
-		t.Fatal("imi must reject duplicate ids")
+	if rows.Len() != len(ids) {
+		t.Fatalf("a refused append stored a row: len %d", rows.Len())
 	}
-	hn := hnsw.New(dim, hnsw.Config{})
-	if err := hn.Add(1, vecs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := hn.Add(1, vecs[1]); err == nil {
-		t.Fatal("hnsw must reject duplicate ids")
+	if got, _ := rows.Pos(ids[0]); got != 0 {
+		t.Fatalf("a refused append moved id %d to row %d", ids[0], got)
 	}
 }
 
 func TestDimensionMismatchRejected(t *testing.T) {
-	fl := flat.New(dim)
-	if err := fl.Add(1, mat.Vec{1, 2}); err == nil {
-		t.Fatal("flat must reject wrong dims")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the row store must reject wrong dims")
+		}
+	}()
+	ann.NewRows(dim).Append(1, mat.Vec{1, 2})
+}
+
+func TestNewRowsPanicsOnBadDim(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	ann.NewRows(0)
+}
+
+func TestRowsAppendAndRow(t *testing.T) {
+	rows := ann.NewRows(2)
+	v := mat.Vec{0.5, 0.5}
+	row, ok := rows.Append(5, v)
+	v[0] = 9 // the store holds a copy
+	if !ok || row != 0 || rows.Len() != 1 || rows.ID(0) != 5 {
+		t.Fatalf("append: row %d ok %v len %d", row, ok, rows.Len())
 	}
-	hn := hnsw.New(dim, hnsw.Config{})
-	if err := hn.Add(1, mat.Vec{1}); err == nil {
-		t.Fatal("hnsw must reject wrong dims")
+	if got := rows.Row(0); got[0] != 0.5 || got[1] != 0.5 {
+		t.Fatalf("row = %v", got)
+	}
+	if pos, ok := rows.Pos(5); !ok || pos != 0 {
+		t.Fatalf("pos = %d, %v", pos, ok)
+	}
+	if _, ok := rows.Pos(6); ok {
+		t.Fatal("absent id found")
+	}
+	if rows.Bytes() != 2*4+8 {
+		t.Fatalf("bytes = %d", rows.Bytes())
+	}
+}
+
+// TestTopKBatchMatchesTopK: the batched sweep answers every query exactly
+// as a lone TopK does, and both equal one mat.Dot per row into a heap.
+func TestTopKBatchMatchesTopK(t *testing.T) {
+	for _, n := range []int{1, 5, mat.ScanBlock + 7, 1000} {
+		ids, vecs := corpus(n, 7, uint64(n))
+		rows := rowsOf(t, ids, vecs)
+		qs := make([]mat.Vec, 11) // more than a serving batch
+		for j := range qs {
+			qs[j] = mat.UnitGaussianVec(dim, uint64(100+j))
+		}
+		batch := rows.TopKBatch(qs, 9)
+		for j, q := range qs {
+			oracle := mat.NewTopK(9)
+			for i := range ids {
+				oracle.Push(ids[i], mat.Dot(q, vecs[i]))
+			}
+			sameResults(t, "oracle vs TopK", oracle.Sorted(), rows.TopK(q, 9))
+			sameResults(t, "TopK vs TopKBatch", rows.TopK(q, 9), batch[j])
+		}
+	}
+	if got := ann.NewRows(dim).TopKBatch([]mat.Vec{mat.NewVec(dim)}, 3); len(got) != 1 || got[0] != nil {
+		t.Fatalf("empty store: %v", got)
+	}
+}
+
+// TestInsertAfterReallocationMatchesTwin builds every index kind, then
+// appends enough rows to move the store's backing array before indexing
+// them — an index that kept a slice of the rows from build time would read
+// the abandoned array (or past its end) from then on. Approximate answers
+// must match a twin that indexed each row as it arrived (the same build
+// over the same first rows, so the same codebooks and graph), and
+// exhaustive answers must equal the flat oracle bit for bit.
+func TestInsertAfterReallocationMatchesTwin(t *testing.T) {
+	const n0, n = 200, 900
+	ids, vecs := corpus(n, 9, 21)
+	for kind, build := range builders {
+		t.Run(kind, func(t *testing.T) {
+			rows, twinRows := rowsOf(t, ids[:n0], vecs[:n0]), rowsOf(t, ids[:n0], vecs[:n0])
+			ix, err := build(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := build(twinRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := &rows.Row(0)[0]
+			for i := n0; i < n; i++ {
+				rows.Append(ids[i], vecs[i])
+				row, _ := twinRows.Append(ids[i], vecs[i])
+				twin.Add(row)
+			}
+			if &rows.Row(0)[0] == first {
+				t.Fatal("the row store never reallocated; grow the insert count")
+			}
+			for row := n0; row < n; row++ {
+				ix.Add(row)
+			}
+			if ix.Len() != n {
+				t.Fatalf("len = %d want %d", ix.Len(), n)
+			}
+			oracle := flat.New(rows)
+			for qi := 0; qi < 8; qi++ {
+				q := mat.Normalized(vecs[n0+qi*80])
+				p := ann.Params{NProbe: 8, Ef: 64}
+				sameResults(t, "approximate vs twin", ix.Search(q, 10, p), twin.Search(q, 10, p))
+				sameResults(t, "exhaustive vs oracle", ix.Search(q, 10, ann.Params{Exhaustive: true}), oracle.Search(q, 10, ann.Params{}))
+			}
+		})
 	}
 }
 
 func TestIMICellCount(t *testing.T) {
 	ids, vecs := corpus(500, 10, 8)
-	im, err := imi.Build(ids, vecs, imi.Config{P: 4, M: 16, Seed: 12})
+	im, err := imi.Build(rowsOf(t, ids, vecs), imi.Config{P: 4, M: 16, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,21 +396,21 @@ func TestIMICellCount(t *testing.T) {
 }
 
 func TestEmptyIndexSearches(t *testing.T) {
-	fl := flat.New(dim)
+	fl := flat.New(ann.NewRows(dim))
 	if res := fl.Search(mat.NewVec(dim), 5, ann.Params{}); res != nil {
 		t.Fatal("empty flat search must be nil")
 	}
-	hn := hnsw.New(dim, hnsw.Config{})
+	hn := hnsw.New(ann.NewRows(dim), hnsw.Config{})
 	if res := hn.Search(mat.NewVec(dim), 5, ann.Params{}); res != nil {
 		t.Fatal("empty hnsw search must be nil")
 	}
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := imi.Build([]int64{1}, nil, imi.Config{}); err == nil {
-		t.Fatal("mismatched build inputs must error")
+	if _, err := imi.Build(ann.NewRows(dim), imi.Config{}); err == nil {
+		t.Fatal("empty imi build must error")
 	}
-	if _, err := ivfpq.Build(nil, nil, ivfpq.Config{}); err == nil {
-		t.Fatal("empty build must error")
+	if _, err := ivfpq.Build(ann.NewRows(dim), ivfpq.Config{}); err == nil {
+		t.Fatal("empty ivfpq build must error")
 	}
 }

@@ -20,16 +20,15 @@ import (
 
 func benchIndex(n, dim int) (*Index, mat.Vec) {
 	rng := rand.New(rand.NewPCG(42, 43))
-	ix := New(dim)
+	rows := ann.NewRows(dim)
 	v := make(mat.Vec, dim)
 	for i := 0; i < n; i++ {
 		for d := range v {
 			v[d] = float32(rng.NormFloat64())
 		}
-		if err := ix.Add(int64(i), v); err != nil {
-			panic(err)
-		}
+		rows.Append(int64(i), v)
 	}
+	ix := New(rows)
 	q := make(mat.Vec, dim)
 	for d := range q {
 		q[d] = float32(rng.NormFloat64())
@@ -43,17 +42,17 @@ func benchIndex(n, dim int) (*Index, mat.Vec) {
 // 4-lane order at the ULP level, so it is a performance baseline, not a
 // bit-identity oracle (oracleSearch below is).
 func referenceSearch(ix *Index, q mat.Vec, k int) []mat.Scored {
-	if k <= 0 || len(ix.ids) == 0 {
+	if k <= 0 || ix.rows.Len() == 0 {
 		return nil
 	}
 	top := mat.NewTopK(k)
-	for i, id := range ix.ids {
-		row := ix.data[i*ix.dim : (i+1)*ix.dim]
+	for i := 0; i < ix.rows.Len(); i++ {
+		row := ix.rows.Row(i)
 		var s float32
 		for d, qv := range q {
 			s += qv * row[d]
 		}
-		top.Push(id, s)
+		top.Push(ix.rows.ID(i), s)
 	}
 	return top.Sorted()
 }
@@ -83,8 +82,8 @@ func benchmarkSearch(b *testing.B, dim int, reference bool) {
 // or threshold gating. The optimized Search must reproduce it exactly.
 func oracleSearch(ix *Index, q mat.Vec, k int) []mat.Scored {
 	top := mat.NewTopK(k)
-	for i, id := range ix.ids {
-		top.Push(id, mat.Dot(q, ix.data[i*ix.dim:(i+1)*ix.dim]))
+	for i := 0; i < ix.rows.Len(); i++ {
+		top.Push(ix.rows.ID(i), mat.Dot(q, ix.rows.Row(i)))
 	}
 	return top.Sorted()
 }

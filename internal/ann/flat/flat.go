@@ -1,16 +1,14 @@
 // Package flat implements the exact brute-force index: every query scans
 // every stored vector. It is the BF variant of Table V — highest accuracy,
 // latency linear in collection size — and the recall oracle the other
-// indexes are tested against.
+// indexes are tested against. The scan itself is the shared ann.Rows.TopK
+// over the borrowed rows; flat adds nothing to it but a batch entry point.
 //
-// Two optional fast paths ride on the same storage. Params.Int8 scans the
-// int8 sidecar (quant.Int8Block, dim+4 bytes per row against the 4·dim of
+// One optional fast path rides beside it. Params.Int8 scans the int8
+// sidecar (quant.Int8Block, dim+4 bytes per row against the 4·dim of
 // float32) into an over-fetched shortlist and re-scores the shortlist
 // exactly, trading a planner-gated sliver of recall for a ~4× smaller
-// stage-1 memory sweep. SearchBatch answers Q queries with ONE cache-blocked
-// pass over the rows (mat.ScoreRowsBatch) instead of Q passes — on scans
-// that exceed the last-level cache, the memory sweep is the whole cost, so
-// batching approaches a Q-fold saving.
+// stage-1 memory sweep.
 package flat
 
 import (
@@ -21,41 +19,36 @@ import (
 	"repro/internal/quant"
 )
 
-// Index is an exact inner-product index.
+// Index is an exact inner-product index over borrowed rows.
 type Index struct {
-	dim  int
-	ids  []int64
-	data []float32 // row-major, len = len(ids)*dim
+	rows *ann.Rows
 	i8   *quant.Int8Block
 }
 
 var _ ann.Index = (*Index)(nil)
 
-// New returns an empty flat index for dim-dimensional vectors.
-func New(dim int) *Index {
-	if dim <= 0 {
-		panic("flat: dim must be positive")
+// New returns a flat index over every row currently in rows.
+func New(rows *ann.Rows) *Index {
+	ix := &Index{rows: rows, i8: quant.NewInt8Block(rows.Dim())}
+	for i := 0; i < rows.Len(); i++ {
+		ix.Add(i)
 	}
-	return &Index{dim: dim, i8: quant.NewInt8Block(dim)}
+	return ix
 }
 
 // Kind implements ann.Index.
 func (ix *Index) Kind() string { return "flat" }
 
 // Len implements ann.Index.
-func (ix *Index) Len() int { return len(ix.ids) }
+func (ix *Index) Len() int { return ix.i8.Rows() }
 
 // Add implements ann.Index. The int8 sidecar is maintained eagerly so that
-// snapshot reloads (which replay Add) and live inserts stay consistent
-// without any rebuild step.
-func (ix *Index) Add(id int64, v mat.Vec) error {
-	if len(v) != ix.dim {
-		return fmt.Errorf("flat: vector dim %d != index dim %d", len(v), ix.dim)
+// live inserts stay consistent without any rebuild step.
+func (ix *Index) Add(row int) {
+	if row != ix.Len() {
+		panic(fmt.Sprintf("flat: Add row %d, want %d", row, ix.Len()))
 	}
-	ix.ids = append(ix.ids, id)
-	ix.data = append(ix.data, v...)
-	ix.i8.Append(v)
-	return nil
+	ix.i8.Append(ix.rows.Row(row))
 }
 
 // int8Shortlist is the over-fetch rule for the int8 stage-1 scan: keep 2k
@@ -73,64 +66,37 @@ func int8Shortlist(k int) int {
 	return 32
 }
 
-// Search implements ann.Index with a full scan. The scan runs through the
-// blocked mat.ScoreRows kernel over the contiguous row-major storage with a
-// pooled score buffer and top-k heap, so steady-state searches allocate
-// only the returned result slice. With p.Int8 the stage-1 sweep runs over
-// the int8 sidecar instead, and the shortlist is re-scored exactly — the
-// returned scores are always exact float32 inner products.
+// Search implements ann.Index with the exact scan ann.Rows.TopK. With
+// p.Int8 the stage-1 sweep runs over the int8 sidecar instead, and the
+// shortlist is re-scored exactly — the returned scores are always exact
+// float32 inner products.
 func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
-	if k <= 0 || len(ix.ids) == 0 {
-		return nil
-	}
-	if len(q) != ix.dim {
-		panic(fmt.Sprintf("flat: query dim %d != index dim %d", len(q), ix.dim))
-	}
 	if p.Int8 && !p.Exhaustive {
 		return ix.searchInt8(q, k)
 	}
-	top := mat.GetTopK(k)
-	defer mat.PutTopK(top)
-	scratch := mat.GetScratch(mat.ScanBlock)
-	defer scratch.Release()
-	// Threshold gate: once the heap is full, a score strictly below the
-	// lowest retained score loses whatever its ID tie-break, so the Push
-	// call is skipped without changing the retained set. Equal scores
-	// still go through Push (the ascending-ID tie-break may admit them).
-	thr := top.Threshold()
-	for start := 0; start < len(ix.ids); start += mat.ScanBlock {
-		end := start + mat.ScanBlock
-		if end > len(ix.ids) {
-			end = len(ix.ids)
-		}
-		scores := mat.ScoreRows(scratch.Buf[:end-start], q, ix.data[start*ix.dim:end*ix.dim], ix.dim)
-		for i, s := range scores {
-			if s < thr {
-				continue
-			}
-			top.Push(ix.ids[start+i], s)
-			thr = top.Threshold()
-		}
-	}
-	return top.Sorted()
+	return ix.rows.TopK(q, k)
 }
 
 // searchInt8 is the quantized stage-1 scan: int8 sweep → shortlist →
 // exact re-score. The shortlist heap ranks ROW positions by int8 score;
 // only the final, exactly re-scored results carry entity IDs.
 func (ix *Index) searchInt8(q mat.Vec, k int) []mat.Scored {
-	qCode := make([]int8, ix.dim)
+	n := ix.Len()
+	if k <= 0 || n == 0 {
+		return nil
+	}
+	if len(q) != ix.rows.Dim() {
+		panic(fmt.Sprintf("flat: query dim %d != index dim %d", len(q), ix.rows.Dim()))
+	}
+	qCode := make([]int8, len(q))
 	qScale := quant.QuantizeInt8Into(qCode, q)
 	top := mat.GetTopK(int8Shortlist(k))
 	defer mat.PutTopK(top)
 	scratch := mat.GetScratch(mat.ScanBlock)
 	defer scratch.Release()
 	thr := top.Threshold()
-	for start := 0; start < len(ix.ids); start += mat.ScanBlock {
-		end := start + mat.ScanBlock
-		if end > len(ix.ids) {
-			end = len(ix.ids)
-		}
+	for start := 0; start < n; start += mat.ScanBlock {
+		end := min(start+mat.ScanBlock, n)
 		scores := ix.i8.ScoreRowsInt8(scratch.Buf[:end-start], qScale, qCode, start, end)
 		for i, s := range scores {
 			if s < thr {
@@ -144,7 +110,7 @@ func (ix *Index) searchInt8(q mat.Vec, k int) []mat.Scored {
 	out := make([]mat.Scored, 0, len(short))
 	for _, s := range short {
 		r := int(s.ID)
-		out = append(out, mat.Scored{ID: ix.ids[r], Score: mat.Dot(q, ix.Vector(r))})
+		out = append(out, mat.Scored{ID: ix.rows.ID(r), Score: mat.Dot(q, ix.rows.Row(r))})
 	}
 	mat.SortScoredDesc(out)
 	if len(out) > k {
@@ -153,80 +119,21 @@ func (ix *Index) searchInt8(q mat.Vec, k int) []mat.Scored {
 	return out
 }
 
-// SearchBatch answers len(qs) queries in one cache-blocked sweep over the
-// stored rows via mat.ScoreRowsBatch: every ScanBlock chunk of rows is
-// scored by ALL queries while cache-resident, so Q queries pay for one
-// memory pass instead of Q. Results are bit-identical to calling Search
-// per query (the batch kernel preserves the canonical reduction order and
-// the per-query threshold gates are independent).
-//
-// With p.Int8 each query takes the quantized path independently — the int8
+// SearchBatch answers len(qs) queries in one sweep over the rows
+// (ann.Rows.TopKBatch), bit-identical to calling Search per query. With
+// p.Int8 each query takes the quantized path independently — the int8
 // sidecar is ~4× smaller than the float32 rows, so its sweep is rarely
 // memory-bound and batching would buy little.
 func (ix *Index) SearchBatch(qs []mat.Vec, k int, p ann.Params) [][]mat.Scored {
+	if !p.Int8 || p.Exhaustive {
+		return ix.rows.TopKBatch(qs, k)
+	}
 	out := make([][]mat.Scored, len(qs))
-	if len(qs) == 0 || k <= 0 || len(ix.ids) == 0 {
-		return out
-	}
 	for j, q := range qs {
-		if len(q) != ix.dim {
-			panic(fmt.Sprintf("flat: batch query %d dim %d != index dim %d", j, len(q), ix.dim))
-		}
-	}
-	if p.Int8 && !p.Exhaustive {
-		for j, q := range qs {
-			out[j] = ix.searchInt8(q, k)
-		}
-		return out
-	}
-	tops := make([]*mat.TopK, len(qs))
-	thrs := make([]float32, len(qs))
-	for j := range qs {
-		tops[j] = mat.GetTopK(k)
-		thrs[j] = tops[j].Threshold()
-	}
-	defer func() {
-		for _, t := range tops {
-			mat.PutTopK(t)
-		}
-	}()
-	scratch := mat.GetScratch(len(qs) * mat.ScanBlock)
-	defer scratch.Release()
-	dsts := make([][]float32, len(qs))
-	for start := 0; start < len(ix.ids); start += mat.ScanBlock {
-		end := start + mat.ScanBlock
-		if end > len(ix.ids) {
-			end = len(ix.ids)
-		}
-		n := end - start
-		for j := range dsts {
-			off := j * mat.ScanBlock
-			dsts[j] = scratch.Buf[off : off+n : off+mat.ScanBlock]
-		}
-		mat.ScoreRowsBatch(dsts, qs, ix.data[start*ix.dim:end*ix.dim], ix.dim)
-		for j := range qs {
-			for i, s := range dsts[j] {
-				if s < thrs[j] {
-					continue
-				}
-				tops[j].Push(ix.ids[start+i], s)
-				thrs[j] = tops[j].Threshold()
-			}
-		}
-	}
-	for j := range qs {
-		out[j] = tops[j].Sorted()
+		out[j] = ix.searchInt8(q, k)
 	}
 	return out
 }
 
-// Memory implements ann.Index.
-func (ix *Index) Memory() int64 {
-	return int64(len(ix.data))*4 + int64(len(ix.ids))*8 + int64(ix.i8.Memory())
-}
-
-// Vector returns the stored vector at position i (aliasing internal
-// storage); used by refinement stages and tests.
-func (ix *Index) Vector(i int) mat.Vec {
-	return ix.data[i*ix.dim : (i+1)*ix.dim]
-}
+// Memory implements ann.Index: the int8 sidecar.
+func (ix *Index) Memory() int64 { return int64(ix.i8.Memory()) }

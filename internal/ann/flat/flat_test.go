@@ -8,30 +8,12 @@ import (
 )
 
 func TestExactOrdering(t *testing.T) {
-	ix := New(4)
-	_ = ix.Add(1, mat.Vec{1, 0, 0, 0})
-	_ = ix.Add(2, mat.Vec{0.9, 0.1, 0, 0})
-	_ = ix.Add(3, mat.Vec{0, 1, 0, 0})
-	res := ix.Search(mat.Vec{1, 0, 0, 0}, 3, ann.Params{})
+	rows := ann.NewRows(4)
+	rows.Append(1, mat.Vec{1, 0, 0, 0})
+	rows.Append(2, mat.Vec{0.9, 0.1, 0, 0})
+	rows.Append(3, mat.Vec{0, 1, 0, 0})
+	res := New(rows).Search(mat.Vec{1, 0, 0, 0}, 3, ann.Params{})
 	if res[0].ID != 1 || res[1].ID != 2 || res[2].ID != 3 {
 		t.Fatalf("order = %v", res)
 	}
-}
-
-func TestVectorAccessor(t *testing.T) {
-	ix := New(2)
-	_ = ix.Add(5, mat.Vec{0.5, 0.5})
-	v := ix.Vector(0)
-	if v[0] != 0.5 || v[1] != 0.5 {
-		t.Fatalf("vector = %v", v)
-	}
-}
-
-func TestNewPanicsOnBadDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(0)
 }

@@ -12,7 +12,7 @@ import (
 func randIndex(t *testing.T, n, dim int, seed uint64) (*Index, []mat.Vec) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0xf1a7))
-	ix := New(dim)
+	rows := ann.NewRows(dim)
 	var vecs []mat.Vec
 	for i := 0; i < n; i++ {
 		v := make(mat.Vec, dim)
@@ -25,12 +25,10 @@ func randIndex(t *testing.T, n, dim int, seed uint64) (*Index, []mat.Vec) {
 		for j := range v {
 			v[j] *= inv
 		}
-		if err := ix.Add(int64(i), v); err != nil {
-			t.Fatal(err)
-		}
+		rows.Append(int64(i), v)
 		vecs = append(vecs, v)
 	}
-	return ix, vecs
+	return New(rows), vecs
 }
 
 // TestSearchInt8ExactScoresAndRecall pins the two contracts of the int8
@@ -62,7 +60,7 @@ func TestSearchInt8ExactScoresAndRecall(t *testing.T) {
 			}
 			// Scores must be exact regardless of how the candidate was found.
 			r := int(s.ID) // ids are positions in randIndex
-			if got, exactScore := s.Score, mat.Dot(q, ix.Vector(r)); got != exactScore {
+			if got, exactScore := s.Score, mat.Dot(q, ix.rows.Row(r)); got != exactScore {
 				t.Fatalf("query %d id %d: score %v != exact %v", qi, s.ID, got, exactScore)
 			}
 		}
@@ -126,7 +124,7 @@ func TestSearchBatchBitIdenticalToSearch(t *testing.T) {
 
 // TestSearchBatchEmpty covers the degenerate shapes.
 func TestSearchBatchEmpty(t *testing.T) {
-	ix := New(4)
+	ix := New(ann.NewRows(4))
 	if got := ix.SearchBatch(nil, 5, ann.Params{}); len(got) != 0 {
 		t.Fatalf("nil queries: %v", got)
 	}

@@ -7,11 +7,11 @@
 // Similarity is the inner product over unit vectors, so "nearest" means
 // highest dot product throughout.
 //
-// Vectors live in one contiguous row-major arena (not one allocation per
-// node), so neighbour expansion walks packed rows and the exhaustive
-// fallback is a blocked mat.ScoreRows scan. Per-search scratch — the
-// epoch-stamped visited set, the frontier, the candidate list — comes from
-// a pool, so steady-state searches allocate only their result slice.
+// Node i is row i of the borrowed ann.Rows, so neighbour expansion walks
+// the collection's packed rows and the graph holds only levels and links;
+// Params.Exhaustive is the shared ann.Rows.TopK scan. Per-search scratch —
+// the epoch-stamped visited set, the frontier, the candidate list — comes
+// from a pool, so steady-state searches allocate only their result slice.
 package hnsw
 
 import (
@@ -27,7 +27,8 @@ import (
 // Config shapes the graph.
 type Config struct {
 	// M is the per-node out-degree target above level 0 (level 0 allows
-	// 2M). Zero defaults to 16.
+	// 2M). Zero defaults to 16; values below 2 clamp to 2, where the
+	// level multiplier 1/ln M is still finite.
 	M int
 	// EfConstruction is the construction beam width; zero defaults
 	// to 100.
@@ -40,28 +41,27 @@ func (c Config) withDefaults() Config {
 	if c.M <= 0 {
 		c.M = 16
 	}
+	c.M = max(c.M, 2)
 	if c.EfConstruction <= 0 {
 		c.EfConstruction = 100
 	}
 	return c
 }
 
+// node is the graph record of the row with the same position.
 type node struct {
-	id    int64
 	level int
 	// links[l] lists neighbour node indices at level l.
 	links [][]int32
 }
 
-// Index is an HNSW graph.
+// Index is an HNSW graph over borrowed rows.
 type Index struct {
-	dim   int
+	rows  *ann.Rows
 	cfg   Config
 	mL    float64
 	rng   *rand.Rand
 	nodes []node
-	vecs  []float32 // row-major vector arena, row i belongs to nodes[i]
-	byID  map[int64]int32
 	entry int32 // index of the top entry point, -1 when empty
 	maxL  int
 
@@ -70,21 +70,22 @@ type Index struct {
 
 var _ ann.Index = (*Index)(nil)
 
-// New returns an empty index for dim-dimensional vectors.
-func New(dim int, cfg Config) *Index {
-	if dim <= 0 {
-		panic("hnsw: dim must be positive")
-	}
+// New returns a graph over every row currently in rows, inserted in row
+// order.
+func New(rows *ann.Rows, cfg Config) *Index {
 	cfg = cfg.withDefaults()
-	return &Index{
-		dim: dim,
-		cfg: cfg,
-		mL:  1 / math.Log(float64(cfg.M)),
+	h := &Index{
+		rows: rows,
+		cfg:  cfg,
+		mL:   1 / math.Log(float64(cfg.M)),
 		//lovo:nondeterministic-ok PCG seeded purely from cfg.Seed: level draws are a deterministic function of config, identical on every replica
 		rng:   rand.New(rand.NewPCG(cfg.Seed^0x4e57, cfg.Seed^0x5357)),
-		byID:  make(map[int64]int32),
 		entry: -1,
 	}
+	for i := 0; i < rows.Len(); i++ {
+		h.Add(i)
+	}
+	return h
 }
 
 // Kind implements ann.Index.
@@ -93,11 +94,8 @@ func (h *Index) Kind() string { return "hnsw" }
 // Len implements ann.Index.
 func (h *Index) Len() int { return len(h.nodes) }
 
-// vecAt returns node i's vector, aliasing the arena.
-func (h *Index) vecAt(i int32) mat.Vec {
-	off := int(i) * h.dim
-	return h.vecs[off : off+h.dim : off+h.dim]
-}
+// vecAt returns node i's vector, aliasing the borrowed rows.
+func (h *Index) vecAt(i int32) mat.Vec { return h.rows.Row(int(i)) }
 
 func (h *Index) maxDegree(level int) int {
 	if level == 0 {
@@ -147,24 +145,18 @@ func (h *Index) getCtx() *searchCtx {
 func (h *Index) putCtx(c *searchCtx) { h.ctxPool.Put(c) }
 
 // Add implements ann.Index.
-func (h *Index) Add(id int64, v mat.Vec) error {
-	if len(v) != h.dim {
-		return fmt.Errorf("hnsw: vector dim %d != %d", len(v), h.dim)
-	}
-	if _, dup := h.byID[id]; dup {
-		return fmt.Errorf("hnsw: duplicate id %d", id)
+func (h *Index) Add(row int) {
+	if row != len(h.nodes) {
+		panic(fmt.Sprintf("hnsw: Add row %d, want %d", row, len(h.nodes)))
 	}
 	level := int(math.Floor(-math.Log(1-h.rng.Float64()) * h.mL))
-	n := node{id: id, level: level, links: make([][]int32, level+1)}
-	idx := int32(len(h.nodes))
-	h.nodes = append(h.nodes, n)
-	h.vecs = append(h.vecs, v...)
-	h.byID[id] = idx
+	idx := int32(row)
+	h.nodes = append(h.nodes, node{level: level, links: make([][]int32, level+1)})
 
 	if h.entry < 0 {
 		h.entry = idx
 		h.maxL = level
-		return nil
+		return
 	}
 
 	q := h.vecAt(idx)
@@ -198,7 +190,6 @@ func (h *Index) Add(id int64, v mat.Vec) error {
 		h.maxL = level
 		h.entry = idx
 	}
-	return nil
 }
 
 type cand struct {
@@ -366,21 +357,7 @@ func (h *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 		return nil
 	}
 	if p.Exhaustive {
-		top := mat.GetTopK(k)
-		defer mat.PutTopK(top)
-		scratch := mat.GetScratch(mat.ScanBlock)
-		defer scratch.Release()
-		for start := 0; start < len(h.nodes); start += mat.ScanBlock {
-			end := start + mat.ScanBlock
-			if end > len(h.nodes) {
-				end = len(h.nodes)
-			}
-			scores := mat.ScoreRows(scratch.Buf[:end-start], q, h.vecs[start*h.dim:end*h.dim], h.dim)
-			for i, s := range scores {
-				top.Push(h.nodes[start+i].id, s)
-			}
-		}
-		return top.Sorted()
+		return h.rows.TopK(q, k)
 	}
 	ef := p.Ef
 	if ef <= 0 {
@@ -398,14 +375,14 @@ func (h *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	cands := h.searchLayer(q, ep, ef, 0, ctx)
 	out := make([]mat.Scored, 0, min(k, len(cands)))
 	for i := 0; i < len(cands) && i < k; i++ {
-		out = append(out, mat.Scored{ID: h.nodes[cands[i].idx].id, Score: cands[i].sim})
+		out = append(out, mat.Scored{ID: h.rows.ID(int(cands[i].idx)), Score: cands[i].sim})
 	}
 	return out
 }
 
-// Memory implements ann.Index.
+// Memory implements ann.Index: per-node level and links.
 func (h *Index) Memory() int64 {
-	b := int64(len(h.vecs)) * 4
+	var b int64
 	for i := range h.nodes {
 		b += 8
 		for _, l := range h.nodes[i].links {

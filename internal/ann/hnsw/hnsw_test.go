@@ -11,13 +11,11 @@ const dim = 16
 
 func filled(t *testing.T, n int, cfg Config) *Index {
 	t.Helper()
-	h := New(dim, cfg)
+	rows := ann.NewRows(dim)
 	for i := 0; i < n; i++ {
-		if err := h.Add(int64(i+1), mat.UnitGaussianVec(dim, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
+		rows.Append(int64(i+1), mat.UnitGaussianVec(dim, uint64(i)))
 	}
-	return h
+	return New(rows, cfg)
 }
 
 func TestLevelDistributionGeometric(t *testing.T) {
@@ -129,13 +127,26 @@ func TestEfImprovesRecall(t *testing.T) {
 }
 
 func TestSearchAfterSingleInsert(t *testing.T) {
-	h := New(dim, Config{})
+	rows := ann.NewRows(dim)
+	h := New(rows, Config{})
 	v := mat.UnitGaussianVec(dim, 1)
-	if err := h.Add(7, v); err != nil {
-		t.Fatal(err)
-	}
+	row, _ := rows.Append(7, v)
+	h.Add(row)
 	res := h.Search(v, 3, ann.Params{})
 	if len(res) != 1 || res[0].ID != 7 {
+		t.Fatalf("res = %v", res)
+	}
+}
+
+// TestDegenerateMClamps: M = 1 would make the level multiplier 1/ln M
+// infinite; it clamps to 2 and still builds a searchable graph.
+func TestDegenerateMClamps(t *testing.T) {
+	h := filled(t, 50, Config{M: 1, Seed: 8})
+	if h.cfg.M != 2 {
+		t.Fatalf("M = %d, want 2", h.cfg.M)
+	}
+	q := mat.UnitGaussianVec(dim, 3) // row 3 holds id 4
+	if res := h.Search(q, 1, ann.Params{Ef: 50}); len(res) != 1 || res[0].ID != 4 {
 		t.Fatalf("res = %v", res)
 	}
 }

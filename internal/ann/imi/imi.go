@@ -12,14 +12,15 @@
 // patch-ID vote of Algorithm 1 line 16 — candidates assembled from more
 // agreeing subspaces rank first.
 //
-// Codes and raw vectors are stored packed (one contiguous []uint16 with
-// stride P, one row-major []float32), addressed by a dense per-id position,
-// so the ADC scan is strided loads against the flat lookup table instead of
-// map-and-slice pointer chasing.
+// Codes are stored packed (one contiguous []uint16 with stride P) and
+// addressed by the dense row position of the borrowed ann.Rows, so the ADC
+// scan is strided loads against the flat lookup table instead of
+// map-and-slice pointer chasing, and the exact re-score reads the
+// collection's own rows. Params.Exhaustive is the shared ann.Rows.TopK
+// scan: every vote would be P, so the vote never breaks a tie there.
 package imi
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -35,8 +36,6 @@ type Config struct {
 	// M is the number of centroids per subspace; zero defaults to 64
 	// (clipped to the training-set size).
 	M int
-	// KeepRaw retains original vectors for the exact re-scoring stage.
-	KeepRaw bool
 	// Seed drives codebook training.
 	Seed uint64
 }
@@ -54,54 +53,41 @@ func (c Config) withDefaults(n int) Config {
 	return c
 }
 
-// Index is a built inverted multi-index.
+// Index is a built inverted multi-index over borrowed rows.
 type Index struct {
-	dim int
-	cfg Config
-	pq  *quant.PQ
-	// pos maps an id to its row in packed (and rawData when kept).
-	pos map[int64]int32
-	// packed holds every PQ code back to back with stride P.
+	rows *ann.Rows
+	pq   *quant.PQ
+	// packed holds every row's PQ code back to back with stride P.
 	packed []uint16
-	// lists[p][m] holds the positions of vectors whose subspace-p code is
-	// m; dense positions keep the candidate scan free of map lookups.
+	// lists[p][m] holds the positions of rows whose subspace-p code is m;
+	// dense positions keep the candidate scan free of map lookups.
 	lists [][][]int32
-	// rawData holds original vectors row-major (KeepRaw only).
-	rawData []float32
-	order   []int64 // position -> id, in insertion order
 }
 
 var _ ann.Index = (*Index)(nil)
 
-// Build trains the subspace codebooks on the given vectors and indexes
-// them.
-func Build(ids []int64, vecs []mat.Vec, cfg Config) (*Index, error) {
-	if len(ids) != len(vecs) {
-		return nil, errors.New("imi: ids/vecs length mismatch")
-	}
-	if len(vecs) == 0 {
+// Build trains the subspace codebooks on every row currently in rows and
+// indexes them.
+func Build(rows *ann.Rows, cfg Config) (*Index, error) {
+	n := rows.Len()
+	if n == 0 {
 		return nil, quant.ErrNotEnoughData
 	}
-	cfg = cfg.withDefaults(len(vecs))
-	dim := len(vecs[0])
+	cfg = cfg.withDefaults(n)
+	vecs := make([]mat.Vec, n)
+	for i := range vecs {
+		vecs[i] = rows.Row(i)
+	}
 	pq, err := quant.TrainPQ(vecs, cfg.P, cfg.M, cfg.Seed^0x1a11)
 	if err != nil {
 		return nil, fmt.Errorf("imi: training codebooks: %w", err)
 	}
-	ix := &Index{
-		dim:   dim,
-		cfg:   cfg,
-		pq:    pq,
-		pos:   make(map[int64]int32, len(vecs)),
-		lists: make([][][]int32, cfg.P),
-	}
-	for p := 0; p < cfg.P; p++ {
+	ix := &Index{rows: rows, pq: pq, lists: make([][][]int32, pq.P)}
+	for p := range ix.lists {
 		ix.lists[p] = make([][]int32, len(pq.Codebooks[p]))
 	}
-	for i, v := range vecs {
-		if err := ix.Add(ids[i], v); err != nil {
-			return nil, err
-		}
+	for i := range vecs {
+		ix.Add(i)
 	}
 	return ix, nil
 }
@@ -110,7 +96,7 @@ func Build(ids []int64, vecs []mat.Vec, cfg Config) (*Index, error) {
 func (ix *Index) Kind() string { return "imi" }
 
 // Len implements ann.Index.
-func (ix *Index) Len() int { return len(ix.pos) }
+func (ix *Index) Len() int { return len(ix.packed) / ix.pq.P }
 
 // codeAt returns the packed code row at position p.
 func (ix *Index) codeAt(p int32) []uint16 {
@@ -118,39 +104,27 @@ func (ix *Index) codeAt(p int32) []uint16 {
 	return ix.packed[off : off+ix.pq.P : off+ix.pq.P]
 }
 
-// rawAt returns the raw vector at position p (KeepRaw only).
-func (ix *Index) rawAt(p int32) mat.Vec {
-	off := int(p) * ix.dim
-	return ix.rawData[off : off+ix.dim : off+ix.dim]
-}
-
-// Add implements ann.Index. Vectors added after Build are coded with the
+// Add implements ann.Index. Rows added after Build are coded with the
 // existing codebooks.
-func (ix *Index) Add(id int64, v mat.Vec) error {
-	if len(v) != ix.dim {
-		return fmt.Errorf("imi: vector dim %d != %d", len(v), ix.dim)
+func (ix *Index) Add(row int) {
+	if row != ix.Len() {
+		panic(fmt.Sprintf("imi: Add row %d, want %d", row, ix.Len()))
 	}
-	if _, dup := ix.pos[id]; dup {
-		return fmt.Errorf("imi: duplicate id %d", id)
-	}
-	p := int32(len(ix.order))
+	p := int32(row)
 	ix.packed = append(ix.packed, make([]uint16, ix.pq.P)...)
-	ix.pq.EncodeInto(ix.codeAt(p), v)
-	ix.pos[id] = p
+	ix.pq.EncodeInto(ix.codeAt(p), ix.rows.Row(row))
 	for sp, m := range ix.codeAt(p) {
 		ix.lists[sp][m] = append(ix.lists[sp][m], p)
 	}
-	if ix.cfg.KeepRaw {
-		ix.rawData = append(ix.rawData, v...)
-	}
-	ix.order = append(ix.order, id)
-	return nil
 }
 
 // Search implements ann.Index following Algorithm 1.
 func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
-	if k <= 0 || len(ix.pos) == 0 {
+	if k <= 0 || ix.Len() == 0 {
 		return nil
+	}
+	if p.Exhaustive {
+		return ix.rows.TopK(q, k)
 	}
 	tscratch := mat.GetScratch(ix.pq.TableLen())
 	defer tscratch.Release()
@@ -159,52 +133,32 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	// Candidate gathering. votes[pos] counts how many subspaces proposed
 	// the vector — the agreement statistic behind the patch-ID vote.
 	votes := make(map[int32]int)
-	if p.Exhaustive {
-		for pos := range ix.order {
-			votes[int32(pos)] = ix.pq.P
+	a := p.NProbe
+	if a <= 0 {
+		a = 8
+	}
+	for sp := 0; sp < ix.pq.P; sp++ {
+		row := table.Row(sp)
+		topA := mat.GetTopK(min(a, len(row)))
+		for m, s := range row {
+			topA.Push(int64(m), s)
 		}
-	} else {
-		a := p.NProbe
-		if a <= 0 {
-			a = 8
-		}
-		for sp := 0; sp < ix.pq.P; sp++ {
-			row := table.Row(sp)
-			topA := mat.GetTopK(min(a, len(row)))
-			for m, s := range row {
-				topA.Push(int64(m), s)
+		for _, c := range topA.Sorted() { // line 6: S_A
+			for _, pos := range ix.lists[sp][c.ID] {
+				votes[pos]++
 			}
-			for _, c := range topA.Sorted() { // line 6: S_A
-				for _, pos := range ix.lists[sp][c.ID] {
-					votes[pos]++
-				}
-			}
-			mat.PutTopK(topA)
 		}
+		mat.PutTopK(topA)
 	}
 
-	// Score candidates by ADC (lines 8–11) into a shortlist. Exhaustive
-	// mode with raw vectors skips the ADC funnel entirely — it is the
-	// "w/o ANNS" brute-force ablation, so every candidate is scored
-	// exactly. The top-k heap is keyed by id (the canonical determinism
-	// order), while scoring addresses packed rows by dense position.
-	shortlistK := k
-	if ix.rawData != nil {
-		shortlistK = k * 4
-		if p.Exhaustive {
-			shortlistK = len(votes)
-		}
-	}
-	top := mat.GetTopK(shortlistK)
+	// Score candidates by ADC (lines 8–11) into a 4k shortlist for the
+	// exact re-score. The top-k heap is keyed by id (the canonical
+	// determinism order), while scoring addresses packed codes by dense
+	// position.
+	top := mat.GetTopK(k * 4)
 	defer mat.PutTopK(top)
-	if p.Exhaustive && ix.rawData != nil {
-		for pos := range votes {
-			top.Push(ix.order[pos], mat.Dot(q, ix.rawAt(pos)))
-		}
-	} else {
-		for pos := range votes {
-			top.Push(ix.order[pos], ix.pq.ApproxDotPacked(table, ix.codeAt(pos)))
-		}
+	for pos := range votes {
+		top.Push(ix.rows.ID(int(pos)), ix.pq.ApproxDotPacked(table, ix.codeAt(pos)))
 	}
 	short := top.Sorted()
 
@@ -214,13 +168,9 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	out := make([]mat.Scored, 0, len(short))
 	outVotes := make([]int, 0, len(short))
 	for _, s := range short {
-		score := s.Score
-		pos := ix.pos[s.ID]
-		if ix.rawData != nil {
-			score = mat.Dot(q, ix.rawAt(pos))
-		}
-		out = append(out, mat.Scored{ID: s.ID, Score: score})
-		outVotes = append(outVotes, votes[pos])
+		pos, _ := ix.rows.Pos(s.ID)
+		out = append(out, mat.Scored{ID: s.ID, Score: mat.Dot(q, ix.rows.Row(pos))})
+		outVotes = append(outVotes, votes[int32(pos)])
 	}
 	sort.Sort(&byScoreVoteID{out, outVotes})
 	if len(out) > k {
@@ -229,28 +179,24 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	return out
 }
 
-// Memory implements ann.Index.
+// Memory implements ann.Index: codes, lists and codebooks.
 func (ix *Index) Memory() int64 {
-	var b int64
-	b += int64(len(ix.pos)) * int64(8+2*ix.pq.P) // codes
+	b := int64(len(ix.packed)) * 2 // codes
 	for _, sub := range ix.lists {
 		for _, l := range sub {
 			b += int64(len(l)) * 4 // int32 positions
 		}
 	}
 	b += int64(ix.pq.P*len(ix.pq.Codebooks[0])*ix.pq.SubDim) * 4
-	if ix.rawData != nil {
-		b += int64(len(ix.rawData)) * 4
-	}
 	return b
 }
 
 // CellCount returns the number of distinct non-empty cells (code tuples);
 // exported for stats and tests.
 func (ix *Index) CellCount() int {
-	cells := make(map[string]struct{}, len(ix.pos))
+	cells := make(map[string]struct{}, ix.Len())
 	buf := make([]byte, 2*ix.pq.P)
-	for p := range ix.order {
+	for p := 0; p < ix.Len(); p++ {
 		for i, m := range ix.codeAt(int32(p)) {
 			buf[2*i] = byte(m)
 			buf[2*i+1] = byte(m >> 8)

@@ -11,13 +11,11 @@ const dim = 16
 
 func build(t *testing.T, n int, cfg Config) *Index {
 	t.Helper()
-	ids := make([]int64, n)
-	vecs := make([]mat.Vec, n)
+	rows := ann.NewRows(dim)
 	for i := 0; i < n; i++ {
-		ids[i] = int64(i + 1)
-		vecs[i] = mat.UnitGaussianVec(dim, uint64(i))
+		rows.Append(int64(i+1), mat.UnitGaussianVec(dim, uint64(i)))
 	}
-	ix, err := Build(ids, vecs, cfg)
+	ix, err := Build(rows, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +31,7 @@ func TestInvertedListsPartitionEverything(t *testing.T) {
 		total := 0
 		for _, l := range ix.lists[sp] {
 			for _, pos := range l {
-				seen[ix.order[pos]]++
+				seen[ix.rows.ID(int(pos))]++
 				total++
 			}
 		}
@@ -50,7 +48,8 @@ func TestInvertedListsPartitionEverything(t *testing.T) {
 
 func TestCodesMatchListMembership(t *testing.T) {
 	ix := build(t, 300, Config{P: 4, M: 16, Seed: 3})
-	for id, pos := range ix.pos {
+	for pos := int32(0); int(pos) < ix.Len(); pos++ {
+		id := ix.rows.ID(int(pos))
 		for sp, m := range ix.codeAt(pos) {
 			found := false
 			for _, lpos := range ix.lists[sp][m] {
@@ -75,7 +74,7 @@ func TestCellCountBounded(t *testing.T) {
 }
 
 func TestLargerAWidensCandidates(t *testing.T) {
-	ix := build(t, 800, Config{P: 4, M: 32, KeepRaw: true, Seed: 5})
+	ix := build(t, 800, Config{P: 4, M: 32, Seed: 5})
 	q := mat.UnitGaussianVec(dim, 999)
 	small := ix.Search(q, 400, ann.Params{NProbe: 1})
 	large := ix.Search(q, 400, ann.Params{NProbe: 32})
@@ -85,7 +84,7 @@ func TestLargerAWidensCandidates(t *testing.T) {
 }
 
 func TestExhaustiveCoversAll(t *testing.T) {
-	ix := build(t, 200, Config{P: 4, M: 8, KeepRaw: true, Seed: 6})
+	ix := build(t, 200, Config{P: 4, M: 8, Seed: 6})
 	q := mat.UnitGaussianVec(dim, 31)
 	res := ix.Search(q, 200, ann.Params{Exhaustive: true})
 	if len(res) != 200 {

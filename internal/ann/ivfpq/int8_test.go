@@ -13,14 +13,13 @@ import (
 // TestInt8StageOneRecall wires Params.Int8 through a built index with raw
 // refinement and checks the quantized stage-1 scorer against exact ground
 // truth: recall must stay high (the int8 sidecar approximates q·v far
-// tighter than residual ADC) and, with KeepRaw, every returned score must
-// be the exact float32 inner product.
+// tighter than residual ADC) and every returned score must be the exact
+// float32 inner product.
 func TestInt8StageOneRecall(t *testing.T) {
 	const n, dim, k, queries = 1500, 24, 10, 30
 	rng := rand.New(rand.NewPCG(7, 0x1f8))
-	ids := make([]int64, n)
+	rows := ann.NewRows(dim)
 	vecs := make([]mat.Vec, n)
-	oracle := flat.New(dim)
 	for i := range vecs {
 		v := make(mat.Vec, dim)
 		var norm float64
@@ -32,12 +31,11 @@ func TestInt8StageOneRecall(t *testing.T) {
 		for j := range v {
 			v[j] *= inv
 		}
-		ids[i], vecs[i] = int64(i), v
-		if err := oracle.Add(int64(i), v); err != nil {
-			t.Fatal(err)
-		}
+		vecs[i] = v
+		rows.Append(int64(i), v)
 	}
-	ix, err := Build(ids, vecs, Config{NList: 16, KeepRaw: true, Seed: 9})
+	oracle := flat.New(rows)
+	ix, err := Build(rows, Config{NList: 16, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,16 +76,15 @@ func TestInt8StageOneRecall(t *testing.T) {
 func TestInt8ExhaustiveStaysExact(t *testing.T) {
 	const n, dim = 200, 8
 	rng := rand.New(rand.NewPCG(11, 0x1f8))
-	ids := make([]int64, n)
-	vecs := make([]mat.Vec, n)
-	for i := range vecs {
+	rows := ann.NewRows(dim)
+	for i := 0; i < n; i++ {
 		v := make(mat.Vec, dim)
 		for j := range v {
 			v[j] = float32(rng.NormFloat64())
 		}
-		ids[i], vecs[i] = int64(i), v
+		rows.Append(int64(i), v)
 	}
-	ix, err := Build(ids, vecs, Config{NList: 4, KeepRaw: true, Seed: 2})
+	ix, err := Build(rows, Config{NList: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

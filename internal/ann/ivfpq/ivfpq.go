@@ -2,18 +2,18 @@
 // residuals (IVF-PQ), the quantization-based variant of Table V: a coarse
 // k-means quantizer routes vectors into NList inverted lists; within a list
 // a vector is stored as the PQ code of its residual against the list
-// centroid. Search probes the NProbe closest lists and scores candidates as
-// coarse-similarity + residual ADC, optionally refining the top candidates
-// against raw vectors.
+// centroid. Search probes the NProbe closest lists, scores candidates as
+// coarse-similarity + residual ADC and re-scores a 4k shortlist exactly
+// against the borrowed ann.Rows; Params.Exhaustive is the shared
+// ann.Rows.TopK scan.
 //
-// Lists are structure-of-arrays — parallel id and packed-code slices — so a
-// probed list scans as one quant.ApproxDotBatch pass over contiguous codes;
-// coarse centroids and raw vectors are likewise stored row-major for the
+// Lists are structure-of-arrays — parallel row-position and packed-code
+// slices — so a probed list scans as one quant.ApproxDotBatch pass over
+// contiguous codes; coarse centroids are likewise stored row-major for the
 // blocked scoring kernels.
 package ivfpq
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/ann"
@@ -29,9 +29,6 @@ type Config struct {
 	// P and M are the residual product quantizer's subspace count and
 	// per-subspace centroid count; zero defaults to 8 and 64.
 	P, M int
-	// KeepRaw retains original vectors for exact refinement (Algorithm 1
-	// line 14 computes exact scores over the shortlist).
-	KeepRaw bool
 	// Seed drives codebook training.
 	Seed uint64
 }
@@ -60,42 +57,41 @@ func isqrt(n int) int {
 	return i
 }
 
-// list is one inverted list in structure-of-arrays layout: ids[i] pairs
-// with the packed code row codes[i*P:(i+1)*P] and the int8 sidecar row
-// i8.Row(i). The sidecar quantizes the ORIGINAL vector (not the residual),
-// so Params.Int8 can score q·v directly without the coarse term.
+// list is one inverted list in structure-of-arrays layout: row position
+// rows[i] pairs with the packed code row codes[i*P:(i+1)*P] and the int8
+// sidecar row i8.Row(i). The sidecar quantizes the ORIGINAL vector (not
+// the residual), so Params.Int8 can score q·v directly without the coarse
+// term.
 type list struct {
-	ids   []int64
+	rows  []int32
 	codes []uint16
 	i8    *quant.Int8Block
 }
 
-// Index is a built IVF-PQ index.
+// Index is a built IVF-PQ index over borrowed rows.
 type Index struct {
-	dim        int
-	cfg        Config
+	rows       *ann.Rows
 	coarse     []mat.Vec // NList centroids, rows aliasing coarseFlat
 	coarseFlat []float32
 	lists      []list
 	pq         *quant.PQ
-	rawPos     map[int64]int32
-	rawData    []float32 // row-major raw vectors (KeepRaw only)
 	count      int
 }
 
 var _ ann.Index = (*Index)(nil)
 
-// Build trains the coarse quantizer and residual PQ on the given vectors
-// and indexes them. ids and vecs must align.
-func Build(ids []int64, vecs []mat.Vec, cfg Config) (*Index, error) {
-	if len(ids) != len(vecs) {
-		return nil, errors.New("ivfpq: ids/vecs length mismatch")
-	}
-	if len(vecs) == 0 {
+// Build trains the coarse quantizer and residual PQ on every row currently
+// in rows and indexes them.
+func Build(rows *ann.Rows, cfg Config) (*Index, error) {
+	if rows.Len() == 0 {
 		return nil, quant.ErrNotEnoughData
 	}
-	cfg = cfg.withDefaults(len(vecs))
-	dim := len(vecs[0])
+	cfg = cfg.withDefaults(rows.Len())
+	dim := rows.Dim()
+	vecs := make([]mat.Vec, rows.Len())
+	for i := range vecs {
+		vecs[i] = rows.Row(i)
+	}
 
 	km := quant.KMeans(vecs, cfg.NList, 25, cfg.Seed^0x19f0)
 	nlist := len(km.Centroids)
@@ -117,8 +113,7 @@ func Build(ids []int64, vecs []mat.Vec, cfg Config) (*Index, error) {
 	}
 
 	ix := &Index{
-		dim:        dim,
-		cfg:        cfg,
+		rows:       rows,
 		coarse:     make([]mat.Vec, nlist),
 		coarseFlat: make([]float32, nlist*dim),
 		lists:      make([]list, nlist),
@@ -130,23 +125,21 @@ func Build(ids []int64, vecs []mat.Vec, cfg Config) (*Index, error) {
 		ix.coarse[li] = ix.coarseFlat[off : off+dim : off+dim]
 		ix.lists[li].i8 = quant.NewInt8Block(dim)
 	}
-	if cfg.KeepRaw {
-		ix.rawPos = make(map[int64]int32, len(vecs))
-	}
 	code := make(quant.Code, pq.P)
 	for i, v := range vecs {
-		li := km.Assign[i]
 		pq.EncodeInto(code, residuals[i])
-		ix.lists[li].ids = append(ix.lists[li].ids, ids[i])
-		ix.lists[li].codes = append(ix.lists[li].codes, code...)
-		ix.lists[li].i8.Append(v)
-		if cfg.KeepRaw {
-			ix.rawPos[ids[i]] = int32(len(ix.rawData) / dim)
-			ix.rawData = append(ix.rawData, v...)
-		}
-		ix.count++
+		ix.insert(km.Assign[i], i, code, v)
 	}
 	return ix, nil
+}
+
+// insert files row into list li with its residual code.
+func (ix *Index) insert(li, row int, code quant.Code, v mat.Vec) {
+	l := &ix.lists[li]
+	l.rows = append(l.rows, int32(row))
+	l.codes = append(l.codes, code...)
+	l.i8.Append(v)
+	ix.count++
 }
 
 // Kind implements ann.Index.
@@ -155,34 +148,21 @@ func (ix *Index) Kind() string { return "ivfpq" }
 // Len implements ann.Index.
 func (ix *Index) Len() int { return ix.count }
 
-// rawAt returns the retained raw vector at position p.
-func (ix *Index) rawAt(p int32) mat.Vec {
-	off := int(p) * ix.dim
-	return ix.rawData[off : off+ix.dim : off+ix.dim]
-}
-
 // Add implements ann.Index: the vector is routed to its nearest list and
 // residual-encoded with the already-trained codebooks (the paper's future
 // work discusses incremental insertion; assignment without retraining is
 // the standard approach).
-func (ix *Index) Add(id int64, v mat.Vec) error {
-	if len(v) != ix.dim {
-		return fmt.Errorf("ivfpq: vector dim %d != %d", len(v), ix.dim)
+func (ix *Index) Add(row int) {
+	if row != ix.count {
+		panic(fmt.Sprintf("ivfpq: Add row %d, want %d", row, ix.count))
 	}
+	v := ix.rows.Row(row)
 	li := quant.NearestCentroid(ix.coarse, v)
-	r := mat.NewVec(ix.dim)
+	r := mat.NewVec(len(v))
 	mat.Sub(r, v, ix.coarse[li])
 	code := make(quant.Code, ix.pq.P)
 	ix.pq.EncodeInto(code, r)
-	ix.lists[li].ids = append(ix.lists[li].ids, id)
-	ix.lists[li].codes = append(ix.lists[li].codes, code...)
-	ix.lists[li].i8.Append(v)
-	if ix.rawPos != nil {
-		ix.rawPos[id] = int32(len(ix.rawData) / ix.dim)
-		ix.rawData = append(ix.rawData, v...)
-	}
-	ix.count++
-	return nil
+	ix.insert(li, row, code, v)
 }
 
 // Search implements ann.Index.
@@ -190,18 +170,19 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	if k <= 0 || ix.count == 0 {
 		return nil
 	}
+	if p.Exhaustive {
+		return ix.rows.TopK(q, k)
+	}
 	nprobe := p.NProbe
 	if nprobe <= 0 {
 		nprobe = len(ix.coarse)/8 + 1
 	}
-	if p.Exhaustive || nprobe > len(ix.coarse) {
-		nprobe = len(ix.coarse)
-	}
+	nprobe = min(nprobe, len(ix.coarse))
 
 	// Rank coarse lists by query similarity: one blocked kernel pass over
 	// the contiguous centroid block.
 	cscratch := mat.GetScratch(len(ix.coarse))
-	coarseSims := mat.ScoreRows(cscratch.Buf, q, ix.coarseFlat, ix.dim)
+	coarseSims := mat.ScoreRows(cscratch.Buf, q, ix.coarseFlat, ix.rows.Dim())
 	listTop := mat.GetTopK(nprobe)
 	for li, s := range coarseSims {
 		listTop.Push(int64(li), s)
@@ -210,73 +191,54 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 
 	// Params.Int8 swaps the per-candidate stage-1 scorer: instead of
 	// coarse + residual ADC, score q·v directly over each probed list's
-	// int8 sidecar. Exhaustive searches are exact by contract and ignore
-	// the knob. The shortlist/refinement machinery downstream is shared.
-	useInt8 := p.Int8 && !p.Exhaustive
+	// int8 sidecar. The shortlist/refinement machinery downstream is
+	// shared.
+	useInt8 := p.Int8
 	var qCode []int8
 	var qScale float32
 	var table quant.Table
 	tscratch := mat.GetScratch(ix.pq.TableLen())
 	defer tscratch.Release()
 	if useInt8 {
-		qCode = make([]int8, ix.dim)
+		qCode = make([]int8, len(q))
 		qScale = quant.QuantizeInt8Into(qCode, q)
 	} else {
 		table = ix.pq.DotTableInto(tscratch.Buf, q)
 	}
 
-	shortlistK := k
-	if ix.rawData != nil {
-		// Over-fetch for exact refinement.
-		shortlistK = k * 4
-		if p.Exhaustive {
-			// An exhaustive search must be exact by construction (recall 1),
-			// not "exact over an ADC shortlist": retain every entity for the
-			// exact re-scoring pass, so a quantization near-tie at the
-			// shortlist cut can never drop a true top-k item — and per-shard
-			// exhaustive top-k lists merge into the monolithic answer bit
-			// for bit.
-			shortlistK = ix.count
-		}
-	}
-	top := mat.GetTopK(shortlistK)
+	top := mat.GetTopK(k * 4) // over-fetch for the exact refinement
 	defer mat.PutTopK(top)
 	sscratch := mat.GetScratch(0)
 	defer func() { sscratch.Release() }() // sscratch may be regrown below
 	for _, sc := range listTop.Sorted() {
 		l := &ix.lists[sc.ID]
-		if len(l.ids) == 0 {
+		if len(l.rows) == 0 {
 			continue
 		}
-		if cap(sscratch.Buf) < len(l.ids) {
+		if cap(sscratch.Buf) < len(l.rows) {
 			sscratch.Release()
-			sscratch = mat.GetScratch(len(l.ids))
+			sscratch = mat.GetScratch(len(l.rows))
 		}
 		// Approximate scores, one batch pass per probed list: either
 		// coarse + residual ADC (Algorithm 1, line 10) or the int8
 		// sidecar's direct q·v approximation.
 		var scores []float32
 		if useInt8 {
-			scores = l.i8.ScoreRowsInt8(sscratch.Buf[:len(l.ids)], qScale, qCode, 0, len(l.ids))
+			scores = l.i8.ScoreRowsInt8(sscratch.Buf[:len(l.rows)], qScale, qCode, 0, len(l.rows))
 		} else {
-			scores = ix.pq.ApproxDotBatch(sscratch.Buf[:len(l.ids)], table, l.codes, sc.Score)
+			scores = ix.pq.ApproxDotBatch(sscratch.Buf[:len(l.rows)], table, l.codes, sc.Score)
 		}
 		for i, s := range scores {
-			top.Push(l.ids[i], s)
+			top.Push(ix.rows.ID(int(l.rows[i])), s)
 		}
 	}
 	mat.PutTopK(listTop)
 	short := top.Sorted()
-	if ix.rawData == nil {
-		if len(short) > k {
-			short = short[:k]
-		}
-		return short
-	}
 	// Exact re-scoring of the shortlist (Algorithm 1, lines 13–17).
 	out := make([]mat.Scored, 0, len(short))
 	for _, s := range short {
-		out = append(out, mat.Scored{ID: s.ID, Score: mat.Dot(q, ix.rawAt(ix.rawPos[s.ID]))})
+		pos, _ := ix.rows.Pos(s.ID)
+		out = append(out, mat.Scored{ID: s.ID, Score: mat.Dot(q, ix.rows.Row(pos))})
 	}
 	mat.SortScoredDesc(out)
 	if len(out) > k {
@@ -285,19 +247,15 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	return out
 }
 
-// Memory implements ann.Index: centroids + codes + int8 sidecars (+ raw
-// vectors if kept).
+// Memory implements ann.Index: centroids + row positions + codes + int8
+// sidecars + codebooks.
 func (ix *Index) Memory() int64 {
-	var b int64
-	b += int64(len(ix.coarseFlat)) * 4
+	b := int64(len(ix.coarseFlat)) * 4
 	for _, l := range ix.lists {
-		b += int64(len(l.ids)) * int64(8+2*ix.cfg.P)
+		b += int64(len(l.rows))*4 + int64(len(l.codes))*2
 		b += int64(l.i8.Memory())
 	}
 	b += int64(ix.pq.P*len(ix.pq.Codebooks[0])*ix.pq.SubDim) * 4
-	if ix.rawData != nil {
-		b += int64(len(ix.rawData)) * 4
-	}
 	return b
 }
 

@@ -11,13 +11,11 @@ const dim = 16
 
 func build(t *testing.T, n int, cfg Config) *Index {
 	t.Helper()
-	ids := make([]int64, n)
-	vecs := make([]mat.Vec, n)
+	rows := ann.NewRows(dim)
 	for i := 0; i < n; i++ {
-		ids[i] = int64(i + 1)
-		vecs[i] = mat.UnitGaussianVec(dim, uint64(i))
+		rows.Append(int64(i+1), mat.UnitGaussianVec(dim, uint64(i)))
 	}
-	ix, err := Build(ids, vecs, cfg)
+	ix, err := Build(rows, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +29,7 @@ func TestListsPartitionVectors(t *testing.T) {
 	}
 	total := 0
 	for _, l := range ix.lists {
-		total += len(l.ids)
+		total += len(l.rows)
 	}
 	if total != 400 {
 		t.Fatalf("list entries = %d, want 400", total)
@@ -46,9 +44,9 @@ func TestDefaultNListSqrt(t *testing.T) {
 }
 
 func TestResidualCodingRecovers(t *testing.T) {
-	// With KeepRaw, the refined search must put the query's own vector
-	// first under generous probing.
-	ix := build(t, 300, Config{NList: 8, P: 4, M: 16, KeepRaw: true, Seed: 4})
+	// The exactly refined search must put the query's own vector first
+	// under generous probing.
+	ix := build(t, 300, Config{NList: 8, P: 4, M: 16, Seed: 4})
 	hits := 0
 	for i := 0; i < 20; i++ {
 		q := mat.UnitGaussianVec(dim, uint64(i*15))

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/ann"
-	"repro/internal/ann/flat"
 	"repro/internal/datasets"
 	"repro/internal/embed"
 	"repro/internal/keyframe"
@@ -24,7 +23,7 @@ type ZELDA struct {
 	space  *embed.Space
 	vision *embed.VisionEncoder
 	text   *embed.TextEncoder
-	index  *flat.Index
+	rows   *ann.Rows
 	frames map[int64]*video.Frame
 	nextID int64
 	ids    map[int64][2]int
@@ -51,7 +50,7 @@ const zeldaEncodeCostPerFrame = 13_000
 // Prepare implements Method: embed sampled frames globally.
 func (z *ZELDA) Prepare(ds *datasets.Dataset) (time.Duration, error) {
 	start := time.Now()
-	z.index = flat.New(z.space.Dim)
+	z.rows = ann.NewRows(z.space.Dim)
 	z.frames = make(map[int64]*video.Frame)
 	z.ids = make(map[int64][2]int)
 	kf := keyframe.Uniform{Interval: 4}
@@ -63,9 +62,7 @@ func (z *ZELDA) Prepare(ds *datasets.Dataset) (time.Duration, error) {
 			emb := z.vision.FrameEmbedding(f)
 			id := z.nextID
 			z.nextID++
-			if err := z.index.Add(id, emb); err != nil {
-				return 0, err
-			}
+			z.rows.Append(id, emb)
 			fc := *f
 			z.frames[id] = &fc
 			z.ids[id] = [2]int{v.ID, f.Index}
@@ -89,7 +86,7 @@ func (z *ZELDA) Query(text string, depth int) ([]metrics.Retrieved, time.Duratio
 	if len(p.Terms) == 0 {
 		return nil, time.Since(start), nil
 	}
-	hits := z.index.Search(q, depth, ann.Params{})
+	hits := z.rows.TopK(q, depth)
 	var out []metrics.Retrieved
 	for _, h := range hits {
 		f := z.frames[h.ID]

@@ -311,7 +311,7 @@ func kernelsExperiment(o Options) (*Table, error) {
 	}
 	var scanSpeedups, int8Speedups []float64
 	for _, n := range scanSizes {
-		ix := flat.New(dim)
+		rows := ann.NewRows(dim)
 		seedIx := &seedFlat{dim: dim}
 		v := make(mat.Vec, dim)
 		for i := 0; i < n; i++ {
@@ -319,11 +319,10 @@ func kernelsExperiment(o Options) (*Table, error) {
 				v[d] = float32(rng.NormFloat64())
 			}
 			mat.Normalize(v)
-			if err := ix.Add(int64(i), v); err != nil {
-				return nil, err
-			}
+			rows.Append(int64(i), v)
 			seedIx.add(int64(i), v)
 		}
+		ix := flat.New(rows)
 		q := mat.Normalize(randVec(dim))
 		const k = 100
 		baseNs, _ := bestOf(func(b *testing.B) {

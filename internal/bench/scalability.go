@@ -128,7 +128,7 @@ func fig11bIndexScale(o Options) (*Table, error) {
 				return nil, err
 			}
 		}
-		if err := col.BuildIndex(vectordb.IndexIMI, vectordb.IndexOptions{P: 4, M: 64, KeepRaw: true, Seed: o.Seed}); err != nil {
+		if err := col.BuildIndex(vectordb.IndexIMI, vectordb.IndexOptions{P: 4, M: 64, Seed: o.Seed}); err != nil {
 			return nil, err
 		}
 		st := col.Stats()

@@ -15,7 +15,7 @@ func batchPlans(sys *System, texts []string, kind vectordb.IndexKind) []Plan {
 	plans := make([]Plan, len(texts))
 	for i := range texts {
 		opts := QueryOptions{}
-		switch i % 3 {
+		switch i % 4 {
 		case 1:
 			opts.FastK = 24
 		case 2:
@@ -24,6 +24,8 @@ func batchPlans(sys *System, texts []string, kind vectordb.IndexKind) []Plan {
 			} else {
 				opts.Exhaustive = true
 			}
+		case 3:
+			opts.Exhaustive = true
 		}
 		plans[i] = sys.cfg.FixedPlan(opts)
 	}
@@ -33,10 +35,13 @@ func batchPlans(sys *System, texts []string, kind vectordb.IndexKind) []Plan {
 // TestQueryBatchPlannedMatchesLoneQueries is the batch-path pin: batched
 // execution — one grouped memory sweep per distinct search shape — must
 // answer bit-identically to running every plan through QueryPlanned on its
-// own, on both a batch-capable index (flat) and the per-query fallback
-// (IMI).
+// own, on every index kind: approximate plans through flat's batch scan or
+// the other kinds' per-query fallback, exhaustive plans through the one
+// row sweep every kind shares — whose answers must also equal flat's, the
+// oracle, bit for bit.
 func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
-	for _, kind := range []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIMI} {
+	oracle := map[string][]ResultObject{} // flat's exhaustive answers by text
+	for _, kind := range []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIMI, vectordb.IndexIVFPQ, vectordb.IndexHNSW} {
 		t.Run(string(kind), func(t *testing.T) {
 			sys, ds := plannerSystem(t, kind)
 			var texts []string
@@ -58,6 +63,14 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 				}
 				if !reflect.DeepEqual(batch[i].Objects, lone.Objects) {
 					t.Errorf("%q under plan %s: batch answers diverge from lone QueryPlanned", text, plans[i])
+				}
+				if !plans[i].Exact {
+					continue
+				}
+				if kind == vectordb.IndexFlat {
+					oracle[text] = batch[i].Objects
+				} else if want, ok := oracle[text]; ok && !reflect.DeepEqual(batch[i].Objects, want) {
+					t.Errorf("%q: exhaustive %s batch answers diverge from flat's", text, kind)
 				}
 			}
 			// Plan-then-execute on top: QueryBatch plans each query and

@@ -79,8 +79,7 @@ type Config struct {
 	GridW, GridH int
 	// Index is the vector index kind (default vectordb.IndexIMI).
 	Index vectordb.IndexKind
-	// IndexOptions tune the index build; zero fields use defaults with
-	// KeepRaw forced on (Algorithm 1 re-scores exactly).
+	// IndexOptions tune the index build; zero fields use defaults.
 	IndexOptions vectordb.IndexOptions
 	// FastK is the fast-search candidate count k (default 100).
 	FastK int
@@ -148,7 +147,6 @@ func (c Config) withDefaults() Config {
 	if c.IndexOptions.Seed == 0 {
 		c.IndexOptions.Seed = c.Seed ^ 0x1d8
 	}
-	c.IndexOptions.KeepRaw = true
 	if c.FastK == 0 {
 		c.FastK = 100
 	}

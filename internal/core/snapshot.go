@@ -174,6 +174,18 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 			return fmt.Errorf("core: vector snapshot misses the patches collection: %w", err)
 		}
 	}
+	// The metadata's D' was checked above; the vector stream carries its
+	// own dim, and a stream that disagrees would score queries against
+	// vectors of the wrong shape.
+	var dim int
+	if meta.Streaming {
+		dim = seg.Stats().Dim
+	} else {
+		dim = col.Schema().Dim
+	}
+	if dim != meta.ProjDim {
+		return fmt.Errorf("core: vector snapshot dimension %d, snapshot metadata says D'=%d (corrupt snapshot?)", dim, meta.ProjDim)
+	}
 	for _, row := range meta.Rows {
 		err := s.patches.Insert(relational.Row{
 			row.PatchID, row.VideoID, row.FrameIdx, row.Patch,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -218,6 +219,33 @@ func TestSystemSnapshotErrors(t *testing.T) {
 	}
 	if err := wrong.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("dimension mismatch must error")
+	}
+	// Metadata that agrees with the system in front of a vector stream
+	// that does not: D'=32 metadata spliced onto a D'=16 vector stream.
+	for _, streaming := range []bool{false, true} {
+		saved := func(projDim int) []byte {
+			s, err := New(Config{Seed: 1, ProjDim: projDim, Streaming: streaming})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b bytes.Buffer
+			if err := s.SaveSnapshot(&b); err != nil {
+				t.Fatal(err)
+			}
+			return b.Bytes()
+		}
+		metaEnd := func(snap []byte) int {
+			return len(snapMagic) + 8 + int(binary.LittleEndian.Uint64(snap[len(snapMagic):]))
+		}
+		a, b := saved(32), saved(16)
+		spliced := append(append([]byte(nil), a[:metaEnd(a)]...), b[metaEnd(b):]...)
+		target, err := New(Config{Seed: 1, Streaming: streaming})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := target.LoadSnapshot(bytes.NewReader(spliced)); err == nil {
+			t.Fatalf("streaming=%v: a vector stream of another dim must error", streaming)
+		}
 	}
 
 	// Non-empty target.

@@ -687,6 +687,9 @@ type StatsResponse struct {
 }
 
 // SegmentStatsJSON is the streaming segment breakdown on the wire.
+// RawBytes is the rows — the one resident copy of every vector and id;
+// IndexBytes is the sealed indexes' own codes, lists, graphs and int8
+// sidecars, which borrow those rows and never count them.
 type SegmentStatsJSON struct {
 	Sealed        int    `json:"sealed"`
 	Building      int    `json:"building"`

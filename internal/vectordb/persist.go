@@ -7,24 +7,196 @@ import (
 	"io"
 	"math"
 	"sort"
+
+	"repro/internal/ann"
+	"repro/internal/mat"
 )
 
-// Snapshot format: a little-endian binary stream.
+// Snapshot formats: little-endian binary streams built from two records
+// that both layouts share.
 //
-//	magic "LOVODB1\n"
-//	uint32 collection count
-//	per collection:
-//	  uint16 name length, name bytes
-//	  uint32 dim, uint8 normalize
-//	  uint16 index-kind length, kind bytes (may be empty)
-//	  index options: 6×int64 (NList, P, M, M0, EfConstruction, Seed) + uint8 KeepRaw
-//	  uint64 vector count
-//	  per vector: int64 id, dim×float32
+//	header: uint16 name length, name bytes
+//	        uint16 index-kind length, kind bytes (empty when unindexed)
+//	        uint32 dim, in (0, MaxDim]; uint8 normalize
+//	        index options: 6×int64 (NList, P, M, M0, EfConstruction, Seed);
+//	        the first five in [0, maxIndexOption]
+//	rows:   uint64 count, per row: int64 id, dim×float32 (IEEE-754 bits)
 //
-// Raw vectors are persisted; indexes are rebuilt on load from the recorded
-// kind and options — the same segment-load-then-index recovery model a
-// cloud-native vector database uses.
-const magic = "LOVODB1\n"
+// A database snapshot is
+//
+//	magic "LOVODB2\n", uint32 collection count, per collection: header, rows
+//
+// and a segmented-collection snapshot keeps one rows record per frozen
+// segment, so a streaming collection restores with its segment structure —
+// and therefore its identity-derived index seeds — intact:
+//
+//	magic "LOVOSG2\n", header
+//	int64 sealThreshold, int64 compactFanIn, int64 seq
+//	uint32 frozen-segment count (ascending identity order)
+//	per segment: int64 lo, int64 hi, rows
+//	rows of the growing segment
+//
+// Rows are written and read bit for bit and appended straight to the row
+// store — never re-inserted, since Insert's re-normalisation would move
+// already-normalised floats by an ulp. Indexes are not persisted: Load and
+// LoadSegmented rebuild every index synchronously from the recorded kind
+// and options (a frozen segment from its [lo, hi] identity seed) — the
+// segment-load-then-index recovery model — so a restored store serves
+// byte-identical answers to the one that saved. Version-1 streams, which
+// carried a raw-copy flag byte after the options, are refused with an
+// error asking for a re-save.
+const (
+	magic    = "LOVODB2\n"
+	segMagic = "LOVOSG2\n"
+)
+
+// maxIndexOption bounds every decoded structural index option, so a
+// corrupt header cannot size a build (an HNSW beam, a k-means k) from a
+// garbage integer.
+const maxIndexOption = 1 << 16
+
+// header is the collection description both snapshot layouts open with.
+type header struct {
+	name   string
+	schema Schema
+	kind   IndexKind
+	opts   IndexOptions
+}
+
+// headerFields is the header's fixed-size tail, coded in one call.
+type headerFields struct {
+	Dim       uint32
+	Normalize uint8
+	Options   [6]int64 // NList, P, M, M0, EfConstruction, Seed
+}
+
+func writeHeader(w io.Writer, h header) error {
+	if err := writeString(w, h.name); err != nil {
+		return err
+	}
+	if err := writeString(w, string(h.kind)); err != nil {
+		return err
+	}
+	o := h.opts
+	f := headerFields{
+		Dim:     uint32(h.schema.Dim),
+		Options: [6]int64{int64(o.NList), int64(o.P), int64(o.M), int64(o.M0), int64(o.EfConstruction), int64(o.Seed)},
+	}
+	if h.schema.Normalize {
+		f.Normalize = 1
+	}
+	return binary.Write(w, binary.LittleEndian, &f)
+}
+
+func readHeader(r io.Reader) (header, error) {
+	var h header
+	var err error
+	if h.name, err = readString(r); err != nil {
+		return h, err
+	}
+	kind, err := readString(r)
+	if err != nil {
+		return h, err
+	}
+	var f headerFields
+	if err := binary.Read(r, binary.LittleEndian, &f); err != nil {
+		return h, err
+	}
+	if err := checkDim(int(f.Dim)); err != nil {
+		return h, fmt.Errorf("vectordb: snapshot collection %q: %w", h.name, err)
+	}
+	for _, v := range f.Options[:5] {
+		if v < 0 || v > maxIndexOption {
+			return h, fmt.Errorf("vectordb: snapshot collection %q: index option %d outside [0, %d]", h.name, v, maxIndexOption)
+		}
+	}
+	h.kind = IndexKind(kind)
+	h.schema = Schema{Dim: int(f.Dim), Normalize: f.Normalize == 1}
+	h.opts = IndexOptions{
+		NList: int(f.Options[0]), P: int(f.Options[1]), M: int(f.Options[2]),
+		M0: int(f.Options[3]), EfConstruction: int(f.Options[4]), Seed: uint64(f.Options[5]),
+	}
+	return h, nil
+}
+
+// writeRows writes a rows record.
+func writeRows(w io.Writer, rows *ann.Rows) error {
+	if err := binary.Write(w, binary.LittleEndian, uint64(rows.Len())); err != nil {
+		return err
+	}
+	buf := make([]byte, 8+4*rows.Dim())
+	for i := 0; i < rows.Len(); i++ {
+		binary.LittleEndian.PutUint64(buf, uint64(rows.ID(i)))
+		for d, f := range rows.Row(i) {
+			binary.LittleEndian.PutUint32(buf[8+4*d:], math.Float32bits(f))
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readRows appends a rows record to rows bit for bit. Memory grows only
+// with the bytes actually read, whatever count the record claims.
+func readRows(r io.Reader, rows *ann.Rows) error {
+	var n uint64
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return err
+	}
+	buf := make([]byte, 8+4*rows.Dim())
+	vec := make(mat.Vec, rows.Dim())
+	for i := uint64(0); i < n; i++ {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return err
+		}
+		id := int64(binary.LittleEndian.Uint64(buf))
+		for d := range vec {
+			vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(buf[8+4*d:]))
+		}
+		if _, ok := rows.Append(id, vec); !ok {
+			return fmt.Errorf("%w: %d", ErrDuplicate, id)
+		}
+	}
+	return nil
+}
+
+// readMagic checks a stream's magic, naming the retired version-1 layout
+// when that is what it finds.
+func readMagic(r io.Reader, want, v1 string) error {
+	head := make([]byte, len(want))
+	if _, err := io.ReadFull(r, head); err != nil {
+		return fmt.Errorf("vectordb: reading snapshot magic: %w", err)
+	}
+	switch string(head) {
+	case want:
+		return nil
+	case v1:
+		return fmt.Errorf("vectordb: snapshot format %q is no longer supported (this version reads %q); re-save the snapshot from its source data", v1, want)
+	default:
+		return fmt.Errorf("vectordb: bad snapshot magic %q", head)
+	}
+}
+
+func writeString(w io.Writer, s string) error {
+	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, s)
+	return err
+}
+
+func readString(r io.Reader) (string, error) {
+	var n uint16
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return "", err
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
 
 // Save writes a snapshot of the database.
 func (db *DB) Save(w io.Writer) error {
@@ -50,97 +222,47 @@ func (db *DB) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
+// save writes the collection's header and rows under its read lock.
 func (c *Collection) save(w io.Writer) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if err := writeString(w, c.name); err != nil {
+	if err := writeHeader(w, header{c.name, c.schema, c.kind, c.options}); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(c.schema.Dim)); err != nil {
-		return err
+	return writeRows(w, c.rows)
+}
+
+// Load reads a snapshot and rebuilds indexes.
+func Load(r io.Reader) (*DB, error) {
+	br := bufio.NewReader(r)
+	if err := readMagic(br, magic, "LOVODB1\n"); err != nil {
+		return nil, err
 	}
-	norm := uint8(0)
-	if c.schema.Normalize {
-		norm = 1
+	var count uint32
+	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+		return nil, err
 	}
-	if err := binary.Write(w, binary.LittleEndian, norm); err != nil {
-		return err
-	}
-	if err := writeString(w, string(c.kind)); err != nil {
-		return err
-	}
-	opts := []int64{
-		int64(c.options.NList), int64(c.options.P), int64(c.options.M),
-		int64(c.options.M0), int64(c.options.EfConstruction), int64(c.options.Seed),
-	}
-	for _, o := range opts {
-		if err := binary.Write(w, binary.LittleEndian, o); err != nil {
-			return err
+	db := New()
+	for ci := uint32(0); ci < count; ci++ {
+		h, err := readHeader(br)
+		if err != nil {
+			return nil, err
 		}
-	}
-	keep := uint8(0)
-	if c.options.KeepRaw {
-		keep = 1
-	}
-	if err := binary.Write(w, binary.LittleEndian, keep); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(c.ids))); err != nil {
-		return err
-	}
-	for i, id := range c.ids {
-		if err := binary.Write(w, binary.LittleEndian, id); err != nil {
-			return err
+		col, err := db.CreateCollection(h.name, h.schema)
+		if err != nil {
+			return nil, err
 		}
-		row := c.vector(i)
-		for _, f := range row {
-			if err := binary.Write(w, binary.LittleEndian, math.Float32bits(f)); err != nil {
-				return err
+		if err := readRows(br, col.rows); err != nil {
+			return nil, err
+		}
+		if h.kind != "" {
+			if err := col.BuildIndex(h.kind, h.opts); err != nil {
+				return nil, fmt.Errorf("vectordb: rebuilding %q index for %q: %w", h.kind, h.name, err)
 			}
 		}
 	}
-	return nil
+	return db, nil
 }
-
-// Segmented snapshot format: the same little-endian stream model, one
-// record per frozen segment so a streaming collection restores with its
-// segment structure — and therefore its identity-derived index seeds —
-// intact.
-//
-//	magic "LOVOSG1\n"
-//	uint16 name length, name bytes
-//	uint32 dim, uint8 normalize
-//	uint16 index-kind length, kind bytes
-//	index options: 6×int64 (NList, P, M, M0, EfConstruction, Seed) + uint8 KeepRaw
-//	int64 sealThreshold, int64 compactFanIn, int64 seq
-//	uint32 frozen-segment count (ascending identity order)
-//	per segment: int64 lo, int64 hi, uint64 count, per vector: int64 id, dim×float32
-//	uint64 growing count, per vector: int64 id, dim×float32
-//
-// Indexes are rebuilt on load from each segment's [lo, hi] identity seed —
-// the segment-load-then-index recovery model — so a restored replica
-// serves byte-identical approximate answers to the one that saved.
-const segMagic = "LOVOSG1\n"
 
 // Save writes a snapshot of the segmented collection. Safe to call
 // mid-stream: segments whose background index build is still pending are
@@ -154,43 +276,15 @@ func (s *SegmentedCollection) Save(w io.Writer) error {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := writeString(bw, s.name); err != nil {
+	if err := writeHeader(bw, header{s.name, s.schema, s.kind, s.opts}); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(s.schema.Dim)); err != nil {
+	meta := [3]int64{int64(s.sealThreshold), int64(s.compactFanIn), int64(s.seq)}
+	if err := binary.Write(bw, binary.LittleEndian, &meta); err != nil {
 		return err
 	}
-	norm := uint8(0)
-	if s.schema.Normalize {
-		norm = 1
-	}
-	if err := binary.Write(bw, binary.LittleEndian, norm); err != nil {
-		return err
-	}
-	if err := writeString(bw, string(s.kind)); err != nil {
-		return err
-	}
-	opts := []int64{
-		int64(s.opts.NList), int64(s.opts.P), int64(s.opts.M),
-		int64(s.opts.M0), int64(s.opts.EfConstruction), int64(s.opts.Seed),
-	}
-	for _, o := range opts {
-		if err := binary.Write(bw, binary.LittleEndian, o); err != nil {
-			return err
-		}
-	}
-	keep := uint8(0)
-	if s.opts.KeepRaw {
-		keep = 1
-	}
-	if err := binary.Write(bw, binary.LittleEndian, keep); err != nil {
-		return err
-	}
-	for _, v := range []int64{int64(s.sealThreshold), int64(s.compactFanIn), int64(s.seq)} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
+	// Frozen rows never change, and the growing segment's only change
+	// under s.mu, which is held: no segment lock is needed.
 	frozen := make([]*segment, 0, len(s.sealed)+len(s.building))
 	frozen = append(frozen, s.sealed...)
 	frozen = append(frozen, s.building...)
@@ -198,70 +292,17 @@ func (s *SegmentedCollection) Save(w io.Writer) error {
 		return err
 	}
 	for _, seg := range frozen {
-		for _, v := range []int64{int64(seg.lo), int64(seg.hi)} {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
+		if err := binary.Write(bw, binary.LittleEndian, [2]int64{int64(seg.lo), int64(seg.hi)}); err != nil {
+			return err
 		}
-		if err := saveVectors(bw, seg.col); err != nil {
+		if err := writeRows(bw, seg.col.rows); err != nil {
 			return fmt.Errorf("vectordb: saving segment %q: %w", seg.col.name, err)
 		}
 	}
-	if err := saveVectors(bw, s.growing); err != nil {
+	if err := writeRows(bw, s.growing.rows); err != nil {
 		return fmt.Errorf("vectordb: saving growing segment: %w", err)
 	}
 	return bw.Flush()
-}
-
-// saveVectors writes one segment's (count, id+vector…) record.
-func (c *Collection) saveVectorsLocked(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(c.ids))); err != nil {
-		return err
-	}
-	for i, id := range c.ids {
-		if err := binary.Write(w, binary.LittleEndian, id); err != nil {
-			return err
-		}
-		for _, f := range c.vector(i) {
-			if err := binary.Write(w, binary.LittleEndian, math.Float32bits(f)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func saveVectors(w io.Writer, c *Collection) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.saveVectorsLocked(w)
-}
-
-// loadVectors reads one segment's record into col, bypassing normalisation
-// (vectors were normalised before the save).
-func loadVectors(r io.Reader, col *Collection, dim int) error {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
-	}
-	vec := make([]float32, dim)
-	for vi := uint64(0); vi < n; vi++ {
-		var id int64
-		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-			return err
-		}
-		for d := range vec {
-			var bits uint32
-			if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-				return err
-			}
-			vec[d] = math.Float32frombits(bits)
-		}
-		col.byID[id] = len(col.ids)
-		col.ids = append(col.ids, id)
-		col.data = append(col.data, vec...)
-	}
-	return nil
 }
 
 // LoadSegmented reads a segmented snapshot and rebuilds every frozen
@@ -269,51 +310,18 @@ func loadVectors(r io.Reader, col *Collection, dim int) error {
 // byte-identical approximate answers.
 func LoadSegmented(r io.Reader) (*SegmentedCollection, error) {
 	br := bufio.NewReader(r)
-	head := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("vectordb: reading segmented magic: %w", err)
+	if err := readMagic(br, segMagic, "LOVOSG1\n"); err != nil {
+		return nil, err
 	}
-	if string(head) != segMagic {
-		return nil, fmt.Errorf("vectordb: bad segmented magic %q", head)
-	}
-	name, err := readString(br)
+	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	var dim uint32
-	if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
+	var meta [3]int64 // sealThreshold, compactFanIn, seq
+	if err := binary.Read(br, binary.LittleEndian, &meta); err != nil {
 		return nil, err
 	}
-	var norm uint8
-	if err := binary.Read(br, binary.LittleEndian, &norm); err != nil {
-		return nil, err
-	}
-	kind, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	raw := make([]int64, 6)
-	for i := range raw {
-		if err := binary.Read(br, binary.LittleEndian, &raw[i]); err != nil {
-			return nil, err
-		}
-	}
-	var keep uint8
-	if err := binary.Read(br, binary.LittleEndian, &keep); err != nil {
-		return nil, err
-	}
-	opts := IndexOptions{
-		NList: int(raw[0]), P: int(raw[1]), M: int(raw[2]),
-		M0: int(raw[3]), EfConstruction: int(raw[4]), Seed: uint64(raw[5]),
-		KeepRaw: keep == 1,
-	}
-	meta := make([]int64, 3)
-	for i := range meta {
-		if err := binary.Read(br, binary.LittleEndian, &meta[i]); err != nil {
-			return nil, err
-		}
-	}
-	s, err := NewSegmented(name, Schema{Dim: int(dim), Normalize: norm == 1}, IndexKind(kind), opts, int(meta[0]))
+	s, err := NewSegmented(h.name, h.schema, h.kind, h.opts, int(meta[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -323,115 +331,28 @@ func LoadSegmented(r io.Reader) (*SegmentedCollection, error) {
 		return nil, err
 	}
 	for si := uint32(0); si < count; si++ {
-		lohi := make([]int64, 2)
-		for i := range lohi {
-			if err := binary.Read(br, binary.LittleEndian, &lohi[i]); err != nil {
-				return nil, err
-			}
-		}
-		lo, hi := int(lohi[0]), int(lohi[1])
-		colName := fmt.Sprintf("%s/seg-%d", name, lo)
-		if hi != lo {
-			colName = fmt.Sprintf("%s/seg-%d-%d", name, lo, hi)
-		}
-		col := &Collection{name: colName, schema: s.schema, byID: make(map[int64]int)}
-		if err := loadVectors(br, col, int(dim)); err != nil {
+		var lohi [2]int64
+		if err := binary.Read(br, binary.LittleEndian, &lohi); err != nil {
 			return nil, err
 		}
-		segOpts := opts
-		segOpts.Seed = segSeed(opts.Seed, lo, hi)
+		lo, hi := int(lohi[0]), int(lohi[1])
+		col := newCollection(segName(h.name, lo, hi), s.schema)
+		if err := readRows(br, col.rows); err != nil {
+			return nil, err
+		}
+		segOpts := h.opts
+		segOpts.Seed = segSeed(h.opts.Seed, lo, hi)
 		if err := col.BuildIndex(s.kind, segOpts); err != nil {
 			return nil, fmt.Errorf("vectordb: rebuilding segment [%d,%d] index: %w", lo, hi, err)
 		}
 		s.sealed = append(s.sealed, &segment{col: col, lo: lo, hi: hi})
 	}
-	if err := loadVectors(br, s.growing, int(dim)); err != nil {
+	if err := readRows(br, s.growing.rows); err != nil {
 		return nil, err
 	}
 	// Restore the seal sequence last: the growing segment NewSegmented
 	// created consumed seq 1, but the saver's counter wins.
 	s.seq = int(meta[2])
-	s.growing.name = fmt.Sprintf("%s/seg-%d", name, s.seq)
+	s.growing.name = segName(h.name, s.seq, s.seq)
 	return s, nil
-}
-
-// Load reads a snapshot and rebuilds indexes.
-func Load(r io.Reader) (*DB, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("vectordb: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("vectordb: bad magic %q", head)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	db := New()
-	for ci := uint32(0); ci < count; ci++ {
-		name, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		var dim uint32
-		if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
-			return nil, err
-		}
-		var norm uint8
-		if err := binary.Read(br, binary.LittleEndian, &norm); err != nil {
-			return nil, err
-		}
-		kind, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		raw := make([]int64, 6)
-		for i := range raw {
-			if err := binary.Read(br, binary.LittleEndian, &raw[i]); err != nil {
-				return nil, err
-			}
-		}
-		var keep uint8
-		if err := binary.Read(br, binary.LittleEndian, &keep); err != nil {
-			return nil, err
-		}
-		opts := IndexOptions{
-			NList: int(raw[0]), P: int(raw[1]), M: int(raw[2]),
-			M0: int(raw[3]), EfConstruction: int(raw[4]), Seed: uint64(raw[5]),
-			KeepRaw: keep == 1,
-		}
-		col, err := db.CreateCollection(name, Schema{Dim: int(dim), Normalize: norm == 1})
-		if err != nil {
-			return nil, err
-		}
-		var n uint64
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		vec := make([]float32, dim)
-		for vi := uint64(0); vi < n; vi++ {
-			var id int64
-			if err := binary.Read(br, binary.LittleEndian, &id); err != nil {
-				return nil, err
-			}
-			for d := range vec {
-				var bits uint32
-				if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-					return nil, err
-				}
-				vec[d] = math.Float32frombits(bits)
-			}
-			if err := col.Insert(id, vec); err != nil {
-				return nil, err
-			}
-		}
-		if kind != "" {
-			if err := col.BuildIndex(IndexKind(kind), opts); err != nil {
-				return nil, fmt.Errorf("vectordb: rebuilding %q index for %q: %w", kind, name, err)
-			}
-		}
-	}
-	return db, nil
 }

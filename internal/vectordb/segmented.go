@@ -109,7 +109,8 @@ type SegmentStats struct {
 	// GrowingLen is the vector count of the mutable growing segment;
 	// SealedVectors the total across sealed+building segments.
 	GrowingLen, SealedVectors int
-	// RawBytes and IndexBytes mirror Stats for the respective states.
+	// RawBytes and IndexBytes mirror Stats for the respective states: the
+	// rows once, and the indexes without the rows they borrow.
 	RawBytes, IndexBytes int64
 	// Seals and Compactions count maintenance operations since creation.
 	Seals, Compactions uint64
@@ -122,8 +123,8 @@ const DefaultSegmentSize = 4096
 // NewSegmented creates a segmented collection. sealThreshold <= 0 selects
 // DefaultSegmentSize.
 func NewSegmented(name string, schema Schema, kind IndexKind, opts IndexOptions, sealThreshold int) (*SegmentedCollection, error) {
-	if schema.Dim <= 0 {
-		return nil, fmt.Errorf("%w: dim %d", ErrDimension, schema.Dim)
+	if err := checkDim(schema.Dim); err != nil {
+		return nil, err
 	}
 	if sealThreshold <= 0 {
 		sealThreshold = DefaultSegmentSize
@@ -143,11 +144,15 @@ func NewSegmented(name string, schema Schema, kind IndexKind, opts IndexOptions,
 
 func (s *SegmentedCollection) newSegment() *Collection {
 	s.seq++
-	return &Collection{
-		name:   fmt.Sprintf("%s/seg-%d", s.name, s.seq),
-		schema: s.schema,
-		byID:   make(map[int64]int),
+	return newCollection(segName(s.name, s.seq, s.seq), s.schema)
+}
+
+// segName names the segment covering seal sequences [lo, hi].
+func segName(base string, lo, hi int) string {
+	if lo == hi {
+		return fmt.Sprintf("%s/seg-%d", base, lo)
 	}
+	return fmt.Sprintf("%s/seg-%d-%d", base, lo, hi)
 }
 
 // segSeed derives the index seed for the segment covering seal sequences
@@ -207,12 +212,12 @@ func (s *SegmentedCollection) Insert(id int64, v mat.Vec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, seg := range s.sealed {
-		if _, dup := seg.col.byID[id]; dup {
+		if _, dup := seg.col.rows.Pos(id); dup {
 			return fmt.Errorf("%w: %d", ErrDuplicate, id)
 		}
 	}
 	for _, seg := range s.building {
-		if _, dup := seg.col.byID[id]; dup {
+		if _, dup := seg.col.rows.Pos(id); dup {
 			return fmt.Errorf("%w: %d", ErrDuplicate, id)
 		}
 	}
@@ -378,22 +383,17 @@ func (s *SegmentedCollection) compactMembers(members []*segment) (*segment, Main
 	tr := obs.NewTrace(obs.NewID())
 	root := tr.Root("maint.compact")
 	lo, hi := members[0].lo, members[len(members)-1].hi
-	col := &Collection{
-		name:   fmt.Sprintf("%s/seg-%d-%d", s.name, lo, hi),
-		schema: s.schema,
-		byID:   make(map[int64]int),
-	}
+	col := newCollection(segName(s.name, lo, hi), s.schema)
 	sp := root.Child("merge")
 	// Rows are copied bit-exact — NOT re-inserted through Insert, whose
 	// re-normalisation would perturb already-normalised floats by an ulp
 	// and break the exact-search bit-identity contract across a compaction.
+	// Members are immutable and hold disjoint ids, so their rows are read
+	// without their locks and no append is refused.
 	for _, m := range members {
-		m.col.Scan(func(id int64, v mat.Vec) bool {
-			col.byID[id] = len(col.ids)
-			col.ids = append(col.ids, id)
-			col.data = append(col.data, v...)
-			return true
-		})
+		for i := 0; i < m.col.rows.Len(); i++ {
+			col.rows.Append(m.col.rows.ID(i), m.col.rows.Row(i))
+		}
 	}
 	sp.End()
 	ev := MaintEvent{Op: "compact", Segments: len(members), Vectors: col.Len()}

@@ -12,7 +12,7 @@ import (
 func newSeg(t *testing.T, threshold int) *SegmentedCollection {
 	t.Helper()
 	s, err := NewSegmented("patches", Schema{Dim: dim, Normalize: true},
-		IndexIMI, IndexOptions{P: 4, M: 16, KeepRaw: true, Seed: 9}, threshold)
+		IndexIMI, IndexOptions{P: 4, M: 16, Seed: 9}, threshold)
 	if err != nil {
 		t.Fatal(err)
 	}

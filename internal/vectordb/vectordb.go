@@ -56,18 +56,20 @@ type IndexOptions struct {
 	NList int
 	// P and M shape the product quantizer (IVF-PQ residuals, IMI cells).
 	P, M int
-	// KeepRaw retains raw vectors inside quantizing indexes for exact
-	// re-scoring.
-	KeepRaw bool
 	// M0 and EfConstruction shape the HNSW graph.
 	M0, EfConstruction int
 	// Seed drives training and level sampling.
 	Seed uint64
 }
 
+// MaxDim bounds a collection's dimensionality. CreateCollection and
+// NewSegmented enforce it, and the snapshot loaders check a decoded dim
+// against it before sizing anything from it.
+const MaxDim = 1 << 16
+
 // Schema describes a collection.
 type Schema struct {
-	// Dim is the vector dimensionality.
+	// Dim is the vector dimensionality, in (0, MaxDim].
 	Dim int
 	// Normalize, when set, L2-normalises vectors on insert so inner
 	// product equals cosine similarity (Section V-A).
@@ -84,14 +86,14 @@ var (
 )
 
 // Collection is a named set of (id, vector) pairs with an optional index.
+// Its rows are the only resident copy of its vectors: the index borrows
+// them, and rows are appended only under the write lock.
 type Collection struct {
 	name   string
 	schema Schema
 
 	mu      sync.RWMutex
-	ids     []int64
-	byID    map[int64]int
-	data    []float32 // row-major raw vectors
+	rows    *ann.Rows
 	index   ann.Index
 	kind    IndexKind
 	options IndexOptions
@@ -113,17 +115,30 @@ func New() *DB {
 	return &DB{collections: make(map[string]*Collection)}
 }
 
+// checkDim rejects a dimensionality outside (0, MaxDim].
+func checkDim(dim int) error {
+	if dim <= 0 || dim > MaxDim {
+		return fmt.Errorf("%w: dim %d outside (0, %d]", ErrDimension, dim, MaxDim)
+	}
+	return nil
+}
+
+// newCollection returns an empty, unregistered collection.
+func newCollection(name string, schema Schema) *Collection {
+	return &Collection{name: name, schema: schema, rows: ann.NewRows(schema.Dim)}
+}
+
 // CreateCollection adds a new collection.
 func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) {
-	if schema.Dim <= 0 {
-		return nil, fmt.Errorf("%w: dim %d", ErrDimension, schema.Dim)
+	if err := checkDim(schema.Dim); err != nil {
+		return nil, err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, ok := db.collections[name]; ok {
 		return nil, fmt.Errorf("%w: collection %q", ErrExists, name)
 	}
-	c := &Collection{name: name, schema: schema, byID: make(map[int64]int)}
+	c := newCollection(name, schema)
 	db.collections[name] = c
 	return c, nil
 }
@@ -172,7 +187,7 @@ func (c *Collection) Schema() Schema { return c.schema }
 func (c *Collection) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.ids)
+	return c.rows.Len()
 }
 
 // Insert stores one vector. If an index is built, the vector also enters
@@ -183,20 +198,15 @@ func (c *Collection) Insert(id int64, v mat.Vec) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.byID[id]; dup {
+	row, ok := c.rows.Append(id, v)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrDuplicate, id)
 	}
-	w := mat.Clone(v)
 	if c.schema.Normalize {
-		mat.Normalize(w)
+		mat.Normalize(c.rows.Row(row))
 	}
-	c.byID[id] = len(c.ids)
-	c.ids = append(c.ids, id)
-	c.data = append(c.data, w...)
 	if c.index != nil {
-		if err := c.index.Add(id, w); err != nil {
-			return fmt.Errorf("vectordb: index insert: %w", err)
-		}
+		c.index.Add(row)
 		c.indexBytes = -1
 	}
 	return nil
@@ -215,11 +225,6 @@ func (c *Collection) InsertBatch(ids []int64, vecs []mat.Vec) error {
 	return nil
 }
 
-// vector returns row i of the raw store (caller must hold the lock).
-func (c *Collection) vector(i int) mat.Vec {
-	return c.data[i*c.schema.Dim : (i+1)*c.schema.Dim]
-}
-
 // Scan visits every stored vector in insertion order until fn returns
 // false. The visited slice aliases the store — fn must not retain or
 // mutate it — and the collection is read-locked for the whole scan, so fn
@@ -227,8 +232,8 @@ func (c *Collection) vector(i int) mat.Vec {
 func (c *Collection) Scan(fn func(id int64, v mat.Vec) bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for i, id := range c.ids {
-		if !fn(id, c.vector(i)) {
+	for i := 0; i < c.rows.Len(); i++ {
+		if !fn(c.rows.ID(i), c.rows.Row(i)) {
 			return
 		}
 	}
@@ -238,49 +243,28 @@ func (c *Collection) Scan(fn func(id int64, v mat.Vec) bool) {
 func (c *Collection) Vector(id int64) (mat.Vec, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	i, ok := c.byID[id]
+	i, ok := c.rows.Pos(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	return mat.Clone(c.vector(i)), nil
+	return mat.Clone(c.rows.Row(i)), nil
 }
 
-// constructIndex builds an index over aligned ids and row-major data
-// without touching any lock — the shared core of BuildIndex and
-// BuildIndexSealed.
-func constructIndex(dim int, ids []int64, data []float32, kind IndexKind, opts IndexOptions) (ann.Index, error) {
-	if len(ids) == 0 {
+// constructIndex builds an index over every row without touching any lock
+// — the shared core of BuildIndex and BuildIndexSealed.
+func constructIndex(rows *ann.Rows, kind IndexKind, opts IndexOptions) (ann.Index, error) {
+	if rows.Len() == 0 {
 		return nil, ErrEmptyBuild
-	}
-	vecs := make([]mat.Vec, len(ids))
-	for i := range ids {
-		vecs[i] = data[i*dim : (i+1)*dim]
 	}
 	switch kind {
 	case IndexFlat:
-		fl := flat.New(dim)
-		for i, id := range ids {
-			if err := fl.Add(id, vecs[i]); err != nil {
-				return nil, err
-			}
-		}
-		return fl, nil
+		return flat.New(rows), nil
 	case IndexIVFPQ:
-		return ivfpq.Build(ids, vecs, ivfpq.Config{
-			NList: opts.NList, P: opts.P, M: opts.M, KeepRaw: opts.KeepRaw, Seed: opts.Seed,
-		})
+		return ivfpq.Build(rows, ivfpq.Config{NList: opts.NList, P: opts.P, M: opts.M, Seed: opts.Seed})
 	case IndexIMI:
-		return imi.Build(ids, vecs, imi.Config{
-			P: opts.P, M: opts.M, KeepRaw: opts.KeepRaw, Seed: opts.Seed,
-		})
+		return imi.Build(rows, imi.Config{P: opts.P, M: opts.M, Seed: opts.Seed})
 	case IndexHNSW:
-		hn := hnsw.New(dim, hnsw.Config{M: opts.M0, EfConstruction: opts.EfConstruction, Seed: opts.Seed})
-		for i, id := range ids {
-			if err := hn.Add(id, vecs[i]); err != nil {
-				return nil, err
-			}
-		}
-		return hn, nil
+		return hnsw.New(rows, hnsw.Config{M: opts.M0, EfConstruction: opts.EfConstruction, Seed: opts.Seed}), nil
 	default:
 		return nil, fmt.Errorf("vectordb: unknown index kind %q", kind)
 	}
@@ -292,7 +276,7 @@ func constructIndex(dim int, ids []int64, data []float32, kind IndexKind, opts I
 func (c *Collection) BuildIndex(kind IndexKind, opts IndexOptions) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ix, err := constructIndex(c.schema.Dim, c.ids, c.data, kind, opts)
+	ix, err := constructIndex(c.rows, kind, opts)
 	if err != nil {
 		return err
 	}
@@ -307,17 +291,13 @@ func (c *Collection) installIndex(ix ann.Index, kind IndexKind, opts IndexOption
 	c.indexBytes = ix.Memory()
 }
 
-// BuildIndexSealed constructs the index off-lock: the vector set is
-// snapshotted under a brief read lock, the index is built with no lock
-// held (searches keep answering from the exact-scan fallback throughout),
-// and the finished index is installed under a brief write lock. The caller
-// must guarantee no concurrent Insert — the contract a sealed, immutable
-// segment satisfies by construction.
+// BuildIndexSealed constructs the index off-lock: the index reads the rows
+// with no lock held (searches keep answering from the exact scan
+// throughout), and the finished index is installed under a brief write
+// lock. The caller must guarantee no concurrent Insert — the contract a
+// sealed, immutable segment satisfies by construction.
 func (c *Collection) BuildIndexSealed(kind IndexKind, opts IndexOptions) error {
-	c.mu.RLock()
-	ids, data := c.ids, c.data
-	c.mu.RUnlock()
-	ix, err := constructIndex(c.schema.Dim, ids, data, kind, opts)
+	ix, err := constructIndex(c.rows, kind, opts)
 	if err != nil {
 		return err
 	}
@@ -335,7 +315,7 @@ func (c *Collection) IndexKind() IndexKind {
 }
 
 // Search returns the k most similar stored vectors. Unindexed collections
-// fall back to an exact scan over raw vectors.
+// answer with the exact scan over their rows.
 func (c *Collection) Search(q mat.Vec, k int, p ann.Params) ([]mat.Scored, error) {
 	if len(q) != c.schema.Dim {
 		return nil, fmt.Errorf("%w: query %d != %d", ErrDimension, len(q), c.schema.Dim)
@@ -345,42 +325,21 @@ func (c *Collection) Search(q mat.Vec, k int, p ann.Params) ([]mat.Scored, error
 	if c.index != nil {
 		return c.index.Search(q, k, p), nil
 	}
-	if k <= 0 || len(c.ids) == 0 {
-		return nil, nil
-	}
-	// Unindexed fallback: the same blocked-kernel full scan the flat index
-	// runs, over the collection's contiguous raw storage.
-	top := mat.GetTopK(k)
-	defer mat.PutTopK(top)
-	scratch := mat.GetScratch(mat.ScanBlock)
-	defer scratch.Release()
-	dim := c.schema.Dim
-	for start := 0; start < len(c.ids); start += mat.ScanBlock {
-		end := start + mat.ScanBlock
-		if end > len(c.ids) {
-			end = len(c.ids)
-		}
-		scores := mat.ScoreRows(scratch.Buf[:end-start], q, c.data[start*dim:end*dim], dim)
-		for i, s := range scores {
-			top.Push(c.ids[start+i], s)
-		}
-	}
-	return top.Sorted(), nil
+	return c.rows.TopK(q, k), nil
 }
 
-// batchSearcher is the optional index fast path SearchBatch dispatches to:
-// an index that can answer many queries in one cache-blocked sweep over its
-// storage (flat implements it via mat.ScoreRowsBatch). Results must be
-// bit-identical to per-query Search calls.
+// batchSearcher is the optional index fast path SearchBatch dispatches to
+// for approximate plans: an index that answers many queries at once
+// (flat). Results must be bit-identical to per-query Search calls.
 type batchSearcher interface {
 	SearchBatch(qs []mat.Vec, k int, p ann.Params) [][]mat.Scored
 }
 
 // SearchBatch answers many queries under one set of search parameters,
-// results aligned with qs. When the built index implements batchSearcher the
-// whole batch shares one memory sweep; otherwise (other index kinds, or the
-// unindexed fallback) each query runs through the same code path Search
-// uses. Either way the results are bit-identical to per-query Search calls.
+// results aligned with qs and bit-identical to per-query Search calls. An
+// unindexed collection or an exhaustive plan is one sweep over the rows
+// (ann.Rows.TopKBatch) whatever the index kind; otherwise a batchSearcher
+// index answers the batch and any other index each query in turn.
 func (c *Collection) SearchBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Scored, error) {
 	for i, q := range qs {
 		if len(q) != c.schema.Dim {
@@ -389,54 +348,15 @@ func (c *Collection) SearchBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Sco
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	if c.index == nil || p.Exhaustive {
+		return c.rows.TopKBatch(qs, k), nil
+	}
 	if bs, ok := c.index.(batchSearcher); ok {
 		return bs.SearchBatch(qs, k, p), nil
 	}
 	out := make([][]mat.Scored, len(qs))
-	if c.index != nil {
-		for i, q := range qs {
-			out[i] = c.index.Search(q, k, p)
-		}
-		return out, nil
-	}
-	if k <= 0 || len(c.ids) == 0 {
-		return out, nil
-	}
-	// Unindexed fallback: the blocked full scan of Search, but every
-	// ScanBlock chunk of rows is scored by ALL queries while cache-resident
-	// (mat.ScoreRowsBatch) — one memory pass instead of len(qs).
-	tops := make([]*mat.TopK, len(qs))
-	for i := range qs {
-		tops[i] = mat.GetTopK(k)
-	}
-	defer func() {
-		for _, t := range tops {
-			mat.PutTopK(t)
-		}
-	}()
-	scratch := mat.GetScratch(len(qs) * mat.ScanBlock)
-	defer scratch.Release()
-	dim := c.schema.Dim
-	dsts := make([][]float32, len(qs))
-	for start := 0; start < len(c.ids); start += mat.ScanBlock {
-		end := start + mat.ScanBlock
-		if end > len(c.ids) {
-			end = len(c.ids)
-		}
-		n := end - start
-		for j := range dsts {
-			off := j * mat.ScanBlock
-			dsts[j] = scratch.Buf[off : off+n : off+mat.ScanBlock]
-		}
-		mat.ScoreRowsBatch(dsts, qs, c.data[start*dim:end*dim], dim)
-		for j := range qs {
-			for i, s := range dsts[j] {
-				tops[j].Push(c.ids[start+i], s)
-			}
-		}
-	}
-	for j := range qs {
-		out[j] = tops[j].Sorted()
+	for i, q := range qs {
+		out[i] = c.index.Search(q, k, p)
 	}
 	return out, nil
 }
@@ -447,9 +367,11 @@ type Stats struct {
 	Count     int
 	Dim       int
 	IndexKind IndexKind
-	// RawBytes is the raw vector storage footprint.
+	// RawBytes is the footprint of the rows — the one resident copy of
+	// every vector and id.
 	RawBytes int64
-	// IndexBytes is the index's resident estimate.
+	// IndexBytes is the index's own resident estimate (codes, lists,
+	// centroids, graph, int8 sidecar); it never counts the borrowed rows.
 	IndexBytes int64
 }
 
@@ -459,10 +381,10 @@ func (c *Collection) Stats() Stats {
 	defer c.mu.RUnlock()
 	s := Stats{
 		Name:      c.name,
-		Count:     len(c.ids),
+		Count:     c.rows.Len(),
 		Dim:       c.schema.Dim,
 		IndexKind: c.kind,
-		RawBytes:  int64(len(c.data))*4 + int64(len(c.ids))*8,
+		RawBytes:  c.rows.Bytes(),
 	}
 	if c.index != nil {
 		if s.IndexBytes = c.indexBytes; s.IndexBytes < 0 {

@@ -118,7 +118,7 @@ func TestBuildIndexKinds(t *testing.T) {
 			db := New()
 			c, _ := db.CreateCollection("x", Schema{Dim: dim, Normalize: true})
 			fill(t, c, 300)
-			err := c.BuildIndex(kind, IndexOptions{P: 4, M: 16, NList: 8, KeepRaw: true, Seed: 9})
+			err := c.BuildIndex(kind, IndexOptions{P: 4, M: 16, NList: 8, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,6 +131,24 @@ func TestBuildIndexKinds(t *testing.T) {
 			}
 			if len(res) != 10 {
 				t.Fatalf("got %d results", len(res))
+			}
+			// Batch vs lone: SearchBatch answers every query exactly as
+			// Search does — approximate plans through the index,
+			// exhaustive plans as one sweep over the rows that must also
+			// equal the flat oracle (one mat.Dot per row) bit for bit.
+			qs := []mat.Vec{unit(123), unit(5), unit(77)}
+			for _, p := range []ann.Params{{NProbe: 8, Ef: 64}, {Exhaustive: true}} {
+				batch, err := c.SearchBatch(qs, 10, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, q := range qs {
+					lone, _ := c.Search(q, 10, p)
+					sameHits(t, batch[j], lone, "batch vs lone")
+					if p.Exhaustive {
+						sameHits(t, lone, oracle(c, q, 10), "exhaustive vs oracle")
+					}
+				}
 			}
 			st := c.Stats()
 			if st.IndexBytes <= 0 || st.RawBytes <= 0 || st.Count != 300 {
@@ -168,7 +186,7 @@ func TestInsertAfterBuildFlowsToIndex(t *testing.T) {
 	db := New()
 	c, _ := db.CreateCollection("x", Schema{Dim: dim, Normalize: true})
 	fill(t, c, 150)
-	if err := c.BuildIndex(IndexIMI, IndexOptions{P: 4, M: 16, KeepRaw: true, Seed: 3}); err != nil {
+	if err := c.BuildIndex(IndexIMI, IndexOptions{P: 4, M: 16, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	nv := unit(777)
@@ -250,7 +268,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	db := New()
 	c, _ := db.CreateCollection("patches", Schema{Dim: dim, Normalize: true})
 	fill(t, c, 200)
-	if err := c.BuildIndex(IndexIMI, IndexOptions{P: 4, M: 16, KeepRaw: true, Seed: 4}); err != nil {
+	if err := c.BuildIndex(IndexIMI, IndexOptions{P: 4, M: 16, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
 	c2, _ := db.CreateCollection("frames", Schema{Dim: dim})
@@ -299,25 +317,45 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestStatsShrinkWithQuantization(t *testing.T) {
-	// The keyframe ablation reports large raw storage vs compact index
-	// storage; IMI codes must be far smaller than raw vectors.
-	db := New()
-	c, _ := db.CreateCollection("x", Schema{Dim: 64, Normalize: true})
-	rng := rand.New(rand.NewPCG(1, 2))
-	for i := 0; i < 500; i++ {
-		v := make(mat.Vec, 64)
-		for d := range v {
-			v[d] = float32(rng.NormFloat64())
-		}
-		if err := c.Insert(int64(i+1), v); err != nil {
-			t.Fatal(err)
-		}
+	// Every vector is resident once, in the collection's rows: RawBytes
+	// counts them and IndexBytes — the index's own codes, lists, graph or
+	// int8 sidecar — stays below even one float32 copy of them, on every
+	// index kind.
+	const n, d = 500, 64
+	for _, kind := range []IndexKind{IndexFlat, IndexIVFPQ, IndexIMI, IndexHNSW} {
+		t.Run(string(kind), func(t *testing.T) {
+			c, _ := New().CreateCollection("x", Schema{Dim: d, Normalize: true})
+			rng := rand.New(rand.NewPCG(1, 2))
+			for i := 0; i < n; i++ {
+				v := make(mat.Vec, d)
+				for j := range v {
+					v[j] = float32(rng.NormFloat64())
+				}
+				if err := c.Insert(int64(i+1), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.BuildIndex(kind, IndexOptions{P: 4, M: 32, Seed: 5}); err != nil {
+				t.Fatal(err)
+			}
+			st := c.Stats()
+			const rowBytes = n * d * 4
+			if st.RawBytes != rowBytes+n*8 {
+				t.Fatalf("raw bytes %d, want %d", st.RawBytes, rowBytes+n*8)
+			}
+			if st.IndexBytes <= 0 || st.IndexBytes >= rowBytes {
+				t.Fatalf("index bytes %d must be positive and below one copy of the rows (%d B)", st.IndexBytes, rowBytes)
+			}
+		})
 	}
-	if err := c.BuildIndex(IndexIMI, IndexOptions{P: 4, M: 32, KeepRaw: false, Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.IndexBytes >= st.RawBytes {
-		t.Fatalf("quantized index (%d B) should undercut raw storage (%d B)", st.IndexBytes, st.RawBytes)
-	}
+}
+
+// oracle is the exact top-k by one mat.Dot per stored row.
+func oracle(c *Collection, q mat.Vec, k int) []mat.Scored {
+	top := mat.NewTopK(k)
+	c.Scan(func(id int64, v mat.Vec) bool {
+		top.Push(id, mat.Dot(q, v))
+		return true
+	})
+	return top.Sorted()
 }
