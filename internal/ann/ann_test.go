@@ -3,6 +3,7 @@ package ann_test
 import (
 	"math"
 	"math/rand/v2"
+	"os"
 	"testing"
 
 	"repro/internal/ann"
@@ -333,6 +334,53 @@ func TestTopKBatchMatchesTopK(t *testing.T) {
 	}
 	if got := ann.NewRows(dim).TopKBatch([]mat.Vec{mat.NewVec(dim)}, 3); len(got) != 1 || got[0] != nil {
 		t.Fatalf("empty store: %v", got)
+	}
+}
+
+// TestTopKBatchBeatsLoneScans is CI's bench-smoke gate: one TopKBatch sweep
+// at Q=8 over rows that outgrow the cache must outrun 8 lone TopK scans of
+// the same rows. It measures, so it only runs when LOVO_BENCH_SMOKE=1 (a
+// dedicated CI step on a quiet runner); the margin sits below the
+// 1.40–1.50x measured at this size, and best-of-3 damps scheduler noise
+// without hiding a real regression to parity.
+func TestTopKBatchBeatsLoneScans(t *testing.T) {
+	if os.Getenv("LOVO_BENCH_SMOKE") != "1" {
+		t.Skip("set LOVO_BENCH_SMOKE=1 to run the bench-smoke gate")
+	}
+	const (
+		n      = 131072
+		qn     = 8
+		k      = 100
+		margin = 1.15
+	)
+	rows := ann.NewRows(dim)
+	for i := 0; i < n; i++ {
+		rows.Append(int64(i), mat.UnitGaussianVec(dim, uint64(i)))
+	}
+	qs := make([]mat.Vec, qn)
+	for j := range qs {
+		qs[j] = mat.UnitGaussianVec(dim, uint64(n+j))
+	}
+	best := 0.0
+	for attempt := 0; attempt < 3 && best < margin; attempt++ {
+		lone := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range qs {
+					rows.TopK(q, k)
+				}
+			}
+		})
+		batch := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows.TopKBatch(qs, k)
+			}
+		})
+		speedup := float64(lone.NsPerOp()) / float64(batch.NsPerOp())
+		t.Logf("attempt %d: TopKBatch at Q=%d %.2fx over %d lone TopK scans", attempt+1, qn, speedup, qn)
+		best = max(best, speedup)
+	}
+	if best < margin {
+		t.Fatalf("batched sweep best-of-3 = %.2fx, want >= %.2fx over %d lone scans", best, margin, qn)
 	}
 }
 

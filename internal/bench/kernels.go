@@ -49,8 +49,9 @@ func init() {
 //   - int8 scan: the same flat scan through the recall-gated int8
 //     sidecar (quantized sweep + exact shortlist re-score) against the
 //     float sweep at the widest tier;
-//   - batched scan: ScoreRowsBatch at Q=2/4/8 queries per row pass
-//     against Q independent ScoreRows sweeps — the gate is ≥1.3x at Q=8;
+//   - batched scan: ann.Rows.TopKBatch (the exact scan every index's
+//     exhaustive mode and the flat index run) at Q=2/4/8 queries per sweep
+//     against Q lone TopK scans — CI gates Q=8 at ≥1.15x;
 //   - end-to-end: p50/p99 query latency of full LOVO systems at several
 //     dataset scales and index kinds, all running on the kernel layer.
 //
@@ -198,17 +199,20 @@ func kernelsExperiment(o Options) (*Table, error) {
 	gfToks := (&embed.TextEncoder{Space: gfSpace}).Tokens(query.Parse(
 		"A red car side by side with another car, both positioned in the center of the road."))
 	gfFrame := syntheticFrame(0, 6)
-	groundFrame := func(simd bool) func(b *testing.B) {
+	groundFrame := func(tier string) func(b *testing.B) {
 		return func(b *testing.B) {
-			prev := mat.SetVectorKernels(simd)
-			defer mat.SetVectorKernels(prev)
+			prev, err := mat.SetKernelTier(tier)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mat.SetKernelTier(prev)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gfModel.GroundFrame(gfFrame, gfToks)
 			}
 		}
 	}
-	micro(fmt.Sprintf("ground frame [%s]", mat.KernelTier()), groundFrame(false), groundFrame(true))
+	micro(fmt.Sprintf("ground frame [%s]", mat.KernelTier()), groundFrame(mat.TierPurego), groundFrame(mat.KernelTier()))
 
 	// PQ table build + list scan against the seed's [][]float32 layout.
 	pqData := make([]mat.Vec, 256)
@@ -372,36 +376,36 @@ func kernelsExperiment(o Options) (*Table, error) {
 	}
 
 	// --- Cross-query batched scan ---------------------------------------
-	// One ScoreRowsBatch sweep over the block vs Q independent ScoreRows
-	// sweeps: same rows touched, 1/Q the memory traffic per query.
-	batchRows := 16384
+	// One ann.Rows.TopKBatch sweep vs Q lone TopK scans over the same rows:
+	// same scores and heaps, 1/Q the memory traffic per query. The rows are
+	// sized past the last-level cache, where the shared sweep pays.
+	batchRows := 131072
 	if o.Quick {
-		batchRows = 4096
+		batchRows = 16384
 	}
-	batchBlock := randVec(dim * batchRows)
+	scanRows := ann.NewRows(dim)
+	for i := 0; i < batchRows; i++ {
+		scanRows.Append(int64(i), mat.Normalize(randVec(dim)))
+	}
 	const maxQ = 8
 	batchQs := make([]mat.Vec, maxQ)
 	for i := range batchQs {
 		batchQs[i] = mat.Normalize(randVec(dim))
 	}
-	batchDsts := make([][]float32, maxQ)
-	for i := range batchDsts {
-		batchDsts[i] = make([]float32, batchRows)
-	}
 	var batch8Speedup float64
 	for _, qn := range []int{2, 4, 8} {
-		baseNs, optNs, _ := micro(fmt.Sprintf("score batch Q=%d rows=%d [%s]", qn, batchRows, widest),
+		baseNs, optNs, _ := micro(fmt.Sprintf("topk batch Q=%d rows=%d k=100 [%s]", qn, batchRows, widest),
 			func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					for qi := 0; qi < qn; qi++ {
-						mat.ScoreRows(batchDsts[qi], batchQs[qi], batchBlock, dim)
+					for _, q := range batchQs[:qn] {
+						scanRows.TopK(q, 100)
 					}
 				}
 			},
 			func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					mat.ScoreRowsBatch(batchDsts[:qn], batchQs[:qn], batchBlock, dim)
+					scanRows.TopKBatch(batchQs[:qn], 100)
 				}
 			})
 		if qn == maxQ {
@@ -434,13 +438,16 @@ func kernelsExperiment(o Options) (*Table, error) {
 			if o.Quick {
 				queries = 12
 			}
-			// Same binary, same systems: the portable kernels stand in for
-			// "before" and the SIMD kernels for "after" (both orders are
+			// Same binary, same systems: the portable tier stands in for
+			// "before" and the widest tier for "after" (both are
 			// bit-identical, so the answers must agree exactly). One warm
 			// pass first so both measured runs see hot caches.
-			runOnce := func(simd bool) ([]time.Duration, []*core.Result, error) {
-				prev := mat.SetVectorKernels(simd)
-				defer mat.SetVectorKernels(prev)
+			runOnce := func(tier string) ([]time.Duration, []*core.Result, error) {
+				prev, err := mat.SetKernelTier(tier)
+				if err != nil {
+					return nil, nil, err
+				}
+				defer mat.SetKernelTier(prev)
 				lat := make([]time.Duration, 0, queries)
 				answers := make([]*core.Result, 0, queries)
 				for i := 0; i < queries; i++ {
@@ -456,14 +463,14 @@ func kernelsExperiment(o Options) (*Table, error) {
 				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 				return lat, answers, nil
 			}
-			if _, _, err := runOnce(true); err != nil { // warm-up
+			if _, _, err := runOnce(widest); err != nil { // warm-up
 				return nil, err
 			}
-			baseLat, baseAns, err := runOnce(false)
+			baseLat, baseAns, err := runOnce(mat.TierPurego)
 			if err != nil {
 				return nil, err
 			}
-			optLat, optAns, err := runOnce(true)
+			optLat, optAns, err := runOnce(widest)
 			if err != nil {
 				return nil, err
 			}
@@ -503,7 +510,7 @@ func kernelsExperiment(o Options) (*Table, error) {
 	}
 	t.Note("int8 sidecar scan over %s float sweep: %s — the 4x-smaller sidecar wins once the sweep outgrows cache; below that the shortlist re-score dominates (recall-gated, not bit-identical)",
 		widest, strings.Join(int8Parts, ", "))
-	t.Note("ScoreRowsBatch at Q=8 over 8 independent sweeps: %.2fx (acceptance gate: >= 1.3x)", batch8Speedup)
+	t.Note("ann.Rows.TopKBatch at Q=8 over 8 lone TopK scans: %.2fx (CI gate: >= 1.15x)", batch8Speedup)
 	t.Note("kernel reduction order is the canonical 4-lane order (see internal/mat/kernels.go); all query paths share it, so sharded/replicated answers stay byte-identical")
 	t.Note("allocs/op column is the kernel path; scan paths allocate only their result slice (pooled scratch + pooled top-k heaps)")
 	return t, nil

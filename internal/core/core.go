@@ -432,24 +432,13 @@ func (s *System) Built() bool {
 	return s.built
 }
 
-// searchVectors runs fast search against the configured store. The store
-// pointers are read under the lock so LoadSnapshot's store swap cannot
-// race a concurrent query.
-func (s *System) searchVectors(q []float32, k int, p ann.Params) ([]mat.Scored, error) {
-	s.mu.RLock()
-	col, seg := s.col, s.seg
-	s.mu.RUnlock()
-	if seg != nil {
-		return seg.Search(q, k, p)
-	}
-	return col.Search(q, k, p)
-}
-
-// searchVectorsBatch runs fast search for many queries sharing one (k,
-// params) shape. Monolithic stores route through Collection.SearchBatch so
-// the whole group shares one cache-blocked memory sweep; segmented stores
-// fall back to per-query search (segments already partition the scan).
-// Results align with qs and are bit-identical to per-query searchVectors.
+// searchVectorsBatch runs fast search against the configured store for
+// many queries sharing one (k, params) shape — a lone query is a batch of
+// one. Monolithic stores route through Collection.SearchBatch so the whole
+// group shares one cache-blocked memory sweep; segmented stores search
+// query by query (segments already partition the scan). Results align with
+// qs. The store pointers are read under the lock so LoadSnapshot's store
+// swap cannot race a concurrent query.
 func (s *System) searchVectorsBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Scored, error) {
 	s.mu.RLock()
 	col, seg := s.col, s.seg

@@ -12,7 +12,7 @@ import (
 // that can scatter stage 1 and stage 2. A single System is a one-leg
 // target; shard.Engine is an N-leg target whose stage-2 refs route to the
 // shard owning each keyframe; RPC workers sit behind either leg
-// transparently. ExecutePlan is the only composition of the stage
+// transparently. ExecutePlanBatch is the only composition of the stage
 // functions — core, engine and remote all answer through it, so equal
 // plans produce equal bytes on every deployment shape.
 //
@@ -21,80 +21,41 @@ import (
 // query's trace. It carries no cancellation semantics here: plans run to
 // completion for determinism.
 type PlanTarget interface {
-	// ScatterSearch runs stage 1 on every leg, returning one canonical
-	// (score desc, patch ID asc) hit list per leg.
-	ScatterSearch(ctx context.Context, text string, plan Plan) ([][]ResultObject, error)
-	// ScatterSearchBatch runs stage 1 for MANY (text, plan) pairs in one
-	// call, so the target can amortize one memory sweep across the whole
-	// batch (flat scans score every query per cache-resident block; shard
-	// engines issue one scatter round-trip per backend instead of one per
-	// query). out[i][leg] is query i's canonical hit list from that leg,
-	// bit-identical to a per-query ScatterSearch call.
+	// ScatterSearchBatch runs stage 1 for a batch of (text, plan) pairs —
+	// a lone query is a batch of one — in one call per leg, so the target
+	// can amortize one memory sweep across the batch (queries with equal
+	// search shapes share a blocked scan) and a remote leg costs one round
+	// trip however many queries ride it. out[i][leg] is query i's canonical
+	// (score desc, patch ID asc) hit list from that leg.
 	ScatterSearchBatch(ctx context.Context, texts []string, plans []Plan) ([][][]ResultObject, error)
 	// ScatterGround runs stage 2 over the candidate frames; groundings
 	// align with refs.
 	ScatterGround(ctx context.Context, text string, refs []FrameRef, workers int) ([]Grounding, error)
 }
 
-// ExecutePlan runs Algorithm 2 under an explicit plan: scatter fast search,
-// merge to the global top-FastK, collapse to candidate frames, then either
-// return deduplicated hits (SkipRerank) or select the rerank budget, ground
-// each candidate and rank. workers bounds the stage-2 fan-out (zero
-// inherits the target's configuration); results are identical at every
-// width — and at every tracing setting: spans observe, never steer.
-func ExecutePlan(ctx context.Context, t PlanTarget, text string, plan Plan, workers int) (*Result, error) {
-	res := &Result{}
-	//lovo:nondeterministic-ok Result.FastSearch is reported stage latency; hit selection and order never read it
-	start := time.Now()
-	sctx, ssp := obs.Start(ctx, "stage1")
-	lists, err := t.ScatterSearch(sctx, text, plan)
+// ExecutePlan runs one query's plan: ExecutePlanBatch with a batch of one
+// and a single client, so workers keeps its meaning (zero inherits
+// cfg.Workers for the stage-2 fan-out).
+func ExecutePlan(ctx context.Context, t PlanTarget, cfg Config, text string, plan Plan, workers int) (*Result, error) {
+	res, err := ExecutePlanBatch(ctx, t, cfg, []string{text}, []Plan{plan}, workers, 1)
 	if err != nil {
-		ssp.End()
 		return nil, err
 	}
-	_, msp := obs.Start(sctx, "merge")
-	merged := MergeHits(lists, plan.FastK)
-	refs := CandidateFrames(merged)
-	if msp.On() {
-		msp.Detail(fmt.Sprintf("legs=%d hits=%d frames=%d", len(lists), len(merged), len(refs)))
-	}
-	msp.End()
-	ssp.End()
-	res.CandidateFrames = len(refs)
-	//lovo:nondeterministic-ok Result.FastSearch is reported stage latency; hit selection and order never read it
-	res.FastSearch = time.Since(start)
-
-	if plan.SkipRerank {
-		res.Objects = DedupHits(merged, plan.FastK)
-		return res, nil
-	}
-
-	//lovo:nondeterministic-ok Result.Rerank is reported stage latency; grounding ranks never read it
-	rstart := time.Now()
-	rctx, rsp := obs.Start(ctx, "rerank")
-	refs = SelectForRerank(refs, plan.RerankFrames)
-	if rsp.On() {
-		rsp.Detail(fmt.Sprintf("frames=%d", len(refs)))
-	}
-	groundings, err := t.ScatterGround(rctx, text, refs, workers)
-	if err != nil {
-		rsp.End()
-		return nil, err
-	}
-	res.Objects = RankGroundings(groundings, plan.TopN)
-	rsp.End()
-	//lovo:nondeterministic-ok Result.Rerank is reported stage latency; grounding ranks never read it
-	res.Rerank = time.Since(rstart)
-	return res, nil
+	return res[0], nil
 }
 
-// ExecutePlanBatch runs one plan per query against the target — the ONE
-// batch execution. Stage 1 for the WHOLE batch is one scatter call: queries
-// with identical search shapes share a single memory sweep. Only stage 2
-// (rerank) fans out per query, across at most clients goroutines (zero
-// inherits cfg.Workers). Plans are normalized against cfg; results align
-// with texts and are bit-identical to per-query ExecutePlan runs; the first
-// failing query (lowest index) reports its error once in-flight work drains.
+// ExecutePlanBatch runs Algorithm 2 under one explicit plan per query — the
+// ONE execution: scatter fast search, merge each query to its global
+// top-FastK, collapse to candidate frames, then either return deduplicated
+// hits (SkipRerank) or select the rerank budget, ground each candidate and
+// rank. Stage 1 for the WHOLE batch is one scatter call: queries with
+// identical search shapes share a single memory sweep. Only stage 2 fans
+// out per query, across at most clients goroutines (zero inherits
+// cfg.Workers); workers bounds each query's own grounding fan-out. Plans
+// are normalized against cfg; results align with texts, are identical at
+// every width and every tracing setting (spans observe, never steer) and
+// equal what each query answers alone; the first failing query (lowest
+// index) reports its error once in-flight work drains.
 func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []string, plans []Plan, workers, clients int) ([]*Result, error) {
 	if len(plans) != len(texts) {
 		return nil, fmt.Errorf("core: batch of %d texts given %d plans", len(texts), len(plans))
@@ -129,12 +90,14 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 	_, msp := obs.Start(sctx, "merge")
 	merged := make([][]ResultObject, len(texts))
 	refs := make([][]FrameRef, len(texts))
+	hits, frames := 0, 0
 	for i := range texts {
 		merged[i] = MergeHits(allLists[i], plans[i].FastK)
 		refs[i] = CandidateFrames(merged[i])
+		hits, frames = hits+len(merged[i]), frames+len(refs[i])
 	}
 	if msp.On() {
-		msp.Detail(fmt.Sprintf("queries=%d", len(texts)))
+		msp.Detail(fmt.Sprintf("queries=%d hits=%d frames=%d", len(texts), hits, frames))
 	}
 	msp.End()
 	ssp.End()
@@ -171,7 +134,7 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: batch query %d (%q): %w", i, texts[i], err)
+			return nil, fmt.Errorf("core: query %d (%q): %w", i, texts[i], err)
 		}
 	}
 	return results, nil
@@ -182,20 +145,18 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 // merged to the global top-FastK. It is the ONE recall measurement — the
 // planner's validation probe (on a System, or on one shard leg of an
 // engine), the conformance tests and the bench harness's "measured recall"
-// column all call it.
+// column all call it. Both sides travel as one two-query scatter, so a
+// remote leg pays one round trip for the pair.
 func StageRecall(ctx context.Context, t PlanTarget, text string, plan Plan) (float64, error) {
 	xp := plan
 	xp.Exact, xp.Int8, xp.ShardKs, xp.ShardK = true, false, nil, plan.FastK
-	var merged [2][]ResultObject
-	for i, p := range [2]Plan{xp, plan} {
-		lists, err := t.ScatterSearch(ctx, text, p)
-		if err != nil {
-			return 0, err
-		}
-		merged[i] = MergeHits(lists, plan.FastK)
+	lists, err := t.ScatterSearchBatch(ctx, []string{text, text}, []Plan{xp, plan})
+	if err != nil {
+		return 0, err
 	}
 	patchID := func(o ResultObject) int64 { return o.PatchID }
-	return recallOf(idSet(merged[0], patchID), merged[1], patchID), nil
+	exact := idSet(MergeHits(lists[0], plan.FastK), patchID)
+	return recallOf(exact, MergeHits(lists[1], plan.FastK), patchID), nil
 }
 
 // idSet collects the IDs of a hit list.
@@ -228,14 +189,6 @@ func (s *System) Target() PlanTarget { return systemTarget{s} }
 
 // systemTarget adapts a System to the one-leg PlanTarget.
 type systemTarget struct{ s *System }
-
-func (t systemTarget) ScatterSearch(ctx context.Context, text string, plan Plan) ([][]ResultObject, error) {
-	fh, err := t.s.SearchPlanned(ctx, text, plan)
-	if err != nil {
-		return nil, err
-	}
-	return [][]ResultObject{fh.Objects}, nil
-}
 
 func (t systemTarget) ScatterSearchBatch(ctx context.Context, texts []string, plans []Plan) ([][][]ResultObject, error) {
 	fhs, err := t.s.SearchPlannedBatch(ctx, texts, plans)

@@ -28,10 +28,10 @@ const (
 // Plan is an explicit, executable description of one query's two-stage
 // strategy: how wide stage 1 searches (exact vs approximate, per-shard k,
 // index effort knobs) and how wide stage 2 reranks. The shared executor
-// (ExecutePlan) runs a plan identically whether the stage legs are served
-// in-process, by a scatter-gather engine, or over RPC — equal plans yield
-// byte-identical answers on every deployment shape, which is what lets a
-// pinned plan be cached, replayed and conformance-tested.
+// (ExecutePlanBatch) runs a plan identically whether the stage legs are
+// served in-process, by a scatter-gather engine, or over RPC — equal
+// plans yield byte-identical answers on every deployment shape, which is
+// what lets a pinned plan be cached, replayed and conformance-tested.
 //
 // Zero execution fields are resolved against the system Config by
 // Config.NormalizePlan before execution or cache keying.

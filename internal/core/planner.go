@@ -216,11 +216,11 @@ func findTerm(terms []TermCount, name string) (int, bool) {
 
 // probeVectorsLocked draws up to plannerProbeVecs evenly spaced vectors
 // from the sketch.
-func (p *planner) probeVectorsLocked() [][]float32 {
+func (p *planner) probeVectorsLocked() []mat.Vec {
 	dim := p.d.Dim
 	n := len(p.d.Sample) / dim
 	count := min(plannerProbeVecs, n)
-	out := make([][]float32, 0, count)
+	out := make([]mat.Vec, 0, count)
 	for i := 0; i < count; i++ {
 		idx := i * n / count
 		out = append(out, slices.Clone(p.d.Sample[idx*dim:(idx+1)*dim]))
@@ -301,12 +301,12 @@ func (p *planner) calibrateLocked(s *System, ent int) (rungs []Rung, ok bool) {
 	}
 	k := s.cfg.FastK
 	scoredID := func(h mat.Scored) int64 { return h.ID }
+	truth, err := s.searchVectorsBatch(probes, k, ann.Params{Exhaustive: true})
+	if err != nil {
+		return nil, false
+	}
 	exact := make([]map[int64]bool, len(probes))
-	for i, q := range probes {
-		hits, err := s.searchVectors(q, k, ann.Params{Exhaustive: true})
-		if err != nil {
-			return nil, false
-		}
+	for i, hits := range truth {
 		exact[i] = idSet(hits, scoredID)
 	}
 	var ladder []Rung
@@ -335,12 +335,12 @@ func (p *planner) calibrateLocked(s *System, ent int) (rungs []Rung, ok bool) {
 		}
 	}
 	for _, rung := range ladder {
+		lists, err := s.searchVectorsBatch(probes, k, ann.Params{NProbe: rung.NProbe, Ef: rung.Ef, Int8: rung.Int8})
+		if err != nil {
+			return nil, false
+		}
 		minR, sum := 1.0, 0.0
-		for i, q := range probes {
-			hits, err := s.searchVectors(q, k, ann.Params{NProbe: rung.NProbe, Ef: rung.Ef, Int8: rung.Int8})
-			if err != nil {
-				return nil, false
-			}
+		for i, hits := range lists {
 			r := recallOf(exact[i], hits, scoredID)
 			minR = min(minR, r)
 			sum += r
@@ -396,8 +396,8 @@ func (s *System) PlanStats() PlanStats {
 
 // probeTextVectors embeds vocabulary terms as fast-search query vectors —
 // calibration probes shaped like live queries.
-func (s *System) probeTextVectors(terms []string) [][]float32 {
-	var out [][]float32
+func (s *System) probeTextVectors(terms []string) []mat.Vec {
+	var out []mat.Vec
 	for _, t := range terms {
 		if q, err := s.enc.Encode(t); err == nil {
 			out = append(out, q)

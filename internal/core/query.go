@@ -136,47 +136,19 @@ type FastHits struct {
 	Elapsed time.Duration
 }
 
-// SearchPlanned runs stage 1 of Algorithm 2 under an explicit plan: encode
-// the query, fast-search the vector index and join the hits against the
-// relational store, returning them in canonical (score desc, patch ID asc)
-// order. The leg's own depth (ShardK) and index effort (Exact/NProbe/Ef)
-// come from the plan, not the Config. This is the stage-1 leg every
-// deployment shape executes — the single system directly, each shard of an
-// engine via Plan.Leg, and RPC workers behind the wire's fast-search op. A
-// traced context records encode / ANN / metadata-join sub-spans. Safe to
-// call concurrently with Ingest.
+// SearchPlanned runs stage 1 for one query: SearchPlannedBatch with a
+// batch of one.
 func (s *System) SearchPlanned(ctx context.Context, text string, plan Plan) (*FastHits, error) {
-	plan = s.cfg.NormalizePlan(plan)
-	//lovo:nondeterministic-ok Elapsed is reported latency metadata; hit selection and order never read it
-	start := time.Now()
-	_, esp := obs.Start(ctx, "encode")
-	qproj, err := s.enc.Encode(text)
-	esp.End()
+	fhs, err := s.SearchPlannedBatch(ctx, []string{text}, []Plan{plan})
 	if err != nil {
 		return nil, err
 	}
-	_, asp := obs.Start(ctx, "ann")
-	hits, err := s.searchVectors(qproj, plan.ShardK, plan.annParams())
-	if asp.On() {
-		asp.Detail(fmt.Sprintf("k=%d hits=%d", plan.ShardK, len(hits)))
-	}
-	asp.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: fast search: %w", err)
-	}
-	_, jsp := obs.Start(ctx, "join")
-	defer jsp.End()
-	objects, err := s.joinHits(hits)
-	if err != nil {
-		return nil, err
-	}
-	//lovo:nondeterministic-ok Elapsed is reported latency metadata; hit selection and order never read it
-	return &FastHits{Objects: objects, Elapsed: time.Since(start)}, nil
+	return fhs[0], nil
 }
 
 // annParams derives the index search parameters a plan's stage-1 leg runs
 // with — the single place the plan-to-Params mapping lives, so every stage-1
-// surface (single query, batch, calibration measurement) agrees on it.
+// surface (stage-1 legs and calibration measurements) agrees on it.
 func (p Plan) annParams() ann.Params {
 	return ann.Params{
 		NProbe:     p.NProbe,
@@ -206,14 +178,17 @@ func (s *System) joinHits(hits []mat.Scored) ([]ResultObject, error) {
 	return objects, nil
 }
 
-// SearchPlannedBatch runs the stage-1 leg for many (text, plan) pairs in one
-// pass, amortizing the vector-store sweep across queries: queries whose
-// plans resolve to identical search parameters are grouped and handed to the
-// store's batched scan (one cache-blocked memory pass scores every query in
-// the group — see flat.SearchBatch), and each group's hits are joined
-// per-query afterwards. Results align with texts and are bit-identical to
-// calling SearchPlanned per pair; a query whose text fails to encode fails
-// the whole batch, mirroring the per-query error.
+// SearchPlannedBatch runs stage 1 of Algorithm 2 for many (text, plan)
+// pairs — the stage-1 leg every deployment shape executes: the single
+// system directly, each shard of an engine via Plan.Leg, and RPC workers
+// behind the wire's stage-1 op. Each query is encoded, fast-searched under
+// its plan's own depth (ShardK) and index effort (Exact/NProbe/Ef/Int8) —
+// queries whose plans resolve to identical search parameters share one
+// batched vector-store sweep — and joined against the relational store,
+// coming back in canonical (score desc, patch ID asc) order. Results align
+// with texts and equal what each query answers alone; a query whose text
+// fails to encode fails the whole batch. A traced context records encode /
+// ANN / metadata-join sub-spans. Safe to call concurrently with Ingest.
 func (s *System) SearchPlannedBatch(ctx context.Context, texts []string, plans []Plan) ([]*FastHits, error) {
 	if len(plans) != len(texts) {
 		return nil, fmt.Errorf("core: stage-1 batch of %d texts given %d plans", len(texts), len(plans))
@@ -226,7 +201,7 @@ func (s *System) SearchPlannedBatch(ctx context.Context, texts []string, plans [
 		q, err := s.enc.Encode(text)
 		if err != nil {
 			esp.End()
-			return nil, fmt.Errorf("core: batch query %d (%q): %w", i, text, err)
+			return nil, fmt.Errorf("core: query %d (%q): %w", i, text, err)
 		}
 		qs[i] = q
 	}
@@ -240,9 +215,9 @@ func (s *System) SearchPlannedBatch(ctx context.Context, texts []string, plans [
 		p ann.Params
 	}
 	groups := make(map[groupKey][]int)
-	for i := range plans {
-		plans[i] = s.cfg.NormalizePlan(plans[i])
-		gk := groupKey{k: plans[i].ShardK, p: plans[i].annParams()}
+	for i, p := range plans {
+		p = s.cfg.NormalizePlan(p)
+		gk := groupKey{k: p.ShardK, p: p.annParams()}
 		groups[gk] = append(groups[gk], i)
 	}
 
@@ -553,7 +528,7 @@ func (s *System) PlanQueryCtx(ctx context.Context, text string, opts QueryOption
 // shape. The context carries the tracing recorder; context.Background()
 // (or any untraced context) runs the allocation-free disabled path.
 func (s *System) QueryPlanned(ctx context.Context, text string, plan Plan, workers int) (*Result, error) {
-	return ExecutePlan(ctx, systemTarget{s}, text, s.cfg.NormalizePlan(plan), workers)
+	return ExecutePlan(ctx, systemTarget{s}, s.cfg, text, plan, workers)
 }
 
 // QueryBatchPlanned executes one pre-resolved plan per query (see

@@ -55,7 +55,7 @@ func Gemm(dst []float32, ldd int, a []float32, lda int, b []float32, ldb int, m,
 	}
 	axpy := axpyKernel
 	mt, nt := 0, 0 // extent of the block the tile kernels covered
-	if !vectorKernels || activeTier == tidPurego {
+	if activeTier == tidPurego {
 		axpy = axpyGeneric
 	} else {
 		mt, nt = gemmTiles(dst, ldd, a, lda, b, ldb, m, n, k)

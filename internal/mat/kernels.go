@@ -36,22 +36,6 @@ package mat
 
 import "fmt"
 
-// vectorKernels selects the architecture-specific kernels (SSE assembly on
-// amd64). The portable implementations produce bit-identical results, so
-// the toggle changes speed only; see SetVectorKernels.
-var vectorKernels = true
-
-// SetVectorKernels switches between the architecture-specific kernels and
-// the portable Go implementations, returning the previous setting. Results
-// are bit-identical either way — the toggle exists so benchmarks can
-// measure the SIMD contribution end to end. It must not be called while
-// other goroutines are scoring.
-func SetVectorKernels(on bool) (prev bool) {
-	prev = vectorKernels
-	vectorKernels = on
-	return prev
-}
-
 // dotKernel is the portable inner-product kernel implementing the canonical
 // 4-lane reduction order. Callers guarantee len(b) >= len(a).
 func dotKernel(a, b []float32) float32 {
@@ -140,7 +124,7 @@ func ScoreRows(dst []float32, q Vec, block []float32, dim int) []float32 {
 	dst = dst[:n]
 	rows4 := dot4rows
 	wide := activeTier == tidAVX2
-	if !vectorKernels || activeTier == tidPurego {
+	if activeTier == tidPurego {
 		rows4 = dot4rowsGeneric
 		wide = false
 	}
@@ -157,54 +141,6 @@ func ScoreRows(dst []float32, q Vec, block []float32, dim int) []float32 {
 		dst[r] = dotKernel(q, block[r*dim:(r+1)*dim])
 	}
 	return dst
-}
-
-// ScoreRowsBatch scores Q queries against every row of a row-major block
-// in one cache-blocked sweep: dsts[j][r] = Dot(qs[j], block[r*dim:...]).
-// Rows are visited in ScanBlock-sized chunks and every query scores the
-// chunk while it is cache-resident, so Q queries cost ONE pass over the
-// block's memory instead of Q — the win that makes /query/batch and
-// coalesced cache misses cheap on scans that exceed the LLC. Each
-// (query, row) score goes through the same tiered row kernels as
-// ScoreRows, so results are bit-identical to Q independent ScoreRows
-// calls.
-//
-// dsts must hold len(qs) destination slices, each nil (allocated here) or
-// with capacity for the row count; it returns dsts with every slice
-// truncated to the row count.
-func ScoreRowsBatch(dsts [][]float32, qs []Vec, block []float32, dim int) [][]float32 {
-	if len(dsts) != len(qs) {
-		panic(fmt.Sprintf("mat: ScoreRowsBatch %d dsts for %d queries", len(dsts), len(qs)))
-	}
-	if dim <= 0 {
-		panic(fmt.Sprintf("mat: ScoreRowsBatch dim %d", dim))
-	}
-	for j, q := range qs {
-		if len(q) != dim {
-			panic(fmt.Sprintf("mat: ScoreRowsBatch query %d length %d != dim %d", j, len(q), dim))
-		}
-	}
-	if len(block)%dim != 0 {
-		panic(fmt.Sprintf("mat: ScoreRowsBatch block length %d not a multiple of dim %d", len(block), dim))
-	}
-	n := len(block) / dim
-	for j := range dsts {
-		if dsts[j] == nil {
-			dsts[j] = make([]float32, n)
-		}
-		dsts[j] = dsts[j][:n]
-	}
-	for r0 := 0; r0 < n; r0 += ScanBlock {
-		r1 := r0 + ScanBlock
-		if r1 > n {
-			r1 = n
-		}
-		chunk := block[r0*dim : r1*dim]
-		for j, q := range qs {
-			ScoreRows(dsts[j][r0:r1:r1], q, chunk, dim)
-		}
-	}
-	return dsts
 }
 
 // MatMulInto computes dst = a·b into a caller-supplied matrix and returns

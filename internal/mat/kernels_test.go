@@ -128,8 +128,8 @@ func TestDot4RowsMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestVectorKernelToggleBitIdentical pins that disabling the SIMD kernels
-// (the benchmark toggle) changes nothing but speed.
+// TestVectorKernelToggleBitIdentical pins that pinning the portable tier
+// in place of the active one changes nothing but speed.
 func TestVectorKernelToggleBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 0xa7))
 	const dim, rows = 33, 9
@@ -141,10 +141,10 @@ func TestVectorKernelToggleBitIdentical(t *testing.T) {
 	simdScores := ScoreRows(nil, q, block, dim)
 	simdMul := MatMul(a, b)
 
-	prev := SetVectorKernels(false)
+	prev, _ := SetKernelTier(TierPurego)
 	genScores := ScoreRows(nil, q, block, dim)
 	genMul := MatMul(a, b)
-	SetVectorKernels(prev)
+	SetKernelTier(prev)
 
 	if !bitsEqual(simdScores, genScores) {
 		t.Fatal("ScoreRows differs between SIMD and portable kernels")

@@ -56,8 +56,8 @@ const (
 )
 
 // activeTier is the currently selected tier. It is set once at init (from
-// detection plus LOVO_KERNELS) and by SetKernelTier; like
-// SetVectorKernels, changing it while other goroutines score is a race.
+// detection plus LOVO_KERNELS) and by SetKernelTier; changing it while
+// other goroutines score is a race.
 var activeTier tierID
 
 // envTierErr records an invalid or unsupported LOVO_KERNELS value seen at
@@ -98,15 +98,8 @@ func tierName(t tierID) string {
 }
 
 // KernelTier reports the name of the active kernel tier: avx2, sse2, neon
-// or purego. The SetVectorKernels(false) benchmark toggle overrides the
-// tier with purego without changing it; KernelTier reports the effective
-// tier, so it reflects that override too.
-func KernelTier() string {
-	if !vectorKernels {
-		return TierPurego
-	}
-	return tierName(activeTier)
-}
+// or purego.
+func KernelTier() string { return tierName(activeTier) }
 
 // HasAVX2 reports CPU+OS support for the AVX2 kernels, independent of the
 // active tier. Integer kernels elsewhere (quant's widening-multiply dot)
@@ -132,8 +125,8 @@ func KernelTiers() []string {
 // widest supported tier), returning the previously active tier's name. It
 // fails if the named tier is unknown or is not supported by this host, so
 // a deployment that pins -kernels=avx2 fails fast on a machine without
-// AVX2 rather than silently degrading. Like SetVectorKernels, it must not
-// be called while other goroutines are scoring.
+// AVX2 rather than silently degrading. It must not be called while other
+// goroutines are scoring.
 func SetKernelTier(name string) (prev string, err error) {
 	prev = tierName(activeTier)
 	var want tierID

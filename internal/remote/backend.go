@@ -3,15 +3,18 @@
 // the existing HTTP tier as the coordinator.
 //
 // The surface is ShardBackend: the per-shard operations internal/shard's
-// Engine fans out — the two query stages (FastSearch, GroundCandidates),
-// ingest and index builds, the planning digest, one Status snapshot that
-// answers every "what are you right now" question, and snapshot save/load. shard.Local implements it in-process (a replica group of R
-// equal-seeded systems); Client implements it over a length-prefixed binary
-// protocol on persistent connections, and Server hosts any implementation
-// behind a net.Listener. Because both sides speak the exact stage functions
-// core.ExecutePlan composes, an engine whose backends are all remote
-// answers byte-identically to the single-process system — the conformance
-// suite in this package pins that bit for bit over in-memory pipes.
+// Engine fans out — the two query stages (FastSearchBatch,
+// GroundCandidates), ingest and index builds, the planning digest, one
+// Status snapshot that answers every "what are you right now" question, and
+// snapshot save/load. Stage 1 and ingest each have one shape, a batch: a
+// lone query or a lone video is a batch of one. shard.Local implements the
+// surface in-process (a replica group of R equal-seeded systems); Client
+// implements it over a length-prefixed binary protocol on persistent
+// connections, and Server hosts any implementation behind a net.Listener.
+// Because both sides speak the exact stage functions core.ExecutePlanBatch
+// composes, an engine whose backends are all remote answers
+// byte-identically to the single-process system — the conformance suite in
+// this package pins that bit for bit over in-memory pipes.
 //
 // Failure semantics: read operations (both query stages, the planning
 // digest, snapshot save) are idempotent and retried a bounded number of times
@@ -133,21 +136,22 @@ type ShardStatus struct {
 // Engine composes, whether the shard lives in-process (shard.Local) or on
 // another host (Client). Every method is safe for concurrent use.
 type ShardBackend interface {
-	// Ingest routes one video to the shard (fanning out to every replica
-	// worker-side). Mutating: dispatched at most once over the wire.
-	Ingest(v *video.Video) error
+	// IngestVideos ingests videos in order (fanning out to every replica
+	// worker-side), so the shard's state is byte-identical to ingesting
+	// them one by one. Mutating: dispatched at most once over the wire.
+	IngestVideos(vs []*video.Video) error
 	// BuildIndex builds (or, in streaming mode, seals) the shard's index.
 	BuildIndex() error
-	// FastSearch runs stage 1 against the shard's slice of the corpus
-	// under the plan's leg knobs (ShardK depth, Exact/NProbe/Ef effort),
-	// returning its local top-ShardK hits in canonical order. The context
-	// carries the query's tracing recorder (see internal/obs): a remote
-	// backend ships the trace id over the wire and grafts the worker's
-	// exported spans back into the caller's trace; tracing never changes
-	// the hits.
-	FastSearch(ctx context.Context, text string, plan core.Plan) ([]core.ResultObject, error)
+	// FastSearchBatch runs stage 1 against the shard's slice of the corpus
+	// for each (text, plan) pair under the plan's leg knobs (ShardK depth,
+	// Exact/NProbe/Ef/Int8 effort), returning one local top-ShardK hit list
+	// per query in canonical order. The context carries the query's
+	// tracing recorder (see internal/obs): a remote backend ships the trace
+	// id over the wire and grafts the worker's exported spans back into the
+	// caller's trace; tracing never changes the hits.
+	FastSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][]core.ResultObject, error)
 	// GroundCandidates runs stage 2 over the candidate frames this shard
-	// owns; groundings align with refs. Context as on FastSearch.
+	// owns; groundings align with refs. Context as on FastSearchBatch.
 	GroundCandidates(ctx context.Context, text string, refs []core.FrameRef, workers int) ([]core.Grounding, error)
 	// PlanStats exports the shard's planning digest — selectivity sample,
 	// per-term posting statistics and calibrated effort ladder — which the
@@ -164,12 +168,4 @@ type ShardBackend interface {
 	LoadSnapshot(data []byte) error
 	// Close releases client-side resources (no-op for in-process shards).
 	Close() error
-}
-
-// BulkIngester is the optional fast path for dataset-sized ingest: a
-// backend that can ingest a whole slice of videos in order (parallelising
-// across its replicas) implements it; the engine falls back to per-video
-// Ingest calls otherwise.
-type BulkIngester interface {
-	IngestVideos(vs []*video.Video) error
 }

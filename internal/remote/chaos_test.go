@@ -87,11 +87,11 @@ func (c *chaosBackend) perturb() error {
 	return nil
 }
 
-func (c *chaosBackend) FastSearch(ctx context.Context, text string, plan core.Plan) ([]core.ResultObject, error) {
+func (c *chaosBackend) FastSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][]core.ResultObject, error) {
 	if err := c.perturb(); err != nil {
 		return nil, err
 	}
-	return c.ShardBackend.FastSearch(ctx, text, plan)
+	return c.ShardBackend.FastSearchBatch(ctx, texts, plans)
 }
 
 func (c *chaosBackend) GroundCandidates(ctx context.Context, text string, refs []core.FrameRef, workers int) ([]core.Grounding, error) {

@@ -271,11 +271,9 @@ func (c *Client) exchange(conn net.Conn, req []byte, mutating, light bool) ([]by
 
 func opName(op byte) string {
 	switch op {
-	case opIngest:
-		return "ingest"
 	case opBuildIndex:
 		return "build-index"
-	case opFastSearch:
+	case opFastSearchBatch:
 		return "fast-search"
 	case opGround:
 		return "ground"
@@ -318,20 +316,6 @@ func (c *Client) Status() (ShardStatus, error) {
 	return st, nil
 }
 
-// Ingest ships one video to the worker (gob-encoded inside the frame; the
-// scene-description video model is structured, not a flat hit list, so it
-// rides the standard library's codec).
-func (c *Client) Ingest(v *video.Video) error {
-	var vb bytes.Buffer
-	if err := gob.NewEncoder(&vb).Encode(v); err != nil {
-		return fmt.Errorf("remote %s: encoding video: %w", c.addr, err)
-	}
-	e := &enc{}
-	e.bytes(vb.Bytes())
-	_, err := c.call(opIngest, e.b, true)
-	return err
-}
-
 // ingestBatchBudget bounds one opIngestBatch frame's video payload. Chunks
 // stay far under MaxFrame while still amortising the per-call dial and
 // round trip across many videos.
@@ -339,10 +323,11 @@ const ingestBatchBudget = 8 << 20
 
 // IngestVideos ships a slice of videos in order as size-bounded batch
 // frames — one dial + round trip per ~8 MiB of corpus instead of per
-// video. It implements BulkIngester, so Engine.IngestDataset routes whole
-// dataset slices through it. Each batch is at-most-once like every
-// mutation; a transport failure surfaces with the batch unfinished rather
-// than risking a double apply.
+// video; a live clip is a frame of one. Videos are gob-encoded inside the
+// frame: the scene-description video model is structured, not a flat hit
+// list, so it rides the standard library's codec. Each batch is
+// at-most-once like every mutation; a transport failure surfaces with the
+// batch unfinished rather than risking a double apply.
 func (c *Client) IngestVideos(vs []*video.Video) error {
 	e := &enc{}
 	n := 0
@@ -381,31 +366,73 @@ func (c *Client) BuildIndex() error {
 	return err
 }
 
-// FastSearch runs stage 1 on the worker under the plan's leg knobs. Under
-// a traced context the request carries the trace id; the worker measures
-// its own spans and ships them back after the hits, and this side grafts
-// them under the current span — so the coordinator trace holds real
-// worker-side stage-1 timings, not just client-observed RTT.
+// FastSearch runs stage 1 for one query: FastSearchBatch with a batch of
+// one.
 func (c *Client) FastSearch(ctx context.Context, text string, plan core.Plan) ([]core.ResultObject, error) {
-	sp := obs.FromContext(ctx)
-	tid := sp.TraceID()
-	e := &enc{}
-	e.str(text)
-	appendPlan(e, plan)
-	e.u64(tid)
-	resp, err := c.callCtx(ctx, opFastSearch, e.b)
+	lists, err := c.FastSearchBatch(ctx, []string{text}, []core.Plan{plan})
 	if err != nil {
 		return nil, err
 	}
-	d := &dec{b: resp}
-	hits := readObjects(d)
-	if tid != 0 {
-		sp.Graft(readSpans(d))
+	return lists[0], nil
+}
+
+// stage1FrameBudget bounds the hits one opFastSearchBatch response can
+// carry: a frame holds queries until their summed ShardK × encObjectSize
+// would pass it (always at least one query), so no stage-1 response comes
+// near MaxFrame however large the batch.
+const stage1FrameBudget = 4 << 20
+
+// FastSearchBatch runs stage 1 on the worker for every (text, plan) pair
+// under the plans' leg knobs, as few opFastSearchBatch round trips as the
+// frame budget allows — one for a lone query or any serving-sized batch.
+// Under a traced context each request carries the trace id; the worker
+// measures its own spans and ships them back after the hits, and this side
+// grafts them under the current span — so the coordinator trace holds real
+// worker-side stage-1 timings, not just client-observed RTT.
+func (c *Client) FastSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][]core.ResultObject, error) {
+	if len(plans) != len(texts) {
+		return nil, fmt.Errorf("remote %s: stage-1 batch of %d texts given %d plans", c.addr, len(texts), len(plans))
 	}
-	if err := d.finish(); err != nil {
-		return nil, err
+	sp := obs.FromContext(ctx)
+	tid := sp.TraceID()
+	out := make([][]core.ResultObject, 0, len(texts))
+	for lo := 0; lo < len(texts); {
+		hi, cost := lo+1, stage1Cost(plans[lo])
+		for hi < len(texts) && cost+stage1Cost(plans[hi]) <= stage1FrameBudget {
+			cost += stage1Cost(plans[hi])
+			hi++
+		}
+		e := &enc{}
+		appendQueries(e, texts[lo:hi], plans[lo:hi])
+		e.u64(tid)
+		resp, err := c.callCtx(ctx, opFastSearchBatch, e.b)
+		if err != nil {
+			return nil, err
+		}
+		d := &dec{b: resp}
+		lists := readHitLists(d)
+		if tid != 0 {
+			sp.Graft(readSpans(d))
+		}
+		if err := d.finish(); err != nil {
+			return nil, err
+		}
+		if len(lists) != hi-lo {
+			return nil, fmt.Errorf("remote %s: %d hit lists for %d queries", c.addr, len(lists), hi-lo)
+		}
+		out = append(out, lists...)
+		lo = hi
 	}
-	return hits, nil
+	return out, nil
+}
+
+// stage1Cost is the most response bytes one query's hits can take.
+func stage1Cost(p core.Plan) int {
+	k := p.ShardK
+	if k <= 0 {
+		k = p.FastK
+	}
+	return max(k, 0) * encObjectSize
 }
 
 // PlanStats fetches the worker's planning digest. It rides the retried
@@ -425,8 +452,8 @@ func (c *Client) PlanStats() (core.PlanStats, error) {
 }
 
 // GroundCandidates runs stage 2 on the worker over the refs it owns.
-// Trace propagation works as on FastSearch: the id rides the request, the
-// worker's spans ride the response.
+// Trace propagation works as on FastSearchBatch: the id rides the request,
+// the worker's spans ride the response.
 func (c *Client) GroundCandidates(ctx context.Context, text string, refs []core.FrameRef, workers int) ([]core.Grounding, error) {
 	sp := obs.FromContext(ctx)
 	tid := sp.TraceID()

@@ -143,10 +143,11 @@ func (d *dec) finish() error {
 
 // --- message encodings -------------------------------------------------
 
-// appendPlan encodes one execution plan — the stage-op payload replacing
-// the old per-query options. Plan.ShardKs deliberately has no encoding:
-// the coordinator resolves each leg with Plan.Leg before dispatch, so only
-// the leg's own ShardK travels.
+// appendPlan encodes one execution plan. Plan.ShardKs deliberately has no
+// encoding: the coordinator resolves each leg with Plan.Leg before
+// dispatch, so only the leg's own ShardK travels. Every other field does —
+// a dropped knob would run a different plan on the worker than the one the
+// coordinator reports and caches under.
 func appendPlan(e *enc, p core.Plan) {
 	e.boolean(p.Exact)
 	e.i64(int64(p.FastK))
@@ -156,9 +157,14 @@ func appendPlan(e *enc, p core.Plan) {
 	e.i64(int64(p.RerankFrames))
 	e.i64(int64(p.TopN))
 	e.boolean(p.SkipRerank)
+	e.boolean(p.Int8)
 	e.str(string(p.Kind))
 	e.f64(p.PredictedRecall)
 }
+
+// encPlanMinSize is the smallest encoded Plan: three bools, six i64, an
+// empty Kind string (u32 length) and an f64.
+const encPlanMinSize = 3 + 6*8 + 4 + 8
 
 func readPlan(d *dec) core.Plan {
 	return core.Plan{
@@ -170,9 +176,65 @@ func readPlan(d *dec) core.Plan {
 		RerankFrames:    d.intv(),
 		TopN:            d.intv(),
 		SkipRerank:      d.boolean(),
+		Int8:            d.boolean(),
 		Kind:            core.PlanKind(d.str()),
 		PredictedRecall: d.f64(),
 	}
+}
+
+// appendQueries encodes a stage-1 batch: a count, then one (text, plan)
+// pair per query.
+func appendQueries(e *enc, texts []string, plans []core.Plan) {
+	e.u32(uint32(len(texts)))
+	for i, text := range texts {
+		e.str(text)
+		appendPlan(e, plans[i])
+	}
+}
+
+// encQueryMinSize is the smallest encoded (text, plan) pair: an empty text
+// (u32 length) and a minimal plan.
+const encQueryMinSize = 4 + encPlanMinSize
+
+func readQueries(d *dec) ([]string, []core.Plan) {
+	n := d.count(encQueryMinSize)
+	if d.err != nil || n == 0 {
+		return nil, nil
+	}
+	texts := make([]string, 0, n)
+	plans := make([]core.Plan, 0, n)
+	for i := 0; i < n; i++ {
+		texts = append(texts, d.str())
+		plans = append(plans, readPlan(d))
+		if d.err != nil {
+			return nil, nil
+		}
+	}
+	return texts, plans
+}
+
+// appendHitLists encodes a stage-1 answer: a count, then one hit list per
+// query.
+func appendHitLists(e *enc, lists [][]core.ResultObject) {
+	e.u32(uint32(len(lists)))
+	for _, l := range lists {
+		appendObjects(e, l)
+	}
+}
+
+func readHitLists(d *dec) [][]core.ResultObject {
+	n := d.count(4) // each list is at least its own count
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	lists := make([][]core.ResultObject, 0, n)
+	for i := 0; i < n; i++ {
+		lists = append(lists, readObjects(d))
+		if d.err != nil {
+			return nil
+		}
+	}
+	return lists
 }
 
 func appendPlanStats(e *enc, st core.PlanStats) {
@@ -193,6 +255,7 @@ func appendPlanStats(e *enc, st core.PlanStats) {
 	for _, r := range st.Rungs {
 		e.i64(int64(r.NProbe))
 		e.i64(int64(r.Ef))
+		e.boolean(r.Int8)
 		e.f64(r.MinRecall)
 		e.f64(r.MeanRecall)
 	}
@@ -202,11 +265,11 @@ func appendPlanStats(e *enc, st core.PlanStats) {
 
 // Per-element floors for the PlanStats list counts: a sample element is one
 // f32; a term is at least an empty string (u32 length) plus two i64; a rung
-// is two i64 plus two f64.
+// is two i64, a bool and two f64.
 const (
 	encSampleElemSize = 4
 	encTermMinSize    = 4 + 16
-	encRungSize       = 32
+	encRungSize       = 33
 )
 
 func readPlanStats(d *dec) core.PlanStats {
@@ -234,7 +297,7 @@ func readPlanStats(d *dec) core.PlanStats {
 		st.Rungs = make([]core.Rung, 0, n)
 		for i := 0; i < n; i++ {
 			st.Rungs = append(st.Rungs, core.Rung{
-				NProbe: d.intv(), Ef: d.intv(),
+				NProbe: d.intv(), Ef: d.intv(), Int8: d.boolean(),
 				MinRecall: d.f64(), MeanRecall: d.f64(),
 			})
 		}

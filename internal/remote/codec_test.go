@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +109,7 @@ func TestPlanRoundTrip(t *testing.T) {
 		{}, // all zero
 		{Exact: true, FastK: 1 << 30, ShardK: -1, RerankFrames: math.MaxInt32, TopN: -7,
 			Kind: core.PlanAdaptiveExact, PredictedRecall: 1},
+		{FastK: 40, NProbe: 4, Int8: true, Kind: core.PlanAdaptive, PredictedRecall: 0.95},
 	}
 	for i := 0; i < 100; i++ {
 		cases = append(cases, core.Plan{
@@ -119,6 +121,7 @@ func TestPlanRoundTrip(t *testing.T) {
 			RerankFrames:    rng.Intn(1 << 10),
 			TopN:            rng.Intn(1 << 10),
 			SkipRerank:      rng.Intn(2) == 0,
+			Int8:            rng.Intn(2) == 0,
 			Kind:            kinds[rng.Intn(len(kinds))],
 			PredictedRecall: randF64(rng),
 		})
@@ -128,6 +131,68 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 }
 
+// everyField returns a value of T with each exported field except skip set
+// to a non-zero value, so a round trip that drops a field shows it.
+func everyField[T any](t *testing.T, skip ...string) T {
+	t.Helper()
+	var v T
+	rv := reflect.ValueOf(&v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f, name := rv.Field(i), rv.Type().Field(i).Name
+		if !rv.Type().Field(i).IsExported() || slices.Contains(skip, name) {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 3))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.String:
+			f.SetString("x")
+		default:
+			t.Fatalf("%T.%s: no non-zero value for kind %s — teach everyField", v, name, f.Kind())
+		}
+	}
+	return v
+}
+
+// sameFields fails naming every exported field of T (except skip) on which
+// got and want differ.
+func sameFields[T any](t *testing.T, what string, got, want T, skip ...string) {
+	t.Helper()
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		name := g.Type().Field(i).Name
+		if !g.Type().Field(i).IsExported() || slices.Contains(skip, name) {
+			continue
+		}
+		if !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
+			t.Errorf("%s: field %s did not survive the wire: got %v, want %v", what, name, g.Field(i), w.Field(i))
+		}
+	}
+}
+
+// TestPlanAndRungFieldsAllTravel: every exported Plan field except the
+// engine-only ShardKs, and every Rung field, survives its wire round trip —
+// so the next field added to either cannot be dropped silently.
+func TestPlanAndRungFieldsAllTravel(t *testing.T) {
+	plan := everyField[core.Plan](t, "ShardKs")
+	e := &enc{}
+	appendPlan(e, plan)
+	sameFields(t, "plan", readPlan(&dec{b: e.b}), plan, "ShardKs")
+
+	rung := everyField[core.Rung](t)
+	e = &enc{}
+	appendPlanStats(e, core.PlanStats{Rungs: []core.Rung{rung}})
+	st := readPlanStats(&dec{b: e.b})
+	if len(st.Rungs) != 1 {
+		t.Fatalf("one rung sent, %d decoded", len(st.Rungs))
+	}
+	sameFields(t, "rung", st.Rungs[0], rung)
+}
+
 func TestPlanStatsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []core.PlanStats{
@@ -135,7 +200,7 @@ func TestPlanStatsRoundTrip(t *testing.T) {
 		{Entities: math.MaxInt32, Dim: 1, SampleEvery: 1 << 20,
 			Sample:     []float32{math.MaxFloat32},
 			Terms:      []core.TermCount{{Name: strings.Repeat("t", 1<<10), Objects: -1, Frames: math.MaxInt32}},
-			Rungs:      []core.Rung{{NProbe: 64, MinRecall: 1, MeanRecall: 1}},
+			Rungs:      []core.Rung{{NProbe: 8, Int8: true, MinRecall: 0.9, MeanRecall: 0.95}, {NProbe: 64, MinRecall: 1, MeanRecall: 1}},
 			Calibrated: true, Margin: 0.25},
 	}
 	for i := 0; i < 60; i++ {
@@ -155,7 +220,8 @@ func TestPlanStatsRoundTrip(t *testing.T) {
 		}
 		for j := rng.Intn(7); j > 0; j-- {
 			st.Rungs = append(st.Rungs, core.Rung{
-				NProbe: rng.Intn(64), Ef: rng.Intn(256), MinRecall: rng.Float64(), MeanRecall: rng.Float64()})
+				NProbe: rng.Intn(64), Ef: rng.Intn(256), Int8: rng.Intn(2) == 0,
+				MinRecall: rng.Float64(), MeanRecall: rng.Float64()})
 		}
 		cases = append(cases, st)
 	}
@@ -183,6 +249,90 @@ func TestObjectsRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		roundTrip(t, "objects", c, appendObjects, readObjects)
+	}
+}
+
+// stage1Request is one opFastSearchBatch request body: the pairs and the
+// trace id.
+type stage1Request struct {
+	Texts []string
+	Plans []core.Plan
+	TID   uint64
+}
+
+func appendStage1Request(e *enc, r stage1Request) {
+	appendQueries(e, r.Texts, r.Plans)
+	e.u64(r.TID)
+}
+
+func readStage1Request(d *dec) stage1Request {
+	var r stage1Request
+	r.Texts, r.Plans = readQueries(d)
+	r.TID = d.u64()
+	return r
+}
+
+// stage1Cases spans the stage-1 batch shapes: empty, a lone query, an
+// int8 plan, and a serving-sized random batch.
+func stage1Cases() []stage1Request {
+	rng := rand.New(rand.NewSource(12))
+	cases := []stage1Request{
+		{},
+		{Texts: []string{"A red car driving in the center of the road."}, Plans: []core.Plan{{FastK: 100, ShardK: 100, NProbe: 16, Ef: 64, RerankFrames: 16, TopN: 10, Kind: core.PlanFixed}}, TID: 7},
+		{Texts: []string{""}, Plans: []core.Plan{{Int8: true, NProbe: 4, Kind: core.PlanAdaptive, PredictedRecall: 0.93}}},
+	}
+	batch := stage1Request{TID: math.MaxUint64}
+	for i := 0; i < 8; i++ {
+		batch.Texts = append(batch.Texts, strings.Repeat("car ", rng.Intn(6)))
+		batch.Plans = append(batch.Plans, core.Plan{
+			Exact: rng.Intn(2) == 0, FastK: rng.Intn(1 << 10), ShardK: rng.Intn(1 << 10),
+			NProbe: rng.Intn(64), Ef: rng.Intn(256), Int8: rng.Intn(2) == 0, Kind: core.PlanPinned,
+		})
+	}
+	return append(cases, batch)
+}
+
+// TestStage1RoundTrip: the stage-1 op's request (pairs + trace id) and
+// response (one hit list per query) round-trip exactly, every strict
+// prefix of either fails to decode, and a forged pair count is refused
+// before it sizes anything.
+func TestStage1RoundTrip(t *testing.T) {
+	for _, c := range stage1Cases() {
+		roundTrip(t, "stage1-request", c, appendStage1Request, readStage1Request)
+	}
+	rng := rand.New(rand.NewSource(13))
+	hitCases := [][][]core.ResultObject{nil, {nil}, {nil, randObjects(rng, 3), nil}}
+	for i := 0; i < 40; i++ {
+		var lists [][]core.ResultObject
+		for j := rng.Intn(9); j > 0; j-- {
+			lists = append(lists, randObjects(rng, 6))
+		}
+		hitCases = append(hitCases, lists)
+	}
+	for _, c := range hitCases {
+		roundTrip(t, "stage1-response", c, appendHitLists, readHitLists)
+	}
+
+	e := &enc{}
+	e.u32(1 << 28) // pair count, with one pair behind it
+	e.str("a red car")
+	appendPlan(e, core.Plan{})
+	e.u64(0)
+	d := &dec{b: e.b}
+	if texts, plans := readQueries(d); texts != nil || plans != nil {
+		t.Fatalf("forged pair count decoded to %d texts, %d plans", len(texts), len(plans))
+	}
+	if err := d.finish(); err == nil {
+		t.Fatal("forged pair count must error")
+	}
+	e = &enc{}
+	e.u32(math.MaxUint32) // hit-list count in a 4-byte payload
+	d = &dec{b: e.b}
+	if lists := readHitLists(d); lists != nil {
+		t.Fatalf("forged list count decoded to %d lists", len(lists))
+	}
+	if err := d.finish(); err == nil {
+		t.Fatal("forged list count must error")
 	}
 }
 

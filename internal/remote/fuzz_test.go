@@ -13,6 +13,8 @@ import (
 	mrand "math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // fuzzMaxFrame keeps the fuzz executions snappy: a 1 MiB cap exercises
@@ -37,12 +39,25 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// Real opStatus responses, the frame every serving request reads.
+	// Real opStatus responses, the frame every serving request reads, and
+	// real stage-1 requests and responses, the frames every cache miss sends.
+	var payloads [][]byte
 	for _, st := range statusCases() {
 		e := &enc{b: []byte{statusOK}}
 		appendStatus(e, st)
+		payloads = append(payloads, e.b)
+	}
+	for _, r := range stage1Cases() {
+		e := &enc{b: []byte{opFastSearchBatch}}
+		appendStage1Request(e, r)
+		payloads = append(payloads, e.b)
+		e = &enc{b: []byte{statusOK}}
+		appendHitLists(e, [][]core.ResultObject{randObjects(mrand.New(mrand.NewSource(int64(len(r.Texts)))), 4)})
+		payloads = append(payloads, e.b)
+	}
+	for _, payload := range payloads {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, e.b, fuzzMaxFrame); err != nil {
+		if err := writeFrame(&buf, payload, fuzzMaxFrame); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

@@ -33,7 +33,8 @@ var pinnedPlans = []core.Plan{
 // TestPinnedPlanByteIdentityAcrossShapes pins the tentpole guarantee on
 // equal shard counts: a 4-shard in-process engine, a 4-shard remote engine,
 // and a 4-shard remote engine with replicated workers answer every pinned
-// plan byte for byte — any divergence is the executor's or the codec's.
+// plan byte for byte — any divergence is the executor's or the codec's —
+// and a remote batch of every query answers what each query answers alone.
 func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 	const seed = 23
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
@@ -55,6 +56,7 @@ func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 			if testing.Short() {
 				queries = queries[:2]
 			}
+			wants := make([][]*core.Result, len(pinnedPlans))
 			for _, q := range queries {
 				for pi, plan := range pinnedPlans {
 					p := plan
@@ -63,6 +65,7 @@ func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s plan %d local: %v", q.ID, pi, err)
 					}
+					wants[pi] = append(wants[pi], want)
 					for name, eng := range map[string]*shard.Engine{"remote": rem, "replicated": repl} {
 						got, err := core.Query(context.Background(), eng, q.Text, opts)
 						if err != nil {
@@ -79,6 +82,80 @@ func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 					}
 				}
 			}
+			texts := make([]string, len(queries))
+			for i, q := range queries {
+				texts[i] = q.Text
+			}
+			for pi, plan := range pinnedPlans {
+				p := plan
+				for name, eng := range map[string]*shard.Engine{"remote": rem, "replicated": repl} {
+					got, err := core.QueryBatch(context.Background(), eng, texts, core.QueryOptions{Plan: &p}, 0)
+					if err != nil {
+						t.Fatalf("plan %d %s batch: %v", pi, name, err)
+					}
+					for i, want := range wants[pi] {
+						if !reflect.DeepEqual(got[i].Objects, want.Objects) || got[i].CandidateFrames != want.CandidateFrames {
+							t.Errorf("%s plan %d: %s batch answer diverges from the lone local answer", queries[i].ID, pi, name)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRemoteInt8PlansMatchInProcess pins the int8 knobs across the wire on
+// the two index kinds that have an int8 path: a coordinator planning from
+// remote workers' digests picks the same bounded plan (Plan.Key, int8 bit
+// included) as an in-process engine, and a pinned int8 plan answers the
+// same bytes on both.
+func TestRemoteInt8PlansMatchInProcess(t *testing.T) {
+	const seed, bound = 31, 0.9
+	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
+	for _, kind := range []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIVFPQ} {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := core.Config{Seed: seed, Index: kind}
+			local, err := shard.New(3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestAll(t, local, ds)
+			rem, _ := remoteEngine(t, 3, 1, cfg, remote.ClientOptions{})
+			ingestAll(t, rem, ds)
+
+			int8Plans := 0
+			for _, q := range ds.Queries {
+				opts := core.QueryOptions{MinRecall: bound}
+				want, err := local.PlanQueryCtx(context.Background(), q.Text, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rem.PlanQueryCtx(context.Background(), q.Text, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Key() != want.Key() {
+					t.Errorf("%s: remote coordinator plans %s, in-process engine %s", q.ID, got.Key(), want.Key())
+				}
+				if want.Int8 {
+					int8Plans++
+				}
+
+				pinned := core.Plan{FastK: 40, NProbe: 4, Int8: true}
+				popts := core.QueryOptions{Plan: &pinned}
+				wantRes, err := core.Query(context.Background(), local, q.Text, popts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRes, err := core.Query(context.Background(), rem, q.Text, popts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotRes.Objects, wantRes.Objects) || gotRes.CandidateFrames != wantRes.CandidateFrames {
+					t.Errorf("%s: pinned int8 plan answers differently over the wire", q.ID)
+				}
+			}
+			t.Logf("%s: %d of %d bounded plans chose int8", kind, int8Plans, len(ds.Queries))
 		})
 	}
 }

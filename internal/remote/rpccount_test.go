@@ -7,6 +7,7 @@ package remote_test
 // that sneaks back in as its own RPC fails here whatever it is called.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -21,13 +22,14 @@ import (
 	"repro/internal/remote"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/video"
 )
 
 // Request op bytes as they travel (see internal/remote/wire.go).
 const (
-	wireFastSearch = 4
-	wireGround     = 5
-	wireStatus     = 17
+	wireGround = 5
+	wireStatus = 17
+	wireStage1 = 18
 )
 
 // frameLog records the op byte of every request frame written to one
@@ -141,7 +143,7 @@ func TestServingTierRPCCounts(t *testing.T) {
 		t.Fatal("trace shows no rerank.shard leg")
 	}
 	for i, log := range logs {
-		want := []byte{wireStatus, wireFastSearch}
+		want := []byte{wireStatus, wireStage1}
 		if owners[i] {
 			want = append(want, wireGround)
 		}
@@ -170,6 +172,111 @@ func TestServingTierRPCCounts(t *testing.T) {
 			if got := log.take(); !reflect.DeepEqual(got, []byte{wireStatus}) {
 				t.Errorf("GET %s, worker %d: request ops %v, want one status read", path, i, got)
 			}
+		}
+	}
+
+	// A batch of four misses (top_n keys them apart from the cached
+	// answer): one status read and ONE stage-1 round trip per worker for
+	// the whole batch, then one stage-2 leg per query that has candidate
+	// frames on the worker. The legs each query needs come from its own
+	// traced run on an uncached server over the same engine.
+	texts := queryTexts(ds)[:4]
+	probe := server.New(eng, server.Config{Shards: 2})
+	grounds := make([]int, len(logs))
+	for _, text := range texts {
+		w := httptest.NewRecorder()
+		probe.ServeHTTP(w, httptest.NewRequest("POST", "/query", strings.NewReader(
+			fmt.Sprintf(`{"query": %q, "options": {"top_n": 5}, "debug": true}`, text))))
+		var lone server.QueryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &lone); err != nil {
+			t.Fatal(err)
+		}
+		legs := map[int]bool{}
+		rerankLegs(lone.Trace, legs)
+		if len(legs) == 0 {
+			t.Fatalf("%q reranks on no worker; the stage-2 counts would be vacuous", text)
+		}
+		for i := range legs {
+			grounds[i]++
+		}
+	}
+	for _, log := range logs {
+		log.take()
+	}
+	body, err := json.Marshal(map[string]any{"queries": texts, "options": map[string]int{"top_n": 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch struct{ Results []server.QueryResponse }
+	if err := json.Unmarshal(do("POST", "/query/batch", string(body)).Body.Bytes(), &batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch.Results {
+		if r.Cached {
+			t.Fatalf("batch query %d must miss the cache", i)
+		}
+	}
+	for i, log := range logs {
+		want := []byte{wireStatus, wireStage1}
+		for range grounds[i] {
+			want = append(want, wireGround)
+		}
+		if got := log.take(); !reflect.DeepEqual(got, want) {
+			t.Errorf("batch of %d misses, worker %d: request ops %v, want %v", len(texts), i, got, want)
+		}
+	}
+}
+
+// TestStage1BatchSplitsIntoFrames: a batch whose requested hits (Σ ShardK ×
+// 60 B) pass the client's frame budget travels as several stage-1 frames —
+// here two queries per frame — and answers exactly what each query answers
+// alone, over the wire and in-process.
+func TestStage1BatchSplitsIntoFrames(t *testing.T) {
+	const seed = 59
+	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
+	local := freshLocal(t, core.Config{Seed: seed})
+	vs := make([]*video.Video, len(ds.Videos))
+	for i := range ds.Videos {
+		vs[i] = &ds.Videos[i]
+	}
+	if err := local.IngestVideos(vs); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	host := newPipeHost(local)
+	log := countFrames([]*pipeHost{host})[0]
+	client := remote.NewClient("pipe://split", remote.ClientOptions{Dial: host.dial})
+	defer client.Close()
+
+	// Each query asks for just over a third of the budget, so two share a
+	// frame and a third does not fit.
+	k := remote.Stage1FrameBudget/(3*60) + 1
+	texts := append(queryTexts(ds), queryTexts(ds)...)[:5]
+	plans := make([]core.Plan, len(texts))
+	for i := range plans {
+		plans[i] = core.Plan{FastK: k, ShardK: k, Exact: i%2 == 0}
+	}
+	got, err := client.FastSearchBatch(context.Background(), texts, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := log.take(); !reflect.DeepEqual(ops, []byte{wireStage1, wireStage1, wireStage1}) {
+		t.Fatalf("5-query batch at %d B of hits each: request ops %v, want 3 stage-1 frames", k*60, ops)
+	}
+	inProcess, err := local.FastSearchBatch(context.Background(), texts, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range texts {
+		lone, err := client.FastSearch(context.Background(), text, plans[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lone) == 0 || !reflect.DeepEqual(got[i], lone) || !reflect.DeepEqual(got[i], inProcess[i]) {
+			t.Fatalf("query %d: split batch answer (%d hits) differs from the lone (%d) or in-process (%d) answer",
+				i, len(got[i]), len(lone), len(inProcess[i]))
 		}
 	}
 }

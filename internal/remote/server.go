@@ -217,19 +217,6 @@ func (s *Server) handle(op byte, body []byte) (status byte, resp []byte) {
 	d := &dec{b: body}
 	e := &enc{}
 	switch op {
-	case opIngest:
-		raw := d.bytesv()
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		var v video.Video
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&v); err != nil {
-			return encodeError(fmt.Errorf("remote: decoding video: %w", err))
-		}
-		if err := s.backend.Ingest(&v); err != nil {
-			return encodeError(err)
-		}
-
 	case opIngestBatch:
 		n := d.count(1)
 		vs := make([]*video.Video, 0, min(n, 1024))
@@ -247,16 +234,8 @@ func (s *Server) handle(op byte, body []byte) (status byte, resp []byte) {
 		if err := d.finish(); err != nil {
 			return encodeError(err)
 		}
-		if bi, ok := s.backend.(BulkIngester); ok {
-			if err := bi.IngestVideos(vs); err != nil {
-				return encodeError(err)
-			}
-		} else {
-			for _, v := range vs {
-				if err := s.backend.Ingest(v); err != nil {
-					return encodeError(err)
-				}
-			}
+		if err := s.backend.IngestVideos(vs); err != nil {
+			return encodeError(err)
 		}
 
 	case opBuildIndex:
@@ -267,20 +246,19 @@ func (s *Server) handle(op byte, body []byte) (status byte, resp []byte) {
 			return encodeError(err)
 		}
 
-	case opFastSearch:
-		text := d.str()
-		plan := readPlan(d)
+	case opFastSearchBatch:
+		texts, plans := readQueries(d)
 		tid := d.u64()
 		if err := d.finish(); err != nil {
 			return encodeError(err)
 		}
 		ctx, root := traceRequest(tid, "worker.stage1")
-		hits, err := s.backend.FastSearch(ctx, text, plan)
+		lists, err := s.backend.FastSearchBatch(ctx, texts, plans)
 		root.End()
 		if err != nil {
 			return encodeError(err)
 		}
-		appendObjects(e, hits)
+		appendHitLists(e, lists)
 		appendTrace(e, root)
 
 	case opPlanStats:

@@ -16,6 +16,7 @@ package remote_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,9 +158,9 @@ type slowBackend struct {
 	delay time.Duration
 }
 
-func (s *slowBackend) FastSearch(ctx context.Context, text string, plan core.Plan) ([]core.ResultObject, error) {
+func (s *slowBackend) FastSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][]core.ResultObject, error) {
 	time.Sleep(s.delay)
-	return s.ShardBackend.FastSearch(ctx, text, plan)
+	return s.ShardBackend.FastSearchBatch(ctx, texts, plans)
 }
 
 // TestTraceAttributesInjectedLatency is the chaos pin: with one worker's
@@ -216,7 +217,7 @@ func TestTraceAttributesInjectedLatency(t *testing.T) {
 	}
 	var slowDur, fastDur time.Duration
 	for _, leg := range legs {
-		if leg.Detail == "shard=1" {
+		if strings.HasPrefix(leg.Detail, "shard=1 ") {
 			slowDur = leg.Dur
 		} else {
 			fastDur = leg.Dur

@@ -116,10 +116,11 @@ func TestServerSurvivesTruncatedFrame(t *testing.T) {
 func TestServerRejectsMalformedPayloads(t *testing.T) {
 	h := newPipeHost(bootLocal(t))
 	cases := map[string][]byte{
-		"unknown op":           {0xEE, 1, 2, 3},
-		"fast-search no body":  {4}, // opFastSearch with an empty body
-		"ground corrupt count": append([]byte{5, 0, 0, 0, 0}, 0xFF, 0xFF, 0xFF, 0xFF),
-		"ingest garbage gob":   append([]byte{2, 4, 0, 0, 0}, 0xde, 0xad, 0xbe, 0xef),
+		"unknown op":               {0xEE, 1, 2, 3},
+		"fast-search no body":      {18}, // opFastSearchBatch with an empty body
+		"fast-search forged count": {18, 0xFF, 0xFF, 0xFF, 0xFF},
+		"ground corrupt count":     append([]byte{5, 0, 0, 0, 0}, 0xFF, 0xFF, 0xFF, 0xFF),
+		"ingest garbage gob":       {14, 1, 0, 0, 0, 4, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef},
 	}
 	for name, payload := range cases {
 		resp, err := rawExchange(t, newPipeHost(bootLocal(t)), frame(payload))
@@ -130,9 +131,11 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 			t.Fatalf("%s: malformed request must answer a non-OK status, got % x", name, resp)
 		}
 	}
-	// Retired op bytes (the per-field metadata reads Status replaced) are
-	// unknown ops now — with or without a body — never a dispatch.
-	for _, op := range []byte{1, 6, 7, 8, 9, 10, 11, 16} {
+	// Retired op bytes — the per-field metadata reads Status replaced, the
+	// lone-query and lone-video ops the batch ops replaced, and the plan
+	// digest layout that lacked each rung's int8 bit — are unknown ops now,
+	// with or without a body, never a dispatch.
+	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16} {
 		for _, payload := range [][]byte{{op}, {op, 0xFF, 0xFF, 0xFF, 0xFF}} {
 			resp, err := rawExchange(t, h, frame(payload))
 			if err != nil {

@@ -23,28 +23,32 @@ import (
 // closes the connection, so a corrupt or hostile length can neither panic
 // the server nor drive an unbounded allocation.
 //
-// Op values are explicit and never reused: a retired value (1, 6-11, 16)
-// must keep answering "unknown op".
+// Op values are explicit and never reused: a retired value (1, 2, 4, 6-11,
+// 15, 16) must keep answering "unknown op". A message whose layout changes
+// takes a fresh value rather than reinterpreting an old one.
 const (
-	opIngest       byte = 2
 	opBuildIndex   byte = 3
-	opFastSearch   byte = 4
 	opGround       byte = 5
 	opSaveSnapshot byte = 12
 	opLoadSnapshot byte = 13
-	// opIngestBatch ships many videos in one frame (a list of per-video
-	// gob blobs), amortising the per-call dial + round trip that
-	// dataset-scale ingest would otherwise pay once per video.
+	// opIngestBatch ships videos in one frame (a list of per-video gob
+	// blobs) — the one ingest op: a live clip is a batch of one, and a
+	// dataset slice amortises the per-call dial and round trip.
 	opIngestBatch byte = 14
-	// opPlanStats fetches the shard's planning digest (selectivity sample,
-	// posting statistics, calibrated effort ladder) for the coordinator's
-	// accuracy-bounded planner.
-	opPlanStats byte = 15
 	// opStatus fetches the shard's ShardStatus snapshot — the one metadata
 	// read: boot nonce, generation, built, entities, ingest stats,
 	// per-replica health, segment breakdown and config summary, all
 	// answered from memory worker-side.
 	opStatus byte = 17
+	// opFastSearchBatch is the one stage-1 op: a list of (text, plan)
+	// pairs plus the trace id, answered by one hit list per query and then,
+	// for a traced request, the worker.stage1 span forest. A lone query is
+	// a list of one.
+	opFastSearchBatch byte = 18
+	// opPlanStats fetches the shard's planning digest (selectivity sample,
+	// posting statistics, calibrated effort ladder with each rung's int8
+	// bit) for the coordinator's accuracy-bounded planner.
+	opPlanStats byte = 19
 )
 
 const (

@@ -171,6 +171,43 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 	}
 }
 
+// TestOversizedBatchAnswers413: a /query/batch of more than maxBatchQueries
+// queries — however small its body — answers 413 naming the query limit
+// without planning a single query; a batch at the limit is served.
+func TestOversizedBatchAnswers413(t *testing.T) {
+	fb := &fakeBackend{}
+	srv := New(fb, Config{CacheSize: 4})
+	batch := func(n int) *httptest.ResponseRecorder {
+		queries := make([]string, n)
+		for i := range queries {
+			queries[i] = fmt.Sprintf("a red car %d", i)
+		}
+		body, err := json.Marshal(batchRequest{Queries: queries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", strings.NewReader(string(body))))
+		return rec
+	}
+	rec := batch(maxBatchQueries + 1)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-query batch: status %d want 413: %s", maxBatchQueries+1, rec.Code, rec.Body)
+	}
+	if want := fmt.Sprintf("%d-query limit", maxBatchQueries); !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("error %q must name the %s", rec.Body, want)
+	}
+	fb.mu.Lock()
+	planned := len(fb.planOpts)
+	fb.mu.Unlock()
+	if planned != 0 {
+		t.Fatalf("an oversized batch must never reach the backend, %d queries planned", planned)
+	}
+	if rec := batch(maxBatchQueries); rec.Code != http.StatusOK {
+		t.Fatalf("%d-query batch: status %d want 200: %s", maxBatchQueries, rec.Code, rec.Body)
+	}
+}
+
 // TestDefaultMinRecallApplied: a server booted with a default accuracy
 // bound applies it to requests that set no min_recall of their own, and a
 // request's explicit bound always wins.

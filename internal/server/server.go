@@ -174,6 +174,12 @@ const maxKnob = 1 << 20
 // sentence and a handful of knobs, so past a mebibyte the payload is abuse.
 const maxQueryBody = 1 << 20
 
+// maxBatchQueries bounds the queries of one /query/batch request: each is
+// planned, searched and reranked, so the body cap alone would admit about
+// 170 k tiny ones. Together with the shard client's stage-1 frame budget
+// it bounds every stage-1 frame a batch sends.
+const maxBatchQueries = 256
+
 // validateOptions rejects unexecutable option payloads up front, naming the
 // offending field — negative or absurd knobs would otherwise surface as
 // undefined backend behaviour (or an allocation) deep in the query path.
@@ -499,6 +505,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Queries) == 0 {
 		s.fail(w, http.StatusBadRequest, "empty batch")
+		return
+	}
+	if len(req.Queries) > maxBatchQueries {
+		s.fail(w, http.StatusRequestEntityTooLarge, "batch of %d queries exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
 		return
 	}
 	for _, q := range req.Queries {

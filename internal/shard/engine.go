@@ -11,7 +11,7 @@
 // into the global top-fastK (descending score, ascending patch ID — the
 // same canonical order every index kind produces), and stage-2 rerank
 // candidates route back to the shard owning each keyframe. Because the
-// engine runs the same shared executor (core.ExecutePlan) a core.System
+// engine runs the same shared executor (core.ExecutePlanBatch) a core.System
 // runs, a one-shard engine answers byte-identically to the single system, and
 // an N-shard engine under exact search differs only in index approximation,
 // not in merge logic. The same holds whether a shard answers from this
@@ -173,10 +173,10 @@ func (e *Engine) owner(videoID int) int {
 }
 
 // Ingest routes one video to its owning shard (which fans it out to every
-// replica).
+// replica) as a batch of one.
 func (e *Engine) Ingest(v *video.Video) error {
 	gi := e.owner(v.ID)
-	if err := e.backends[gi].Ingest(v); err != nil {
+	if err := e.backends[gi].IngestVideos([]*video.Video{v}); err != nil {
 		return fmt.Errorf("shard %d: %w", gi, err)
 	}
 	return nil
@@ -194,21 +194,11 @@ func (e *Engine) IngestDataset(ds *datasets.Dataset) error {
 	}
 	errs := make([]error, len(e.backends))
 	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		vs := byShard[i]
-		if len(vs) == 0 {
+		if len(byShard[i]) == 0 {
 			return
 		}
-		if bi, ok := e.backends[i].(remote.BulkIngester); ok {
-			if err := bi.IngestVideos(vs); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			}
-			return
-		}
-		for _, v := range vs {
-			if err := e.backends[i].Ingest(v); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
+		if err := e.backends[i].IngestVideos(byShard[i]); err != nil {
+			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 		}
 	})
 	return firstErr(errs)
@@ -238,72 +228,25 @@ func (e *Engine) Target() core.PlanTarget { return engineTarget{e} }
 // never returned.
 type engineTarget struct{ e *Engine }
 
-func (t engineTarget) ScatterSearch(ctx context.Context, text string, plan core.Plan) ([][]core.ResultObject, error) {
-	e := t.e
-	lists := make([][]core.ResultObject, len(e.backends))
-	errs := make([]error, len(e.backends))
-	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		lctx, lsp := obs.Start(ctx, "stage1.shard")
-		if lsp.On() {
-			lsp.Detail(fmt.Sprintf("shard=%d", i))
-		}
-		hits, err := e.backends[i].FastSearch(lctx, text, plan.Leg(i))
-		lsp.End()
-		if err != nil {
-			errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			return
-		}
-		lists[i] = hits
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return lists, nil
-}
-
-// batchSearchBackend is the optional batched stage-1 surface a shard
-// backend may implement (Local does; remote.Client does not — batched scans
-// don't travel the wire, so remote legs fall back to per-query calls).
-type batchSearchBackend interface {
-	FastSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][]core.ResultObject, error)
-}
-
-// ScatterSearchBatch runs stage 1 for the WHOLE batch as one call per shard — an in-process shard answers every query of
-// the batch from one cache-blocked sweep over its slice, a remote shard
-// falls back to per-query legs. out[query][shard] holds each query's
-// canonical per-leg hit lists, bit-identical to per-query ScatterSearch.
+// ScatterSearchBatch runs stage 1 for the whole batch as one call per shard,
+// legs in parallel: an in-process shard answers every query from one
+// cache-blocked sweep over its slice, a remote shard in one round trip.
+// out[query][shard] holds each query's canonical per-leg hit list.
 func (t engineTarget) ScatterSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][][]core.ResultObject, error) {
 	e := t.e
 	// byShard[shard][query]: scatter first, transpose after the gather.
 	byShard := make([][][]core.ResultObject, len(e.backends))
 	errs := make([]error, len(e.backends))
 	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		legs := make([]core.Plan, len(plans))
-		for qi := range plans {
-			legs[qi] = plans[qi].Leg(i)
-		}
 		lctx, lsp := obs.Start(ctx, "stage1.shard")
 		if lsp.On() {
 			lsp.Detail(fmt.Sprintf("shard=%d queries=%d", i, len(texts)))
 		}
 		defer lsp.End()
-		if bb, ok := e.backends[i].(batchSearchBackend); ok {
-			lists, err := bb.FastSearchBatch(lctx, texts, legs)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			byShard[i] = lists
+		lists, err := e.backends[i].FastSearchBatch(lctx, texts, legPlans(plans, i))
+		if err != nil {
+			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
-		}
-		lists := make([][]core.ResultObject, len(texts))
-		for qi, text := range texts {
-			hits, err := e.backends[i].FastSearch(lctx, text, legs[qi])
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			lists[qi] = hits
 		}
 		byShard[i] = lists
 	})
@@ -318,6 +261,15 @@ func (t engineTarget) ScatterSearchBatch(ctx context.Context, texts []string, pl
 		}
 	}
 	return out, nil
+}
+
+// legPlans derives shard i's leg of every plan in a batch (see Plan.Leg).
+func legPlans(plans []core.Plan, i int) []core.Plan {
+	legs := make([]core.Plan, len(plans))
+	for qi, p := range plans {
+		legs[qi] = p.Leg(i)
+	}
+	return legs
 }
 
 func (t engineTarget) ScatterGround(ctx context.Context, text string, refs []core.FrameRef, workers int) ([]core.Grounding, error) {
@@ -390,7 +342,7 @@ func (e *Engine) PlanQueryCtx(ctx context.Context, text string, opts core.QueryO
 // per-shard legs, replica attempts and remote-worker spans; an untraced
 // context runs the allocation-free disabled path.
 func (e *Engine) QueryPlanned(ctx context.Context, text string, plan core.Plan, workers int) (*core.Result, error) {
-	return core.ExecutePlan(ctx, engineTarget{e}, text, e.cfg.NormalizePlan(plan), workers)
+	return core.ExecutePlan(ctx, engineTarget{e}, e.cfg, text, plan, workers)
 }
 
 // QueryBatchPlanned executes one pre-resolved plan per query (see

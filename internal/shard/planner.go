@@ -71,7 +71,14 @@ type legTarget struct {
 	i int
 }
 
-func (t legTarget) ScatterSearch(ctx context.Context, text string, plan core.Plan) ([][]core.ResultObject, error) {
-	hits, err := t.e.backends[t.i].FastSearch(ctx, text, plan.Leg(t.i))
-	return [][]core.ResultObject{hits}, err
+func (t legTarget) ScatterSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][][]core.ResultObject, error) {
+	lists, err := t.e.backends[t.i].FastSearchBatch(ctx, texts, legPlans(plans, t.i))
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]core.ResultObject, len(lists))
+	for qi, hits := range lists {
+		out[qi] = [][]core.ResultObject{hits}
+	}
+	return out, nil
 }

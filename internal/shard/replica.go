@@ -195,25 +195,16 @@ func (l *Local) Revive(replica int) { l.state[replica].failed.Store(false) }
 
 // --- remote.ShardBackend implementation --------------------------------
 
-// Ingest routes one video to every replica. Failed replicas ingest too:
-// failure is a routing state, and a revived replica must hold the same
-// corpus as its peers. Every replica is attempted even when one errors —
-// aborting mid-fan-out would leave the group diverged — and if the error
-// hits only some replicas (a nondeterministic fault; a deterministic one
-// reproduces on all byte-identical peers), the diverged replicas are pulled
-// from routing so the group keeps answering with one consistent corpus.
-func (l *Local) Ingest(v *video.Video) error {
-	errs := make([]error, len(l.replicas))
-	for ri, s := range l.replicas {
-		errs[ri] = s.Ingest(v)
-	}
-	l.markDiverged(errs)
-	return firstErr(errs)
-}
-
 // IngestVideos ingests a slice of videos in order on every replica, one
 // goroutine per replica, so per-replica state is byte-identical to a serial
-// ingest of the slice — and therefore identical across the group.
+// ingest of the slice — and therefore identical across the group. Failed
+// replicas ingest too: failure is a routing state, and a revived replica
+// must hold the same corpus as its peers. Every replica is attempted even
+// when one errors — aborting mid-fan-out would leave the group diverged —
+// and if the error hits only some replicas (a nondeterministic fault; a
+// deterministic one reproduces on all byte-identical peers), the diverged
+// replicas are pulled from routing so the group keeps answering with one
+// consistent corpus.
 func (l *Local) IngestVideos(vs []*video.Video) error {
 	r := len(l.replicas)
 	errs := make([]error, r)
@@ -268,30 +259,11 @@ func (l *Local) BuildIndex() error {
 	return firstErr(errs)
 }
 
-// FastSearch runs stage 1 under the plan's leg knobs on one healthy
-// replica, failing over on faults.
-func (l *Local) FastSearch(ctx context.Context, text string, plan core.Plan) ([]core.ResultObject, error) {
-	var hits []core.ResultObject
-	err := l.withReplica(ctx, func(ctx context.Context, sys *core.System) error {
-		fh, err := sys.SearchPlanned(ctx, text, plan)
-		if err != nil {
-			return err
-		}
-		hits = fh.Objects
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return hits, nil
-}
-
-// FastSearchBatch runs the stage-1 leg for many (text, plan) pairs on ONE
+// FastSearchBatch runs the stage-1 leg for every (text, plan) pair on ONE
 // healthy replica, so queries with identical search shapes share a single
 // cache-blocked sweep over the replica's stored vectors (see
-// core.System.SearchPlannedBatch). Results align with texts and are
-// bit-identical to per-query FastSearch calls; failover retries the whole
-// batch on the next healthy replica.
+// core.System.SearchPlannedBatch). Results align with texts; failover
+// retries the whole batch on the next healthy replica.
 func (l *Local) FastSearchBatch(ctx context.Context, texts []string, plans []core.Plan) ([][]core.ResultObject, error) {
 	var lists [][]core.ResultObject
 	err := l.withReplica(ctx, func(ctx context.Context, sys *core.System) error {

@@ -35,8 +35,8 @@ func benchFrame() (*Model, *video.Frame, []embed.Token) {
 	return model, f, toks
 }
 
-// underEachKernelPath runs fn under every supported kernel tier and once
-// more with the vector kernels switched off, restoring both settings.
+// underEachKernelPath runs fn under every supported kernel tier (purego
+// included), restoring the original tier.
 func underEachKernelPath(t *testing.T, fn func(path string)) {
 	t.Helper()
 	orig := mat.KernelTier()
@@ -47,10 +47,6 @@ func underEachKernelPath(t *testing.T, fn func(path string)) {
 		}
 		fn(tier)
 	}
-	mat.SetKernelTier(orig)
-	prev := mat.SetVectorKernels(false)
-	defer mat.SetVectorKernels(prev)
-	fn("vector kernels off")
 }
 
 func sameGroundings(a, b []Grounding) bool {
