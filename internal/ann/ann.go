@@ -1,14 +1,14 @@
 // Package ann defines the common interface implemented by the approximate
-// nearest-neighbour indexes (flat brute force, IVF-PQ, the inverted
-// multi-index, HNSW) — the ANN-variant axis of the paper's Table V — and
-// the row store they all borrow.
+// nearest-neighbour indexes (IVF-PQ, the inverted multi-index, HNSW) — the
+// ANN-variant axis of the paper's Table V — and the row store they all
+// borrow. The brute-force variant needs no index: it is Rows.TopK itself.
 //
 // Every vector is resident once, in a Rows owned by the collection. An
 // index is built over a *Rows and keeps only its own structures, addressed
-// by dense row position; its exact phase (Algorithm 1's re-score, the flat
-// scan, Params.Exhaustive) reads the rows through the pointer, and
-// Rows.TopK/TopKBatch is the one blocked exact scan every index and the
-// unindexed fallback share.
+// by dense row position; its exact phase (Algorithm 1's re-score,
+// Params.Exhaustive) reads the rows through the pointer, and
+// Rows.TopK/TopKBatch is the one blocked exact scan every index, the flat
+// kind and the unindexed fallback share.
 //
 // Similarity is the inner product; all stored and query vectors are unit
 // normalised, so inner product equals cosine similarity and higher is
@@ -27,23 +27,15 @@ type Params struct {
 	Ef int
 	// Exhaustive disables pruning: every index answers with Rows.TopK, the
 	// exact blocked scan over all stored rows — the "w/o ANNS" ablation of
-	// Table IV. Its answers are identical on every index kind, and it
-	// ignores Int8.
+	// Table IV. Its answers are identical on every index kind.
 	Exhaustive bool
-	// Int8 selects the int8-quantized stage-1 scoring path where the
-	// index supports it (flat, IVF-PQ): candidates are scored through
-	// symmetric per-vector int8 codes (quant.Int8Block) and the shortlist
-	// is re-scored exactly against the rows, so returned scores are exact.
-	// Unlike the float32 kernel tiers the candidate selection is
-	// recall-gated, not bit-identical — the planner only selects it when
-	// calibration shows the measured recall meets the declared bound.
+	// Deprecated: ignored; remains only because benchmark/ names it — removed with ROADMAP item 1.
 	Int8 bool
 }
 
 // Index is a vector index over the rows of a Rows store.
 type Index interface {
-	// Kind returns the index family name ("flat", "ivfpq", "imi",
-	// "hnsw").
+	// Kind returns the index family name ("ivfpq", "imi", "hnsw").
 	Kind() string
 	// Len returns the number of indexed rows.
 	Len() int

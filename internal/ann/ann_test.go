@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/ann"
-	"repro/internal/ann/flat"
 	"repro/internal/ann/hnsw"
 	"repro/internal/ann/imi"
 	"repro/internal/ann/ivfpq"
@@ -51,9 +50,10 @@ func rowsOf(t *testing.T, ids []int64, vecs []mat.Vec) *ann.Rows {
 	return rows
 }
 
-// builders construct each index kind over every row of a store.
+// builders construct each index kind over every row of a store. The
+// brute-force variant is not among them: it is rows.TopK, the oracle every
+// kind is checked against.
 var builders = map[string]func(*ann.Rows) (ann.Index, error){
-	"flat": func(r *ann.Rows) (ann.Index, error) { return flat.New(r), nil },
 	"ivfpq": func(r *ann.Rows) (ann.Index, error) {
 		return ivfpq.Build(r, ivfpq.Config{NList: 16, P: 8, M: 32, Seed: 5})
 	},
@@ -63,9 +63,9 @@ var builders = map[string]func(*ann.Rows) (ann.Index, error){
 	},
 }
 
-// buildAll constructs every index kind over the corpus, all borrowing one
-// row store.
-func buildAll(t *testing.T, ids []int64, vecs []mat.Vec) map[string]ann.Index {
+// buildAll constructs every index kind over the corpus, all borrowing the
+// returned row store.
+func buildAll(t *testing.T, ids []int64, vecs []mat.Vec) (*ann.Rows, map[string]ann.Index) {
 	t.Helper()
 	rows := rowsOf(t, ids, vecs)
 	out := map[string]ann.Index{}
@@ -76,7 +76,7 @@ func buildAll(t *testing.T, ids []int64, vecs []mat.Vec) map[string]ann.Index {
 		}
 		out[kind] = ix
 	}
-	return out
+	return rows, out
 }
 
 // sameResults fails unless a and b match id for id and bit for bit.
@@ -111,7 +111,7 @@ func recallAtK(exact, approx []mat.Scored) float64 {
 
 func TestIndexConformance(t *testing.T) {
 	ids, vecs := corpus(600, 12, 1)
-	indexes := buildAll(t, ids, vecs)
+	_, indexes := buildAll(t, ids, vecs)
 	q := mat.Normalized(vecs[37])
 	for kind, ix := range indexes {
 		t.Run(kind, func(t *testing.T) {
@@ -154,7 +154,7 @@ func TestIndexConformance(t *testing.T) {
 func TestSelfRetrieval(t *testing.T) {
 	// Every index must return a stored vector as its own top match.
 	ids, vecs := corpus(400, 8, 2)
-	indexes := buildAll(t, ids, vecs)
+	rows, indexes := buildAll(t, ids, vecs)
 	for kind, ix := range indexes {
 		hits := 0
 		const trials = 25
@@ -173,12 +173,16 @@ func TestSelfRetrieval(t *testing.T) {
 			t.Errorf("%s: self-retrieval %d/%d below %d", kind, hits, trials, minHits)
 		}
 	}
+	for i := 0; i < len(ids); i += 16 {
+		if res := rows.TopK(vecs[i], 1); len(res) != 1 || res[0].ID != ids[i] {
+			t.Fatalf("exact scan: row %d is not its own top match: %v", i, res)
+		}
+	}
 }
 
 func TestApproximateRecallAgainstFlat(t *testing.T) {
 	ids, vecs := corpus(800, 16, 3)
-	indexes := buildAll(t, ids, vecs)
-	fl := indexes["flat"]
+	rows, indexes := buildAll(t, ids, vecs)
 	queries := make([]mat.Vec, 12)
 	for i := range queries {
 		q := mat.Clone(vecs[i*60])
@@ -188,7 +192,7 @@ func TestApproximateRecallAgainstFlat(t *testing.T) {
 	for _, kind := range []string{"ivfpq", "imi", "hnsw"} {
 		var total float64
 		for _, q := range queries {
-			exact := fl.Search(q, 10, ann.Params{})
+			exact := rows.TopK(q, 10)
 			approx := indexes[kind].Search(q, 10, ann.Params{NProbe: 12, Ef: 96})
 			total += recallAtK(exact, approx)
 		}
@@ -202,9 +206,9 @@ func TestApproximateRecallAgainstFlat(t *testing.T) {
 func TestExhaustiveMatchesFlatForIMI(t *testing.T) {
 	// Exhaustive IMI is the flat scan itself: it agrees exactly.
 	ids, vecs := corpus(300, 6, 4)
-	indexes := buildAll(t, ids, vecs)
+	rows, indexes := buildAll(t, ids, vecs)
 	q := mat.UnitGaussianVec(dim, 999)
-	exact := indexes["flat"].Search(q, 5, ann.Params{})
+	exact := rows.TopK(q, 5)
 	ex := indexes["imi"].Search(q, 5, ann.Params{Exhaustive: true})
 	if len(exact) != len(ex) {
 		t.Fatalf("lengths differ: %d vs %d", len(exact), len(ex))
@@ -223,9 +227,8 @@ func TestNProbeTradesRecallForWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := flat.New(rows)
 	q := mat.Normalized(vecs[100])
-	exact := fl.Search(q, 10, ann.Params{})
+	exact := rows.TopK(q, 10)
 	lo := recallAtK(exact, im.Search(q, 10, ann.Params{NProbe: 1}))
 	hi := recallAtK(exact, im.Search(q, 10, ann.Params{NProbe: 32}))
 	if hi < lo {
@@ -390,7 +393,7 @@ func TestTopKBatchBeatsLoneScans(t *testing.T) {
 // the abandoned array (or past its end) from then on. Approximate answers
 // must match a twin that indexed each row as it arrived (the same build
 // over the same first rows, so the same codebooks and graph), and
-// exhaustive answers must equal the flat oracle bit for bit.
+// exhaustive answers must equal the rows.TopK oracle bit for bit.
 func TestInsertAfterReallocationMatchesTwin(t *testing.T) {
 	const n0, n = 200, 900
 	ids, vecs := corpus(n, 9, 21)
@@ -420,12 +423,11 @@ func TestInsertAfterReallocationMatchesTwin(t *testing.T) {
 			if ix.Len() != n {
 				t.Fatalf("len = %d want %d", ix.Len(), n)
 			}
-			oracle := flat.New(rows)
 			for qi := 0; qi < 8; qi++ {
 				q := mat.Normalized(vecs[n0+qi*80])
 				p := ann.Params{NProbe: 8, Ef: 64}
 				sameResults(t, "approximate vs twin", ix.Search(q, 10, p), twin.Search(q, 10, p))
-				sameResults(t, "exhaustive vs oracle", ix.Search(q, 10, ann.Params{Exhaustive: true}), oracle.Search(q, 10, ann.Params{}))
+				sameResults(t, "exhaustive vs oracle", ix.Search(q, 10, ann.Params{Exhaustive: true}), rows.TopK(q, 10))
 			}
 		})
 	}
@@ -444,9 +446,8 @@ func TestIMICellCount(t *testing.T) {
 }
 
 func TestEmptyIndexSearches(t *testing.T) {
-	fl := flat.New(ann.NewRows(dim))
-	if res := fl.Search(mat.NewVec(dim), 5, ann.Params{}); res != nil {
-		t.Fatal("empty flat search must be nil")
+	if res := ann.NewRows(dim).TopK(mat.NewVec(dim), 5); res != nil {
+		t.Fatal("empty exact scan must be nil")
 	}
 	hn := hnsw.New(ann.NewRows(dim), hnsw.Config{})
 	if res := hn.Search(mat.NewVec(dim), 5, ann.Params{}); res != nil {

@@ -58,14 +58,10 @@ func isqrt(n int) int {
 }
 
 // list is one inverted list in structure-of-arrays layout: row position
-// rows[i] pairs with the packed code row codes[i*P:(i+1)*P] and the int8
-// sidecar row i8.Row(i). The sidecar quantizes the ORIGINAL vector (not
-// the residual), so Params.Int8 can score q·v directly without the coarse
-// term.
+// rows[i] pairs with the packed code row codes[i*P:(i+1)*P].
 type list struct {
 	rows  []int32
 	codes []uint16
-	i8    *quant.Int8Block
 }
 
 // Index is a built IVF-PQ index over borrowed rows.
@@ -123,22 +119,20 @@ func Build(rows *ann.Rows, cfg Config) (*Index, error) {
 		off := li * dim
 		copy(ix.coarseFlat[off:off+dim], c)
 		ix.coarse[li] = ix.coarseFlat[off : off+dim : off+dim]
-		ix.lists[li].i8 = quant.NewInt8Block(dim)
 	}
 	code := make(quant.Code, pq.P)
-	for i, v := range vecs {
-		pq.EncodeInto(code, residuals[i])
-		ix.insert(km.Assign[i], i, code, v)
+	for i, r := range residuals {
+		pq.EncodeInto(code, r)
+		ix.insert(km.Assign[i], i, code)
 	}
 	return ix, nil
 }
 
 // insert files row into list li with its residual code.
-func (ix *Index) insert(li, row int, code quant.Code, v mat.Vec) {
+func (ix *Index) insert(li, row int, code quant.Code) {
 	l := &ix.lists[li]
 	l.rows = append(l.rows, int32(row))
 	l.codes = append(l.codes, code...)
-	l.i8.Append(v)
 	ix.count++
 }
 
@@ -162,7 +156,7 @@ func (ix *Index) Add(row int) {
 	mat.Sub(r, v, ix.coarse[li])
 	code := make(quant.Code, ix.pq.P)
 	ix.pq.EncodeInto(code, r)
-	ix.insert(li, row, code, v)
+	ix.insert(li, row, code)
 }
 
 // Search implements ann.Index.
@@ -189,22 +183,9 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	}
 	cscratch.Release()
 
-	// Params.Int8 swaps the per-candidate stage-1 scorer: instead of
-	// coarse + residual ADC, score q·v directly over each probed list's
-	// int8 sidecar. The shortlist/refinement machinery downstream is
-	// shared.
-	useInt8 := p.Int8
-	var qCode []int8
-	var qScale float32
-	var table quant.Table
 	tscratch := mat.GetScratch(ix.pq.TableLen())
 	defer tscratch.Release()
-	if useInt8 {
-		qCode = make([]int8, len(q))
-		qScale = quant.QuantizeInt8Into(qCode, q)
-	} else {
-		table = ix.pq.DotTableInto(tscratch.Buf, q)
-	}
+	table := ix.pq.DotTableInto(tscratch.Buf, q)
 
 	top := mat.GetTopK(k * 4) // over-fetch for the exact refinement
 	defer mat.PutTopK(top)
@@ -219,15 +200,9 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 			sscratch.Release()
 			sscratch = mat.GetScratch(len(l.rows))
 		}
-		// Approximate scores, one batch pass per probed list: either
-		// coarse + residual ADC (Algorithm 1, line 10) or the int8
-		// sidecar's direct q·v approximation.
-		var scores []float32
-		if useInt8 {
-			scores = l.i8.ScoreRowsInt8(sscratch.Buf[:len(l.rows)], qScale, qCode, 0, len(l.rows))
-		} else {
-			scores = ix.pq.ApproxDotBatch(sscratch.Buf[:len(l.rows)], table, l.codes, sc.Score)
-		}
+		// Approximate scores, one batch pass per probed list: coarse +
+		// residual ADC (Algorithm 1, line 10).
+		scores := ix.pq.ApproxDotBatch(sscratch.Buf[:len(l.rows)], table, l.codes, sc.Score)
 		for i, s := range scores {
 			top.Push(ix.rows.ID(int(l.rows[i])), s)
 		}
@@ -247,13 +222,12 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	return out
 }
 
-// Memory implements ann.Index: centroids + row positions + codes + int8
-// sidecars + codebooks.
+// Memory implements ann.Index: centroids + row positions + codes +
+// codebooks.
 func (ix *Index) Memory() int64 {
 	b := int64(len(ix.coarseFlat)) * 4
 	for _, l := range ix.lists {
 		b += int64(len(l.rows))*4 + int64(len(l.codes))*2
-		b += int64(l.i8.Memory())
 	}
 	b += int64(ix.pq.P*len(ix.pq.Codebooks[0])*ix.pq.SubDim) * 4
 	return b

@@ -73,7 +73,7 @@ func (r *Rows) Bytes() int64 { return int64(len(r.data))*4 + int64(len(r.ids))*8
 
 // TopK returns the k rows scoring highest against q (inner product),
 // descending by score with ascending-id tie-break — the exact scan behind
-// the flat index, every index's Params.Exhaustive and an unindexed
+// the flat kind, every index's Params.Exhaustive and an unindexed
 // collection.
 func (r *Rows) TopK(q mat.Vec, k int) []mat.Scored {
 	var out [1][]mat.Scored

@@ -5,12 +5,10 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ann"
-	"repro/internal/ann/flat"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/embed"
@@ -27,7 +25,7 @@ func init() {
 
 // kernelsExperiment measures the vectorized scoring kernels against the
 // seed's scalar implementations, then the end-to-end effect on query
-// latency. Six sections in one table:
+// latency. Five sections in one table:
 //
 //   - microkernels: ns/op and allocs/op for Dot, ScoreRows, MatMul, the PQ
 //     table build and the batch ADC scan, each against a faithful
@@ -40,17 +38,14 @@ func init() {
 //     avx2-over-sse2 acceptance gate reads the 128d pair, because at 32d
 //     the per-row horizontal fold and loop bookkeeping cap what wider
 //     lanes can buy, and beyond L1 both tiers converge on cache bandwidth;
-//   - flat scan per tier: the stage-1 full scan (score every vector, keep
-//     top-k) at several collection sizes, measured once per supported
-//     kernel tier (avx2/sse2/neon/purego) against the seed scalar scan —
-//     the acceptance gate is ≥2x for the widest tier over the seed; the
-//     scan is selection-bound at 32d (top-k heap + threshold gate), so
+//   - flat scan per tier: the stage-1 full scan ann.Rows.TopK (score every
+//     vector, keep top-k) at several collection sizes, measured once per
+//     supported kernel tier (avx2/sse2/neon/purego) against the seed scalar
+//     scan — the acceptance gate is ≥2x for the widest tier over the seed;
+//     the scan is selection-bound at 32d (top-k heap + threshold gate), so
 //     tier-vs-tier gaps converge here by design;
-//   - int8 scan: the same flat scan through the recall-gated int8
-//     sidecar (quantized sweep + exact shortlist re-score) against the
-//     float sweep at the widest tier;
 //   - batched scan: ann.Rows.TopKBatch (the exact scan every index's
-//     exhaustive mode and the flat index run) at Q=2/4/8 queries per sweep
+//     exhaustive mode and the flat kind run) at Q=2/4/8 queries per sweep
 //     against Q lone TopK scans — CI gates Q=8 at ≥1.15x;
 //   - end-to-end: p50/p99 query latency of full LOVO systems at several
 //     dataset scales and index kinds, all running on the kernel layer.
@@ -313,7 +308,7 @@ func kernelsExperiment(o Options) (*Table, error) {
 	if o.Quick {
 		scanSizes = []int{5000, 20000}
 	}
-	var scanSpeedups, int8Speedups []float64
+	var scanSpeedups []float64
 	for _, n := range scanSizes {
 		rows := ann.NewRows(dim)
 		seedIx := &seedFlat{dim: dim}
@@ -326,7 +321,6 @@ func kernelsExperiment(o Options) (*Table, error) {
 			rows.Append(int64(i), v)
 			seedIx.add(int64(i), v)
 		}
-		ix := flat.New(rows)
 		q := mat.Normalize(randVec(dim))
 		const k = 100
 		baseNs, _ := bestOf(func(b *testing.B) {
@@ -343,7 +337,7 @@ func kernelsExperiment(o Options) (*Table, error) {
 			optNs, optAllocs := bestOf(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ix.Search(q, k, ann.Params{})
+					rows.TopK(q, k)
 				}
 			})
 			if _, err := mat.SetKernelTier(prev); err != nil {
@@ -357,22 +351,6 @@ func kernelsExperiment(o Options) (*Table, error) {
 				fmt.Sprintf("%d", optAllocs))
 		}
 		scanSpeedups = append(scanSpeedups, baseNs/tierNs[widest])
-
-		// int8 sidecar scan at the widest tier: quantized sweep, exact
-		// shortlist re-score — recall-gated, so it is compared against the
-		// float sweep rather than folded into the bit-identity gate.
-		int8Ns, int8Allocs := bestOf(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix.Search(q, k, ann.Params{Int8: true})
-			}
-		})
-		t.Add(fmt.Sprintf("int8 scan n=%d k=%d [%s]", n, k, widest),
-			fmt.Sprintf("%.0fns", tierNs[widest]),
-			fmt.Sprintf("%.0fns", int8Ns),
-			fmt.Sprintf("%.2fx", tierNs[widest]/int8Ns),
-			fmt.Sprintf("%d", int8Allocs))
-		int8Speedups = append(int8Speedups, tierNs[widest]/int8Ns)
 	}
 
 	// --- Cross-query batched scan ---------------------------------------
@@ -504,12 +482,6 @@ func kernelsExperiment(o Options) (*Table, error) {
 		t.Note("avx2 over sse2, L1-resident scoring sweep: %.2fx at %dd, %.2fx at 128d (acceptance gate, compute-bound dim: >= 1.5x); the full flat scan converges toward the tiers' shared load-port, cache-bandwidth and selection costs",
 			sweepAVX2OverSSE2[dim], dim, sweepAVX2OverSSE2[128])
 	}
-	int8Parts := make([]string, len(scanSizes))
-	for i, n := range scanSizes {
-		int8Parts[i] = fmt.Sprintf("%.2fx at n=%d", int8Speedups[i], n)
-	}
-	t.Note("int8 sidecar scan over %s float sweep: %s — the 4x-smaller sidecar wins once the sweep outgrows cache; below that the shortlist re-score dominates (recall-gated, not bit-identical)",
-		widest, strings.Join(int8Parts, ", "))
 	t.Note("ann.Rows.TopKBatch at Q=8 over 8 lone TopK scans: %.2fx (CI gate: >= 1.15x)", batch8Speedup)
 	t.Note("kernel reduction order is the canonical 4-lane order (see internal/mat/kernels.go); all query paths share it, so sharded/replicated answers stay byte-identical")
 	t.Note("allocs/op column is the kernel path; scan paths allocate only their result slice (pooled scratch + pooled top-k heaps)")

@@ -149,7 +149,7 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 // remote leg pays one round trip for the pair.
 func StageRecall(ctx context.Context, t PlanTarget, text string, plan Plan) (float64, error) {
 	xp := plan
-	xp.Exact, xp.Int8, xp.ShardKs, xp.ShardK = true, false, nil, plan.FastK
+	xp.Exact, xp.ShardKs, xp.ShardK = true, nil, plan.FastK
 	lists, err := t.ScatterSearchBatch(ctx, []string{text, text}, []Plan{xp, plan})
 	if err != nil {
 		return 0, err

@@ -62,14 +62,7 @@ type Plan struct {
 	// SkipRerank returns deduplicated stage-1 hits directly (the
 	// "w/o Rerank" ablation path).
 	SkipRerank bool
-	// Int8 routes stage 1 through the int8-quantized scoring path on
-	// indexes that support it (flat, IVF-PQ): candidates are scanned via
-	// symmetric per-vector int8 codes and the shortlist is re-scored
-	// exactly. Unlike the float32 kernel tiers this path is recall-gated,
-	// not bit-identical, so only the planner (backed by calibration
-	// measurements against exact ground truth) or an explicit pinned plan
-	// may set it. Ignored when Exact is set: exhaustive stage 1 is exact
-	// by contract.
+	// Deprecated: ignored; remains only because benchmark/ names it — removed with ROADMAP item 1.
 	Int8 bool
 
 	// Kind records how the plan was chosen (reporting only).
@@ -94,7 +87,6 @@ func (c Config) FixedPlan(opts QueryOptions) Plan {
 		RerankFrames: opts.RerankFrames,
 		TopN:         opts.TopN,
 		SkipRerank:   opts.DisableRerank,
-		Int8:         opts.Int8 && !opts.Exhaustive,
 		Kind:         PlanFixed,
 	}
 	if p.FastK == 0 {
@@ -157,8 +149,8 @@ func (p Plan) Leg(i int) Plan {
 // the same knobs share one cache entry.
 func (p Plan) Key() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "x=%t k=%d sk=%d np=%d ef=%d rr=%d n=%d sr=%t i8=%t",
-		p.Exact, p.FastK, p.ShardK, p.NProbe, p.Ef, p.RerankFrames, p.TopN, p.SkipRerank, p.Int8)
+	fmt.Fprintf(&sb, "x=%t k=%d sk=%d np=%d ef=%d rr=%d n=%d sr=%t",
+		p.Exact, p.FastK, p.ShardK, p.NProbe, p.Ef, p.RerankFrames, p.TopN, p.SkipRerank)
 	if p.ShardKs != nil {
 		sb.WriteString(" sks=")
 		for i, k := range p.ShardKs {
@@ -179,10 +171,6 @@ func (p Plan) String() string {
 	}
 	if p.Exact {
 		return fmt.Sprintf("%s exact k=%d rerank=%d top=%d", kind, p.FastK, p.RerankFrames, p.TopN)
-	}
-	if p.Int8 {
-		return fmt.Sprintf("%s k=%d shardk=%d nprobe=%d ef=%d int8 rerank=%d top=%d",
-			kind, p.FastK, p.ShardK, p.NProbe, p.Ef, p.RerankFrames, p.TopN)
 	}
 	return fmt.Sprintf("%s k=%d shardk=%d nprobe=%d ef=%d rerank=%d top=%d",
 		kind, p.FastK, p.ShardK, p.NProbe, p.Ef, p.RerankFrames, p.TopN)

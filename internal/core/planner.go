@@ -43,13 +43,8 @@ type TermCount struct {
 // worst-case probe — the value plan selection trusts; MeanRecall is
 // reported for observability.
 type Rung struct {
-	NProbe int
-	Ef     int
-	// Int8 marks a rung measured over the int8-quantized stage-1 path
-	// (flat, IVF-PQ). At equal NProbe the int8 sweep is the cheaper
-	// scorer, so its rung sits immediately before its float sibling on
-	// the ladder and wins whenever its measured recall clears the bound.
-	Int8       bool
+	NProbe     int
+	Ef         int
 	MinRecall  float64
 	MeanRecall float64
 }
@@ -286,17 +281,14 @@ func (p *planner) calibrateLocked(s *System, ent int) (rungs []Rung, ok bool) {
 	if ent == 0 || !s.Built() {
 		return nil, false
 	}
-	// The plain flat scan is exact by construction — its terminal rung
-	// needs no measurement and guarantees every bound stays satisfiable.
-	exactRung := Rung{MinRecall: 1, MeanRecall: 1}
+	// The flat scan is exact by construction: its ladder is the exact rung
+	// alone, with nothing to measure.
+	if s.cfg.Index == vectordb.IndexFlat {
+		return []Rung{{MinRecall: 1, MeanRecall: 1}}, true
+	}
 	probes := p.probeVectorsLocked()
 	probes = append(probes, s.probeTextVectors(p.topTermsLocked(plannerProbeTerms))...)
 	if len(probes) == 0 {
-		// With no probes to measure the int8 rung against, a flat ladder is
-		// the exact rung alone.
-		if s.cfg.Index == vectordb.IndexFlat {
-			return []Rung{exactRung}, true
-		}
 		return nil, false
 	}
 	k := s.cfg.FastK
@@ -310,32 +302,21 @@ func (p *planner) calibrateLocked(s *System, ent int) (rungs []Rung, ok bool) {
 		exact[i] = idSet(hits, scoredID)
 	}
 	var ladder []Rung
-	switch s.cfg.Index {
-	case vectordb.IndexFlat:
-		// The float flat scan is exact at every setting — only the int8
-		// stage-1 path needs measuring.
-		ladder = []Rung{{Int8: true}}
-	case vectordb.IndexHNSW:
+	if s.cfg.Index == vectordb.IndexHNSW {
 		for _, ef := range []int{16, 32, 64, 128, 256} {
 			ladder = append(ladder, Rung{Ef: ef})
 		}
-	default:
+	} else {
 		maxProbe := s.cfg.IndexOptions.M
-		int8Capable := s.cfg.Index == vectordb.IndexIVFPQ
 		for _, np := range []int{1, 2, 4, 8, 16, 32, 64} {
 			if maxProbe > 0 && np > maxProbe {
 				break
-			}
-			if int8Capable {
-				// The int8 sidecar sweep is the cheaper stage-1 scorer at
-				// the same probe width, so its rung sits first and wins ties.
-				ladder = append(ladder, Rung{NProbe: np, Int8: true})
 			}
 			ladder = append(ladder, Rung{NProbe: np})
 		}
 	}
 	for _, rung := range ladder {
-		lists, err := s.searchVectorsBatch(probes, k, ann.Params{NProbe: rung.NProbe, Ef: rung.Ef, Int8: rung.Int8})
+		lists, err := s.searchVectorsBatch(probes, k, ann.Params{NProbe: rung.NProbe, Ef: rung.Ef})
 		if err != nil {
 			return nil, false
 		}
@@ -348,12 +329,9 @@ func (p *planner) calibrateLocked(s *System, ent int) (rungs []Rung, ok bool) {
 		rung.MinRecall = minR
 		rung.MeanRecall = sum / float64(len(probes))
 		rungs = append(rungs, rung)
-		if minR >= 0.999 && !rung.Int8 {
+		if minR >= 0.999 {
 			break
 		}
-	}
-	if s.cfg.Index == vectordb.IndexFlat {
-		rungs = append(rungs, exactRung)
 	}
 	return rungs, true
 }
@@ -454,7 +432,7 @@ func (pp *PlanPolicy) LastMeasured() float64 { return math.Float64frombits(pp.la
 func (pp *PlanPolicy) Resolve(ctx context.Context, base Plan, minRecall float64, text string,
 	digests []PlanStats, probe func(context.Context, Plan) (float64, error)) Plan {
 	exact := base
-	exact.Exact, exact.Int8 = true, false
+	exact.Exact = true
 	exact.Kind, exact.PredictedRecall = PlanAdaptiveExact, 1
 	if base.Exact {
 		return exact
@@ -466,7 +444,6 @@ func (pp *PlanPolicy) Resolve(ctx context.Context, base Plan, minRecall float64,
 	pl := base
 	pl.Kind = PlanAdaptive
 	pl.PredictedRecall = rung.MinRecall
-	pl.Int8 = rung.Int8
 	if rung.NProbe > 0 {
 		pl.NProbe = rung.NProbe
 	}
@@ -516,8 +493,7 @@ func adaptMargin(margin, bound, measured float64) (next float64, miss bool) {
 // cheapestRung returns the cheapest ladder setting whose worst-case
 // calibrated recall over every non-empty digest reaches need, with that
 // recall in MinRecall. Candidate settings are the union of the digests'
-// ladders in ascending effort; at equal effort knobs the int8 rung (the
-// cheaper stage-1 scorer) sorts first.
+// ladders in ascending effort.
 func cheapestRung(digests []PlanStats, need float64) (Rung, bool) {
 	var live []*PlanStats
 	var settings []Rung
@@ -531,7 +507,7 @@ func cheapestRung(digests []PlanStats, need float64) (Rung, bool) {
 		}
 		live = append(live, st)
 		for _, r := range st.Rungs {
-			if s := (Rung{NProbe: r.NProbe, Ef: r.Ef, Int8: r.Int8}); !slices.Contains(settings, s) {
+			if s := (Rung{NProbe: r.NProbe, Ef: r.Ef}); !slices.Contains(settings, s) {
 				settings = append(settings, s)
 			}
 		}
@@ -541,10 +517,7 @@ func cheapestRung(digests []PlanStats, need float64) (Rung, bool) {
 		if a.NProbe != b.NProbe {
 			return a.NProbe < b.NProbe
 		}
-		if a.Ef != b.Ef {
-			return a.Ef < b.Ef
-		}
-		return a.Int8 && !b.Int8
+		return a.Ef < b.Ef
 	})
 	for _, s := range settings {
 		worst, ok := 1.0, true
@@ -561,18 +534,17 @@ func cheapestRung(digests []PlanStats, need float64) (Rung, bool) {
 }
 
 // recallAt reads one digest's calibrated recall at a ladder setting. A
-// ladder that stopped early at saturation (final float rung >= 0.999)
-// extends flat for wider float settings: more effort cannot lose recall.
-// Int8 settings never extend — they must have been measured.
+// ladder that stopped early at saturation (final rung >= 0.999) extends
+// flat for wider settings: more effort cannot lose recall.
 func recallAt(st *PlanStats, s Rung) (float64, bool) {
 	for _, r := range st.Rungs {
-		if r.NProbe == s.NProbe && r.Ef == s.Ef && r.Int8 == s.Int8 {
+		if r.NProbe == s.NProbe && r.Ef == s.Ef {
 			return r.MinRecall, true
 		}
 	}
-	if n := len(st.Rungs); n > 0 && !s.Int8 {
+	if n := len(st.Rungs); n > 0 {
 		last := st.Rungs[n-1]
-		if !last.Int8 && last.MinRecall >= 0.999 && (s.NProbe > last.NProbe || s.Ef > last.Ef) {
+		if last.MinRecall >= 0.999 && (s.NProbe > last.NProbe || s.Ef > last.Ef) {
 			return last.MinRecall, true
 		}
 	}

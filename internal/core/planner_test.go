@@ -153,16 +153,32 @@ func TestPlannerCalibration(t *testing.T) {
 		if r.MinRecall < 0 || r.MinRecall > 1 || r.MeanRecall < r.MinRecall {
 			t.Fatalf("rung %d malformed: %+v", i, r)
 		}
-		// Effort must ascend: NProbe never decreases, and at equal NProbe
-		// the only legal pairing is the cheaper int8 rung directly before
-		// its float sibling.
-		if i > 0 {
-			prev := st.Rungs[i-1]
-			if r.NProbe < prev.NProbe ||
-				(r.NProbe == prev.NProbe && !(prev.Int8 && !r.Int8)) {
-				t.Fatalf("rungs not at increasing effort: %+v", st.Rungs)
-			}
+		// Effort must strictly ascend.
+		if i > 0 && r.NProbe <= st.Rungs[i-1].NProbe {
+			t.Fatalf("rungs not at increasing effort: %+v", st.Rungs)
 		}
+	}
+}
+
+// TestFlatLadderIsTheExactRung: the flat scan is exact at every setting,
+// so a flat system calibrates to the exact rung alone — no measured rungs
+// below it — and a bounded query plans the float scan with recall 1.
+func TestFlatLadderIsTheExactRung(t *testing.T) {
+	sys, ds := plannerSystem(t, vectordb.IndexFlat)
+	st := sys.PlanStats()
+	if want := []Rung{{MinRecall: 1, MeanRecall: 1}}; !st.Calibrated || !reflect.DeepEqual(st.Rungs, want) {
+		t.Fatalf("flat ladder = %+v (calibrated %v), want %+v", st.Rungs, st.Calibrated, want)
+	}
+	text := ds.Queries[0].Text
+	plan, err := sys.PlanQueryCtx(context.Background(), text, QueryOptions{MinRecall: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Kind != PlanAdaptive || plan.PredictedRecall != 1 || plan.Exact {
+		t.Fatalf("bounded flat plan = %s (predicted %v), want the adaptive float scan at recall 1", plan, plan.PredictedRecall)
+	}
+	if rec, err := StageRecall(context.Background(), sys.Target(), text, plan); err != nil || rec != 1 {
+		t.Fatalf("bounded flat plan measured recall %v (%v), want 1", rec, err)
 	}
 }
 

@@ -26,13 +26,6 @@ type QueryOptions struct {
 	DisableRerank bool
 	// Exhaustive disables ANNS pruning ("w/o ANNS" ablation).
 	Exhaustive bool
-	// Int8 pins the int8-quantized stage-1 scoring path (flat, IVF-PQ):
-	// candidates are scanned through per-vector int8 codes and the
-	// shortlist is re-scored exactly. Recall-gated, not bit-identical —
-	// callers that want the planner to decide should set MinRecall instead
-	// and let calibration pick int8 only when it clears the bound.
-	// Ignored when Exhaustive is set.
-	Int8 bool
 	// RerankFrames overrides the stage-2 frame budget.
 	RerankFrames int
 	// Workers overrides the stage-2 rerank fan-out width for this query
@@ -154,7 +147,6 @@ func (p Plan) annParams() ann.Params {
 		NProbe:     p.NProbe,
 		Ef:         p.Ef,
 		Exhaustive: p.Exact,
-		Int8:       p.Int8,
 	}
 }
 
@@ -182,7 +174,7 @@ func (s *System) joinHits(hits []mat.Scored) ([]ResultObject, error) {
 // pairs — the stage-1 leg every deployment shape executes: the single
 // system directly, each shard of an engine via Plan.Leg, and RPC workers
 // behind the wire's stage-1 op. Each query is encoded, fast-searched under
-// its plan's own depth (ShardK) and index effort (Exact/NProbe/Ef/Int8) —
+// its plan's own depth (ShardK) and index effort (Exact/NProbe/Ef) —
 // queries whose plans resolve to identical search parameters share one
 // batched vector-store sweep — and joined against the relational store,
 // coming back in canonical (score desc, patch ID asc) order. Results align

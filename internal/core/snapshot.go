@@ -126,18 +126,15 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	if err := binary.Read(r, binary.LittleEndian, &mlen); err != nil {
 		return fmt.Errorf("core: reading snapshot metadata length: %w", err)
 	}
-	// A corrupted or truncated stream must fail cleanly, not drive an
-	// allocation from a garbage length.
-	const maxSnapMeta = 1 << 31
-	if mlen > maxSnapMeta {
-		return fmt.Errorf("core: snapshot metadata length %d exceeds the %d-byte bound (corrupt snapshot?)", mlen, maxSnapMeta)
-	}
-	mraw := make([]byte, mlen)
-	if _, err := io.ReadFull(r, mraw); err != nil {
-		return fmt.Errorf("core: reading snapshot metadata: %w", err)
+	// The section grows as its bytes arrive, so a corrupt or hostile length
+	// costs what the stream holds, never what it declares (one past
+	// MaxInt64 reads as empty, which gob refuses).
+	var mraw bytes.Buffer
+	if _, err := io.CopyN(&mraw, r, int64(mlen)); err != nil {
+		return fmt.Errorf("core: reading %d-byte snapshot metadata: %w", mlen, err)
 	}
 	var meta snapMeta
-	if err := gob.NewDecoder(bytes.NewReader(mraw)).Decode(&meta); err != nil {
+	if err := gob.NewDecoder(&mraw).Decode(&meta); err != nil {
 		return fmt.Errorf("core: decoding snapshot metadata: %w", err)
 	}
 	if meta.ProjDim != s.cfg.ProjDim {

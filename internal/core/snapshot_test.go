@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
@@ -252,5 +253,25 @@ func TestSystemSnapshotErrors(t *testing.T) {
 	full := buildSystem(t, ds, Config{Seed: 1})
 	if err := full.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("loading into a non-empty system must error")
+	}
+}
+
+// TestSnapshotMetadataLengthCostsOnlyItsBytes: a metadata length declaring
+// 1 GiB in front of a 5-byte body fails without reserving the declared
+// size — the section grows only as its bytes arrive.
+func TestSnapshotMetadataLengthCostsOnlyItsBytes(t *testing.T) {
+	s, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.LoadSnapshot(bytes.NewReader(hostileSnapshotHeader()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a metadata length past the stream's end must error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 5-byte metadata body allocated %d bytes", grew)
 	}
 }

@@ -43,7 +43,7 @@ func TestCorpus(t *testing.T) {
 
 // TestKernelExempt proves the kernel corpus — violations and all — is
 // legal inside internal/mat and internal/quant, where the canonical
-// float32 reduction order and the vetted int8 kernel live.
+// float32 reduction order and PQ's table-lookup sums live.
 func TestKernelExempt(t *testing.T) {
 	for _, path := range []string{"repro/internal/mat", "repro/internal/quant"} {
 		files := corpusFiles(t, "kerneldiscipline")

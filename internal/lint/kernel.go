@@ -13,17 +13,11 @@ import (
 // kernels — and silently forks the determinism contract the moment two
 // code paths score the same vectors. Such loops must call mat.Dot /
 // mat.ScoreRows (or carry a //lovo:kernel-ok reason explaining why the
-// reduction is not an inner product over scored data).
-//
-// The int8 analogue lives in internal/quant: an `acc += int32(a)*int32(b)`
-// widening-multiply loop anywhere else duplicates quant.DotInt8 without
-// its documented overflow bound (dim ≤ 133000 keeps the sum in int32) and
-// forks the quantized scoring path the recall gate was measured against.
-// Integer addition is associative, so the hazard is not lane order — it is
-// an unvetted second kernel.
+// reduction is not an inner product over scored data). internal/quant,
+// home of the PQ table builds and ADC scans, is exempt as well.
 var KernelDiscipline = &Analyzer{
 	Name:      "kerneldiscipline",
-	Doc:       "flags hand-rolled float32 multiply-accumulate and int8 widening-multiply reduction loops outside internal/mat and internal/quant",
+	Doc:       "flags hand-rolled float32 multiply-accumulate reduction loops outside internal/mat and internal/quant",
 	Directive: "kernel-ok",
 	Run:       runKernelDiscipline,
 }
@@ -50,11 +44,10 @@ func runKernelDiscipline(p *Pass) {
 }
 
 // checkReductionLoop flags `acc += x*y` in a loop body where acc is
-// storage declared outside the loop and x*y is either a float32 product
-// (the inner-product shape) or a product of int8 values widened to a
-// larger integer type (the quantized-dot shape). Nested loops are checked
-// at their own visit (the walk here does not descend into them), so the
-// diagnostic lands on the innermost loop actually doing the reduction.
+// storage declared outside the loop and x*y is a float32 product (the
+// inner-product shape). Nested loops are checked at their own visit (the
+// walk here does not descend into them), so the diagnostic lands on the
+// innermost loop actually doing the reduction.
 func checkReductionLoop(p *Pass, body *ast.BlockStmt) {
 	for _, stmt := range body.List {
 		ast.Inspect(stmt, func(n ast.Node) bool {
@@ -67,16 +60,7 @@ func checkReductionLoop(p *Pass, body *ast.BlockStmt) {
 				return true
 			}
 			lhsType := p.TypeOf(as.Lhs[0])
-			if lhsType == nil {
-				return true
-			}
-			var msg string
-			switch {
-			case isFloat32(lhsType) && containsFloat32Product(p, as.Rhs[0]):
-				msg = "hand-rolled float32 multiply-accumulate reduction outside internal/mat: call mat.Dot/mat.ScoreRows to keep the canonical 4-lane reduction order"
-			case isWideInt(lhsType) && containsInt8WideningProduct(p, as.Rhs[0]):
-				msg = "hand-rolled int8 widening-multiply reduction outside internal/quant: call quant.DotInt8 so every quantized scan shares the one overflow-vetted kernel"
-			default:
+			if lhsType == nil || !isFloat32(lhsType) || !containsFloat32Product(p, as.Rhs[0]) {
 				return true
 			}
 			base := baseIdent(as.Lhs[0])
@@ -87,7 +71,7 @@ func checkReductionLoop(p *Pass, body *ast.BlockStmt) {
 			if obj == nil || (obj.Pos() >= body.Pos() && obj.Pos() < body.End()) {
 				return true // per-iteration local: not a cross-element reduction
 			}
-			p.Reportf(as.Pos(), "%s", msg)
+			p.Reportf(as.Pos(), "hand-rolled float32 multiply-accumulate reduction outside internal/mat: call mat.Dot/mat.ScoreRows to keep the canonical 4-lane reduction order")
 			return true
 		})
 	}
@@ -112,57 +96,7 @@ func containsFloat32Product(p *Pass, e ast.Expr) bool {
 	return found
 }
 
-// containsInt8WideningProduct reports whether e contains a multiplication
-// whose both operands are int8 values widened by an explicit conversion to
-// a larger integer type — the quantized dot-product shape
-// int32(a[i]) * int32(b[i]).
-func containsInt8WideningProduct(p *Pass, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if be, ok := n.(*ast.BinaryExpr); ok && be.Op == token.MUL {
-			if isInt8Widening(p, be.X) && isInt8Widening(p, be.Y) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// isInt8Widening reports whether e is a conversion of an int8 value to a
-// wider integer type, e.g. int32(codes[i]).
-func isInt8Widening(p *Pass, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return false
-	}
-	at, rt := p.TypeOf(call.Args[0]), p.TypeOf(call)
-	if at == nil || rt == nil {
-		return false
-	}
-	ab, ok := at.Underlying().(*types.Basic)
-	return ok && ab.Kind() == types.Int8 && isWideInt(rt)
-}
-
 func isFloat32(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Float32
-}
-
-// isWideInt reports whether t is an integer type strictly wider than one
-// byte — the accumulator/operand side of a widening multiply.
-func isWideInt(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	switch b.Kind() {
-	case types.Int16, types.Int32, types.Int64, types.Int,
-		types.Uint16, types.Uint32, types.Uint64, types.Uint, types.Uintptr:
-		return true
-	}
-	return false
 }

@@ -53,42 +53,3 @@ func perIteration(rows [][]float32, w []float32) []float32 {
 	}
 	return out
 }
-
-// dotInt8Bad is the forbidden quantized shape: a widening-multiply
-// accumulation duplicating quant.DotInt8 without its overflow bound.
-func dotInt8Bad(a, b []int8) int32 {
-	var s int32
-	for i := range a {
-		s += int32(a[i]) * int32(b[i]) // want `hand-rolled int8 widening-multiply reduction outside internal/quant`
-	}
-	return s
-}
-
-// dotInt8Directed is the same shape with a documented reason.
-func dotInt8Directed(a, b []int8) int32 {
-	var s int32
-	for i := range a {
-		//lovo:kernel-ok reference implementation the property test compares against quant.DotInt8
-		s += int32(a[i]) * int32(b[i])
-	}
-	return s
-}
-
-// byteChecksum widens but never multiplies: not the quantized-dot shape.
-func byteChecksum(xs []int8) int64 {
-	var s int64
-	for _, x := range xs {
-		s += int64(x)
-	}
-	return s
-}
-
-// scaledSum multiplies a widened int8 by a plain int constant — only one
-// side of the product is a widening conversion, so it stays quiet.
-func scaledSum(xs []int8, k int32) int32 {
-	var s int32
-	for _, x := range xs {
-		s += int32(x) * k
-	}
-	return s
-}

@@ -101,13 +101,6 @@ func tierName(t tierID) string {
 // or purego.
 func KernelTier() string { return tierName(activeTier) }
 
-// HasAVX2 reports CPU+OS support for the AVX2 kernels, independent of the
-// active tier. Integer kernels elsewhere (quant's widening-multiply dot)
-// key off the capability rather than the tier: their arithmetic is exact,
-// so implementation choice can never change a result bit, and pinning a
-// narrower float tier for bit-identity triage must not slow them down.
-func HasAVX2() bool { return hasAVX2 }
-
 // KernelTiers lists the tiers this host supports, widest first — the
 // detection order of TierAuto.
 func KernelTiers() []string {

@@ -144,7 +144,7 @@ type ShardBackend interface {
 	BuildIndex() error
 	// FastSearchBatch runs stage 1 against the shard's slice of the corpus
 	// for each (text, plan) pair under the plan's leg knobs (ShardK depth,
-	// Exact/NProbe/Ef/Int8 effort), returning one local top-ShardK hit list
+	// Exact/NProbe/Ef effort), returning one local top-ShardK hit list
 	// per query in canonical order. The context carries the query's
 	// tracing recorder (see internal/obs): a remote backend ships the trace
 	// id over the wire and grafts the worker's exported spans back into the

@@ -145,8 +145,9 @@ func (d *dec) finish() error {
 
 // appendPlan encodes one execution plan. Plan.ShardKs deliberately has no
 // encoding: the coordinator resolves each leg with Plan.Leg before
-// dispatch, so only the leg's own ShardK travels. Every other field does —
-// a dropped knob would run a different plan on the worker than the one the
+// dispatch, so only the leg's own ShardK travels. Nor does the inert
+// Plan.Int8, which nothing executes. Every other field does — a dropped
+// knob would run a different plan on the worker than the one the
 // coordinator reports and caches under.
 func appendPlan(e *enc, p core.Plan) {
 	e.boolean(p.Exact)
@@ -157,14 +158,13 @@ func appendPlan(e *enc, p core.Plan) {
 	e.i64(int64(p.RerankFrames))
 	e.i64(int64(p.TopN))
 	e.boolean(p.SkipRerank)
-	e.boolean(p.Int8)
 	e.str(string(p.Kind))
 	e.f64(p.PredictedRecall)
 }
 
-// encPlanMinSize is the smallest encoded Plan: three bools, six i64, an
+// encPlanMinSize is the smallest encoded Plan: two bools, six i64, an
 // empty Kind string (u32 length) and an f64.
-const encPlanMinSize = 3 + 6*8 + 4 + 8
+const encPlanMinSize = 2 + 6*8 + 4 + 8
 
 func readPlan(d *dec) core.Plan {
 	return core.Plan{
@@ -176,7 +176,6 @@ func readPlan(d *dec) core.Plan {
 		RerankFrames:    d.intv(),
 		TopN:            d.intv(),
 		SkipRerank:      d.boolean(),
-		Int8:            d.boolean(),
 		Kind:            core.PlanKind(d.str()),
 		PredictedRecall: d.f64(),
 	}
@@ -255,7 +254,6 @@ func appendPlanStats(e *enc, st core.PlanStats) {
 	for _, r := range st.Rungs {
 		e.i64(int64(r.NProbe))
 		e.i64(int64(r.Ef))
-		e.boolean(r.Int8)
 		e.f64(r.MinRecall)
 		e.f64(r.MeanRecall)
 	}
@@ -265,11 +263,11 @@ func appendPlanStats(e *enc, st core.PlanStats) {
 
 // Per-element floors for the PlanStats list counts: a sample element is one
 // f32; a term is at least an empty string (u32 length) plus two i64; a rung
-// is two i64, a bool and two f64.
+// is two i64 and two f64.
 const (
 	encSampleElemSize = 4
 	encTermMinSize    = 4 + 16
-	encRungSize       = 33
+	encRungSize       = 32
 )
 
 func readPlanStats(d *dec) core.PlanStats {
@@ -297,7 +295,7 @@ func readPlanStats(d *dec) core.PlanStats {
 		st.Rungs = make([]core.Rung, 0, n)
 		for i := 0; i < n; i++ {
 			st.Rungs = append(st.Rungs, core.Rung{
-				NProbe: d.intv(), Ef: d.intv(), Int8: d.boolean(),
+				NProbe: d.intv(), Ef: d.intv(),
 				MinRecall: d.f64(), MeanRecall: d.f64(),
 			})
 		}

@@ -109,7 +109,7 @@ func TestPlanRoundTrip(t *testing.T) {
 		{}, // all zero
 		{Exact: true, FastK: 1 << 30, ShardK: -1, RerankFrames: math.MaxInt32, TopN: -7,
 			Kind: core.PlanAdaptiveExact, PredictedRecall: 1},
-		{FastK: 40, NProbe: 4, Int8: true, Kind: core.PlanAdaptive, PredictedRecall: 0.95},
+		{FastK: 40, NProbe: 4, Kind: core.PlanAdaptive, PredictedRecall: 0.95},
 	}
 	for i := 0; i < 100; i++ {
 		cases = append(cases, core.Plan{
@@ -121,7 +121,6 @@ func TestPlanRoundTrip(t *testing.T) {
 			RerankFrames:    rng.Intn(1 << 10),
 			TopN:            rng.Intn(1 << 10),
 			SkipRerank:      rng.Intn(2) == 0,
-			Int8:            rng.Intn(2) == 0,
 			Kind:            kinds[rng.Intn(len(kinds))],
 			PredictedRecall: randF64(rng),
 		})
@@ -174,14 +173,16 @@ func sameFields[T any](t *testing.T, what string, got, want T, skip ...string) {
 	}
 }
 
-// TestPlanAndRungFieldsAllTravel: every exported Plan field except the
-// engine-only ShardKs, and every Rung field, survives its wire round trip —
-// so the next field added to either cannot be dropped silently.
+// TestPlanAndRungFieldsAllTravel: every exported Plan field and every Rung
+// field survives its wire round trip — so the next field added to either
+// cannot be dropped silently. Two Plan fields are exempt: the engine-only
+// ShardKs (each leg's own ShardK travels instead) and the inert Int8, which
+// nothing executes and only the benchmark harness still names.
 func TestPlanAndRungFieldsAllTravel(t *testing.T) {
-	plan := everyField[core.Plan](t, "ShardKs")
+	plan := everyField[core.Plan](t, "ShardKs", "Int8")
 	e := &enc{}
 	appendPlan(e, plan)
-	sameFields(t, "plan", readPlan(&dec{b: e.b}), plan, "ShardKs")
+	sameFields(t, "plan", readPlan(&dec{b: e.b}), plan, "ShardKs", "Int8")
 
 	rung := everyField[core.Rung](t)
 	e = &enc{}
@@ -200,7 +201,7 @@ func TestPlanStatsRoundTrip(t *testing.T) {
 		{Entities: math.MaxInt32, Dim: 1, SampleEvery: 1 << 20,
 			Sample:     []float32{math.MaxFloat32},
 			Terms:      []core.TermCount{{Name: strings.Repeat("t", 1<<10), Objects: -1, Frames: math.MaxInt32}},
-			Rungs:      []core.Rung{{NProbe: 8, Int8: true, MinRecall: 0.9, MeanRecall: 0.95}, {NProbe: 64, MinRecall: 1, MeanRecall: 1}},
+			Rungs:      []core.Rung{{NProbe: 8, MinRecall: 0.9, MeanRecall: 0.95}, {NProbe: 64, MinRecall: 1, MeanRecall: 1}},
 			Calibrated: true, Margin: 0.25},
 	}
 	for i := 0; i < 60; i++ {
@@ -220,7 +221,7 @@ func TestPlanStatsRoundTrip(t *testing.T) {
 		}
 		for j := rng.Intn(7); j > 0; j-- {
 			st.Rungs = append(st.Rungs, core.Rung{
-				NProbe: rng.Intn(64), Ef: rng.Intn(256), Int8: rng.Intn(2) == 0,
+				NProbe: rng.Intn(64), Ef: rng.Intn(256),
 				MinRecall: rng.Float64(), MeanRecall: rng.Float64()})
 		}
 		cases = append(cases, st)
@@ -273,20 +274,20 @@ func readStage1Request(d *dec) stage1Request {
 }
 
 // stage1Cases spans the stage-1 batch shapes: empty, a lone query, an
-// int8 plan, and a serving-sized random batch.
+// adaptive plan, and a serving-sized random batch.
 func stage1Cases() []stage1Request {
 	rng := rand.New(rand.NewSource(12))
 	cases := []stage1Request{
 		{},
 		{Texts: []string{"A red car driving in the center of the road."}, Plans: []core.Plan{{FastK: 100, ShardK: 100, NProbe: 16, Ef: 64, RerankFrames: 16, TopN: 10, Kind: core.PlanFixed}}, TID: 7},
-		{Texts: []string{""}, Plans: []core.Plan{{Int8: true, NProbe: 4, Kind: core.PlanAdaptive, PredictedRecall: 0.93}}},
+		{Texts: []string{""}, Plans: []core.Plan{{NProbe: 4, Kind: core.PlanAdaptive, PredictedRecall: 0.93}}},
 	}
 	batch := stage1Request{TID: math.MaxUint64}
 	for i := 0; i < 8; i++ {
 		batch.Texts = append(batch.Texts, strings.Repeat("car ", rng.Intn(6)))
 		batch.Plans = append(batch.Plans, core.Plan{
 			Exact: rng.Intn(2) == 0, FastK: rng.Intn(1 << 10), ShardK: rng.Intn(1 << 10),
-			NProbe: rng.Intn(64), Ef: rng.Intn(256), Int8: rng.Intn(2) == 0, Kind: core.PlanPinned,
+			NProbe: rng.Intn(64), Ef: rng.Intn(256), Kind: core.PlanPinned,
 		})
 	}
 	return append(cases, batch)

@@ -29,7 +29,7 @@ import (
 const (
 	wireGround = 5
 	wireStatus = 17
-	wireStage1 = 18
+	wireStage1 = 20
 )
 
 // frameLog records the op byte of every request frame written to one

@@ -24,8 +24,8 @@ import (
 // the server nor drive an unbounded allocation.
 //
 // Op values are explicit and never reused: a retired value (1, 2, 4, 6-11,
-// 15, 16) must keep answering "unknown op". A message whose layout changes
-// takes a fresh value rather than reinterpreting an old one.
+// 15, 16, 18, 19) must keep answering "unknown op". A message whose layout
+// changes takes a fresh value rather than reinterpreting an old one.
 const (
 	opBuildIndex   byte = 3
 	opGround       byte = 5
@@ -44,11 +44,11 @@ const (
 	// pairs plus the trace id, answered by one hit list per query and then,
 	// for a traced request, the worker.stage1 span forest. A lone query is
 	// a list of one.
-	opFastSearchBatch byte = 18
+	opFastSearchBatch byte = 20
 	// opPlanStats fetches the shard's planning digest (selectivity sample,
-	// posting statistics, calibrated effort ladder with each rung's int8
-	// bit) for the coordinator's accuracy-bounded planner.
-	opPlanStats byte = 19
+	// posting statistics, calibrated effort ladder) for the coordinator's
+	// accuracy-bounded planner.
+	opPlanStats byte = 21
 )
 
 const (

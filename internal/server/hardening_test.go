@@ -208,6 +208,49 @@ func TestOversizedBatchAnswers413(t *testing.T) {
 	}
 }
 
+// TestOversizedQueryTextAnswers413: a query text past maxQueryText bytes —
+// alone on /query or anywhere in a /query/batch — answers 413 naming the
+// limit without planning anything; a text at the limit is served.
+func TestOversizedQueryTextAnswers413(t *testing.T) {
+	fb := &fakeBackend{}
+	srv := New(fb, Config{CacheSize: 4})
+	post := func(path string, req any) *httptest.ResponseRecorder {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(string(body))))
+		return rec
+	}
+	long := "car " + strings.Repeat("a", maxQueryText-3)
+	for path, req := range map[string]any{
+		"/query":       queryRequest{Query: long},
+		"/query/batch": batchRequest{Queries: []string{"a red car", long}},
+	} {
+		rec := post(path, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d-byte text: status %d want 413: %s", path, len(long), rec.Code, rec.Body)
+		}
+		if want := fmt.Sprintf("%d-byte limit", maxQueryText); !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("%s: error %q must name the %s", path, rec.Body, want)
+		}
+	}
+	fb.mu.Lock()
+	planned := len(fb.planOpts)
+	fb.mu.Unlock()
+	if planned != 0 {
+		t.Fatalf("an oversized text must never reach the backend, %d queries planned", planned)
+	}
+	atLimit := long[:maxQueryText]
+	if rec := post("/query", queryRequest{Query: atLimit}); rec.Code != http.StatusOK {
+		t.Fatalf("%d-byte text: status %d want 200: %s", len(atLimit), rec.Code, rec.Body)
+	}
+	if rec := post("/query/batch", batchRequest{Queries: []string{atLimit}}); rec.Code != http.StatusOK {
+		t.Fatalf("%d-byte batch text: status %d want 200: %s", len(atLimit), rec.Code, rec.Body)
+	}
+}
+
 // TestDefaultMinRecallApplied: a server booted with a default accuracy
 // bound applies it to requests that set no min_recall of their own, and a
 // request's explicit bound always wins.
@@ -253,6 +296,12 @@ func TestPlanReporting(t *testing.T) {
 	if qr.Plan.Kind != string(core.PlanFixed) || qr.Plan.FastK <= 0 {
 		t.Fatalf("response must echo the resolved plan, got %+v", qr.Plan)
 	}
+	// A leftover options.int8 is an unknown field like any other: the query
+	// is served, and no plan ever echoes an int8 bit.
+	legacy := map[string]any{"query": "a red car", "options": map[string]any{"int8": true}}
+	if resp, data := postJSON(t, ts.URL+"/query", legacy); resp.StatusCode != http.StatusOK || strings.Contains(string(data), "int8") {
+		t.Fatalf("options.int8 must be ignored and never echoed, got %d: %s", resp.StatusCode, data)
+	}
 	_, _ = postJSON(t, ts.URL+"/query/batch", batchRequest{Queries: []string{"a truck"}})
 
 	sr, err := http.Get(ts.URL + "/stats")
@@ -264,8 +313,8 @@ func TestPlanReporting(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr.Body.Close()
-	if st.Plans[string(core.PlanFixed)] != 2 {
-		t.Fatalf("/stats must count both chosen plans by kind, got %v", st.Plans)
+	if st.Plans[string(core.PlanFixed)] != 3 {
+		t.Fatalf("/stats must count all three chosen plans by kind, got %v", st.Plans)
 	}
 
 	mr, err := http.Get(ts.URL + "/metrics")
@@ -274,7 +323,7 @@ func TestPlanReporting(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(mr.Body)
 	mr.Body.Close()
-	if !strings.Contains(string(raw), `lovod_plan_chosen_total{kind="fixed"} 2`) {
+	if !strings.Contains(string(raw), `lovod_plan_chosen_total{kind="fixed"} 3`) {
 		t.Fatalf("metrics missing plan counter:\n%s", raw)
 	}
 }

@@ -131,12 +131,7 @@ type QueryOptionsJSON struct {
 	TopN          int  `json:"top_n,omitempty"`
 	DisableRerank bool `json:"disable_rerank,omitempty"`
 	Exhaustive    bool `json:"exhaustive,omitempty"`
-	// Int8 pins the int8-quantized stage-1 scoring path (flat and IVF-PQ
-	// indexes; recall-gated, not bit-identical — the shortlist is re-scored
-	// exactly). Callers that want the planner to decide should set
-	// min_recall instead. Ignored when exhaustive is set.
-	Int8         bool `json:"int8,omitempty"`
-	RerankFrames int  `json:"rerank_frames,omitempty"`
+	RerankFrames  int  `json:"rerank_frames,omitempty"`
 	// MinRecall, when set, asks the planner for the cheapest plan predicted
 	// to reach this stage-1 recall (0 < min_recall <= 1) instead of the
 	// fixed default knobs.
@@ -149,7 +144,6 @@ func (o QueryOptionsJSON) toCore() core.QueryOptions {
 		TopN:          o.TopN,
 		DisableRerank: o.DisableRerank,
 		Exhaustive:    o.Exhaustive,
-		Int8:          o.Int8,
 		RerankFrames:  o.RerankFrames,
 		MinRecall:     o.MinRecall,
 	}
@@ -179,6 +173,11 @@ const maxQueryBody = 1 << 20
 // 170 k tiny ones. Together with the shard client's stage-1 frame budget
 // it bounds every stage-1 frame a batch sends.
 const maxBatchQueries = 256
+
+// maxQueryText bounds one query's text in bytes: the result cache and the
+// slow log both key on the full text, so without it a few hundred
+// mebibyte-long texts would pin gigabytes. Real queries are a sentence.
+const maxQueryText = 4096
 
 // validateOptions rejects unexecutable option payloads up front, naming the
 // offending field — negative or absurd knobs would otherwise surface as
@@ -233,8 +232,9 @@ type PlanJSON struct {
 	RerankFrames    int     `json:"rerank_frames"`
 	TopN            int     `json:"top_n"`
 	SkipRerank      bool    `json:"skip_rerank,omitempty"`
-	Int8            bool    `json:"int8,omitempty"`
 	PredictedRecall float64 `json:"predicted_recall,omitempty"`
+	// Deprecated: ignored; remains only because benchmark/ names it — removed with ROADMAP item 1.
+	Int8 bool `json:"int8,omitempty"`
 }
 
 func toPlanJSON(p core.Plan) PlanJSON {
@@ -248,7 +248,6 @@ func toPlanJSON(p core.Plan) PlanJSON {
 		RerankFrames:    p.RerankFrames,
 		TopN:            p.TopN,
 		SkipRerank:      p.SkipRerank,
-		Int8:            p.Int8,
 		PredictedRecall: p.PredictedRecall,
 	}
 }
@@ -368,6 +367,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req queryRequest
 	if !s.decodeBody(w, r, maxQueryBody, &req) {
+		return
+	}
+	if len(req.Query) > maxQueryText {
+		s.fail(w, http.StatusRequestEntityTooLarge, "query text of %d bytes exceeds the %d-byte limit", len(req.Query), maxQueryText)
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -511,7 +514,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusRequestEntityTooLarge, "batch of %d queries exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
 		return
 	}
-	for _, q := range req.Queries {
+	for i, q := range req.Queries {
+		if len(q) > maxQueryText {
+			s.fail(w, http.StatusRequestEntityTooLarge, "batch query %d: text of %d bytes exceeds the %d-byte limit", i, len(q), maxQueryText)
+			return
+		}
 		if strings.TrimSpace(q) == "" {
 			s.fail(w, http.StatusBadRequest, "empty query in batch")
 			return
@@ -698,8 +705,8 @@ type StatsResponse struct {
 
 // SegmentStatsJSON is the streaming segment breakdown on the wire.
 // RawBytes is the rows — the one resident copy of every vector and id;
-// IndexBytes is the sealed indexes' own codes, lists, graphs and int8
-// sidecars, which borrow those rows and never count them.
+// IndexBytes is the sealed indexes' own codes, lists and graphs, which
+// borrow those rows and never count them.
 type SegmentStatsJSON struct {
 	Sealed        int    `json:"sealed"`
 	Building      int    `json:"building"`

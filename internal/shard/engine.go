@@ -32,6 +32,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -598,11 +599,14 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
 			return fmt.Errorf("shard %d: reading snapshot size: %w", i, err)
 		}
-		seg := make([]byte, size)
-		if _, err := io.ReadFull(r, seg); err != nil {
-			return fmt.Errorf("shard %d: reading snapshot segment: %w", i, err)
+		// The segment grows as its bytes arrive, so a corrupt or hostile size
+		// costs what the stream holds, never what it declares (one past
+		// MaxInt64 reads as empty, which the shard's own loader refuses).
+		var seg bytes.Buffer
+		if _, err := io.CopyN(&seg, r, int64(size)); err != nil {
+			return fmt.Errorf("shard %d: reading %d-byte snapshot segment: %w", i, size, err)
 		}
-		if err := b.LoadSnapshot(seg); err != nil {
+		if err := b.LoadSnapshot(seg.Bytes()); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

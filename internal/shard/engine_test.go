@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"reflect"
 	"sync"
 	"testing"
@@ -311,8 +312,8 @@ func TestQueryBatchMatchesLoneQueries(t *testing.T) {
 // TestQueryBatchPlannedMatchesLoneQueries drives the batched scatter path
 // (one ScatterSearchBatch per backend, grouped stage-1 sweeps inside each
 // shard) over a flat index with a deliberately mixed plan set — default,
-// wider FastK, pinned int8, exhaustive — and pins bit-identity against
-// lone QueryPlanned runs of the very same plans.
+// wider FastK, exhaustive — and pins bit-identity against lone
+// QueryPlanned runs of the very same plans.
 func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 	ds := datasets.QVHighlights(datasets.Config{Seed: 11, Scale: 0.04})
 	eng, err := New(3, core.Config{Seed: 11, Index: vectordb.IndexFlat})
@@ -336,7 +337,7 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 		case 1:
 			opts.FastK = 24
 		case 2:
-			opts.Int8 = true
+			opts.Exhaustive = true
 		}
 		if plans[i], err = eng.PlanQueryCtx(context.Background(), text, opts); err != nil {
 			t.Fatal(err)
@@ -433,6 +434,22 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 func TestNewRejectsZeroShards(t *testing.T) {
 	if _, err := New(0, core.Config{}); err == nil {
 		t.Fatal("zero shards must error")
+	}
+}
+
+// TestEngineSnapshotRejectsHostileSegmentSize: a shard segment declaring
+// 2^62 bytes in front of a 4-byte body is a clean error, not a buffer
+// sized from the declaration.
+func TestEngineSnapshotRejectsHostileSegmentSize(t *testing.T) {
+	eng, err := New(2, core.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := append([]byte(snapMagic), 2, 0, 0, 0) // two shards
+	snap = binary.LittleEndian.AppendUint64(snap, 1<<62)
+	snap = append(snap, "tiny"...)
+	if err := eng.LoadSnapshot(bytes.NewReader(snap)); err == nil {
+		t.Fatal("a segment size past the stream's end must error")
 	}
 }
 

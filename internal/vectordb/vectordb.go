@@ -1,9 +1,11 @@
 // Package vectordb implements the embedded vector database of Section V —
 // the role Milvus plays in the paper's deployment. It manages named
 // collections of unit-normalised vectors, supports pluggable index builds
-// (flat brute force, IVF-PQ, the inverted multi-index, HNSW), incremental
-// inserts that flow into a built index, top-k inner-product search with
-// per-call parameters, usage statistics, and binary snapshot persistence.
+// (IVF-PQ, the inverted multi-index, HNSW, and the flat kind — the
+// collection's own exact scan, with no index structure at all),
+// incremental inserts that flow into a built index, top-k inner-product
+// search with per-call parameters, usage statistics, and binary snapshot
+// persistence.
 package vectordb
 
 import (
@@ -13,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/ann"
-	"repro/internal/ann/flat"
 	"repro/internal/ann/hnsw"
 	"repro/internal/ann/imi"
 	"repro/internal/ann/ivfpq"
@@ -92,8 +93,10 @@ type Collection struct {
 	name   string
 	schema Schema
 
-	mu      sync.RWMutex
-	rows    *ann.Rows
+	mu   sync.RWMutex
+	rows *ann.Rows
+	// index is nil both before a build and after a flat one: the flat kind
+	// answers with the rows' own exact scan. kind tells the two apart.
 	index   ann.Index
 	kind    IndexKind
 	options IndexOptions
@@ -251,14 +254,15 @@ func (c *Collection) Vector(id int64) (mat.Vec, error) {
 }
 
 // constructIndex builds an index over every row without touching any lock
-// — the shared core of BuildIndex and BuildIndexSealed.
+// — the shared core of BuildIndex and BuildIndexSealed. The flat kind
+// builds nothing (a nil index): its searches are the rows' exact scan.
 func constructIndex(rows *ann.Rows, kind IndexKind, opts IndexOptions) (ann.Index, error) {
 	if rows.Len() == 0 {
 		return nil, ErrEmptyBuild
 	}
 	switch kind {
 	case IndexFlat:
-		return flat.New(rows), nil
+		return nil, nil
 	case IndexIVFPQ:
 		return ivfpq.Build(rows, ivfpq.Config{NList: opts.NList, P: opts.P, M: opts.M, Seed: opts.Seed})
 	case IndexIMI:
@@ -284,11 +288,13 @@ func (c *Collection) BuildIndex(kind IndexKind, opts IndexOptions) error {
 	return nil
 }
 
-// installIndex swaps in a freshly built index and records its footprint
-// (caller holds the write lock).
+// installIndex swaps in a freshly built index (nil for the flat kind) and
+// records its footprint (caller holds the write lock).
 func (c *Collection) installIndex(ix ann.Index, kind IndexKind, opts IndexOptions) {
-	c.index, c.kind, c.options = ix, kind, opts
-	c.indexBytes = ix.Memory()
+	c.index, c.kind, c.options, c.indexBytes = ix, kind, opts, 0
+	if ix != nil {
+		c.indexBytes = ix.Memory()
+	}
 }
 
 // BuildIndexSealed constructs the index off-lock: the index reads the rows
@@ -314,8 +320,8 @@ func (c *Collection) IndexKind() IndexKind {
 	return c.kind
 }
 
-// Search returns the k most similar stored vectors. Unindexed collections
-// answer with the exact scan over their rows.
+// Search returns the k most similar stored vectors. Unindexed and flat
+// collections answer with the exact scan over their rows.
 func (c *Collection) Search(q mat.Vec, k int, p ann.Params) ([]mat.Scored, error) {
 	if len(q) != c.schema.Dim {
 		return nil, fmt.Errorf("%w: query %d != %d", ErrDimension, len(q), c.schema.Dim)
@@ -328,18 +334,11 @@ func (c *Collection) Search(q mat.Vec, k int, p ann.Params) ([]mat.Scored, error
 	return c.rows.TopK(q, k), nil
 }
 
-// batchSearcher is the optional index fast path SearchBatch dispatches to
-// for approximate plans: an index that answers many queries at once
-// (flat). Results must be bit-identical to per-query Search calls.
-type batchSearcher interface {
-	SearchBatch(qs []mat.Vec, k int, p ann.Params) [][]mat.Scored
-}
-
 // SearchBatch answers many queries under one set of search parameters,
 // results aligned with qs and bit-identical to per-query Search calls. An
-// unindexed collection or an exhaustive plan is one sweep over the rows
-// (ann.Rows.TopKBatch) whatever the index kind; otherwise a batchSearcher
-// index answers the batch and any other index each query in turn.
+// unindexed or flat collection, or an exhaustive plan on any kind, is one
+// sweep over the rows (ann.Rows.TopKBatch); otherwise the index answers
+// each query in turn.
 func (c *Collection) SearchBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Scored, error) {
 	for i, q := range qs {
 		if len(q) != c.schema.Dim {
@@ -350,9 +349,6 @@ func (c *Collection) SearchBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Sco
 	defer c.mu.RUnlock()
 	if c.index == nil || p.Exhaustive {
 		return c.rows.TopKBatch(qs, k), nil
-	}
-	if bs, ok := c.index.(batchSearcher); ok {
-		return bs.SearchBatch(qs, k, p), nil
 	}
 	out := make([][]mat.Scored, len(qs))
 	for i, q := range qs {
@@ -371,7 +367,8 @@ type Stats struct {
 	// every vector and id.
 	RawBytes int64
 	// IndexBytes is the index's own resident estimate (codes, lists,
-	// centroids, graph, int8 sidecar); it never counts the borrowed rows.
+	// centroids, graph); it never counts the borrowed rows, so it is 0 for
+	// the flat kind.
 	IndexBytes int64
 }
 

@@ -135,7 +135,7 @@ func TestBuildIndexKinds(t *testing.T) {
 			// Batch vs lone: SearchBatch answers every query exactly as
 			// Search does — approximate plans through the index,
 			// exhaustive plans as one sweep over the rows that must also
-			// equal the flat oracle (one mat.Dot per row) bit for bit.
+			// equal the oracle (one mat.Dot per row) bit for bit.
 			qs := []mat.Vec{unit(123), unit(5), unit(77)}
 			for _, p := range []ann.Params{{NProbe: 8, Ef: 64}, {Exhaustive: true}} {
 				batch, err := c.SearchBatch(qs, 10, p)
@@ -149,6 +149,10 @@ func TestBuildIndexKinds(t *testing.T) {
 						sameHits(t, lone, oracle(c, q, 10), "exhaustive vs oracle")
 					}
 				}
+			}
+			if kind == IndexFlat {
+				checkFlatKind(t, db, c, qs)
+				return
 			}
 			st := c.Stats()
 			if st.IndexBytes <= 0 || st.RawBytes <= 0 || st.Count != 300 {
@@ -167,6 +171,49 @@ func TestBuildIndexKinds(t *testing.T) {
 				t.Fatalf("after a post-build insert: stats %d, index.Memory() %d, before %d", got, c.index.Memory(), st.IndexBytes)
 			}
 		})
+	}
+}
+
+// checkFlatKind pins the flat kind as the collection's own exact scan:
+// Search and SearchBatch, under approximate and exhaustive params alike,
+// equal rows.TopK bit for bit — before and after a snapshot round trip —
+// and the collection reports the flat kind with no index footprint.
+func checkFlatKind(t *testing.T, db *DB, c *Collection, qs []mat.Vec) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := loaded.Collection(c.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, col := range map[string]*Collection{"built": c, "loaded": lc} {
+		if col.IndexKind() != IndexFlat {
+			t.Fatalf("%s: kind = %q", name, col.IndexKind())
+		}
+		if st := col.Stats(); st.IndexBytes != 0 || st.Count != 300 {
+			t.Fatalf("%s: flat stats = %+v, want no index bytes", name, st)
+		}
+		for _, p := range []ann.Params{{NProbe: 8, Ef: 64}, {Exhaustive: true}} {
+			batch, err := col.SearchBatch(qs, 10, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, q := range qs {
+				want := c.rows.TopK(q, 10)
+				lone, err := col.Search(q, 10, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameHits(t, lone, want, name+" search vs rows.TopK")
+				sameHits(t, batch[j], want, name+" batch vs rows.TopK")
+			}
+		}
 	}
 }
 
@@ -318,9 +365,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestStatsShrinkWithQuantization(t *testing.T) {
 	// Every vector is resident once, in the collection's rows: RawBytes
-	// counts them and IndexBytes — the index's own codes, lists, graph or
-	// int8 sidecar — stays below even one float32 copy of them, on every
-	// index kind.
+	// counts them and IndexBytes — the index's own codes, lists or graph —
+	// stays below even one float32 copy of them, on every index kind. The
+	// flat kind has no index at all.
 	const n, d = 500, 64
 	for _, kind := range []IndexKind{IndexFlat, IndexIVFPQ, IndexIMI, IndexHNSW} {
 		t.Run(string(kind), func(t *testing.T) {
@@ -342,6 +389,12 @@ func TestStatsShrinkWithQuantization(t *testing.T) {
 			const rowBytes = n * d * 4
 			if st.RawBytes != rowBytes+n*8 {
 				t.Fatalf("raw bytes %d, want %d", st.RawBytes, rowBytes+n*8)
+			}
+			if kind == IndexFlat {
+				if st.IndexBytes != 0 {
+					t.Fatalf("flat index bytes %d, want 0", st.IndexBytes)
+				}
+				return
 			}
 			if st.IndexBytes <= 0 || st.IndexBytes >= rowBytes {
 				t.Fatalf("index bytes %d must be positive and below one copy of the rows (%d B)", st.IndexBytes, rowBytes)
