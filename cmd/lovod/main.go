@@ -8,8 +8,9 @@
 // (-shard-addrs) instead dials one lovoshard worker per address and routes
 // ingest, index builds, snapshots and both query stages over the shard RPC
 // boundary — the workers hold the corpus, lovod holds the merge. Workers
-// must be booted with the same -seed and -index; lovod verifies this at
-// startup and fails fast — as it does when any worker is unreachable.
+// must be booted with the same -seed, -index and -segment-size; lovod
+// verifies this at startup and fails fast — as it does when any worker is
+// unreachable.
 //
 // Usage:
 //
@@ -55,7 +56,7 @@ func main() {
 		scale      = flag.Float64("scale", 0.15, "dataset duration scale (1.0 = paper-sized)")
 		seed       = flag.Uint64("seed", 7, "workload and system seed")
 		shards     = flag.Int("shards", 4, "shard count (videos partition by ID modulo shards; ignored with -shard-addrs)")
-		replicas   = flag.Int("replicas", 1, "replicas per shard (queries pick one; ingest fans to all)")
+		replicas   = flag.Int("replicas", 1, "replicas per shard, for failover: queries pick one, ingest fans to all, answers are byte-identical whichever serves (throughput under R > 1 is unmeasured)")
 		index      = flag.String("index", "imi", "vector index: imi|ivfpq|hnsw|flat")
 		cache      = flag.Int("cache", 512, "query-result cache capacity in entries (0 disables; default from the cachesweep bench)")
 		minRecall  = flag.Float64("min-recall", 0, "default stage-1 recall bound in (0,1] applied to queries without their own min_recall; 0 keeps the fixed default knobs")
@@ -68,8 +69,7 @@ func main() {
 		rpcTimeout = flag.Duration("rpc-timeout", 30*time.Second, "per-call deadline for shard RPCs")
 		debugAddr  = flag.String("debug-addr", "", "optional second listen address for the debug tier (/debug/queries, /debug/pprof/*); keep it off the public port")
 		kernels    = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
-		streaming  = flag.Bool("streaming", false, "segmented continuous-ingest mode: POST /ingest accepts footage while serving, seals and compactions run in the background (must match the workers' -streaming)")
-		segSize    = flag.Int("segment-size", 0, "streaming seal threshold in vectors per segment (0 = default 4096; must match the workers')")
+		segSize    = flag.Int("segment-size", 0, "0 = batch; N > 0 = segmented continuous ingest sealing every N vectors; must match the workers'")
 	)
 	flag.Parse()
 
@@ -90,11 +90,7 @@ func main() {
 	if err := core.ValidateMinRecall(*minRecall); err != nil {
 		fatal(fmt.Errorf("-min-recall: %w", err))
 	}
-	cfg := core.Config{Seed: *seed, Index: kind, Workers: *workers,
-		Streaming: *streaming, SegmentSize: *segSize}
-	if *segSize != 0 && !*streaming {
-		fatal(fmt.Errorf("-segment-size requires -streaming"))
-	}
+	cfg := core.Config{Seed: *seed, Index: kind, Workers: *workers, SegmentSize: *segSize}
 
 	var eng *shard.Engine
 	if *shardAddrs != "" {
@@ -143,8 +139,8 @@ func main() {
 	st := status.Ingest
 	log.Printf("ready: %d keyframes, %d indexed patch vectors (aggregate shard-time: processing %s, indexing %s)",
 		st.Keyframes, st.Tokens, st.Processing.Round(1e6), st.Indexing.Round(1e6))
-	if seg := status.Segments; seg.Streaming {
-		log.Printf("streaming: %d sealed / %d building segments, %d vectors growing (POST /ingest accepts live footage)",
+	if seg := status.Segments; seg.Growing > 0 {
+		log.Printf("segmented: %d sealed / %d building segments, %d vectors growing",
 			seg.Sealed, seg.Building, seg.GrowingLen)
 	}
 
@@ -157,17 +153,32 @@ func main() {
 		log.Printf("planner: default accuracy bound min_recall=%.2f (per-request min_recall overrides)", *minRecall)
 	}
 	if *debugAddr != "" {
-		dh := srv.DebugHandler()
+		dh := newHTTPServer(*debugAddr, srv.DebugHandler())
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, dh); err != nil {
+			if err := dh.ListenAndServe(); err != nil {
 				fatal(fmt.Errorf("debug listener: %w", err))
 			}
 		}()
 		log.Printf("debug tier on %s (GET /debug/queries, /debug/pprof/)", *debugAddr)
 	}
 	log.Printf("serving on %s (POST /query, /query/batch, /ingest; GET /stats /healthz /metrics /debug/queries)", *addr)
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+	if err := newHTTPServer(*addr, srv).ListenAndServe(); err != nil {
 		fatal(err)
+	}
+}
+
+// newHTTPServer bounds how long a client may hold a connection without
+// progress, so one that dribbles its headers or idles on keep-alive cannot
+// pin a connection and a goroutine forever. ReadTimeout covers a 64 MiB
+// /ingest body on a slow link. WriteTimeout stays 0: a 256-query
+// /query/batch with rerank has no useful upper bound.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
 	}
 }
 

@@ -6,10 +6,10 @@
 // A worker boots empty: the coordinator partitions the corpus by video ID
 // and routes each video's ingest (and the index build, snapshot save/load,
 // and both query stages) over the RPC boundary. Boot every worker and the
-// coordinator with the same -seed and -index — encoders are seeded, so a
-// mismatch would embed queries into a different space than the stored
-// vectors; the coordinator verifies this at startup and refuses to serve on
-// a mismatch.
+// coordinator with the same -seed, -index and -segment-size — encoders are
+// seeded, so a mismatch would embed queries into a different space than the
+// stored vectors; the coordinator verifies this at startup and refuses to
+// serve on a mismatch.
 //
 // Usage:
 //
@@ -36,14 +36,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:9101", "shard RPC listen address")
-		seed      = flag.Uint64("seed", 7, "system seed (must match the coordinator's)")
-		index     = flag.String("index", "imi", "vector index: imi|ivfpq|hnsw|flat (must match the coordinator's)")
-		replicas  = flag.Int("replicas", 1, "replicas hosted by this worker (queries pick one; ingest fans to all)")
-		workers   = flag.Int("workers", 0, "worker pool per replica (0 = NumCPU)")
-		kernels   = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
-		streaming = flag.Bool("streaming", false, "segmented continuous-ingest mode (must match the coordinator's -streaming)")
-		segSize   = flag.Int("segment-size", 0, "streaming seal threshold in vectors per segment (0 = default 4096; must match the coordinator's)")
+		addr     = flag.String("addr", "127.0.0.1:9101", "shard RPC listen address")
+		seed     = flag.Uint64("seed", 7, "system seed (must match the coordinator's)")
+		index    = flag.String("index", "imi", "vector index: imi|ivfpq|hnsw|flat (must match the coordinator's)")
+		replicas = flag.Int("replicas", 1, "replicas hosted by this worker, for failover: queries pick one, ingest fans to all, answers are byte-identical whichever serves (throughput under R > 1 is unmeasured)")
+		workers  = flag.Int("workers", 0, "worker pool per replica (0 = NumCPU)")
+		kernels  = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
+		segSize  = flag.Int("segment-size", 0, "0 = batch; N > 0 = segmented continuous ingest sealing every N vectors; must match the coordinator's")
 	)
 	flag.Parse()
 
@@ -61,11 +60,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *segSize != 0 && !*streaming {
-		fatal(fmt.Errorf("-segment-size requires -streaming"))
-	}
-	backend, err := shard.NewLocal(*replicas, core.Config{Seed: *seed, Index: kind, Workers: *workers,
-		Streaming: *streaming, SegmentSize: *segSize})
+	backend, err := shard.NewLocal(*replicas, core.Config{Seed: *seed, Index: kind, Workers: *workers, SegmentSize: *segSize})
 	if err != nil {
 		fatal(err)
 	}
@@ -75,12 +70,12 @@ func main() {
 	}
 	srv := remote.NewServer(backend)
 	srv.Logf = log.Printf
-	mode := "batch"
-	if *streaming {
-		mode = "streaming"
+	store := "batch store"
+	if *segSize > 0 {
+		store = fmt.Sprintf("segmented store sealing every %d vectors", *segSize)
 	}
-	log.Printf("lovoshard: hosting 1 shard x %d replicas (%s index, seed %d, %s mode), RPC on %s",
-		*replicas, kind, *seed, mode, l.Addr())
+	log.Printf("lovoshard: hosting 1 shard x %d replicas (%s index, seed %d, %s), RPC on %s",
+		*replicas, kind, *seed, store, l.Addr())
 	if err := srv.Serve(l); err != nil {
 		fatal(err)
 	}

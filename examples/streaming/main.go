@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	sys, err := lovo.Open(lovo.Options{Seed: 11, Streaming: true, SegmentSize: 300})
+	sys, err := lovo.Open(lovo.Options{Seed: 11, SegmentSize: 300})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,9 +37,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			sealed, growing := sys.Core().Segmented().Segments()
+			st := sys.Core().Segmented().SegmentStats()
 			fmt.Printf("after %2d videos: %d sealed segments (+%d growing vectors), query %q -> %d objects in %v\n",
-				i+1, sealed, growing, q, len(res.Objects), res.Total().Round(1e6))
+				i+1, st.Sealed+st.Building, st.GrowingLen, q, len(res.Objects), res.Total().Round(1e6))
 		}
 	}
 	fmt.Println("\neach seal indexed only the newest segment; earlier segments were never rebuilt.")

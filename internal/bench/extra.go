@@ -104,9 +104,8 @@ func extraStreaming(o Options) (*Table, error) {
 		Header: []string{"mode", "index ops", "total index time", "max single build", "AveP"},
 	}
 
-	run := func(label string, streaming bool) error {
-		cfg := core.Config{Seed: o.Seed, Streaming: streaming, SegmentSize: 400}
-		sys, err := core.New(cfg)
+	run := func(label string, segmentSize int) error {
+		sys, err := core.New(core.Config{Seed: o.Seed, SegmentSize: segmentSize})
 		if err != nil {
 			return err
 		}
@@ -144,10 +143,10 @@ func extraStreaming(o Options) (*Table, error) {
 		t.Add(label, fmt.Sprintf("%d", ops), secs(totalIdx), secs(maxIdx), f3(ap))
 		return nil
 	}
-	if err := run("batch (full rebuild per arrival)", false); err != nil {
+	if err := run("batch (full rebuild per arrival)", 0); err != nil {
 		return nil, err
 	}
-	if err := run("streaming (seal per arrival)", true); err != nil {
+	if err := run("streaming (seal per arrival)", 400); err != nil {
 		return nil, err
 	}
 	t.Note("expected shape: streaming's total and per-arrival indexing cost undercut repeated full rebuilds at equal accuracy")

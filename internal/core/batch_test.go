@@ -32,12 +32,29 @@ func batchPlans(sys *System, texts []string) []Plan {
 // own, on every index kind: approximate plans through flat's row sweep or
 // the other kinds' per-query index search, exhaustive plans through the one
 // row sweep every kind shares — whose answers must also equal flat's, the
-// oracle, bit for bit.
+// oracle, bit for bit. The segmented case runs the same batches across
+// several sealed segments and a growing one.
 func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 	oracle := map[string][]ResultObject{} // flat's exhaustive answers by text
-	for _, kind := range []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIMI, vectordb.IndexIVFPQ, vectordb.IndexHNSW} {
-		t.Run(string(kind), func(t *testing.T) {
-			sys, ds := plannerSystem(t, kind)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"flat", Config{Seed: 17, Index: vectordb.IndexFlat}},
+		{"imi", Config{Seed: 17, Index: vectordb.IndexIMI}},
+		{"ivfpq", Config{Seed: 17, Index: vectordb.IndexIVFPQ}},
+		{"hnsw", Config{Seed: 17, Index: vectordb.IndexHNSW}},
+		{"segmented-imi", Config{Seed: 17, Index: vectordb.IndexIMI, SegmentSize: 700}},
+	}
+	for _, tc := range cases {
+		kind := tc.cfg.Index
+		t.Run(tc.name, func(t *testing.T) {
+			sys, ds := plannerSystemCfg(t, tc.cfg)
+			if tc.cfg.SegmentSize > 0 {
+				if st, _ := sys.SegmentStats(); st.Sealed < 2 {
+					t.Fatalf("segmented case needs several sealed segments, got %+v", st)
+				}
+			}
 			var texts []string
 			for _, q := range ds.Queries {
 				texts = append(texts, q.Text)

@@ -96,13 +96,18 @@ type Config struct {
 	Ef int
 	// Rerank configures the cross-modality transformer.
 	Rerank xmodal.Config
-	// Streaming enables segmented incremental indexing (the paper's
-	// Section IX future work): inserts accumulate in a growing segment
-	// that is sealed and indexed in isolation, so continuous video
-	// updates never trigger full index rebuilds. BuildIndex seals the
-	// current segment instead of rebuilding.
+	// Deprecated: ignored — the store is segmented iff SegmentSize > 0;
+	// remains only because benchmark/ names it — removed with ROADMAP item
+	// 1. New refuses it set without a positive SegmentSize, so a stale
+	// caller cannot silently get a batch store.
 	Streaming bool
-	// SegmentSize is the streaming seal threshold (default 4096).
+	// SegmentSize selects the store. Zero gives a batch store whose
+	// BuildIndex builds one index over everything ingested; N > 0 gives
+	// segmented incremental indexing (the paper's Section IX future work):
+	// inserts accumulate in a growing segment that is sealed every N
+	// vectors and indexed in isolation, so continuous video updates never
+	// trigger full index rebuilds, and BuildIndex seals the current segment
+	// instead of rebuilding. Negative is an error.
 	SegmentSize int
 	// Workers bounds the goroutines the concurrent execution engine uses
 	// for keyframe encoding during Ingest and for the stage-2 rerank
@@ -168,12 +173,6 @@ func (c Config) withDefaults() Config {
 	if c.PlannerValidateEvery == 0 {
 		c.PlannerValidateEvery = 64
 	}
-	if c.Streaming && c.SegmentSize <= 0 {
-		// Resolved must report the threshold the store actually runs with:
-		// coordinator/worker config verification compares resolved
-		// summaries.
-		c.SegmentSize = vectordb.DefaultSegmentSize
-	}
 	return c
 }
 
@@ -198,8 +197,8 @@ type System struct {
 	model  *xmodal.Model
 
 	db      *vectordb.DB
-	col     *vectordb.Collection          // monolithic mode
-	seg     *vectordb.SegmentedCollection // streaming mode
+	col     *vectordb.Collection          // SegmentSize == 0
+	seg     *vectordb.SegmentedCollection // SegmentSize > 0
 	meta    *relational.Store
 	patches *relational.Table
 
@@ -262,6 +261,12 @@ func patchSchema() relational.Schema {
 // New constructs a LOVO system.
 func New(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
+	if cfg.SegmentSize < 0 {
+		return nil, fmt.Errorf("core: SegmentSize %d is negative (0 = batch store, N > 0 = segmented)", cfg.SegmentSize)
+	}
+	if cfg.Streaming && cfg.SegmentSize == 0 {
+		return nil, fmt.Errorf("core: Streaming is ignored and SegmentSize is 0, which selects a batch store; set SegmentSize > 0 for a segmented one")
+	}
 	if patches := cfg.GridW * cfg.GridH; patches > vit.MaxGridPatches {
 		return nil, fmt.Errorf("core: %dx%d patch grid (%d patches) exceeds the %d-patch budget of the packed patch ID",
 			cfg.GridW, cfg.GridH, patches, vit.MaxGridPatches)
@@ -281,7 +286,7 @@ func New(cfg Config) (*System, error) {
 	s.enc = &QueryEncoder{space: space, text: s.text}
 	s.planner = newPlanner(cfg, s.enc)
 	s.vitCfg = vit.Config{GridW: cfg.GridW, GridH: cfg.GridH, Encoder: s.vision}
-	if cfg.Streaming {
+	if cfg.SegmentSize > 0 {
 		seg, err := vectordb.NewSegmented("patches",
 			vectordb.Schema{Dim: cfg.ProjDim, Normalize: true},
 			cfg.Index, cfg.IndexOptions, cfg.SegmentSize)
@@ -386,8 +391,8 @@ func (s *System) insertVector(id int64, v []float32) error {
 }
 
 // BuildIndex constructs the configured vector index over everything
-// ingested so far. In streaming mode it seals the current growing segment
-// instead — sealed segments are never rebuilt.
+// ingested so far. On a segmented store it seals the current growing
+// segment instead — sealed segments are never rebuilt.
 func (s *System) BuildIndex() error {
 	//lovo:nondeterministic-ok stats.Indexing is build-cost bookkeeping; the built index never depends on it
 	start := time.Now()
@@ -434,9 +439,8 @@ func (s *System) Built() bool {
 
 // searchVectorsBatch runs fast search against the configured store for
 // many queries sharing one (k, params) shape — a lone query is a batch of
-// one. Monolithic stores route through Collection.SearchBatch so the whole
-// group shares one cache-blocked memory sweep; segmented stores search
-// query by query (segments already partition the scan). Results align with
+// one. Both stores answer SearchBatch, so the whole group shares one
+// cache-blocked memory sweep per collection or segment. Results align with
 // qs. The store pointers are read under the lock so LoadSnapshot's store
 // swap cannot race a concurrent query.
 func (s *System) searchVectorsBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Scored, error) {
@@ -444,15 +448,7 @@ func (s *System) searchVectorsBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.
 	col, seg := s.col, s.seg
 	s.mu.RUnlock()
 	if seg != nil {
-		out := make([][]mat.Scored, len(qs))
-		for i, q := range qs {
-			hits, err := seg.Search(q, k, p)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = hits
-		}
-		return out, nil
+		return seg.SearchBatch(qs, k, p)
 	}
 	return col.SearchBatch(qs, k, p)
 }
@@ -468,15 +464,15 @@ func (s *System) Entities() int {
 	return col.Len()
 }
 
-// Segmented exposes the streaming-mode store (nil in monolithic mode).
+// Segmented exposes the segmented store (nil on a batch store).
 func (s *System) Segmented() *vectordb.SegmentedCollection {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.seg
 }
 
-// SegmentStats reports the per-state segment breakdown of the streaming
-// store; ok is false in monolithic mode.
+// SegmentStats reports the per-state segment breakdown of the segmented
+// store; ok is false on a batch store.
 func (s *System) SegmentStats() (vectordb.SegmentStats, bool) {
 	s.mu.RLock()
 	seg := s.seg
@@ -487,9 +483,9 @@ func (s *System) SegmentStats() (vectordb.SegmentStats, bool) {
 	return seg.SegmentStats(), true
 }
 
-// MaintLog returns the streaming store's recent maintenance operations
-// (seal builds, compactions) with their obs span trees; empty in
-// monolithic mode.
+// MaintLog returns the segmented store's recent maintenance operations
+// (seal builds, compactions) with their obs span trees; empty on a batch
+// store.
 func (s *System) MaintLog() []vectordb.MaintEvent {
 	s.mu.RLock()
 	seg := s.seg

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
@@ -37,6 +38,34 @@ func TestPatchIDRoundTrip(t *testing.T) {
 		v, f, p := UnpackPatchID(id)
 		if v != c[0] || f != c[1] || p != c[2] {
 			t.Fatalf("roundtrip %v -> %d %d %d", c, v, f, p)
+		}
+	}
+}
+
+// TestSegmentSizeIsTheStoreSwitch: SegmentSize alone picks the store, a
+// negative size is refused, and the deprecated Streaming bit set without a
+// size is refused by name rather than silently giving a batch store.
+func TestSegmentSizeIsTheStoreSwitch(t *testing.T) {
+	for _, tc := range []struct {
+		cfg       Config
+		segmented bool
+	}{
+		{Config{Seed: 1}, false},
+		{Config{Seed: 1, SegmentSize: 64}, true},
+		{Config{Seed: 1, Streaming: true, SegmentSize: 64}, true},
+	} {
+		s, err := New(tc.cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.cfg, err)
+		}
+		if got := s.Segmented() != nil; got != tc.segmented {
+			t.Fatalf("SegmentSize %d: segmented = %v, want %v", tc.cfg.SegmentSize, got, tc.segmented)
+		}
+	}
+	for _, cfg := range []Config{{Seed: 1, Streaming: true}, {Seed: 1, SegmentSize: -1}} {
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "SegmentSize") {
+			t.Fatalf("%+v: want an error naming SegmentSize, got %v", cfg, err)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // snapshotFuzzConfigs are the two store layouts a snapshot restores into:
 // monolithic, and streaming with a segment size small enough that a tiny
 // corpus leaves sealed segments and a growing one.
-var snapshotFuzzConfigs = []Config{{Seed: 1}, {Seed: 1, Streaming: true, SegmentSize: 24}}
+var snapshotFuzzConfigs = []Config{{Seed: 1}, {Seed: 1, SegmentSize: 24}}
 
 // hostileSnapshotHeader is a valid magic followed by a metadata length of
 // 1 GiB in front of a 5-byte body.

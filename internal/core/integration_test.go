@@ -133,7 +133,7 @@ func TestMetadataJoinConsistency(t *testing.T) {
 // ingest+seal, queries answered across segments, no full rebuilds.
 func TestStreamingMode(t *testing.T) {
 	ds := datasets.QVHighlights(datasets.Config{Seed: 7, Scale: 0.1})
-	s, err := New(Config{Seed: 1, Streaming: true, SegmentSize: 150})
+	s, err := New(Config{Seed: 1, SegmentSize: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +148,8 @@ func TestStreamingMode(t *testing.T) {
 	if s.Segmented() == nil {
 		t.Fatal("streaming system must expose its segmented store")
 	}
-	sealed, growing := s.Segmented().Segments()
-	if sealed < 2 {
-		t.Fatalf("expected multiple sealed segments, got %d (+%d growing)", sealed, growing)
+	if st := s.Segmented().SegmentStats(); st.Sealed < 2 {
+		t.Fatalf("expected multiple sealed segments, got %+v", st)
 	}
 	res, err := Query(context.Background(), s, "A woman smiling sitting inside car.", QueryOptions{})
 	if err != nil {
@@ -169,7 +168,7 @@ func TestStreamingMode(t *testing.T) {
 func TestStreamingMatchesBatchAnswers(t *testing.T) {
 	ds := datasets.Bellevue(datasets.Config{Seed: 7, Scale: 0.08})
 	batch := buildSystem(t, ds, Config{Seed: 1})
-	stream, err := New(Config{Seed: 1, Streaming: true, SegmentSize: 200})
+	stream, err := New(Config{Seed: 1, SegmentSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

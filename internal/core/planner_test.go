@@ -20,8 +20,14 @@ var plannerKinds = []vectordb.IndexKind{
 
 func plannerSystem(t *testing.T, kind vectordb.IndexKind) (*System, *datasets.Dataset) {
 	t.Helper()
+	return plannerSystemCfg(t, Config{Seed: 17, Index: kind})
+}
+
+// plannerSystemCfg is plannerSystem under an arbitrary configuration.
+func plannerSystemCfg(t *testing.T, cfg Config) (*System, *datasets.Dataset) {
+	t.Helper()
 	ds := datasets.QVHighlights(datasets.Config{Seed: 17, Scale: 0.05})
-	sys, err := New(Config{Seed: 17, Index: kind})
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +197,7 @@ func TestPlannerRecalibratesAfterSeal(t *testing.T) {
 	const bound = 0.9
 	ds := datasets.QVHighlights(datasets.Config{Seed: 17, Scale: 0.05})
 	// A seal threshold no ingest here reaches: only explicit seals happen.
-	sys, err := New(Config{Seed: 17, Streaming: true, SegmentSize: 1 << 20, PlannerValidateEvery: -1})
+	sys, err := New(Config{Seed: 17, SegmentSize: 1 << 20, PlannerValidateEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,9 @@ import (
 //	magic "LOVOSYS1\n"
 //	uint64 metadata length, then gob(snapMeta):
 //	                     relational rows, keyframes, stats, built flag,
-//	                     streaming flag
-//	vector snapshot      monolithic: the vectordb DB snapshot;
-//	                     streaming: the segmented-collection snapshot
+//	                     segmented-layout flag
+//	vector snapshot      batch: the vectordb DB snapshot;
+//	                     segmented: the segmented-collection snapshot
 //	                     (per-segment vectors + identities, indexes rebuilt
 //	                     on load from identity-derived seeds)
 //
@@ -33,10 +33,10 @@ import (
 // streams in a buffered reader that consumes past the value's end — the
 // vector section that follows must start at an exact offset.
 //
-// A snapshot's streaming-ness must match the restoring system's Config:
-// the two store layouts answer approximate queries from differently
-// seeded indexes, so silently crossing modes would break the restart
-// bit-identity contract.
+// A snapshot's store layout must match the restoring system's (whether
+// Config.SegmentSize is positive): the two layouts answer approximate
+// queries from differently seeded indexes, so silently crossing them would
+// break the restart bit-identity contract.
 const snapMagic = "LOVOSYS1\n"
 
 type snapRow struct {
@@ -55,6 +55,7 @@ type snapMeta struct {
 	Keyframes []snapKeyframe
 	Stats     IngestStats
 	Built     bool
+	// Streaming marks the segmented store layout.
 	Streaming bool
 }
 
@@ -141,13 +142,13 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 		return fmt.Errorf("core: snapshot dimension D'=%d, system configured with %d", meta.ProjDim, s.cfg.ProjDim)
 	}
 	if meta.Streaming != (s.seg != nil) {
-		mode := func(streaming bool) string {
-			if streaming {
-				return "streaming"
+		mode := func(segmented bool) string {
+			if segmented {
+				return "segmented"
 			}
-			return "monolithic"
+			return "batch"
 		}
-		return fmt.Errorf("core: %s snapshot cannot restore into a %s system (set Config.Streaming to match the saver)",
+		return fmt.Errorf("core: %s snapshot cannot restore into a %s system (set Config.SegmentSize to match the saver)",
 			mode(meta.Streaming), mode(s.seg != nil))
 	}
 	var (

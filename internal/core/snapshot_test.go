@@ -74,7 +74,7 @@ func TestSystemSnapshotRoundTrip(t *testing.T) {
 // segments plus a non-empty growing segment) restores a system that
 // answers byte-identically and keeps streaming.
 func TestStreamingSnapshotRoundTrip(t *testing.T) {
-	cfg := Config{Seed: 17, Streaming: true, SegmentSize: 400}
+	cfg := Config{Seed: 17, SegmentSize: 400}
 	ds := datasets.Bellevue(datasets.Config{Seed: 17, Scale: 0.05})
 	orig, err := New(cfg)
 	if err != nil {
@@ -163,10 +163,9 @@ func TestStreamingSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSystemSnapshotErrors(t *testing.T) {
-	// A snapshot's streaming-ness must match the restoring system: the two
-	// store layouts answer approximate queries from differently seeded
-	// indexes.
-	s, err := New(Config{Seed: 1, Streaming: true})
+	// A snapshot's store layout must match the restoring system: the two
+	// layouts answer approximate queries from differently seeded indexes.
+	s, err := New(Config{Seed: 1, SegmentSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestSystemSnapshotErrors(t *testing.T) {
 	if err := monoSrc.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	stream, err := New(Config{Seed: 1, Streaming: true})
+	stream, err := New(Config{Seed: 1, SegmentSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +222,9 @@ func TestSystemSnapshotErrors(t *testing.T) {
 	}
 	// Metadata that agrees with the system in front of a vector stream
 	// that does not: D'=32 metadata spliced onto a D'=16 vector stream.
-	for _, streaming := range []bool{false, true} {
+	for _, segSize := range []int{0, 4096} {
 		saved := func(projDim int) []byte {
-			s, err := New(Config{Seed: 1, ProjDim: projDim, Streaming: streaming})
+			s, err := New(Config{Seed: 1, ProjDim: projDim, SegmentSize: segSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,12 +239,12 @@ func TestSystemSnapshotErrors(t *testing.T) {
 		}
 		a, b := saved(32), saved(16)
 		spliced := append(append([]byte(nil), a[:metaEnd(a)]...), b[metaEnd(b):]...)
-		target, err := New(Config{Seed: 1, Streaming: streaming})
+		target, err := New(Config{Seed: 1, SegmentSize: segSize})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := target.LoadSnapshot(bytes.NewReader(spliced)); err == nil {
-			t.Fatalf("streaming=%v: a vector stream of another dim must error", streaming)
+			t.Fatalf("SegmentSize=%d: a vector stream of another dim must error", segSize)
 		}
 	}
 

@@ -60,12 +60,12 @@ type ConfigSummary struct {
 	FastK        int
 	TopN         int
 	RerankFrames int
-	// Streaming and SegmentSize describe the worker's store mode. They are
-	// part of Compatible: a streaming worker seals per-segment indexes whose
-	// seeds derive from segment identities, so mixing store modes (or seal
-	// thresholds) across a fleet would give shards differently-built
-	// approximate indexes for the same corpus slice.
-	Streaming   bool
+	// SegmentSize is the worker's store: 0 for a batch store, else the
+	// segmented store's seal threshold. It is part of Compatible: a
+	// segmented worker seals per-segment indexes whose seeds derive from
+	// segment identities, so mixing stores (or seal thresholds) across a
+	// fleet would give shards differently-built approximate indexes for the
+	// same corpus slice.
 	SegmentSize int
 	// Replicas is the worker's replica count — informational, and
 	// deliberately excluded from Compatible: replica counts may differ
@@ -83,7 +83,6 @@ func Summarize(cfg core.Config, replicas int) ConfigSummary {
 		FastK:        cfg.FastK,
 		TopN:         cfg.TopN,
 		RerankFrames: cfg.RerankFrames,
-		Streaming:    cfg.Streaming,
 		SegmentSize:  cfg.SegmentSize,
 		Replicas:     replicas,
 	}
@@ -94,8 +93,7 @@ func Summarize(cfg core.Config, replicas int) ConfigSummary {
 func (s ConfigSummary) Compatible(o ConfigSummary) bool {
 	return s.Dim == o.Dim && s.ProjDim == o.ProjDim && s.Seed == o.Seed &&
 		s.Index == o.Index && s.FastK == o.FastK && s.TopN == o.TopN &&
-		s.RerankFrames == o.RerankFrames &&
-		s.Streaming == o.Streaming && s.SegmentSize == o.SegmentSize
+		s.RerankFrames == o.RerankFrames && s.SegmentSize == o.SegmentSize
 }
 
 // ShardStatus is one consistent snapshot of a shard: everything the
@@ -125,8 +123,8 @@ type ShardStatus struct {
 	// Replicas is per-replica health, read counts and in-flight load. A
 	// shard with no healthy replica cannot serve.
 	Replicas []ReplicaStat
-	// Segments is the primary replica's streaming segment breakdown;
-	// Streaming=false for a batch store.
+	// Segments is the primary replica's segment breakdown; the zero value
+	// (Growing == 0) for a batch store.
 	Segments vectordb.SegmentStats
 	// Config digests the shard's resolved configuration.
 	Config ConfigSummary
@@ -140,7 +138,7 @@ type ShardBackend interface {
 	// worker-side), so the shard's state is byte-identical to ingesting
 	// them one by one. Mutating: dispatched at most once over the wire.
 	IngestVideos(vs []*video.Video) error
-	// BuildIndex builds (or, in streaming mode, seals) the shard's index.
+	// BuildIndex builds (or, on a segmented store, seals) the shard's index.
 	BuildIndex() error
 	// FastSearchBatch runs stage 1 against the shard's slice of the corpus
 	// for each (text, plan) pair under the plan's leg knobs (ShardK depth,

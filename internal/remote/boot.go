@@ -46,7 +46,7 @@ func VerifyConfig(clients []*Client, want ConfigSummary) error {
 		}
 		if got := st.Config; !got.Compatible(want) {
 			return fmt.Errorf(
-				"remote: shard %d (%s) config mismatch: worker %+v, coordinator %+v (boot workers and coordinator with the same -seed/-index)",
+				"remote: shard %d (%s) config mismatch: worker %+v, coordinator %+v (boot workers and coordinator with the same -seed/-index/-segment-size)",
 				i, c.Addr(), got, want)
 		}
 	}

@@ -101,9 +101,9 @@ func TestConnectSucceedsAgainstLiveWorkers(t *testing.T) {
 func TestVerifyConfigRejectsMismatch(t *testing.T) {
 	want := core.Config{Seed: 7, Index: vectordb.IndexIMI}
 	cases := []core.Config{
-		{Seed: 8, Index: vectordb.IndexIMI},                  // wrong seed
-		{Seed: 7, Index: vectordb.IndexFlat},                 // wrong index
-		{Seed: 7, Index: vectordb.IndexIMI, Streaming: true}, // streaming worker, batch coordinator
+		{Seed: 8, Index: vectordb.IndexIMI},                    // wrong seed
+		{Seed: 7, Index: vectordb.IndexFlat},                   // wrong index
+		{Seed: 7, Index: vectordb.IndexIMI, SegmentSize: 4096}, // segmented worker, batch coordinator
 	}
 	for _, workerCfg := range cases {
 		addr := serveLocal(t, workerCfg)
@@ -124,12 +124,13 @@ func TestVerifyConfigRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestVerifyConfigRejectsSegmentSizeMismatch: two streaming fleets with
+// TestVerifyConfigRejectsSegmentSizeMismatch: two segmented fleets with
 // different seal thresholds build differently-segmented approximate
-// indexes, so the coordinator must refuse the worker at boot.
+// indexes, so the coordinator must refuse the worker at boot — and the
+// error says which flag to line up.
 func TestVerifyConfigRejectsSegmentSizeMismatch(t *testing.T) {
-	want := core.Config{Seed: 7, Index: vectordb.IndexIMI, Streaming: true, SegmentSize: 1024}
-	addr := serveLocal(t, core.Config{Seed: 7, Index: vectordb.IndexIMI, Streaming: true, SegmentSize: 512})
+	want := core.Config{Seed: 7, Index: vectordb.IndexIMI, SegmentSize: 1024}
+	addr := serveLocal(t, core.Config{Seed: 7, Index: vectordb.IndexIMI, SegmentSize: 512})
 	clients, err := remote.Connect([]string{addr}, remote.ClientOptions{DialTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -139,24 +140,12 @@ func TestVerifyConfigRejectsSegmentSizeMismatch(t *testing.T) {
 			c.Close()
 		}
 	}()
-	if err := remote.VerifyConfig(clients, remote.Summarize(want.Resolved(), 0)); err == nil {
+	err = remote.VerifyConfig(clients, remote.Summarize(want.Resolved(), 0))
+	if err == nil {
 		t.Fatal("segment-size mismatch must be rejected")
 	}
-	// Matching thresholds — one explicit, one defaulted — must verify:
-	// Config.Resolved canonicalizes the streaming default to 4096.
-	addr2 := serveLocal(t, core.Config{Seed: 7, Index: vectordb.IndexIMI, Streaming: true, SegmentSize: 4096})
-	clients2, err := remote.Connect([]string{addr2}, remote.ClientOptions{DialTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, c := range clients2 {
-			c.Close()
-		}
-	}()
-	defaulted := core.Config{Seed: 7, Index: vectordb.IndexIMI, Streaming: true}
-	if err := remote.VerifyConfig(clients2, remote.Summarize(defaulted.Resolved(), 0)); err != nil {
-		t.Fatalf("defaulted segment size must match an explicit 4096: %v", err)
+	if !strings.Contains(err.Error(), "-segment-size") {
+		t.Fatalf("mismatch error should name -segment-size: %v", err)
 	}
 }
 

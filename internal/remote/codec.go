@@ -517,7 +517,6 @@ func appendConfigSummary(e *enc, s ConfigSummary) {
 	e.i64(int64(s.FastK))
 	e.i64(int64(s.TopN))
 	e.i64(int64(s.RerankFrames))
-	e.boolean(s.Streaming)
 	e.i64(int64(s.SegmentSize))
 	e.i64(int64(s.Replicas))
 }
@@ -531,14 +530,12 @@ func readConfigSummary(d *dec) ConfigSummary {
 		FastK:        d.intv(),
 		TopN:         d.intv(),
 		RerankFrames: d.intv(),
-		Streaming:    d.boolean(),
 		SegmentSize:  d.intv(),
 		Replicas:     d.intv(),
 	}
 }
 
 func appendSegmentStats(e *enc, st vectordb.SegmentStats) {
-	e.boolean(st.Streaming)
 	e.i64(int64(st.Sealed))
 	e.i64(int64(st.Building))
 	e.i64(int64(st.Growing))
@@ -552,7 +549,6 @@ func appendSegmentStats(e *enc, st vectordb.SegmentStats) {
 
 func readSegmentStats(d *dec) vectordb.SegmentStats {
 	return vectordb.SegmentStats{
-		Streaming:     d.boolean(),
 		Sealed:        d.intv(),
 		Building:      d.intv(),
 		Growing:       d.intv(),

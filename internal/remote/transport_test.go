@@ -133,10 +133,11 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 	}
 	// Retired op bytes — the per-field metadata reads Status replaced, the
 	// lone-query and lone-video ops the batch ops replaced, the plan digest
-	// layout that lacked each rung's int8 bit, and the stage-1 and digest
-	// layouts that carried the int8 bits — are unknown ops now, with or
-	// without a body, never a dispatch.
-	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16, 18, 19} {
+	// layout that lacked each rung's int8 bit, the stage-1 and digest
+	// layouts that carried the int8 bits, and the status layout that
+	// carried two store-mode bools — are unknown ops now, with or without a
+	// body, never a dispatch.
+	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19} {
 		for _, payload := range [][]byte{{op}, {op, 0xFF, 0xFF, 0xFF, 0xFF}} {
 			resp, err := rawExchange(t, h, frame(payload))
 			if err != nil {

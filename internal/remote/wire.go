@@ -24,8 +24,8 @@ import (
 // the server nor drive an unbounded allocation.
 //
 // Op values are explicit and never reused: a retired value (1, 2, 4, 6-11,
-// 15, 16, 18, 19) must keep answering "unknown op". A message whose layout
-// changes takes a fresh value rather than reinterpreting an old one.
+// 15-19) must keep answering "unknown op". A message whose layout changes
+// takes a fresh value rather than reinterpreting an old one.
 const (
 	opBuildIndex   byte = 3
 	opGround       byte = 5
@@ -39,7 +39,7 @@ const (
 	// read: boot nonce, generation, built, entities, ingest stats,
 	// per-replica health, segment breakdown and config summary, all
 	// answered from memory worker-side.
-	opStatus byte = 17
+	opStatus byte = 22
 	// opFastSearchBatch is the one stage-1 op: a list of (text, plan)
 	// pairs plus the trace id, answered by one hit list per query and then,
 	// for a traced request, the worker.stage1 span forest. A lone query is

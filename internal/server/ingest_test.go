@@ -20,12 +20,12 @@ import (
 	"repro/internal/video"
 )
 
-// bootStreaming is boot with a segmented continuous-ingest engine: small
+// bootSegmented is boot with a segmented continuous-ingest engine: small
 // seal threshold so background maintenance actually runs during the test.
-func bootStreaming(t *testing.T, cacheSize int) (*shard.Engine, *datasets.Dataset, *httptest.Server) {
+func bootSegmented(t *testing.T, cacheSize int) (*shard.Engine, *datasets.Dataset, *httptest.Server) {
 	t.Helper()
 	ds := datasets.ActivityNetQA(datasets.Config{Seed: 7, Scale: 0.04})
-	eng, err := shard.New(2, core.Config{Seed: 7, Streaming: true, SegmentSize: 200})
+	eng, err := shard.New(2, core.Config{Seed: 7, SegmentSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func freshVideo(t *testing.T, id int) video.Video {
 }
 
 func TestIngestEndpoint(t *testing.T) {
-	eng, ds, ts := bootStreaming(t, 16)
+	eng, ds, ts := bootSegmented(t, 16)
 	text := ds.Queries[0].Text
 
 	// Warm the cache, remember the generation.
@@ -125,7 +125,7 @@ func TestIngestEndpoint(t *testing.T) {
 }
 
 func TestIngestDuplicateConflicts(t *testing.T) {
-	_, _, ts := bootStreaming(t, 0)
+	_, _, ts := bootSegmented(t, 0)
 	v := freshVideo(t, 4100)
 	if resp, data := postJSON(t, ts.URL+"/ingest", v); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first ingest status %d: %s", resp.StatusCode, data)
@@ -136,9 +136,52 @@ func TestIngestDuplicateConflicts(t *testing.T) {
 	}
 }
 
+// TestIngestIntoBatchEngine pins /ingest on a batch deployment: the clip is
+// accepted, its vectors flow into the built index, and a re-post is a
+// duplicate.
+func TestIngestIntoBatchEngine(t *testing.T) {
+	eng, _, ts := boot(t, 0)
+	genBefore := eng.Status().Gen
+	v := freshVideo(t, 4300)
+	resp, data := postJSON(t, ts.URL+"/ingest", v)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", resp.StatusCode, data)
+	}
+	var ir IngestResponse
+	if err := json.Unmarshal(data, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if ir.IngestGen <= genBefore {
+		t.Fatalf("ingest generation %d did not advance past %d", ir.IngestGen, genBefore)
+	}
+
+	resp, data = postJSON(t, ts.URL+"/query", queryRequest{
+		Query:   "A car driving on the road.",
+		Options: QueryOptionsJSON{Exhaustive: true, DisableRerank: true, FastK: 1000, TopN: 50},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d: %s", resp.StatusCode, data)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(data, &qr); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, obj := range qr.Objects {
+		found = found || obj.VideoID == v.ID
+	}
+	if !found {
+		t.Fatalf("exhaustive query returned no object from the ingested clip: %+v", qr.Objects)
+	}
+
+	if resp, data := postJSON(t, ts.URL+"/ingest", v); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("re-posted clip status %d, want 409: %s", resp.StatusCode, data)
+	}
+}
+
 func TestIngestMethodAndAvailability(t *testing.T) {
 	// GET is not an ingest.
-	_, _, ts := bootStreaming(t, 0)
+	_, _, ts := bootSegmented(t, 0)
 	resp, err := http.Get(ts.URL + "/ingest")
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +193,7 @@ func TestIngestMethodAndAvailability(t *testing.T) {
 }
 
 func TestIngestValidation(t *testing.T) {
-	_, _, ts := bootStreaming(t, 0)
+	_, _, ts := bootSegmented(t, 0)
 
 	// Malformed JSON.
 	resp, err := http.Post(ts.URL+"/ingest", "application/json", strings.NewReader("{not json"))

@@ -6,7 +6,7 @@
 //
 //	POST /query          {"query": "...", "options": {...}} -> ranked objects
 //	POST /query/batch    {"queries": [...], "options": {...}} -> per-query results
-//	POST /ingest         one video.Video as JSON -> live ingest (streaming fleets)
+//	POST /ingest         one video.Video as JSON -> live ingest (any store)
 //	GET  /stats          ingest, cache, replica and latency statistics as JSON
 //	GET  /healthz        liveness (always 200 once listening; reports built)
 //	GET  /metrics        Prometheus text-format counters and latency histograms
@@ -679,9 +679,8 @@ type StatsResponse struct {
 	ReplicaGroups [][]shard.ReplicaStat `json:"replica_groups,omitempty"`
 	// Backends reports per-shard backend kind, address and health.
 	Backends []shard.BackendStat `json:"backends,omitempty"`
-	// Segments reports the streaming segment breakdown (summed across
-	// shards) when the backend streams; absent for monolithic batch
-	// deployments.
+	// Segments reports the segment breakdown (summed across shards) when
+	// the backend's store is segmented; absent for batch deployments.
 	Segments     *SegmentStatsJSON `json:"segments,omitempty"`
 	IngestGen    uint64            `json:"ingest_gen"`
 	Cache        CacheStats        `json:"cache"`
@@ -703,7 +702,7 @@ type StatsResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// SegmentStatsJSON is the streaming segment breakdown on the wire.
+// SegmentStatsJSON is the segment breakdown on the wire.
 // RawBytes is the rows — the one resident copy of every vector and id;
 // IndexBytes is the sealed indexes' own codes, lists and graphs, which
 // borrow those rows and never count them.
@@ -720,10 +719,10 @@ type SegmentStatsJSON struct {
 	IngestsTotal  uint64 `json:"ingests_total"`
 }
 
-// segmentStats renders the streaming segment breakdown; nil for batch
-// backends.
+// segmentStats renders the segment breakdown; nil for batch backends,
+// which report no growing segment.
 func (s *Server) segmentStats(st vectordb.SegmentStats) *SegmentStatsJSON {
-	if !st.Streaming {
+	if st.Growing == 0 {
 		return nil
 	}
 	return &SegmentStatsJSON{

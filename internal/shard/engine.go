@@ -400,10 +400,10 @@ type Status struct {
 	ReplicaGroups [][]ReplicaStat
 	// Backends is per-shard kind, address and health.
 	Backends []BackendStat
-	// Segments sums the streaming segment breakdown across reachable
-	// streaming shards, so Sealed/Building/GrowingLen are fleet-wide totals;
-	// Streaming is false for a batch fleet (or one whose every streaming
-	// worker is unreachable).
+	// Segments sums the segment breakdown across reachable segmented
+	// shards, so Sealed/Building/Growing/GrowingLen are fleet-wide totals;
+	// the zero value (Growing == 0) for a batch fleet (or one whose every
+	// segmented worker is unreachable).
 	Segments vectordb.SegmentStats
 	// LastMeasuredRecall is the planner's most recent validation
 	// measurement (0 until the loop has run).
@@ -442,9 +442,8 @@ func (e *Engine) Status() Status {
 		if len(st.Replicas) == 0 {
 			out.ReplicaGroups[i] = []ReplicaStat{{Healthy: false}}
 		}
-		if seg := st.Segments; seg.Streaming {
+		if seg := st.Segments; seg.Growing > 0 {
 			agg := &out.Segments
-			agg.Streaming = true
 			agg.Sealed += seg.Sealed
 			agg.Building += seg.Building
 			agg.Growing += seg.Growing

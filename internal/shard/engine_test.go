@@ -217,7 +217,7 @@ func TestPlannerConformanceOneShardMatchesSystem(t *testing.T) {
 func TestEnginePlannerRefetchesDigestsAfterSeal(t *testing.T) {
 	const bound = 0.9
 	ds := datasets.QVHighlights(datasets.Config{Seed: 17, Scale: 0.05})
-	eng, err := New(1, core.Config{Seed: 17, Streaming: true, SegmentSize: 1 << 20, PlannerValidateEvery: -1})
+	eng, err := New(1, core.Config{Seed: 17, SegmentSize: 1 << 20, PlannerValidateEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

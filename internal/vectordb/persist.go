@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ann"
@@ -27,11 +28,11 @@ import (
 //	magic "LOVODB2\n", uint32 collection count, per collection: header, rows
 //
 // and a segmented-collection snapshot keeps one rows record per frozen
-// segment, so a streaming collection restores with its segment structure —
+// segment, so a segmented collection restores with its segment structure —
 // and therefore its identity-derived index seeds — intact:
 //
-//	magic "LOVOSG2\n", header
-//	int64 sealThreshold, int64 compactFanIn, int64 seq
+//	magic "LOVOSG3\n", header
+//	int64 sealThreshold (positive), int64 seq
 //	uint32 frozen-segment count (ascending identity order)
 //	per segment: int64 lo, int64 hi, rows
 //	rows of the growing segment
@@ -42,12 +43,13 @@ import (
 // LoadSegmented rebuild every index synchronously from the recorded kind
 // and options (a frozen segment from its [lo, hi] identity seed) — the
 // segment-load-then-index recovery model — so a restored store serves
-// byte-identical answers to the one that saved. Version-1 streams, which
-// carried a raw-copy flag byte after the options, are refused with an
-// error asking for a re-save.
+// byte-identical answers to the one that saved. Retired layouts are
+// refused with an error asking for a re-save: version 1 of both carried a
+// raw-copy flag byte after the options, and LOVOSG2 a compaction fan-in
+// word after the seal threshold.
 const (
 	magic    = "LOVODB2\n"
-	segMagic = "LOVOSG2\n"
+	segMagic = "LOVOSG3\n"
 )
 
 // maxIndexOption bounds every decoded structural index option, so a
@@ -161,21 +163,20 @@ func readRows(r io.Reader, rows *ann.Rows) error {
 	return nil
 }
 
-// readMagic checks a stream's magic, naming the retired version-1 layout
-// when that is what it finds.
-func readMagic(r io.Reader, want, v1 string) error {
+// readMagic checks a stream's magic, naming the retired layout when that
+// is what it finds.
+func readMagic(r io.Reader, want string, retired ...string) error {
 	head := make([]byte, len(want))
 	if _, err := io.ReadFull(r, head); err != nil {
 		return fmt.Errorf("vectordb: reading snapshot magic: %w", err)
 	}
-	switch string(head) {
-	case want:
+	if string(head) == want {
 		return nil
-	case v1:
-		return fmt.Errorf("vectordb: snapshot format %q is no longer supported (this version reads %q); re-save the snapshot from its source data", v1, want)
-	default:
-		return fmt.Errorf("vectordb: bad snapshot magic %q", head)
 	}
+	if slices.Contains(retired, string(head)) {
+		return fmt.Errorf("vectordb: snapshot format %q is no longer supported (this version reads %q); re-save the snapshot from its source data", head, want)
+	}
+	return fmt.Errorf("vectordb: bad snapshot magic %q", head)
 }
 
 func writeString(w io.Writer, s string) error {
@@ -279,19 +280,16 @@ func (s *SegmentedCollection) Save(w io.Writer) error {
 	if err := writeHeader(bw, header{s.name, s.schema, s.kind, s.opts}); err != nil {
 		return err
 	}
-	meta := [3]int64{int64(s.sealThreshold), int64(s.compactFanIn), int64(s.seq)}
+	meta := [2]int64{int64(s.sealThreshold), int64(s.seq)}
 	if err := binary.Write(bw, binary.LittleEndian, &meta); err != nil {
 		return err
 	}
 	// Frozen rows never change, and the growing segment's only change
 	// under s.mu, which is held: no segment lock is needed.
-	frozen := make([]*segment, 0, len(s.sealed)+len(s.building))
-	frozen = append(frozen, s.sealed...)
-	frozen = append(frozen, s.building...)
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(frozen))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint32(len(s.frozen))); err != nil {
 		return err
 	}
-	for _, seg := range frozen {
+	for _, seg := range s.frozen {
 		if err := binary.Write(bw, binary.LittleEndian, [2]int64{int64(seg.lo), int64(seg.hi)}); err != nil {
 			return err
 		}
@@ -310,14 +308,14 @@ func (s *SegmentedCollection) Save(w io.Writer) error {
 // byte-identical approximate answers.
 func LoadSegmented(r io.Reader) (*SegmentedCollection, error) {
 	br := bufio.NewReader(r)
-	if err := readMagic(br, segMagic, "LOVOSG1\n"); err != nil {
+	if err := readMagic(br, segMagic, "LOVOSG1\n", "LOVOSG2\n"); err != nil {
 		return nil, err
 	}
 	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	var meta [3]int64 // sealThreshold, compactFanIn, seq
+	var meta [2]int64 // sealThreshold, seq
 	if err := binary.Read(br, binary.LittleEndian, &meta); err != nil {
 		return nil, err
 	}
@@ -325,7 +323,6 @@ func LoadSegmented(r io.Reader) (*SegmentedCollection, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.compactFanIn = int(meta[1])
 	var count uint32
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
 		return nil, err
@@ -345,14 +342,15 @@ func LoadSegmented(r io.Reader) (*SegmentedCollection, error) {
 		if err := col.BuildIndex(s.kind, segOpts); err != nil {
 			return nil, fmt.Errorf("vectordb: rebuilding segment [%d,%d] index: %w", lo, hi, err)
 		}
-		s.sealed = append(s.sealed, &segment{col: col, lo: lo, hi: hi})
+		s.frozen = append(s.frozen, &segment{col: col, lo: lo, hi: hi})
+		s.built++
 	}
 	if err := readRows(br, s.growing.rows); err != nil {
 		return nil, err
 	}
 	// Restore the seal sequence last: the growing segment NewSegmented
 	// created consumed seq 1, but the saver's counter wins.
-	s.seq = int(meta[2])
+	s.seq = int(meta[1])
 	s.growing.name = segName(h.name, s.seq, s.seq)
 	return s, nil
 }

@@ -69,14 +69,17 @@ func TestSaveLoadBitExact(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsRetiredFormat: version-1 snapshots (with their raw-copy
-// flag byte) are refused with an error that says to re-save.
+// TestLoadRejectsRetiredFormat: retired layouts — version 1 with its
+// raw-copy flag byte, LOVOSG2 with its compaction fan-in word — are refused
+// with an error that says to re-save.
 func TestLoadRejectsRetiredFormat(t *testing.T) {
 	if _, err := Load(strings.NewReader("LOVODB1\n\x00\x00\x00\x00")); err == nil || !strings.Contains(err.Error(), "re-save") {
 		t.Fatalf("v1 database snapshot: %v", err)
 	}
-	if _, err := LoadSegmented(strings.NewReader("LOVOSG1\n")); err == nil || !strings.Contains(err.Error(), "re-save") {
-		t.Fatalf("v1 segmented snapshot: %v", err)
+	for _, retired := range []string{"LOVOSG1\n", "LOVOSG2\n"} {
+		if _, err := LoadSegmented(strings.NewReader(retired)); err == nil || !strings.Contains(err.Error(), "re-save") {
+			t.Fatalf("retired segmented snapshot %q: %v", retired, err)
+		}
 	}
 }
 

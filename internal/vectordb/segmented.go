@@ -2,6 +2,7 @@ package vectordb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ann"
@@ -14,16 +15,16 @@ import (
 // processing to reduce the overhead of full rebuilds during video updates
 // and enhancing the incremental indexing strategy for new insertions".
 //
-// Inserts land in a small mutable growing segment that is searched exactly;
-// when the growing segment reaches SealThreshold it is sealed and handed to
-// a background maintenance worker that builds its index off-lock — the
-// sealing Insert returns immediately and queries keep answering from the
-// growing segment, the not-yet-indexed sealed segments (scanned exactly)
-// and the already-indexed ones throughout. A query fans out across every
-// segment and merges the top-k.
+// A segment is in one of two states. Inserts land in the one mutable
+// growing segment; when it reaches the seal threshold it is frozen and
+// handed to a background maintenance worker that builds its index off-lock
+// — the sealing Insert returns immediately, and until the build lands the
+// frozen segment answers through its collection's exact scan, so queries
+// never wait on a build. A query fans out across every segment and merges
+// the top-k.
 //
 // The maintenance worker also runs a size-tiered compaction policy: when
-// CompactFanIn adjacent sealed segments share a size tier they are merged
+// compactFanIn adjacent built segments share a size tier they are merged
 // into one freshly indexed segment, bounding per-query fan-out under
 // sustained ingest. Segment identity is the inclusive range [lo, hi] of
 // seal sequence numbers a segment covers; index seeds derive from that
@@ -41,20 +42,16 @@ type SegmentedCollection struct {
 	sealThreshold int
 
 	mu   sync.RWMutex
-	cond *sync.Cond // broadcast on every maintenance transition
-	// sealed segments have data frozen and an index built (or a recorded
-	// build failure); ascending by lo, ranges contiguous.
-	sealed []*segment
-	// building segments have data frozen but their index build still
-	// pending or in flight; searched via the exact-scan fallback.
-	building []*segment
-	growing  *Collection
-	seq      int // seal sequence number of the current growing segment
-	// compactFanIn is the tiered policy's fan-in; <= 1 disables the
-	// background policy (manual Compact still works).
-	compactFanIn int
+	cond *sync.Cond // broadcast when the maintenance worker exits
+	// frozen segments have immutable rows; ascending by lo, ranges
+	// contiguous. The first built of them have an index installed (or a
+	// recorded build failure). Builds run in seal order and compaction only
+	// merges built segments, so the built ones are always a prefix.
+	frozen       []*segment
+	built        int
+	growing      *Collection
+	seq          int // seal sequence number of the current growing segment
 	maintRunning bool
-	compacting   bool
 	maintErr     error
 	seals        uint64
 	compactions  uint64
@@ -72,9 +69,9 @@ type segment struct {
 	lo, hi int
 }
 
-// DefaultCompactFanIn is the size-tiered compaction policy's default
-// fan-in: a run of this many adjacent same-tier sealed segments merges.
-const DefaultCompactFanIn = 4
+// compactFanIn is the size-tiered compaction policy's fan-in: a run of
+// this many adjacent same-tier built segments merges.
+const compactFanIn = 4
 
 // maintEventCap bounds the retained maintenance log.
 const maintEventCap = 32
@@ -95,39 +92,33 @@ type MaintEvent struct {
 	Spans []obs.SpanData
 }
 
-// SegmentStats is the per-state segment breakdown a streaming collection
-// exposes to operators (satellite of ISSUE 10: Stats() must not hide the
-// segment lifecycle).
+// SegmentStats is the per-state segment breakdown a segmented collection
+// exposes to operators. A batch store reports the zero value.
 type SegmentStats struct {
-	// Streaming marks the stats as coming from a segmented collection.
-	Streaming bool
-	// Sealed counts segments with a built index; Building counts sealed
-	// segments whose background build is still pending or in flight;
-	// Growing counts mutable segments (always 1 per collection — it exists
-	// so fleet-level aggregation can sum per-shard stats honestly).
+	// Sealed counts frozen segments with a built index; Building counts
+	// frozen segments whose background build is still pending or in
+	// flight; Growing counts mutable segments — always 1 per segmented
+	// collection, so Growing > 0 is the signal that a store (or any shard
+	// of a fleet, when summed) is segmented.
 	Sealed, Building, Growing int
 	// GrowingLen is the vector count of the mutable growing segment;
-	// SealedVectors the total across sealed+building segments.
+	// SealedVectors the total across frozen segments.
 	GrowingLen, SealedVectors int
-	// RawBytes and IndexBytes mirror Stats for the respective states: the
-	// rows once, and the indexes without the rows they borrow.
+	// RawBytes and IndexBytes mirror Stats: the rows once, and the
+	// installed indexes without the rows they borrow.
 	RawBytes, IndexBytes int64
 	// Seals and Compactions count maintenance operations since creation.
 	Seals, Compactions uint64
 }
 
-// DefaultSegmentSize is the seal threshold, in vectors per segment, that a
-// non-positive sealThreshold (and core's SegmentSize) resolves to.
-const DefaultSegmentSize = 4096
-
-// NewSegmented creates a segmented collection. sealThreshold <= 0 selects
-// DefaultSegmentSize.
+// NewSegmented creates a segmented collection that seals its growing
+// segment every sealThreshold vectors; sealThreshold must be positive.
 func NewSegmented(name string, schema Schema, kind IndexKind, opts IndexOptions, sealThreshold int) (*SegmentedCollection, error) {
 	if err := checkDim(schema.Dim); err != nil {
 		return nil, err
 	}
 	if sealThreshold <= 0 {
-		sealThreshold = DefaultSegmentSize
+		return nil, fmt.Errorf("vectordb: seal threshold %d must be positive", sealThreshold)
 	}
 	s := &SegmentedCollection{
 		name:          name,
@@ -135,7 +126,6 @@ func NewSegmented(name string, schema Schema, kind IndexKind, opts IndexOptions,
 		kind:          kind,
 		opts:          opts,
 		sealThreshold: sealThreshold,
-		compactFanIn:  DefaultCompactFanIn,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.growing = s.newSegment()
@@ -179,30 +169,10 @@ func (s *SegmentedCollection) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := s.growing.Len()
-	for _, seg := range s.sealed {
-		n += seg.col.Len()
-	}
-	for _, seg := range s.building {
+	for _, seg := range s.frozen {
 		n += seg.col.Len()
 	}
 	return n
-}
-
-// Segments returns (sealed, growing) segment counts. Sealed counts every
-// frozen segment, whether or not its background index build has finished.
-func (s *SegmentedCollection) Segments() (sealed int, growingLen int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sealed) + len(s.building), s.growing.Len()
-}
-
-// SetCompactFanIn tunes the size-tiered background compaction policy: a
-// run of n adjacent same-tier sealed segments merges. n <= 1 disables the
-// policy; manual Compact is unaffected.
-func (s *SegmentedCollection) SetCompactFanIn(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactFanIn = n
 }
 
 // Insert adds a vector to the growing segment, sealing it in the
@@ -211,12 +181,7 @@ func (s *SegmentedCollection) SetCompactFanIn(n int) {
 func (s *SegmentedCollection) Insert(id int64, v mat.Vec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, seg := range s.sealed {
-		if _, dup := seg.col.rows.Pos(id); dup {
-			return fmt.Errorf("%w: %d", ErrDuplicate, id)
-		}
-	}
-	for _, seg := range s.building {
+	for _, seg := range s.frozen {
 		if _, dup := seg.col.rows.Pos(id); dup {
 			return fmt.Errorf("%w: %d", ErrDuplicate, id)
 		}
@@ -247,8 +212,7 @@ func (s *SegmentedCollection) sealLocked() {
 	if s.growing.Len() == 0 {
 		return
 	}
-	seg := &segment{col: s.growing, lo: s.seq, hi: s.seq}
-	s.building = append(s.building, seg)
+	s.frozen = append(s.frozen, &segment{col: s.growing, lo: s.seq, hi: s.seq})
 	s.seals++
 	s.growing = s.newSegment()
 	if !s.maintRunning {
@@ -260,46 +224,49 @@ func (s *SegmentedCollection) sealLocked() {
 // maintain is the background maintenance worker: it drains queued index
 // builds in seal order, then runs the compaction policy, and exits once
 // there is nothing left to do. At most one runs per collection, which
-// keeps build completion in seal order — the property that makes the
-// compaction policy's decisions (and therefore the final segment
-// structure) a pure function of ingest history.
+// keeps build completion in seal order — the property that keeps built
+// segments a prefix of the frozen list and makes the compaction policy's
+// decisions (and therefore the final segment structure) a pure function of
+// ingest history.
 func (s *SegmentedCollection) maintain() {
 	s.mu.Lock()
 	for {
-		if len(s.building) > 0 {
-			seg := s.building[0]
+		if s.built < len(s.frozen) {
+			// Only this goroutine advances built or replaces frozen
+			// entries; seals merely append, so the segment stays at index
+			// built across the off-lock build.
+			seg := s.frozen[s.built]
 			hook := s.buildHook
 			s.mu.Unlock()
 			ev, err := s.buildSegment(seg, hook)
 			s.mu.Lock()
-			s.building = s.building[1:]
-			s.insertSealedLocked(seg)
+			s.built++
 			if err != nil && s.maintErr == nil {
 				s.maintErr = fmt.Errorf("vectordb: sealing segment %s: %w", seg.col.name, err)
 			}
 			s.pushEventLocked(ev)
-			s.cond.Broadcast()
 			continue
 		}
-		members := s.nextCompactionLocked()
-		if members == nil {
+		start := s.nextCompactionLocked()
+		if start < 0 {
 			break
 		}
-		s.compacting = true
+		members := append([]*segment(nil), s.frozen[start:start+compactFanIn]...)
 		s.mu.Unlock()
 		merged, ev, err := s.compactMembers(members)
 		s.mu.Lock()
-		s.compacting = false
 		if err != nil {
 			if s.maintErr == nil {
 				s.maintErr = err
 			}
 		} else {
-			s.replaceMembersLocked(members, merged)
+			// Seals only appended past the built prefix meanwhile, so the
+			// members still sit at start.
+			s.frozen = slices.Replace(s.frozen, start, start+compactFanIn, merged)
+			s.built -= compactFanIn - 1
 			s.compactions++
 		}
 		s.pushEventLocked(ev)
-		s.cond.Broadcast()
 	}
 	s.maintRunning = false
 	s.cond.Broadcast()
@@ -329,53 +296,37 @@ func (s *SegmentedCollection) buildSegment(seg *segment, hook func()) (MaintEven
 	return ev, err
 }
 
-// insertSealedLocked files a freshly indexed segment into the sealed list,
-// keeping it ascending by lo. Caller holds s.mu.
-func (s *SegmentedCollection) insertSealedLocked(seg *segment) {
-	i := len(s.sealed)
-	for i > 0 && s.sealed[i-1].lo > seg.lo {
-		i--
-	}
-	s.sealed = append(s.sealed, nil)
-	copy(s.sealed[i+1:], s.sealed[i:])
-	s.sealed[i] = seg
-}
-
 // tier buckets a segment size for the compaction policy: tier t holds
 // sizes in [threshold*F^t, threshold*F^(t+1)); undersized force-sealed
 // segments land in tier 0.
 func (s *SegmentedCollection) tier(n int) int {
 	t := 0
-	limit := s.sealThreshold * s.compactFanIn
+	limit := s.sealThreshold * compactFanIn
 	for limit > 0 && n >= limit {
 		t++
-		limit *= s.compactFanIn
+		limit *= compactFanIn
 	}
 	return t
 }
 
-// nextCompactionLocked returns the leftmost run of compactFanIn adjacent
-// sealed segments sharing a size tier, or nil when no run qualifies.
-// Caller holds s.mu.
-func (s *SegmentedCollection) nextCompactionLocked() []*segment {
-	f := s.compactFanIn
-	if f <= 1 || len(s.sealed) < f {
-		return nil
-	}
+// nextCompactionLocked returns the start of the leftmost run of
+// compactFanIn adjacent built segments sharing a size tier, or -1 when no
+// run qualifies. Caller holds s.mu.
+func (s *SegmentedCollection) nextCompactionLocked() int {
 	start, curTier := 0, -1
-	for i, seg := range s.sealed {
+	for i, seg := range s.frozen[:s.built] {
 		t := s.tier(seg.col.Len())
 		if t != curTier {
 			start, curTier = i, t
 		}
-		if i-start+1 == f {
-			return append([]*segment(nil), s.sealed[start:i+1]...)
+		if i-start+1 == compactFanIn {
+			return start
 		}
 	}
-	return nil
+	return -1
 }
 
-// compactMembers merges an ascending contiguous run of sealed segments
+// compactMembers merges an ascending contiguous run of built segments
 // into one freshly indexed segment, off-lock. The merged identity is the
 // union range [members[0].lo, members[last].hi], so its seed — and hence
 // its index — is byte-identical on any replica merging the same set.
@@ -414,31 +365,6 @@ func (s *SegmentedCollection) compactMembers(members []*segment) (*segment, Main
 	return &segment{col: col, lo: lo, hi: hi}, ev, nil
 }
 
-// replaceMembersLocked swaps a merged segment in for its members in one
-// atomic list update. Caller holds s.mu.
-func (s *SegmentedCollection) replaceMembersLocked(members []*segment, merged *segment) {
-	isMember := make(map[*segment]bool, len(members))
-	for _, m := range members {
-		isMember[m] = true
-	}
-	out := s.sealed[:0]
-	placed := false
-	for _, seg := range s.sealed {
-		if isMember[seg] {
-			if !placed {
-				out = append(out, merged)
-				placed = true
-			}
-			continue
-		}
-		out = append(out, seg)
-	}
-	for i := len(out); i < len(s.sealed); i++ {
-		s.sealed[i] = nil
-	}
-	s.sealed = out
-}
-
 // pushEventLocked appends to the bounded maintenance log. Caller holds
 // s.mu.
 func (s *SegmentedCollection) pushEventLocked(ev MaintEvent) {
@@ -456,78 +382,85 @@ func (s *SegmentedCollection) MaintLog() []MaintEvent {
 	return append([]MaintEvent(nil), s.events...)
 }
 
-// MaintErr returns the first error recorded by background maintenance, if
-// any.
-func (s *SegmentedCollection) MaintErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.maintErr
-}
-
 // WaitMaintenance blocks until every queued index build and compaction has
 // finished, then returns the first background maintenance error, if any.
 // Under sustained concurrent ingest this waits for a momentary quiesce.
 func (s *SegmentedCollection) WaitMaintenance() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.maintRunning || len(s.building) > 0 || s.compacting {
+	// A seal starts the worker if it is idle, and the worker exits only
+	// once no build or compaction is left, so waiting for it to stop is
+	// enough.
+	for s.maintRunning {
 		s.cond.Wait()
 	}
 	return s.maintErr
 }
 
-// Search fans out across all segments and merges the global top-k.
-// Segments whose background build has not finished are scanned exactly, so
-// a query never waits on an index build.
+// Search is SearchBatch for one query.
 func (s *SegmentedCollection) Search(q mat.Vec, k int, p ann.Params) ([]mat.Scored, error) {
-	if len(q) != s.schema.Dim {
-		return nil, fmt.Errorf("%w: query %d != %d", ErrDimension, len(q), s.schema.Dim)
+	out, err := s.SearchBatch([]mat.Vec{q}, k, p)
+	if err != nil {
+		return nil, err
 	}
+	return out[0], nil
+}
+
+// SearchBatch answers many queries under one set of search parameters,
+// results aligned with qs. Every segment runs its own Collection.SearchBatch
+// in parallel (the "segmented parallel processing" of the paper's future
+// work) and each query's per-segment lists merge into the global top-k. A
+// frozen segment whose build has not landed answers with its exact scan, so
+// a query never waits on an index build.
+func (s *SegmentedCollection) SearchBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Scored, error) {
+	for i, q := range qs {
+		if len(q) != s.schema.Dim {
+			return nil, fmt.Errorf("%w: query %d: %d != %d", ErrDimension, i, len(q), s.schema.Dim)
+		}
+	}
+	out := make([][]mat.Scored, len(qs))
 	if k <= 0 {
-		return nil, nil
+		return out, nil
 	}
 	segs := s.snapshotSegments()
-
-	// Parallel fan-out: each segment searches independently (the
-	// "segmented parallel processing" of the paper's future work).
-	type result struct {
-		hits []mat.Scored
-		err  error
-	}
-	results := make([]result, len(segs))
+	lists := make([][][]mat.Scored, len(segs))
+	errs := make([]error, len(segs))
 	var wg sync.WaitGroup
 	for i, seg := range segs {
 		wg.Add(1)
-		go func(i int, seg *Collection) {
+		go func() {
 			defer wg.Done()
-			hits, err := seg.Search(q, k, p)
-			results[i] = result{hits, err}
-		}(i, seg)
+			lists[i], errs[i] = seg.SearchBatch(qs, k, p)
+		}()
 	}
 	wg.Wait()
-
-	top := mat.GetTopK(k)
-	defer mat.PutTopK(top)
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		for _, h := range r.hits {
-			top.Push(h.ID, h.Score)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return top.Sorted(), nil
+	top := mat.GetTopK(k)
+	defer mat.PutTopK(top)
+	for qi := range qs {
+		top.Reset(k)
+		for _, l := range lists {
+			for _, h := range l[qi] {
+				top.Push(h.ID, h.Score)
+			}
+		}
+		out[qi] = top.Sorted()
+	}
+	return out, nil
 }
 
-// snapshotSegments captures the current searchable segment set.
+// snapshotSegments captures the current searchable segment set in
+// insertion order: frozen segments oldest first, then the growing segment
+// when it holds anything.
 func (s *SegmentedCollection) snapshotSegments() []*Collection {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	segs := make([]*Collection, 0, len(s.sealed)+len(s.building)+1)
-	for _, seg := range s.sealed {
-		segs = append(segs, seg.col)
-	}
-	for _, seg := range s.building {
+	segs := make([]*Collection, 0, len(s.frozen)+1)
+	for _, seg := range s.frozen {
 		segs = append(segs, seg.col)
 	}
 	if s.growing.Len() > 0 {
@@ -536,96 +469,33 @@ func (s *SegmentedCollection) snapshotSegments() []*Collection {
 	return segs
 }
 
-// Scan visits every stored vector in insertion order (sealed segments
-// oldest first, then pending builds, then the growing segment) until fn
-// returns false. The visited slice aliases segment storage — fn must not
-// retain or mutate it.
+// Scan visits every stored vector in insertion order until fn returns
+// false. The visited slice aliases segment storage — fn must not retain or
+// mutate it.
 func (s *SegmentedCollection) Scan(fn func(id int64, v mat.Vec) bool) {
-	s.mu.RLock()
-	segs := make([]*Collection, 0, len(s.sealed)+len(s.building)+1)
-	for _, seg := range s.sealed {
-		segs = append(segs, seg.col)
-	}
-	for _, seg := range s.building {
-		segs = append(segs, seg.col)
-	}
-	segs = append(segs, s.growing)
-	s.mu.RUnlock()
-	stop := false
-	for _, col := range segs {
+	for _, col := range s.snapshotSegments() {
+		stop := false
+		col.Scan(func(id int64, v mat.Vec) bool {
+			stop = !fn(id, v)
+			return !stop
+		})
 		if stop {
 			return
 		}
-		col.Scan(func(id int64, v mat.Vec) bool {
-			if !fn(id, v) {
-				stop = true
-				return false
-			}
-			return true
-		})
 	}
-}
-
-// Compact merges every sealed segment into a single freshly indexed
-// segment; an offline maintenance operation trading one big build for
-// lower per-query fan-out. It first waits for queued background builds and
-// compactions to drain, so the merge covers every segment sealed before
-// the call. The merged segment's seed derives from the member identity
-// range, so replicas compacting the same ingest prefix produce
-// byte-identical indexes even if they compacted at different points in
-// their history.
-func (s *SegmentedCollection) Compact() error {
-	s.mu.Lock()
-	for s.maintRunning || len(s.building) > 0 || s.compacting {
-		s.cond.Wait()
-	}
-	if err := s.maintErr; err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if len(s.sealed) <= 1 {
-		s.mu.Unlock()
-		return nil
-	}
-	members := append([]*segment(nil), s.sealed...)
-	s.compacting = true
-	s.mu.Unlock()
-
-	merged, ev, err := s.compactMembers(members)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compacting = false
-	defer s.cond.Broadcast()
-	s.pushEventLocked(ev)
-	if err != nil {
-		return err
-	}
-	s.replaceMembersLocked(members, merged)
-	s.compactions++
-	return nil
 }
 
 // Stats aggregates per-segment statistics.
 func (s *SegmentedCollection) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := Stats{Name: s.name, Dim: s.schema.Dim, IndexKind: s.kind}
-	for _, seg := range s.sealed {
-		st := seg.col.Stats()
-		out.Count += st.Count
-		out.RawBytes += st.RawBytes
-		out.IndexBytes += st.IndexBytes
+	st := s.SegmentStats()
+	return Stats{
+		Name:       s.name,
+		Count:      st.SealedVectors + st.GrowingLen,
+		Dim:        s.schema.Dim,
+		IndexKind:  s.kind,
+		RawBytes:   st.RawBytes,
+		IndexBytes: st.IndexBytes,
 	}
-	for _, seg := range s.building {
-		st := seg.col.Stats()
-		out.Count += st.Count
-		out.RawBytes += st.RawBytes
-	}
-	st := s.growing.Stats()
-	out.Count += st.Count
-	out.RawBytes += st.RawBytes
-	return out
 }
 
 // SegmentStats reports the per-state segment breakdown.
@@ -633,25 +503,20 @@ func (s *SegmentedCollection) SegmentStats() SegmentStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := SegmentStats{
-		Streaming:   true,
-		Sealed:      len(s.sealed),
-		Building:    len(s.building),
+		Sealed:      s.built,
+		Building:    len(s.frozen) - s.built,
 		Growing:     1,
-		GrowingLen:  s.growing.Len(),
 		Seals:       s.seals,
 		Compactions: s.compactions,
 	}
-	for _, seg := range s.sealed {
+	for _, seg := range s.frozen {
 		st := seg.col.Stats()
 		out.SealedVectors += st.Count
 		out.RawBytes += st.RawBytes
 		out.IndexBytes += st.IndexBytes
 	}
-	for _, seg := range s.building {
-		st := seg.col.Stats()
-		out.SealedVectors += st.Count
-		out.RawBytes += st.RawBytes
-	}
-	out.RawBytes += s.growing.Stats().RawBytes
+	st := s.growing.Stats()
+	out.GrowingLen = st.Count
+	out.RawBytes += st.RawBytes
 	return out
 }

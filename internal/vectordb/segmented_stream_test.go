@@ -3,7 +3,9 @@ package vectordb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -59,9 +61,8 @@ func TestSealDoesNotBlockQueries(t *testing.T) {
 	if err := s.Insert(51, unit(50)); err != nil {
 		t.Fatal(err)
 	}
-	sealed, growing := s.Segments()
-	if sealed != 1 || growing != 1 {
-		t.Fatalf("mid-seal segments = %d sealed, %d growing", sealed, growing)
+	if st := s.SegmentStats(); st.Sealed != 0 || st.Building != 1 || st.GrowingLen != 1 {
+		t.Fatalf("mid-seal segments = %+v", st)
 	}
 	close(release)
 	if err := s.WaitMaintenance(); err != nil {
@@ -81,14 +82,94 @@ func TestSealDoesNotBlockQueries(t *testing.T) {
 	}
 }
 
-// TestCompactReplicaConvergence pins the seed-derivation bugfix: two
-// equal-seeded replicas that compact at different points in their ingest
-// history must end with byte-identical approximate indexes. Before the
-// fix the compaction seed depended on the mutable segment sequence
-// counter, so the replicas silently diverged.
+// TestSegmentedSearchBatchMatchesSearch: with a sealed, a building (its
+// build parked in buildHook) and a growing segment all live, SearchBatch
+// answers every query bit for bit as a lone Search does, on every index
+// kind, approximate and exhaustive.
+func TestSegmentedSearchBatchMatchesSearch(t *testing.T) {
+	qs := make([]mat.Vec, 9)
+	for i := range qs {
+		qs[i] = unit(uint64(5000 + i))
+	}
+	for _, kind := range []IndexKind{IndexFlat, IndexIVFPQ, IndexIMI, IndexHNSW} {
+		t.Run(string(kind), func(t *testing.T) {
+			s, err := NewSegmented("patches", Schema{Dim: dim, Normalize: true}, kind,
+				IndexOptions{NList: 8, P: 4, M: 16, Seed: 9}, 60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert := func(from, to int) {
+				for i := from; i < to; i++ {
+					if err := s.Insert(int64(i+1), unit(uint64(i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			insert(0, 120) // two sealed segments
+			if err := s.WaitMaintenance(); err != nil {
+				t.Fatal(err)
+			}
+			entered, release := make(chan struct{}), make(chan struct{})
+			s.mu.Lock()
+			s.buildHook = func() {
+				close(entered)
+				<-release
+			}
+			s.mu.Unlock()
+			insert(120, 180) // the third seal's build parks in the hook
+			<-entered
+			insert(180, 205) // 25 growing
+			if st := s.SegmentStats(); st.Sealed != 2 || st.Building != 1 || st.GrowingLen != 25 {
+				t.Fatalf("segment states = %+v, want 2 sealed, 1 building, 25 growing", st)
+			}
+			for _, p := range []ann.Params{{NProbe: 4, Ef: 24}, {Exhaustive: true}} {
+				batch, err := s.SearchBatch(qs, 10, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, q := range qs {
+					lone, err := s.Search(q, 10, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameHits(t, batch[i], lone, fmt.Sprintf("%+v query %d", p, i))
+				}
+			}
+			close(release)
+			if err := s.WaitMaintenance(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// maintOps is a collection's maintenance log projected onto what must not
+// depend on timing: the seal builds in order, then the compactions in
+// order. (How the two kinds interleave depends on how far the background
+// worker lags the inserts.)
+func maintOps(s *SegmentedCollection) []string {
+	var seals, compacts []string
+	for _, ev := range s.MaintLog() {
+		op := fmt.Sprintf("%s segments=%d vectors=%d err=%q", ev.Op, ev.Segments, ev.Vectors, ev.Err)
+		if ev.Op == "seal" {
+			seals = append(seals, op)
+		} else {
+			compacts = append(compacts, op)
+		}
+	}
+	return append(seals, compacts...)
+}
+
+// TestCompactReplicaConvergence pins the seed-derivation bugfix on the
+// background policy: two equal-seeded replicas that compact at different
+// points in their ingest history must end with the same segment structure
+// and byte-identical approximate indexes. Replica A waits out maintenance
+// between ingest chunks, so it compacts mid-history; replica B ingests
+// everything and only then waits. Were a compaction seed to depend on the
+// mutable segment sequence counter, the replicas would silently diverge.
 func TestCompactReplicaConvergence(t *testing.T) {
-	a, b := newSeg(t, 100), newSeg(t, 100)
-	vecs := make([]mat.Vec, 500)
+	a, b := newSeg(t, 20), newSeg(t, 20)
+	vecs := make([]mat.Vec, 330)
 	for i := range vecs {
 		vecs[i] = unit(uint64(i))
 	}
@@ -100,25 +181,30 @@ func TestCompactReplicaConvergence(t *testing.T) {
 			}
 		}
 	}
-	// Replica A compacts mid-history, ingests more, compacts again.
-	insert(a, 0, 300)
-	if err := a.Compact(); err != nil {
+	for _, chunk := range [][2]int{{0, 100}, {100, 230}, {230, 330}} {
+		insert(a, chunk[0], chunk[1])
+		if err := a.WaitMaintenance(); err != nil {
+			t.Fatal(err)
+		}
+		if chunk[0] == 0 && a.SegmentStats().Compactions == 0 {
+			t.Fatal("replica A must compact mid-history")
+		}
+	}
+	insert(b, 0, len(vecs))
+	if err := b.WaitMaintenance(); err != nil {
 		t.Fatal(err)
 	}
-	insert(a, 300, 500)
-	if err := a.Compact(); err != nil {
-		t.Fatal(err)
+	// 16 seals of 20 merge 4-at-a-time into 4 segments, then into one; the
+	// last 10 vectors stay growing.
+	stA, stB := a.SegmentStats(), b.SegmentStats()
+	if stA != stB {
+		t.Fatalf("segment stats diverge:\n A: %+v\n B: %+v", stA, stB)
 	}
-	// Replica B ingests everything, then compacts once.
-	insert(b, 0, 500)
-	if err := b.Compact(); err != nil {
-		t.Fatal(err)
+	if stA.Seals != 16 || stA.Compactions != 5 || stA.Sealed != 1 || stA.Building != 0 || stA.GrowingLen != 10 {
+		t.Fatalf("segment stats = %+v", stA)
 	}
-	if got, _ := a.Segments(); got != 1 {
-		t.Fatalf("replica A: %d sealed after compact", got)
-	}
-	if got, _ := b.Segments(); got != 1 {
-		t.Fatalf("replica B: %d sealed after compact", got)
+	if opsA, opsB := maintOps(a), maintOps(b); !reflect.DeepEqual(opsA, opsB) {
+		t.Fatalf("maintenance ops diverge:\n A: %q\n B: %q", opsA, opsB)
 	}
 	// Approximate answers (not just exact ones) must agree bit-for-bit.
 	for probe := 0; probe < 20; probe++ {
@@ -135,10 +221,9 @@ func TestCompactReplicaConvergence(t *testing.T) {
 	}
 }
 
-// TestTieredCompactionPolicy pins that Compact is no longer dead code: the
-// size-tiered background policy invokes it as sealed segments accumulate,
-// and the resulting structure is the deterministic fixpoint of the ingest
-// history.
+// TestTieredCompactionPolicy pins the size-tiered background policy: it
+// merges built segments as they accumulate, and the resulting structure is
+// the deterministic fixpoint of the ingest history.
 func TestTieredCompactionPolicy(t *testing.T) {
 	s := newSeg(t, 20)
 	for i := 0; i < 16*20; i++ {
@@ -190,25 +275,12 @@ func TestTieredCompactionPolicy(t *testing.T) {
 	if seals == 0 || compacts != 5 {
 		t.Fatalf("maint log: %d seal, %d compact events", seals, compacts)
 	}
-	// A disabled policy stays manual-only.
-	m := newSeg(t, 20)
-	m.SetCompactFanIn(0)
-	for i := 0; i < 16*20; i++ {
-		if err := m.Insert(int64(i+1), unit(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.WaitMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.SegmentStats(); st.Compactions != 0 || st.Sealed != 16 {
-		t.Fatalf("disabled policy: %+v", st)
-	}
 }
 
-// TestSegmentedChaos drives concurrent Insert/Seal/Compact/Search under
-// the race detector, then pins the exact-search bit-identity contract
-// against a batch-built monolith after quiesce.
+// TestSegmentedChaos drives concurrent Insert/Seal/Search — with background
+// builds and compactions racing them — under the race detector, then pins
+// the exact-search bit-identity contract against a batch-built monolith
+// after quiesce.
 func TestSegmentedChaos(t *testing.T) {
 	s := newSeg(t, 64)
 	const (
@@ -245,12 +317,6 @@ func TestSegmentedChaos(t *testing.T) {
 			if err := s.Seal(); err != nil {
 				errs <- err
 				return
-			}
-			if i%3 == 0 {
-				if err := s.Compact(); err != nil {
-					errs <- err
-					return
-				}
 			}
 		}
 	}()
@@ -313,10 +379,9 @@ func TestSegmentedSaveLoadMidStream(t *testing.T) {
 	if err := s.WaitMaintenance(); err != nil {
 		t.Fatal(err)
 	}
-	gotSealed, gotGrowing := loaded.Segments()
-	wantSealed, wantGrowing := s.Segments()
-	if gotSealed != wantSealed || gotGrowing != wantGrowing {
-		t.Fatalf("segments = (%d, %d), want (%d, %d)", gotSealed, gotGrowing, wantSealed, wantGrowing)
+	got, want := loaded.SegmentStats(), s.SegmentStats()
+	if got.Sealed != want.Sealed || got.Building != want.Building || got.GrowingLen != want.GrowingLen {
+		t.Fatalf("segments = %+v, want %+v", got, want)
 	}
 	for probe := 0; probe < 10; probe++ {
 		q := unit(uint64(2000 + probe))

@@ -23,6 +23,11 @@ func TestSegmentedValidation(t *testing.T) {
 	if _, err := NewSegmented("x", Schema{Dim: 0}, IndexIMI, IndexOptions{}, 0); !errors.Is(err, ErrDimension) {
 		t.Fatalf("zero dim: %v", err)
 	}
+	for _, threshold := range []int{0, -1} {
+		if _, err := NewSegmented("x", Schema{Dim: dim}, IndexIMI, IndexOptions{}, threshold); err == nil {
+			t.Fatalf("seal threshold %d accepted", threshold)
+		}
+	}
 	s := newSeg(t, 100)
 	if err := s.Insert(1, mat.Vec{1}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("dim mismatch: %v", err)
@@ -36,9 +41,8 @@ func TestSegmentedAutoSeal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sealed, growing := s.Segments()
-	if sealed != 3 || growing != 50 {
-		t.Fatalf("segments = %d sealed, %d growing; want 3, 50", sealed, growing)
+	if st := s.SegmentStats(); st.Sealed+st.Building != 3 || st.GrowingLen != 50 {
+		t.Fatalf("segments = %+v; want 3 frozen, 50 growing", st)
 	}
 	if s.Len() != 350 {
 		t.Fatalf("len = %d", s.Len())
@@ -108,43 +112,45 @@ func TestSegmentedDuplicateAcrossSegments(t *testing.T) {
 	}
 }
 
+// TestSegmentedSealAndCompact: a force-seal freezes an undersized growing
+// segment, sealing an empty one is a no-op, and the background policy
+// compacts the first run of four same-tier segments without losing a
+// vector or moving the top hit.
 func TestSegmentedSealAndCompact(t *testing.T) {
 	s := newSeg(t, 100)
-	for i := 0; i < 230; i++ {
+	for i := 0; i < 430; i++ {
 		_ = s.Insert(int64(i+1), unit(uint64(i)))
 	}
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	sealed, growing := s.Segments()
-	if sealed != 3 || growing != 0 {
-		t.Fatalf("after seal: %d sealed, %d growing", sealed, growing)
-	}
 	// Sealing an empty growing segment is a no-op.
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	q := unit(42)
-	before, err := s.Search(q, 5, ann.Params{NProbe: 16})
-	if err != nil {
+	if err := s.WaitMaintenance(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	// Seals of 100, 100, 100, 100 and 30 all sit in tier 0; the first four
+	// merge into one 400-vector segment, the undersized fifth stays.
+	st := s.SegmentStats()
+	if st.Seals != 5 || st.Compactions != 1 || st.Sealed != 2 || st.Building != 0 || st.GrowingLen != 0 {
+		t.Fatalf("after seal and compaction: %+v", st)
 	}
-	sealed, _ = s.Segments()
-	if sealed != 1 {
-		t.Fatalf("after compact: %d sealed", sealed)
-	}
-	if s.Len() != 230 {
+	if s.Len() != 430 {
 		t.Fatalf("compact lost vectors: %d", s.Len())
 	}
-	after, err := s.Search(q, 5, ann.Params{NProbe: 16})
+	q := unit(42)
+	exact, err := s.Search(q, 5, ann.Params{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before[0].ID != after[0].ID {
-		t.Fatalf("top hit changed across compact: %d vs %d", before[0].ID, after[0].ID)
+	approx, err := s.Search(q, 5, ann.Params{NProbe: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact[0].ID != 43 || approx[0].ID != exact[0].ID {
+		t.Fatalf("top hit after compaction: approximate %d, exact %d, want 43", approx[0].ID, exact[0].ID)
 	}
 }
 
@@ -161,7 +167,7 @@ func TestSegmentedStats(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	seg := s.SegmentStats()
-	if !seg.Streaming || seg.Sealed != 1 || seg.Building != 0 || seg.GrowingLen != 50 {
+	if seg.Growing != 1 || seg.Sealed != 1 || seg.Building != 0 || seg.GrowingLen != 50 {
 		t.Fatalf("segment stats = %+v", seg)
 	}
 	if seg.SealedVectors != 100 || seg.Seals != 1 || seg.IndexBytes <= 0 {
@@ -211,18 +217,17 @@ func TestSegmentedNoFullRebuild(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_ = s.Insert(int64(i+1), unit(uint64(i)))
 	}
-	sealedBefore, _ := s.Segments()
-	if sealedBefore != 1 {
-		t.Fatalf("expected 1 sealed segment, got %d", sealedBefore)
-	}
 	if err := s.WaitMaintenance(); err != nil {
 		t.Fatal(err)
 	}
-	firstSeg := s.sealed[0].col
+	if st := s.SegmentStats(); st.Sealed != 1 {
+		t.Fatalf("expected 1 sealed segment, got %+v", st)
+	}
+	firstSeg := s.frozen[0].col
 	for i := 100; i < 150; i++ {
 		_ = s.Insert(int64(i+1), unit(uint64(i)))
 	}
-	if s.sealed[0].col != firstSeg {
+	if s.frozen[0].col != firstSeg {
 		t.Fatal("sealed segment was rebuilt by later inserts")
 	}
 }

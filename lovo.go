@@ -91,12 +91,11 @@ type Options struct {
 	// Dim and ProjDim set the embedding dimensions D and D′ (defaults
 	// 64 and 32).
 	Dim, ProjDim int
-	// Streaming enables segmented incremental indexing: each BuildIndex
-	// seals the current segment instead of rebuilding, so continuously
-	// arriving footage never pays a full-index rebuild (the paper's
-	// Section IX future work).
-	Streaming bool
-	// SegmentSize is the streaming seal threshold (default 4096 vectors).
+	// SegmentSize > 0 enables segmented incremental indexing (the paper's
+	// Section IX future work): the store seals a segment every SegmentSize
+	// vectors and each BuildIndex seals the current one instead of
+	// rebuilding, so continuously arriving footage never pays a full-index
+	// rebuild. Zero keeps one batch-built index.
 	SegmentSize int
 	// Workers bounds the goroutines of the concurrent execution engine:
 	// keyframe encoding during ingest, the stage-2 rerank fan-out, and
@@ -111,14 +110,14 @@ type Options struct {
 	// single-system path; a one-shard engine answers byte-identically to
 	// it. Ingest of a dataset fans out across shards in parallel.
 	Shards int
-	// Replicas runs R copies of every shard for read throughput and
-	// failover: ingest and index builds fan out to all replicas of the
-	// owning shard (equal seeds keep them byte-identical by
-	// construction), each query leg picks one replica (round-robin with
-	// an in-flight-aware tiebreak), and a replica that errors is marked
-	// unhealthy and transparently failed over — answers are the same
-	// bytes whichever replica serves, as long as one replica per shard
-	// survives. Zero or one keeps single copies. Replicas > 1 forces the
+	// Replicas runs R copies of every shard for failover: ingest and index
+	// builds fan out to all replicas of the owning shard (equal seeds keep
+	// them byte-identical by construction), each query leg picks one
+	// replica (round-robin with an in-flight-aware tiebreak), and a
+	// replica that errors is marked unhealthy and transparently failed
+	// over — answers are the same bytes whichever replica serves, as long
+	// as one replica per shard survives. Read throughput under R > 1 is
+	// unmeasured. Zero or one keeps single copies. Replicas > 1 forces the
 	// engine path even when Shards <= 1.
 	Replicas int
 }
@@ -139,7 +138,6 @@ func Open(opts Options) (*System, error) {
 		NProbe:      opts.NProbe,
 		Dim:         opts.Dim,
 		ProjDim:     opts.ProjDim,
-		Streaming:   opts.Streaming,
 		SegmentSize: opts.SegmentSize,
 		Workers:     opts.Workers,
 	}
@@ -281,9 +279,10 @@ func (s *System) Engine() *shard.Engine { return s.engine }
 
 // Save persists the full system state — patch vectors with the index
 // recipe, relational metadata, keyframes and stats — so a later Load
-// serves queries without re-running Video Summary. A streaming system
-// saves its segments as they stand and must be loaded into a streaming
-// system. Must not run concurrently with Ingest or BuildIndex.
+// serves queries without re-running Video Summary. A segmented system
+// saves its segments as they stand and must be loaded into one opened
+// with a positive SegmentSize. Must not run concurrently with Ingest or
+// BuildIndex.
 func (s *System) Save(w io.Writer) error {
 	if s.engine != nil {
 		return s.engine.SaveSnapshot(w)

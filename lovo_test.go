@@ -119,7 +119,7 @@ func TestLoadDatasetUnknown(t *testing.T) {
 }
 
 func TestStreamingPublicAPI(t *testing.T) {
-	s, err := Open(Options{Seed: 2, Streaming: true, SegmentSize: 120})
+	s, err := Open(Options{Seed: 2, SegmentSize: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
