@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/vectordb"
@@ -28,8 +29,8 @@ func batchPlans(sys *System, texts []string) []Plan {
 
 // TestQueryBatchPlannedMatchesLoneQueries is the batch-path pin: batched
 // execution — one grouped memory sweep per distinct search shape — must
-// answer bit-identically to running every plan through QueryPlanned on its
-// own, on every index kind: approximate plans through flat's row sweep or
+// answer bit-identically to running every plan as a batch of one, on every
+// index kind: approximate plans through flat's row sweep or
 // the other kinds' per-query index search, exhaustive plans through the one
 // row sweep every kind shares — whose answers must also equal flat's, the
 // oracle, bit for bit. The segmented case runs the same batches across
@@ -68,12 +69,12 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, text := range texts {
-				lone, err := sys.QueryPlanned(context.Background(), text, plans[i], 0)
+				lone, err := sys.QueryBatchPlanned(context.Background(), []string{text}, plans[i:i+1], 0, 0)
 				if err != nil {
 					t.Fatalf("%q: %v", text, err)
 				}
-				if !reflect.DeepEqual(batch[i].Objects, lone.Objects) {
-					t.Errorf("%q under plan %s: batch answers diverge from lone QueryPlanned", text, plans[i])
+				if !reflect.DeepEqual(batch[i].Objects, lone[0].Objects) {
+					t.Errorf("%q under plan %s: batch answers diverge from a batch of one", text, plans[i])
 				}
 				if !plans[i].Exact {
 					continue
@@ -147,5 +148,61 @@ func TestSearchPlannedBatchRejectsUnknownTerms(t *testing.T) {
 	plans := []Plan{sys.cfg.FixedPlan(QueryOptions{}), sys.cfg.FixedPlan(QueryOptions{})}
 	if _, err := sys.SearchPlannedBatch(context.Background(), texts, plans); err == nil {
 		t.Fatal("batch with an unencodable query must fail")
+	}
+}
+
+// widthTarget is a PlanTarget that answers every stage-1 leg with one hit
+// and records the rerank width each stage-2 call is handed.
+type widthTarget struct {
+	mu      sync.Mutex
+	workers []int
+}
+
+func (t *widthTarget) ScatterSearchBatch(_ context.Context, texts []string, _ []Plan) ([][][]ResultObject, error) {
+	out := make([][][]ResultObject, len(texts))
+	for i := range out {
+		out[i] = [][]ResultObject{{{VideoID: 1, FrameIdx: 2, Score: 1, PatchID: 7}}}
+	}
+	return out, nil
+}
+
+func (t *widthTarget) ScatterGround(_ context.Context, _ string, refs []FrameRef, workers int) ([]Grounding, error) {
+	t.mu.Lock()
+	t.workers = append(t.workers, workers)
+	t.mu.Unlock()
+	return make([]Grounding, len(refs)), nil
+}
+
+// TestBatchOfOneKeepsFullRerankWidth: the client pool never outnumbers the
+// batch, so a batch of one keeps its full-width rerank (workers 0 inherits
+// Config.Workers) instead of being narrowed to a serial one as if other
+// queries of its batch already filled the cores; a real batch still runs
+// each query's stage 2 serially.
+func TestBatchOfOneKeepsFullRerankWidth(t *testing.T) {
+	cfg := Config{Seed: 1, Workers: 4}.Resolved()
+	plan := cfg.FixedPlan(QueryOptions{})
+	for _, tc := range []struct {
+		texts []string
+		want  int
+	}{
+		{[]string{"a car"}, 0},
+		{[]string{"a car", "a bus"}, 1},
+	} {
+		tgt := &widthTarget{}
+		plans := make([]Plan, len(tc.texts))
+		for i := range plans {
+			plans[i] = plan
+		}
+		if _, err := ExecutePlanBatch(context.Background(), tgt, cfg, tc.texts, plans, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range tgt.workers {
+			if w != tc.want {
+				t.Fatalf("batch of %d: stage 2 ran with workers %v, want %d each", len(tc.texts), tgt.workers, tc.want)
+			}
+		}
+		if len(tgt.workers) != len(tc.texts) {
+			t.Fatalf("batch of %d: %d stage-2 calls", len(tc.texts), len(tgt.workers))
+		}
 	}
 }

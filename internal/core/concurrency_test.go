@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/keyframe"
+	"repro/internal/vectordb"
 	"repro/internal/video"
 )
 
@@ -73,6 +75,26 @@ func TestNewRejectsOversizedGrid(t *testing.T) {
 	}
 	if _, err := New(Config{Seed: 1, GridW: 64, GridH: 32}); err != nil {
 		t.Fatalf("2048-patch grid is the documented maximum: %v", err)
+	}
+}
+
+// TestNewRejectsUnknownIndexKind: New refuses an index kind nothing can
+// build, on either store — before, a segmented system accepted it and then
+// hung BuildIndex behind a maintenance loop retrying failed seals — and
+// resolves the command-line alias "bf" to the flat kind.
+func TestNewRejectsUnknownIndexKind(t *testing.T) {
+	for _, size := range []int{0, 2} {
+		_, err := New(Config{Seed: 1, Index: "bogus", SegmentSize: size})
+		if err == nil || !strings.Contains(err.Error(), "bogus") {
+			t.Fatalf("SegmentSize %d: want an error naming the kind, got %v", size, err)
+		}
+	}
+	s, err := New(Config{Seed: 1, Index: "bf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.cfg.Index != vectordb.IndexFlat {
+		t.Fatalf("alias bf resolved to %q, want %q", s.cfg.Index, vectordb.IndexFlat)
 	}
 }
 

@@ -264,6 +264,12 @@ func New(cfg Config) (*System, error) {
 	if cfg.SegmentSize < 0 {
 		return nil, fmt.Errorf("core: SegmentSize %d is negative (0 = batch store, N > 0 = segmented)", cfg.SegmentSize)
 	}
+	// Refused here, not at a build: a segmented store's seals would retry it forever.
+	kind, err := vectordb.ParseKind(string(cfg.Index))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	cfg.Index = kind
 	if cfg.Streaming && cfg.SegmentSize == 0 {
 		return nil, fmt.Errorf("core: Streaming is ignored and SegmentSize is 0, which selects a batch store; set SegmentSize > 0 for a segmented one")
 	}

@@ -33,17 +33,6 @@ type PlanTarget interface {
 	ScatterGround(ctx context.Context, text string, refs []FrameRef, workers int) ([]Grounding, error)
 }
 
-// ExecutePlan runs one query's plan: ExecutePlanBatch with a batch of one
-// and a single client, so workers keeps its meaning (zero inherits
-// cfg.Workers for the stage-2 fan-out).
-func ExecutePlan(ctx context.Context, t PlanTarget, cfg Config, text string, plan Plan, workers int) (*Result, error) {
-	res, err := ExecutePlanBatch(ctx, t, cfg, []string{text}, []Plan{plan}, workers, 1)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // ExecutePlanBatch runs Algorithm 2 under one explicit plan per query — the
 // ONE execution: scatter fast search, merge each query to its global
 // top-FastK, collapse to candidate frames, then either return deduplicated
@@ -51,11 +40,12 @@ func ExecutePlan(ctx context.Context, t PlanTarget, cfg Config, text string, pla
 // rank. Stage 1 for the WHOLE batch is one scatter call: queries with
 // identical search shapes share a single memory sweep. Only stage 2 fans
 // out per query, across at most clients goroutines (zero inherits
-// cfg.Workers); workers bounds each query's own grounding fan-out. Plans
-// are normalized against cfg; results align with texts, are identical at
-// every width and every tracing setting (spans observe, never steer) and
-// equal what each query answers alone; the first failing query (lowest
-// index) reports its error once in-flight work drains.
+// cfg.Workers; never more than the batch has queries, so a batch of one
+// keeps its full-width rerank); workers bounds each query's own grounding
+// fan-out. Plans are normalized against cfg; results align with texts, are
+// identical at every width and every tracing setting (spans observe, never
+// steer) and equal what each query answers alone; the first failing query
+// (lowest index) reports its error once in-flight work drains.
 func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []string, plans []Plan, workers, clients int) ([]*Result, error) {
 	if len(plans) != len(texts) {
 		return nil, fmt.Errorf("core: batch of %d texts given %d plans", len(texts), len(plans))
@@ -63,7 +53,7 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 	if clients == 0 {
 		clients = cfg.Workers
 	}
-	clients = ResolveWorkers(clients)
+	clients = min(ResolveWorkers(clients), len(texts))
 	// Batch-level concurrency already saturates the cores, so unless the
 	// caller explicitly widened the per-query rerank, run each query's
 	// stage 2 serially — nested NumCPU-wide pools would oversubscribe the
@@ -184,7 +174,7 @@ func recallOf[T any](truth map[int64]bool, hits []T, id func(T) int64) float64 {
 }
 
 // Target exposes the system as the one-leg PlanTarget (StageRecall
-// measurements; QueryPlanned is the execution path).
+// measurements; QueryBatchPlanned is the execution path).
 func (s *System) Target() PlanTarget { return systemTarget{s} }
 
 // systemTarget adapts a System to the one-leg PlanTarget.

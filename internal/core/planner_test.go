@@ -127,11 +127,11 @@ func TestDefaultPlanMatchesFixedKnobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sys.QueryPlanned(context.Background(), text, plan, opts.Workers)
+		got, err := sys.QueryBatchPlanned(context.Background(), []string{text}, []Plan{plan}, opts.Workers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Objects, want.Objects) {
+		if !reflect.DeepEqual(got[0].Objects, want.Objects) {
 			t.Fatalf("opts %+v: plan execution diverges from Query", opts)
 		}
 	}

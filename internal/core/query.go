@@ -449,36 +449,29 @@ func RankGroundings(groundings []Grounding, topN int) []ResultObject {
 }
 
 // Querier is the whole-query surface of a deployment: resolve a plan under
-// a context, execute one plan, execute a batch of plans. core.System and
-// shard.Engine both are one (and it is all the serving tier and the RPC
-// workers call); Query and QueryBatch below are the plan-then-execute
-// conveniences over it.
+// a context, execute a batch of plans — a lone query is a batch of one.
+// core.System and shard.Engine both are one (and it is all the serving tier
+// and the RPC workers call); Query and QueryBatch below are the
+// plan-then-execute conveniences over it.
 type Querier interface {
 	PlanQueryCtx(ctx context.Context, text string, opts QueryOptions) (Plan, error)
-	QueryPlanned(ctx context.Context, text string, plan Plan, workers int) (*Result, error)
 	QueryBatchPlanned(ctx context.Context, texts []string, plans []Plan, workers, clients int) ([]*Result, error)
 }
 
-// planTraced resolves one query's plan under a "plan" span.
-func planTraced(ctx context.Context, q Querier, text string, opts QueryOptions) (Plan, error) {
-	pctx, psp := obs.Start(ctx, "plan")
-	defer psp.End()
-	return q.PlanQueryCtx(pctx, text, opts)
-}
-
 // Query executes the two-stage strategy of Algorithm 2 on any deployment
-// shape: resolve a plan (fixed, pinned or planner-chosen per the options),
-// then run it. A traced context records plan and execution spans; tracing
-// never changes the answer.
+// shape: QueryBatch with a batch of one, which keeps the full-width rerank
+// (opts.Workers, zero inheriting Config.Workers). A traced context records
+// plan and execution spans; tracing never changes the answer.
 func Query(ctx context.Context, q Querier, text string, opts QueryOptions) (*Result, error) {
-	plan, err := planTraced(ctx, q, text, opts)
+	res, err := QueryBatch(ctx, q, []string{text}, opts, 0)
 	if err != nil {
 		return nil, err
 	}
-	return q.QueryPlanned(ctx, text, plan, opts.Workers)
+	return res[0], nil
 }
 
-// QueryBatch plans every query, then executes the batch through
+// QueryBatch plans every query under a "plan" span (fixed, pinned or
+// planner-chosen per the options), then executes the batch through
 // QueryBatchPlanned — stage 1 shares one scatter, stage 2 fans out across
 // at most clients goroutines (zero inherits Config.Workers). Results align
 // with texts and each equals what a lone Query call would return; the first
@@ -486,10 +479,13 @@ func Query(ctx context.Context, q Querier, text string, opts QueryOptions) (*Res
 func QueryBatch(ctx context.Context, q Querier, texts []string, opts QueryOptions, clients int) ([]*Result, error) {
 	plans := make([]Plan, len(texts))
 	for i, text := range texts {
-		var err error
-		if plans[i], err = planTraced(ctx, q, text, opts); err != nil {
-			return nil, fmt.Errorf("core: batch query %d (%q): %w", i, text, err)
+		pctx, psp := obs.Start(ctx, "plan")
+		plan, err := q.PlanQueryCtx(pctx, text, opts)
+		psp.End()
+		if err != nil {
+			return nil, fmt.Errorf("core: query %d (%q): %w", i, text, err)
 		}
+		plans[i] = plan
 	}
 	return q.QueryBatchPlanned(ctx, texts, plans, opts.Workers, clients)
 }
@@ -514,20 +510,15 @@ func (s *System) PlanQueryCtx(ctx context.Context, text string, opts QueryOption
 	return s.cfg.FixedPlan(opts), nil
 }
 
-// QueryPlanned executes an explicit plan through the shared executor —
-// the same composition of the stage functions shard.Engine and the RPC
-// workers run, so equal plans answer byte-identically on every deployment
-// shape. The context carries the tracing recorder; context.Background()
-// (or any untraced context) runs the allocation-free disabled path.
-func (s *System) QueryPlanned(ctx context.Context, text string, plan Plan, workers int) (*Result, error) {
-	return ExecutePlan(ctx, systemTarget{s}, s.cfg, text, plan, workers)
-}
-
-// QueryBatchPlanned executes one pre-resolved plan per query (see
-// ExecutePlanBatch): queries whose plans resolve to identical search shapes
-// share ONE cache-blocked memory sweep over the stored vectors, while stage
-// 2 fans out per query across at most clients goroutines. Safe to call from
-// many goroutines and while ingest continues on another.
+// QueryBatchPlanned executes one pre-resolved plan per query through the
+// shared executor (ExecutePlanBatch) — the same composition of the stage
+// functions shard.Engine and the RPC workers run, so equal plans answer
+// byte-identically on every deployment shape. Queries whose plans resolve
+// to identical search shapes share ONE cache-blocked memory sweep over the
+// stored vectors, while stage 2 fans out per query across at most clients
+// goroutines. The context carries the tracing recorder; an untraced context
+// runs the allocation-free disabled path. Safe to call from many goroutines
+// and while ingest continues on another.
 func (s *System) QueryBatchPlanned(ctx context.Context, texts []string, plans []Plan, workers, clients int) ([]*Result, error) {
 	return ExecutePlanBatch(ctx, systemTarget{s}, s.cfg, texts, plans, workers, clients)
 }

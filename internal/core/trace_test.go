@@ -68,7 +68,7 @@ func BenchmarkQueryTracingOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.QueryPlanned(ctx, text, plan, 1); err != nil {
+		if _, err := sys.QueryBatchPlanned(ctx, []string{text}, []Plan{plan}, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkQueryTracingOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := obs.NewTrace(1)
 		root := tr.Root("query")
-		if _, err := sys.QueryPlanned(obs.With(context.Background(), root), text, plan, 1); err != nil {
+		if _, err := sys.QueryBatchPlanned(obs.With(context.Background(), root), []string{text}, []Plan{plan}, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 		root.End()

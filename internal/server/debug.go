@@ -47,10 +47,13 @@ func toSpanJSON(n *obs.Node) *SpanJSON {
 	return out
 }
 
-// slowEntry is one retained query trace.
+// slowEntry is one retained request trace: a /query, or a whole
+// /query/batch under one root span, named by its first query (and first
+// plan kind) with its size beside it.
 type slowEntry struct {
 	At         time.Time `json:"at"`
 	Query      string    `json:"query"`
+	BatchSize  int       `json:"batch_size"`
 	PlanKind   string    `json:"plan_kind"`
 	Cached     bool      `json:"cached"`
 	DurationMs float64   `json:"duration_ms"`

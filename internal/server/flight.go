@@ -8,20 +8,27 @@ import (
 	"repro/internal/core"
 )
 
-// flightGroup coalesces concurrent duplicate work: while one caller (the
-// leader) computes the value for a key, every other caller of the same key
-// parks and shares the leader's result instead of recomputing it — the
-// classic single-flight guard against a thundering herd of identical cache
-// misses.
+// flightGroup coalesces concurrent duplicate work: while one request (the
+// leader) computes the result for a key, every other request needing the
+// same key parks and shares the leader's result instead of recomputing it —
+// the classic single-flight guard against a thundering herd of identical
+// cache misses, made batch-aware: a request joins all of its keys at once,
+// leads the ones nobody holds and waits for the rest. A request never waits
+// while it holds keys — it finishes every key it leads first — so requests
+// with crossing keys ({A,B} and {B,A}) cannot deadlock.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
 }
 
 type flightCall struct {
+	key  string
 	done chan struct{}
 	res  *core.Result
 	err  error
+	// shared marks an outcome of a batch of several keys: an error then may
+	// belong to another key's query, not this one.
+	shared bool
 }
 
 func newFlightGroup() *flightGroup {
@@ -33,39 +40,51 @@ func newFlightGroup() *flightGroup {
 // hang.
 var errFlightAborted = errors.New("server: coalesced query aborted: leader panicked")
 
-// do runs fn once per key at a time: the first caller executes it, later
-// callers with the same key wait and share the outcome. The returned bool
-// reports whether this caller coalesced onto another's call. fn must leave
-// the result visible to late arrivals (e.g. by writing the cache) before
-// returning, because the flight entry is removed once fn completes.
-func (g *flightGroup) do(key string, fn func() (*core.Result, error)) (*core.Result, bool, error) {
+// join claims distinct keys in one step: calls[i] is keys[i]'s flight, and
+// led[i] reports that this caller created it and so must run it.
+func (g *flightGroup) join(keys []string) (calls []*flightCall, led []bool) {
+	calls, led = make([]*flightCall, len(keys)), make([]bool, len(keys))
 	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.res, true, c.err
+	defer g.mu.Unlock()
+	for i, k := range keys {
+		if calls[i] = g.calls[k]; calls[i] == nil {
+			calls[i] = &flightCall{key: k, done: make(chan struct{})}
+			g.calls[k], led[i] = calls[i], true
+		}
 	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
+	return calls, led
+}
 
-	// The cleanup must run even if fn panics (the leader's HTTP handler
-	// goroutine is recovered per-connection by net/http): a flight entry
-	// left behind would wedge its key forever, parking every future
-	// identical request on a channel nobody will close.
+// run computes the calls this caller leads with one fn call (results align
+// with calls), then drops their keys and wakes their waiters. fn must leave
+// its results visible to late arrivals (e.g. by writing the cache) before
+// returning. The finish runs even if fn panics (net/http recovers the
+// leader's handler goroutine): a flight left behind would wedge its key
+// forever. Waiters then see errFlightAborted.
+func (g *flightGroup) run(calls []*flightCall, fn func() ([]*core.Result, error)) {
 	completed := false
 	defer func() {
-		if !completed {
-			c.err = errFlightAborted
-		}
 		g.mu.Lock()
-		delete(g.calls, key)
+		for _, c := range calls {
+			if !completed {
+				c.res, c.err = nil, errFlightAborted
+			}
+			c.shared = len(calls) > 1
+			delete(g.calls, c.key)
+		}
 		g.mu.Unlock()
-		close(c.done)
+		for _, c := range calls {
+			close(c.done)
+		}
 	}()
-	c.res, c.err = fn()
+	results, err := fn()
+	for i, c := range calls {
+		c.err = err
+		if err == nil {
+			c.res = results[i]
+		}
+	}
 	completed = true
-	return c.res, false, c.err
 }
 
 // flightKey scopes a cache key to an ingest generation: waiters must only

@@ -3,10 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,21 +22,28 @@ import (
 	"repro/internal/video"
 )
 
-// fakeBackend is a controllable Backend: QueryPlanned can be gated to hold
-// a request in flight, and both query paths record the rerank width the
-// server handed them.
+// fakeBackend is a controllable Backend: QueryBatchPlanned can be gated to
+// hold a request in flight, answers each query with one object derived from
+// its text and plan, and records every batch it executes with the rerank
+// width the server handed it.
 type fakeBackend struct {
-	mu           sync.Mutex
-	queryCalls   int
-	queryWorkers []int
-	batchWorkers []int
-	planOpts     []core.QueryOptions
+	mu       sync.Mutex
+	batches  []fakeBatch
+	planOpts []core.QueryOptions
 
-	entered chan struct{} // receives one token per QueryPlanned entry, if set
-	release chan struct{} // QueryPlanned blocks until closed, if set
+	entered  chan struct{} // receives one token per gated QueryBatchPlanned entry, if set
+	release  chan struct{} // gated QueryBatchPlanned calls block until closed, if set
+	gateText string        // only batches holding this text are gated, if set
 
-	notBuilt bool  // Status reports Built=false, so queries answer 503
-	queryErr error // QueryPlanned fails with this, if set
+	notBuilt bool   // Status reports Built=false, so queries answer 503
+	queryErr error  // QueryBatchPlanned fails with this, if set
+	badText  string // a batch holding this text fails as unencodable, if set
+}
+
+// fakeBatch is one QueryBatchPlanned call as the backend saw it.
+type fakeBatch struct {
+	texts   []string
+	workers int
 }
 
 func (f *fakeBackend) PlanQueryCtx(ctx context.Context, text string, opts core.QueryOptions) (core.Plan, error) {
@@ -45,32 +56,55 @@ func (f *fakeBackend) PlanQueryCtx(ctx context.Context, text string, opts core.Q
 	return core.Config{}.Resolved().FixedPlan(opts), nil
 }
 
-func (f *fakeBackend) QueryPlanned(ctx context.Context, text string, plan core.Plan, workers int) (*core.Result, error) {
+func (f *fakeBackend) QueryBatchPlanned(ctx context.Context, texts []string, plans []core.Plan, workers, clients int) ([]*core.Result, error) {
 	f.mu.Lock()
-	f.queryCalls++
-	f.queryWorkers = append(f.queryWorkers, workers)
+	f.batches = append(f.batches, fakeBatch{texts: append([]string(nil), texts...), workers: workers})
 	f.mu.Unlock()
-	if f.entered != nil {
-		f.entered <- struct{}{}
-	}
-	if f.release != nil {
+	if f.release != nil && (f.gateText == "" || slices.Contains(texts, f.gateText)) {
+		if f.entered != nil {
+			f.entered <- struct{}{}
+		}
 		<-f.release
 	}
 	if f.queryErr != nil {
 		return nil, f.queryErr
 	}
-	return &core.Result{CandidateFrames: 1}, nil
-}
-
-func (f *fakeBackend) QueryBatchPlanned(ctx context.Context, texts []string, plans []core.Plan, workers, clients int) ([]*core.Result, error) {
-	f.mu.Lock()
-	f.batchWorkers = append(f.batchWorkers, workers)
-	f.mu.Unlock()
+	if f.badText != "" && slices.Contains(texts, f.badText) {
+		return nil, fmt.Errorf("fake: %w", core.ErrNoRecognisedTerms)
+	}
 	out := make([]*core.Result, len(texts))
-	for i := range out {
-		out[i] = &core.Result{}
+	for i, text := range texts {
+		out[i] = &core.Result{CandidateFrames: 1, Objects: []core.ResultObject{{
+			VideoID: len(text), FrameIdx: plans[i].TopN, Score: float32(plans[i].FastK), PatchID: int64(crc32.ChecksumIEEE([]byte(text))),
+		}}}
 	}
 	return out, nil
+}
+
+// executions counts how many times the backend executed text.
+func (f *fakeBackend) executions(text string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, b := range f.batches {
+		for _, t := range b.texts {
+			if t == text {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// widths returns the rerank width of every executed batch, in call order.
+func (f *fakeBackend) widths() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []int
+	for _, b := range f.batches {
+		out = append(out, b.workers)
+	}
+	return out
 }
 
 func (f *fakeBackend) Ingest(*video.Video) error { return nil }
@@ -123,11 +157,8 @@ func TestOptionValidationRejectsBadKnobs(t *testing.T) {
 			}
 		}
 	}
-	fb.mu.Lock()
-	calls := fb.queryCalls
-	fb.mu.Unlock()
-	if calls != 0 {
-		t.Fatalf("invalid options must never reach the backend, got %d calls", calls)
+	if n := len(fb.widths()); n != 0 {
+		t.Fatalf("invalid options must never reach the backend, got %d calls", n)
 	}
 	// The boundary values are legal: knobs at the cap, min_recall exactly 1.
 	resp, data := postJSON(t, ts.URL+"/query",
@@ -164,9 +195,7 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 			t.Errorf("%s: error %q must name the %s-byte limit", c.path, rec.Body, want)
 		}
 	}
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if fb.queryCalls != 0 || len(fb.batchWorkers) != 0 {
+	if len(fb.widths()) != 0 {
 		t.Fatal("an oversized body must never reach the backend")
 	}
 }
@@ -333,7 +362,7 @@ func TestPlanReporting(t *testing.T) {
 // backend Workers=1 — before the fix, batches never touched the in-flight
 // counter and ran NumCPU-wide grounding pools per query.
 func TestBatchNarrowsRerankWidthUnderOverlap(t *testing.T) {
-	fb := &fakeBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	fb := &fakeBackend{entered: make(chan struct{}, 1), release: make(chan struct{}), gateText: "a red car"}
 	ts := httptest.NewServer(New(fb, Config{CacheSize: 0}))
 	defer ts.Close()
 
@@ -354,14 +383,10 @@ func TestBatchNarrowsRerankWidthUnderOverlap(t *testing.T) {
 	close(fb.release)
 	<-done
 
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if len(fb.batchWorkers) != 1 || fb.batchWorkers[0] != 1 {
-		t.Fatalf("overlapped batch must pass Workers=1, got %v", fb.batchWorkers)
-	}
-	// The lone /query arrived first with nothing else in flight: full width.
-	if fb.queryWorkers[0] != 0 {
-		t.Fatalf("lone query must keep full rerank width, got %d", fb.queryWorkers[0])
+	// The lone /query arrived first with nothing else in flight: full
+	// width; the overlapping batch came second.
+	if w := fb.widths(); len(w) != 2 || w[0] != 0 || w[1] != 1 {
+		t.Fatalf("want widths [0 1] (lone query full width, overlapped batch Workers=1), got %v", w)
 	}
 }
 
@@ -375,10 +400,8 @@ func TestLoneBatchKeepsFullWidth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d", resp.StatusCode)
 	}
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if len(fb.batchWorkers) != 1 || fb.batchWorkers[0] != 0 {
-		t.Fatalf("lone batch must pass Workers=0, got %v", fb.batchWorkers)
+	if w := fb.widths(); len(w) != 1 || w[0] != 0 {
+		t.Fatalf("lone batch must pass Workers=0, got %v", w)
 	}
 }
 
@@ -410,11 +433,8 @@ func TestSingleFlightCoalescesDuplicateMisses(t *testing.T) {
 	close(fb.release)
 	wg.Wait()
 
-	fb.mu.Lock()
-	calls := fb.queryCalls
-	fb.mu.Unlock()
-	if calls != 1 {
-		t.Fatalf("backend computed %d times for %d identical queries, want 1", calls, clients)
+	if n := fb.executions("a red car"); n != 1 {
+		t.Fatalf("backend computed %d times for %d identical queries, want 1", n, clients)
 	}
 	cs := srv.cache.stats()
 	if cs.Coalesced+cs.Hits != clients-1 {
@@ -425,26 +445,179 @@ func TestSingleFlightCoalescesDuplicateMisses(t *testing.T) {
 	}
 }
 
+// waitJoined waits until the server has counted misses cache misses, then
+// gives the last of those requests a moment to go on from its cache lookup
+// to its flight join (a few statements).
+func waitJoined(t *testing.T, srv *Server, misses uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); srv.cache.stats().Misses < misses; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d cache misses arrived", srv.cache.stats().Misses, misses)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+}
+
+// TestQueryAndBatchShareOneExecution: a /query/batch arriving while a /query
+// for the same cold text is inside the backend rides that execution — the
+// batch used to bypass the flight group and run the backend again.
+func TestQueryAndBatchShareOneExecution(t *testing.T) {
+	fb := &fakeBackend{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	srv := New(fb, Config{CacheSize: 16})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if resp, data := postJSON(t, ts.URL+"/query", queryRequest{Query: "a red car"}); resp.StatusCode != http.StatusOK {
+			t.Errorf("query status %d: %s", resp.StatusCode, data)
+		}
+	}()
+	<-fb.entered
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, data := postJSON(t, ts.URL+"/query/batch", batchRequest{Queries: []string{"a red car"}})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("batch status %d: %s", resp.StatusCode, data)
+		}
+	}()
+	waitJoined(t, srv, 2) // the batch missed the cache and parks on the flight
+	close(fb.release)
+	wg.Wait()
+	if n := fb.executions("a red car"); n != 1 {
+		t.Fatalf("backend ran the text %d times, want 1", n)
+	}
+}
+
+// TestCrossingBatchesComplete: requests holding crossing keys — a /query
+// leading A, a batch {A,B} leading B and waiting on A, a batch {B,A}
+// waiting on both — all complete, and every key executes once. A request
+// finishes the keys it leads before it waits, so no wait cycle can form.
+func TestCrossingBatchesComplete(t *testing.T) {
+	fb := &fakeBackend{entered: make(chan struct{}, 4), release: make(chan struct{})}
+	srv := New(fb, Config{CacheSize: 16})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	post := func(path string, body any) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, data := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusOK {
+				t.Errorf("%s status %d: %s", path, resp.StatusCode, data)
+			}
+		}()
+	}
+	post("/query", queryRequest{Query: "a"})
+	<-fb.entered // A is led and held
+	post("/query/batch", batchRequest{Queries: []string{"a", "b"}})
+	<-fb.entered // B is led and held by the first batch
+	post("/query/batch", batchRequest{Queries: []string{"b", "a"}})
+	waitJoined(t, srv, 5) // the second batch parks on both
+	close(fb.release)
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("crossing batches deadlocked")
+	}
+	for _, text := range []string{"a", "b"} {
+		if n := fb.executions(text); n != 1 {
+			t.Errorf("%q executed %d times, want 1", text, n)
+		}
+	}
+}
+
+// TestDuplicateTextsInBatchExecuteOnce: a batch naming one text twice runs
+// it once and answers both positions identically.
+func TestDuplicateTextsInBatchExecuteOnce(t *testing.T) {
+	fb := &fakeBackend{}
+	ts := httptest.NewServer(New(fb, Config{CacheSize: 16}))
+	defer ts.Close()
+	resp, data := postJSON(t, ts.URL+"/query/batch", batchRequest{Queries: []string{"a car", "a car"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var br batchResponse
+	if err := json.Unmarshal(data, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 2 || len(br.Results[0].Objects) != 1 || !reflect.DeepEqual(br.Results[0], br.Results[1]) {
+		t.Fatalf("duplicate texts must answer identically: %+v", br.Results)
+	}
+	if n := fb.executions("a car"); n != 1 {
+		t.Fatalf("backend ran the duplicated text %d times, want 1", n)
+	}
+}
+
+// TestForeignBatchFailureIsRetried: a /query coalesced onto a batch that
+// fails for another of its queries must not inherit that error — it runs
+// its own query and answers 200, while the batch answers the 400 it earned.
+func TestForeignBatchFailureIsRetried(t *testing.T) {
+	fb := &fakeBackend{entered: make(chan struct{}, 1), release: make(chan struct{}), gateText: "zorgon", badText: "zorgon"}
+	srv := New(fb, Config{CacheSize: 16})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	batchDone := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, ts.URL+"/query/batch", batchRequest{Queries: []string{"a car", "zorgon"}})
+		batchDone <- resp.StatusCode
+	}()
+	<-fb.entered // the batch leads "a car" and is inside the backend
+	queryDone := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, ts.URL+"/query", queryRequest{Query: "a car"})
+		queryDone <- resp.StatusCode
+	}()
+	waitJoined(t, srv, 3) // the query parks on the batch's flight
+	close(fb.release)
+	if got := <-batchDone; got != http.StatusBadRequest {
+		t.Fatalf("batch with an unencodable query: status %d, want 400", got)
+	}
+	if got := <-queryDone; got != http.StatusOK {
+		t.Fatalf("query coalesced onto a failed foreign batch: status %d, want 200", got)
+	}
+}
+
 // TestFlightPanicDoesNotWedgeKey: a leader whose computation panics must
 // not leave the flight entry behind — waiters get an error, and the next
 // request for the same key computes fresh instead of hanging forever.
 func TestFlightPanicDoesNotWedgeKey(t *testing.T) {
 	g := newFlightGroup()
+	calls, led := g.join([]string{"k"})
+	waiting, waiterLed := g.join([]string{"k"})
+	if !led[0] || waiterLed[0] {
+		t.Fatalf("first join must lead and the second wait, got %v and %v", led, waiterLed)
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("panic must propagate to the leader")
 			}
 		}()
-		_, _, _ = g.do("k", func() (*core.Result, error) { panic("backend exploded") })
+		g.run(calls, func() ([]*core.Result, error) { panic("backend exploded") })
 	}()
+	<-waiting[0].done
+	if !errors.Is(waiting[0].err, errFlightAborted) {
+		t.Fatalf("waiter on a panicked leader: err %v, want errFlightAborted", waiting[0].err)
+	}
 	done := make(chan error, 1)
 	go func() {
-		_, coalesced, err := g.do("k", func() (*core.Result, error) { return &core.Result{}, nil })
-		if coalesced {
-			err = fmt.Errorf("post-panic call wrongly coalesced onto the dead leader")
+		calls, led := g.join([]string{"k"})
+		if !led[0] {
+			done <- fmt.Errorf("post-panic call wrongly coalesced onto the dead leader")
+			return
 		}
-		done <- err
+		g.run(calls, func() ([]*core.Result, error) { return []*core.Result{{}}, nil })
+		done <- calls[0].err
 	}()
 	select {
 	case err := <-done:

@@ -119,9 +119,10 @@ func promFloat(v float64) string {
 
 // queryStages are the per-stage latency series under lovod_stage_seconds:
 // plan resolution and the cache lookup are measured server-side on every
-// query; stage1 (scatter + merge) and rerank come from the backend's
-// Result timings, so they only record on queries that actually executed
-// (cache hits have no stage-1 to attribute).
+// query, alone or in a batch; stage1 (scatter + merge) and rerank come from
+// the backend's Result timings, so they only record on queries that
+// actually executed, once per execution (cache hits and coalesced waiters
+// have no stage 1 of their own to attribute).
 var queryStages = []string{"plan", "cache", "stage1", "rerank"}
 
 // errorKinds are the lovod_query_errors_total label values: "validation"

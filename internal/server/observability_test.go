@@ -270,3 +270,49 @@ func TestDebugHandlerPprof(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchTracedAndMetered: /query/batch runs the pipeline /query runs —
+// one /debug/queries entry for the whole batch whose trace holds each
+// query's plan and cache spans and the executed stage 1, and the per-query
+// plan/cache stage series count every query of it.
+func TestBatchTracedAndMetered(t *testing.T) {
+	_, ds, ts := boot(t, 16)
+	texts := []string{ds.Queries[0].Text, ds.Queries[1].Text}
+	if resp, data := postJSON(t, ts.URL+"/query/batch", batchRequest{Queries: texts}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var dq debugQueriesResponse
+	if err := json.Unmarshal(getBody(t, ts.URL+"/debug/queries"), &dq); err != nil {
+		t.Fatal(err)
+	}
+	if len(dq.Queries) != 1 {
+		t.Fatalf("slow log holds %d entries for one batch, want 1", len(dq.Queries))
+	}
+	e := dq.Queries[0]
+	if e.Query != texts[0] || e.BatchSize != len(texts) || e.PlanKind == "" || e.Trace == nil {
+		t.Fatalf("batch entry malformed: %+v", e)
+	}
+	names := map[string]int{}
+	var walk func(*SpanJSON)
+	walk = func(sp *SpanJSON) {
+		names[sp.Name]++
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(e.Trace)
+	if names["plan"] != 2 || names["cache"] != 2 || names["stage1"] == 0 {
+		t.Fatalf("batch trace must hold a plan and a cache span per query and a stage1 span, got %v", names)
+	}
+	metrics := string(getBody(t, ts.URL+"/metrics"))
+	for _, want := range []string{
+		`lovod_stage_seconds_count{stage="plan"} 2`,
+		`lovod_stage_seconds_count{stage="cache"} 2`,
+		`lovod_stage_seconds_count{stage="stage1"} 2`,
+		"lovod_batch_queries_total 2",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}

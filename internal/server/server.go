@@ -12,10 +12,16 @@
 //	GET  /metrics        Prometheus text-format counters and latency histograms
 //	GET  /debug/queries  the slowest recent query traces as JSON (see debug.go)
 //
-// Every endpoint enforces its method (405 otherwise). Concurrent identical
-// cache misses coalesce onto one backend call, and overlapping /query or
-// /query/batch requests narrow each query's rerank pool to one worker so
-// concurrent traffic never oversubscribes the cores.
+// Every endpoint enforces its method (405 otherwise). /query and
+// /query/batch differ only in their body shape: a /query is a batch of one,
+// and both run one pipeline (Server.serve) — plan, cache, coalesce, one
+// backend batch for the misses the request leads, stage metrics and a
+// slow-log trace per request. Identical cache misses in flight at once —
+// across requests of either kind, or twice in one batch — coalesce onto one
+// backend execution, and overlapping requests narrow each query's rerank
+// pool to one worker so concurrent traffic never oversubscribes the cores.
+// The Backend is four methods: plan one query, execute a batch of plans,
+// ingest, and one Status snapshot.
 //
 // Every query is planned before it executes: the backend resolves the
 // request options into an explicit core.Plan (fixed, pinned, or chosen by
@@ -48,15 +54,15 @@ import (
 
 // Backend is what the server serves: *shard.Engine satisfies it (a single
 // system is served as a one-shard engine). The server always queries in two
-// steps — plan, then execute — so it can key the result cache on the
-// resolved plan and report which plans the backend is choosing. The query
-// contexts carry the request's tracing recorder (see internal/obs); tracing
-// never changes an answer. Status is the backend's one consistent snapshot:
-// every request reads built, generation and backend health from one call,
-// and /stats, /healthz and /metrics each render from one.
+// steps — plan each query, then execute the misses as one batch (a lone
+// query is a batch of one) — so it can key the result cache on the resolved
+// plan and report which plans the backend is choosing. The query contexts
+// carry the request's tracing recorder (see internal/obs); tracing never
+// changes an answer. Status is the backend's one consistent snapshot: every
+// request reads built, generation and backend health from one call, and
+// /stats, /healthz and /metrics each render from one.
 type Backend interface {
 	PlanQueryCtx(ctx context.Context, text string, opts core.QueryOptions) (core.Plan, error)
-	QueryPlanned(ctx context.Context, text string, plan core.Plan, workers int) (*core.Result, error)
 	QueryBatchPlanned(ctx context.Context, texts []string, plans []core.Plan, workers, clients int) ([]*core.Result, error)
 	Ingest(v *video.Video) error
 	Status() shard.Status
@@ -377,125 +383,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "empty query")
 		return
 	}
-	if err := validateOptions(req.Options); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+	if out := s.serve(w, r, []string{req.Query}, req.Options, req.Debug); out != nil {
+		s.metrics.queries.Add(1)
+		writeJSON(w, http.StatusOK, out[0])
 	}
-	st := s.backend.Status()
-	if !st.Built {
-		s.failUnavailable(w, st)
-		return
-	}
-	opts := s.resolveOptions(req.Options)
-	// The same guard QueryBatch applies between its clients, applied
-	// between HTTP requests: a lone query gets the full parallel rerank,
-	// but once requests overlap, per-query NumCPU-wide grounding pools
-	// would only oversubscribe the cores. Results are identical at every
-	// width.
-	if s.inflight.Add(1) > 1 {
-		opts.Workers = 1
-	}
-	defer s.inflight.Add(-1)
-	// Trace the query whenever anyone could see the trace: the slow log
-	// retains the slowest recent ones for /debug/queries, and debug=true
-	// echoes this one in the response. Tracing records what the execution
-	// did — it never steers it, so answers are byte-identical either way.
-	ctx := r.Context()
-	var trace *obs.Trace
-	var root obs.Span
-	if req.Debug || s.slow.enabled() {
-		trace = obs.NewTrace(obs.NewID())
-		root = trace.Root("query")
-		ctx = obs.With(ctx, root)
-	}
-	start := time.Now()
-	res, plan, cached, err := s.query(ctx, req.Query, opts, st.Gen)
-	if err != nil {
-		s.fail(w, queryErrStatus(err), "%v", err)
-		return
-	}
-	elapsed := time.Since(start)
-	s.metrics.latency.observe(elapsed)
-	s.metrics.queries.Add(1)
-	resp := toResponse(res, plan, cached)
-	if trace != nil {
-		root.End()
-		tree := spanTree(trace.Export())
-		s.slow.note(slowEntry{
-			At:         time.Now(),
-			Query:      req.Query,
-			PlanKind:   string(plan.Kind),
-			Cached:     cached,
-			DurationMs: float64(elapsed.Microseconds()) / 1000,
-			Trace:      tree,
-		})
-		if req.Debug {
-			resp.Trace = tree
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// query plans one query, then serves the plan through the cache, coalescing
-// concurrent identical misses onto one backend call: without the
-// single-flight guard, a thundering herd of the same cold query would
-// recompute it once per request. The reported cached flag stays false for
-// coalesced waiters — the backend did run for them, just not once each.
-//
-// Keying on the resolved plan (rather than the raw options) means requests
-// that resolve to the same execution — a pinned plan and the option knobs
-// it mirrors, say — share one cache entry, and adaptive requests are cached
-// per chosen plan, not per bound. gen is the backend generation the
-// request's status read observed; it stamps the cache lookup and entry.
-func (s *Server) query(ctx context.Context, text string, opts core.QueryOptions, gen uint64) (*core.Result, core.Plan, bool, error) {
-	planStart := time.Now()
-	pctx, psp := obs.Start(ctx, "plan")
-	plan, err := s.backend.PlanQueryCtx(pctx, text, opts)
-	psp.End()
-	s.metrics.observeStage("plan", time.Since(planStart))
-	if err != nil {
-		return nil, core.Plan{}, false, err
-	}
-	s.metrics.notePlan(string(plan.Kind))
-	cacheStart := time.Now()
-	_, csp := obs.Start(ctx, "cache")
-	key := cacheKey(text, plan)
-	res, hit := s.cache.get(key, gen)
-	if hit {
-		csp.Detail("hit")
-	} else {
-		csp.Detail("miss")
-	}
-	csp.End()
-	s.metrics.observeStage("cache", time.Since(cacheStart))
-	if hit {
-		return res, plan, true, nil
-	}
-	res, coalesced, err := s.flight.do(flightKey(key, gen), func() (*core.Result, error) {
-		res, err := s.backend.QueryPlanned(ctx, text, plan, opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		// The leader attributes the stage timings exactly once per
-		// execution — coalesced waiters rode this run, they didn't repeat
-		// it.
-		s.metrics.observeStage("stage1", res.FastSearch)
-		s.metrics.observeStage("rerank", res.Rerank)
-		// Publish before the flight entry drops, so a request arriving
-		// after coalescing ends hits the cache instead of recomputing.
-		s.cache.put(key, gen, res)
-		return res, nil
-	})
-	if err != nil {
-		return nil, plan, false, err
-	}
-	if coalesced {
-		// A waiter's trace carries no stage-1/rerank spans of its own (the
-		// leader's request ran them); the cache span says why.
-		csp.Detail("miss coalesced")
-		s.cache.noteCoalesced()
-	}
-	return res, plan, false, nil
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -524,72 +415,167 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := validateOptions(req.Options); err != nil {
+	if out := s.serve(w, r, req.Queries, req.Options, false); out != nil {
+		s.metrics.batchQueries.Add(uint64(len(req.Queries)))
+		writeJSON(w, http.StatusOK, batchResponse{Results: out})
+	}
+}
+
+// serve is the one serving pipeline under /query (a batch of one) and
+// /query/batch: plan each query under a "plan" span, look each plan up in
+// the result cache under a "cache" span, join the misses' flights, run the
+// misses this request leads as ONE backend batch, wait for the ones other
+// requests lead, then record latency and offer the trace to the slow log.
+// Cache entries and flights key on (text, resolved plan) at the generation
+// this request's status read saw, so requests that resolve to the same
+// execution share it — duplicates inside one batch too — and a coalesced
+// answer reports cached=false. The request is traced whenever anyone could
+// see the trace (the slow log, or debug, which echoes it on the first
+// response); tracing never steers an answer. On failure serve has answered
+// w itself and returns nil.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o QueryOptionsJSON, debug bool) []QueryResponse {
+	if err := validateOptions(o); err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
 	st := s.backend.Status()
 	if !st.Built {
 		s.failUnavailable(w, st)
-		return
+		return nil
 	}
-	gen := st.Gen
-	opts := s.resolveOptions(req.Options)
-	// The same rerank-width guard handleQuery applies: a batch overlapping
-	// any other /query or /query/batch must narrow each query's grounding
-	// pool to one worker — the batch's own client pool (and the other
-	// requests) already saturate the cores. Results are identical at
-	// every width.
+	opts := s.resolveOptions(o)
+	// The executor's guard between a batch's clients, applied between
+	// requests (see inflight); answers are identical at every width.
 	if s.inflight.Add(1) > 1 {
 		opts.Workers = 1
 	}
 	defer s.inflight.Add(-1)
-
-	// Plan every query, serve what the cache can (keyed on each resolved
-	// plan), and batch the rest through the backend's concurrent client
-	// pool with their plans pre-resolved.
+	ctx := r.Context()
+	var trace *obs.Trace
+	var root obs.Span
+	if debug || s.slow.enabled() {
+		trace = obs.NewTrace(obs.NewID())
+		root = trace.Root("query")
+		ctx = obs.With(ctx, root)
+	}
 	start := time.Now()
-	out := make([]QueryResponse, len(req.Queries))
-	var missTexts []string
-	var missPlans []core.Plan
-	var missIdx []int
-	for i, q := range req.Queries {
-		plan, err := s.backend.PlanQueryCtx(r.Context(), q, opts)
+	plans := make([]core.Plan, len(texts))
+	cacheKeys := make([]string, len(texts))
+	cacheSpans := make([]obs.Span, len(texts))
+	out := make([]QueryResponse, len(texts))
+	var keys []string             // distinct flight keys of the misses, in query order
+	waiting := map[string][]int{} // flight key -> its queries; the first one executes
+	for i, text := range texts {
+		planStart := time.Now()
+		pctx, psp := obs.Start(ctx, "plan")
+		plan, err := s.backend.PlanQueryCtx(pctx, text, opts)
+		psp.End()
+		s.metrics.observeStage("plan", time.Since(planStart))
 		if err != nil {
-			s.fail(w, queryErrStatus(err), "batch query %d (%q): %v", i, q, err)
-			return
+			if len(texts) > 1 {
+				err = fmt.Errorf("batch query %d (%q): %w", i, text, err)
+			}
+			s.fail(w, queryErrStatus(err), "%v", err)
+			return nil
 		}
 		s.metrics.notePlan(string(plan.Kind))
-		if res, ok := s.cache.get(cacheKey(q, plan), gen); ok {
+		plans[i], cacheKeys[i] = plan, cacheKey(text, plan)
+		cacheStart := time.Now()
+		_, cacheSpans[i] = obs.Start(ctx, "cache")
+		res, hit := s.cache.get(cacheKeys[i], st.Gen)
+		if hit {
+			cacheSpans[i].Detail("hit")
+		} else {
+			cacheSpans[i].Detail("miss")
+		}
+		cacheSpans[i].End()
+		s.metrics.observeStage("cache", time.Since(cacheStart))
+		if hit {
 			out[i] = toResponse(res, plan, true)
 			continue
 		}
-		missTexts = append(missTexts, q)
-		missPlans = append(missPlans, plan)
-		missIdx = append(missIdx, i)
-	}
-	if len(missTexts) > 0 {
-		results, err := s.backend.QueryBatchPlanned(r.Context(), missTexts, missPlans, opts.Workers, 0)
-		if err != nil {
-			s.fail(w, queryErrStatus(err), "%v", err)
-			return
+		fk := flightKey(cacheKeys[i], st.Gen)
+		if waiting[fk] == nil {
+			keys = append(keys, fk)
 		}
-		for j, res := range results {
-			s.metrics.observeStage("stage1", res.FastSearch)
-			s.metrics.observeStage("rerank", res.Rerank)
-			s.cache.put(cacheKey(missTexts[j], missPlans[j]), gen, res)
-			out[missIdx[j]] = toResponse(res, missPlans[j], false)
-		}
+		waiting[fk] = append(waiting[fk], i)
 	}
-	elapsed := time.Since(start)
-	// Attribute the batch wall-clock evenly: per-query percentiles from
+	cached := len(keys) == 0
+	// A round leads the keys nobody holds and waits on the rest. An error
+	// from another request's batch of several queries may be one of its
+	// other queries' fault, so such a key gets one more round before its
+	// error counts.
+	for round := 0; len(keys) > 0; round++ {
+		calls, led := s.flight.join(keys)
+		var run []*flightCall
+		var runQueries []int
+		var runTexts []string
+		var runPlans []core.Plan
+		for j, k := range keys {
+			if i := waiting[k][0]; led[j] {
+				run, runQueries = append(run, calls[j]), append(runQueries, i)
+				runTexts, runPlans = append(runTexts, texts[i]), append(runPlans, plans[i])
+			}
+		}
+		if len(run) > 0 {
+			s.flight.run(run, func() ([]*core.Result, error) {
+				results, err := s.backend.QueryBatchPlanned(ctx, runTexts, runPlans, opts.Workers, 0)
+				for j, res := range results {
+					s.metrics.observeStage("stage1", res.FastSearch)
+					s.metrics.observeStage("rerank", res.Rerank)
+					// Published before the flights end, so a request arriving
+					// after them hits the cache instead of recomputing.
+					s.cache.put(cacheKeys[runQueries[j]], st.Gen, res)
+				}
+				return results, err
+			})
+		}
+		var retry []string
+		for j, c := range calls {
+			<-c.done
+			if c.err != nil && !led[j] && c.shared && round == 0 {
+				retry = append(retry, keys[j])
+				continue
+			}
+			if c.err != nil {
+				s.fail(w, queryErrStatus(c.err), "%v", c.err)
+				return nil
+			}
+			for n, i := range waiting[keys[j]] {
+				out[i] = toResponse(c.res, plans[i], false)
+				if !led[j] || n > 0 {
+					// This query's stage-1/rerank spans are in another
+					// execution's trace; the cache span says why.
+					cacheSpans[i].Detail("miss coalesced")
+					s.cache.noteCoalesced()
+				}
+			}
+		}
+		keys = retry
+	}
+	// A batch's wall clock is attributed evenly: per-query percentiles from
 	// batches would otherwise understate tail latency.
-	per := elapsed / time.Duration(len(req.Queries))
-	for range req.Queries {
-		s.metrics.latency.observe(per)
+	elapsed := time.Since(start)
+	for range texts {
+		s.metrics.latency.observe(elapsed / time.Duration(len(texts)))
 	}
-	s.metrics.batchQueries.Add(uint64(len(req.Queries)))
-	writeJSON(w, http.StatusOK, batchResponse{Results: out})
+	if trace != nil {
+		root.End()
+		tree := spanTree(trace.Export())
+		s.slow.note(slowEntry{
+			At:         time.Now(),
+			Query:      texts[0],
+			BatchSize:  len(texts),
+			PlanKind:   string(plans[0].Kind),
+			Cached:     cached,
+			DurationMs: float64(elapsed.Microseconds()) / 1000,
+			Trace:      tree,
+		})
+		if debug {
+			out[0].Trace = tree
+		}
+	}
+	return out
 }
 
 // IngestResponse is the POST /ingest answer: what was accepted, and the

@@ -217,7 +217,7 @@ func (e *Engine) BuildIndex() error {
 }
 
 // Target exposes the engine as the N-leg PlanTarget (core.StageRecall
-// measurements; QueryPlanned is the execution path).
+// measurements; QueryBatchPlanned is the execution path).
 func (e *Engine) Target() core.PlanTarget { return engineTarget{e} }
 
 // engineTarget adapts an Engine to the shared executor's N-leg PlanTarget:
@@ -335,22 +335,25 @@ func (e *Engine) PlanQueryCtx(ctx context.Context, text string, opts core.QueryO
 	return e.cfg.FixedPlan(opts), nil
 }
 
-// QueryPlanned executes an explicit plan through the shared executor — the
-// same stage composition a core.System runs, scattered across shards, so
-// equal plans answer byte-identically on every deployment shape, whichever
-// replicas — or hosts — served. The context carries the tracing recorder
-// (see internal/obs): a traced caller sees both scattered stages down to
-// per-shard legs, replica attempts and remote-worker spans; an untraced
-// context runs the allocation-free disabled path.
+// QueryPlanned executes one explicit plan.
+//
+// Deprecated: a lone query is a batch of one — call QueryBatchPlanned (or
+// core.Query with the plan pinned). Kept only because benchmark/ calls it.
 func (e *Engine) QueryPlanned(ctx context.Context, text string, plan core.Plan, workers int) (*core.Result, error) {
-	return core.ExecutePlan(ctx, engineTarget{e}, e.cfg, text, plan, workers)
+	return core.Query(ctx, e, text, core.QueryOptions{Plan: &plan, Workers: workers})
 }
 
-// QueryBatchPlanned executes one pre-resolved plan per query (see
-// core.ExecutePlanBatch). Stage 1 for the whole batch scatters as ONE call
-// per shard, so an in-process shard amortizes one memory sweep over every
-// query of the batch; stage 2 fans out per query across at most clients
-// goroutines.
+// QueryBatchPlanned executes one pre-resolved plan per query through the
+// shared executor (core.ExecutePlanBatch) — the same stage composition a
+// core.System runs, scattered across shards, so equal plans answer
+// byte-identically on every deployment shape, whichever replicas — or
+// hosts — served. Stage 1 for the whole batch scatters as ONE call per
+// shard, so an in-process shard amortizes one memory sweep over every query
+// of the batch; stage 2 fans out per query across at most clients
+// goroutines. The context carries the tracing recorder (see internal/obs):
+// a traced caller sees both scattered stages down to per-shard legs,
+// replica attempts and remote-worker spans; an untraced context runs the
+// allocation-free disabled path.
 func (e *Engine) QueryBatchPlanned(ctx context.Context, texts []string, plans []core.Plan, workers, clients int) ([]*core.Result, error) {
 	return core.ExecutePlanBatch(ctx, engineTarget{e}, e.cfg, texts, plans, workers, clients)
 }

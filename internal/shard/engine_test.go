@@ -312,8 +312,8 @@ func TestQueryBatchMatchesLoneQueries(t *testing.T) {
 // TestQueryBatchPlannedMatchesLoneQueries drives the batched scatter path
 // (one ScatterSearchBatch per backend, grouped stage-1 sweeps inside each
 // shard) over a flat index with a deliberately mixed plan set — default,
-// wider FastK, exhaustive — and pins bit-identity against lone
-// QueryPlanned runs of the very same plans.
+// wider FastK, exhaustive — and pins bit-identity against batches of one
+// running the very same plans.
 func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 	ds := datasets.QVHighlights(datasets.Config{Seed: 11, Scale: 0.04})
 	eng, err := New(3, core.Config{Seed: 11, Index: vectordb.IndexFlat})
@@ -349,9 +349,11 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 	}
 	lone := make([]*core.Result, len(texts))
 	for i, text := range texts {
-		if lone[i], err = eng.QueryPlanned(t.Context(), text, plans[i], 0); err != nil {
+		one, err := eng.QueryBatchPlanned(t.Context(), []string{text}, plans[i:i+1], 0, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		lone[i] = one[0]
 	}
 	if !reflect.DeepEqual(objectsOf(batch), objectsOf(lone)) {
 		t.Fatal("batched planned results diverge from lone queries")

@@ -112,10 +112,15 @@ type SegmentStats struct {
 }
 
 // NewSegmented creates a segmented collection that seals its growing
-// segment every sealThreshold vectors; sealThreshold must be positive.
+// segment every sealThreshold vectors; sealThreshold must be positive and
+// kind one of the supported index kinds — every seal builds one, and a
+// kind that can never build would leave maintenance retrying forever.
 func NewSegmented(name string, schema Schema, kind IndexKind, opts IndexOptions, sealThreshold int) (*SegmentedCollection, error) {
 	if err := checkDim(schema.Dim); err != nil {
 		return nil, err
+	}
+	if k, err := ParseKind(string(kind)); err != nil || k != kind {
+		return nil, fmt.Errorf("vectordb: unknown index kind %q", kind)
 	}
 	if sealThreshold <= 0 {
 		return nil, fmt.Errorf("vectordb: seal threshold %d must be positive", sealThreshold)

@@ -34,6 +34,17 @@ func TestSegmentedValidation(t *testing.T) {
 	}
 }
 
+// TestSegmentedRejectsUnknownKind: a kind no seal can build is refused at
+// construction — accepted, every seal build failed and maintenance retried
+// the same failing compaction forever, so WaitMaintenance never returned.
+func TestSegmentedRejectsUnknownKind(t *testing.T) {
+	for _, kind := range []IndexKind{"bogus", "", "bf"} {
+		if _, err := NewSegmented("x", Schema{Dim: dim}, kind, IndexOptions{}, 2); err == nil {
+			t.Fatalf("index kind %q accepted", kind)
+		}
+	}
+}
+
 func TestSegmentedAutoSeal(t *testing.T) {
 	s := newSeg(t, 100)
 	for i := 0; i < 350; i++ {
