@@ -61,7 +61,7 @@ func main() {
 	}
 	last := lovo.LastResult()
 	fmt.Printf("candidate frames: %d, fast=%v rerank=%v\n", last.CandidateFrames, last.FastSearch, last.Rerank)
-	fmt.Printf("collection entities: %d\n", lovo.System().Collection().Len())
+	fmt.Printf("collection entities: %d\n", lovo.System().Entities())
 	labels := metrics.Match(res, gt, metrics.DefaultIoU)
 	fmt.Printf("AP = %.3f, results = %d\n", metrics.AveragePrecision(res, gt, metrics.DefaultIoU), len(res))
 	for i, r := range res {

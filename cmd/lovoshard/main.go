@@ -42,7 +42,7 @@ func main() {
 		replicas = flag.Int("replicas", 1, "replicas hosted by this worker, for failover: queries pick one, ingest fans to all, answers are byte-identical whichever serves (throughput under R > 1 is unmeasured)")
 		workers  = flag.Int("workers", 0, "worker pool per replica (0 = NumCPU)")
 		kernels  = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
-		segSize  = flag.Int("segment-size", 0, "0 = batch; N > 0 = segmented continuous ingest sealing every N vectors; must match the coordinator's")
+		segSize  = flag.Int("segment-size", 0, "seal threshold: 0 = batch (never seals by size; each index build rebuilds one segment, later ingest is exact-scanned until the next); N > 0 = continuous ingest sealing every N vectors; must match the coordinator's")
 	)
 	flag.Parse()
 

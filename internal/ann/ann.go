@@ -39,9 +39,6 @@ type Index interface {
 	Kind() string
 	// Len returns the number of indexed rows.
 	Len() int
-	// Add indexes the row its store has just appended; row must equal
-	// Len(). Quantizing indexes code it with their trained codebooks.
-	Add(row int)
 	// Search returns the k most similar vectors in descending score
 	// order.
 	Search(q mat.Vec, k int, p Params) []mat.Scored

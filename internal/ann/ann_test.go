@@ -239,28 +239,6 @@ func TestNProbeTradesRecallForWork(t *testing.T) {
 	}
 }
 
-func TestIncrementalAddAfterBuild(t *testing.T) {
-	ids, vecs := corpus(300, 6, 6)
-	rows := rowsOf(t, ids, vecs)
-	im, err := imi.Build(rows, imi.Config{P: 4, M: 16, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv, err := ivfpq.Build(rows, ivfpq.Config{NList: 8, P: 8, M: 16, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nv := mat.UnitGaussianVec(dim, 4242)
-	row, _ := rows.Append(9999, nv)
-	for _, ix := range []ann.Index{im, iv} {
-		ix.Add(row)
-		res := ix.Search(nv, 1, ann.Params{NProbe: 16})
-		if len(res) != 1 || res[0].ID != 9999 {
-			t.Errorf("%s: new vector not retrievable: %v", ix.Kind(), res)
-		}
-	}
-}
-
 func TestDuplicateIDRejected(t *testing.T) {
 	ids, vecs := corpus(100, 4, 7)
 	rows := rowsOf(t, ids, vecs)
@@ -384,52 +362,6 @@ func TestTopKBatchBeatsLoneScans(t *testing.T) {
 	}
 	if best < margin {
 		t.Fatalf("batched sweep best-of-3 = %.2fx, want >= %.2fx over %d lone scans", best, margin, qn)
-	}
-}
-
-// TestInsertAfterReallocationMatchesTwin builds every index kind, then
-// appends enough rows to move the store's backing array before indexing
-// them — an index that kept a slice of the rows from build time would read
-// the abandoned array (or past its end) from then on. Approximate answers
-// must match a twin that indexed each row as it arrived (the same build
-// over the same first rows, so the same codebooks and graph), and
-// exhaustive answers must equal the rows.TopK oracle bit for bit.
-func TestInsertAfterReallocationMatchesTwin(t *testing.T) {
-	const n0, n = 200, 900
-	ids, vecs := corpus(n, 9, 21)
-	for kind, build := range builders {
-		t.Run(kind, func(t *testing.T) {
-			rows, twinRows := rowsOf(t, ids[:n0], vecs[:n0]), rowsOf(t, ids[:n0], vecs[:n0])
-			ix, err := build(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			twin, err := build(twinRows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first := &rows.Row(0)[0]
-			for i := n0; i < n; i++ {
-				rows.Append(ids[i], vecs[i])
-				row, _ := twinRows.Append(ids[i], vecs[i])
-				twin.Add(row)
-			}
-			if &rows.Row(0)[0] == first {
-				t.Fatal("the row store never reallocated; grow the insert count")
-			}
-			for row := n0; row < n; row++ {
-				ix.Add(row)
-			}
-			if ix.Len() != n {
-				t.Fatalf("len = %d want %d", ix.Len(), n)
-			}
-			for qi := 0; qi < 8; qi++ {
-				q := mat.Normalized(vecs[n0+qi*80])
-				p := ann.Params{NProbe: 8, Ef: 64}
-				sameResults(t, "approximate vs twin", ix.Search(q, 10, p), twin.Search(q, 10, p))
-				sameResults(t, "exhaustive vs oracle", ix.Search(q, 10, ann.Params{Exhaustive: true}), rows.TopK(q, 10))
-			}
-		})
 	}
 }
 

@@ -83,7 +83,7 @@ func New(rows *ann.Rows, cfg Config) *Index {
 		entry: -1,
 	}
 	for i := 0; i < rows.Len(); i++ {
-		h.Add(i)
+		h.add(i)
 	}
 	return h
 }
@@ -144,10 +144,11 @@ func (h *Index) getCtx() *searchCtx {
 
 func (h *Index) putCtx(c *searchCtx) { h.ctxPool.Put(c) }
 
-// Add implements ann.Index.
-func (h *Index) Add(row int) {
+// add links row into the graph — the build step New runs for every row in
+// order.
+func (h *Index) add(row int) {
 	if row != len(h.nodes) {
-		panic(fmt.Sprintf("hnsw: Add row %d, want %d", row, len(h.nodes)))
+		panic(fmt.Sprintf("hnsw: add row %d, want %d", row, len(h.nodes)))
 	}
 	level := int(math.Floor(-math.Log(1-h.rng.Float64()) * h.mL))
 	idx := int32(row)

@@ -131,7 +131,7 @@ func TestSearchAfterSingleInsert(t *testing.T) {
 	h := New(rows, Config{})
 	v := mat.UnitGaussianVec(dim, 1)
 	row, _ := rows.Append(7, v)
-	h.Add(row)
+	h.add(row)
 	res := h.Search(v, 3, ann.Params{})
 	if len(res) != 1 || res[0].ID != 7 {
 		t.Fatalf("res = %v", res)

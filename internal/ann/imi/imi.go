@@ -87,7 +87,7 @@ func Build(rows *ann.Rows, cfg Config) (*Index, error) {
 		ix.lists[p] = make([][]int32, len(pq.Codebooks[p]))
 	}
 	for i := range vecs {
-		ix.Add(i)
+		ix.add(i)
 	}
 	return ix, nil
 }
@@ -104,11 +104,11 @@ func (ix *Index) codeAt(p int32) []uint16 {
 	return ix.packed[off : off+ix.pq.P : off+ix.pq.P]
 }
 
-// Add implements ann.Index. Rows added after Build are coded with the
-// existing codebooks.
-func (ix *Index) Add(row int) {
+// add codes row with the trained codebooks and files it in its cells — the
+// build step Build runs for every row in order.
+func (ix *Index) add(row int) {
 	if row != ix.Len() {
-		panic(fmt.Sprintf("imi: Add row %d, want %d", row, ix.Len()))
+		panic(fmt.Sprintf("imi: add row %d, want %d", row, ix.Len()))
 	}
 	p := int32(row)
 	ix.packed = append(ix.packed, make([]uint16, ix.pq.P)...)

@@ -67,8 +67,7 @@ type list struct {
 // Index is a built IVF-PQ index over borrowed rows.
 type Index struct {
 	rows       *ann.Rows
-	coarse     []mat.Vec // NList centroids, rows aliasing coarseFlat
-	coarseFlat []float32
+	coarseFlat []float32 // the NList centroids, row-major; list li is centroid li's
 	lists      []list
 	pq         *quant.PQ
 	count      int
@@ -110,15 +109,12 @@ func Build(rows *ann.Rows, cfg Config) (*Index, error) {
 
 	ix := &Index{
 		rows:       rows,
-		coarse:     make([]mat.Vec, nlist),
 		coarseFlat: make([]float32, nlist*dim),
 		lists:      make([]list, nlist),
 		pq:         pq,
 	}
 	for li, c := range km.Centroids {
-		off := li * dim
-		copy(ix.coarseFlat[off:off+dim], c)
-		ix.coarse[li] = ix.coarseFlat[off : off+dim : off+dim]
+		copy(ix.coarseFlat[li*dim:], c)
 	}
 	code := make(quant.Code, pq.P)
 	for i, r := range residuals {
@@ -142,23 +138,6 @@ func (ix *Index) Kind() string { return "ivfpq" }
 // Len implements ann.Index.
 func (ix *Index) Len() int { return ix.count }
 
-// Add implements ann.Index: the vector is routed to its nearest list and
-// residual-encoded with the already-trained codebooks (the paper's future
-// work discusses incremental insertion; assignment without retraining is
-// the standard approach).
-func (ix *Index) Add(row int) {
-	if row != ix.count {
-		panic(fmt.Sprintf("ivfpq: Add row %d, want %d", row, ix.count))
-	}
-	v := ix.rows.Row(row)
-	li := quant.NearestCentroid(ix.coarse, v)
-	r := mat.NewVec(len(v))
-	mat.Sub(r, v, ix.coarse[li])
-	code := make(quant.Code, ix.pq.P)
-	ix.pq.EncodeInto(code, r)
-	ix.insert(li, row, code)
-}
-
 // Search implements ann.Index.
 func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	if k <= 0 || ix.count == 0 {
@@ -169,13 +148,13 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	}
 	nprobe := p.NProbe
 	if nprobe <= 0 {
-		nprobe = len(ix.coarse)/8 + 1
+		nprobe = len(ix.lists)/8 + 1
 	}
-	nprobe = min(nprobe, len(ix.coarse))
+	nprobe = min(nprobe, len(ix.lists))
 
 	// Rank coarse lists by query similarity: one blocked kernel pass over
 	// the contiguous centroid block.
-	cscratch := mat.GetScratch(len(ix.coarse))
+	cscratch := mat.GetScratch(len(ix.lists))
 	coarseSims := mat.ScoreRows(cscratch.Buf, q, ix.coarseFlat, ix.rows.Dim())
 	listTop := mat.GetTopK(nprobe)
 	for li, s := range coarseSims {
@@ -234,4 +213,4 @@ func (ix *Index) Memory() int64 {
 }
 
 // Lists returns the number of coarse lists (for tests and stats).
-func (ix *Index) Lists() int { return len(ix.coarse) }
+func (ix *Index) Lists() int { return len(ix.lists) }

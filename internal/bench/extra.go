@@ -34,7 +34,7 @@ func extraNProbe(o Options) (*Table, error) {
 	if err := sys.BuildIndex(); err != nil {
 		return nil, err
 	}
-	col := sys.Collection()
+	col := sys.Segmented()
 
 	// Query vectors: a mixture of stored vectors (self-recall) under the
 	// benchmark's term mixtures.

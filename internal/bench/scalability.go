@@ -176,7 +176,7 @@ func fig11cPerEntity(o Options) (*Table, error) {
 			n++
 		}
 		avg := fast / time.Duration(n)
-		entities := lovo.System().Collection().Len()
+		entities := lovo.System().Entities()
 		perEntity := float64(avg.Nanoseconds()) / 1000 / float64(entities)
 		t.Add(ds.Name, fmt.Sprintf("%d", entities), ms(avg), fmt.Sprintf("%.4f", perEntity))
 	}

@@ -101,13 +101,15 @@ type Config struct {
 	// 1. New refuses it set without a positive SegmentSize, so a stale
 	// caller cannot silently get a batch store.
 	Streaming bool
-	// SegmentSize selects the store. Zero gives a batch store whose
-	// BuildIndex builds one index over everything ingested; N > 0 gives
-	// segmented incremental indexing (the paper's Section IX future work):
-	// inserts accumulate in a growing segment that is sealed every N
-	// vectors and indexed in isolation, so continuous video updates never
-	// trigger full index rebuilds, and BuildIndex seals the current segment
-	// instead of rebuilding. Negative is an error.
+	// SegmentSize is the store's seal threshold. Zero never seals by size:
+	// BuildIndex rebuilds everything ingested into one segment under one
+	// index — the paper's design — and vectors ingested after a build are
+	// exact-scanned until the next BuildIndex. N > 0 gives segmented
+	// incremental indexing (the paper's Section IX future work): inserts
+	// accumulate in a growing segment that is sealed every N vectors and
+	// indexed in isolation, so continuous video updates never trigger full
+	// index rebuilds, and BuildIndex seals the current segment instead of
+	// rebuilding. Negative is an error.
 	SegmentSize int
 	// Workers bounds the goroutines the concurrent execution engine uses
 	// for keyframe encoding during Ingest and for the stage-2 rerank
@@ -196,14 +198,12 @@ type System struct {
 	vitCfg vit.Config
 	model  *xmodal.Model
 
-	db      *vectordb.DB
-	col     *vectordb.Collection          // SegmentSize == 0
-	seg     *vectordb.SegmentedCollection // SegmentSize > 0
+	store   *vectordb.SegmentedCollection // sealing every SegmentSize vectors
 	meta    *relational.Store
 	patches *relational.Table
 
 	// mu guards the mutable system state below. The substrate stores
-	// (vector collection, relational table, embedding space) carry their
+	// (vector store, relational table, embedding space) carry their
 	// own locks, so queries may run concurrently with ingest: Query takes
 	// read locks only, Ingest and BuildIndex take the write lock briefly
 	// around state mutation — never across encoding or index builds.
@@ -262,7 +262,7 @@ func patchSchema() relational.Schema {
 func New(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if cfg.SegmentSize < 0 {
-		return nil, fmt.Errorf("core: SegmentSize %d is negative (0 = batch store, N > 0 = segmented)", cfg.SegmentSize)
+		return nil, fmt.Errorf("core: SegmentSize %d is negative (0 = one segment, never sealed by size; N > 0 = sealed every N vectors)", cfg.SegmentSize)
 	}
 	// Refused here, not at a build: a segmented store's seals would retry it forever.
 	kind, err := vectordb.ParseKind(string(cfg.Index))
@@ -284,7 +284,6 @@ func New(cfg Config) (*System, error) {
 		vision: &embed.VisionEncoder{Space: space, Seed: cfg.Seed ^ 0x115},
 		text:   &embed.TextEncoder{Space: space},
 		model:  xmodal.New(space, cfg.Rerank),
-		db:     vectordb.New(),
 		meta:   relational.NewStore(),
 
 		keyframes: make(map[frameKey]*video.Frame),
@@ -292,20 +291,11 @@ func New(cfg Config) (*System, error) {
 	s.enc = &QueryEncoder{space: space, text: s.text}
 	s.planner = newPlanner(cfg, s.enc)
 	s.vitCfg = vit.Config{GridW: cfg.GridW, GridH: cfg.GridH, Encoder: s.vision}
-	if cfg.SegmentSize > 0 {
-		seg, err := vectordb.NewSegmented("patches",
-			vectordb.Schema{Dim: cfg.ProjDim, Normalize: true},
-			cfg.Index, cfg.IndexOptions, cfg.SegmentSize)
-		if err != nil {
-			return nil, err
-		}
-		s.seg = seg
-	} else {
-		col, err := s.db.CreateCollection("patches", vectordb.Schema{Dim: cfg.ProjDim, Normalize: true})
-		if err != nil {
-			return nil, err
-		}
-		s.col = col
+	s.store, err = vectordb.NewSegmented("patches",
+		vectordb.Schema{Dim: cfg.ProjDim, Normalize: true},
+		cfg.Index, cfg.IndexOptions, cfg.SegmentSize)
+	if err != nil {
+		return nil, err
 	}
 	tbl, err := s.meta.CreateTable("patches", patchSchema())
 	if err != nil {
@@ -320,7 +310,8 @@ func New(cfg Config) (*System, error) {
 
 // Ingest runs Video Summary over one video: keyframe extraction, patch
 // encoding, and vector-collection construction. Call BuildIndex after the
-// last video (or keep ingesting — post-build inserts flow into the index).
+// last video (or keep ingesting — post-build inserts are searchable at
+// once, from the growing segment; see Config.SegmentSize).
 //
 // Keyframe encoding — the ViT forward pass that dominates one-time video
 // processing — fans out across cfg.Workers goroutines; vector and
@@ -369,7 +360,7 @@ func (s *System) Ingest(v *video.Video) error {
 			if err := s.patches.Insert(row); err != nil {
 				return fmt.Errorf("core: inserting patch metadata: %w", err)
 			}
-			if err := s.insertVector(pid, tok.Class); err != nil {
+			if err := s.store.Insert(pid, tok.Class); err != nil {
 				return fmt.Errorf("core: inserting patch vector: %w", err)
 			}
 			s.planner.observe(tok.Class)
@@ -388,33 +379,21 @@ func (s *System) Ingest(v *video.Video) error {
 	return nil
 }
 
-// insertVector routes a class embedding to the configured store.
-func (s *System) insertVector(id int64, v []float32) error {
-	if s.seg != nil {
-		return s.seg.Insert(id, v)
-	}
-	return s.col.Insert(id, v)
-}
-
-// BuildIndex constructs the configured vector index over everything
-// ingested so far. On a segmented store it seals the current growing
-// segment instead — sealed segments are never rebuilt.
+// BuildIndex seals the growing segment and indexes it. With SegmentSize 0
+// that rebuilds everything ingested so far into one segment under one
+// index; with SegmentSize > 0 sealed segments are never rebuilt.
 func (s *System) BuildIndex() error {
 	//lovo:nondeterministic-ok stats.Indexing is build-cost bookkeeping; the built index never depends on it
 	start := time.Now()
-	if s.seg != nil {
-		// Seal queues a background build; BuildIndex is the explicit batch
-		// boot path, so wait for the maintenance worker to quiesce — the
-		// caller expects a fully indexed system (and a deterministic one:
-		// approximate answers after BuildIndex must not depend on build
-		// timing).
-		if err := s.seg.Seal(); err != nil {
-			return fmt.Errorf("core: sealing segment: %w", err)
-		}
-		if err := s.seg.WaitMaintenance(); err != nil {
-			return fmt.Errorf("core: sealing segment: %w", err)
-		}
-	} else if err := s.col.BuildIndex(s.cfg.Index, s.cfg.IndexOptions); err != nil {
+	// Seal queues a background build; BuildIndex is the explicit batch boot
+	// path, so wait for the maintenance worker to quiesce — the caller
+	// expects a fully indexed system (and a deterministic one: approximate
+	// answers after BuildIndex must not depend on build timing).
+	err := s.store.Seal()
+	if err == nil {
+		err = s.store.WaitMaintenance()
+	}
+	if err != nil {
 		return fmt.Errorf("core: building %s index: %w", s.cfg.Index, err)
 	}
 	s.mu.Lock()
@@ -443,64 +422,38 @@ func (s *System) Built() bool {
 	return s.built
 }
 
-// searchVectorsBatch runs fast search against the configured store for
-// many queries sharing one (k, params) shape — a lone query is a batch of
-// one. Both stores answer SearchBatch, so the whole group shares one
-// cache-blocked memory sweep per collection or segment. Results align with
-// qs. The store pointers are read under the lock so LoadSnapshot's store
-// swap cannot race a concurrent query.
+// searchVectorsBatch runs fast search against the store for many queries
+// sharing one (k, params) shape — a lone query is a batch of one — so the
+// whole group shares one cache-blocked memory sweep per segment. Results
+// align with qs.
 func (s *System) searchVectorsBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Scored, error) {
-	s.mu.RLock()
-	col, seg := s.col, s.seg
-	s.mu.RUnlock()
-	if seg != nil {
-		return seg.SearchBatch(qs, k, p)
-	}
-	return col.SearchBatch(qs, k, p)
+	return s.Segmented().SearchBatch(qs, k, p)
 }
 
 // Entities returns the number of indexed patch vectors.
-func (s *System) Entities() int {
-	s.mu.RLock()
-	col, seg := s.col, s.seg
-	s.mu.RUnlock()
-	if seg != nil {
-		return seg.Len()
-	}
-	return col.Len()
-}
+func (s *System) Entities() int { return s.Segmented().Len() }
 
-// Segmented exposes the segmented store (nil on a batch store).
+// Segmented exposes the vector store. It is read under the lock so
+// LoadSnapshot's store swap cannot race a concurrent reader.
 func (s *System) Segmented() *vectordb.SegmentedCollection {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.seg
+	return s.store
 }
 
-// SegmentStats reports the per-state segment breakdown of the segmented
-// store; ok is false on a batch store.
+// SegmentStats reports the per-state segment breakdown of the store; ok is
+// false when SegmentSize is 0, where the store keeps one segment and
+// operators see no segment state.
 func (s *System) SegmentStats() (vectordb.SegmentStats, bool) {
-	s.mu.RLock()
-	seg := s.seg
-	s.mu.RUnlock()
-	if seg == nil {
+	if s.cfg.SegmentSize == 0 {
 		return vectordb.SegmentStats{}, false
 	}
-	return seg.SegmentStats(), true
+	return s.Segmented().SegmentStats(), true
 }
 
-// MaintLog returns the segmented store's recent maintenance operations
-// (seal builds, compactions) with their obs span trees; empty on a batch
-// store.
-func (s *System) MaintLog() []vectordb.MaintEvent {
-	s.mu.RLock()
-	seg := s.seg
-	s.mu.RUnlock()
-	if seg == nil {
-		return nil
-	}
-	return seg.MaintLog()
-}
+// MaintLog returns the store's recent maintenance operations (seal builds,
+// compactions) with their obs span trees.
+func (s *System) MaintLog() []vectordb.MaintEvent { return s.Segmented().MaintLog() }
 
 // Stats returns a snapshot of the accumulated ingest statistics.
 func (s *System) Stats() IngestStats {
@@ -509,20 +462,11 @@ func (s *System) Stats() IngestStats {
 	return s.stats
 }
 
-// Collection exposes the underlying vector collection (stats, experiments).
-func (s *System) Collection() *vectordb.Collection {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.col
-}
-
-// DB exposes the underlying vector database, e.g. for snapshot persistence
-// (vectordb.DB.Save / vectordb.Load).
-func (s *System) DB() *vectordb.DB {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db
-}
+// Collection returns nil: the store is Segmented() whatever SegmentSize is.
+//
+// Deprecated: remains only because benchmark/ names it (behind a
+// Segmented() == nil test or a nil check) — removed with ROADMAP item 1.
+func (s *System) Collection() *vectordb.Collection { return nil }
 
 // Keyframe returns the retained keyframe for (video, frame), if indexed.
 // The frame is stored once at ingest and never mutated, so sharing the

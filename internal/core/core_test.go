@@ -42,9 +42,10 @@ func TestPatchIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentSizeIsTheStoreSwitch: SegmentSize alone picks the store, a
-// negative size is refused, and the deprecated Streaming bit set without a
-// size is refused by name rather than silently giving a batch store.
+// TestSegmentSizeIsTheStoreSwitch: SegmentSize alone picks the store's seal
+// threshold — and so whether it reports segment state — a negative size is
+// refused, and the deprecated Streaming bit set without a size is refused
+// by name rather than silently giving a batch store.
 func TestSegmentSizeIsTheStoreSwitch(t *testing.T) {
 	for _, tc := range []struct {
 		cfg       Config
@@ -58,7 +59,7 @@ func TestSegmentSizeIsTheStoreSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.cfg, err)
 		}
-		if got := s.Segmented() != nil; got != tc.segmented {
+		if _, got := s.SegmentStats(); got != tc.segmented {
 			t.Fatalf("SegmentSize %d: segmented = %v, want %v", tc.cfg.SegmentSize, got, tc.segmented)
 		}
 	}
@@ -80,11 +81,11 @@ func TestIngestPopulatesStores(t *testing.T) {
 	if st.Keyframes >= st.Frames {
 		t.Fatalf("keyframes (%d) must compress frames (%d)", st.Keyframes, st.Frames)
 	}
-	if s.Collection().Len() != st.Tokens {
-		t.Fatalf("collection %d != tokens %d", s.Collection().Len(), st.Tokens)
+	if s.Entities() != st.Tokens {
+		t.Fatalf("collection %d != tokens %d", s.Entities(), st.Tokens)
 	}
-	if s.Collection().IndexKind() != vectordb.IndexIMI {
-		t.Fatalf("index kind = %q", s.Collection().IndexKind())
+	if kind := s.Segmented().Stats().IndexKind; kind != vectordb.IndexIMI {
+		t.Fatalf("index kind = %q", kind)
 	}
 	if st.Processing <= 0 || st.Indexing <= 0 {
 		t.Fatalf("timings = %+v", st)
@@ -233,7 +234,7 @@ func TestKeyframeAblationIndexesMore(t *testing.T) {
 		t.Fatalf("w/o keyframes must index more tokens: %d vs %d",
 			without.Stats().Tokens, withKF.Stats().Tokens)
 	}
-	if without.Collection().Stats().RawBytes <= withKF.Collection().Stats().RawBytes {
+	if without.Segmented().Stats().RawBytes <= withKF.Segmented().Stats().RawBytes {
 		t.Fatal("w/o keyframes must use more storage")
 	}
 }

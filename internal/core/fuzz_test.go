@@ -8,9 +8,9 @@ import (
 	"repro/internal/datasets"
 )
 
-// snapshotFuzzConfigs are the two store layouts a snapshot restores into:
-// monolithic, and streaming with a segment size small enough that a tiny
-// corpus leaves sealed segments and a growing one.
+// snapshotFuzzConfigs are the two seal thresholds a snapshot restores
+// into: 0, one segment under one index, and a segment size small enough
+// that a tiny corpus leaves sealed segments and a growing one.
 var snapshotFuzzConfigs = []Config{{Seed: 1}, {Seed: 1, SegmentSize: 24}}
 
 // hostileSnapshotHeader is a valid magic followed by a metadata length of
@@ -21,8 +21,10 @@ func hostileSnapshotHeader() []byte {
 	return append(b, 1, 2, 3, 4, 5)
 }
 
-// tinySnapshot saves a one-video system of the given layout.
-func tinySnapshot(tb testing.TB, cfg Config) []byte {
+// tinySnapshot saves a one-video system of the given seal threshold, after
+// ingesting the video again under another ID past the build when
+// postBuild is set.
+func tinySnapshot(tb testing.TB, cfg Config, postBuild bool) []byte {
 	tb.Helper()
 	ds := datasets.Bellevue(datasets.Config{Seed: 1, Scale: 0.002})
 	s, err := New(cfg)
@@ -37,6 +39,13 @@ func tinySnapshot(tb testing.TB, cfg Config) []byte {
 	if err := s.BuildIndex(); err != nil {
 		tb.Fatal(err)
 	}
+	if postBuild {
+		v := ds.Videos[0]
+		v.ID = 9
+		if err := s.Ingest(&v); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
 	if err := s.SaveSnapshot(&buf); err != nil {
 		tb.Fatal(err)
@@ -45,16 +54,18 @@ func tinySnapshot(tb testing.TB, cfg Config) []byte {
 }
 
 // FuzzLoadSnapshot: any byte stream restored into a fresh system of either
-// layout either loads or errors — never a panic.
+// seal threshold either loads or errors — never a panic.
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, cfg := range snapshotFuzzConfigs {
-		snap := tinySnapshot(f, cfg)
+		snap := tinySnapshot(f, cfg, false)
 		f.Add(snap)
 		for i := 0; i < 16; i++ {
 			f.Add(snap[:len(snap)*i/16])
 		}
 	}
 	f.Add(hostileSnapshotHeader())
+	// Threshold 0 with post-build ingest: one sealed segment and a growing one.
+	f.Add(tinySnapshot(f, snapshotFuzzConfigs[0], true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, cfg := range snapshotFuzzConfigs {
 			s, err := New(cfg)

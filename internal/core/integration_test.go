@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ann"
 	"repro/internal/datasets"
+	"repro/internal/mat"
 	"repro/internal/vectordb"
 )
 
@@ -46,40 +47,33 @@ func TestEndToEndQVHighlights(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip persists the vector database and verifies the
+// TestSnapshotRoundTrip persists the vector store and verifies the
 // reloaded index answers fast search identically.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ds := datasets.Bellevue(datasets.Config{Seed: 7, Scale: 0.06})
 	s := buildSystem(t, ds, Config{Seed: 1})
 
 	var buf bytes.Buffer
-	if err := s.DB().Save(&buf); err != nil {
+	if err := s.Segmented().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := vectordb.Load(&buf)
+	loaded, err := vectordb.LoadSegmented(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := loaded.Collection("patches")
-	if err != nil {
-		t.Fatal(err)
+	if loaded.Len() != s.Entities() {
+		t.Fatalf("reloaded %d vectors, want %d", loaded.Len(), s.Entities())
 	}
-	if col.Len() != s.Collection().Len() {
-		t.Fatalf("reloaded %d vectors, want %d", col.Len(), s.Collection().Len())
-	}
-	if col.IndexKind() != vectordb.IndexIMI {
-		t.Fatalf("index kind = %q", col.IndexKind())
+	if kind, _, _ := loaded.Recipe(); kind != vectordb.IndexIMI {
+		t.Fatalf("index kind = %q", kind)
 	}
 	// Identical fast-search results before and after.
-	q, err := s.Collection().Vector(firstID(t, s))
+	q := storedVectors(s)[firstID(t, s)]
+	a, err := s.Segmented().Search(q, 10, ann.Params{NProbe: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.Collection().Search(q, 10, ann.Params{NProbe: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := col.Search(q, 10, ann.Params{NProbe: 16})
+	b, err := loaded.Search(q, 10, ann.Params{NProbe: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +85,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("rank %d: %d vs %d", i, a[i].ID, b[i].ID)
 		}
 	}
+}
+
+// storedVectors copies every stored patch vector by patch ID.
+func storedVectors(s *System) map[int64]mat.Vec {
+	out := map[int64]mat.Vec{}
+	s.Segmented().Scan(func(id int64, v mat.Vec) bool {
+		out[id] = mat.Clone(v)
+		return true
+	})
+	return out
 }
 
 // firstID fetches one stored patch ID via the relational side (insertion
@@ -110,9 +114,10 @@ func TestMetadataJoinConsistency(t *testing.T) {
 	ds := datasets.Beach(datasets.Config{Seed: 7, Scale: 0.06})
 	s := buildSystem(t, ds, Config{Seed: 1})
 	rows := s.patches.Scan(nil)
-	if len(rows) != s.Collection().Len() {
-		t.Fatalf("metadata rows %d != vectors %d", len(rows), s.Collection().Len())
+	if len(rows) != s.Entities() {
+		t.Fatalf("metadata rows %d != vectors %d", len(rows), s.Entities())
 	}
+	vecs := storedVectors(s)
 	for _, row := range rows[:min(len(rows), 50)] {
 		pid := row[0].(int64)
 		vid, fi, _ := UnpackPatchID(pid)
@@ -120,8 +125,8 @@ func TestMetadataJoinConsistency(t *testing.T) {
 			t.Fatalf("patch id %d decodes to (%d,%d) but row says (%d,%d)",
 				pid, vid, fi, row[1], row[2])
 		}
-		if _, err := s.Collection().Vector(pid); err != nil {
-			t.Fatalf("vector missing for patch %d: %v", pid, err)
+		if _, ok := vecs[pid]; !ok {
+			t.Fatalf("vector missing for patch %d", pid)
 		}
 		if _, ok := s.Keyframe(vid, fi); !ok {
 			t.Fatalf("keyframe (%d,%d) not retained", vid, fi)

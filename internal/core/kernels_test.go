@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/datasets"
 	"repro/internal/mat"
 	"repro/internal/query"
@@ -38,15 +37,11 @@ func TestFlatFastSearchBitIdenticalToOracleScan(t *testing.T) {
 		parsed := query.Parse(text)
 		qvec := s.text.FastVec(parsed)
 		qproj := s.space.Project(qvec)
-		col := s.Collection()
 		top := mat.NewTopK(s.cfg.FastK)
-		for _, id := range colIDs(col) {
-			v, err := col.Vector(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+		s.Segmented().Scan(func(id int64, v mat.Vec) bool {
 			top.Push(id, mat.Dot(qproj, v))
-		}
+			return true
+		})
 		want := top.Sorted()
 
 		if len(fh.Objects) != len(want) {
@@ -61,23 +56,6 @@ func TestFlatFastSearchBitIdenticalToOracleScan(t *testing.T) {
 			}
 		}
 	}
-}
-
-// colIDs lists every stored vector id via the index's deterministic
-// exhaustive search (scores unused).
-func colIDs(col *vectordb.Collection) []int64 {
-	n := col.Len()
-	q := make(mat.Vec, col.Schema().Dim)
-	q[0] = 1
-	hits, err := col.Search(q, n, ann.Params{Exhaustive: true})
-	if err != nil {
-		panic(err)
-	}
-	ids := make([]int64, 0, n)
-	for _, h := range hits {
-		ids = append(ids, h.ID)
-	}
-	return ids
 }
 
 // TestQueryIdenticalAcrossIndexKindsExhaustive pins the full two-stage

@@ -14,29 +14,29 @@ import (
 	"repro/internal/video"
 )
 
-// System snapshot format: the vectordb snapshot already persists every
-// patch vector plus the index recipe, but a query also needs the
-// relational side-store (the metadata join) and the retained keyframes
-// (the rerank's image storage). A system snapshot therefore wraps all
-// three:
+// System snapshot format: the vector store's snapshot persists every patch
+// vector plus the index recipe, but a query also needs the relational
+// side-store (the metadata join) and the retained keyframes (the rerank's
+// image storage). A system snapshot therefore wraps all three:
 //
 //	magic "LOVOSYS1\n"
 //	uint64 metadata length, then gob(snapMeta):
-//	                     relational rows, keyframes, stats, built flag,
-//	                     segmented-layout flag
-//	vector snapshot      batch: the vectordb DB snapshot;
-//	                     segmented: the segmented-collection snapshot
-//	                     (per-segment vectors + identities, indexes rebuilt
-//	                     on load from identity-derived seeds)
+//	                     relational rows, keyframes, stats, built flag
+//	vector snapshot      the store's LOVOSG3 snapshot (per-segment vectors
+//	                     and identities, indexes rebuilt on load under the
+//	                     store's seed rule)
 //
 // The gob section is length-prefixed because gob wraps non-ByteReader
 // streams in a buffered reader that consumes past the value's end — the
 // vector section that follows must start at an exact offset.
 //
-// A snapshot's store layout must match the restoring system's (whether
-// Config.SegmentSize is positive): the two layouts answer approximate
-// queries from differently seeded indexes, so silently crossing them would
-// break the restart bit-identity contract.
+// The store's recipe — index kind, index options, seal threshold — must
+// match the restoring system's resolved Config: a mismatched recipe would
+// serve a different index than the one Config reports (and the planner
+// plans for), or seal on a different schedule than the saver's twin. A
+// snapshot whose vector section is the retired database layout (LOVODB2,
+// written for SegmentSize 0 before every store was segmented) is refused
+// with an error asking for a re-save.
 const snapMagic = "LOVOSYS1\n"
 
 type snapRow struct {
@@ -55,8 +55,6 @@ type snapMeta struct {
 	Keyframes []snapKeyframe
 	Stats     IngestStats
 	Built     bool
-	// Streaming marks the segmented store layout.
-	Streaming bool
 }
 
 // SaveSnapshot persists the full system state — patch vectors, relational
@@ -67,7 +65,7 @@ func (s *System) SaveSnapshot(w io.Writer) error {
 	if _, err := io.WriteString(w, snapMagic); err != nil {
 		return err
 	}
-	meta := snapMeta{ProjDim: s.cfg.ProjDim, Streaming: s.seg != nil}
+	meta := snapMeta{ProjDim: s.cfg.ProjDim}
 	for _, row := range s.patches.Scan(func(relational.Row) bool { return true }) {
 		meta.Rows = append(meta.Rows, snapRow{
 			PatchID: row[0].(int64), VideoID: row[1].(int64),
@@ -101,17 +99,16 @@ func (s *System) SaveSnapshot(w io.Writer) error {
 	if _, err := w.Write(mbuf.Bytes()); err != nil {
 		return err
 	}
-	if s.seg != nil {
-		return s.seg.Save(w)
-	}
-	return s.db.Save(w)
+	return s.Segmented().Save(w)
 }
 
 // LoadSnapshot restores a snapshot written by SaveSnapshot into this
 // freshly-constructed, empty system. The system must have been built with
 // the same Config (seed, dimensions) as the saver — encoders are seeded,
 // so a mismatched seed would embed queries into a different space than the
-// stored vectors. The index is rebuilt from the recorded kind and options.
+// stored vectors. A snapshot whose index kind, index options or seal
+// threshold differ from the resolved Config is refused. The indexes are
+// rebuilt from the recorded recipe.
 func (s *System) LoadSnapshot(r io.Reader) error {
 	if s.Entities() > 0 {
 		return fmt.Errorf("core: LoadSnapshot requires an empty system (%d vectors present)", s.Entities())
@@ -141,47 +138,17 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	if meta.ProjDim != s.cfg.ProjDim {
 		return fmt.Errorf("core: snapshot dimension D'=%d, system configured with %d", meta.ProjDim, s.cfg.ProjDim)
 	}
-	if meta.Streaming != (s.seg != nil) {
-		mode := func(segmented bool) string {
-			if segmented {
-				return "segmented"
-			}
-			return "batch"
-		}
-		return fmt.Errorf("core: %s snapshot cannot restore into a %s system (set Config.SegmentSize to match the saver)",
-			mode(meta.Streaming), mode(s.seg != nil))
+	store, err := vectordb.LoadSegmented(r)
+	if err != nil {
+		return fmt.Errorf("core: loading vector snapshot: %w", err)
 	}
-	var (
-		db  *vectordb.DB
-		col *vectordb.Collection
-		seg *vectordb.SegmentedCollection
-		err error
-	)
-	if meta.Streaming {
-		seg, err = vectordb.LoadSegmented(r)
-		if err != nil {
-			return fmt.Errorf("core: loading segmented vector snapshot: %w", err)
-		}
-	} else {
-		db, err = vectordb.Load(r)
-		if err != nil {
-			return fmt.Errorf("core: loading vector snapshot: %w", err)
-		}
-		col, err = db.Collection("patches")
-		if err != nil {
-			return fmt.Errorf("core: vector snapshot misses the patches collection: %w", err)
-		}
+	if err := s.checkRecipe(store); err != nil {
+		return err
 	}
 	// The metadata's D' was checked above; the vector stream carries its
 	// own dim, and a stream that disagrees would score queries against
 	// vectors of the wrong shape.
-	var dim int
-	if meta.Streaming {
-		dim = seg.Stats().Dim
-	} else {
-		dim = col.Schema().Dim
-	}
-	if dim != meta.ProjDim {
+	if dim := store.Stats().Dim; dim != meta.ProjDim {
 		return fmt.Errorf("core: vector snapshot dimension %d, snapshot metadata says D'=%d (corrupt snapshot?)", dim, meta.ProjDim)
 	}
 	for _, row := range meta.Rows {
@@ -200,12 +167,7 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	}
 	s.stats = meta.Stats
 	s.built = meta.Built
-	if meta.Streaming {
-		s.seg = seg
-	} else {
-		s.db = db
-		s.col = col
-	}
+	s.store = store
 	s.mu.Unlock()
 	// Rebuild the planner's selectivity state from the restored corpus:
 	// keyframes re-feed the posting statistics in their canonical (video,
@@ -217,17 +179,25 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 		f := kf.Frame
 		s.planner.noteFrame(&f)
 	}
-	scan := func(fn func(id int64, v mat.Vec) bool) {
-		if meta.Streaming {
-			seg.Scan(fn)
-		} else {
-			col.Scan(fn)
-		}
-	}
-	scan(func(id int64, v mat.Vec) bool {
+	store.Scan(func(id int64, v mat.Vec) bool {
 		s.planner.observe(v)
 		return true
 	})
 	s.ingestGen.Add(1)
+	return nil
+}
+
+// checkRecipe refuses a restored store whose index kind, index options or
+// seal threshold differ from the system's resolved Config.
+func (s *System) checkRecipe(store *vectordb.SegmentedCollection) error {
+	kind, opts, threshold := store.Recipe()
+	switch {
+	case kind != s.cfg.Index:
+		return fmt.Errorf("core: snapshot index kind %q, system configured with %q", kind, s.cfg.Index)
+	case opts != s.cfg.IndexOptions:
+		return fmt.Errorf("core: snapshot index options %+v, system configured with %+v", opts, s.cfg.IndexOptions)
+	case threshold != s.cfg.SegmentSize:
+		return fmt.Errorf("core: snapshot seal threshold (SegmentSize) %d, system configured with %d", threshold, s.cfg.SegmentSize)
+	}
 	return nil
 }

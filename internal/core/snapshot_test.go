@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/vectordb"
 )
 
 func TestSystemSnapshotRoundTrip(t *testing.T) {
@@ -162,41 +165,70 @@ func TestStreamingSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSystemSnapshotErrors(t *testing.T) {
-	// A snapshot's store layout must match the restoring system: the two
-	// layouts answer approximate queries from differently seeded indexes.
-	s, err := New(Config{Seed: 1, SegmentSize: 4096})
-	if err != nil {
-		t.Fatal(err)
+// TestLoadSnapshotRefusesRecipeMismatch: a snapshot restores only into a
+// system whose resolved index kind, index options and seal threshold match
+// the saver's, and the error names both values — accepted, the system
+// reported (and planned for) one index while serving another.
+func TestLoadSnapshotRefusesRecipeMismatch(t *testing.T) {
+	snap := tinySnapshot(t, Config{Seed: 1, SegmentSize: 24}, false)
+	for _, tc := range []struct {
+		cfg        Config
+		want, have string
+	}{
+		{Config{Seed: 1, SegmentSize: 24, Index: vectordb.IndexHNSW}, `"imi"`, `"hnsw"`},
+		{Config{Seed: 1, SegmentSize: 24, IndexOptions: vectordb.IndexOptions{M: 32}}, "M:64", "M:32"},
+		{Config{Seed: 1, SegmentSize: 48}, "24", "48"},
+		{Config{Seed: 1}, "24", "0"},
+	} {
+		s, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.LoadSnapshot(bytes.NewReader(snap))
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tc.have) {
+			t.Fatalf("%+v: want an error naming %s and %s, got %v", tc.cfg, tc.want, tc.have, err)
+		}
+		if s.Entities() != 0 {
+			t.Fatalf("%+v: a refused snapshot left %d vectors behind", tc.cfg, s.Entities())
+		}
 	}
-	var buf bytes.Buffer
-	if err := s.SaveSnapshot(&buf); err != nil {
-		t.Fatalf("streaming save: %v", err)
-	}
-	mono, err := New(Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mono.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("streaming snapshot into a monolithic system must error")
-	}
-	buf.Reset()
-	monoSrc, err := New(Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := monoSrc.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	stream, err := New(Config{Seed: 1, SegmentSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stream.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("monolithic snapshot into a streaming system must error")
-	}
-	buf.Reset()
+}
 
+// TestLoadSnapshotRefusesBatchLayout: a snapshot of a SegmentSize 0 system
+// written before every store was segmented — the system metadata followed
+// by the retired LOVODB2 database layout — is refused with an error that
+// asks for a re-save.
+func TestLoadSnapshotRefusesBatchLayout(t *testing.T) {
+	// The older metadata carried a Streaming flag, false for this layout.
+	type olderMeta struct {
+		ProjDim   int
+		Rows      []snapRow
+		Keyframes []snapKeyframe
+		Stats     IngestStats
+		Built     bool
+		Streaming bool
+	}
+	var meta bytes.Buffer
+	if err := gob.NewEncoder(&meta).Encode(&olderMeta{ProjDim: 32, Built: true}); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	snap.WriteString(snapMagic)
+	_ = binary.Write(&snap, binary.LittleEndian, uint64(meta.Len()))
+	snap.Write(meta.Bytes())
+	snap.WriteString("LOVODB2\n")
+	_ = binary.Write(&snap, binary.LittleEndian, uint32(1))
+	s, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadSnapshot(&snap); err == nil || !strings.Contains(err.Error(), "re-save") {
+		t.Fatalf("a batch-layout snapshot: want a re-save error, got %v", err)
+	}
+}
+
+func TestSystemSnapshotErrors(t *testing.T) {
+	var buf bytes.Buffer
 	// Bad magic.
 	m, err := New(Config{Seed: 1})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -480,6 +481,16 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := mismatch.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("shard-count mismatch must error")
+	}
+	// So is another index kind: the worker's refusal reaches the caller.
+	hnswCfg := cfg
+	hnswCfg.Index = vectordb.IndexHNSW
+	otherKind, err := New(3, hnswCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := otherKind.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), `index kind "imi", system configured with "hnsw"`) {
+		t.Fatalf("index-kind mismatch: %v", err)
 	}
 
 	restored, err := New(3, cfg)

@@ -7,57 +7,47 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/ann"
 	"repro/internal/mat"
 )
 
-// Snapshot formats: little-endian binary streams built from two records
-// that both layouts share.
+// Snapshot format: a little-endian binary stream that keeps one rows
+// record per frozen segment, so a collection restores with its segment
+// structure — and therefore its index seeds — intact.
 //
+//	magic "LOVOSG3\n"
 //	header: uint16 name length, name bytes
-//	        uint16 index-kind length, kind bytes (empty when unindexed)
+//	        uint16 index-kind length, kind bytes
 //	        uint32 dim, in (0, MaxDim]; uint8 normalize
 //	        index options: 6×int64 (NList, P, M, M0, EfConstruction, Seed);
 //	        the first five in [0, maxIndexOption]
-//	rows:   uint64 count, per row: int64 id, dim×float32 (IEEE-754 bits)
-//
-// A database snapshot is
-//
-//	magic "LOVODB2\n", uint32 collection count, per collection: header, rows
-//
-// and a segmented-collection snapshot keeps one rows record per frozen
-// segment, so a segmented collection restores with its segment structure —
-// and therefore its identity-derived index seeds — intact:
-//
-//	magic "LOVOSG3\n", header
-//	int64 sealThreshold (positive), int64 seq
+//	int64 sealThreshold (0 = never seals by size), int64 seq
 //	uint32 frozen-segment count (ascending identity order)
 //	per segment: int64 lo, int64 hi, rows
 //	rows of the growing segment
 //
+//	rows:   uint64 count, per row: int64 id, dim×float32 (IEEE-754 bits)
+//
 // Rows are written and read bit for bit and appended straight to the row
 // store — never re-inserted, since Insert's re-normalisation would move
-// already-normalised floats by an ulp. Indexes are not persisted: Load and
-// LoadSegmented rebuild every index synchronously from the recorded kind
-// and options (a frozen segment from its [lo, hi] identity seed) — the
+// already-normalised floats by an ulp. Indexes are not persisted:
+// LoadSegmented rebuilds every frozen segment's index synchronously from
+// the recorded kind and options under the collection's seed rule — the
 // segment-load-then-index recovery model — so a restored store serves
 // byte-identical answers to the one that saved. Retired layouts are
-// refused with an error asking for a re-save: version 1 of both carried a
-// raw-copy flag byte after the options, and LOVOSG2 a compaction fan-in
-// word after the seal threshold.
-const (
-	magic    = "LOVODB2\n"
-	segMagic = "LOVOSG3\n"
-)
+// refused with an error asking for a re-save: the database layout
+// (LOVODB1, LOVODB2), which held unsegmented collections; LOVOSG1, which
+// carried a raw-copy flag byte after the options; and LOVOSG2, which
+// carried a compaction fan-in word after the seal threshold.
+const segMagic = "LOVOSG3\n"
 
 // maxIndexOption bounds every decoded structural index option, so a
 // corrupt header cannot size a build (an HNSW beam, a k-means k) from a
 // garbage integer.
 const maxIndexOption = 1 << 16
 
-// header is the collection description both snapshot layouts open with.
+// header is the collection description a snapshot opens with.
 type header struct {
 	name   string
 	schema Schema
@@ -199,72 +189,6 @@ func readString(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// Save writes a snapshot of the database.
-func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.collections))
-	for n := range db.collections {
-		names = append(names, n)
-	}
-	sort.Strings(names) // stable snapshot order
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(names))); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if err := db.collections[n].save(bw); err != nil {
-			return fmt.Errorf("vectordb: saving %q: %w", n, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// save writes the collection's header and rows under its read lock.
-func (c *Collection) save(w io.Writer) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := writeHeader(w, header{c.name, c.schema, c.kind, c.options}); err != nil {
-		return err
-	}
-	return writeRows(w, c.rows)
-}
-
-// Load reads a snapshot and rebuilds indexes.
-func Load(r io.Reader) (*DB, error) {
-	br := bufio.NewReader(r)
-	if err := readMagic(br, magic, "LOVODB1\n"); err != nil {
-		return nil, err
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	db := New()
-	for ci := uint32(0); ci < count; ci++ {
-		h, err := readHeader(br)
-		if err != nil {
-			return nil, err
-		}
-		col, err := db.CreateCollection(h.name, h.schema)
-		if err != nil {
-			return nil, err
-		}
-		if err := readRows(br, col.rows); err != nil {
-			return nil, err
-		}
-		if h.kind != "" {
-			if err := col.BuildIndex(h.kind, h.opts); err != nil {
-				return nil, fmt.Errorf("vectordb: rebuilding %q index for %q: %w", h.kind, h.name, err)
-			}
-		}
-	}
-	return db, nil
-}
-
 // Save writes a snapshot of the segmented collection. Safe to call
 // mid-stream: segments whose background index build is still pending are
 // persisted like sealed ones (the load path rebuilds every frozen
@@ -304,11 +228,11 @@ func (s *SegmentedCollection) Save(w io.Writer) error {
 }
 
 // LoadSegmented reads a segmented snapshot and rebuilds every frozen
-// segment's index synchronously from its identity-derived seed, restoring
+// segment's index synchronously under the seed rule, restoring
 // byte-identical approximate answers.
 func LoadSegmented(r io.Reader) (*SegmentedCollection, error) {
 	br := bufio.NewReader(r)
-	if err := readMagic(br, segMagic, "LOVOSG1\n", "LOVOSG2\n"); err != nil {
+	if err := readMagic(br, segMagic, "LOVODB1\n", "LOVODB2\n", "LOVOSG1\n", "LOVOSG2\n"); err != nil {
 		return nil, err
 	}
 	h, err := readHeader(br)
@@ -338,7 +262,7 @@ func LoadSegmented(r io.Reader) (*SegmentedCollection, error) {
 			return nil, err
 		}
 		segOpts := h.opts
-		segOpts.Seed = segSeed(h.opts.Seed, lo, hi)
+		segOpts.Seed = s.seedFor(lo, hi)
 		if err := col.BuildIndex(s.kind, segOpts); err != nil {
 			return nil, fmt.Errorf("vectordb: rebuilding segment [%d,%d] index: %w", lo, hi, err)
 		}

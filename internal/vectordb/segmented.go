@@ -33,12 +33,20 @@ import (
 // compacted. Builds run in seal order and the policy always merges the
 // leftmost qualifying run, so equal ingest histories converge to equal
 // segment structures at quiesce.
+//
+// Seal threshold 0 is the paper's own design, one index over the whole
+// collection (Section V): the store never seals by size, and every Seal
+// merges the growing segment and every frozen segment into one segment
+// indexed with the base seed — exactly a monolithic index build over
+// everything ingested. Inserts after a Seal are exact-scanned from the
+// growing segment until the next one.
 type SegmentedCollection struct {
 	name   string
 	schema Schema
 	kind   IndexKind
 	opts   IndexOptions
-	// sealThreshold is the growing-segment size that triggers a seal.
+	// sealThreshold is the growing-segment size that triggers a seal; 0
+	// never seals by size and keeps one frozen segment.
 	sealThreshold int
 
 	mu   sync.RWMutex
@@ -93,13 +101,14 @@ type MaintEvent struct {
 }
 
 // SegmentStats is the per-state segment breakdown a segmented collection
-// exposes to operators. A batch store reports the zero value.
+// exposes to operators. Serving tiers report the zero value for a store of
+// seal threshold 0 (a batch store).
 type SegmentStats struct {
 	// Sealed counts frozen segments with a built index; Building counts
 	// frozen segments whose background build is still pending or in
-	// flight; Growing counts mutable segments — always 1 per segmented
-	// collection, so Growing > 0 is the signal that a store (or any shard
-	// of a fleet, when summed) is segmented.
+	// flight; Growing counts mutable segments — always 1 per collection,
+	// so Growing > 0 is the signal that a store (or any shard of a fleet,
+	// when summed) reports segments.
 	Sealed, Building, Growing int
 	// GrowingLen is the vector count of the mutable growing segment;
 	// SealedVectors the total across frozen segments.
@@ -112,9 +121,10 @@ type SegmentStats struct {
 }
 
 // NewSegmented creates a segmented collection that seals its growing
-// segment every sealThreshold vectors; sealThreshold must be positive and
-// kind one of the supported index kinds — every seal builds one, and a
-// kind that can never build would leave maintenance retrying forever.
+// segment every sealThreshold vectors, or only on Seal when sealThreshold
+// is 0 (negative is an error). kind must be one of the supported index
+// kinds — every seal builds one, and a kind that can never build would
+// leave maintenance retrying forever.
 func NewSegmented(name string, schema Schema, kind IndexKind, opts IndexOptions, sealThreshold int) (*SegmentedCollection, error) {
 	if err := checkDim(schema.Dim); err != nil {
 		return nil, err
@@ -122,8 +132,8 @@ func NewSegmented(name string, schema Schema, kind IndexKind, opts IndexOptions,
 	if k, err := ParseKind(string(kind)); err != nil || k != kind {
 		return nil, fmt.Errorf("vectordb: unknown index kind %q", kind)
 	}
-	if sealThreshold <= 0 {
-		return nil, fmt.Errorf("vectordb: seal threshold %d must be positive", sealThreshold)
+	if sealThreshold < 0 {
+		return nil, fmt.Errorf("vectordb: seal threshold %d is negative", sealThreshold)
 	}
 	s := &SegmentedCollection{
 		name:          name,
@@ -166,8 +176,25 @@ func segSeed(base uint64, lo, hi int) uint64 {
 	return x
 }
 
+// seedFor is the seed rule every index build of the collection follows —
+// seal builds, compactions and LoadSegmented alike: the base seed when the
+// threshold is 0 (the one segment is the monolithic index), else the seed
+// of the segment's identity range.
+func (s *SegmentedCollection) seedFor(lo, hi int) uint64 {
+	if s.sealThreshold == 0 {
+		return s.opts.Seed
+	}
+	return segSeed(s.opts.Seed, lo, hi)
+}
+
 // Name returns the collection name.
 func (s *SegmentedCollection) Name() string { return s.name }
+
+// Recipe returns what the collection builds its indexes with: the index
+// kind and options and the seal threshold.
+func (s *SegmentedCollection) Recipe() (IndexKind, IndexOptions, int) {
+	return s.kind, s.opts, s.sealThreshold
+}
 
 // Len returns the total vector count across segments.
 func (s *SegmentedCollection) Len() int {
@@ -194,7 +221,7 @@ func (s *SegmentedCollection) Insert(id int64, v mat.Vec) error {
 	if err := s.growing.Insert(id, v); err != nil {
 		return err
 	}
-	if s.growing.Len() >= s.sealThreshold {
+	if s.sealThreshold > 0 && s.growing.Len() >= s.sealThreshold {
 		s.sealLocked()
 	}
 	return nil
@@ -203,10 +230,14 @@ func (s *SegmentedCollection) Insert(id int64, v mat.Vec) error {
 // Seal force-seals the growing segment (e.g. at the end of an ingest
 // batch); the index build happens in the background. A no-op when the
 // growing segment is empty. Returns any error recorded by earlier
-// background maintenance.
+// background maintenance. At threshold 0 the build merges every segment
+// into one, and a store with nothing to index is ErrEmptyBuild.
 func (s *SegmentedCollection) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.sealThreshold == 0 && len(s.frozen) == 0 && s.growing.Len() == 0 {
+		return ErrEmptyBuild
+	}
 	s.sealLocked()
 	return s.maintErr
 }
@@ -236,6 +267,12 @@ func (s *SegmentedCollection) sealLocked() {
 func (s *SegmentedCollection) maintain() {
 	s.mu.Lock()
 	for {
+		if s.sealThreshold == 0 && len(s.frozen) > 1 && s.maintErr == nil {
+			// Threshold 0 keeps one segment: a seal past the first
+			// rebuilds everything, as a monolithic index build would.
+			s.compactLocked(0, len(s.frozen))
+			continue
+		}
 		if s.built < len(s.frozen) {
 			// Only this goroutine advances built or replaces frozen
 			// entries; seals merely append, so the segment stays at index
@@ -256,26 +293,34 @@ func (s *SegmentedCollection) maintain() {
 		if start < 0 {
 			break
 		}
-		members := append([]*segment(nil), s.frozen[start:start+compactFanIn]...)
-		s.mu.Unlock()
-		merged, ev, err := s.compactMembers(members)
-		s.mu.Lock()
-		if err != nil {
-			if s.maintErr == nil {
-				s.maintErr = err
-			}
-		} else {
-			// Seals only appended past the built prefix meanwhile, so the
-			// members still sit at start.
-			s.frozen = slices.Replace(s.frozen, start, start+compactFanIn, merged)
-			s.built -= compactFanIn - 1
-			s.compactions++
-		}
-		s.pushEventLocked(ev)
+		s.compactLocked(start, start+compactFanIn)
 	}
 	s.maintRunning = false
 	s.cond.Broadcast()
 	s.mu.Unlock()
+}
+
+// compactLocked merges the frozen segments [start, end) into one freshly
+// indexed segment off-lock and swaps it in. Caller holds s.mu and is the
+// maintenance worker: seals only append meanwhile, so the members still sit
+// at start when it relocks.
+func (s *SegmentedCollection) compactLocked(start, end int) {
+	members := append([]*segment(nil), s.frozen[start:end]...)
+	s.mu.Unlock()
+	merged, ev, err := s.compactMembers(members)
+	s.mu.Lock()
+	if err != nil {
+		if s.maintErr == nil {
+			s.maintErr = err
+		}
+	} else {
+		s.frozen = slices.Replace(s.frozen, start, end, merged)
+		// The merged segment is built; so are the survivors of the old
+		// built prefix past the members, if any.
+		s.built = start + 1 + max(0, s.built-end)
+		s.compactions++
+	}
+	s.pushEventLocked(ev)
 }
 
 // buildSegment builds one frozen segment's index off-lock.
@@ -286,7 +331,7 @@ func (s *SegmentedCollection) buildSegment(seg *segment, hook func()) (MaintEven
 	tr := obs.NewTrace(obs.NewID())
 	root := tr.Root("maint.seal")
 	opts := s.opts
-	opts.Seed = segSeed(s.opts.Seed, seg.lo, seg.hi)
+	opts.Seed = s.seedFor(seg.lo, seg.hi)
 	sp := root.Child("index.build")
 	err := seg.col.BuildIndexSealed(s.kind, opts)
 	if sp.On() {
@@ -331,10 +376,10 @@ func (s *SegmentedCollection) nextCompactionLocked() int {
 	return -1
 }
 
-// compactMembers merges an ascending contiguous run of built segments
-// into one freshly indexed segment, off-lock. The merged identity is the
-// union range [members[0].lo, members[last].hi], so its seed — and hence
-// its index — is byte-identical on any replica merging the same set.
+// compactMembers merges an ascending contiguous run of segments into one
+// freshly indexed segment, off-lock. The merged identity is the union range
+// [members[0].lo, members[last].hi], so its seed — and hence its index — is
+// byte-identical on any replica merging the same set.
 func (s *SegmentedCollection) compactMembers(members []*segment) (*segment, MaintEvent, error) {
 	tr := obs.NewTrace(obs.NewID())
 	root := tr.Root("maint.compact")
@@ -354,7 +399,7 @@ func (s *SegmentedCollection) compactMembers(members []*segment) (*segment, Main
 	sp.End()
 	ev := MaintEvent{Op: "compact", Segments: len(members), Vectors: col.Len()}
 	opts := s.opts
-	opts.Seed = segSeed(s.opts.Seed, lo, hi)
+	opts.Seed = s.seedFor(lo, hi)
 	sp = root.Child("index.build")
 	err := col.BuildIndexSealed(s.kind, opts)
 	if sp.On() {
@@ -414,9 +459,10 @@ func (s *SegmentedCollection) Search(q mat.Vec, k int, p ann.Params) ([]mat.Scor
 // SearchBatch answers many queries under one set of search parameters,
 // results aligned with qs. Every segment runs its own Collection.SearchBatch
 // in parallel (the "segmented parallel processing" of the paper's future
-// work) and each query's per-segment lists merge into the global top-k. A
-// frozen segment whose build has not landed answers with its exact scan, so
-// a query never waits on an index build.
+// work) and each query's per-segment lists merge into the global top-k; a
+// lone searchable segment's lists are the answer as they stand. A frozen
+// segment whose build has not landed answers with its exact scan, so a
+// query never waits on an index build.
 func (s *SegmentedCollection) SearchBatch(qs []mat.Vec, k int, p ann.Params) ([][]mat.Scored, error) {
 	for i, q := range qs {
 		if len(q) != s.schema.Dim {
@@ -428,6 +474,9 @@ func (s *SegmentedCollection) SearchBatch(qs []mat.Vec, k int, p ann.Params) ([]
 		return out, nil
 	}
 	segs := s.snapshotSegments()
+	if len(segs) == 1 {
+		return segs[0].SearchBatch(qs, k, p)
+	}
 	lists := make([][][]mat.Scored, len(segs))
 	errs := make([]error, len(segs))
 	var wg sync.WaitGroup

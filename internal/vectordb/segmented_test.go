@@ -23,10 +23,16 @@ func TestSegmentedValidation(t *testing.T) {
 	if _, err := NewSegmented("x", Schema{Dim: 0}, IndexIMI, IndexOptions{}, 0); !errors.Is(err, ErrDimension) {
 		t.Fatalf("zero dim: %v", err)
 	}
-	for _, threshold := range []int{0, -1} {
-		if _, err := NewSegmented("x", Schema{Dim: dim}, IndexIMI, IndexOptions{}, threshold); err == nil {
-			t.Fatalf("seal threshold %d accepted", threshold)
-		}
+	if _, err := NewSegmented("x", Schema{Dim: dim}, IndexIMI, IndexOptions{}, -1); err == nil {
+		t.Fatal("negative seal threshold accepted")
+	}
+	// Threshold 0 never seals by size, and has nothing to build while empty.
+	s0, err := NewSegmented("x", Schema{Dim: dim}, IndexIMI, IndexOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.Seal(); !errors.Is(err, ErrEmptyBuild) {
+		t.Fatalf("empty threshold-0 seal: %v", err)
 	}
 	s := newSeg(t, 100)
 	if err := s.Insert(1, mat.Vec{1}); !errors.Is(err, ErrDimension) {

@@ -1,17 +1,16 @@
 // Package vectordb implements the embedded vector database of Section V —
-// the role Milvus plays in the paper's deployment. It manages named
-// collections of unit-normalised vectors, supports pluggable index builds
-// (IVF-PQ, the inverted multi-index, HNSW, and the flat kind — the
-// collection's own exact scan, with no index structure at all),
-// incremental inserts that flow into a built index, top-k inner-product
-// search with per-call parameters, usage statistics, and binary snapshot
-// persistence.
+// the role Milvus plays in the paper's deployment. It manages collections
+// of unit-normalised vectors, supports pluggable index builds (IVF-PQ, the
+// inverted multi-index, HNSW, and the flat kind — the collection's own
+// exact scan, with no index structure at all), top-k inner-product search
+// with per-call parameters, usage statistics, and binary snapshot
+// persistence. The store a LOVO system runs is a SegmentedCollection: a
+// growing segment that takes inserts plus immutable indexed segments.
 package vectordb
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/ann"
@@ -84,11 +83,13 @@ var (
 	ErrDuplicate  = errors.New("vectordb: duplicate id")
 	ErrDimension  = errors.New("vectordb: dimension mismatch")
 	ErrEmptyBuild = errors.New("vectordb: cannot build index over empty collection")
+	ErrIndexed    = errors.New("vectordb: collection is indexed and no longer takes inserts")
 )
 
 // Collection is a named set of (id, vector) pairs with an optional index.
 // Its rows are the only resident copy of its vectors: the index borrows
-// them, and rows are appended only under the write lock.
+// them, and rows are appended only under the write lock and only before a
+// build — a built collection is a sealed segment, and Insert refuses it.
 type Collection struct {
 	name   string
 	schema Schema
@@ -96,20 +97,19 @@ type Collection struct {
 	mu   sync.RWMutex
 	rows *ann.Rows
 	// index is nil both before a build and after a flat one: the flat kind
-	// answers with the rows' own exact scan. kind tells the two apart.
-	index   ann.Index
-	kind    IndexKind
-	options IndexOptions
+	// answers with the rows' own exact scan. kind ("" until a build) tells
+	// the two apart.
+	index ann.Index
+	kind  IndexKind
 	// indexBytes is index.Memory() as recorded when the index was
-	// installed, so Stats on an immutable sealed segment is a counter read
-	// instead of a walk over every posting list. An Insert into a built
-	// index invalidates it (-1) until the next build.
+	// installed — the index never changes afterwards, so Stats is a counter
+	// read instead of a walk over every posting list.
 	indexBytes int64
 }
 
 // DB is a set of collections.
 type DB struct {
-	mu          sync.RWMutex
+	mu          sync.Mutex
 	collections map[string]*Collection
 }
 
@@ -146,45 +146,8 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	return c, nil
 }
 
-// Collection fetches a collection by name.
-func (db *DB) Collection(name string) (*Collection, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, ok := db.collections[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: collection %q", ErrNotFound, name)
-	}
-	return c, nil
-}
-
-// Drop removes a collection.
-func (db *DB) Drop(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.collections[name]; !ok {
-		return fmt.Errorf("%w: collection %q", ErrNotFound, name)
-	}
-	delete(db.collections, name)
-	return nil
-}
-
-// Names lists collection names sorted.
-func (db *DB) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.collections))
-	for n := range db.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Name returns the collection's name.
 func (c *Collection) Name() string { return c.name }
-
-// Schema returns the collection's schema.
-func (c *Collection) Schema() Schema { return c.schema }
 
 // Len returns the number of stored vectors.
 func (c *Collection) Len() int {
@@ -193,24 +156,23 @@ func (c *Collection) Len() int {
 	return c.rows.Len()
 }
 
-// Insert stores one vector. If an index is built, the vector also enters
-// the index.
+// Insert stores one vector. A built collection refuses it (ErrIndexed):
+// its index covers exactly the rows it was built over.
 func (c *Collection) Insert(id int64, v mat.Vec) error {
 	if len(v) != c.schema.Dim {
 		return fmt.Errorf("%w: %d != %d", ErrDimension, len(v), c.schema.Dim)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.kind != "" {
+		return fmt.Errorf("%w: %s index over %d vectors", ErrIndexed, c.kind, c.rows.Len())
+	}
 	row, ok := c.rows.Append(id, v)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrDuplicate, id)
 	}
 	if c.schema.Normalize {
 		mat.Normalize(c.rows.Row(row))
-	}
-	if c.index != nil {
-		c.index.Add(row)
-		c.indexBytes = -1
 	}
 	return nil
 }
@@ -284,14 +246,14 @@ func (c *Collection) BuildIndex(kind IndexKind, opts IndexOptions) error {
 	if err != nil {
 		return err
 	}
-	c.installIndex(ix, kind, opts)
+	c.installIndex(ix, kind)
 	return nil
 }
 
 // installIndex swaps in a freshly built index (nil for the flat kind) and
 // records its footprint (caller holds the write lock).
-func (c *Collection) installIndex(ix ann.Index, kind IndexKind, opts IndexOptions) {
-	c.index, c.kind, c.options, c.indexBytes = ix, kind, opts, 0
+func (c *Collection) installIndex(ix ann.Index, kind IndexKind) {
+	c.index, c.kind, c.indexBytes = ix, kind, 0
 	if ix != nil {
 		c.indexBytes = ix.Memory()
 	}
@@ -308,7 +270,7 @@ func (c *Collection) BuildIndexSealed(kind IndexKind, opts IndexOptions) error {
 		return err
 	}
 	c.mu.Lock()
-	c.installIndex(ix, kind, opts)
+	c.installIndex(ix, kind)
 	c.mu.Unlock()
 	return nil
 }
@@ -376,17 +338,12 @@ type Stats struct {
 func (c *Collection) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s := Stats{
-		Name:      c.name,
-		Count:     c.rows.Len(),
-		Dim:       c.schema.Dim,
-		IndexKind: c.kind,
-		RawBytes:  c.rows.Bytes(),
+	return Stats{
+		Name:       c.name,
+		Count:      c.rows.Len(),
+		Dim:        c.schema.Dim,
+		IndexKind:  c.kind,
+		RawBytes:   c.rows.Bytes(),
+		IndexBytes: c.indexBytes,
 	}
-	if c.index != nil {
-		if s.IndexBytes = c.indexBytes; s.IndexBytes < 0 {
-			s.IndexBytes = c.index.Memory()
-		}
-	}
-	return s
 }

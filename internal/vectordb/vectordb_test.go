@@ -30,37 +30,14 @@ func TestCreateAndFetchCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "patches" || c.Schema().Dim != dim {
-		t.Fatalf("collection metadata: %+v", c.Schema())
-	}
-	got, err := db.Collection("patches")
-	if err != nil || got != c {
-		t.Fatal("fetch must return the same collection")
+	if c.Name() != "patches" || c.schema.Dim != dim {
+		t.Fatalf("collection metadata: %+v", c.schema)
 	}
 	if _, err := db.CreateCollection("patches", Schema{Dim: dim}); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate create: %v", err)
 	}
-	if _, err := db.Collection("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing fetch: %v", err)
-	}
 	if _, err := db.CreateCollection("bad", Schema{Dim: 0}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("zero-dim create: %v", err)
-	}
-}
-
-func TestDropAndNames(t *testing.T) {
-	db := New()
-	_, _ = db.CreateCollection("b", Schema{Dim: dim})
-	_, _ = db.CreateCollection("a", Schema{Dim: dim})
-	names := db.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-	if err := db.Drop("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Drop("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double drop: %v", err)
 	}
 }
 
@@ -151,7 +128,7 @@ func TestBuildIndexKinds(t *testing.T) {
 				}
 			}
 			if kind == IndexFlat {
-				checkFlatKind(t, db, c, qs)
+				checkFlatKind(t, c, qs)
 				return
 			}
 			st := c.Stats()
@@ -159,16 +136,9 @@ func TestBuildIndexKinds(t *testing.T) {
 				t.Fatalf("stats = %+v", st)
 			}
 			// The footprint recorded at build time is the index's own
-			// figure, and an insert into the built index must not leave a
-			// stale recording behind.
+			// figure.
 			if st.IndexBytes != c.index.Memory() {
 				t.Fatalf("recorded index bytes %d != index.Memory() %d", st.IndexBytes, c.index.Memory())
-			}
-			if err := c.Insert(301, unit(300)); err != nil {
-				t.Fatal(err)
-			}
-			if got := c.Stats().IndexBytes; got != c.index.Memory() || got <= st.IndexBytes {
-				t.Fatalf("after a post-build insert: stats %d, index.Memory() %d, before %d", got, c.index.Memory(), st.IndexBytes)
 			}
 		})
 	}
@@ -176,43 +146,29 @@ func TestBuildIndexKinds(t *testing.T) {
 
 // checkFlatKind pins the flat kind as the collection's own exact scan:
 // Search and SearchBatch, under approximate and exhaustive params alike,
-// equal rows.TopK bit for bit — before and after a snapshot round trip —
-// and the collection reports the flat kind with no index footprint.
-func checkFlatKind(t *testing.T, db *DB, c *Collection, qs []mat.Vec) {
+// equal rows.TopK bit for bit, and the collection reports the flat kind
+// with no index footprint.
+func checkFlatKind(t *testing.T, c *Collection, qs []mat.Vec) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
+	if c.IndexKind() != IndexFlat {
+		t.Fatalf("kind = %q", c.IndexKind())
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if st := c.Stats(); st.IndexBytes != 0 || st.Count != 300 {
+		t.Fatalf("flat stats = %+v, want no index bytes", st)
 	}
-	lc, err := loaded.Collection(c.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, col := range map[string]*Collection{"built": c, "loaded": lc} {
-		if col.IndexKind() != IndexFlat {
-			t.Fatalf("%s: kind = %q", name, col.IndexKind())
+	for _, p := range []ann.Params{{NProbe: 8, Ef: 64}, {Exhaustive: true}} {
+		batch, err := c.SearchBatch(qs, 10, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st := col.Stats(); st.IndexBytes != 0 || st.Count != 300 {
-			t.Fatalf("%s: flat stats = %+v, want no index bytes", name, st)
-		}
-		for _, p := range []ann.Params{{NProbe: 8, Ef: 64}, {Exhaustive: true}} {
-			batch, err := col.SearchBatch(qs, 10, p)
+		for j, q := range qs {
+			want := c.rows.TopK(q, 10)
+			lone, err := c.Search(q, 10, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j, q := range qs {
-				want := c.rows.TopK(q, 10)
-				lone, err := col.Search(q, 10, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameHits(t, lone, want, name+" search vs rows.TopK")
-				sameHits(t, batch[j], want, name+" batch vs rows.TopK")
-			}
+			sameHits(t, lone, want, "search vs rows.TopK")
+			sameHits(t, batch[j], want, "batch vs rows.TopK")
 		}
 	}
 }
@@ -229,23 +185,23 @@ func TestBuildIndexErrors(t *testing.T) {
 	}
 }
 
-func TestInsertAfterBuildFlowsToIndex(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("x", Schema{Dim: dim, Normalize: true})
-	fill(t, c, 150)
-	if err := c.BuildIndex(IndexIMI, IndexOptions{P: 4, M: 16, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	nv := unit(777)
-	if err := c.Insert(9999, nv); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Search(nv, 1, ann.Params{NProbe: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0].ID != 9999 {
-		t.Fatalf("post-build insert not searchable: %v", res)
+// TestInsertIntoBuiltCollectionRefused: a built collection is a sealed
+// segment — its index covers exactly the rows it was built over — so an
+// Insert is refused on every kind, the flat kind included, and stores
+// nothing.
+func TestInsertIntoBuiltCollectionRefused(t *testing.T) {
+	for _, kind := range []IndexKind{IndexFlat, IndexIVFPQ, IndexIMI, IndexHNSW} {
+		c, _ := New().CreateCollection("x", Schema{Dim: dim, Normalize: true})
+		fill(t, c, 150)
+		if err := c.BuildIndex(kind, IndexOptions{P: 4, M: 16, NList: 8, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert(9999, unit(777)); !errors.Is(err, ErrIndexed) {
+			t.Fatalf("%s: insert into a built collection: %v", kind, err)
+		}
+		if c.Len() != 150 {
+			t.Fatalf("%s: a refused insert stored a row: len %d", kind, c.Len())
+		}
 	}
 }
 
@@ -311,54 +267,61 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: a threshold-0 store — one segment indexed with the
+// base seed, plus post-build inserts in the growing segment — restores with
+// the same recipe and answers every kind's approximate and exhaustive
+// queries exactly as before.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	db := New()
-	c, _ := db.CreateCollection("patches", Schema{Dim: dim, Normalize: true})
-	fill(t, c, 200)
-	if err := c.BuildIndex(IndexIMI, IndexOptions{P: 4, M: 16, Seed: 4}); err != nil {
-		t.Fatal(err)
-	}
-	c2, _ := db.CreateCollection("frames", Schema{Dim: dim})
-	fill(t, c2, 20)
-
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc, err := loaded.Collection("patches")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lc.Len() != 200 || lc.IndexKind() != IndexIMI {
-		t.Fatalf("loaded: len=%d kind=%q", lc.Len(), lc.IndexKind())
-	}
-	// Same query must return the same results before and after.
-	q := unit(42)
-	a, _ := c.Search(q, 5, ann.Params{NProbe: 16})
-	b, _ := lc.Search(q, 5, ann.Params{NProbe: 16})
-	if len(a) != len(b) {
-		t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Fatalf("rank %d differs: %d vs %d", i, a[i].ID, b[i].ID)
+	for _, kind := range []IndexKind{IndexFlat, IndexIVFPQ, IndexIMI, IndexHNSW} {
+		opts := IndexOptions{NList: 8, P: 4, M: 16, Seed: 4}
+		s, err := NewSegmented("patches", Schema{Dim: dim, Normalize: true}, kind, opts, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	lc2, err := loaded.Collection("frames")
-	if err != nil || lc2.Len() != 20 || lc2.IndexKind() != "" {
-		t.Fatalf("frames collection: %v", err)
+		for i := 0; i < 220; i++ {
+			if i == 200 {
+				if err := s.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.WaitMaintenance(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Insert(int64(i+1), unit(uint64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSegmented(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lk, lopts, lthreshold := loaded.Recipe()
+		if lk != kind || lopts != opts || lthreshold != 0 || loaded.Len() != 220 {
+			t.Fatalf("%s: loaded recipe %s %+v %d, len %d", kind, lk, lopts, lthreshold, loaded.Len())
+		}
+		if st := loaded.SegmentStats(); st.Sealed != 1 || st.GrowingLen != 20 {
+			t.Fatalf("%s: loaded segments %+v, want 1 sealed and 20 growing", kind, st)
+		}
+		qs := []mat.Vec{unit(42), unit(205), unit(999)}
+		for _, p := range []ann.Params{{NProbe: 8, Ef: 64}, {Exhaustive: true}} {
+			a, _ := s.SearchBatch(qs, 10, p)
+			b, _ := loaded.SearchBatch(qs, 10, p)
+			for j := range qs {
+				sameHits(t, b[j], a[j], string(kind)+" before vs after Save→Load")
+			}
+		}
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+	if _, err := LoadSegmented(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("garbage must not load")
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := LoadSegmented(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty must not load")
 	}
 }

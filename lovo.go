@@ -95,7 +95,9 @@ type Options struct {
 	// Section IX future work): the store seals a segment every SegmentSize
 	// vectors and each BuildIndex seals the current one instead of
 	// rebuilding, so continuously arriving footage never pays a full-index
-	// rebuild. Zero keeps one batch-built index.
+	// rebuild. Zero keeps one index: each BuildIndex rebuilds everything
+	// ingested into one segment, and footage ingested after a build is
+	// exact-scanned until the next.
 	SegmentSize int
 	// Workers bounds the goroutines of the concurrent execution engine:
 	// keyframe encoding during ingest, the stage-2 rerank fan-out, and
@@ -279,9 +281,9 @@ func (s *System) Engine() *shard.Engine { return s.engine }
 
 // Save persists the full system state — patch vectors with the index
 // recipe, relational metadata, keyframes and stats — so a later Load
-// serves queries without re-running Video Summary. A segmented system
-// saves its segments as they stand and must be loaded into one opened
-// with a positive SegmentSize. Must not run concurrently with Ingest or
+// serves queries without re-running Video Summary. The store's segments
+// are saved as they stand, and Load refuses them in a system opened with
+// another Index or SegmentSize. Must not run concurrently with Ingest or
 // BuildIndex.
 func (s *System) Save(w io.Writer) error {
 	if s.engine != nil {
@@ -291,9 +293,9 @@ func (s *System) Save(w io.Writer) error {
 }
 
 // Load restores a snapshot written by Save into this freshly-opened,
-// empty system. Open with the same Options as the saver (seed, dimensions
-// and shard count must match; the index is rebuilt from the recorded
-// recipe). Replica counts need not match: snapshots hold one copy per
+// empty system. Open with the same Options as the saver (seed, dimensions,
+// index, segment size and shard count must match; the index is rebuilt
+// from the recorded recipe). Replica counts need not match: snapshots hold one copy per
 // shard and Load fans each shard's state out to every replica.
 func (s *System) Load(r io.Reader) error {
 	if s.engine != nil {

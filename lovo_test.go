@@ -140,8 +140,8 @@ func TestStreamingPublicAPI(t *testing.T) {
 	if len(res.Objects) == 0 {
 		t.Fatal("streaming query returned nothing")
 	}
-	if s.Core().Segmented() == nil {
-		t.Fatal("streaming store missing")
+	if st, ok := s.Core().SegmentStats(); !ok || st.Sealed == 0 {
+		t.Fatalf("streaming store reports no sealed segments: %+v, %v", st, ok)
 	}
 }
 
