@@ -125,24 +125,51 @@ func fuzzSeeds(f *testing.F, snap []byte) {
 // smallVec is a deterministic 8-d test vector.
 func smallVec(seed uint64) mat.Vec { return mat.UnitGaussianVec(8, seed) }
 
-// FuzzLoadSegmented: any byte stream either loads or errors — never a
-// panic. Seeds cover sized seal thresholds (IMI, HNSW) and threshold 0
-// (IVF-PQ over unnormalised rows: one base-seeded segment plus post-build
-// inserts in the growing segment).
-func FuzzLoadSegmented(f *testing.F) {
-	for _, tc := range []struct {
-		kind      IndexKind
-		normalize bool
-		threshold int
-	}{{IndexIMI, true, 10}, {IndexHNSW, true, 10}, {IndexIVFPQ, false, 0}} {
-		s, err := NewSegmented("seg", Schema{Dim: 8, Normalize: tc.normalize}, tc.kind, IndexOptions{NList: 4, P: 2, M: 4, Seed: 5}, tc.threshold)
+// FuzzLoad: any byte stream either loads or errors — never a panic. Seeds
+// are batch stores (seal threshold 0) of every index kind plus one never
+// built: one base-seeded segment, then post-build inserts in the growing
+// segment.
+func FuzzLoad(f *testing.F) {
+	for ki, kind := range []IndexKind{IndexFlat, IndexIVFPQ, IndexIMI, IndexHNSW, ""} {
+		build := kind != ""
+		if !build {
+			kind = IndexIMI
+		}
+		s, err := NewSegmented("batch", Schema{Dim: 8, Normalize: ki%2 == 0}, kind, IndexOptions{NList: 4, P: 2, M: 4, Seed: 3}, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
 		for i := 0; i < 35; i++ {
-			if i == 24 && tc.threshold == 0 {
-				_ = s.Seal()
+			if i == 24 && build {
+				if err := s.Seal(); err != nil {
+					f.Fatal(err)
+				}
 			}
+			_ = s.Insert(int64(i+1), smallVec(uint64(ki*100+i)))
+		}
+		if err := s.WaitMaintenance(); err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		fuzzSeeds(f, buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = LoadSegmented(bytes.NewReader(data))
+	})
+}
+
+// FuzzLoadSegmented: any byte stream either loads or errors — never a
+// panic. Seeds cover sized seal thresholds; FuzzLoad covers threshold 0.
+func FuzzLoadSegmented(f *testing.F) {
+	for _, kind := range []IndexKind{IndexIMI, IndexHNSW} {
+		s, err := NewSegmented("seg", Schema{Dim: 8, Normalize: true}, kind, IndexOptions{P: 2, M: 4, Seed: 5}, 10)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < 35; i++ {
 			_ = s.Insert(int64(i+1), smallVec(uint64(i)))
 		}
 		if err := s.WaitMaintenance(); err != nil {
