@@ -16,6 +16,7 @@ import (
 	"repro/internal/quant"
 	"repro/internal/query"
 	"repro/internal/vectordb"
+	"repro/internal/video"
 	"repro/internal/xmodal"
 )
 
@@ -32,7 +33,9 @@ func init() {
 //     re-implementation of the pre-kernel scalar code; the GEMM at the
 //     rerank's projection shape once per kernel tier, and one whole rerank
 //     forward pass (xmodal.GroundFrame) on the portable kernels vs the
-//     widest tier;
+//     widest tier; GELU once per tier against the portable loop, and one
+//     leg of 8 frames grounded frame by frame vs as one stacked pass
+//     (xmodal.GroundFrames);
 //   - tier sweep: mat.ScoreRows over an L1-resident block, avx2 against
 //     sse2, at the system's 32d and at a compute-bound 128d — the ≥1.5x
 //     avx2-over-sse2 acceptance gate reads the 128d pair, because at 32d
@@ -208,6 +211,49 @@ func kernelsExperiment(o Options) (*Table, error) {
 		}
 	}
 	micro(fmt.Sprintf("ground frame [%s]", mat.KernelTier()), groundFrame(mat.TierPurego), groundFrame(mat.KernelTier()))
+
+	// --- GELU per kernel tier, at a feed-forward activation's size ------
+	// 48 region tokens × 64 hidden units, against the portable loop (the
+	// purego row is that loop against itself); every tier is bit-identical.
+	geluIn := randVec(48 * 64)
+	geluBuf := make([]float32, len(geluIn))
+	geluUnder := func(tier string) func(b *testing.B) {
+		return func(b *testing.B) {
+			prev, err := mat.SetKernelTier(tier)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mat.SetKernelTier(prev)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(geluBuf, geluIn)
+				mat.GELU(geluBuf)
+			}
+		}
+	}
+	for _, tier := range mat.KernelTiers() {
+		micro(fmt.Sprintf("gelu %d [%s]", len(geluIn), tier), geluUnder(mat.TierPurego), geluUnder(tier))
+	}
+
+	// --- One leg's rerank: 8 frame-by-frame passes vs one stacked pass ---
+	legFrames := make([]*video.Frame, 8)
+	for i := range legFrames {
+		legFrames[i] = syntheticFrame(i, 2+i%4)
+	}
+	micro("ground leg 8 frames",
+		func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, f := range legFrames {
+					gfModel.GroundFrame(f, gfToks)
+				}
+			}
+		},
+		func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gfModel.GroundFrames(legFrames, gfToks)
+			}
+		})
 
 	// PQ table build + list scan against the seed's [][]float32 layout.
 	pqData := make([]mat.Vec, 256)

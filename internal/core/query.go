@@ -336,12 +336,19 @@ func SelectForRerank(refs []FrameRef, budget int) []FrameRef {
 
 // GroundCandidates runs stage 2 over the given candidate frames: each
 // frame's retained keyframe is grounded against the query by the
-// cross-modality transformer, fanning out across at most workers
-// goroutines. Groundings align with refs. Frames this system does not own
-// (no retained keyframe) come back with Grounds=false, so a scatter-gather
-// engine may safely route only the refs a shard owns. A traced context
-// records one span per grounded frame — the per-frame rerank batches are
-// the dominant cost, so their spans are where a slow stage 2 localises.
+// cross-modality transformer. Groundings align with refs. Frames this
+// system does not own (no retained keyframe) come back with Grounds=false,
+// so a scatter-gather engine may safely route only the refs a shard owns.
+//
+// The owned frames split into at most workers contiguous chunks, and each
+// chunk is one stacked forward pass (xmodal.Model.GroundFrames) on its own
+// goroutine: workers = 1 — what the serving tier asks for whenever other
+// requests are in flight — grounds the whole leg in one pass, while a lone
+// query still spreads over every core. A frame's groundings do not depend
+// on which chunk it lands in, so the result is byte-identical at every
+// width. A traced context records one rerank.stack span per chunk with
+// its frame and region-token counts — the stacked passes are the dominant
+// cost, so their spans are where a slow stage 2 localises.
 func (s *System) GroundCandidates(ctx context.Context, text string, refs []FrameRef, workers int) []Grounding {
 	parsed := query.Parse(text)
 	toks := s.text.Tokens(parsed)
@@ -349,45 +356,52 @@ func (s *System) GroundCandidates(ctx context.Context, text string, refs []Frame
 		workers = s.cfg.Workers
 	}
 	rsp := obs.FromContext(ctx)
-	// Each candidate frame grounds independently, so the transformer
-	// forward passes — the dominant cost of Algorithm 2 — fan out across
-	// the worker pool. Outputs land in a slot indexed by candidate
-	// position, so the result is byte-identical to the serial loop.
 	out := make([]Grounding, len(refs))
-	ParallelFor(len(refs), ResolveWorkers(workers), func(i int) {
-		ref := refs[i]
+	owned := make([]int, 0, len(refs))
+	frames := make([]*video.Frame, 0, len(refs))
+	for i, ref := range refs {
 		out[i].Ref = ref
+		if f, ok := s.Keyframe(ref.VideoID, ref.FrameIdx); ok {
+			owned = append(owned, i)
+			frames = append(frames, f)
+		}
+	}
+	chunks := min(ResolveWorkers(workers), len(frames))
+	ParallelFor(chunks, chunks, func(c int) {
+		lo, hi := c*len(frames)/chunks, (c+1)*len(frames)/chunks
+		var ssp obs.Span
 		if rsp.On() {
-			fsp := rsp.Child("rerank.frame")
-			fsp.Detail(fmt.Sprintf("video=%d frame=%d", ref.VideoID, ref.FrameIdx))
-			defer fsp.End()
+			ssp = rsp.Child("rerank.stack")
+			defer ssp.End()
 		}
-		f, ok := s.Keyframe(ref.VideoID, ref.FrameIdx)
-		if !ok {
-			return
+		grounded, tokens := s.model.GroundFrames(frames[lo:hi], toks)
+		if ssp.On() {
+			ssp.Detail(fmt.Sprintf("frames=%d tokens=%d", hi-lo, tokens))
 		}
-		groundings := s.model.GroundFrame(f, toks)
-		for gi, g := range groundings {
-			// Beyond the best grounding, a frame contributes further
-			// objects only while they form a plateau of near-equal
-			// scores (several pedestrians all walking, both cars of a
-			// side-by-side pair); a clear drop means the remaining
-			// objects don't match and would only inject false
-			// positives.
-			if gi >= 4 || (gi > 0 && g.Score < groundings[gi-1].Score-0.02) {
-				break
+		for j, groundings := range grounded {
+			o := &out[owned[lo+j]]
+			for gi, g := range groundings {
+				// Beyond the best grounding, a frame contributes further
+				// objects only while they form a plateau of near-equal
+				// scores (several pedestrians all walking, both cars of a
+				// side-by-side pair); a clear drop means the remaining
+				// objects don't match and would only inject false
+				// positives.
+				if gi >= 4 || (gi > 0 && g.Score < groundings[gi-1].Score-0.02) {
+					break
+				}
+				o.Objects = append(o.Objects, ResultObject{
+					VideoID:  o.Ref.VideoID,
+					FrameIdx: o.Ref.FrameIdx,
+					Box:      g.Box,
+					Score:    g.Score,
+					PatchID:  o.Ref.PatchID,
+				})
 			}
-			out[i].Objects = append(out[i].Objects, ResultObject{
-				VideoID:  ref.VideoID,
-				FrameIdx: ref.FrameIdx,
-				Box:      g.Box,
-				Score:    g.Score,
-				PatchID:  ref.PatchID,
-			})
-		}
-		if len(groundings) > 0 {
-			out[i].Best = groundings[0].Score
-			out[i].Grounds = true
+			if len(groundings) > 0 {
+				o.Best = groundings[0].Score
+				o.Grounds = true
+			}
 		}
 	})
 	return out

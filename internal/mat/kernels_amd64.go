@@ -23,6 +23,14 @@ func dot4rows(dst []float32, q, block []float32)
 //go:noescape
 func dot8rows(dst []float32, q, block []float32)
 
+// gelu8 is the AVX2 tier of GELU over len(v), a multiple of 8: the
+// portable formula's operation sequence eight lanes at a time,
+// bit-identical to geluGeneric. Callers must check hasAVX2 (GELU's tier
+// dispatch does).
+//
+//go:noescape
+func gelu8(v []float32)
+
 // axpyKernel computes dst[j] += alpha*x[j] over len(dst) elements
 // (len(x) >= len(dst)); bit-identical to axpyGeneric.
 //

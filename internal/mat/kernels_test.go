@@ -310,10 +310,16 @@ func TestScratchOversizedRequests(t *testing.T) {
 	z.Release()
 }
 
+// TestArenaReuseZeroesAndRecycles dirties pooled buffers — one through
+// MatrixUninit, the unzeroed checkout — and checks that Vec and Matrix
+// still hand them back zeroed.
 func TestArenaReuseZeroesAndRecycles(t *testing.T) {
 	ar := GetArena()
 	v := ar.Vec(10)
-	m := ar.Matrix(3, 4)
+	m := ar.MatrixUninit(3, 4)
+	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
+		t.Fatalf("uninit arena matrix %dx%d over %d floats", m.Rows, m.Cols, len(m.Data))
+	}
 	for i := range v {
 		v[i] = 1
 	}

@@ -62,7 +62,11 @@ func classFor(n int) int {
 
 // GetScratch returns a pooled handle whose Buf is a zeroed float32 slice of
 // length n.
-func GetScratch(n int) *Scratch {
+func GetScratch(n int) *Scratch { return getScratch(n, true) }
+
+// getScratch is GetScratch with the zero fill optional: a recycled buffer
+// keeps its previous contents unless zero is set.
+func getScratch(n int, zero bool) *Scratch {
 	c := classFor(n)
 	if c < 0 {
 		return &Scratch{class: -1, Buf: make([]float32, n)}
@@ -71,8 +75,8 @@ func GetScratch(n int) *Scratch {
 	if v := scratchPools[c].Get(); v != nil {
 		s = v.(*Scratch)
 		s.Buf = s.Buf[:n]
-		for i := range s.Buf {
-			s.Buf[i] = 0
+		if zero {
+			clear(s.Buf)
 		}
 	} else {
 		s = &Scratch{class: c, Buf: make([]float32, n, 1<<(c+minClass))}
@@ -107,14 +111,24 @@ func GetArena() *Arena {
 }
 
 // Vec returns a zeroed length-n vector valid until Release.
-func (a *Arena) Vec(n int) Vec {
-	s := GetScratch(n)
+func (a *Arena) Vec(n int) Vec { return a.vec(n, true) }
+
+func (a *Arena) vec(n int, zero bool) Vec {
+	s := getScratch(n, zero)
 	a.held = append(a.held, s)
 	return s.Buf
 }
 
 // Matrix returns a zeroed rows×cols matrix valid until Release.
-func (a *Arena) Matrix(rows, cols int) *Matrix {
+func (a *Arena) Matrix(rows, cols int) *Matrix { return a.matrix(rows, cols, true) }
+
+// MatrixUninit returns a rows×cols matrix valid until Release whose
+// contents are whatever its pooled buffer last held: for a Gemm
+// destination or a copy target the caller overwrites whole, where the
+// zero fill is wasted work.
+func (a *Arena) MatrixUninit(rows, cols int) *Matrix { return a.matrix(rows, cols, false) }
+
+func (a *Arena) matrix(rows, cols int, zero bool) *Matrix {
 	var m *Matrix
 	if a.used < len(a.mats) {
 		m = a.mats[a.used]
@@ -124,7 +138,7 @@ func (a *Arena) Matrix(rows, cols int) *Matrix {
 	}
 	a.used++
 	m.Rows, m.Cols = rows, cols
-	m.Data = a.Vec(rows * cols)
+	m.Data = a.vec(rows*cols, zero)
 	return m
 }
 

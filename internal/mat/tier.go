@@ -20,7 +20,9 @@
 //
 // The same tier selects the GEMM micro-kernel (gemm.go): a 4×16 register
 // tile on avx2, 4×8 on sse2, the AXPY formulation on neon and purego — all
-// bit-identical to the naive increasing-k triple loop.
+// bit-identical to the naive increasing-k triple loop — and GELU's body:
+// eight lanes of the portable formula's exact operation sequence on avx2
+// (gelu_amd64.s), the portable loop everywhere else.
 //
 // The active tier can be pinned with SetKernelTier (the lovod/lovo
 // -kernels flag) or the LOVO_KERNELS environment variable — deployments

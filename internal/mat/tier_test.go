@@ -197,3 +197,48 @@ func TestTopKByteIdenticalAcrossTiers(t *testing.T) {
 		}
 	})
 }
+
+// TestGELUBitIdenticalAcrossTiers holds every tier's GELU to the portable
+// reference loop, bit for bit, at every length 0–300 (the avx2 body plus
+// every tail) and unaligned starts, on normal values, denormals, ±Inf,
+// quiet and signalling NaNs with arbitrary payloads, and raw bit patterns.
+func TestGELUBitIdenticalAcrossTiers(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	hostile := func(n int) Vec {
+		v := specialVec(rng, n)
+		for i := range v {
+			switch rng.Uint64() % 8 {
+			case 0:
+				v[i] = math.Float32frombits(uint32(rng.Uint64())) // raw bits, NaNs included
+			case 1:
+				v[i] = math.Float32frombits(0x7f800001 | uint32(rng.Uint64())&0x803fffff) // signalling NaN
+			case 2:
+				v[i] = float32(rng.NormFloat64() * 12) // both clamp sides
+			}
+		}
+		return v
+	}
+	inputs := []Vec{{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+		7.9053111, -7.9053111, 1e20, -1e20, math.SmallestNonzeroFloat32, -math.MaxFloat32, math.MaxFloat32}}
+	for n := 0; n <= 300; n++ {
+		inputs = append(inputs, hostile(n))
+	}
+	forEachTier(t, func(t *testing.T, tier string) {
+		for _, in := range inputs {
+			for _, off := range []int{0, 1, 3} {
+				if off > len(in) {
+					continue
+				}
+				want := append(Vec(nil), in[off:]...)
+				geluGeneric(want)
+				got := GELU(append(Vec(nil), in[off:]...))
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("len %d offset %d: GELU(%08x)[%d] = %08x, reference %08x",
+							len(in), off, math.Float32bits(in[off+i]), i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	})
+}

@@ -214,14 +214,27 @@ func ReLU(v Vec) Vec {
 // GELU applies the tanh-approximated Gaussian error linear unit
 // 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))) in place and returns v.
 //
-// It is ONE portable float32 formulation — no assembly, no tiers — so it
-// is trivially identical across kernel tiers and architectures: every
+// geluGeneric is the ONE float32 formulation and the reference: every
 // product is wrapped in an explicit float32(...) conversion, which forbids
-// the compiler from fusing it into a multiply-add. The result stays within
-// 1e-6·max(1,|x|) of the float64 evaluation of the same formula (pinned by
-// TestGELUWithinBoundOfFloat64). NaN maps to NaN, +Inf to +Inf, and −Inf —
-// ∞·0, as in the float64 formula — to NaN.
+// the compiler from fusing it into a multiply-add, so it is identical
+// across architectures. The avx2 tier runs the same operation sequence
+// eight lanes at a time (gelu_amd64.s) and is bit-identical to it, NaN
+// included; sse2, neon and purego run the portable loop. The result stays
+// within 1e-6·max(1,|x|) of the float64 evaluation of the same formula
+// (pinned by TestGELUWithinBoundOfFloat64). NaN maps to NaN, +Inf to +Inf,
+// and −Inf — ∞·0, as in the float64 formula — to NaN.
 func GELU(v Vec) Vec {
+	i := 0
+	if activeTier == tidAVX2 {
+		i = len(v) &^ 7
+		gelu8(v[:i])
+	}
+	geluGeneric(v[i:])
+	return v
+}
+
+// geluGeneric is GELU's portable reference loop.
+func geluGeneric(v Vec) {
 	const (
 		c = 0.7978845608028654 // sqrt(2/pi)
 		k = 0.044715
@@ -231,7 +244,6 @@ func GELU(v Vec) Vec {
 		u := float32(c * (x + float32(k*x3)))
 		v[i] = float32(float32(0.5*x) * (1 + tanh32(u)))
 	}
-	return v
 }
 
 // tanh32 approximates tanh(x) to within a few float32 ulps as a clamped

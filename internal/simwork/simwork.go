@@ -36,6 +36,14 @@ func Burn(cost int) {
 	if cost <= 0 {
 		return
 	}
+	sink.Store(math.Float32bits(burnLoop(cost)))
+}
+
+// burnGo is the burn loop in Go: per unit, a serial 64-term product sum
+// added into the accumulator it returns. On amd64 Burn runs burnLoop, the
+// same instructions in assembly (burn_amd64.s), and this is the reference
+// its test compares against.
+func burnGo(cost int) float32 {
 	var acc float32
 	for c := 0; c < cost; c++ {
 		var s float32
@@ -45,5 +53,5 @@ func Burn(cost int) {
 		}
 		acc += s
 	}
-	sink.Store(math.Float32bits(acc))
+	return acc
 }

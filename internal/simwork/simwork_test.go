@@ -1,6 +1,7 @@
 package simwork
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -48,5 +49,28 @@ func TestBurnConcurrent(t *testing.T) {
 	}
 	if Sink() == 0 {
 		t.Fatal("concurrent Burn must still accumulate")
+	}
+}
+
+// TestBurnLoopMatchesGo holds the loop Burn runs (assembly on amd64) to the
+// Go loop, bit for bit on the accumulation Sink reports.
+func TestBurnLoopMatchesGo(t *testing.T) {
+	for _, cost := range []int{1, 2, 7, 64, 1000, 16 * 9 * 220} {
+		want := burnGo(cost)
+		if got := burnLoop(cost); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("burnLoop(%d) = %v, Go loop %v", cost, got, want)
+		}
+		Burn(cost)
+		if got := Sink(); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("Burn(%d) left Sink() = %v, Go loop %v", cost, got, want)
+		}
+	}
+}
+
+// BenchmarkBurn measures one keyframe's modelled ViT cost: 16×9 patches at
+// vit's default EncodeCost of 220 units each.
+func BenchmarkBurn(b *testing.B) {
+	for n := 0; n < b.N; n++ {
+		Burn(16 * 9 * 220)
 	}
 }

@@ -1,7 +1,9 @@
 package xmodal
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sort"
 	"testing"
@@ -109,25 +111,56 @@ func mhaCopiedHeads(m *mha, a, b *mat.Matrix) *mat.Matrix {
 	return mat.MatMul(concat, m.wo)
 }
 
+// TestMHAStridedViewsMatchCopiedHeads holds the stacked attention block to
+// the copied-head reference, bit for bit on every kernel path: each shape
+// alone, then every shape as one frame of a single stack, where each
+// frame's output rows must still be its own reference — attention is
+// block-diagonal, and the shared projections add rows, never bits.
 func TestMHAStridedViewsMatchCopiedHeads(t *testing.T) {
 	m := newMHA(64, 4, 0.02, 9)
+	shapes := [][2]int{{1, 1}, {5, 3}, {3, 5}, {8, 48}, {48, 8}, {47, 9}}
+	sameBits := func(path, what string, got []float32, want *mat.Matrix) {
+		t.Helper()
+		if len(got) != len(want.Data) {
+			t.Fatalf("%s %s: %d floats, copied-head reference %d", path, what, len(got), len(want.Data))
+		}
+		for i := range want.Data {
+			if math.Float32bits(got[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s %s: element %d = %x, copied-head reference %x", path, what, i,
+					math.Float32bits(got[i]), math.Float32bits(want.Data[i]))
+			}
+		}
+	}
 	underEachKernelPath(t, func(path string) {
-		for _, sh := range [][2]int{{1, 1}, {5, 3}, {3, 5}, {8, 48}, {48, 8}, {47, 9}} {
+		var as, bs []seg
+		var stackA, stackB []mat.Vec
+		var wants []*mat.Matrix
+		for _, sh := range shapes {
 			a := mat.RandGaussian(sh[0], 64, 1, uint64(sh[0]))
 			b := mat.RandGaussian(sh[1], 64, 1, uint64(100+sh[1]))
-			ar := mat.GetArena()
-			got := m.apply(ar, a, b)
 			want := mhaCopiedHeads(m, a, b)
+			ar := mat.GetArena()
+			got := m.apply(ar, a, []seg{{0, a.Rows}}, b, []seg{{0, b.Rows}})
 			if got.Rows != want.Rows || got.Cols != want.Cols {
 				t.Fatalf("%s %v: shape %dx%d, want %dx%d", path, sh, got.Rows, got.Cols, want.Rows, want.Cols)
 			}
-			for i := range want.Data {
-				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("%s %v: element %d = %x, copied-head reference %x", path, sh, i,
-						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
-				}
-			}
+			sameBits(path, fmt.Sprint(sh), got.Data, want)
 			ar.Release()
+			as = append(as, seg{len(stackA), a.Rows})
+			bs = append(bs, seg{len(stackB), b.Rows})
+			for i := 0; i < a.Rows; i++ {
+				stackA = append(stackA, a.Row(i))
+			}
+			for i := 0; i < b.Rows; i++ {
+				stackB = append(stackB, b.Row(i))
+			}
+			wants = append(wants, want)
+		}
+		ar := mat.GetArena()
+		defer ar.Release()
+		got := m.apply(ar, mat.FromRows(stackA), as, mat.FromRows(stackB), bs)
+		for f, s := range as {
+			sameBits(path, fmt.Sprintf("stacked frame %d %v", f, shapes[f]), got.Data[s.off*64:(s.off+s.n)*64], wants[f])
 		}
 	})
 }
@@ -252,5 +285,152 @@ func TestGroundFrameAllocs(t *testing.T) {
 	model.GroundFrame(f, toks) // warm the pools
 	if n := testing.AllocsPerRun(20, func() { model.GroundFrame(f, toks) }); n > 93 {
 		t.Fatalf("GroundFrame made %v allocations per frame, want at most 93 (half of 186)", n)
+	}
+}
+
+// stackLegs cuts keyframes of two datasets into legs of up to 8, the way a
+// worker's stage 2 receives them, and salts them with the edge cases a
+// stack must absorb: frames with no objects (no region tokens, no rows),
+// a frame repeated within one leg, and a leg of one.
+func stackLegs() [][]*video.Frame {
+	dcfg := datasets.Config{Seed: 3, Scale: 0.05}
+	var frames []*video.Frame
+	for _, ds := range []*datasets.Dataset{datasets.Bellevue(dcfg), datasets.Beach(dcfg)} {
+		for vi := range ds.Videos {
+			v := &ds.Videos[vi]
+			for fi := 0; fi < len(v.Frames); fi += 11 {
+				frames = append(frames, &v.Frames[fi])
+			}
+		}
+	}
+	empty := &video.Frame{VideoID: 1, Index: 5}
+	var legs [][]*video.Frame
+	for i := 0; i < len(frames); i += 8 {
+		leg := append([]*video.Frame(nil), frames[i:min(i+8, len(frames))]...)
+		switch len(legs) % 4 {
+		case 0:
+			leg = append([]*video.Frame{empty}, leg...)
+		case 1:
+			leg = append(leg, empty, leg[0])
+		case 2:
+			leg = leg[:1]
+		}
+		legs = append(legs, leg)
+	}
+	return append(legs, []*video.Frame{empty, empty}, nil)
+}
+
+// TestGroundFramesMatchesStacksOfOne pins the stacked pass to per-frame
+// grounding, bit for bit on every kernel path: every frame of every leg
+// gets exactly what GroundFrame gives it alone, and the stack's token
+// count is the sum of its frames'.
+func TestGroundFramesMatchesStacksOfOne(t *testing.T) {
+	model, te := testModel()
+	legs := stackLegs()
+	texts := []string{
+		"A red car side by side with another car, both positioned in the center of the road.",
+		"A person walking on the street.",
+		"A white dog inside a car, next to a woman wearing black clothes.",
+	}
+	underEachKernelPath(t, func(path string) {
+		for _, text := range texts {
+			qt := toks(te, text)
+			for li, leg := range legs {
+				got, tokens := model.GroundFrames(leg, qt)
+				if len(got) != len(leg) {
+					t.Fatalf("%s leg %d: %d results for %d frames", path, li, len(got), len(leg))
+				}
+				var wantTokens int
+				for i, f := range leg {
+					alone, n := model.GroundFrames([]*video.Frame{f}, qt)
+					wantTokens += n
+					if !sameGroundings(got[i], alone[0]) || (got[i] == nil) != (alone[0] == nil) {
+						t.Fatalf("%s %q leg %d frame %d: stacked %v, alone %v", path, text, li, i, got[i], alone[0])
+					}
+					if len(f.Objects) == 0 && got[i] != nil {
+						t.Fatalf("%s leg %d frame %d: object-free frame grounded %v", path, li, i, got[i])
+					}
+				}
+				if tokens != wantTokens {
+					t.Fatalf("%s leg %d: stack of %d region tokens, frames alone hold %d", path, li, tokens, wantTokens)
+				}
+			}
+		}
+		got, tokens := model.GroundFrames(legs[0], nil)
+		if len(got) != len(legs[0]) || tokens != 0 {
+			t.Fatalf("%s: empty query grounded %d frames, %d tokens", path, len(got), tokens)
+		}
+		for i, g := range got {
+			if g != nil {
+				t.Fatalf("%s: empty query grounded frame %d: %v", path, i, g)
+			}
+		}
+	})
+}
+
+// TestGroundFramesAllocs bounds one stacked pass over a leg of 8: what
+// remains is each object's term and neighbour lists plus one result
+// slice and one backing array for the whole leg (163 measured), fewer
+// than grounding the same frames one at a time (177).
+func TestGroundFramesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	model, frames, toks := benchLeg()
+	model.GroundFrames(frames, toks) // warm the pools
+	stacked := testing.AllocsPerRun(10, func() { model.GroundFrames(frames, toks) })
+	byFrame := testing.AllocsPerRun(10, func() {
+		for _, f := range frames {
+			model.GroundFrame(f, toks)
+		}
+	})
+	if stacked > 170 || stacked >= byFrame {
+		t.Fatalf("GroundFrames made %v allocations per leg of %d, want at most 170 and fewer than frame by frame (%v)",
+			stacked, len(frames), byFrame)
+	}
+}
+
+// TestResidualLNMatchesUnfused holds the fused residual layer norm to the
+// three passes it replaced — scale delta by the gate, add it, then
+// mat.LayerNorm every row — bit for bit, at row counts that exercise the
+// four-row and single-row paths, on normal values salted with denormals,
+// ±Inf and NaN.
+func TestResidualLNMatchesUnfused(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	salt := func(m *mat.Matrix) {
+		for i := range m.Data {
+			switch rng.IntN(40) {
+			case 0:
+				m.Data[i] = math.Float32frombits(rng.Uint32() & 0x7fffff)
+			case 1:
+				m.Data[i] = float32(math.Inf(1 - 2*rng.IntN(2)))
+			case 2:
+				m.Data[i] = float32(math.NaN())
+			}
+		}
+	}
+	for rows := 0; rows <= 9; rows++ {
+		for _, cols := range []int{1, 3, 64} {
+			x := mat.RandGaussian(rows, cols, 1, uint64(rows*100+cols))
+			d := mat.RandGaussian(rows, cols, 3, uint64(rows*100+cols+1))
+			if rows%3 == 2 {
+				salt(x)
+				salt(d)
+			}
+			want, scaled := x.Clone(), d.Clone()
+			scaled.ScaleInPlace(attnGate)
+			want.AddInPlace(scaled)
+			for r := 0; r < rows; r++ {
+				mat.LayerNorm(want.Row(r), nil, nil)
+			}
+			got := x.Clone()
+			residualLN(got, d, attnGate)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%dx%d: element %d = %08x, unfused %08x", rows, cols, i,
+						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
+			}
+		}
 	}
 }

@@ -133,15 +133,18 @@ type regionTok struct {
 	weight float32
 }
 
-// groundScratch is GroundFrame's per-call bookkeeping that is not float32
-// data (that lives in the mat.Arena): the frame's token list, the
-// per-object and per-term marks, and ONE noise generator re-seeded in
-// place for every token — rand.New(rand.NewPCG(a, b)) per token draws the
-// same stream and costs two heap objects each time.
+// groundScratch is GroundFrames' per-call bookkeeping that is not float32
+// data (that lives in the mat.Arena): the stack's token list, each
+// grounded frame's index and row segment, the per-object and per-term
+// marks, and ONE noise generator re-seeded in place for every token —
+// rand.New(rand.NewPCG(a, b)) per token draws the same stream and costs
+// two heap objects each time.
 type groundScratch struct {
 	pcg    rand.PCG
 	rng    *rand.Rand // over pcg
 	toks   []regionTok
+	frames []int // index into GroundFrames' frames, per stacked frame
+	is, ts []seg // region and text rows, per stacked frame
 	seen   []bool
 	seenNb map[string]bool
 }
@@ -252,53 +255,85 @@ func isRelationTerm(term string) bool {
 }
 
 // GroundFrame scores every object of the frame against the query tokens and
-// returns groundings sorted by descending score.
+// returns groundings sorted by descending score. It is GroundFrames of
+// one frame.
+func (m *Model) GroundFrame(f *video.Frame, toks []embed.Token) []Grounding {
+	gs, _ := m.GroundFrames([]*video.Frame{f}, toks)
+	return gs[0]
+}
+
+// GroundFrames grounds a leg's candidate frames against the query tokens in
+// one stacked forward pass and returns, per frame, its groundings sorted by
+// descending score (nil for a frame with no objects, or for every frame
+// when toks is empty), plus the number of region tokens the stack held.
+// Every frame's groundings are bit-identical to GroundFrame's on that
+// frame alone.
 //
 // This is stage 2 of Algorithm 2: region and text tokens pass through the
 // feature-enhancer's bidirectional cross-attention and the decoder, then
 // each object scores as the mean over text tokens of its best-aligned
 // region token — every query term must find visual support, so missing
-// attributes or relations depress the score.
-func (m *Model) GroundFrame(f *video.Frame, toks []embed.Token) []Grounding {
-	if len(toks) == 0 || len(f.Objects) == 0 {
-		return nil
+// attributes or relations depress the score. All frames' region tokens
+// form one matrix, a row segment per frame, so the per-token maps
+// (projections, feed-forward blocks, residual layer norms) run once over
+// the stack while attention stays within each frame (enhancerLayer.apply).
+func (m *Model) GroundFrames(frames []*video.Frame, toks []embed.Token) (out [][]Grounding, tokens int) {
+	out = make([][]Grounding, len(frames))
+	if len(toks) == 0 {
+		return out, 0
 	}
 	// Every temporary of the forward pass — region tokens, layer
 	// activations, attention scores, the similarity matrix — shares the
-	// frame's lifetime, so one arena serves the whole grounding and the
+	// stack's lifetime, so one arena serves the whole pass and the
 	// steady-state rerank stops allocating.
 	ar := mat.GetArena()
 	defer ar.Release()
 
-	// Assemble the frame's region-token matrix with object attribution
-	// and per-token evidence weights.
+	// Assemble the stack's region-token matrix with object attribution
+	// and per-token evidence weights; a frame without tokens grounds
+	// nothing and takes no rows.
 	sc := groundScratchPool.Get().(*groundScratch)
 	defer groundScratchPool.Put(sc)
-	sc.toks = sc.toks[:0]
-	for i := range f.Objects {
-		m.regionTokens(ar, sc, f, i)
+	sc.toks, sc.frames, sc.is, sc.ts = sc.toks[:0], sc.frames[:0], sc.is[:0], sc.ts[:0]
+	nObjs, maxObj := 0, 0
+	for fi, f := range frames {
+		off := len(sc.toks)
+		for i := range f.Objects {
+			m.regionTokens(ar, sc, f, i)
+		}
+		if n := len(sc.toks) - off; n > 0 {
+			sc.frames = append(sc.frames, fi)
+			sc.is = append(sc.is, seg{off, n})
+			sc.ts = append(sc.ts, seg{0, len(toks)}) // the shared raw text
+			nObjs += len(f.Objects)
+			maxObj = max(maxObj, len(f.Objects))
+		}
 	}
 	rtoks := sc.toks
 	if len(rtoks) == 0 {
-		return nil
+		return out, 0
 	}
-	xi := ar.Matrix(len(rtoks), m.space.Dim)
+	dim := m.space.Dim
+	xi := ar.MatrixUninit(len(rtoks), dim)
 	for i, rt := range rtoks {
 		copy(xi.Row(i), rt.vec)
 	}
 	tweights := ar.Vec(len(toks))
 	primaryIdx := firstClassIdx(toks)
-	xt := ar.Matrix(len(toks), m.space.Dim)
+	xt := ar.MatrixUninit(len(toks), dim)
 	for i, t := range toks {
 		copy(xt.Row(i), t.Vec)
 		tweights[i] = textTokenWeight(t.Kind, i == primaryIdx)
 	}
 
-	for _, l := range m.enhancer {
-		xi, xt = l.apply(ar, xi, xt)
-	}
-	for _, l := range m.decoder {
-		xi, xt = l.apply(ar, xi, xt)
+	is, ts := sc.is, sc.ts
+	for _, layers := range [2][]*enhancerLayer{m.enhancer, m.decoder} {
+		for _, l := range layers {
+			xt = l.apply(ar, xi, is, xt, ts)
+			for f := range ts { // the text side is per frame from the first layer on
+				ts[f] = seg{f * len(toks), len(toks)}
+			}
+		}
 	}
 
 	// Per-object MaxSim aggregation over the enhanced features, on
@@ -310,73 +345,89 @@ func (m *Model) GroundFrame(f *video.Frame, toks []embed.Token) []Grounding {
 	for i := 0; i < xt.Rows; i++ {
 		mat.Normalize(xt.Row(i))
 	}
-	sim := mat.MatMulTInto(ar.Matrix(xt.Rows, xi.Rows), xt, xi) // (text tokens) × (region tokens)
-	nObj := len(f.Objects)
-	scores := ar.Vec(nObj)
-	wsums := ar.Vec(nObj)
-	primaryBest := ar.Vec(nObj)
-	best := ar.Vec(nObj)
-	sc.seen = append(sc.seen[:0], make([]bool, nObj)...)
-	seen := sc.seen
-	for ti := 0; ti < sim.Rows; ti++ {
-		row := sim.Row(ti)
-		for o := 0; o < nObj; o++ {
-			best[o] = 0
-			seen[o] = false
+	sim := ar.MatrixUninit(len(toks), xi.Rows).Data
+	scores := ar.Vec(maxObj)
+	wsums := ar.Vec(maxObj)
+	primaryBest := ar.Vec(maxObj)
+	best := ar.Vec(maxObj)
+	sc.seen = append(sc.seen[:0], make([]bool, maxObj)...)
+	// One backing array holds every frame's groundings.
+	all := make([]Grounding, 0, nObjs)
+	for sf, fi := range sc.frames {
+		f, si, st := frames[fi], is[sf], ts[sf]
+		ftoks := rtoks[si.off : si.off+si.n]
+		nObj := len(f.Objects)
+		// (text tokens) × (region tokens) cosine similarities
+		fsim := sim[:st.n*si.n]
+		for ti := 0; ti < st.n; ti++ {
+			mat.ScoreRows(fsim[ti*si.n:(ti+1)*si.n], xt.Row(st.off+ti), xi.Data[si.off*dim:(si.off+si.n)*dim], dim)
 		}
-		for ri, s := range row {
-			s *= rtoks[ri].weight
-			o := rtoks[ri].owner
-			if !seen[o] || s > best[o] {
-				best[o], seen[o] = s, true
+		clear(scores[:nObj])
+		clear(wsums[:nObj])
+		clear(primaryBest[:nObj])
+		seen := sc.seen[:nObj]
+		for ti := 0; ti < st.n; ti++ {
+			row := fsim[ti*si.n : (ti+1)*si.n]
+			for o := 0; o < nObj; o++ {
+				best[o] = 0
+				seen[o] = false
 			}
-		}
-		tw := tweights[ti]
-		for o := 0; o < nObj; o++ {
-			if seen[o] {
-				//lovo:kernel-ok fixed-order per-object gather over terms, not a dot-product reduction; term order is the slice order, already deterministic
-				scores[o] += float32(tw * best[o]) // rounded product: no FMA contraction on arm64
-				wsums[o] += tw
-				if ti == primaryIdx {
-					primaryBest[o] = best[o]
+			for ri, s := range row {
+				s *= ftoks[ri].weight
+				o := ftoks[ri].owner
+				if !seen[o] || s > best[o] {
+					best[o], seen[o] = s, true
+				}
+			}
+			tw := tweights[ti]
+			for o := 0; o < nObj; o++ {
+				if seen[o] {
+					//lovo:kernel-ok fixed-order per-object gather over terms, not a dot-product reduction; term order is the slice order, already deterministic
+					scores[o] += float32(tw * best[o]) // rounded product: no FMA contraction on arm64
+					wsums[o] += tw
+					if ti == primaryIdx {
+						primaryBest[o] = best[o]
+					}
 				}
 			}
 		}
-	}
-	out := make([]Grounding, 0, nObj)
-	for o := 0; o < nObj; o++ {
-		if wsums[o] == 0 {
-			continue
-		}
-		score := scores[o] / wsums[o]
-		// Head-noun anchoring: an object whose own evidence for the
-		// query's primary subject is weak (neighbour-level at best) is
-		// a poor grounding however well its other terms align — the
-		// woman next to the white dog is not the dog.
-		if primaryIdx >= 0 {
-			if factor := primaryBest[o] / 0.85; factor < 1 {
-				if factor < 0 {
-					factor = 0
+		start := len(all)
+		for o := 0; o < nObj; o++ {
+			if wsums[o] == 0 {
+				continue
+			}
+			score := scores[o] / wsums[o]
+			// Head-noun anchoring: an object whose own evidence for the
+			// query's primary subject is weak (neighbour-level at best) is
+			// a poor grounding however well its other terms align — the
+			// woman next to the white dog is not the dog.
+			if primaryIdx >= 0 {
+				if factor := primaryBest[o] / 0.85; factor < 1 {
+					if factor < 0 {
+						factor = 0
+					}
+					score *= factor
 				}
-				score *= factor
+			}
+			all = append(all, Grounding{
+				ObjectIdx: o,
+				Box:       f.Objects[o].Box,
+				Score:     score,
+			})
+		}
+		g := all[start:len(all):len(all)]
+		// Sort descending, deterministic tie-break on object index.
+		for i := 0; i < len(g); i++ {
+			for j := i + 1; j < len(g); j++ {
+				if g[j].Score > g[i].Score ||
+					(g[j].Score == g[i].Score && g[j].ObjectIdx < g[i].ObjectIdx) {
+					g[i], g[j] = g[j], g[i]
+				}
 			}
 		}
-		out = append(out, Grounding{
-			ObjectIdx: o,
-			Box:       f.Objects[o].Box,
-			Score:     score,
-		})
+		out[fi] = g
 	}
-	// Sort descending, deterministic tie-break on object index.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Score > out[i].Score ||
-				(out[j].Score == out[i].Score && out[j].ObjectIdx < out[i].ObjectIdx) {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
+	return out, len(rtoks)
 }
 
 // TokenWork estimates the attention work (token-pair products) GroundFrame

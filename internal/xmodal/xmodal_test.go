@@ -24,7 +24,7 @@ func TestMHAShapePreserved(t *testing.T) {
 	b := mat.RandGaussian(3, 64, 1, 3)
 	ar := mat.GetArena()
 	defer ar.Release()
-	out := m.apply(ar, a, b)
+	out := m.apply(ar, a, []seg{{0, 5}}, b, []seg{{0, 3}})
 	if out.Rows != 5 || out.Cols != 64 {
 		t.Fatalf("shape %dx%d", out.Rows, out.Cols)
 	}
@@ -40,8 +40,8 @@ func TestEnhancerPreservesSignal(t *testing.T) {
 	xt := mat.FromRows([]mat.Vec{mat.Clone(car)})
 	ar := mat.GetArena()
 	defer ar.Release()
-	xi2, _ := l.apply(ar, xi, xt)
-	outRow := mat.Normalized(xi2.Row(0))
+	l.apply(ar, xi, []seg{{0, 1}}, xt, []seg{{0, 1}})
+	outRow := mat.Normalized(xi.Row(0))
 	if mat.Dot(outRow, car) <= mat.Dot(outRow, dog) {
 		t.Fatal("enhanced token lost its identity")
 	}
