@@ -1,6 +1,7 @@
 package ann_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -318,6 +319,44 @@ func TestTopKBatchMatchesTopK(t *testing.T) {
 	}
 }
 
+// TestTopKSelectionMatchesHeap: the exact scan's buffered selection keeps
+// exactly the canonical top-k a mat.TopK heap retains, bit for bit, at every
+// depth around the store size and every batch width a serving batch uses.
+// Rows repeat a handful of vectors under shuffled ids (and one query is
+// zero), so most scores tie and the id tie-break decides the cut.
+func TestTopKSelectionMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 29))
+	for _, n := range []int{1, 2, 9, 64, mat.ScanBlock + 3, 700} {
+		distinct := make([]mat.Vec, 1+n/8)
+		for i := range distinct {
+			distinct[i] = mat.UnitGaussianVec(dim, uint64(n*1000+i))
+		}
+		ids := make([]int64, n)
+		vecs := make([]mat.Vec, n)
+		for i, p := range rng.Perm(n) {
+			ids[i] = int64(p)*7919 - 3*int64(n)
+			vecs[i] = distinct[rng.IntN(len(distinct))]
+		}
+		rows := rowsOf(t, ids, vecs)
+		for _, k := range []int{1, max(n/7, 1), max(n-1, 1), n, n + 1, 3 * n} {
+			for width := 1; width <= 9; width++ {
+				qs := make([]mat.Vec, width)
+				for j := range qs {
+					qs[j] = mat.UnitGaussianVec(dim, uint64(7*n+31*k+j))
+				}
+				qs[width-1] = mat.NewVec(dim)
+				for j, got := range rows.TopKBatch(qs, k) {
+					heap := mat.NewTopK(k)
+					for i := range ids {
+						heap.Push(ids[i], mat.Dot(qs[j], vecs[i]))
+					}
+					sameResults(t, fmt.Sprintf("n=%d k=%d width=%d query %d", n, k, width, j), heap.Sorted(), got)
+				}
+			}
+		}
+	}
+}
+
 // TestTopKBatchBeatsLoneScans is CI's bench-smoke gate: one TopKBatch sweep
 // at Q=8 over rows that outgrow the cache must outrun 8 lone TopK scans of
 // the same rows. It measures, so it only runs when LOVO_BENCH_SMOKE=1 (a
@@ -393,5 +432,23 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := ivfpq.Build(ann.NewRows(dim), ivfpq.Config{}); err == nil {
 		t.Fatal("empty ivfpq build must error")
+	}
+}
+
+// BenchmarkRowsTopKBatch is one stage-1 leg of a serving batch: Q = 8
+// exhaustive queries at depth k = 100 over 9k rows of dimension 32.
+func BenchmarkRowsTopKBatch(b *testing.B) {
+	const n, qn, k = 9000, 8, 100
+	rows := ann.NewRows(dim)
+	for i := 0; i < n; i++ {
+		rows.Append(int64(i), mat.UnitGaussianVec(dim, uint64(i)))
+	}
+	qs := make([]mat.Vec, qn)
+	for j := range qs {
+		qs[j] = mat.UnitGaussianVec(dim, uint64(n+j))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rows.TopKBatch(qs, k)
 	}
 }

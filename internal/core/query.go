@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/relational"
 	"repro/internal/video"
 )
 
@@ -150,24 +152,32 @@ func (p Plan) annParams() ann.Params {
 	}
 }
 
-// joinHits resolves fast-search hits against the relational store into
-// canonical ResultObjects, preserving hit order.
-func (s *System) joinHits(hits []mat.Scored) ([]ResultObject, error) {
-	objects := make([]ResultObject, 0, len(hits))
-	for _, h := range hits {
-		row, err := s.patches.Get(h.ID)
-		if err != nil {
-			return nil, fmt.Errorf("core: metadata join for patch %d: %w", h.ID, err)
+// joinHits resolves each query's fast-search hits against the relational
+// store into canonical ResultObjects, preserving hit order. The whole leg
+// reads under one read lock and never copies a row.
+func (s *System) joinHits(lists [][]mat.Scored) ([][]ResultObject, error) {
+	out := make([][]ResultObject, len(lists))
+	err := s.patches.View(func(get func(int64) (relational.Row, bool)) error {
+		for i, hits := range lists {
+			objects := make([]ResultObject, len(hits))
+			for j, h := range hits {
+				row, ok := get(h.ID)
+				if !ok {
+					return fmt.Errorf("core: metadata join for patch %d: %w: key %d", h.ID, relational.ErrNotFound, h.ID)
+				}
+				objects[j] = ResultObject{
+					VideoID:  int(row[1].(int64)),
+					FrameIdx: int(row[2].(int64)),
+					Box:      video.Box{X: row[4].(float64), Y: row[5].(float64), W: row[6].(float64), H: row[7].(float64)},
+					Score:    h.Score,
+					PatchID:  h.ID,
+				}
+			}
+			out[i] = objects
 		}
-		objects = append(objects, ResultObject{
-			VideoID:  int(row[1].(int64)),
-			FrameIdx: int(row[2].(int64)),
-			Box:      video.Box{X: row[4].(float64), Y: row[5].(float64), W: row[6].(float64), H: row[7].(float64)},
-			Score:    h.Score,
-			PatchID:  h.ID,
-		})
-	}
-	return objects, nil
+		return nil
+	})
+	return out, err
 }
 
 // SearchPlannedBatch runs stage 1 of Algorithm 2 for many (text, plan)
@@ -242,12 +252,12 @@ func (s *System) SearchPlannedBatch(ctx context.Context, texts []string, plans [
 	// The shared sweep has no per-query attribution; report the batch
 	// stage-1 wall time on every query, which is what the caller actually
 	// waited for.
-	for i, hits := range allHits {
-		objects, err := s.joinHits(hits)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = &FastHits{Objects: objects, Elapsed: elapsed}
+	objects, err := s.joinHits(allHits)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i] = &FastHits{Objects: objects[i], Elapsed: elapsed}
 	}
 	return out, nil
 }
@@ -267,11 +277,8 @@ func MergeHits(lists [][]ResultObject, fastK int) []ResultObject {
 	for _, l := range lists {
 		merged = append(merged, l...)
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score > merged[j].Score
-		}
-		return merged[i].PatchID < merged[j].PatchID
+	slices.SortFunc(merged, func(a, b ResultObject) int {
+		return mat.Canonical(mat.Scored{ID: a.PatchID, Score: a.Score}, mat.Scored{ID: b.PatchID, Score: b.Score})
 	})
 	if fastK > 0 && len(merged) > fastK {
 		merged = merged[:fastK]

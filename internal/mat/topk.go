@@ -1,6 +1,9 @@
 package mat
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Scored pairs an item identifier with a similarity score. Higher scores are
 // better throughout the repository (vectors are unit-normalised so inner
@@ -32,6 +35,10 @@ func worse(a, b Scored) bool {
 	}
 	return a.ID > b.ID
 }
+
+// Before reports whether a ranks strictly before b in the canonical order:
+// the heap's predicate, for selections that keep the same top k.
+func Before(a, b Scored) bool { return worse(b, a) }
 
 // NewTopK returns a collector retaining the k best items. k must be > 0.
 func NewTopK(k int) *TopK {
@@ -118,24 +125,25 @@ func (t *TopK) siftDown(i int) {
 // Sorted returns the retained items in descending score order, breaking ties
 // by ascending ID for determinism. The collector remains usable afterwards.
 func (t *TopK) Sorted() []Scored {
-	out := make([]Scored, len(t.heap))
-	copy(out, t.heap)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
+	out := slices.Clone(t.heap)
+	slices.SortFunc(out, Canonical)
 	return out
 }
 
 // SortScoredDesc sorts a slice of Scored in descending score order with
 // ascending-ID tie-break, in place.
-func SortScoredDesc(s []Scored) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Score != s[j].Score {
-			return s[i].Score > s[j].Score
-		}
-		return s[i].ID < s[j].ID
-	})
+func SortScoredDesc(s []Scored) { slices.SortFunc(s, Canonical) }
+
+// Canonical is the canonical order as a slices.SortFunc comparator:
+// negative when a ranks before b (higher score, or equal score and lower
+// ID). It is total over distinct IDs, so any sort under it is stable in
+// effect and every algorithm yields the same bits.
+func Canonical(a, b Scored) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }

@@ -11,6 +11,7 @@
 package query
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/vocab"
@@ -68,18 +69,55 @@ var stopwords = map[string]bool{
 	"colored": true, "her": true, "his": true, "positioned": true,
 }
 
+// phrase is one multi-word surface form split into its words, with the
+// term it resolves to.
+type phrase struct {
+	words []string
+	term  vocab.Term
+}
+
+// phrasesByFirst is the greedy matcher's table, built once from the static
+// vocabulary: every resolvable phrase of vocab.Phrases() under its first
+// word, each list in vocab's longest-first order. Only phrases starting
+// with the token at hand can match there, so the first hit in its list is
+// the first hit in the whole longest-first list — the maximal match.
+var phrasesByFirst = buildPhraseTable()
+
+func buildPhraseTable() map[string][]phrase {
+	table := make(map[string][]phrase)
+	for _, ph := range vocab.Phrases() {
+		t, ok := vocab.Lookup(ph)
+		if !ok {
+			continue
+		}
+		words := strings.Split(ph, " ")
+		table[words[0]] = append(table[words[0]], phrase{words: words, term: t})
+	}
+	return table
+}
+
+// matchPhrase returns the longest phrase that tokens start with, or nil.
+func matchPhrase(tokens []string) *phrase {
+	list := phrasesByFirst[tokens[0]]
+	for i := range list {
+		ph := &list[i]
+		if len(ph.words) <= len(tokens) && slices.Equal(ph.words[1:], tokens[1:len(ph.words)]) {
+			return ph
+		}
+	}
+	return nil
+}
+
 // Parse analyses a query string. Unknown tokens are ignored; an empty query
 // yields an empty Parsed.
 func Parse(raw string) Parsed {
 	p := Parsed{Raw: raw}
-	tokens := tokenize(raw)
-	seen := make(map[string]bool)
-
 	add := func(t vocab.Term) {
-		if seen[t.Name] {
-			return
+		for _, have := range p.Terms {
+			if have.Name == t.Name {
+				return
+			}
 		}
-		seen[t.Name] = true
 		p.Terms = append(p.Terms, t)
 		switch t.Kind {
 		case vocab.KindClass:
@@ -93,33 +131,12 @@ func Parse(raw string) Parsed {
 		}
 	}
 
-	phrases := vocab.Phrases()
+	tokens := tokenize(raw)
 	for i := 0; i < len(tokens); {
-		matched := false
-		// Greedy longest-phrase match at position i. Phrases() is
-		// sorted longest-first, so the first hit is maximal.
-		for _, ph := range phrases {
-			words := strings.Split(ph, " ")
-			if i+len(words) > len(tokens) {
-				continue
-			}
-			ok := true
-			for j, w := range words {
-				if tokens[i+j] != w {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if t, found := vocab.Lookup(ph); found {
-					add(t)
-					i += len(words)
-					matched = true
-					break
-				}
-			}
-		}
-		if matched {
+		// Greedy longest-phrase match at position i.
+		if ph := matchPhrase(tokens[i:]); ph != nil {
+			add(ph.term)
+			i += len(ph.words)
 			continue
 		}
 		if !stopwords[tokens[i]] {

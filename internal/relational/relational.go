@@ -234,6 +234,22 @@ func (t *Table) Get(key int64) (Row, error) {
 	return out, nil
 }
 
+// View runs fn under one read lock, handing it get: a point lookup that
+// returns the stored row itself rather than a copy, for joins that read many
+// rows at once. Rows from get are valid only until fn returns and must not
+// be modified; fn must not call back into the table's writers.
+func (t *Table) View(fn func(get func(key int64) (Row, bool)) error) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return fn(t.stored)
+}
+
+// stored is View's lookup; the caller holds the read lock.
+func (t *Table) stored(key int64) (Row, bool) {
+	row, ok := t.rows[key]
+	return row, ok
+}
+
 // CreateIndex builds a secondary hash index on a column; existing rows are
 // indexed immediately.
 func (t *Table) CreateIndex(column string) error {

@@ -84,6 +84,42 @@ func TestInsertAndGet(t *testing.T) {
 	}
 }
 
+// TestViewReadsStoredRows: View's lookup sees every inserted row without a
+// copy (a join reads many rows under one lock), reports misses, passes
+// fn's error through, and leaves the table writable once fn returns.
+func TestViewReadsStoredRows(t *testing.T) {
+	tbl := newPatchTable(t)
+	for i := int64(1); i <= 3; i++ {
+		if err := tbl.Insert(Row{i, 10 * i, int64(5), 0.25, "car"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := errors.New("stop")
+	err := tbl.View(func(get func(int64) (Row, bool)) error {
+		for i := int64(1); i <= 3; i++ {
+			row, ok := get(i)
+			if !ok || row[1].(int64) != 10*i {
+				t.Fatalf("get(%d) = %v, %v", i, row, ok)
+			}
+		}
+		a, _ := get(2)
+		b, _ := get(2)
+		if &a[0] != &b[0] {
+			t.Fatal("View must hand out the stored row, not a copy")
+		}
+		if _, ok := get(99); ok {
+			t.Fatal("get of a missing key reported a row")
+		}
+		return stop
+	})
+	if err != stop {
+		t.Fatalf("View returned %v, want fn's error", err)
+	}
+	if err := tbl.Insert(Row{int64(4), int64(40), int64(5), 0.5, "bus"}); err != nil {
+		t.Fatalf("insert after View: %v", err)
+	}
+}
+
 func TestInsertValidation(t *testing.T) {
 	tbl := newPatchTable(t)
 	if err := tbl.Insert(Row{int64(1)}); !errors.Is(err, ErrTypeMismatch) {

@@ -384,8 +384,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if out := s.serve(w, r, []string{req.Query}, req.Options, req.Debug); out != nil {
-		s.metrics.queries.Add(1)
-		writeJSON(w, http.StatusOK, out[0])
+		if s.reply(w, func(e *encoder) { e.queryResponse(&out[0]) }) {
+			s.metrics.queries.Add(1)
+		}
 	}
 }
 
@@ -416,8 +417,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if out := s.serve(w, r, req.Queries, req.Options, false); out != nil {
-		s.metrics.batchQueries.Add(uint64(len(req.Queries)))
-		writeJSON(w, http.StatusOK, batchResponse{Results: out})
+		if s.reply(w, func(e *encoder) { e.batchResponse(out) }) {
+			s.metrics.batchQueries.Add(uint64(len(req.Queries)))
+		}
 	}
 }
 
@@ -644,7 +646,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.ingests.Add(1)
-	writeJSON(w, http.StatusOK, IngestResponse{
+	s.replyJSON(w, IngestResponse{
 		VideoID:   v.ID,
 		Frames:    len(v.Frames),
 		IngestGen: s.backend.Status().Gen,
@@ -730,7 +732,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.backend.Status()
-	writeJSON(w, http.StatusOK, StatsResponse{
+	s.replyJSON(w, StatsResponse{
 		Ingest:             st.Ingest,
 		Entities:           st.Entities,
 		Built:              st.Built,
@@ -766,7 +768,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if down > 0 {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.replyJSON(w, map[string]any{
 		"status":        status,
 		"built":         st.Built,
 		"entities":      st.Entities,
@@ -887,6 +889,8 @@ func (s *Server) failKind(w http.ResponseWriter, status int, kind string, format
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeJSON writes an error body (or the debug tier's), which cannot fail to
+// encode; success bodies on the serving port go through reply.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -13,7 +13,9 @@
 package vocab
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -250,8 +252,14 @@ func Terms() []Term {
 }
 
 // Phrases returns every multi-word surface form (canonical names and
-// synonyms), longest first, for greedy phrase matching in the parser.
-func Phrases() []string {
+// synonyms), longest first and then alphabetical, for greedy phrase
+// matching in the parser. The registry is static, so the list is built
+// once; each call returns a fresh copy.
+func Phrases() []string { return slices.Clone(phrases) }
+
+var phrases = buildPhrases()
+
+func buildPhrases() []string {
 	var out []string
 	for name := range registry {
 		if strings.Contains(name, " ") {
@@ -263,12 +271,11 @@ func Phrases() []string {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		wi, wj := strings.Count(out[i], " "), strings.Count(out[j], " ")
-		if wi != wj {
-			return wi > wj
+	slices.SortFunc(out, func(a, b string) int {
+		if c := cmp.Compare(strings.Count(b, " "), strings.Count(a, " ")); c != 0 {
+			return c
 		}
-		return out[i] < out[j]
+		return strings.Compare(a, b)
 	})
 	return out
 }
