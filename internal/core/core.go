@@ -27,7 +27,6 @@ import (
 	"repro/internal/embed"
 	"repro/internal/keyframe"
 	"repro/internal/mat"
-	"repro/internal/relational"
 	"repro/internal/vectordb"
 	"repro/internal/video"
 	"repro/internal/vit"
@@ -35,7 +34,7 @@ import (
 )
 
 // Field widths of the packed patch ID. Exceeding any of them would silently
-// corrupt the join key shared by the vector and relational stores, so
+// corrupt the join key shared by the vector store and the patch table, so
 // PackPatchID refuses out-of-range coordinates.
 const (
 	MaxVideoID  = 1<<16 - 1 // 16-bit video field
@@ -44,7 +43,7 @@ const (
 )
 
 // PackPatchID encodes (video, frame, patch) into the shared join key linking
-// the vector database to the relational store: 16 bits of video, 28 of
+// the vector database to the patch table: 16 bits of video, 28 of
 // frame, 12 of patch. Coordinates outside those field widths would alias
 // other patches' keys, so it panics on out-of-range input; Ingest validates
 // video data up front and returns an error before reaching this point.
@@ -199,11 +198,10 @@ type System struct {
 	model  *xmodal.Model
 
 	store   *vectordb.SegmentedCollection // sealing every SegmentSize vectors
-	meta    *relational.Store
-	patches *relational.Table
+	patches patchTable
 
 	// mu guards the mutable system state below. The substrate stores
-	// (vector store, relational table, embedding space) carry their
+	// (vector store, patch table, embedding space) carry their
 	// own locks, so queries may run concurrently with ingest: Query takes
 	// read locks only, Ingest and BuildIndex take the write lock briefly
 	// around state mutation — never across encoding or index builds.
@@ -239,25 +237,6 @@ type IngestStats struct {
 	Indexing time.Duration
 }
 
-// patchSchema is the relational layout of Section V-B: the vector database
-// and this table share the patch ID.
-func patchSchema() relational.Schema {
-	return relational.Schema{
-		Columns: []relational.Column{
-			{Name: "patch_id", Type: relational.Int64},
-			{Name: "video_id", Type: relational.Int64},
-			{Name: "frame_idx", Type: relational.Int64},
-			{Name: "patch", Type: relational.Int64},
-			{Name: "box_x", Type: relational.Float64},
-			{Name: "box_y", Type: relational.Float64},
-			{Name: "box_w", Type: relational.Float64},
-			{Name: "box_h", Type: relational.Float64},
-			{Name: "objectness", Type: relational.Float64},
-		},
-		Key: "patch_id",
-	}
-}
-
 // New constructs a LOVO system.
 func New(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
@@ -284,8 +263,8 @@ func New(cfg Config) (*System, error) {
 		vision: &embed.VisionEncoder{Space: space, Seed: cfg.Seed ^ 0x115},
 		text:   &embed.TextEncoder{Space: space},
 		model:  xmodal.New(space, cfg.Rerank),
-		meta:   relational.NewStore(),
 
+		patches:   patchTable{rows: make(map[int64]patchRow)},
 		keyframes: make(map[frameKey]*video.Frame),
 	}
 	s.enc = &QueryEncoder{space: space, text: s.text}
@@ -297,14 +276,6 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl, err := s.meta.CreateTable("patches", patchSchema())
-	if err != nil {
-		return nil, err
-	}
-	if err := tbl.CreateIndex("frame_idx"); err != nil {
-		return nil, err
-	}
-	s.patches = tbl
 	return s, nil
 }
 
@@ -314,9 +285,10 @@ func New(cfg Config) (*System, error) {
 // once, from the growing segment; see Config.SegmentSize).
 //
 // Keyframe encoding — the ViT forward pass that dominates one-time video
-// processing — fans out across cfg.Workers goroutines; vector and
-// relational inserts then happen in keyframe order on the calling
-// goroutine, so the stored state is byte-identical to a serial ingest.
+// processing — fans out across cfg.Workers goroutines; the stores are then
+// written in keyframe order on the calling goroutine, so the stored state is
+// byte-identical to a serial ingest. A video whose patch IDs are already
+// stored is refused with vectordb.ErrDuplicate before anything changes.
 // Ingest is safe to call while other goroutines run Query.
 func (s *System) Ingest(v *video.Video) error {
 	if v.ID < 0 || v.ID > MaxVideoID {
@@ -338,10 +310,30 @@ func (s *System) Ingest(v *video.Video) error {
 	})
 
 	// Stage 2 (serial, deterministic order): route tokens to the stores.
-	// A vector becomes searchable the moment it enters the collection, so
-	// everything a concurrent Query dereferences for a hit — the keyframe
-	// and the relational row behind the metadata join — must be committed
-	// before the vector itself.
+	// The video's metadata rows go in first, all or none, so a duplicate
+	// video is refused before anything else changes. A vector becomes
+	// searchable the moment it enters the collection, so everything a
+	// concurrent Query dereferences for a hit — the keyframe and the row
+	// behind the metadata join — is committed before the vector itself.
+	n := 0
+	for _, toks := range encoded {
+		n += len(toks)
+	}
+	rows := make([]patchRow, 0, n)
+	for i, fi := range keys {
+		f := &v.Frames[fi]
+		for _, tok := range encoded[i] {
+			rows = append(rows, patchRow{
+				PatchID: PackPatchID(v.ID, f.Index, tok.Patch),
+				VideoID: int64(v.ID), FrameIdx: int64(f.Index), Patch: int64(tok.Patch),
+				X: tok.Box.X, Y: tok.Box.Y, W: tok.Box.W, H: tok.Box.H,
+				Objectness: float64(tok.Objectness),
+			})
+		}
+	}
+	if err := s.patches.insert(rows); err != nil {
+		return err
+	}
 	for i, fi := range keys {
 		f := &v.Frames[fi]
 		fc := *f
@@ -351,18 +343,10 @@ func (s *System) Ingest(v *video.Video) error {
 		s.mu.Unlock()
 		s.planner.noteFrame(&fc)
 		for _, tok := range encoded[i] {
-			pid := PackPatchID(v.ID, f.Index, tok.Patch)
-			row := relational.Row{
-				pid, int64(v.ID), int64(f.Index), int64(tok.Patch),
-				tok.Box.X, tok.Box.Y, tok.Box.W, tok.Box.H,
-				float64(tok.Objectness),
-			}
-			if err := s.patches.Insert(row); err != nil {
-				return fmt.Errorf("core: inserting patch metadata: %w", err)
-			}
-			if err := s.store.Insert(pid, tok.Class); err != nil {
+			if err := s.store.Insert(rows[0].PatchID, tok.Class); err != nil {
 				return fmt.Errorf("core: inserting patch vector: %w", err)
 			}
+			rows = rows[1:]
 			s.planner.observe(tok.Class)
 		}
 		s.mu.Lock()

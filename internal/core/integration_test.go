@@ -97,33 +97,32 @@ func storedVectors(s *System) map[int64]mat.Vec {
 	return out
 }
 
-// firstID fetches one stored patch ID via the relational side (insertion
-// order scan).
+// firstID fetches the lowest stored patch ID via the patch table.
 func firstID(t *testing.T, s *System) int64 {
 	t.Helper()
-	rows := s.patches.Scan(nil)
+	rows := s.patches.sorted()
 	if len(rows) == 0 {
 		t.Fatal("no patch metadata")
 	}
-	return rows[0][0].(int64)
+	return rows[0].PatchID
 }
 
 // TestMetadataJoinConsistency verifies every indexed vector has exactly one
-// relational row and the patch-ID round trip is coherent.
+// patch-table row and the patch-ID round trip is coherent.
 func TestMetadataJoinConsistency(t *testing.T) {
 	ds := datasets.Beach(datasets.Config{Seed: 7, Scale: 0.06})
 	s := buildSystem(t, ds, Config{Seed: 1})
-	rows := s.patches.Scan(nil)
+	rows := s.patches.sorted()
 	if len(rows) != s.Entities() {
 		t.Fatalf("metadata rows %d != vectors %d", len(rows), s.Entities())
 	}
 	vecs := storedVectors(s)
 	for _, row := range rows[:min(len(rows), 50)] {
-		pid := row[0].(int64)
+		pid := row.PatchID
 		vid, fi, _ := UnpackPatchID(pid)
-		if int64(vid) != row[1].(int64) || int64(fi) != row[2].(int64) {
+		if int64(vid) != row.VideoID || int64(fi) != row.FrameIdx {
 			t.Fatalf("patch id %d decodes to (%d,%d) but row says (%d,%d)",
-				pid, vid, fi, row[1], row[2])
+				pid, vid, fi, row.VideoID, row.FrameIdx)
 		}
 		if _, ok := vecs[pid]; !ok {
 			t.Fatalf("vector missing for patch %d", pid)

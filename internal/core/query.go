@@ -13,7 +13,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/relational"
 	"repro/internal/video"
 )
 
@@ -152,41 +151,13 @@ func (p Plan) annParams() ann.Params {
 	}
 }
 
-// joinHits resolves each query's fast-search hits against the relational
-// store into canonical ResultObjects, preserving hit order. The whole leg
-// reads under one read lock and never copies a row.
-func (s *System) joinHits(lists [][]mat.Scored) ([][]ResultObject, error) {
-	out := make([][]ResultObject, len(lists))
-	err := s.patches.View(func(get func(int64) (relational.Row, bool)) error {
-		for i, hits := range lists {
-			objects := make([]ResultObject, len(hits))
-			for j, h := range hits {
-				row, ok := get(h.ID)
-				if !ok {
-					return fmt.Errorf("core: metadata join for patch %d: %w: key %d", h.ID, relational.ErrNotFound, h.ID)
-				}
-				objects[j] = ResultObject{
-					VideoID:  int(row[1].(int64)),
-					FrameIdx: int(row[2].(int64)),
-					Box:      video.Box{X: row[4].(float64), Y: row[5].(float64), W: row[6].(float64), H: row[7].(float64)},
-					Score:    h.Score,
-					PatchID:  h.ID,
-				}
-			}
-			out[i] = objects
-		}
-		return nil
-	})
-	return out, err
-}
-
 // SearchPlannedBatch runs stage 1 of Algorithm 2 for many (text, plan)
 // pairs — the stage-1 leg every deployment shape executes: the single
 // system directly, each shard of an engine via Plan.Leg, and RPC workers
 // behind the wire's stage-1 op. Each query is encoded, fast-searched under
 // its plan's own depth (ShardK) and index effort (Exact/NProbe/Ef) —
 // queries whose plans resolve to identical search parameters share one
-// batched vector-store sweep — and joined against the relational store,
+// batched vector-store sweep — and joined against the patch table,
 // coming back in canonical (score desc, patch ID asc) order. Results align
 // with texts and equal what each query answers alone; a query whose text
 // fails to encode fails the whole batch. A traced context records encode /
@@ -252,7 +223,7 @@ func (s *System) SearchPlannedBatch(ctx context.Context, texts []string, plans [
 	// The shared sweep has no per-query attribution; report the batch
 	// stage-1 wall time on every query, which is what the caller actually
 	// waited for.
-	objects, err := s.joinHits(allHits)
+	objects, err := s.patches.join(allHits)
 	if err != nil {
 		return nil, err
 	}

@@ -9,19 +9,18 @@ import (
 	"sort"
 
 	"repro/internal/mat"
-	"repro/internal/relational"
 	"repro/internal/vectordb"
 	"repro/internal/video"
 )
 
 // System snapshot format: the vector store's snapshot persists every patch
-// vector plus the index recipe, but a query also needs the relational
-// side-store (the metadata join) and the retained keyframes (the rerank's
+// vector plus the index recipe, but a query also needs the patch table
+// (the metadata join) and the retained keyframes (the rerank's
 // image storage). A system snapshot therefore wraps all three:
 //
 //	magic "LOVOSYS1\n"
 //	uint64 metadata length, then gob(snapMeta):
-//	                     relational rows, keyframes, stats, built flag
+//	                     patch rows, keyframes, stats, built flag
 //	vector snapshot      the store's LOVOSG3 snapshot (per-segment vectors
 //	                     and identities, indexes rebuilt on load under the
 //	                     store's seed rule)
@@ -39,11 +38,6 @@ import (
 // with an error asking for a re-save.
 const snapMagic = "LOVOSYS1\n"
 
-type snapRow struct {
-	PatchID, VideoID, FrameIdx, Patch int64
-	X, Y, W, H, Objectness            float64
-}
-
 type snapKeyframe struct {
 	VideoID, FrameIdx int
 	Frame             video.Frame
@@ -51,13 +45,13 @@ type snapKeyframe struct {
 
 type snapMeta struct {
 	ProjDim   int
-	Rows      []snapRow
+	Rows      []patchRow // ascending PatchID
 	Keyframes []snapKeyframe
 	Stats     IngestStats
 	Built     bool
 }
 
-// SaveSnapshot persists the full system state — patch vectors, relational
+// SaveSnapshot persists the full system state — patch vectors, patch
 // metadata, keyframes, stats — so a later LoadSnapshot serves queries
 // without re-running Video Summary. Must not run concurrently with Ingest
 // or BuildIndex (concurrent queries are fine).
@@ -65,17 +59,7 @@ func (s *System) SaveSnapshot(w io.Writer) error {
 	if _, err := io.WriteString(w, snapMagic); err != nil {
 		return err
 	}
-	meta := snapMeta{ProjDim: s.cfg.ProjDim}
-	for _, row := range s.patches.Scan(func(relational.Row) bool { return true }) {
-		meta.Rows = append(meta.Rows, snapRow{
-			PatchID: row[0].(int64), VideoID: row[1].(int64),
-			FrameIdx: row[2].(int64), Patch: row[3].(int64),
-			X: row[4].(float64), Y: row[5].(float64),
-			W: row[6].(float64), H: row[7].(float64),
-			Objectness: row[8].(float64),
-		})
-	}
-	sort.Slice(meta.Rows, func(i, j int) bool { return meta.Rows[i].PatchID < meta.Rows[j].PatchID })
+	meta := snapMeta{ProjDim: s.cfg.ProjDim, Rows: s.patches.sorted()}
 	s.mu.RLock()
 	for k, f := range s.keyframes {
 		meta.Keyframes = append(meta.Keyframes, snapKeyframe{VideoID: k.video, FrameIdx: k.frame, Frame: *f})
@@ -151,14 +135,8 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	if dim := store.Stats().Dim; dim != meta.ProjDim {
 		return fmt.Errorf("core: vector snapshot dimension %d, snapshot metadata says D'=%d (corrupt snapshot?)", dim, meta.ProjDim)
 	}
-	for _, row := range meta.Rows {
-		err := s.patches.Insert(relational.Row{
-			row.PatchID, row.VideoID, row.FrameIdx, row.Patch,
-			row.X, row.Y, row.W, row.H, row.Objectness,
-		})
-		if err != nil {
-			return fmt.Errorf("core: restoring patch metadata: %w", err)
-		}
+	if err := s.patches.insert(meta.Rows); err != nil {
+		return fmt.Errorf("core: restoring patch metadata: %w", err)
 	}
 	s.mu.Lock()
 	for _, kf := range meta.Keyframes {

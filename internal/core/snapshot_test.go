@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/vectordb"
+	"repro/internal/video"
 )
 
 func TestSystemSnapshotRoundTrip(t *testing.T) {
@@ -202,7 +205,7 @@ func TestLoadSnapshotRefusesBatchLayout(t *testing.T) {
 	// The older metadata carried a Streaming flag, false for this layout.
 	type olderMeta struct {
 		ProjDim   int
-		Rows      []snapRow
+		Rows      []patchRow
 		Keyframes []snapKeyframe
 		Stats     IngestStats
 		Built     bool
@@ -304,5 +307,92 @@ func TestSnapshotMetadataLengthCostsOnlyItsBytes(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Fatalf("a 5-byte metadata body allocated %d bytes", grew)
+	}
+}
+
+// fixtureVideos is the corpus behind testdata/parent-bellevue.snap: two
+// short Bellevue clips (seeds 29 and 30, scale 0.01) as videos 0 and 1.
+func fixtureVideos() []video.Video {
+	var vs []video.Video
+	for i, seed := range []uint64{29, 30} {
+		v := datasets.Bellevue(datasets.Config{Seed: seed, Scale: 0.01}).Videos[0]
+		v.ID = i
+		for j := range v.Frames {
+			v.Frames[j].VideoID = i
+		}
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// TestCommittedSnapshotAnswersLikeFreshTwin pins the LOVOSYS1 format: a
+// snapshot written by an earlier build (Config{Seed: 29} over
+// fixtureVideos, then BuildIndex) still loads, and a pinned exhaustive plan
+// answers byte-identically to a system that ingests the same videos now.
+func TestCommittedSnapshotAnswersLikeFreshTwin(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent-bellevue.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 29}
+	loaded, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.LoadSnapshot(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := fixtureVideos()
+	for i := range vs {
+		if err := twin.Ingest(&vs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := twin.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Entities() != twin.Entities() || loaded.Entities() == 0 {
+		t.Fatalf("entities: loaded %d, twin %d", loaded.Entities(), twin.Entities())
+	}
+	ls, ts := loaded.Stats(), twin.Stats()
+	ls.Processing, ls.Indexing, ts.Processing, ts.Indexing = 0, 0, 0, 0
+	if ls != ts {
+		t.Fatalf("stats: loaded %+v, twin %+v", ls, ts)
+	}
+	if !reflect.DeepEqual(loaded.patches.sorted(), twin.patches.sorted()) {
+		t.Fatal("patch rows differ")
+	}
+
+	var texts []string
+	for _, q := range datasets.Bellevue(datasets.Config{Seed: 29, Scale: 0.01}).Queries {
+		texts = append(texts, q.Text)
+	}
+	plans := make([]Plan, len(texts))
+	for i := range plans {
+		plans[i] = Plan{Exact: true}
+	}
+	answer := func(s *System) []byte {
+		res, err := ExecutePlanBatch(context.Background(), s.Target(), s.Config(), texts, plans, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		for _, r := range res {
+			if err := json.NewEncoder(&out).Encode(r.Objects); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out.Bytes()
+	}
+	got, want := answer(loaded), answer(twin)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("loaded snapshot answers differ from its fresh twin\n got: %s\nwant: %s", got, want)
+	}
+	if !bytes.Contains(want, []byte(`"PatchID"`)) {
+		t.Fatalf("no query found any object: %s", want)
 	}
 }

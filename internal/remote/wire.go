@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/relational"
 	"repro/internal/vectordb"
 )
 
@@ -59,9 +58,9 @@ const (
 	// error the coordinator must keep distinguishable (it maps to a client
 	// error, and must never burn replica or backend health).
 	statusNoTerms
-	// statusDuplicate marks a duplicate-key ingest (vectordb.ErrDuplicate
-	// or the relational store's equivalent): the serving tier maps it to
-	// 409 Conflict, so the sentinel must survive the RPC boundary.
+	// statusDuplicate marks a duplicate-key ingest (vectordb.ErrDuplicate):
+	// the serving tier maps it to 409 Conflict, so the sentinel must
+	// survive the RPC boundary.
 	statusDuplicate
 )
 
@@ -146,10 +145,8 @@ func encodeError(err error) (byte, []byte) {
 	switch {
 	case errors.Is(err, core.ErrNoRecognisedTerms):
 		return statusNoTerms, []byte(err.Error())
-	case errors.Is(err, vectordb.ErrDuplicate), errors.Is(err, relational.ErrDuplicateKey):
-		// Both stores key on the packed patch ID; either can notice the
-		// collision first. The wire collapses them to one sentinel — the
-		// serving tier only needs "this is a duplicate, answer 409".
+	case errors.Is(err, vectordb.ErrDuplicate):
+		// The serving tier only needs "this is a duplicate, answer 409".
 		return statusDuplicate, []byte(err.Error())
 	}
 	return statusErr, []byte(err.Error())

@@ -46,7 +46,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/obs"
-	"repro/internal/relational"
 	"repro/internal/shard"
 	"repro/internal/vectordb"
 	"repro/internal/video"
@@ -636,10 +635,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.backend.Ingest(&v); err != nil {
 		status := http.StatusInternalServerError
-		if errors.Is(err, vectordb.ErrDuplicate) || errors.Is(err, relational.ErrDuplicateKey) {
+		if errors.Is(err, vectordb.ErrDuplicate) {
 			// The patch IDs collided: this video (or one reusing its ID) is
-			// already in the corpus. Either store can notice first — the
-			// relational patch table and the vector collection share the key.
+			// already in the corpus, and nothing was stored.
 			status = http.StatusConflict
 		}
 		s.fail(w, status, "ingest: %v", err)

@@ -177,19 +177,6 @@ func (c *Collection) Insert(id int64, v mat.Vec) error {
 	return nil
 }
 
-// InsertBatch stores aligned ids and vectors, stopping at the first error.
-func (c *Collection) InsertBatch(ids []int64, vecs []mat.Vec) error {
-	if len(ids) != len(vecs) {
-		return errors.New("vectordb: ids/vecs length mismatch")
-	}
-	for i := range ids {
-		if err := c.Insert(ids[i], vecs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Scan visits every stored vector in insertion order until fn returns
 // false. The visited slice aliases the store — fn must not retain or
 // mutate it — and the collection is read-locked for the whole scan, so fn
