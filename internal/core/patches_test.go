@@ -39,8 +39,51 @@ func TestPatchTableInsertIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestPatchTableSorted: sorted returns every stored row in ascending
+// patch-ID order whatever the insert order, as a copy the table does not
+// share.
+func TestPatchTableSorted(t *testing.T) {
+	tbl := patchTable{rows: make(map[int64]patchRow)}
+	for _, batch := range [][]int64{{17, 3}, {12}, {0, 19, 5}} {
+		if err := tbl.insert(rowsWithIDs(batch...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := tbl.sorted()
+	ids := make([]int64, len(got))
+	for i, r := range got {
+		ids[i] = r.PatchID
+	}
+	if want := []int64{0, 3, 5, 12, 17, 19}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("sorted patch IDs %v, want %v", ids, want)
+	}
+	got[0].X = 42
+	if again := tbl.sorted(); again[0].X == 42 {
+		t.Fatal("sorted must return a copy of the rows")
+	}
+}
+
+// TestPatchTableJoinMiss: a join that meets a patch ID the table does not
+// hold fails, also when the other hits are stored, and answers nothing.
+func TestPatchTableJoinMiss(t *testing.T) {
+	tbl := patchTable{rows: make(map[int64]patchRow)}
+	id := PackPatchID(1, 2, 3)
+	if err := tbl.insert(rowsWithIDs(id)); err != nil {
+		t.Fatal(err)
+	}
+	for _, lists := range [][][]mat.Scored{
+		{{{ID: 99}}},
+		{{{ID: id, Score: 0.5}, {ID: 99}}},
+		{{{ID: id, Score: 0.5}}, {{ID: 99}}},
+	} {
+		if got, err := tbl.join(lists); err == nil || got != nil {
+			t.Fatalf("join %v = %v, %v; want nil and an error", lists, got, err)
+		}
+	}
+}
+
 // TestPatchTableJoin: join answers every hit from its row, in hit order,
-// and fails on a patch ID the table does not hold.
+// and leaves the table writable once it returns.
 func TestPatchTableJoin(t *testing.T) {
 	tbl := patchTable{rows: make(map[int64]patchRow)}
 	ids := []int64{PackPatchID(1, 2, 3), PackPatchID(4, 5, 6)}
@@ -58,8 +101,8 @@ func TestPatchTableJoin(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("join = %+v, want %+v", got, want)
 	}
-	if _, err := tbl.join([][]mat.Scored{{{ID: 99}}}); err == nil {
-		t.Fatal("join of an unknown patch ID must fail")
+	if err := tbl.insert(rowsWithIDs(PackPatchID(7, 8, 9))); err != nil {
+		t.Fatalf("insert after join: %v", err)
 	}
 }
 
