@@ -19,8 +19,10 @@
 // Failure semantics: read operations (both query stages, the planning
 // digest, snapshot save) are idempotent and retried a bounded number of times
 // on transport errors; Status takes one attempt under a dial-scale deadline
-// (it rides every serving request, so a blackholed worker must cost one
-// DialTimeout, not the retry budget);
+// (it rides every serving request that misses the cache, so a blackholed
+// worker must cost one DialTimeout, not the retry budget), and a watch —
+// Status with a since stamp — runs on a connection of its own outside the
+// pool;
 // mutating operations (ingest, index builds, snapshot load) are dispatched
 // at most once — a transport failure after the request may have left the
 // client surfaces as an error instead of risking a double apply. Worker-side
@@ -31,6 +33,7 @@ package remote
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/vectordb"
@@ -100,8 +103,8 @@ func (s ConfigSummary) Compatible(o ConfigSummary) bool {
 // coordinator ever asks a shard about itself, read in one call (one RPC for
 // a remote shard) so the fields describe the same moment. Every field is a
 // counter load — assembling it never walks an index — which is what lets the
-// same shape serve the per-request built/generation check and a /stats
-// scrape.
+// same shape serve a cache miss's built/generation check, a watch's reply
+// and a /stats scrape.
 type ShardStatus struct {
 	// BootID is the hosting remote.Server's instance nonce (0 in-process):
 	// it changes when the worker process restarts, and since workers boot
@@ -130,6 +133,26 @@ type ShardStatus struct {
 	Config ConfigSummary
 }
 
+// Stamp is the part of a ShardStatus a watch compares: which server
+// instance answered, how far its corpus has moved, and whether its index is
+// built. A cached answer is valid exactly as long as every shard's Stamp
+// holds still (restarts aside, which the boot nonce exposes).
+type Stamp struct {
+	BootID uint64
+	Gen    uint64
+	Built  bool
+}
+
+// Stamp returns the status's watch stamp.
+func (st ShardStatus) Stamp() Stamp {
+	return Stamp{BootID: st.BootID, Gen: st.Gen, Built: st.Built}
+}
+
+// Unseen is a since stamp no shard ever reports (no generation reaches
+// 2^64-1): a watch that passes it is answered at once, on the watch
+// connection.
+var Unseen = Stamp{Gen: math.MaxUint64}
+
 // ShardBackend is one shard of a scatter-gather engine: the stage surface
 // Engine composes, whether the shard lives in-process (shard.Local) or on
 // another host (Client). Every method is safe for concurrent use.
@@ -157,8 +180,11 @@ type ShardBackend interface {
 	// lazily if its corpus changed since the last export).
 	PlanStats() (core.PlanStats, error)
 	// Status snapshots the shard's identity, generation, health and
-	// statistics. An error means the shard is unreachable.
-	Status() (ShardStatus, error)
+	// statistics. An error means the shard is unreachable. A nil since
+	// answers at once. A non-nil since is a watch: it answers as soon as
+	// the shard's Stamp differs from *since, or after Heartbeat when it
+	// does not.
+	Status(since *Stamp) (ShardStatus, error)
 	// SaveSnapshot serialises one replica's full system state.
 	SaveSnapshot() ([]byte, error)
 	// LoadSnapshot restores a SaveSnapshot payload into every replica of

@@ -24,7 +24,7 @@ func Connect(addrs []string, opts ClientOptions) ([]*Client, error) {
 			return nil, fmt.Errorf("remote: shard address %d is empty", i)
 		}
 		c := NewClient(addr, opts)
-		if _, err := c.Status(); err != nil {
+		if _, err := c.Status(nil); err != nil {
 			c.Close()
 			closeAll()
 			return nil, fmt.Errorf("remote: shard %d (%s) unreachable: %w", i, addr, err)
@@ -40,7 +40,7 @@ func Connect(addrs []string, opts ClientOptions) ([]*Client, error) {
 // embedding space, so a mismatch is a boot error, not a runtime surprise.
 func VerifyConfig(clients []*Client, want ConfigSummary) error {
 	for i, c := range clients {
-		st, err := c.Status()
+		st, err := c.Status(nil)
 		if err != nil {
 			return fmt.Errorf("remote: shard %d (%s): fetching config: %w", i, c.Addr(), err)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,8 +35,9 @@ type ClientOptions struct {
 	// a serving deadline tuned for queries never aborts an ingest
 	// mid-flight.
 	MutateTimeout time.Duration
-	// DialTimeout bounds connection establishment (default 3s) — the
-	// fail-fast bound for unreachable workers at boot.
+	// DialTimeout bounds connection establishment (DefaultDialTimeout when
+	// zero) — the fail-fast bound for unreachable workers at boot — and is
+	// a watch's grace past Heartbeat.
 	DialTimeout time.Duration
 	// Retries is the redial-and-retry budget for read-only calls after a
 	// transport error (default 2). Mutating calls never consume it: once
@@ -44,6 +46,9 @@ type ClientOptions struct {
 	// MaxFrame bounds response payloads (DefaultMaxFrame when zero).
 	MaxFrame uint32
 }
+
+// DefaultDialTimeout is ClientOptions.DialTimeout's default.
+const DefaultDialTimeout = 3 * time.Second
 
 func (o ClientOptions) withDefaults(addr string) ClientOptions {
 	if o.PoolSize == 0 {
@@ -59,7 +64,7 @@ func (o ClientOptions) withDefaults(addr string) ClientOptions {
 		}
 	}
 	if o.DialTimeout == 0 {
-		o.DialTimeout = 3 * time.Second
+		o.DialTimeout = DefaultDialTimeout
 	}
 	if o.Retries == 0 {
 		o.Retries = 2
@@ -82,6 +87,12 @@ type Client struct {
 	opts   ClientOptions
 	idle   chan net.Conn
 	closed atomic.Bool
+
+	// watching serialises watches; watchMu guards watchConn, the one
+	// connection they run on, so Close can sever a watch in flight.
+	watching  sync.Mutex
+	watchMu   sync.Mutex
+	watchConn net.Conn
 }
 
 // NewClient constructs a client for the worker at addr. No connection is
@@ -95,11 +106,18 @@ func NewClient(addr string, opts ClientOptions) *Client {
 // Addr returns the worker address this client dials.
 func (c *Client) Addr() string { return c.addr }
 
-// Close drains and closes the idle pool. In-flight calls finish on their
-// own connections; subsequent calls fail.
+// Close drains and closes the idle pool and severs the watch connection, so
+// a watch in flight returns at once. In-flight calls finish on their own
+// connections; subsequent calls fail.
 func (c *Client) Close() error {
 	c.closed.Store(true)
 	c.drain()
+	c.watchMu.Lock()
+	if c.watchConn != nil {
+		c.watchConn.Close()
+		c.watchConn = nil
+	}
+	c.watchMu.Unlock()
 	return nil
 }
 
@@ -208,8 +226,17 @@ func (c *Client) do(ctx context.Context, op byte, body []byte, mutating, light b
 			continue
 		}
 
+		timeout := c.opts.Timeout
+		switch {
+		case light:
+			// Metadata answers from memory worker-side; bound it like a
+			// dial, not like a query.
+			timeout = c.opts.DialTimeout
+		case mutating:
+			timeout = c.opts.MutateTimeout
+		}
 		_, asp := obs.Start(ctx, "rpc")
-		resp, err := c.exchange(conn, req, mutating, light)
+		resp, err := c.exchange(conn, req, timeout)
 		if asp.On() {
 			if err != nil {
 				asp.Detail(fmt.Sprintf("%s addr=%s err=%v", opName(op), c.addr, err))
@@ -242,16 +269,7 @@ func (c *Client) do(ctx context.Context, op byte, body []byte, mutating, light b
 
 // exchange writes one request frame and reads one response frame under the
 // per-call deadline.
-func (c *Client) exchange(conn net.Conn, req []byte, mutating, light bool) ([]byte, error) {
-	timeout := c.opts.Timeout
-	if mutating {
-		timeout = c.opts.MutateTimeout
-	}
-	if light {
-		// Metadata answers from memory worker-side; bound it like a
-		// dial, not like a query.
-		timeout = c.opts.DialTimeout
-	}
+func (c *Client) exchange(conn net.Conn, req []byte, timeout time.Duration) ([]byte, error) {
 	//lovo:nondeterministic-ok transport deadline arithmetic; the wire payload never carries the clock value
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
@@ -294,16 +312,25 @@ func opName(op byte) string {
 // --- ShardBackend implementation ---------------------------------------
 
 // Status fetches the worker's snapshot and stamps this client's address on
-// it — on an error too, so an unreachable worker can still be named. It
-// rides the hot serving path — the HTTP tier reads built, generation and
-// health from it on every request — and the worker answers from memory, so
-// it takes one attempt under a dial-scale deadline instead of the full
+// it — on an error too, so an unreachable worker can still be named.
+//
+// A nil since is the synchronous read every cache miss and every /stats,
+// /healthz and /metrics render makes. The worker answers from memory, so it
+// takes one attempt under a dial-scale deadline instead of the full
 // read-retry budget: one blackholed worker costs a request one DialTimeout,
 // not Retries x Timeout. Stale pooled connections still discard and redial
 // for free.
-func (c *Client) Status() (ShardStatus, error) {
-	//lovo:ctx-ok sub-millisecond metadata exchange, deliberately untraced: a span per status poll would dwarf the traces it decorates
-	resp, err := c.do(context.Background(), opStatus, nil, false, true)
+//
+// A non-nil since is a watch (see watch).
+func (c *Client) Status(since *Stamp) (ShardStatus, error) {
+	var resp []byte
+	var err error
+	if since == nil {
+		//lovo:ctx-ok sub-millisecond metadata exchange, deliberately untraced: a span per status poll would dwarf the traces it decorates
+		resp, err = c.do(context.Background(), opStatus, nil, false, true)
+	} else {
+		resp, err = c.watch(since)
+	}
 	if err != nil {
 		return ShardStatus{Addr: c.addr}, err
 	}
@@ -314,6 +341,53 @@ func (c *Client) Status() (ShardStatus, error) {
 	}
 	st.Addr = c.addr
 	return st, nil
+}
+
+// watch runs one long poll on the client's watch connection: dialed on
+// demand, kept out of the pool, one watch at a time. The worker holds the
+// request until its stamp moves off *since or Heartbeat passes, so the
+// deadline is Heartbeat plus DialTimeout: a worker that goes silent past it
+// is dead or blackholed. Any failure closes the connection — the caller
+// learns of it at once — and the next watch redials.
+func (c *Client) watch(since *Stamp) ([]byte, error) {
+	c.watching.Lock()
+	defer c.watching.Unlock()
+	c.watchMu.Lock()
+	conn := c.watchConn
+	c.watchMu.Unlock()
+	if conn == nil {
+		if c.closed.Load() {
+			return nil, fmt.Errorf("remote %s: client closed", c.addr)
+		}
+		var err error
+		if conn, err = c.opts.Dial(); err != nil {
+			return nil, fmt.Errorf("remote %s: dial: %w", c.addr, err)
+		}
+		c.watchMu.Lock()
+		c.watchConn = conn
+		c.watchMu.Unlock()
+		// Close may have run between the check and the store.
+		if c.closed.Load() {
+			c.Close()
+			return nil, fmt.Errorf("remote %s: client closed", c.addr)
+		}
+	}
+	e := &enc{b: []byte{opStatus}}
+	appendStatusRequest(e, since)
+	resp, err := c.exchange(conn, e.b, Heartbeat+c.opts.DialTimeout)
+	if err != nil {
+		c.watchMu.Lock()
+		if c.watchConn == conn {
+			c.watchConn = nil
+		}
+		c.watchMu.Unlock()
+		conn.Close()
+		return nil, fmt.Errorf("remote %s: watch: %w", c.addr, err)
+	}
+	if resp[0] != statusOK {
+		return nil, decodeError(resp[0], resp[1:])
+	}
+	return resp[1:], nil
 }
 
 // ingestBatchBudget bounds one opIngestBatch frame's video payload. Chunks

@@ -586,3 +586,31 @@ func readStatus(d *dec) ShardStatus {
 		Config:   readConfigSummary(d),
 	}
 }
+
+// appendStatusRequest encodes an opStatus request body: nothing for a read
+// answered at once, the since token for a watch.
+func appendStatusRequest(e *enc, since *Stamp) {
+	if since == nil {
+		return
+	}
+	e.u64(since.BootID)
+	e.u64(since.Gen)
+	e.boolean(since.Built)
+}
+
+// readStatusRequest decodes an opStatus request body — bytes the worker did
+// not write. An empty body is a read answered at once (nil); anything else
+// must be exactly one since token whose built flag is 0 or 1 (the caller's
+// finish rejects trailing bytes).
+func readStatusRequest(d *dec) *Stamp {
+	if d.off == len(d.b) {
+		return nil
+	}
+	since := &Stamp{BootID: d.u64(), Gen: d.u64()}
+	flag := d.u8()
+	if flag > 1 {
+		d.fail("built flag %d", flag)
+	}
+	since.Built = flag == 1
+	return since
+}

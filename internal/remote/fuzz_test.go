@@ -1,10 +1,11 @@
 package remote
 
-// Native fuzz targets for the two wire surfaces that parse
-// attacker-controlled bytes with no prior trust: the frame reader (the
-// first thing any connection's bytes hit) and the trace-span sidecar
-// decoder (hostile worker responses must not crash or bloat the
-// coordinator through its observability channel). Seeds mirror the
+// Native fuzz targets for the wire surfaces that parse attacker-controlled
+// bytes with no prior trust: the frame reader (the first thing any
+// connection's bytes hit) together with the status request's since token
+// (the body every watch sends), and the trace-span sidecar decoder
+// (hostile worker responses must not crash or bloat the coordinator
+// through its observability channel). Seeds mirror the
 // property-test corpora: valid encodings from the real encoder plus the
 // known hostile shapes (forged counts, truncations, oversized headers).
 
@@ -33,6 +34,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		{opStatus},
 		{opStatus, 0xFF, 0xFF, 0xFF, 0xFF},
 		append([]byte{statusOK}, forgedStatus()...),
+		watchRequest(&Unseen),
+		watchRequest(&Stamp{BootID: 0x9E3779B97F4A7C15, Gen: 412, Built: true}),
+		watchRequest(&Stamp{BootID: 1}),
+		watchRequest(&Stamp{BootID: 7, Gen: 3, Built: true})[:12],
+		append(watchRequest(&Stamp{BootID: 7, Gen: 3})[:17], 0xFF),
+		append(watchRequest(&Stamp{BootID: 7, Gen: 3, Built: true}), 0x00),
 	} {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, payload, fuzzMaxFrame); err != nil {
@@ -105,7 +112,28 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil || !bytes.Equal(reread, payload) {
 			t.Fatalf("round-trip mismatch: err=%v", err)
 		}
+		// A status request's since token is the one request body a worker
+		// decodes on every watch: what it accepts must re-encode to the
+		// bytes it read.
+		if len(payload) > 0 && payload[0] == opStatus {
+			d := &dec{b: payload[1:]}
+			since := readStatusRequest(d)
+			if d.finish() != nil {
+				return
+			}
+			if !bytes.Equal(watchRequest(since), payload) {
+				t.Fatalf("status request % x decodes to %+v, which re-encodes differently", payload, since)
+			}
+		}
 	})
+}
+
+// watchRequest is the opStatus request payload a client sends for since
+// (nil: a read answered at once).
+func watchRequest(since *Stamp) []byte {
+	e := &enc{b: []byte{opStatus}}
+	appendStatusRequest(e, since)
+	return e.b
 }
 
 func FuzzReadSpans(f *testing.F) {

@@ -4,11 +4,13 @@ package remote_test
 // comes back is NOT safe to serve from — it would answer every stage call
 // with zero hits and the coordinator would return merges silently missing
 // that shard's slice of the corpus. The engine detects the restart on its
-// next status read — any status read, including the one every serving
-// request makes — two independent ways (the server boot nonce changes; the
-// mutation generation regresses to zero after recorded progress), reports
-// Built=false so the serving tier refuses queries, reports the backend
-// unhealthy with a state-lost error, and recovers via a snapshot restore.
+// next synchronous status read — the one every cache miss and every /stats,
+// /healthz and /metrics render makes, and every request makes once the
+// watch has seen the worker's connection close (watch_test.go) — two
+// independent ways (the server boot nonce changes; the mutation generation
+// regresses to zero after recorded progress), reports Built=false so the
+// serving tier refuses queries, reports the backend unhealthy with a
+// state-lost error, and recovers via a snapshot restore.
 
 import (
 	"bytes"

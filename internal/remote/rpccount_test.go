@@ -1,10 +1,13 @@
 package remote_test
 
-// RPC-count regression suite: the serving tier's metadata reads must cost
-// exactly one round trip per worker — per request, per /stats scrape — and a
-// cache miss adds only its stage legs. Frames are counted on the wire (the
-// client side of every pipe parses the request stream), so a metadata read
-// that sneaks back in as its own RPC fails here whatever it is called.
+// RPC-count regression suite: a request served wholly from the cache must
+// send no frame to any worker, a cache miss and every /stats, /healthz and
+// /metrics render exactly one status read per worker, and a cache miss adds
+// only its stage legs. Frames are counted on the wire (the client side of
+// every pipe parses the request stream), so a metadata read that sneaks back
+// in as its own RPC fails here whatever it is called. The engine's watches
+// — status requests carrying a since token, on connections of their own —
+// are counted apart: they follow the workers' state, not the requests.
 
 import (
 	"context"
@@ -16,6 +19,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -28,15 +32,40 @@ import (
 // Request op bytes as they travel (see internal/remote/wire.go).
 const (
 	wireGround = 5
-	wireStatus = 22
+	wireStatus = 23
 	wireStage1 = 20
 )
 
 // frameLog records the op byte of every request frame written to one
-// worker, across all of its connections.
+// worker, across all of its connections — except watches (status requests
+// with a since token), which it only counts.
 type frameLog struct {
-	mu  sync.Mutex
-	ops []byte
+	mu      sync.Mutex
+	ops     []byte
+	watches int
+}
+
+// watched reports how many watch requests the worker has been sent.
+func (l *frameLog) watched() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.watches
+}
+
+// awaitWatches blocks until every worker has been sent at least two
+// watches: the engine sends a watch only after publishing the reply to the
+// one before, so from then on each worker's pushed view is live.
+func awaitWatches(t *testing.T, logs []*frameLog) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, log := range logs {
+		for log.watched() < 2 {
+			if time.Now().After(deadline) {
+				t.Fatal("the engine's watches never went live")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 func (l *frameLog) take() []byte {
@@ -66,7 +95,11 @@ func (c *frameConn) Write(p []byte) (int, error) {
 		if len(c.head) == 5 { // 4 length bytes + the op
 			n := uint32(c.head[0]) | uint32(c.head[1])<<8 | uint32(c.head[2])<<16 | uint32(c.head[3])<<24
 			c.log.mu.Lock()
-			c.log.ops = append(c.log.ops, b)
+			if b == wireStatus && n > 1 {
+				c.log.watches++
+			} else {
+				c.log.ops = append(c.log.ops, b)
+			}
 			c.log.mu.Unlock()
 			c.left, c.head = n-1, c.head[:0]
 		}
@@ -152,7 +185,8 @@ func TestServingTierRPCCounts(t *testing.T) {
 		}
 	}
 
-	// Cache hit: the status read is the whole request.
+	// Cache hit: once the watches are live, the request reaches no worker.
+	awaitWatches(t, logs)
 	if err := json.Unmarshal(do("POST", "/query", query).Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +194,8 @@ func TestServingTierRPCCounts(t *testing.T) {
 		t.Fatal("second query must hit the cache")
 	}
 	for i, log := range logs {
-		if got := log.take(); !reflect.DeepEqual(got, []byte{wireStatus}) {
-			t.Errorf("cache hit, worker %d: request ops %v, want one status read", i, got)
+		if got := log.take(); len(got) != 0 {
+			t.Errorf("cache hit, worker %d: request ops %v, want none", i, got)
 		}
 	}
 

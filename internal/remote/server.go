@@ -27,7 +27,8 @@ type Server struct {
 	// snapshot as BootID, so a coordinator can tell "same worker, transient
 	// blip" from "worker restarted (empty) since I last spoke to it" — the
 	// latter means the shard's corpus is gone and serving on would silently
-	// drop its slice from every merge.
+	// drop its slice from every merge. A watch whose since token carries
+	// another nonce is answered at once.
 	nonce uint64
 	// MaxFrame bounds request payloads (DefaultMaxFrame when zero).
 	MaxFrame uint32
@@ -289,10 +290,24 @@ func (s *Server) handle(op byte, body []byte) (status byte, resp []byte) {
 		appendTrace(e, root)
 
 	case opStatus:
+		since := readStatusRequest(d)
 		if err := d.finish(); err != nil {
 			return encodeError(err)
 		}
-		st, err := s.backend.Status()
+		if since != nil {
+			if since.BootID != s.nonce {
+				// The watcher last heard from another server instance:
+				// this one's stamp differs by its nonce alone.
+				since = nil
+			} else {
+				// The backend reports no nonce of its own; this server
+				// stamps it on the answer.
+				local := *since
+				local.BootID = 0
+				since = &local
+			}
+		}
+		st, err := s.backend.Status(since)
 		if err != nil {
 			return encodeError(err)
 		}

@@ -121,6 +121,9 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 		"fast-search forged count": {20, 0xFF, 0xFF, 0xFF, 0xFF},
 		"ground corrupt count":     append([]byte{5, 0, 0, 0, 0}, 0xFF, 0xFF, 0xFF, 0xFF),
 		"ingest garbage gob":       {14, 1, 0, 0, 0, 4, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef},
+		"status truncated token":   {23, 1, 2, 3},
+		"status absurd built flag": append(append([]byte{23}, make([]byte, 16)...), 7),
+		"status trailing bytes":    append(append([]byte{23}, make([]byte, 17)...), 0),
 	}
 	for name, payload := range cases {
 		resp, err := rawExchange(t, newPipeHost(bootLocal(t)), frame(payload))
@@ -134,10 +137,10 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 	// Retired op bytes — the per-field metadata reads Status replaced, the
 	// lone-query and lone-video ops the batch ops replaced, the plan digest
 	// layout that lacked each rung's int8 bit, the stage-1 and digest
-	// layouts that carried the int8 bits, and the status layout that
-	// carried two store-mode bools — are unknown ops now, with or without a
-	// body, never a dispatch.
-	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19} {
+	// layouts that carried the int8 bits, the status layout that carried
+	// two store-mode bools, and the status read without a since token —
+	// are unknown ops now, with or without a body, never a dispatch.
+	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19, 22} {
 		for _, payload := range [][]byte{{op}, {op, 0xFF, 0xFF, 0xFF, 0xFF}} {
 			resp, err := rawExchange(t, h, frame(payload))
 			if err != nil {
@@ -162,7 +165,7 @@ func pingHost(t *testing.T, h *pipeHost) error {
 	t.Helper()
 	c := remote.NewClient("pipe://ping", remote.ClientOptions{Dial: h.dial, Timeout: 2 * time.Second})
 	defer c.Close()
-	_, err := c.Status()
+	_, err := c.Status(nil)
 	return err
 }
 
@@ -186,7 +189,7 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 	}
 	c := remote.NewClient("pipe://bigmouth", remote.ClientOptions{Dial: dial, Timeout: time.Second, Retries: 1})
 	defer c.Close()
-	_, err := c.Status()
+	_, err := c.Status(nil)
 	if err == nil {
 		t.Fatal("oversized response must error")
 	}

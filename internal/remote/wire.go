@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/vectordb"
@@ -23,8 +24,8 @@ import (
 // the server nor drive an unbounded allocation.
 //
 // Op values are explicit and never reused: a retired value (1, 2, 4, 6-11,
-// 15-19) must keep answering "unknown op". A message whose layout changes
-// takes a fresh value rather than reinterpreting an old one.
+// 15-19, 22) must keep answering "unknown op". A message whose layout
+// changes takes a fresh value rather than reinterpreting an old one.
 const (
 	opBuildIndex   byte = 3
 	opGround       byte = 5
@@ -37,8 +38,11 @@ const (
 	// opStatus fetches the shard's ShardStatus snapshot — the one metadata
 	// read: boot nonce, generation, built, entities, ingest stats,
 	// per-replica health, segment breakdown and config summary, all
-	// answered from memory worker-side.
-	opStatus byte = 22
+	// answered from memory worker-side. An empty body answers at once; a
+	// body holding a since token (the Stamp a watcher last saw) is a long
+	// poll, answered as soon as the shard's Stamp differs from it or after
+	// Heartbeat. (22 was the same read without the token.)
+	opStatus byte = 23
 	// opFastSearchBatch is the one stage-1 op: a list of (text, plan)
 	// pairs plus the trace id, answered by one hit list per query and then,
 	// for a traced request, the worker.stage1 span forest. A lone query is
@@ -49,6 +53,12 @@ const (
 	// accuracy-bounded planner.
 	opPlanStats byte = 21
 )
+
+// Heartbeat bounds how long a worker holds a watch whose shard has not
+// changed: the watcher hears from a live worker at least this often, so a
+// silent watch connection is a dead one once Heartbeat plus the client's
+// DialTimeout have passed.
+const Heartbeat = time.Second
 
 const (
 	statusOK byte = iota

@@ -113,6 +113,9 @@ func (f *fakeBackend) Status() shard.Status {
 	return shard.Status{Gen: 1, Built: !f.notBuilt, Entities: 1}
 }
 
+// Pushed agrees with Status, as a live watch on an idle backend does.
+func (f *fakeBackend) Pushed() (uint64, bool, bool) { return 1, !f.notBuilt, true }
+
 // TestOptionValidationRejectsBadKnobs pins the input-validation hardening:
 // negative or absurd integer knobs and a min_recall outside (0, 1] must
 // answer 400 with an error naming the offending field, on both query

@@ -20,8 +20,9 @@
 // across requests of either kind, or twice in one batch — coalesce onto one
 // backend execution, and overlapping requests narrow each query's rerank
 // pool to one worker so concurrent traffic never oversubscribes the cores.
-// The Backend is four methods: plan one query, execute a batch of plans,
-// ingest, and one Status snapshot.
+// The Backend is five methods: plan one query, execute a batch of plans,
+// ingest, one Status snapshot, and the Pushed generation a request served
+// wholly from the cache reads instead.
 //
 // Every query is planned before it executes: the backend resolves the
 // request options into an explicit core.Plan (fixed, pinned, or chosen by
@@ -29,7 +30,8 @@
 // (query text, resolved plan), and the response echoes the plan that ran.
 // Each entry is stamped with the backend's ingest generation, so any ingest
 // or index build anywhere in the engine invalidates stale answers on their
-// next lookup.
+// next lookup — at once for writes through this server's backend, and as
+// soon as the shards push their new generation for writes through another.
 package server
 
 import (
@@ -57,14 +59,18 @@ import (
 // query is a batch of one) — so it can key the result cache on the resolved
 // plan and report which plans the backend is choosing. The query contexts
 // carry the request's tracing recorder (see internal/obs); tracing never
-// changes an answer. Status is the backend's one consistent snapshot: every
-// request reads built, generation and backend health from one call, and
-// /stats, /healthz and /metrics each render from one.
+// changes an answer. Status is the backend's one consistent snapshot: a
+// request with a cache miss reads built, generation and backend health from
+// one call, and /stats, /healthz and /metrics each render from one. Pushed
+// is the generation and built flag the backend's shards last pushed, read
+// without asking any of them: a request whose every query hits the cache at
+// that generation reads nothing else, and !ok sends it to Status.
 type Backend interface {
 	PlanQueryCtx(ctx context.Context, text string, opts core.QueryOptions) (core.Plan, error)
 	QueryBatchPlanned(ctx context.Context, texts []string, plans []core.Plan, workers, clients int) ([]*core.Result, error)
 	Ingest(v *video.Video) error
 	Status() shard.Status
+	Pushed() (gen uint64, built, ok bool)
 }
 
 // Config tunes the serving tier.
@@ -428,10 +434,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // misses this request leads as ONE backend batch, wait for the ones other
 // requests lead, then record latency and offer the trace to the slow log.
 // Cache entries and flights key on (text, resolved plan) at the generation
-// this request's status read saw, so requests that resolve to the same
-// execution share it — duplicates inside one batch too — and a coalesced
-// answer reports cached=false. The request is traced whenever anyone could
-// see the trace (the slow log, or debug, which echoes it on the first
+// this request saw, so requests that resolve to the same execution share
+// it — duplicates inside one batch too — and a coalesced answer reports
+// cached=false. The generation is the backend's pushed one while every
+// query hits, so a request served wholly from the cache asks no shard
+// anything; the first miss — or a pushed view that is not live or not
+// built, or a bounded plan, whose planner reads Status anyway — reads
+// Status, answers 503 when the backend is not built, and runs the misses at
+// that read's generation. The request is traced whenever anyone could see
+// the trace (the slow log, or debug, which echoes it on the first
 // response); tracing never steers an answer. On failure serve has answered
 // w itself and returns nil.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o QueryOptionsJSON, debug bool) []QueryResponse {
@@ -439,12 +450,26 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return nil
 	}
-	st := s.backend.Status()
-	if !st.Built {
-		s.failUnavailable(w, st)
+	opts := s.resolveOptions(o)
+	var gen uint64
+	pushed := false
+	if opts.MinRecall == 0 {
+		var built bool
+		gen, built, pushed = s.backend.Pushed()
+		pushed = pushed && built
+	}
+	readStatus := func() bool {
+		st := s.backend.Status()
+		if !st.Built {
+			s.failUnavailable(w, st)
+			return false
+		}
+		gen = st.Gen
+		return true
+	}
+	if !pushed && !readStatus() {
 		return nil
 	}
-	opts := s.resolveOptions(o)
 	// The executor's guard between a batch's clients, applied between
 	// requests (see inflight); answers are identical at every width.
 	if s.inflight.Add(1) > 1 {
@@ -483,7 +508,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 		plans[i], cacheKeys[i] = plan, cacheKey(text, plan)
 		cacheStart := time.Now()
 		_, cacheSpans[i] = obs.Start(ctx, "cache")
-		res, hit := s.cache.get(cacheKeys[i], st.Gen)
+		res, hit := s.cache.get(cacheKeys[i], gen)
 		if hit {
 			cacheSpans[i].Detail("hit")
 		} else {
@@ -495,7 +520,13 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 			out[i] = toResponse(res, plan, true)
 			continue
 		}
-		fk := flightKey(cacheKeys[i], st.Gen)
+		if pushed {
+			pushed = false
+			if !readStatus() {
+				return nil
+			}
+		}
+		fk := flightKey(cacheKeys[i], gen)
 		if waiting[fk] == nil {
 			keys = append(keys, fk)
 		}
@@ -526,7 +557,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 					s.metrics.observeStage("rerank", res.Rerank)
 					// Published before the flights end, so a request arriving
 					// after them hits the cache instead of recomputing.
-					s.cache.put(cacheKeys[runQueries[j]], st.Gen, res)
+					s.cache.put(cacheKeys[runQueries[j]], gen, res)
 				}
 				return results, err
 			})

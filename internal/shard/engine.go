@@ -37,7 +37,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -69,7 +71,39 @@ type Engine struct {
 	// planner resolves accuracy-bounded queries into scatter plans from
 	// the shards' exported planning digests.
 	planner *enginePlanner
+
+	// The watch state behind Pushed, per backend: epoch counts the starts
+	// and ends of the mutations this engine issues to the backend, pending
+	// counts the ones in flight, and views holds the backend's last pushed
+	// view (nil while its watch is down).
+	epoch   []atomic.Uint64
+	pending []atomic.Int64
+	views   []atomic.Pointer[view]
+	// watchOnce starts the watchers on the first Pushed; watchers counts
+	// them. watchMu guards closed and is idle's lock: idle is broadcast
+	// when a mutation ends and when the engine closes, and stop is closed
+	// with it.
+	watchOnce sync.Once
+	watchers  sync.WaitGroup
+	watchMu   sync.Mutex
+	idle      *sync.Cond
+	closed    bool
+	stop      chan struct{}
 }
+
+// view is what one backend's watch last pushed: its stamp, this engine's
+// mutation epoch for the backend when the watch request went out, and when
+// the reply arrived.
+type view struct {
+	stamp remote.Stamp
+	epoch uint64
+	at    time.Time
+}
+
+// viewTTL is how long a pushed view stays live without another reply. A
+// live worker answers every watch within remote.Heartbeat; past that plus
+// a dial's grace its silence means it is dead or cut off.
+const viewTTL = remote.Heartbeat + remote.DefaultDialTimeout
 
 // New constructs an engine with n in-process shards of one replica each.
 func New(n int, cfg core.Config) (*Engine, error) {
@@ -131,7 +165,12 @@ func NewWithBackends(backends []remote.ShardBackend, cfg core.Config) (*Engine, 
 		lastGen:   make([]atomic.Uint64, len(backends)),
 		bootID:    make([]atomic.Uint64, len(backends)),
 		stateLost: make([]atomic.Bool, len(backends)),
+		epoch:     make([]atomic.Uint64, len(backends)),
+		pending:   make([]atomic.Int64, len(backends)),
+		views:     make([]atomic.Pointer[view], len(backends)),
+		stop:      make(chan struct{}),
 	}
+	e.idle = sync.NewCond(&e.watchMu)
 	e.planner = newEnginePlanner(e.cfg)
 	return e, nil
 }
@@ -177,7 +216,7 @@ func (e *Engine) owner(videoID int) int {
 // replica) as a batch of one.
 func (e *Engine) Ingest(v *video.Video) error {
 	gi := e.owner(v.ID)
-	if err := e.backends[gi].IngestVideos([]*video.Video{v}); err != nil {
+	if err := e.mutate(gi, func(b remote.ShardBackend) error { return b.IngestVideos([]*video.Video{v}) }); err != nil {
 		return fmt.Errorf("shard %d: %w", gi, err)
 	}
 	return nil
@@ -198,7 +237,7 @@ func (e *Engine) IngestDataset(ds *datasets.Dataset) error {
 		if len(byShard[i]) == 0 {
 			return
 		}
-		if err := e.backends[i].IngestVideos(byShard[i]); err != nil {
+		if err := e.mutate(i, func(b remote.ShardBackend) error { return b.IngestVideos(byShard[i]) }); err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 		}
 	})
@@ -209,7 +248,7 @@ func (e *Engine) IngestDataset(ds *datasets.Dataset) error {
 func (e *Engine) BuildIndex() error {
 	errs := make([]error, len(e.backends))
 	core.ParallelFor(len(e.backends), len(e.backends), func(i int) {
-		if err := e.backends[i].BuildIndex(); err != nil {
+		if err := e.mutate(i, remote.ShardBackend.BuildIndex); err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 		}
 	})
@@ -374,8 +413,9 @@ type BackendStat struct {
 
 // Status is the engine's one consistent view of itself: every field folds
 // the same scatter of ShardBackend.Status reads, one per shard, so the
-// serving tier's per-request built/generation check and a full /stats
-// scrape both cost one metadata read per shard and describe one moment.
+// serving tier's built/generation check on a cache miss and a full /stats
+// scrape both cost one metadata read per shard and describe one moment (a
+// request served wholly from the cache reads Pushed instead).
 type Status struct {
 	// Gen sums each shard's mutation generation (itself the minimum across
 	// the shard's replicas): any ingest or index build anywhere advances it
@@ -426,7 +466,7 @@ func (e *Engine) Status() Status {
 		LastMeasuredRecall: e.planner.policy.LastMeasured(),
 	}
 	core.ParallelFor(n, n, func(i int) {
-		st, err := e.backends[i].Status()
+		st, err := e.backends[i].Status(nil)
 		out.Backends[i] = e.observe(i, &st, err)
 		shards[i] = st
 	})
@@ -504,6 +544,113 @@ func (e *Engine) observe(i int, st *remote.ShardStatus, err error) BackendStat {
 	return bs
 }
 
+// mutate runs one mutation on backend i, bracketed for Pushed: from its
+// start until a watch request sent after its end is answered, hits on this
+// engine read status synchronously, so they always see what it wrote.
+func (e *Engine) mutate(i int, fn func(remote.ShardBackend) error) error {
+	e.pending[i].Add(1)
+	e.epoch[i].Add(1)
+	defer func() {
+		e.epoch[i].Add(1)
+		e.pending[i].Add(-1)
+		e.watchMu.Lock()
+		e.idle.Broadcast()
+		e.watchMu.Unlock()
+	}()
+	return fn(e.backends[i])
+}
+
+// Pushed is the serving tier's cache-hit read: the fleet's generation and
+// built flag as the backends' watches last pushed them, costing no request
+// to any backend. ok is false — read Status instead — unless every
+// backend's view is fresh:
+//
+//   - its watch replied within viewTTL and has not failed since;
+//   - no mutation this engine issued to the backend is in flight, and the
+//     watch request behind the view went out after the last one ended
+//     (read-your-writes);
+//   - it carries the boot nonce the last Status recorded, on a backend not
+//     marked state-lost — a restart is for Status to judge.
+//
+// A write through another coordinator reaches the view as fast as the
+// worker's push; a blackholed worker keeps its view at most viewTTL. The
+// first call starts one watcher per backend; Close stops them.
+func (e *Engine) Pushed() (gen uint64, built, ok bool) {
+	e.watchOnce.Do(e.startWatchers)
+	//lovo:nondeterministic-ok view liveness; a clock value never reaches an answer
+	now := time.Now()
+	built = true
+	for i := range e.backends {
+		v := e.views[i].Load()
+		if v == nil || now.Sub(v.at) > viewTTL || v.epoch != e.epoch[i].Load() || e.pending[i].Load() != 0 ||
+			v.stamp.BootID != e.bootID[i].Load() || e.stateLost[i].Load() {
+			return 0, false, false
+		}
+		gen += v.stamp.Gen
+		built = built && v.stamp.Built
+	}
+	return gen, built, true
+}
+
+func (e *Engine) startWatchers() {
+	e.watchMu.Lock()
+	defer e.watchMu.Unlock()
+	if e.closed {
+		return
+	}
+	for i := range e.backends {
+		e.watchers.Add(1)
+		go e.watch(i)
+	}
+}
+
+// watch is backend i's watcher: a long poll on the backend's stamp, each
+// reply published as its view. A view that is not current — none yet, or
+// one whose request predates a mutation — is refreshed with remote.Unseen,
+// which the backend answers at once; while a mutation is in flight the
+// watcher waits it out rather than poll a moving target. A failed watch
+// drops the view and retries — at once after a success, so a dropped
+// connection costs one redial, and a heartbeat apart while the backend
+// stays unreachable.
+func (e *Engine) watch(i int) {
+	defer e.watchers.Done()
+	failing := false
+	for e.awaitIdle(i) {
+		ep := e.epoch[i].Load()
+		since := remote.Unseen
+		if v := e.views[i].Load(); v != nil && v.epoch == ep {
+			since = v.stamp
+		}
+		st, err := e.backends[i].Status(&since)
+		if err != nil {
+			e.views[i].Store(nil)
+			if failing {
+				select {
+				case <-e.stop:
+					return
+				case <-time.After(remote.Heartbeat):
+				}
+			}
+			failing = true
+			continue
+		}
+		failing = false
+		//lovo:nondeterministic-ok view liveness; a clock value never reaches an answer
+		e.views[i].Store(&view{stamp: st.Stamp(), epoch: ep, at: time.Now()})
+	}
+}
+
+// awaitIdle blocks while a mutation this engine issued to backend i is in
+// flight; false once the engine is closed.
+func (e *Engine) awaitIdle(i int) bool {
+	e.watchMu.Lock()
+	defer e.watchMu.Unlock()
+	for !e.closed && e.pending[i].Load() != 0 {
+		e.idle.Wait()
+	}
+	return !e.closed
+}
+
 // Entities returns the total indexed patch vectors across reachable shards.
 func (e *Engine) Entities() int { return e.Status().Entities }
 
@@ -520,14 +667,26 @@ func (e *Engine) FailReplica(group, replica int) { e.local(group).Fail(replica) 
 // ReviveReplica returns a failed in-process replica to query routing.
 func (e *Engine) ReviveReplica(group, replica int) { e.local(group).Revive(replica) }
 
-// Close releases every backend's resources (remote connection pools; no-op
-// for in-process shards).
+// Close stops the watchers, drops their views and releases every backend's
+// resources (remote connection pools and watch connections, in-process
+// shards' held watches).
 func (e *Engine) Close() error {
+	e.watchMu.Lock()
+	if !e.closed {
+		e.closed = true
+		close(e.stop)
+		e.idle.Broadcast()
+	}
+	e.watchMu.Unlock()
 	var first error
 	for _, b := range e.backends {
 		if err := b.Close(); err != nil && first == nil {
 			first = err
 		}
+	}
+	e.watchers.Wait()
+	for i := range e.views {
+		e.views[i].Store(nil)
 	}
 	return first
 }
@@ -596,7 +755,7 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 	if int(n) != len(e.backends) {
 		return fmt.Errorf("shard: snapshot has %d shards, engine has %d", n, len(e.backends))
 	}
-	for i, b := range e.backends {
+	for i := range e.backends {
 		var size uint64
 		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
 			return fmt.Errorf("shard %d: reading snapshot size: %w", i, err)
@@ -608,7 +767,7 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 		if _, err := io.CopyN(&seg, r, int64(size)); err != nil {
 			return fmt.Errorf("shard %d: reading %d-byte snapshot segment: %w", i, size, err)
 		}
-		if err := b.LoadSnapshot(seg.Bytes()); err != nil {
+		if err := e.mutate(i, func(b remote.ShardBackend) error { return b.LoadSnapshot(seg.Bytes()) }); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -57,6 +59,12 @@ type Local struct {
 	// faultHook, when set (tests only), may inject an error before a
 	// replica call, exercising the failover path.
 	faultHook func(replica int) error
+	// changed is closed (and replaced) whenever IngestVideos, BuildIndex or
+	// LoadSnapshot returns, waking every watch held on the shard's stamp;
+	// Close closes it for good. changedMu guards both fields.
+	changedMu sync.Mutex
+	changed   chan struct{}
+	closed    bool
 }
 
 // NewLocal constructs an in-process shard of r equal-seeded replicas.
@@ -67,6 +75,7 @@ func NewLocal(r int, cfg core.Config) (*Local, error) {
 	l := &Local{
 		replicas: make([]*core.System, r),
 		state:    make([]replicaState, r),
+		changed:  make(chan struct{}),
 	}
 	for i := range l.replicas {
 		s, err := core.New(cfg)
@@ -206,6 +215,7 @@ func (l *Local) Revive(replica int) { l.state[replica].failed.Store(false) }
 // replicas are pulled from routing so the group keeps answering with one
 // consistent corpus.
 func (l *Local) IngestVideos(vs []*video.Video) error {
+	defer l.wake()
 	r := len(l.replicas)
 	errs := make([]error, r)
 	core.ParallelFor(r, r, func(ri int) {
@@ -245,6 +255,7 @@ func (l *Local) markDiverged(errs []error) {
 // shard (fewer videos than shards) is skipped — it answers queries with
 // zero hits either way.
 func (l *Local) BuildIndex() error {
+	defer l.wake()
 	r := len(l.replicas)
 	errs := make([]error, r)
 	core.ParallelFor(r, r, func(ri int) {
@@ -310,7 +321,43 @@ func (l *Local) GroundCandidates(ctx context.Context, text string, refs []core.F
 	return gs, nil
 }
 
-// Status assembles the shard's snapshot from counter reads alone. The
+// wake releases every watch held on the shard's stamp: the mutation that is
+// returning may have moved it.
+func (l *Local) wake() {
+	l.changedMu.Lock()
+	if !l.closed {
+		close(l.changed)
+		l.changed = make(chan struct{})
+	}
+	l.changedMu.Unlock()
+}
+
+// Status snapshots the shard (see status). A nil since answers at once; a
+// watch answers as soon as the stamp differs from *since — woken by the
+// shard's own mutations — or after remote.Heartbeat, or at once on a
+// closed shard.
+func (l *Local) Status(since *remote.Stamp) (remote.ShardStatus, error) {
+	if since == nil {
+		return l.status(), nil
+	}
+	// Taken before the stamp is read, so a mutation returning in between
+	// still wakes this watch.
+	l.changedMu.Lock()
+	changed := l.changed
+	l.changedMu.Unlock()
+	if st := l.status(); st.Stamp() != *since {
+		return st, nil
+	}
+	t := time.NewTimer(remote.Heartbeat)
+	defer t.Stop()
+	select {
+	case <-changed:
+	case <-t.C:
+	}
+	return l.status(), nil
+}
+
+// status assembles the shard's snapshot from counter reads alone. The
 // primary replica speaks for the group's corpus figures (copies don't
 // multiply the corpus, and replicas converge to identical segment
 // structures). The generation is the MINIMUM across replicas — not the
@@ -319,7 +366,7 @@ func (l *Local) GroundCandidates(ctx context.Context, text string, refs []core.F
 // with a generation the laggard hasn't reached would let that stale answer
 // survive in a cache forever. Built holds when every non-empty replica has
 // built its index.
-func (l *Local) Status() (remote.ShardStatus, error) {
+func (l *Local) status() remote.ShardStatus {
 	primary := l.replicas[0]
 	st := remote.ShardStatus{
 		Gen:      primary.IngestGen(),
@@ -344,7 +391,7 @@ func (l *Local) Status() (remote.ShardStatus, error) {
 			Inflight: rs.inflight.Load(),
 		}
 	}
-	return st, nil
+	return st
 }
 
 // SaveSnapshot serialises one replica's full system state (the primary
@@ -361,6 +408,7 @@ func (l *Local) SaveSnapshot() ([]byte, error) {
 // LoadSnapshot restores a SaveSnapshot payload into every replica of this
 // freshly-constructed shard — the replica count need not match the saver's.
 func (l *Local) LoadSnapshot(data []byte) error {
+	defer l.wake()
 	for ri, s := range l.replicas {
 		if err := s.LoadSnapshot(bytes.NewReader(data)); err != nil {
 			return fmt.Errorf("replica %d: %w", ri, err)
@@ -369,5 +417,14 @@ func (l *Local) LoadSnapshot(data []byte) error {
 	return nil
 }
 
-// Close is a no-op for an in-process shard.
-func (l *Local) Close() error { return nil }
+// Close releases every held watch and answers later ones at once; the
+// shard itself keeps serving.
+func (l *Local) Close() error {
+	l.changedMu.Lock()
+	if !l.closed {
+		l.closed = true
+		close(l.changed)
+	}
+	l.changedMu.Unlock()
+	return nil
+}

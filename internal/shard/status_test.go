@@ -17,7 +17,7 @@ type scriptedBackend struct {
 	err error
 }
 
-func (b *scriptedBackend) Status() (remote.ShardStatus, error) { return b.st, b.err }
+func (b *scriptedBackend) Status(*remote.Stamp) (remote.ShardStatus, error) { return b.st, b.err }
 
 func up(bootID, gen uint64) remote.ShardStatus {
 	return remote.ShardStatus{
