@@ -40,3 +40,26 @@ func TestSearchPlannedBatchAllocs(t *testing.T) {
 		t.Fatalf("exhaustive SearchPlannedBatch of %d made %v allocations, want at most 200", len(texts), allocs)
 	}
 }
+
+// TestNoRerankTailAllocs bounds the executor's tail after stage 1 on a
+// no-rerank batch of 8 over two legs of 100 hits: per query one merge, a
+// frame table, its two chain arrays and the append-grown answer the
+// result cache keeps (109 allocations on amd64).
+func TestNoRerankTailAllocs(t *testing.T) {
+	target, texts, plans := noRerankTail()
+	ctx := context.Background()
+	run := func() {
+		res, err := ExecutePlanBatch(ctx, target, Config{}, texts, plans, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res[0].Objects) == 0 || res[0].CandidateFrames == 0 {
+			t.Fatalf("empty answer: %d objects over %d frames", len(res[0].Objects), res[0].CandidateFrames)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, run)
+	t.Logf("no-rerank tail, batch of %d over 2 legs: %v allocations", len(texts), allocs)
+	if allocs > 120 {
+		t.Fatalf("no-rerank tail of %d made %v allocations, want at most 120", len(texts), allocs)
+	}
+}

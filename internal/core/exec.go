@@ -77,17 +77,24 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 		ssp.End()
 		return nil, err
 	}
+	// Per query: the global cut, then candidate frames or the no-rerank answer.
 	_, msp := obs.Start(sctx, "merge")
-	merged := make([][]ResultObject, len(texts))
 	refs := make([][]FrameRef, len(texts))
-	hits, frames := 0, 0
+	hits, frames, kept := 0, 0, 0
 	for i := range texts {
-		merged[i] = MergeHits(allLists[i], plans[i].FastK)
-		refs[i] = CandidateFrames(merged[i])
-		hits, frames = hits+len(merged[i]), frames+len(refs[i])
+		merged := MergeHits(allLists[i], plans[i].FastK)
+		res := &Result{}
+		if plans[i].SkipRerank {
+			res.Objects, res.CandidateFrames = dedupHits(merged, plans[i].FastK)
+		} else {
+			refs[i] = CandidateFrames(merged)
+			res.CandidateFrames = len(refs[i])
+		}
+		results[i] = res
+		hits, frames, kept = hits+len(merged), frames+res.CandidateFrames, kept+len(res.Objects)
 	}
 	if msp.On() {
-		msp.Detail(fmt.Sprintf("queries=%d hits=%d frames=%d", len(texts), hits, frames))
+		msp.Detail(fmt.Sprintf("queries=%d hits=%d frames=%d kept=%d", len(texts), hits, frames, kept))
 	}
 	msp.End()
 	ssp.End()
@@ -97,10 +104,9 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 	// Stage 2 is per-query work (transformer forward passes over each
 	// query's own candidate frames), so it fans out across the batch.
 	ParallelFor(len(texts), clients, func(i int) {
-		res := &Result{CandidateFrames: len(refs[i]), FastSearch: fastElapsed}
+		res := results[i]
+		res.FastSearch = fastElapsed
 		if plans[i].SkipRerank {
-			res.Objects = DedupHits(merged[i], plans[i].FastK)
-			results[i] = res
 			return
 		}
 		//lovo:nondeterministic-ok Result.Rerank is reported stage latency; grounding ranks never read it
@@ -120,7 +126,6 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 		rsp.End()
 		//lovo:nondeterministic-ok Result.Rerank is reported stage latency; grounding ranks never read it
 		res.Rerank = time.Since(rstart)
-		results[i] = res
 	})
 	for i, err := range errs {
 		if err != nil {

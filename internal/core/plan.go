@@ -59,8 +59,8 @@ type Plan struct {
 	RerankFrames int
 	// TopN is the number of reranked frames returned.
 	TopN int
-	// SkipRerank returns deduplicated stage-1 hits directly (the
-	// "w/o Rerank" ablation path).
+	// SkipRerank returns the deduplicated top-FastK stage-1 hits directly
+	// (the "w/o Rerank" ablation path); TopN does not apply.
 	SkipRerank bool
 	// Deprecated: ignored; remains only because benchmark/ names it — removed with ROADMAP item 1.
 	Int8 bool

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -22,8 +23,8 @@ type QueryOptions struct {
 	FastK int
 	// TopN overrides the number of reranked frames returned.
 	TopN int
-	// DisableRerank skips stage 2 ("w/o Rerank" ablation): fast-search
-	// hits are returned directly.
+	// DisableRerank skips stage 2 ("w/o Rerank" ablation): the deduplicated
+	// top-FastK fast-search hits are returned, and TopN does not apply.
 	DisableRerank bool
 	// Exhaustive disables ANNS pruning ("w/o ANNS" ablation).
 	Exhaustive bool
@@ -238,21 +239,34 @@ func (s *System) SearchPlannedBatch(ctx context.Context, texts []string, plans [
 // broken by ascending patch ID. Merging each shard's exact local top-fastK
 // this way reproduces the monolithic exact top-fastK bit for bit — any hit
 // in the global cut has fewer than fastK hits above it globally, hence
-// fewer than fastK above it in its own shard.
+// fewer than fastK above it in its own shard. A k-way merge stops at the
+// cut; a non-canonical list merges from a sorted copy, never in place.
 func MergeHits(lists [][]ResultObject, fastK int) []ResultObject {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
+	canonical := func(a, b ResultObject) int {
+		return mat.Canonical(mat.Scored{ID: a.PatchID, Score: a.Score}, mat.Scored{ID: b.PatchID, Score: b.Score})
+	}
+	var small [4][]ResultObject // one list per shard: keep the heads on the stack
+	runs, total := append(small[:0], lists...), 0
+	for i, l := range lists {
+		if !slices.IsSortedFunc(l, canonical) {
+			l = slices.Clone(l)
+			slices.SortFunc(l, canonical)
+		}
+		runs[i], total = l, total+len(l)
+	}
+	if fastK > 0 {
+		total = min(total, fastK)
 	}
 	merged := make([]ResultObject, 0, total)
-	for _, l := range lists {
-		merged = append(merged, l...)
-	}
-	slices.SortFunc(merged, func(a, b ResultObject) int {
-		return mat.Canonical(mat.Scored{ID: a.PatchID, Score: a.Score}, mat.Scored{ID: b.PatchID, Score: b.Score})
-	})
-	if fastK > 0 && len(merged) > fastK {
-		merged = merged[:fastK]
+	for len(merged) < total {
+		best := -1
+		for r, l := range runs {
+			if len(l) > 0 && (best < 0 || canonical(l[0], runs[best][0]) < 0) {
+				best = r
+			}
+		}
+		merged = append(merged, runs[best][0])
+		runs[best] = runs[best][1:]
 	}
 	return merged
 }
@@ -260,17 +274,41 @@ func MergeHits(lists [][]ResultObject, fastK int) []ResultObject {
 // CandidateFrames collapses a canonical hit list to its distinct frames in
 // first-hit order, so each frame carries its best hit's patch ID.
 func CandidateFrames(hits []ResultObject) []FrameRef {
-	seen := make(map[frameKey]bool)
-	var refs []FrameRef
-	for _, h := range hits {
-		k := frameKey{h.VideoID, h.FrameIdx}
-		if seen[k] {
-			continue
+	refs := slices.Grow([]FrameRef(nil), len(hits)) // nil for no hits
+	t := newFrameTable(hits)
+	for i, h := range hits {
+		if t.first(i) == i {
+			refs = append(refs, FrameRef{VideoID: h.VideoID, FrameIdx: h.FrameIdx, PatchID: h.PatchID})
 		}
-		seen[k] = true
-		refs = append(refs, FrameRef{VideoID: h.VideoID, FrameIdx: h.FrameIdx, PatchID: h.PatchID})
 	}
 	return refs
+}
+
+// frameTable finds the first hit of each hit's (video, frame) in a hit
+// list without a map: open addressing over slots that hold 1 + the index
+// of a frame's first hit (0: empty), at most half of them full.
+type frameTable struct {
+	hits  []ResultObject
+	slots []int32
+}
+
+func newFrameTable(hits []ResultObject) frameTable {
+	return frameTable{hits, make([]int32, 1<<bits.Len(uint(2*len(hits))))}
+}
+
+// first returns the index of the first hit of hits[i]'s frame — i itself
+// when the frame is new.
+func (t frameTable) first(i int) int {
+	h, mask := t.hits[i], len(t.slots)-1
+	for s := int((uint64(h.VideoID)<<32^uint64(h.FrameIdx))*0x9e3779b97f4a7c15>>32) & mask; ; s = (s + 1) & mask {
+		if t.slots[s] == 0 {
+			t.slots[s] = int32(i + 1)
+			return i
+		}
+		if f := int(t.slots[s] - 1); t.hits[f].VideoID == h.VideoID && t.hits[f].FrameIdx == h.FrameIdx {
+			return f
+		}
+	}
 }
 
 // SelectForRerank bounds the candidate frames to the stage-2 budget so the
@@ -520,23 +558,37 @@ func (s *System) QueryBatchPlanned(ctx context.Context, texts []string, plans []
 // would otherwise flood the un-reranked result list (the "w/o Rerank"
 // ablation path).
 func DedupHits(objs []ResultObject, limit int) []ResultObject {
-	var out []ResultObject
-	for _, o := range objs {
+	kept, _ := dedupHits(objs, limit)
+	return kept
+}
+
+// dedupHits is DedupHits plus the number of distinct frames in objs — the
+// no-rerank path's candidate-frame count. A hit is a duplicate when a kept
+// hit of its own frame — found through last and prev — has IoU > 0.8.
+func dedupHits(objs []ResultObject, limit int) ([]ResultObject, int) {
+	var out []ResultObject // append-grown: the result cache retains it
+	// last[f] is 1 + the index in out of the latest kept hit of the frame
+	// first seen at objs[f]; prev[j] the same for the kept hit before out[j].
+	last, prev := make([]int32, len(objs)), make([]int32, 0, len(objs))
+	t, frames := newFrameTable(objs), 0
+	for i, o := range objs {
+		f := t.first(i)
+		if f == i {
+			frames++
+		}
+		if limit > 0 && len(out) == limit {
+			continue
+		}
 		dup := false
-		for i := range out {
-			if out[i].VideoID == o.VideoID && out[i].FrameIdx == o.FrameIdx && out[i].Box.IoU(o.Box) > 0.8 {
-				dup = true
-				break
-			}
+		for j := last[f]; j != 0 && !dup; j = prev[j-1] {
+			dup = out[j-1].Box.IoU(o.Box) > 0.8
 		}
 		if !dup {
-			out = append(out, o)
+			out, prev = append(out, o), append(prev, last[f])
+			last[f] = int32(len(out))
 		}
 	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return out, frames
 }
 
 func abs(x int) int {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
@@ -92,5 +94,35 @@ func BenchmarkQueryTracingOn(b *testing.B) {
 			b.Fatal(err)
 		}
 		root.End()
+	}
+}
+
+// TestNoRerankTailTraced: on a no-rerank plan the whole tail after stage 1
+// — merge, frame count and dedup — runs under the "merge" span, whose
+// detail reports the kept hits and the candidate frames.
+func TestNoRerankTailTraced(t *testing.T) {
+	sys, ds := tracedSystem(t)
+	tr := obs.NewTrace(obs.NewID())
+	root := tr.Root("query")
+	res, err := Query(obs.With(context.Background(), root), sys, ds.Queries[0].Text, QueryOptions{DisableRerank: true})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Objects) == 0 {
+		t.Fatal("no-rerank query kept no hits")
+	}
+	want := fmt.Sprintf("frames=%d kept=%d", res.CandidateFrames, len(res.Objects))
+	var merges []string
+	for _, sp := range tr.Export() {
+		if sp.Name == "rerank" {
+			t.Fatal("a no-rerank query recorded a rerank span")
+		}
+		if sp.Name == "merge" {
+			merges = append(merges, sp.Detail)
+		}
+	}
+	if len(merges) != 1 || !strings.HasSuffix(merges[0], want) {
+		t.Fatalf("merge spans %q, want one ending %q", merges, want)
 	}
 }

@@ -84,7 +84,9 @@ type Options struct {
 	Keyframes string
 	// FastK is the fast-search candidate count (default 100).
 	FastK int
-	// TopN is the number of reranked frames returned (default 10).
+	// TopN is the number of reranked frames returned (default 10). A
+	// QueryOptions.DisableRerank query ignores it: it returns up to FastK
+	// deduplicated fast-search hits.
 	TopN int
 	// NProbe is the number of clusters probed per subspace (default 16).
 	NProbe int
