@@ -13,16 +13,18 @@
 // agreeing subspaces rank first.
 //
 // Codes are stored packed (one contiguous []uint16 with stride P) and
-// addressed by the dense row position of the borrowed ann.Rows, so the ADC
-// scan is strided loads against the flat lookup table instead of
-// map-and-slice pointer chasing, and the exact re-score reads the
-// collection's own rows. Params.Exhaustive is the shared ann.Rows.TopK
-// scan: every vote would be P, so the vote never breaks a tie there.
+// addressed by the dense row position of the borrowed ann.Rows. A query's
+// votes are a pooled dense array over positions, read in one linear pass;
+// ADC runs only when the candidates outnumber the shortlist, and the exact
+// re-score reads the collection's own rows. Params.Exhaustive is the shared
+// ann.Rows.TopK scan: every vote would be P, so the vote never breaks a tie.
 package imi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/ann"
 	"repro/internal/mat"
@@ -31,7 +33,7 @@ import (
 
 // Config shapes the multi-index.
 type Config struct {
-	// P is the number of subspaces; zero defaults to 4.
+	// P is the number of subspaces, at most 255; zero defaults to 4.
 	P int
 	// M is the number of centroids per subspace; zero defaults to 64
 	// (clipped to the training-set size).
@@ -41,15 +43,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults(n int) Config {
-	if c.P == 0 {
-		c.P = 4
-	}
-	if c.M == 0 {
-		c.M = 64
-	}
-	if c.M > n {
-		c.M = n
-	}
+	c.P, c.M = cmp.Or(c.P, 4), min(cmp.Or(c.M, 64), n)
 	return c
 }
 
@@ -74,6 +68,9 @@ func Build(rows *ann.Rows, cfg Config) (*Index, error) {
 		return nil, quant.ErrNotEnoughData
 	}
 	cfg = cfg.withDefaults(n)
+	if cfg.P > 255 {
+		return nil, fmt.Errorf("imi: P=%d exceeds the 255 subspaces a uint8 vote counts", cfg.P)
+	}
 	vecs := make([]mat.Vec, n)
 	for i := range vecs {
 		vecs[i] = rows.Row(i)
@@ -118,7 +115,25 @@ func (ix *Index) add(row int) {
 	}
 }
 
-// Search implements ann.Index following Algorithm 1.
+// cand is a candidate row carried by position, so no step maps an ID back
+// to its row; its score is ADC while the shortlist is selected, exact after.
+type cand struct {
+	mat.Scored
+	pos   int32
+	votes uint8
+}
+
+// scratch is a Search's pooled working set; votes is all zero between uses.
+type scratch struct {
+	votes []uint8
+	cands []cand
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// Search implements ann.Index following Algorithm 1. At most 4k candidates
+// are the whole shortlist and skip ADC: the answer's (score, vote, ID) order
+// is total, so the shortlist's own order never reaches it.
 func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	if k <= 0 || ix.Len() == 0 {
 		return nil
@@ -132,11 +147,12 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 
 	// Candidate gathering. votes[pos] counts how many subspaces proposed
 	// the vector — the agreement statistic behind the patch-ID vote.
-	votes := make(map[int32]int)
-	a := p.NProbe
-	if a <= 0 {
-		a = 8
+	sc := scratchPool.Get().(*scratch)
+	if len(sc.votes) < ix.Len() {
+		sc.votes = make([]uint8, ix.Len())
 	}
+	votes, cands := sc.votes[:ix.Len()], sc.cands[:0]
+	a := cmp.Or(max(p.NProbe, 0), 8) // A, the centroids probed per subspace
 	for sp := 0; sp < ix.pq.P; sp++ {
 		row := table.Row(sp)
 		topA := mat.GetTopK(min(a, len(row)))
@@ -150,32 +166,45 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 		}
 		mat.PutTopK(topA)
 	}
-
-	// Score candidates by ADC (lines 8–11) into a 4k shortlist for the
-	// exact re-score. The top-k heap is keyed by id (the canonical
-	// determinism order), while scoring addresses packed codes by dense
-	// position.
-	top := mat.GetTopK(k * 4)
-	defer mat.PutTopK(top)
-	for pos := range votes {
-		top.Push(ix.rows.ID(int(pos)), ix.pq.ApproxDotPacked(table, ix.codeAt(pos)))
+	for pos, v := range votes { // in position order, zeroing what it takes
+		if v != 0 {
+			cands = append(cands, cand{mat.Scored{ID: ix.rows.ID(pos)}, int32(pos), v})
+			votes[pos] = 0
+		}
 	}
-	short := top.Sorted()
+
+	// Beyond 4k candidates, score them by ADC (lines 8–11) and keep the 4k
+	// best in the canonical (score, ID) order: the set a 4k heap retains.
+	if len(cands) > 4*k {
+		top := mat.GetTopK(4 * k)
+		defer mat.PutTopK(top)
+		for i, c := range cands {
+			cands[i].Score = ix.pq.ApproxDotPacked(table, ix.codeAt(c.pos))
+			top.Push(c.ID, cands[i].Score)
+		}
+		cands = slices.DeleteFunc(cands, func(c cand) bool { return mat.Before(top.Worst(), c.Scored) })
+	}
 
 	// Exact re-scoring (lines 13–17) with the patch-ID vote as the
-	// tie-break: more subspace agreement ranks first. Votes are resolved
-	// once per entry so the comparator does no map lookups.
-	out := make([]mat.Scored, 0, len(short))
-	outVotes := make([]int, 0, len(short))
-	for _, s := range short {
-		pos, _ := ix.rows.Pos(s.ID)
-		out = append(out, mat.Scored{ID: s.ID, Score: mat.Dot(q, ix.rows.Row(pos))})
-		outVotes = append(outVotes, votes[int32(pos)])
+	// tie-break: more subspace agreement ranks first.
+	for i, c := range cands {
+		cands[i].Score = mat.Dot(q, ix.rows.Row(int(c.pos)))
 	}
-	sort.Sort(&byScoreVoteID{out, outVotes})
-	if len(out) > k {
-		out = out[:k]
+	slices.SortFunc(cands, func(a, b cand) int {
+		switch {
+		case a.Score != b.Score:
+			return cmp.Compare(b.Score, a.Score)
+		case a.votes != b.votes:
+			return int(b.votes) - int(a.votes)
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	out := make([]mat.Scored, min(k, len(cands)))
+	for i := range out {
+		out[i] = cands[i].Scored
 	}
+	sc.cands = cands[:0]
+	scratchPool.Put(sc)
 	return out
 }
 
@@ -204,36 +233,4 @@ func (ix *Index) CellCount() int {
 		cells[string(buf)] = struct{}{}
 	}
 	return len(cells)
-}
-
-// byScoreVoteID sorts shortlist entries by descending score, then
-// descending subspace-agreement vote, then ascending ID; votes moves in
-// lockstep with items.
-type byScoreVoteID struct {
-	items []mat.Scored
-	votes []int
-}
-
-func (s *byScoreVoteID) Len() int { return len(s.items) }
-
-func (s *byScoreVoteID) Less(i, j int) bool {
-	if s.items[i].Score != s.items[j].Score {
-		return s.items[i].Score > s.items[j].Score
-	}
-	if s.votes[i] != s.votes[j] {
-		return s.votes[i] > s.votes[j]
-	}
-	return s.items[i].ID < s.items[j].ID
-}
-
-func (s *byScoreVoteID) Swap(i, j int) {
-	s.items[i], s.items[j] = s.items[j], s.items[i]
-	s.votes[i], s.votes[j] = s.votes[j], s.votes[i]
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

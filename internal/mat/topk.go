@@ -77,6 +77,10 @@ func (t *TopK) Threshold() float32 {
 	return t.heap[0].Score
 }
 
+// Worst returns the lowest-ranked retained item in the canonical order: the
+// k-th best once the collector is full. The collector must not be empty.
+func (t *TopK) Worst() Scored { return t.heap[0] }
+
 // Push offers an item to the collector.
 func (t *TopK) Push(id int64, score float32) {
 	if len(t.heap) < t.k {

@@ -18,14 +18,20 @@ func cacheKey(text string, plan core.Plan) string {
 }
 
 // resultCache is a bounded LRU over query results, stamped with the
-// backend's ingest generation: an entry computed under an older generation
-// is stale — new footage may have changed the answer — and is dropped on
-// lookup, which is how ingest invalidates the cache without a callback.
+// backend's ingest generation: an entry computed under another generation
+// is stale — new footage may have changed the answer — which is how ingest
+// invalidates the cache without a callback. The first get or put at a
+// generation newer than any seen before sweeps out every entry not stamped
+// with it, so stale answers do not hold memory until their own lookup. An
+// entry the sweep cannot judge — put late under an older generation, or
+// looked up after the generation went down — is dropped on lookup.
 type resultCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recent
-	items   map[string]*list.Element
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recent
+	items map[string]*list.Element
+	// newest is the highest generation a get or put has carried.
+	newest  uint64
 	hits    uint64
 	misses  uint64
 	evicted uint64
@@ -58,6 +64,7 @@ func (c *resultCache) get(key string, gen uint64) (*core.Result, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.observe(gen)
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
@@ -84,6 +91,7 @@ func (c *resultCache) put(key string, gen uint64, res *core.Result) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.observe(gen)
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		ent.gen = gen
@@ -97,6 +105,25 @@ func (c *resultCache) put(key string, gen uint64, res *core.Result) {
 		c.ll.Remove(back)
 		delete(c.items, back.Value.(*cacheEntry).key)
 		c.evicted++
+	}
+}
+
+// observe sweeps out every entry not stamped with gen when gen is newer
+// than any generation seen before; each swept entry counts as evicted. The
+// caller holds mu.
+func (c *resultCache) observe(gen uint64) {
+	if gen <= c.newest {
+		return
+	}
+	c.newest = gen
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if ent := el.Value.(*cacheEntry); ent.gen != gen {
+			c.ll.Remove(el)
+			delete(c.items, ent.key)
+			c.evicted++
+		}
+		el = next
 	}
 }
 
@@ -115,7 +142,9 @@ type CacheStats struct {
 	Entries  int    `json:"entries"`
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
-	Evicted  uint64 `json:"evicted"`
+	// Evicted counts entries dropped to make room and entries swept out
+	// when a newer generation was first seen.
+	Evicted uint64 `json:"evicted"`
 	// Coalesced counts misses served by sharing another request's
 	// in-flight computation (single-flight waiters).
 	Coalesced uint64 `json:"coalesced"`

@@ -376,6 +376,39 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// TestCacheDropsSupersededGenerations: the first lookup at a newer
+// generation sweeps out every entry of the older one, counting them as
+// evicted, while hits and misses advance exactly as one lookup each.
+func TestCacheDropsSupersededGenerations(t *testing.T) {
+	c := newResultCache(8)
+	r := &core.Result{}
+	for _, k := range []string{"a", "b", "c"} {
+		c.put(k, 1, r)
+	}
+	if _, ok := c.get("a", 1); !ok {
+		t.Fatal("a must hit at its own generation")
+	}
+	if _, ok := c.get("b", 2); ok {
+		t.Fatal("an entry of generation 1 must not hit at generation 2")
+	}
+	if st := c.stats(); st.Entries != 0 || st.Hits != 1 || st.Misses != 1 || st.Evicted != 3 {
+		t.Fatalf("after one lookup at generation 2: %+v, want 0 entries, 1 hit, 1 miss, 3 evicted", st)
+	}
+	c.put("b", 2, r)
+	if got, ok := c.get("b", 2); !ok || got != r {
+		t.Fatal("a put at generation 2 must be served at generation 2")
+	}
+	// A generation that goes down sweeps nothing; the entry it cannot
+	// serve is dropped on its own lookup, as before.
+	c.put("c", 2, r)
+	if _, ok := c.get("c", 1); ok {
+		t.Fatal("an entry of generation 2 must not hit at generation 1")
+	}
+	if st := c.stats(); st.Entries != 1 || st.Hits != 2 || st.Misses != 2 || st.Evicted != 3 {
+		t.Fatalf("after a lookup at a lower generation: %+v, want 1 entry, 2 hits, 2 misses, 3 evicted", st)
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	h := newHistogram()
 	for i := 0; i < 100; i++ {
