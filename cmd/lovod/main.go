@@ -25,7 +25,7 @@
 //	  -d '{"query": "A red car driving in the center of the road."}'
 //	curl -X POST localhost:8077/query \
 //	  -d '{"query": "A red car driving in the center of the road.",
-//	       "options": {"min_recall": 0.9}}'
+//	       "options": {"fast_k": 40, "top_n": 5}}'
 //	curl -X POST localhost:8077/query/batch \
 //	  -d '{"queries": ["A truck driving on the road.", "A person walking on the street."]}'
 //	curl localhost:8077/stats
@@ -59,7 +59,6 @@ func main() {
 		replicas   = flag.Int("replicas", 1, "replicas per shard, for failover: queries pick one, ingest fans to all, answers are byte-identical whichever serves (throughput under R > 1 is unmeasured)")
 		index      = flag.String("index", "imi", "vector index: imi|ivfpq|hnsw|flat")
 		cache      = flag.Int("cache", 512, "query-result cache capacity in entries (0 disables; default from the cachesweep bench)")
-		minRecall  = flag.Float64("min-recall", 0, "default stage-1 recall bound in (0,1] applied to queries without their own min_recall; 0 keeps the fixed default knobs")
 		addr       = flag.String("addr", ":8077", "listen address")
 		workers    = flag.Int("workers", 0, "per-shard worker pool (0 = NumCPU)")
 		saveFile   = flag.String("save", "", "after ingest and indexing, write an engine snapshot to this file")
@@ -86,9 +85,6 @@ func main() {
 	kind, err := vectordb.ParseKind(*index)
 	if err != nil {
 		fatal(err)
-	}
-	if err := core.ValidateMinRecall(*minRecall); err != nil {
-		fatal(fmt.Errorf("-min-recall: %w", err))
 	}
 	cfg := core.Config{Seed: *seed, Index: kind, Workers: *workers, SegmentSize: *segSize}
 
@@ -145,13 +141,9 @@ func main() {
 	}
 
 	srv := server.New(eng, server.Config{
-		CacheSize:        *cache,
-		Shards:           eng.Shards(),
-		DefaultMinRecall: *minRecall,
+		CacheSize: *cache,
+		Shards:    eng.Shards(),
 	})
-	if *minRecall > 0 {
-		log.Printf("planner: default accuracy bound min_recall=%.2f (per-request min_recall overrides)", *minRecall)
-	}
 	if *debugAddr != "" {
 		dh := newHTTPServer(*debugAddr, srv.DebugHandler())
 		go func() {

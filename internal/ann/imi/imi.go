@@ -159,7 +159,7 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 		for m, s := range row {
 			topA.Push(int64(m), s)
 		}
-		for _, c := range topA.Sorted() { // line 6: S_A
+		for _, c := range topA.Items() { // line 6: S_A; votes count the set, in any order
 			for _, pos := range ix.lists[sp][c.ID] {
 				votes[pos]++
 			}

@@ -13,7 +13,7 @@ func TestExperimentsRegistered(t *testing.T) {
 		"fig2", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11a", "fig11b", "fig11c", "fig11d",
 		"table3", "table4", "table5", "table7",
-		"kernels", "planner", "cachesweep",
+		"kernels", "cachesweep",
 	}
 	have := Experiments()
 	set := map[string]bool{}
@@ -204,34 +204,6 @@ func TestKernelsStructure(t *testing.T) {
 	}
 	if len(tbl.Notes) == 0 || !strings.Contains(tbl.Notes[0], "2x") {
 		t.Fatalf("missing speedup-gate note: %v", tbl.Notes)
-	}
-}
-
-func TestPlannerBenchStructure(t *testing.T) {
-	tbl, err := Run("planner", quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fixed, three bounds, exhaustive.
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(tbl.Rows))
-	}
-	if tbl.Rows[0][0] != "fixed defaults" || tbl.Rows[0][1] != "fixed" {
-		t.Fatalf("fixed baseline row: %v", tbl.Rows[0])
-	}
-	// The exhaustive ceiling measures recall 1 by construction.
-	last := tbl.Rows[len(tbl.Rows)-1]
-	if last[0] != "exhaustive" || last[3] != "1.000" {
-		t.Fatalf("exhaustive row: %v", last)
-	}
-	// Bounded rows plan adaptively, never via the fixed path.
-	for _, row := range tbl.Rows[1:4] {
-		if !strings.Contains(row[1], "adaptive") {
-			t.Fatalf("bounded mode %q planned %q, want adaptive", row[0], row[1])
-		}
-	}
-	if len(tbl.Notes) == 0 {
-		t.Fatal("missing planner-vs-fixed note")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // batch of 8 is one pooled sweep and one copy-free metadata join, so its
 // allocations stay a small constant per query rather than one per hit.
 func TestSearchPlannedBatchAllocs(t *testing.T) {
-	sys, ds := plannerSystemCfg(t, Config{Seed: 17, Index: vectordb.IndexIMI})
+	sys, ds := qvSystemCfg(t, Config{Seed: 17, Index: vectordb.IndexIMI})
 	texts := make([]string, 8)
 	plans := make([]Plan, len(texts))
 	for i := range texts {

@@ -50,7 +50,7 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 	for _, tc := range cases {
 		kind := tc.cfg.Index
 		t.Run(tc.name, func(t *testing.T) {
-			sys, ds := plannerSystemCfg(t, tc.cfg)
+			sys, ds := qvSystemCfg(t, tc.cfg)
 			if tc.cfg.SegmentSize > 0 {
 				if st, _ := sys.SegmentStats(); st.Sealed < 2 {
 					t.Fatalf("segmented case needs several sealed segments, got %+v", st)
@@ -87,8 +87,8 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 			}
 			// Plan-then-execute on top: QueryBatch plans each query and
 			// runs the same batch executor, so it must equal lone Query
-			// calls under fixed and planner-resolved options alike.
-			for _, opts := range []QueryOptions{{}, {MinRecall: 0.9}, {DisableRerank: true, FastK: 24}} {
+			// calls under the fixed options.
+			for _, opts := range []QueryOptions{{}, {DisableRerank: true, FastK: 24}} {
 				batch, err := QueryBatch(context.Background(), sys, texts, opts, 4)
 				if err != nil {
 					t.Fatal(err)
@@ -112,7 +112,7 @@ func TestQueryBatchPlannedMatchesLoneQueries(t *testing.T) {
 // as its own SearchPlanned call, across a plan set that spans several
 // (k, params) groups.
 func TestSearchPlannedBatchGroups(t *testing.T) {
-	sys, ds := plannerSystem(t, vectordb.IndexFlat)
+	sys, ds := qvSystem(t, vectordb.IndexFlat)
 	var texts []string
 	for _, q := range ds.Queries {
 		texts = append(texts, q.Text)
@@ -143,7 +143,7 @@ func TestSearchPlannedBatchGroups(t *testing.T) {
 // unencodable query fails whole with the query identified, exactly like
 // the lone path.
 func TestSearchPlannedBatchRejectsUnknownTerms(t *testing.T) {
-	sys, ds := plannerSystem(t, vectordb.IndexFlat)
+	sys, ds := qvSystem(t, vectordb.IndexFlat)
 	texts := []string{ds.Queries[0].Text, "zzz qqq xyzzy"}
 	plans := []Plan{sys.cfg.FixedPlan(QueryOptions{}), sys.cfg.FixedPlan(QueryOptions{})}
 	if _, err := sys.SearchPlannedBatch(context.Background(), texts, plans); err == nil {

@@ -115,11 +115,6 @@ type Config struct {
 	// fan-out. Zero means runtime.NumCPU(); 1 forces the serial paths.
 	// Results are byte-identical at every setting.
 	Workers int
-	// PlannerValidateEvery is the planner's validation cadence: every Nth
-	// adaptive plan is measured inline against exact-search ground truth
-	// and the safety margin adapted from the error (default 64; negative
-	// disables validation).
-	PlannerValidateEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -171,9 +166,6 @@ func (c Config) withDefaults() Config {
 	if c.Rerank.Seed == 0 {
 		c.Rerank.Seed = c.Seed ^ 0x2e2a
 	}
-	if c.PlannerValidateEvery == 0 {
-		c.PlannerValidateEvery = 64
-	}
 	return c
 }
 
@@ -214,11 +206,6 @@ type System struct {
 
 	stats IngestStats
 	built bool
-
-	// planner accumulates selectivity samples at ingest and calibrates
-	// index effort lazily; it resolves accuracy-bounded queries into
-	// concrete plans.
-	planner *planner
 
 	// ingestGen counts completed mutations (Ingest, BuildIndex, snapshot
 	// loads). Serving tiers use it to invalidate query-result caches: a
@@ -268,7 +255,6 @@ func New(cfg Config) (*System, error) {
 		keyframes: make(map[frameKey]*video.Frame),
 	}
 	s.enc = &QueryEncoder{space: space, text: s.text}
-	s.planner = newPlanner(cfg, s.enc)
 	s.vitCfg = vit.Config{GridW: cfg.GridW, GridH: cfg.GridH, Encoder: s.vision}
 	s.store, err = vectordb.NewSegmented("patches",
 		vectordb.Schema{Dim: cfg.ProjDim, Normalize: true},
@@ -341,13 +327,11 @@ func (s *System) Ingest(v *video.Video) error {
 		s.keyframes[frameKey{v.ID, f.Index}] = &fc
 		s.stats.Keyframes++
 		s.mu.Unlock()
-		s.planner.noteFrame(&fc)
 		for _, tok := range encoded[i] {
 			if err := s.store.Insert(rows[0].PatchID, tok.Class); err != nil {
 				return fmt.Errorf("core: inserting patch vector: %w", err)
 			}
 			rows = rows[1:]
-			s.planner.observe(tok.Class)
 		}
 		s.mu.Lock()
 		s.stats.Tokens += len(encoded[i])

@@ -10,9 +10,8 @@ import (
 
 // QueryEncoder embeds query texts into the projected fast-search space of a
 // Config without a corpus behind it. Embedding is corpus-independent (the
-// space and text encoder are seeded, never trained), so a coordinator with
-// no in-process system — a scatter-gather engine planning across remote
-// shards — scores candidate vectors exactly as the shards would.
+// space and text encoder are seeded, never trained), so a caller with no
+// system at hand scores candidate vectors exactly as a system would.
 type QueryEncoder struct {
 	space *embed.Space
 	text  *embed.TextEncoder

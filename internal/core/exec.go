@@ -135,53 +135,6 @@ func ExecutePlanBatch(ctx context.Context, t PlanTarget, cfg Config, texts []str
 	return results, nil
 }
 
-// StageRecall measures a resolved plan's stage-1 recall on a target:
-// |plan hits ∩ exact hits| / |exact hits|, each side the target's scatter
-// merged to the global top-FastK. It is the ONE recall measurement — the
-// planner's validation probe (on a System, or on one shard leg of an
-// engine), the conformance tests and the bench harness's "measured recall"
-// column all call it. Both sides travel as one two-query scatter, so a
-// remote leg pays one round trip for the pair.
-func StageRecall(ctx context.Context, t PlanTarget, text string, plan Plan) (float64, error) {
-	xp := plan
-	xp.Exact, xp.ShardKs, xp.ShardK = true, nil, plan.FastK
-	lists, err := t.ScatterSearchBatch(ctx, []string{text, text}, []Plan{xp, plan})
-	if err != nil {
-		return 0, err
-	}
-	patchID := func(o ResultObject) int64 { return o.PatchID }
-	exact := idSet(MergeHits(lists[0], plan.FastK), patchID)
-	return recallOf(exact, MergeHits(lists[1], plan.FastK), patchID), nil
-}
-
-// idSet collects the IDs of a hit list.
-func idSet[T any](hits []T, id func(T) int64) map[int64]bool {
-	ids := make(map[int64]bool, len(hits))
-	for _, h := range hits {
-		ids[id(h)] = true
-	}
-	return ids
-}
-
-// recallOf is |hits ∩ truth| / |truth| — the one overlap computation under
-// StageRecall and ladder calibration. An empty truth set is recall 1.
-func recallOf[T any](truth map[int64]bool, hits []T, id func(T) int64) float64 {
-	if len(truth) == 0 {
-		return 1
-	}
-	overlap := 0
-	for _, h := range hits {
-		if truth[id(h)] {
-			overlap++
-		}
-	}
-	return float64(overlap) / float64(len(truth))
-}
-
-// Target exposes the system as the one-leg PlanTarget (StageRecall
-// measurements; QueryBatchPlanned is the execution path).
-func (s *System) Target() PlanTarget { return systemTarget{s} }
-
 // systemTarget adapts a System to the one-leg PlanTarget.
 type systemTarget struct{ s *System }
 

@@ -1,28 +1,17 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// PlanKind records how a plan was chosen — fixed defaults, caller-pinned,
-// or planner-adapted. It is reporting provenance only: two plans with equal
+// PlanKind records how a plan was chosen: the fixed defaults or a
+// caller-pinned plan. It is reporting provenance only: two plans with equal
 // execution fields produce the same bytes regardless of kind.
 type PlanKind string
 
 const (
-	// PlanFixed is the default path: the resolved Config knobs, exactly as
-	// every query ran before the planner existed.
+	// PlanFixed is the default path: the resolved Config knobs.
 	PlanFixed PlanKind = "fixed"
 	// PlanPinned is a caller-supplied explicit plan (QueryOptions.Plan).
 	PlanPinned PlanKind = "pinned"
-	// PlanAdaptive is a planner-chosen approximate plan predicted to meet
-	// the caller's MinRecall bound.
-	PlanAdaptive PlanKind = "adaptive"
-	// PlanAdaptiveExact is the planner's escalation: no calibrated setting
-	// is predicted to meet the bound (or no calibration data exists yet),
-	// so stage 1 runs exhaustively — recall 1 by construction.
-	PlanAdaptiveExact PlanKind = "adaptive-exact"
 )
 
 // Plan is an explicit, executable description of one query's two-stage
@@ -43,14 +32,9 @@ type Plan struct {
 	// truncated to this many patches before stage 2.
 	FastK int
 	// ShardK is the per-leg stage-1 depth: how many local hits one shard
-	// returns. A single system and a conservative engine use ShardK ==
-	// FastK (which reproduces the exact global top-FastK under exact
-	// per-shard search); the planner may trim low-yield shards below it.
+	// returns. The fixed plan uses ShardK == FastK, which reproduces the
+	// exact global top-FastK under exact per-shard search.
 	ShardK int
-	// ShardKs, when non-nil, gives each shard leg its own stage-1 depth
-	// (heterogeneous per-shard k, engine-resolved plans only). Leg i runs
-	// with ShardK = ShardKs[i]; nil means every leg uses ShardK.
-	ShardKs []int
 	// NProbe is the per-subspace probe count for IMI/IVF-PQ stage-1 search.
 	NProbe int
 	// Ef is the HNSW search beam width.
@@ -67,17 +51,11 @@ type Plan struct {
 
 	// Kind records how the plan was chosen (reporting only).
 	Kind PlanKind
-	// PredictedRecall is the planner's calibrated stage-1 recall estimate
-	// against the exact top-FastK (0 when not predicted: fixed and pinned
-	// plans make no claim; exact plans predict 1).
-	PredictedRecall float64
 }
 
-// FixedPlan resolves the pre-planner query path for the receiver Config
-// (which must be resolved, see Config.Resolved) and the per-query option
-// overrides: the exact knobs every query ran with before plans existed.
-// The no-bound default resolves here, so it is byte-identical to the old
-// fixed path by construction.
+// FixedPlan resolves the default query path for the receiver Config (which
+// must be resolved, see Config.Resolved) and the per-query option
+// overrides: the Config knobs, with the options' overrides applied.
 func (c Config) FixedPlan(opts QueryOptions) Plan {
 	p := Plan{
 		Exact:        opts.Exhaustive,
@@ -131,36 +109,18 @@ func (c Config) NormalizePlan(p Plan) Plan {
 	return p
 }
 
-// Leg derives the plan one shard leg executes: the same global plan with
-// the leg's own stage-1 depth and the engine-only ShardKs slice stripped
-// (it never travels the wire).
-func (p Plan) Leg(i int) Plan {
-	leg := p
-	if p.ShardKs != nil && i >= 0 && i < len(p.ShardKs) {
-		leg.ShardK = p.ShardKs[i]
-	}
-	leg.ShardKs = nil
-	return leg
-}
+// Leg returns the plan unchanged: every shard leg runs the global plan.
+//
+// Deprecated: the identity; remains only because benchmark/ calls it — removed with ROADMAP item 1.
+func (p Plan) Leg(int) Plan { return p }
 
 // Key canonicalises the plan's execution fields for result-cache keying.
-// Provenance fields (Kind, PredictedRecall) are excluded: they never change
-// the answer bytes, so a pinned plan and an adaptive plan that resolved to
-// the same knobs share one cache entry.
+// The provenance field Kind is excluded: it never changes the answer
+// bytes, so a pinned plan and the fixed plan it equals share one cache
+// entry.
 func (p Plan) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "x=%t k=%d sk=%d np=%d ef=%d rr=%d n=%d sr=%t",
+	return fmt.Sprintf("x=%t k=%d sk=%d np=%d ef=%d rr=%d n=%d sr=%t",
 		p.Exact, p.FastK, p.ShardK, p.NProbe, p.Ef, p.RerankFrames, p.TopN, p.SkipRerank)
-	if p.ShardKs != nil {
-		sb.WriteString(" sks=")
-		for i, k := range p.ShardKs {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d", k)
-		}
-	}
-	return sb.String()
 }
 
 // String renders the plan for logs and /stats.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -34,35 +33,12 @@ type QueryOptions struct {
 	// (zero inherits Config.Workers, which defaults to runtime.NumCPU();
 	// 1 forces the serial rerank). Output is identical at every setting.
 	Workers int
-	// MinRecall, when non-zero, is the accuracy bound: the planner picks
-	// the cheapest plan whose calibrated stage-1 recall (against the exact
-	// top-FastK) is predicted to reach at least this value, escalating to
-	// exact search when no approximate setting qualifies. Must lie in
-	// (0, 1]; zero keeps the fixed default plan. Validate with
-	// ValidateMinRecall before accepting untrusted input.
-	MinRecall float64
 	// Plan, when non-nil, pins the execution plan explicitly: the query
 	// runs these exact knobs (zero fields resolved against the Config by
-	// NormalizePlan) and ignores the other option fields and the planner.
+	// NormalizePlan) and ignores the other option fields.
 	// A pinned plan answers byte-identically across local, sharded,
 	// replicated and remote deployments.
 	Plan *Plan
-}
-
-// ErrBadMinRecall marks a MinRecall bound outside (0, 1] — a caller input
-// error serving tiers map to 400.
-var ErrBadMinRecall = errors.New("core: MinRecall must lie in (0, 1]")
-
-// ValidateMinRecall rejects accuracy bounds outside (0, 1]. Zero is valid
-// and means "no bound" (the fixed default plan).
-func ValidateMinRecall(r float64) error {
-	if r == 0 {
-		return nil
-	}
-	if math.IsNaN(r) || r < 0 || r > 1 {
-		return fmt.Errorf("%w (got %v)", ErrBadMinRecall, r)
-	}
-	return nil
 }
 
 // ResultObject is one retrieved object.
@@ -142,8 +118,7 @@ func (s *System) SearchPlanned(ctx context.Context, text string, plan Plan) (*Fa
 }
 
 // annParams derives the index search parameters a plan's stage-1 leg runs
-// with — the single place the plan-to-Params mapping lives, so every stage-1
-// surface (stage-1 legs and calibration measurements) agrees on it.
+// with — the single place the plan-to-Params mapping lives.
 func (p Plan) annParams() ann.Params {
 	return ann.Params{
 		NProbe:     p.NProbe,
@@ -500,8 +475,8 @@ func Query(ctx context.Context, q Querier, text string, opts QueryOptions) (*Res
 	return res[0], nil
 }
 
-// QueryBatch plans every query under a "plan" span (fixed, pinned or
-// planner-chosen per the options), then executes the batch through
+// QueryBatch plans every query under a "plan" span (fixed or pinned per the
+// options), then executes the batch through
 // QueryBatchPlanned — stage 1 shares one scatter, stage 2 fans out across
 // at most clients goroutines (zero inherits Config.Workers). Results align
 // with texts and each equals what a lone Query call would return; the first
@@ -521,21 +496,12 @@ func QueryBatch(ctx context.Context, q Querier, texts []string, opts QueryOption
 }
 
 // PlanQueryCtx resolves the plan one query will execute: the pinned plan
-// when QueryOptions.Plan is set, the planner's cheapest bound-satisfying
-// plan when MinRecall is set, and otherwise the fixed default plan —
-// exactly the knobs every query ran with before plans existed. The
-// planner's inline validation probe (a real exact-vs-plan measurement on
-// the live query) runs under ctx, so a traced caller sees validation cost
-// in its trace.
-func (s *System) PlanQueryCtx(ctx context.Context, text string, opts QueryOptions) (Plan, error) {
-	if err := ValidateMinRecall(opts.MinRecall); err != nil {
-		return Plan{}, err
-	}
+// when QueryOptions.Plan is set, and otherwise the fixed default plan. It
+// depends on the options and the Config alone, never on the text or the
+// corpus, and never fails; the signature is the Querier's.
+func (s *System) PlanQueryCtx(_ context.Context, _ string, opts QueryOptions) (Plan, error) {
 	if opts.Plan != nil {
 		return s.cfg.NormalizePlan(*opts.Plan), nil
-	}
-	if opts.MinRecall > 0 {
-		return s.planner.plan(ctx, s, text, opts), nil
 	}
 	return s.cfg.FixedPlan(opts), nil
 }

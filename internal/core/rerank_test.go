@@ -141,3 +141,40 @@ func TestGroundCandidatesIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectForRerankEdgeCases covers the stage-2 budget selection: empty
+// input, a budget covering everything (input returned as-is), a disabled
+// budget, and single-frame videos — which can never be "temporally close"
+// to one another, so diversity deferral must not drop them.
+func TestSelectForRerankEdgeCases(t *testing.T) {
+	if got := SelectForRerank(nil, 4); len(got) != 0 {
+		t.Fatalf("empty refs select %v", got)
+	}
+	refs := []FrameRef{{VideoID: 0, FrameIdx: 0}, {VideoID: 0, FrameIdx: 1}, {VideoID: 1, FrameIdx: 0}}
+	if got := SelectForRerank(refs, 10); !reflect.DeepEqual(got, refs) {
+		t.Fatalf("budget above candidate count must keep all in order: %v", got)
+	}
+	if got := SelectForRerank(refs, 0); !reflect.DeepEqual(got, refs) {
+		t.Fatalf("budget 0 disables the cut: %v", got)
+	}
+	// Ten single-frame videos: all temporally distinct, so the cut is a
+	// plain prefix of the budget size.
+	var singles []FrameRef
+	for v := 0; v < 10; v++ {
+		singles = append(singles, FrameRef{VideoID: v, FrameIdx: 0})
+	}
+	got := SelectForRerank(singles, 6)
+	if !reflect.DeepEqual(got, singles[:6]) {
+		t.Fatalf("single-frame videos must fill the budget in order: %v", got)
+	}
+	// Adjacent frames of one video defer to distinct moments first.
+	clustered := []FrameRef{
+		{VideoID: 0, FrameIdx: 0}, {VideoID: 0, FrameIdx: 1},
+		{VideoID: 0, FrameIdx: 40}, {VideoID: 0, FrameIdx: 41},
+	}
+	got = SelectForRerank(clustered, 2)
+	want := []FrameRef{{VideoID: 0, FrameIdx: 0}, {VideoID: 0, FrameIdx: 40}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("diversity selection got %v, want %v", got, want)
+	}
+}

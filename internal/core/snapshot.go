@@ -8,7 +8,6 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/mat"
 	"repro/internal/vectordb"
 	"repro/internal/video"
 )
@@ -31,11 +30,10 @@ import (
 //
 // The store's recipe — index kind, index options, seal threshold — must
 // match the restoring system's resolved Config: a mismatched recipe would
-// serve a different index than the one Config reports (and the planner
-// plans for), or seal on a different schedule than the saver's twin. A
-// snapshot whose vector section is the retired database layout (LOVODB2,
-// written for SegmentSize 0 before every store was segmented) is refused
-// with an error asking for a re-save.
+// serve a different index than the one Config reports, or seal on a
+// different schedule than the saver's twin. A snapshot whose vector section
+// is the retired database layout (LOVODB2, written for SegmentSize 0 before
+// every store was segmented) is refused with an error asking for a re-save.
 const snapMagic = "LOVOSYS1\n"
 
 type snapKeyframe struct {
@@ -147,20 +145,6 @@ func (s *System) LoadSnapshot(r io.Reader) error {
 	s.built = meta.Built
 	s.store = store
 	s.mu.Unlock()
-	// Rebuild the planner's selectivity state from the restored corpus:
-	// keyframes re-feed the posting statistics in their canonical (video,
-	// frame) snapshot order and the vector scan re-feeds the
-	// score-distribution sketch in insertion order, so a loaded system
-	// plans like the one that saved it. Calibration stays lazy.
-	s.planner.reset()
-	for _, kf := range meta.Keyframes {
-		f := kf.Frame
-		s.planner.noteFrame(&f)
-	}
-	store.Scan(func(id int64, v mat.Vec) bool {
-		s.planner.observe(v)
-		return true
-	})
 	s.ingestGen.Add(1)
 	return nil
 }

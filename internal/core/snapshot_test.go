@@ -376,7 +376,7 @@ func TestCommittedSnapshotAnswersLikeFreshTwin(t *testing.T) {
 		plans[i] = Plan{Exact: true}
 	}
 	answer := func(s *System) []byte {
-		res, err := ExecutePlanBatch(context.Background(), s.Target(), s.Config(), texts, plans, 1, 1)
+		res, err := s.QueryBatchPlanned(context.Background(), texts, plans, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -269,3 +269,67 @@ func BenchmarkNoRerankTail(b *testing.B) {
 		}
 	}
 }
+
+func hit(patch int64, score float32, video, frame int) ResultObject {
+	return ResultObject{VideoID: video, FrameIdx: frame, Score: score, PatchID: patch}
+}
+
+// TestMergeHitsEdgeCases covers the stage-1 merge at its boundaries: no
+// lists, empty lists, a cut larger than the candidate set, no cut at all,
+// and all-ties scores (patch ID must break every tie).
+func TestMergeHitsEdgeCases(t *testing.T) {
+	if got := MergeHits(nil, 10); len(got) != 0 {
+		t.Fatalf("merge of no lists = %v", got)
+	}
+	if got := MergeHits([][]ResultObject{{}, nil, {}}, 10); len(got) != 0 {
+		t.Fatalf("merge of empty lists = %v", got)
+	}
+	a := []ResultObject{hit(1, 0.9, 0, 0), hit(7, 0.5, 0, 3)}
+	b := []ResultObject{hit(4, 0.7, 1, 0)}
+	if got := MergeHits([][]ResultObject{a, b}, 100); len(got) != 3 {
+		t.Fatalf("cut larger than candidates must keep all: %v", got)
+	}
+	if got := MergeHits([][]ResultObject{a, b}, 0); len(got) != 3 {
+		t.Fatalf("fastK=0 must not truncate: %v", got)
+	}
+	// All-ties: order must be patch ID ascending, regardless of list order.
+	ties := [][]ResultObject{
+		{hit(9, 0.5, 0, 0), hit(2, 0.5, 0, 1)},
+		{hit(5, 0.5, 1, 0)},
+	}
+	got := MergeHits(ties, 2)
+	if len(got) != 2 || got[0].PatchID != 2 || got[1].PatchID != 5 {
+		t.Fatalf("tied scores must cut by ascending patch ID: %v", got)
+	}
+}
+
+// TestDedupHitsEdgeCases covers the no-rerank dedup: empty input, a limit
+// above the candidate set, exact-duplicate boxes collapsing, and all-ties
+// scores preserving canonical order.
+func TestDedupHitsEdgeCases(t *testing.T) {
+	if got := DedupHits(nil, 5); len(got) != 0 {
+		t.Fatalf("dedup of nothing = %v", got)
+	}
+	boxed := func(patch int64, score float32, frame int, x float64) ResultObject {
+		o := hit(patch, score, 0, frame)
+		o.Box.X, o.Box.Y, o.Box.W, o.Box.H = x, 0.1, 0.2, 0.2
+		return o
+	}
+	distinct := []ResultObject{boxed(1, 0.9, 0, 0.1), boxed(2, 0.8, 1, 0.1), boxed(3, 0.7, 2, 0.1)}
+	if got := DedupHits(distinct, 100); len(got) != 3 {
+		t.Fatalf("limit above candidates must keep all: %v", got)
+	}
+	// The same frame and box twice (different patches) collapses to the
+	// first — higher-scored — hit.
+	dups := []ResultObject{boxed(1, 0.9, 0, 0.1), boxed(2, 0.8, 0, 0.1), boxed(3, 0.7, 1, 0.5)}
+	got := DedupHits(dups, 100)
+	if len(got) != 2 || got[0].PatchID != 1 || got[1].PatchID != 3 {
+		t.Fatalf("duplicate boxes must collapse to the best hit: %v", got)
+	}
+	// All-ties input in canonical order stays in order after dedup.
+	ties := []ResultObject{boxed(1, 0.5, 0, 0.1), boxed(2, 0.5, 1, 0.1), boxed(3, 0.5, 2, 0.1)}
+	got = DedupHits(ties, 2)
+	if len(got) != 2 || got[0].PatchID != 1 || got[1].PatchID != 2 {
+		t.Fatalf("tied dedup must truncate canonically: %v", got)
+	}
+}

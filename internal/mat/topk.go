@@ -67,6 +67,11 @@ func (t *TopK) Reset(k int) {
 // Len returns the number of items currently retained.
 func (t *TopK) Len() int { return len(t.heap) }
 
+// Items returns the retained items in heap order, not sorted, without a
+// copy: for callers that use only the set. The slice aliases the
+// collector's storage and is valid until its next Push, Reset or PutTopK.
+func (t *TopK) Items() []Scored { return t.heap }
+
 // Threshold returns the lowest retained score once the collector is full,
 // and negative infinity semantics (-MaxFloat32) before that. Callers can use
 // it to skip work for candidates that cannot enter the result.

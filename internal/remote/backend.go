@@ -4,9 +4,9 @@
 //
 // The surface is ShardBackend: the per-shard operations internal/shard's
 // Engine fans out — the two query stages (FastSearchBatch,
-// GroundCandidates), ingest and index builds, the planning digest, one
-// Status snapshot that answers every "what are you right now" question, and
-// snapshot save/load. Stage 1 and ingest each have one shape, a batch: a
+// GroundCandidates), ingest and index builds, one Status snapshot that
+// answers every "what are you right now" question, and snapshot save/load.
+// Stage 1 and ingest each have one shape, a batch: a
 // lone query or a lone video is a batch of one. shard.Local implements the
 // surface in-process (a replica group of R equal-seeded systems); Client
 // implements it over a length-prefixed binary protocol on persistent
@@ -16,9 +16,9 @@
 // byte-identically to the single-process system — the conformance suite in
 // this package pins that bit for bit over in-memory pipes.
 //
-// Failure semantics: read operations (both query stages, the planning
-// digest, snapshot save) are idempotent and retried a bounded number of times
-// on transport errors; Status takes one attempt under a dial-scale deadline
+// Failure semantics: read operations (both query stages, snapshot save) are
+// idempotent and retried a bounded number of times on transport errors;
+// Status takes one attempt under a dial-scale deadline
 // (it rides every serving request that misses the cache, so a blackholed
 // worker must cost one DialTimeout, not the retry budget), and a watch —
 // Status with a since stamp — runs on a connection of its own outside the
@@ -174,11 +174,6 @@ type ShardBackend interface {
 	// GroundCandidates runs stage 2 over the candidate frames this shard
 	// owns; groundings align with refs. Context as on FastSearchBatch.
 	GroundCandidates(ctx context.Context, text string, refs []core.FrameRef, workers int) ([]core.Grounding, error)
-	// PlanStats exports the shard's planning digest — selectivity sample,
-	// per-term posting statistics and calibrated effort ladder — which the
-	// coordinator's planner combines across shards (calibrating the shard
-	// lazily if its corpus changed since the last export).
-	PlanStats() (core.PlanStats, error)
 	// Status snapshots the shard's identity, generation, health and
 	// statistics. An error means the shard is unreachable. A nil since
 	// answers at once. A non-nil since is a watch: it answers as soon as

@@ -301,8 +301,6 @@ func opName(op byte) string {
 		return "load-snapshot"
 	case opIngestBatch:
 		return "ingest-batch"
-	case opPlanStats:
-		return "plan-stats"
 	case opStatus:
 		return "status"
 	}
@@ -507,22 +505,6 @@ func stage1Cost(p core.Plan) int {
 		k = p.FastK
 	}
 	return max(k, 0) * encObjectSize
-}
-
-// PlanStats fetches the worker's planning digest. It rides the retried
-// read path (not Status's single-attempt path): the first fetch after a corpus
-// change calibrates worker-side, and the sample payload is KB-scale.
-func (c *Client) PlanStats() (core.PlanStats, error) {
-	resp, err := c.call(opPlanStats, nil, false)
-	if err != nil {
-		return core.PlanStats{}, err
-	}
-	d := &dec{b: resp}
-	st := readPlanStats(d)
-	if err := d.finish(); err != nil {
-		return core.PlanStats{}, err
-	}
-	return st, nil
 }
 
 // GroundCandidates runs stage 2 on the worker over the refs it owns.

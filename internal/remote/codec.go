@@ -143,12 +143,10 @@ func (d *dec) finish() error {
 
 // --- message encodings -------------------------------------------------
 
-// appendPlan encodes one execution plan. Plan.ShardKs deliberately has no
-// encoding: the coordinator resolves each leg with Plan.Leg before
-// dispatch, so only the leg's own ShardK travels. Nor does the inert
-// Plan.Int8, which nothing executes. Every other field does — a dropped
-// knob would run a different plan on the worker than the one the
-// coordinator reports and caches under.
+// appendPlan encodes one execution plan. The inert Plan.Int8, which nothing
+// executes, has no encoding. Every other field does — a dropped knob would
+// run a different plan on the worker than the one the coordinator reports
+// and caches under.
 func appendPlan(e *enc, p core.Plan) {
 	e.boolean(p.Exact)
 	e.i64(int64(p.FastK))
@@ -159,25 +157,23 @@ func appendPlan(e *enc, p core.Plan) {
 	e.i64(int64(p.TopN))
 	e.boolean(p.SkipRerank)
 	e.str(string(p.Kind))
-	e.f64(p.PredictedRecall)
 }
 
-// encPlanMinSize is the smallest encoded Plan: two bools, six i64, an
-// empty Kind string (u32 length) and an f64.
-const encPlanMinSize = 2 + 6*8 + 4 + 8
+// encPlanMinSize is the smallest encoded Plan: two bools, six i64 and an
+// empty Kind string (u32 length).
+const encPlanMinSize = 2 + 6*8 + 4
 
 func readPlan(d *dec) core.Plan {
 	return core.Plan{
-		Exact:           d.boolean(),
-		FastK:           d.intv(),
-		ShardK:          d.intv(),
-		NProbe:          d.intv(),
-		Ef:              d.intv(),
-		RerankFrames:    d.intv(),
-		TopN:            d.intv(),
-		SkipRerank:      d.boolean(),
-		Kind:            core.PlanKind(d.str()),
-		PredictedRecall: d.f64(),
+		Exact:        d.boolean(),
+		FastK:        d.intv(),
+		ShardK:       d.intv(),
+		NProbe:       d.intv(),
+		Ef:           d.intv(),
+		RerankFrames: d.intv(),
+		TopN:         d.intv(),
+		SkipRerank:   d.boolean(),
+		Kind:         core.PlanKind(d.str()),
 	}
 }
 
@@ -234,78 +230,6 @@ func readHitLists(d *dec) [][]core.ResultObject {
 		}
 	}
 	return lists
-}
-
-func appendPlanStats(e *enc, st core.PlanStats) {
-	e.i64(int64(st.Entities))
-	e.i64(int64(st.Dim))
-	e.i64(int64(st.SampleEvery))
-	e.u32(uint32(len(st.Sample)))
-	for _, v := range st.Sample {
-		e.f32(v)
-	}
-	e.u32(uint32(len(st.Terms)))
-	for _, t := range st.Terms {
-		e.str(t.Name)
-		e.i64(int64(t.Objects))
-		e.i64(int64(t.Frames))
-	}
-	e.u32(uint32(len(st.Rungs)))
-	for _, r := range st.Rungs {
-		e.i64(int64(r.NProbe))
-		e.i64(int64(r.Ef))
-		e.f64(r.MinRecall)
-		e.f64(r.MeanRecall)
-	}
-	e.boolean(st.Calibrated)
-	e.f64(st.Margin)
-}
-
-// Per-element floors for the PlanStats list counts: a sample element is one
-// f32; a term is at least an empty string (u32 length) plus two i64; a rung
-// is two i64 and two f64.
-const (
-	encSampleElemSize = 4
-	encTermMinSize    = 4 + 16
-	encRungSize       = 32
-)
-
-func readPlanStats(d *dec) core.PlanStats {
-	st := core.PlanStats{
-		Entities:    d.intv(),
-		Dim:         d.intv(),
-		SampleEvery: d.intv(),
-	}
-	if n := d.count(encSampleElemSize); d.err == nil && n > 0 {
-		st.Sample = make([]float32, 0, n)
-		for i := 0; i < n; i++ {
-			st.Sample = append(st.Sample, d.f32())
-		}
-	}
-	if n := d.count(encTermMinSize); d.err == nil && n > 0 {
-		st.Terms = make([]core.TermCount, 0, n)
-		for i := 0; i < n; i++ {
-			st.Terms = append(st.Terms, core.TermCount{Name: d.str(), Objects: d.intv(), Frames: d.intv()})
-			if d.err != nil {
-				return core.PlanStats{}
-			}
-		}
-	}
-	if n := d.count(encRungSize); d.err == nil && n > 0 {
-		st.Rungs = make([]core.Rung, 0, n)
-		for i := 0; i < n; i++ {
-			st.Rungs = append(st.Rungs, core.Rung{
-				NProbe: d.intv(), Ef: d.intv(),
-				MinRecall: d.f64(), MeanRecall: d.f64(),
-			})
-		}
-	}
-	st.Calibrated = d.boolean()
-	st.Margin = d.f64()
-	if d.err != nil {
-		return core.PlanStats{}
-	}
-	return st
 }
 
 func appendObject(e *enc, o core.ResultObject) {
@@ -420,8 +344,7 @@ func readGroundings(d *dec) []core.Grounding {
 
 // appendSpans encodes a worker's exported trace spans — the observability
 // sidecar a traced stage op rides home on the response, after the answer
-// payload (mirroring how opPlanStats ships planning digests). Span.Start
-// and Dur travel as ns offsets from the worker trace's time zero; Parent
+// payload. Span.Start and Dur travel as ns offsets from the worker trace's time zero; Parent
 // is an index into the same list (-1 = worker-side root), so the
 // coordinator can graft the forest under the RPC leg span with index
 // arithmetic alone.

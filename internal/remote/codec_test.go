@@ -104,25 +104,23 @@ func roundTrip[T any](t *testing.T, name string, v T, fill func(*enc, T), read f
 
 func TestPlanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	kinds := []core.PlanKind{"", core.PlanFixed, core.PlanPinned, core.PlanAdaptive, core.PlanAdaptiveExact}
+	kinds := []core.PlanKind{"", core.PlanFixed, core.PlanPinned}
 	cases := []core.Plan{
 		{}, // all zero
-		{Exact: true, FastK: 1 << 30, ShardK: -1, RerankFrames: math.MaxInt32, TopN: -7,
-			Kind: core.PlanAdaptiveExact, PredictedRecall: 1},
-		{FastK: 40, NProbe: 4, Kind: core.PlanAdaptive, PredictedRecall: 0.95},
+		{Exact: true, FastK: 1 << 30, ShardK: -1, RerankFrames: math.MaxInt32, TopN: -7, Kind: core.PlanPinned},
+		{FastK: 40, NProbe: 4, Kind: core.PlanFixed},
 	}
 	for i := 0; i < 100; i++ {
 		cases = append(cases, core.Plan{
-			Exact:           rng.Intn(2) == 0,
-			FastK:           rng.Intn(1 << 16),
-			ShardK:          rng.Intn(1 << 16),
-			NProbe:          rng.Intn(1 << 8),
-			Ef:              rng.Intn(1 << 10),
-			RerankFrames:    rng.Intn(1 << 10),
-			TopN:            rng.Intn(1 << 10),
-			SkipRerank:      rng.Intn(2) == 0,
-			Kind:            kinds[rng.Intn(len(kinds))],
-			PredictedRecall: randF64(rng),
+			Exact:        rng.Intn(2) == 0,
+			FastK:        rng.Intn(1 << 16),
+			ShardK:       rng.Intn(1 << 16),
+			NProbe:       rng.Intn(1 << 8),
+			Ef:           rng.Intn(1 << 10),
+			RerankFrames: rng.Intn(1 << 10),
+			TopN:         rng.Intn(1 << 10),
+			SkipRerank:   rng.Intn(2) == 0,
+			Kind:         kinds[rng.Intn(len(kinds))],
 		})
 	}
 	for _, c := range cases {
@@ -173,62 +171,15 @@ func sameFields[T any](t *testing.T, what string, got, want T, skip ...string) {
 	}
 }
 
-// TestPlanAndRungFieldsAllTravel: every exported Plan field and every Rung
-// field survives its wire round trip — so the next field added to either
-// cannot be dropped silently. Two Plan fields are exempt: the engine-only
-// ShardKs (each leg's own ShardK travels instead) and the inert Int8, which
-// nothing executes and only the benchmark harness still names.
-func TestPlanAndRungFieldsAllTravel(t *testing.T) {
-	plan := everyField[core.Plan](t, "ShardKs", "Int8")
+// TestPlanFieldsAllTravel: every exported Plan field survives its wire
+// round trip — so the next field added cannot be dropped silently. One
+// field is exempt: the inert Int8, which nothing executes and only the
+// benchmark harness still names.
+func TestPlanFieldsAllTravel(t *testing.T) {
+	plan := everyField[core.Plan](t, "Int8")
 	e := &enc{}
 	appendPlan(e, plan)
-	sameFields(t, "plan", readPlan(&dec{b: e.b}), plan, "ShardKs", "Int8")
-
-	rung := everyField[core.Rung](t)
-	e = &enc{}
-	appendPlanStats(e, core.PlanStats{Rungs: []core.Rung{rung}})
-	st := readPlanStats(&dec{b: e.b})
-	if len(st.Rungs) != 1 {
-		t.Fatalf("one rung sent, %d decoded", len(st.Rungs))
-	}
-	sameFields(t, "rung", st.Rungs[0], rung)
-}
-
-func TestPlanStatsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cases := []core.PlanStats{
-		{}, // empty shard: no sample, no terms, no rungs
-		{Entities: math.MaxInt32, Dim: 1, SampleEvery: 1 << 20,
-			Sample:     []float32{math.MaxFloat32},
-			Terms:      []core.TermCount{{Name: strings.Repeat("t", 1<<10), Objects: -1, Frames: math.MaxInt32}},
-			Rungs:      []core.Rung{{NProbe: 8, MinRecall: 0.9, MeanRecall: 0.95}, {NProbe: 64, MinRecall: 1, MeanRecall: 1}},
-			Calibrated: true, Margin: 0.25},
-	}
-	for i := 0; i < 60; i++ {
-		st := core.PlanStats{
-			Entities:    rng.Intn(1 << 24),
-			Dim:         rng.Intn(64) + 1,
-			SampleEvery: 1 << rng.Intn(10),
-			Calibrated:  rng.Intn(2) == 0,
-			Margin:      randF64(rng),
-		}
-		for j := rng.Intn(20); j > 0; j-- {
-			st.Sample = append(st.Sample, randF32(rng))
-		}
-		for j := rng.Intn(6); j > 0; j-- {
-			st.Terms = append(st.Terms, core.TermCount{
-				Name: strings.Repeat("x", rng.Intn(12)), Objects: rng.Intn(1 << 20), Frames: rng.Intn(1 << 20)})
-		}
-		for j := rng.Intn(7); j > 0; j-- {
-			st.Rungs = append(st.Rungs, core.Rung{
-				NProbe: rng.Intn(64), Ef: rng.Intn(256),
-				MinRecall: rng.Float64(), MeanRecall: rng.Float64()})
-		}
-		cases = append(cases, st)
-	}
-	for _, c := range cases {
-		roundTrip(t, "plan-stats", c, appendPlanStats, readPlanStats)
-	}
+	sameFields(t, "plan", readPlan(&dec{b: e.b}), plan, "Int8")
 }
 
 func TestObjectsRoundTrip(t *testing.T) {
@@ -274,13 +225,13 @@ func readStage1Request(d *dec) stage1Request {
 }
 
 // stage1Cases spans the stage-1 batch shapes: empty, a lone query, an
-// adaptive plan, and a serving-sized random batch.
+// empty text under a partial pinned plan, and a serving-sized random batch.
 func stage1Cases() []stage1Request {
 	rng := rand.New(rand.NewSource(12))
 	cases := []stage1Request{
 		{},
 		{Texts: []string{"A red car driving in the center of the road."}, Plans: []core.Plan{{FastK: 100, ShardK: 100, NProbe: 16, Ef: 64, RerankFrames: 16, TopN: 10, Kind: core.PlanFixed}}, TID: 7},
-		{Texts: []string{""}, Plans: []core.Plan{{NProbe: 4, Kind: core.PlanAdaptive, PredictedRecall: 0.93}}},
+		{Texts: []string{""}, Plans: []core.Plan{{NProbe: 4, Kind: core.PlanPinned}}},
 	}
 	batch := stage1Request{TID: math.MaxUint64}
 	for i := 0; i < 8; i++ {

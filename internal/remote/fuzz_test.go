@@ -47,10 +47,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// Real opStatus responses, the frame every serving request reads, real
-	// stage-1 requests and responses, the frames every cache miss sends, and
-	// real planning-digest requests and responses.
-	payloads := [][]byte{{opPlanStats}}
+	// Requests a coordinator older than the planner's deletion sends: the
+	// retired stage-1 op and planning-digest op. Then real opStatus
+	// responses, the frame every serving request reads, and real stage-1
+	// requests and responses, the frames every cache miss sends.
+	payloads := [][]byte{{20}, {20, 0xFF, 0xFF, 0xFF, 0xFF}, {21}}
 	for _, st := range statusCases() {
 		e := &enc{b: []byte{statusOK}}
 		appendStatus(e, st)
@@ -62,13 +63,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		payloads = append(payloads, e.b)
 		e = &enc{b: []byte{statusOK}}
 		appendHitLists(e, [][]core.ResultObject{randObjects(mrand.New(mrand.NewSource(int64(len(r.Texts)))), 4)})
-		payloads = append(payloads, e.b)
-	}
-	for _, st := range []core.PlanStats{{}, {Entities: 9, Dim: 2, SampleEvery: 1, Sample: []float32{0.6, 0.8},
-		Terms: []core.TermCount{{Name: "car", Objects: 3, Frames: 2}}, Rungs: []core.Rung{{NProbe: 4, MinRecall: 0.9, MeanRecall: 0.95}},
-		Calibrated: true, Margin: 0.02}} {
-		e := &enc{b: []byte{statusOK}}
-		appendPlanStats(e, st)
 		payloads = append(payloads, e.b)
 	}
 	for _, payload := range payloads {

@@ -1,12 +1,10 @@
 package remote_test
 
-// Plan conformance: the planner tentpole's bit-identity guarantee. A pinned
-// plan — explicit stage-1 and stage-2 knobs, carried verbatim over the wire
-// — must answer byte-identically on every deployment shape: the monolithic
+// Plan conformance: the bit-identity guarantee of plans. A pinned plan —
+// explicit stage-1 and stage-2 knobs, carried verbatim over the wire — must
+// answer byte-identically on every deployment shape: the monolithic
 // core.System, the in-process engine, the replicated engine, and the fully
-// remote engine. And a MinRecall-bounded query planned by a coordinator
-// whose shards are all behind RPC must still meet its bound, because the
-// engine plans from the same PlanStats digests the workers export.
+// remote engine.
 
 import (
 	"context"
@@ -17,7 +15,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/remote"
 	"repro/internal/shard"
-	"repro/internal/vectordb"
 )
 
 // pinnedPlans are the explicit plans the conformance suite replays, chosen
@@ -104,42 +101,6 @@ func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 	}
 }
 
-// TestRemoteBoundedPlansMatchInProcess pins bounded planning across the
-// wire on flat (a ladder of the exact rung alone) and IVF-PQ (a measured
-// probe ladder): a coordinator planning from remote workers' digests picks
-// the same bounded plan (Plan.Key) as an in-process engine.
-func TestRemoteBoundedPlansMatchInProcess(t *testing.T) {
-	const seed, bound = 31, 0.9
-	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	for _, kind := range []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIVFPQ} {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := core.Config{Seed: seed, Index: kind}
-			local, err := shard.New(3, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ingestAll(t, local, ds)
-			rem, _ := remoteEngine(t, 3, 1, cfg, remote.ClientOptions{})
-			ingestAll(t, rem, ds)
-
-			for _, q := range ds.Queries {
-				opts := core.QueryOptions{MinRecall: bound}
-				want, err := local.PlanQueryCtx(context.Background(), q.Text, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := rem.PlanQueryCtx(context.Background(), q.Text, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Key() != want.Key() {
-					t.Errorf("%s: remote coordinator plans %s, in-process engine %s", q.ID, got.Key(), want.Key())
-				}
-			}
-		})
-	}
-}
-
 // TestPinnedExactPlanMatchesMonolith extends the acceptance pin to plans:
 // under an exact pinned plan, the 4-shard remote engine must reproduce the
 // monolithic core.System bit for bit — exhaustive stage 1 makes the merge
@@ -177,51 +138,6 @@ func TestPinnedExactPlanMatchesMonolith(t *testing.T) {
 					if !reflect.DeepEqual(got.Objects, want.Objects) {
 						t.Errorf("%s plan %+v: remote engine diverges from monolith", q.ID, plan)
 					}
-				}
-			}
-		})
-	}
-}
-
-// TestRemoteBoundedPlanMeetsRecall: a coordinator whose shards all live
-// behind RPC plans a MinRecall-bounded query from worker-exported PlanStats
-// digests (the opPlanStats round-trip), and the chosen plan's measured
-// stage-1 recall against the engine's exact scatter must meet the bound.
-func TestRemoteBoundedPlanMeetsRecall(t *testing.T) {
-	const seed, bound = 29, 0.9
-	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	kinds := conformanceKinds(t)
-	if testing.Short() {
-		kinds = []vectordb.IndexKind{vectordb.IndexIMI}
-	}
-	for _, kind := range kinds {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := core.Config{Seed: seed, Index: kind}
-			rem, _ := remoteEngine(t, 3, 1, cfg, remote.ClientOptions{})
-			ingestAll(t, rem, ds)
-
-			queries := ds.Queries
-			if len(queries) > 4 {
-				queries = queries[:4]
-			}
-			for _, q := range queries {
-				plan, err := rem.PlanQueryCtx(context.Background(), q.Text, core.QueryOptions{MinRecall: bound})
-				if err != nil {
-					t.Fatalf("%s: plan over RPC: %v", q.ID, err)
-				}
-				if plan.Kind != core.PlanAdaptive && plan.Kind != core.PlanAdaptiveExact {
-					t.Fatalf("%s: bounded plan has kind %q", q.ID, plan.Kind)
-				}
-				rec, err := core.StageRecall(context.Background(), rem.Target(), q.Text, plan)
-				if err != nil {
-					t.Fatalf("%s: measuring recall over RPC: %v", q.ID, err)
-				}
-				if rec < bound {
-					t.Errorf("%s: measured recall %v below bound %v under plan %s", q.ID, rec, bound, plan)
-				}
-				// The bounded query must execute cleanly end to end.
-				if _, err := core.Query(context.Background(), rem, q.Text, core.QueryOptions{MinRecall: bound}); err != nil {
-					t.Fatalf("%s: bounded query: %v", q.ID, err)
 				}
 			}
 		})

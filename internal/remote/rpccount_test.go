@@ -33,7 +33,7 @@ import (
 const (
 	wireGround = 5
 	wireStatus = 23
-	wireStage1 = 20
+	wireStage1 = 24
 )
 
 // frameLog records the op byte of every request frame written to one

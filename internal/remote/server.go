@@ -262,16 +262,6 @@ func (s *Server) handle(op byte, body []byte) (status byte, resp []byte) {
 		appendHitLists(e, lists)
 		appendTrace(e, root)
 
-	case opPlanStats:
-		if err := d.finish(); err != nil {
-			return encodeError(err)
-		}
-		st, err := s.backend.PlanStats()
-		if err != nil {
-			return encodeError(err)
-		}
-		appendPlanStats(e, st)
-
 	case opGround:
 		text := d.str()
 		refs := readRefs(d)

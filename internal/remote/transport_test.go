@@ -117,8 +117,8 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 	h := newPipeHost(bootLocal(t))
 	cases := map[string][]byte{
 		"unknown op":               {0xEE, 1, 2, 3},
-		"fast-search no body":      {20}, // opFastSearchBatch with an empty body
-		"fast-search forged count": {20, 0xFF, 0xFF, 0xFF, 0xFF},
+		"fast-search no body":      {24}, // opFastSearchBatch with an empty body
+		"fast-search forged count": {24, 0xFF, 0xFF, 0xFF, 0xFF},
 		"ground corrupt count":     append([]byte{5, 0, 0, 0, 0}, 0xFF, 0xFF, 0xFF, 0xFF),
 		"ingest garbage gob":       {14, 1, 0, 0, 0, 4, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef},
 		"status truncated token":   {23, 1, 2, 3},
@@ -138,9 +138,11 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 	// lone-query and lone-video ops the batch ops replaced, the plan digest
 	// layout that lacked each rung's int8 bit, the stage-1 and digest
 	// layouts that carried the int8 bits, the status layout that carried
-	// two store-mode bools, and the status read without a since token —
-	// are unknown ops now, with or without a body, never a dispatch.
-	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19, 22} {
+	// two store-mode bools, the status read without a since token, the
+	// stage-1 layout whose plans carried a predicted recall and the
+	// retired planner's digest read — are unknown ops now, with or without
+	// a body, never a dispatch.
+	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19, 20, 21, 22} {
 		for _, payload := range [][]byte{{op}, {op, 0xFF, 0xFF, 0xFF, 0xFF}} {
 			resp, err := rawExchange(t, h, frame(payload))
 			if err != nil {

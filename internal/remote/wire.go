@@ -24,8 +24,10 @@ import (
 // the server nor drive an unbounded allocation.
 //
 // Op values are explicit and never reused: a retired value (1, 2, 4, 6-11,
-// 15-19, 22) must keep answering "unknown op". A message whose layout
-// changes takes a fresh value rather than reinterpreting an old one.
+// 15-22) must keep answering "unknown op". A message whose layout changes
+// takes a fresh value rather than reinterpreting an old one. (20 was the
+// stage-1 op while a plan carried a predicted recall; 21 fetched the
+// retired accuracy-bounded planner's digest, PlanStats.)
 const (
 	opBuildIndex   byte = 3
 	opGround       byte = 5
@@ -47,11 +49,7 @@ const (
 	// pairs plus the trace id, answered by one hit list per query and then,
 	// for a traced request, the worker.stage1 span forest. A lone query is
 	// a list of one.
-	opFastSearchBatch byte = 20
-	// opPlanStats fetches the shard's planning digest (selectivity sample,
-	// posting statistics, calibrated effort ladder) for the coordinator's
-	// accuracy-bounded planner.
-	opPlanStats byte = 21
+	opFastSearchBatch byte = 24
 )
 
 // Heartbeat bounds how long a worker holds a watch whose shard has not

@@ -9,8 +9,8 @@ import (
 
 // cacheKey canonicalises (query text, resolved plan) into the cache key.
 // Plan.Key covers every field that changes the answer and excludes the
-// provenance fields (kind, predicted recall), so a pinned plan and an
-// adaptive plan that resolved to the same knobs share one entry; request
+// provenance field (kind), so a pinned plan and the fixed plan it equals
+// share one entry; request
 // Workers never participates (results are identical at every width, by the
 // engine's determinism contract).
 func cacheKey(text string, plan core.Plan) string {

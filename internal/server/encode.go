@@ -260,10 +260,6 @@ func (e *encoder) plan(p *PlanJSON) {
 	if p.SkipRerank {
 		e.b = append(e.b, `,"skip_rerank":true`...)
 	}
-	if p.PredictedRecall != 0 {
-		e.b = append(e.b, `,"predicted_recall":`...)
-		e.float(p.PredictedRecall, 64)
-	}
 	if p.Int8 {
 		e.b = append(e.b, `,"int8":true`...)
 	}

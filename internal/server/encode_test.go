@@ -46,41 +46,40 @@ func FuzzEncodeResponse(f *testing.F) {
 	type seed struct {
 		x, y, w, h     float64
 		score          float32
-		ms, recall     float64
+		ms             float64
 		video, patch   int64
 		kind, detail   string
 		flags, objects uint8
 	}
 	for _, s := range []seed{
-		{0.25, 0.5, 0.125, 0.0625, 0.71, 1.234, 0.9, 3, 12345, "fixed", "", 0, 3},
-		{math.Copysign(0, -1), 0, -0.5, 1, float32(math.Copysign(0, -1)), 0, 0, 0, 0, "pinned", "", 0xff, 1},
-		{5e-324, 2.2250738585072014e-308, 1e-7, 1e-6, 1e-45, 1e-7, 1e-7, -1, -9, "adaptive", "miss", 1, 2},
-		{1e21, 9.999999999999999e20, 1e20, math.MaxFloat64, math.MaxFloat32, 1e21, 0.999, math.MaxInt64, math.MinInt64, "adaptive-exact", "hit", 6, 4},
-		{0.1, 0.2, 0.3, 0.4, 1e-7, 123456789.125, 1e-5, 7, 8, "<a href='x'>&amp;</a>", "frames=8 tokens=52", 0x10, 1},
-		{1, 2, 3, 4, 0.5, 2.5, 0.5, 1, 2, "line \u2028 sep \u2029 para \"quoted\" \\ \t\n\x00\x1f\x7f", "\xff\xfe bad utf-8 \xc3\x28", 0x11, 0},
-		{math.NaN(), 0, 0, 0, 0.5, 0, 0, 1, 1, "fixed", "", 0, 1},
-		{0, 0, 0, 0, float32(math.Inf(1)), 0, 0, 1, 1, "fixed", "", 0, 1},
-		{0, 0, 0, 0, 0.5, math.Inf(-1), 0, 1, 1, "fixed", "", 0, 1},
-		{0, 0, 0, 0, 0.5, 0, math.NaN(), 1, 1, "fixed", "", 0, 1},
+		{0.25, 0.5, 0.125, 0.0625, 0.71, 1.234, 3, 12345, "fixed", "", 0, 3},
+		{math.Copysign(0, -1), 0, -0.5, 1, float32(math.Copysign(0, -1)), 0, 0, 0, "pinned", "", 0xff, 1},
+		{5e-324, 2.2250738585072014e-308, 1e-7, 1e-6, 1e-45, 1e-7, -1, -9, "unknown-kind", "miss", 1, 2},
+		{1e21, 9.999999999999999e20, 1e20, math.MaxFloat64, math.MaxFloat32, 1e21, math.MaxInt64, math.MinInt64, "k\u00e9y", "hit", 6, 4},
+		{0.1, 0.2, 0.3, 0.4, 1e-7, 123456789.125, 7, 8, "<a href='x'>&amp;</a>", "frames=8 tokens=52", 0x10, 1},
+		{1, 2, 3, 4, 0.5, 2.5, 1, 2, "line \u2028 sep \u2029 para \"quoted\" \\ \t\n\x00\x1f\x7f", "\xff\xfe bad utf-8 \xc3\x28", 0x11, 0},
+		{math.NaN(), 0, 0, 0, 0.5, 0, 1, 1, "fixed", "", 0, 1},
+		{0, 0, 0, 0, float32(math.Inf(1)), 0, 1, 1, "fixed", "", 0, 1},
+		{0, 0, 0, 0, 0.5, math.Inf(-1), 1, 1, "fixed", "", 0, 1},
+		{0, 0, 0, math.NaN(), 0.5, 0, 1, 1, "fixed", "", 0, 1},
 	} {
-		f.Add(s.x, s.y, s.w, s.h, s.score, s.ms, s.recall, s.video, s.patch, s.kind, s.detail, s.flags, s.objects)
+		f.Add(s.x, s.y, s.w, s.h, s.score, s.ms, s.video, s.patch, s.kind, s.detail, s.flags, s.objects)
 	}
-	f.Fuzz(func(t *testing.T, x, y, w, h float64, score float32, ms, recall float64, vid, patch int64, kind, detail string, flags, objects uint8) {
+	f.Fuzz(func(t *testing.T, x, y, w, h float64, score float32, ms float64, vid, patch int64, kind, detail string, flags, objects uint8) {
 		r := QueryResponse{
 			CandidateFrames: int(vid % 1000),
 			FastSearchMs:    ms,
 			RerankMs:        ms / 3,
 			Cached:          flags&1 != 0,
 			Plan: PlanJSON{
-				Kind:            kind,
-				Exact:           flags&2 != 0,
-				FastK:           int(patch % 4096),
-				ShardK:          int(vid),
-				RerankFrames:    int(flags),
-				TopN:            int(objects),
-				SkipRerank:      flags&4 != 0,
-				PredictedRecall: recall,
-				Int8:            flags&8 != 0,
+				Kind:         kind,
+				Exact:        flags&2 != 0,
+				FastK:        int(patch % 4096),
+				ShardK:       int(vid),
+				RerankFrames: int(flags),
+				TopN:         int(objects),
+				SkipRerank:   flags&4 != 0,
+				Int8:         flags&8 != 0,
 			},
 		}
 		if flags&32 != 0 {

@@ -29,6 +29,8 @@ func FuzzServeBodies(f *testing.F) {
 		`{"query": "zorgon"}`,
 		`{"query": "  "}`,
 		`{"query": "a car", "options": {"min_recall": 1.5}}`,
+		`{"query": "a red car", "options": {"min_recall": 0.9}}`,
+		`{"queries": ["a red car"], "options": {"min_recall": 0.9}}`,
 		`{"query": "a car", "options": {"fast_k": -1, "exhaustive": true}}`,
 		`{"queries": ["a truck", "a person", "a truck"], "options": {"disable_rerank": true}}`,
 		`{"queries": []}`,

@@ -47,9 +47,6 @@ type fakeBatch struct {
 }
 
 func (f *fakeBackend) PlanQueryCtx(ctx context.Context, text string, opts core.QueryOptions) (core.Plan, error) {
-	if err := core.ValidateMinRecall(opts.MinRecall); err != nil {
-		return core.Plan{}, err
-	}
 	f.mu.Lock()
 	f.planOpts = append(f.planOpts, opts)
 	f.mu.Unlock()
@@ -117,8 +114,7 @@ func (f *fakeBackend) Status() shard.Status {
 func (f *fakeBackend) Pushed() (uint64, bool, bool) { return 1, !f.notBuilt, true }
 
 // TestOptionValidationRejectsBadKnobs pins the input-validation hardening:
-// negative or absurd integer knobs and a min_recall outside (0, 1] must
-// answer 400 with an error naming the offending field, on both query
+// negative or absurd integer knobs must answer 400 with an error naming the offending field, on both query
 // endpoints, without the backend ever being consulted.
 func TestOptionValidationRejectsBadKnobs(t *testing.T) {
 	fb := &fakeBackend{}
@@ -135,8 +131,6 @@ func TestOptionValidationRejectsBadKnobs(t *testing.T) {
 		{"absurd top_n", QueryOptionsJSON{TopN: maxKnob + 1}, "top_n"},
 		{"negative rerank_frames", QueryOptionsJSON{RerankFrames: -1}, "rerank_frames"},
 		{"absurd rerank_frames", QueryOptionsJSON{RerankFrames: maxKnob + 1}, "rerank_frames"},
-		{"negative min_recall", QueryOptionsJSON{MinRecall: -0.5}, "min_recall"},
-		{"min_recall above one", QueryOptionsJSON{MinRecall: 1.01}, "min_recall"},
 	}
 	for _, c := range cases {
 		for _, path := range []string{"/query", "/query/batch"} {
@@ -163,9 +157,9 @@ func TestOptionValidationRejectsBadKnobs(t *testing.T) {
 	if n := len(fb.widths()); n != 0 {
 		t.Fatalf("invalid options must never reach the backend, got %d calls", n)
 	}
-	// The boundary values are legal: knobs at the cap, min_recall exactly 1.
+	// The boundary values are legal: knobs at the cap.
 	resp, data := postJSON(t, ts.URL+"/query",
-		queryRequest{Query: "a red car", Options: QueryOptionsJSON{FastK: maxKnob, MinRecall: 1}})
+		queryRequest{Query: "a red car", Options: QueryOptionsJSON{FastK: maxKnob}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("boundary options must pass, got %d: %s", resp.StatusCode, data)
 	}
@@ -283,30 +277,33 @@ func TestOversizedQueryTextAnswers413(t *testing.T) {
 	}
 }
 
-// TestDefaultMinRecallApplied: a server booted with a default accuracy
-// bound applies it to requests that set no min_recall of their own, and a
-// request's explicit bound always wins.
-func TestDefaultMinRecallApplied(t *testing.T) {
+// TestUnknownFieldsRefused: a query body naming a field the server does
+// not know — the retired "min_recall" bound or "int8" switch, say — answers
+// 400 naming it on both query endpoints, instead of running the default
+// plan as if the field were not there, and never reaches the backend.
+func TestUnknownFieldsRefused(t *testing.T) {
 	fb := &fakeBackend{}
-	ts := httptest.NewServer(New(fb, Config{DefaultMinRecall: 0.9}))
-	defer ts.Close()
-	if resp, data := postJSON(t, ts.URL+"/query", queryRequest{Query: "a red car"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("unbounded query: %d: %s", resp.StatusCode, data)
+	srv := New(fb, Config{CacheSize: 4})
+	for _, c := range []struct{ path, body, field string }{
+		{"/query", `{"query": "a red car", "options": {"min_recall": 0.9}}`, "min_recall"},
+		{"/query/batch", `{"queries": ["a red car"], "options": {"min_recall": 0.9}}`, "min_recall"},
+		{"/query", `{"query": "a red car", "options": {"int8": true}}`, "int8"},
+		{"/query", `{"query": "a red car", "limit": 3}`, "limit"},
+		{"/query/batch", `{"queries": ["a red car"], "debug": true}`, "debug"},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d want 400: %s", c.path, c.body, rec.Code, rec.Body)
+			continue
+		}
+		var e map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e["error"], `"`+c.field+`"`) {
+			t.Errorf("%s %s: error body %s must name field %q", c.path, c.body, rec.Body, c.field)
+		}
 	}
-	if resp, data := postJSON(t, ts.URL+"/query",
-		queryRequest{Query: "a red car", Options: QueryOptionsJSON{MinRecall: 0.5}}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("bounded query: %d: %s", resp.StatusCode, data)
-	}
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if len(fb.planOpts) != 2 {
-		t.Fatalf("planned %d queries, want 2", len(fb.planOpts))
-	}
-	if fb.planOpts[0].MinRecall != 0.9 {
-		t.Errorf("server default not applied: planned with MinRecall %v, want 0.9", fb.planOpts[0].MinRecall)
-	}
-	if fb.planOpts[1].MinRecall != 0.5 {
-		t.Errorf("request bound must override the default: got %v, want 0.5", fb.planOpts[1].MinRecall)
+	if len(fb.planOpts) != 0 || len(fb.widths()) != 0 {
+		t.Fatalf("refused bodies must never reach the backend: %d plans, %d batches", len(fb.planOpts), len(fb.widths()))
 	}
 }
 
@@ -328,11 +325,8 @@ func TestPlanReporting(t *testing.T) {
 	if qr.Plan.Kind != string(core.PlanFixed) || qr.Plan.FastK <= 0 {
 		t.Fatalf("response must echo the resolved plan, got %+v", qr.Plan)
 	}
-	// A leftover options.int8 is an unknown field like any other: the query
-	// is served, and no plan ever echoes an int8 bit.
-	legacy := map[string]any{"query": "a red car", "options": map[string]any{"int8": true}}
-	if resp, data := postJSON(t, ts.URL+"/query", legacy); resp.StatusCode != http.StatusOK || strings.Contains(string(data), "int8") {
-		t.Fatalf("options.int8 must be ignored and never echoed, got %d: %s", resp.StatusCode, data)
+	if strings.Contains(string(data), "int8") {
+		t.Fatalf("no plan may echo an int8 bit: %s", data)
 	}
 	_, _ = postJSON(t, ts.URL+"/query/batch", batchRequest{Queries: []string{"a truck"}})
 
@@ -345,8 +339,8 @@ func TestPlanReporting(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr.Body.Close()
-	if st.Plans[string(core.PlanFixed)] != 3 {
-		t.Fatalf("/stats must count all three chosen plans by kind, got %v", st.Plans)
+	if st.Plans[string(core.PlanFixed)] != 2 {
+		t.Fatalf("/stats must count both chosen plans by kind, got %v", st.Plans)
 	}
 
 	mr, err := http.Get(ts.URL + "/metrics")
@@ -355,7 +349,7 @@ func TestPlanReporting(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(mr.Body)
 	mr.Body.Close()
-	if !strings.Contains(string(raw), `lovod_plan_chosen_total{kind="fixed"} 3`) {
+	if !strings.Contains(string(raw), `lovod_plan_chosen_total{kind="fixed"} 2`) {
 		t.Fatalf("metrics missing plan counter:\n%s", raw)
 	}
 }

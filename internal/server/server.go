@@ -25,9 +25,10 @@
 // wholly from the cache reads instead.
 //
 // Every query is planned before it executes: the backend resolves the
-// request options into an explicit core.Plan (fixed, pinned, or chosen by
-// the accuracy-bounded planner when "min_recall" is set), the cache keys on
-// (query text, resolved plan), and the response echoes the plan that ran.
+// request options into an explicit core.Plan (the fixed defaults with the
+// options' overrides), the cache keys on (query text, resolved plan), and
+// the response echoes the plan that ran. An option the server does not know
+// is refused with a 400 naming it, never silently dropped.
 // Each entry is stamped with the backend's ingest generation, so any ingest
 // or index build anywhere in the engine invalidates stale answers on their
 // next lookup — at once for writes through this server's backend, and as
@@ -81,12 +82,6 @@ type Config struct {
 	// Shards is reported in /stats (informational; the backend hides its
 	// own partitioning).
 	Shards int
-	// DefaultMinRecall, when in (0, 1], applies the accuracy bound to every
-	// request that does not set "min_recall" itself, sending it through the
-	// cost-based planner instead of the fixed default knobs. Zero keeps
-	// unbounded requests on the fixed defaults. Requests that do set
-	// "min_recall" (or "exhaustive") are unaffected.
-	DefaultMinRecall float64
 	// SlowLogSize bounds the /debug/queries ring of slowest recent traces
 	// (0 selects the default of 16; negative disables the slow log and
 	// with it per-request tracing for requests that don't ask for
@@ -143,10 +138,6 @@ type QueryOptionsJSON struct {
 	DisableRerank bool `json:"disable_rerank,omitempty"`
 	Exhaustive    bool `json:"exhaustive,omitempty"`
 	RerankFrames  int  `json:"rerank_frames,omitempty"`
-	// MinRecall, when set, asks the planner for the cheapest plan predicted
-	// to reach this stage-1 recall (0 < min_recall <= 1) instead of the
-	// fixed default knobs.
-	MinRecall float64 `json:"min_recall,omitempty"`
 }
 
 func (o QueryOptionsJSON) toCore() core.QueryOptions {
@@ -156,18 +147,7 @@ func (o QueryOptionsJSON) toCore() core.QueryOptions {
 		DisableRerank: o.DisableRerank,
 		Exhaustive:    o.Exhaustive,
 		RerankFrames:  o.RerankFrames,
-		MinRecall:     o.MinRecall,
 	}
-}
-
-// resolveOptions converts validated wire options to core options, filling in
-// the server's default accuracy bound for requests that set none.
-func (s *Server) resolveOptions(o QueryOptionsJSON) core.QueryOptions {
-	opts := o.toCore()
-	if opts.MinRecall == 0 {
-		opts.MinRecall = s.cfg.DefaultMinRecall
-	}
-	return opts
 }
 
 // maxKnob bounds the integer query knobs: anything past a million entries
@@ -208,9 +188,6 @@ func validateOptions(o QueryOptionsJSON) error {
 	case o.RerankFrames > maxKnob:
 		return fmt.Errorf("options.rerank_frames must be <= %d, got %d", maxKnob, o.RerankFrames)
 	}
-	if err := core.ValidateMinRecall(o.MinRecall); err != nil {
-		return fmt.Errorf("options.min_recall must lie in (0, 1], got %v", o.MinRecall)
-	}
 	return nil
 }
 
@@ -232,34 +209,32 @@ type ObjectJSON struct {
 }
 
 // PlanJSON is the resolved execution plan on the wire: the exact knobs this
-// query ran with, and the planner's provenance (kind, predicted recall).
+// query ran with, and their provenance (kind).
 type PlanJSON struct {
-	Kind            string  `json:"kind"`
-	Exact           bool    `json:"exact,omitempty"`
-	FastK           int     `json:"fast_k"`
-	ShardK          int     `json:"shard_k"`
-	NProbe          int     `json:"nprobe,omitempty"`
-	Ef              int     `json:"ef,omitempty"`
-	RerankFrames    int     `json:"rerank_frames"`
-	TopN            int     `json:"top_n"`
-	SkipRerank      bool    `json:"skip_rerank,omitempty"`
-	PredictedRecall float64 `json:"predicted_recall,omitempty"`
+	Kind         string `json:"kind"`
+	Exact        bool   `json:"exact,omitempty"`
+	FastK        int    `json:"fast_k"`
+	ShardK       int    `json:"shard_k"`
+	NProbe       int    `json:"nprobe,omitempty"`
+	Ef           int    `json:"ef,omitempty"`
+	RerankFrames int    `json:"rerank_frames"`
+	TopN         int    `json:"top_n"`
+	SkipRerank   bool   `json:"skip_rerank,omitempty"`
 	// Deprecated: ignored; remains only because benchmark/ names it — removed with ROADMAP item 1.
 	Int8 bool `json:"int8,omitempty"`
 }
 
 func toPlanJSON(p core.Plan) PlanJSON {
 	return PlanJSON{
-		Kind:            string(p.Kind),
-		Exact:           p.Exact,
-		FastK:           p.FastK,
-		ShardK:          p.ShardK,
-		NProbe:          p.NProbe,
-		Ef:              p.Ef,
-		RerankFrames:    p.RerankFrames,
-		TopN:            p.TopN,
-		SkipRerank:      p.SkipRerank,
-		PredictedRecall: p.PredictedRecall,
+		Kind:         string(p.Kind),
+		Exact:        p.Exact,
+		FastK:        p.FastK,
+		ShardK:       p.ShardK,
+		NProbe:       p.NProbe,
+		Ef:           p.Ef,
+		RerankFrames: p.RerankFrames,
+		TopN:         p.TopN,
+		SkipRerank:   p.SkipRerank,
 	}
 }
 
@@ -359,9 +334,15 @@ func (s *Server) allowMethod(w http.ResponseWriter, r *http.Request, method stri
 
 // decodeBody reads at most limit bytes of JSON request body into v, so a
 // hostile request costs bounded memory: an oversized body answers 413
-// naming the limit, malformed JSON 400. It reports whether v is usable.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+// naming the limit, malformed JSON 400. A strict decode also answers 400
+// naming any field v does not have, so a retired or misspelt option is
+// refused rather than silently ignored. It reports whether v is usable.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, strict bool, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
@@ -377,7 +358,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if !s.decodeBody(w, r, maxQueryBody, &req) {
+	if !s.decodeBody(w, r, maxQueryBody, true, &req) {
 		return
 	}
 	if len(req.Query) > maxQueryText {
@@ -400,7 +381,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if !s.decodeBody(w, r, maxQueryBody, &req) {
+	if !s.decodeBody(w, r, maxQueryBody, true, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -439,25 +420,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // cached=false. The generation is the backend's pushed one while every
 // query hits, so a request served wholly from the cache asks no shard
 // anything; the first miss — or a pushed view that is not live or not
-// built, or a bounded plan, whose planner reads Status anyway — reads
-// Status, answers 503 when the backend is not built, and runs the misses at
-// that read's generation. The request is traced whenever anyone could see
-// the trace (the slow log, or debug, which echoes it on the first
-// response); tracing never steers an answer. On failure serve has answered
-// w itself and returns nil.
+// built — reads Status, answers 503 when the backend is not built, and runs
+// the misses at that read's generation. The request is traced whenever
+// anyone could see the trace (the slow log, or debug, which echoes it on
+// the first response); tracing never steers an answer. On failure serve has
+// answered w itself and returns nil.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o QueryOptionsJSON, debug bool) []QueryResponse {
 	if err := validateOptions(o); err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return nil
 	}
-	opts := s.resolveOptions(o)
-	var gen uint64
-	pushed := false
-	if opts.MinRecall == 0 {
-		var built bool
-		gen, built, pushed = s.backend.Pushed()
-		pushed = pushed && built
-	}
+	opts := o.toCore()
+	gen, built, pushed := s.backend.Pushed()
+	pushed = pushed && built
 	readStatus := func() bool {
 		st := s.backend.Status()
 		if !st.Built {
@@ -639,7 +614,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var v video.Video
-	if !s.decodeBody(w, r, maxIngestBody, &v) {
+	if !s.decodeBody(w, r, maxIngestBody, false, &v) {
 		return
 	}
 	switch {
@@ -704,14 +679,11 @@ type StatsResponse struct {
 	QueriesTotal uint64            `json:"queries_total"`
 	BatchTotal   uint64            `json:"batch_queries_total"`
 	ErrorsTotal  uint64            `json:"errors_total"`
-	// Plans counts resolved plans by kind ("fixed", "pinned", "adaptive",
-	// "adaptive-exact") across /query and /query/batch.
-	Plans map[string]uint64 `json:"plans,omitempty"`
-	// LastMeasuredRecall is the stage-1 recall most recently measured by the
-	// planner's validation loop; 0 until a validation probe has run.
-	LastMeasuredRecall float64 `json:"last_measured_recall,omitempty"`
-	LatencyP50Ms       float64 `json:"latency_p50_ms"`
-	LatencyP99Ms       float64 `json:"latency_p99_ms"`
+	// Plans counts resolved plans by kind ("fixed", "pinned") across
+	// /query and /query/batch.
+	Plans        map[string]uint64 `json:"plans,omitempty"`
+	LatencyP50Ms float64           `json:"latency_p50_ms"`
+	LatencyP99Ms float64           `json:"latency_p99_ms"`
 	// KernelTier is the active float32 scoring-kernel tier ("avx2",
 	// "sse2", "neon" or "purego") — every tier is bit-identical, so this
 	// is provenance for perf triage, not a correctness knob.
@@ -762,25 +734,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.backend.Status()
 	s.replyJSON(w, StatsResponse{
-		Ingest:             st.Ingest,
-		Entities:           st.Entities,
-		Built:              st.Built,
-		Shards:             s.cfg.Shards,
-		Replicas:           st.Replicas,
-		ReplicaGroups:      st.ReplicaGroups,
-		Backends:           st.Backends,
-		Segments:           s.segmentStats(st.Segments),
-		IngestGen:          st.Gen,
-		Cache:              s.cache.stats(),
-		QueriesTotal:       s.metrics.queries.Load(),
-		BatchTotal:         s.metrics.batchQueries.Load(),
-		ErrorsTotal:        s.metrics.errors.Load(),
-		Plans:              s.metrics.planCounts(),
-		LastMeasuredRecall: st.LastMeasuredRecall,
-		LatencyP50Ms:       s.metrics.latency.quantile(0.50) * 1000,
-		LatencyP99Ms:       s.metrics.latency.quantile(0.99) * 1000,
-		KernelTier:         mat.KernelTier(),
-		UptimeSeconds:      time.Since(s.started).Seconds(),
+		Ingest:        st.Ingest,
+		Entities:      st.Entities,
+		Built:         st.Built,
+		Shards:        s.cfg.Shards,
+		Replicas:      st.Replicas,
+		ReplicaGroups: st.ReplicaGroups,
+		Backends:      st.Backends,
+		Segments:      s.segmentStats(st.Segments),
+		IngestGen:     st.Gen,
+		Cache:         s.cache.stats(),
+		QueriesTotal:  s.metrics.queries.Load(),
+		BatchTotal:    s.metrics.batchQueries.Load(),
+		ErrorsTotal:   s.metrics.errors.Load(),
+		Plans:         s.metrics.planCounts(),
+		LatencyP50Ms:  s.metrics.latency.quantile(0.50) * 1000,
+		LatencyP99Ms:  s.metrics.latency.quantile(0.99) * 1000,
+		KernelTier:    mat.KernelTier(),
+		UptimeSeconds: time.Since(s.started).Seconds(),
 	})
 }
 
@@ -826,7 +797,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge(w, "lovod_index_entities", float64(st.Entities))
 	gauge(w, "lovod_ingest_generation", float64(st.Gen))
 	writePlanMetrics(w, s.metrics.planCounts())
-	gauge(w, "lovod_planner_last_measured_recall", st.LastMeasuredRecall)
 	writeReplicaMetrics(w, st.ReplicaGroups)
 	writeBackendMetrics(w, st.Backends)
 	if seg := s.segmentStats(st.Segments); seg != nil {

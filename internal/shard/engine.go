@@ -68,9 +68,6 @@ type Engine struct {
 	// faultHook, when set (tests only), may inject an error before a
 	// replica call on a local backend, exercising the failover path.
 	faultHook func(group, replica int) error
-	// planner resolves accuracy-bounded queries into scatter plans from
-	// the shards' exported planning digests.
-	planner *enginePlanner
 
 	// The watch state behind Pushed, per backend: epoch counts the starts
 	// and ends of the mutations this engine issues to the backend, pending
@@ -171,7 +168,6 @@ func NewWithBackends(backends []remote.ShardBackend, cfg core.Config) (*Engine, 
 		stop:      make(chan struct{}),
 	}
 	e.idle = sync.NewCond(&e.watchMu)
-	e.planner = newEnginePlanner(e.cfg)
 	return e, nil
 }
 
@@ -255,12 +251,8 @@ func (e *Engine) BuildIndex() error {
 	return firstErr(errs)
 }
 
-// Target exposes the engine as the N-leg PlanTarget (core.StageRecall
-// measurements; QueryBatchPlanned is the execution path).
-func (e *Engine) Target() core.PlanTarget { return engineTarget{e} }
-
 // engineTarget adapts an Engine to the shared executor's N-leg PlanTarget:
-// stage 1 scatters every shard with its own plan leg, stage 2 routes each
+// stage 1 scatters every shard with the same plans, stage 2 routes each
 // candidate frame to the shard owning its keyframe and reassembles
 // groundings in global candidate order — so the final ranking sees exactly
 // what a single system would. Any shard leg that fails (after worker-side
@@ -283,7 +275,7 @@ func (t engineTarget) ScatterSearchBatch(ctx context.Context, texts []string, pl
 			lsp.Detail(fmt.Sprintf("shard=%d queries=%d", i, len(texts)))
 		}
 		defer lsp.End()
-		lists, err := e.backends[i].FastSearchBatch(lctx, texts, legPlans(plans, i))
+		lists, err := e.backends[i].FastSearchBatch(lctx, texts, plans)
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
@@ -301,15 +293,6 @@ func (t engineTarget) ScatterSearchBatch(ctx context.Context, texts []string, pl
 		}
 	}
 	return out, nil
-}
-
-// legPlans derives shard i's leg of every plan in a batch (see Plan.Leg).
-func legPlans(plans []core.Plan, i int) []core.Plan {
-	legs := make([]core.Plan, len(plans))
-	for qi, p := range plans {
-		legs[qi] = p.Leg(i)
-	}
-	return legs
 }
 
 func (t engineTarget) ScatterGround(ctx context.Context, text string, refs []core.FrameRef, workers int) ([]core.Grounding, error) {
@@ -355,21 +338,13 @@ func (t engineTarget) ScatterGround(ctx context.Context, text string, refs []cor
 }
 
 // PlanQueryCtx resolves the plan one query will execute: the pinned plan
-// when QueryOptions.Plan is set, the engine planner's cheapest
-// bound-satisfying scatter plan when MinRecall is set, and otherwise the
-// fixed default plan. The planner's inline validation probe fast-searches a
-// shard, and under a traced context that probe records its RPC legs in the
-// query's trace instead of vanishing. The context never changes which plan
-// is chosen.
-func (e *Engine) PlanQueryCtx(ctx context.Context, text string, opts core.QueryOptions) (core.Plan, error) {
-	if err := core.ValidateMinRecall(opts.MinRecall); err != nil {
-		return core.Plan{}, err
-	}
+// when QueryOptions.Plan is set, and otherwise the fixed default plan —
+// what core.System resolves for the same options, so a plan reads the same
+// on every deployment shape. It asks no shard anything and never fails;
+// the signature is core.Querier's.
+func (e *Engine) PlanQueryCtx(_ context.Context, _ string, opts core.QueryOptions) (core.Plan, error) {
 	if opts.Plan != nil {
 		return e.cfg.NormalizePlan(*opts.Plan), nil
-	}
-	if opts.MinRecall > 0 {
-		return e.planner.plan(ctx, e, text, opts), nil
 	}
 	return e.cfg.FixedPlan(opts), nil
 }
@@ -448,9 +423,6 @@ type Status struct {
 	// the zero value (Growing == 0) for a batch fleet (or one whose every
 	// segmented worker is unreachable).
 	Segments vectordb.SegmentStats
-	// LastMeasuredRecall is the planner's most recent validation
-	// measurement (0 until the loop has run).
-	LastMeasuredRecall float64
 }
 
 // Status reads every shard's snapshot in parallel — the engine's only
@@ -459,11 +431,10 @@ func (e *Engine) Status() Status {
 	n := len(e.backends)
 	shards := make([]remote.ShardStatus, n)
 	out := Status{
-		Built:              true,
-		Replicas:           e.replicas,
-		ReplicaGroups:      make([][]ReplicaStat, n),
-		Backends:           make([]BackendStat, n),
-		LastMeasuredRecall: e.planner.policy.LastMeasured(),
+		Built:         true,
+		Replicas:      e.replicas,
+		ReplicaGroups: make([][]ReplicaStat, n),
+		Backends:      make([]BackendStat, n),
 	}
 	core.ParallelFor(n, n, func(i int) {
 		st, err := e.backends[i].Status(nil)

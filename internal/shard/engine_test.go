@@ -153,107 +153,6 @@ func TestOneShardMatchesSingleSystemDefaultIndex(t *testing.T) {
 	}
 }
 
-// TestPlannerConformanceOneShardMatchesSystem: one planning policy serves
-// both deployment shapes, so on every index kind a core.System (planning
-// from its own digest) and a one-shard engine (planning from that shard's
-// exported digest) resolve a bound to the same executable plan with the
-// same predicted recall.
-func TestPlannerConformanceOneShardMatchesSystem(t *testing.T) {
-	kinds := []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIMI, vectordb.IndexIVFPQ, vectordb.IndexHNSW}
-	if testing.Short() {
-		kinds = kinds[:2]
-	}
-	ds := datasets.QVHighlights(datasets.Config{Seed: 17, Scale: 0.05})
-	for _, kind := range kinds {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := core.Config{Seed: 17, Index: kind}
-			single, err := core.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := New(1, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range ds.Videos {
-				if err := single.Ingest(&ds.Videos[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := eng.IngestDataset(ds); err != nil {
-				t.Fatal(err)
-			}
-			if err := single.BuildIndex(); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.BuildIndex(); err != nil {
-				t.Fatal(err)
-			}
-			for _, bound := range []float64{0.8, 0.9, 0.95} {
-				for _, q := range ds.Queries {
-					opts := core.QueryOptions{MinRecall: bound}
-					want, err := single.PlanQueryCtx(context.Background(), q.Text, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := eng.PlanQueryCtx(context.Background(), q.Text, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Key() != want.Key() || got.PredictedRecall != want.PredictedRecall || got.Kind != want.Kind {
-						t.Errorf("%s at %v: engine plans %s (predicted %v), system plans %s (predicted %v)",
-							q.ID, bound, got, got.PredictedRecall, want, want.PredictedRecall)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestEnginePlannerRefetchesDigestsAfterSeal is the engine half of the
-// planner staleness fix: a shard's background seal advances no ingest
-// generation, so the engine must key its digest cache on the fleet's
-// maintenance generation too — or it keeps planning from the ladder its
-// shard measured while everything was still exact-scanned.
-func TestEnginePlannerRefetchesDigestsAfterSeal(t *testing.T) {
-	const bound = 0.9
-	ds := datasets.QVHighlights(datasets.Config{Seed: 17, Scale: 0.05})
-	eng, err := New(1, core.Config{Seed: 17, SegmentSize: 1 << 20, PlannerValidateEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Shard(0).BuildIndex(); err != nil { // boot empty and built, as a live-ingest worker does
-		t.Fatal(err)
-	}
-	if err := eng.IngestDataset(ds); err != nil {
-		t.Fatal(err)
-	}
-	opts := core.QueryOptions{MinRecall: bound}
-	if _, err := eng.PlanQueryCtx(context.Background(), ds.Queries[0].Text, opts); err != nil {
-		t.Fatal(err)
-	}
-	seg := eng.Shard(0).Segmented()
-	if err := seg.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.WaitMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range ds.Queries {
-		plan, err := eng.PlanQueryCtx(context.Background(), q.Text, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := core.StageRecall(context.Background(), eng.Target(), q.Text, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec < bound {
-			t.Errorf("%s: measured recall %v below bound %v after the seal under plan %s", q.ID, rec, bound, plan)
-		}
-	}
-}
-
 // TestMoreShardsThanVideos exercises empty shards: BuildIndex must skip
 // them and queries must still merge correctly.
 func TestMoreShardsThanVideos(t *testing.T) {

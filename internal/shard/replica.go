@@ -294,19 +294,6 @@ func (l *Local) FastSearchBatch(ctx context.Context, texts []string, plans []cor
 	return lists, nil
 }
 
-// PlanStats exports one healthy replica's planning digest — replicas are
-// byte-identical and sample deterministically, so any replica speaks for
-// the group.
-func (l *Local) PlanStats() (core.PlanStats, error) {
-	var st core.PlanStats
-	//lovo:ctx-ok calibration-digest export during engine assembly, not a per-query path; withReplica only wants ctx for failover bookkeeping
-	err := l.withReplica(context.Background(), func(_ context.Context, sys *core.System) error {
-		st = sys.PlanStats()
-		return nil
-	})
-	return st, err
-}
-
 // GroundCandidates runs stage 2 on one healthy replica, failing over on
 // faults.
 func (l *Local) GroundCandidates(ctx context.Context, text string, refs []core.FrameRef, workers int) ([]core.Grounding, error) {

@@ -53,8 +53,8 @@ type (
 	Result = core.Result
 	// ResultObject is one retrieved object.
 	ResultObject = core.ResultObject
-	// QueryOptions tunes a single query (rerank/ANNS ablations, depths,
-	// the MinRecall accuracy bound, and plan pinning via Plan).
+	// QueryOptions tunes a single query (rerank/ANNS ablations, depths and
+	// budgets, and plan pinning via Plan).
 	QueryOptions = core.QueryOptions
 	// Plan is an explicit, executable description of one query: every
 	// stage-1 and stage-2 knob resolved to a concrete value. Obtain one
@@ -228,11 +228,10 @@ func (s *System) querier() core.Querier {
 // stages scatter and the merged answer is deterministic — byte-identical to
 // the single-system path for one shard.
 //
-// With no options set, Query executes the system's fixed default plan.
-// Setting QueryOptions.MinRecall (in (0, 1]) instead asks the cost-based
-// planner for the cheapest plan predicted to reach that stage-1 recall,
-// calibrated against exact-search ground truth at build time; setting
-// QueryOptions.Plan replays a previously resolved plan verbatim.
+// With no options set, Query executes the system's fixed default plan —
+// the paper's two-stage plan at the Config's knobs; the other option fields
+// override single knobs of it, and setting QueryOptions.Plan replays a
+// previously resolved plan verbatim.
 //
 // Query, PlanQuery and QueryBatch are the only context-less query entry
 // points in the repository; everything beneath them takes a context (the
@@ -243,9 +242,8 @@ func (s *System) Query(text string, opts QueryOptions) (*Result, error) {
 }
 
 // PlanQuery resolves the plan Query would execute for text under opts —
-// the fixed defaults, the caller's pinned plan normalized, or the
-// planner's cheapest bound-satisfying plan when MinRecall is set —
-// without executing it. Pin the returned plan via QueryOptions.Plan to
+// the fixed defaults with the options' overrides, or the caller's pinned
+// plan normalized — without executing it. Pin the returned plan via QueryOptions.Plan to
 // replay it byte-identically, on this system or any other deployment
 // shape built from the same corpus and seed.
 func (s *System) PlanQuery(text string, opts QueryOptions) (Plan, error) {
