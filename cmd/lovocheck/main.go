@@ -2,32 +2,19 @@
 // over Go packages: the determinism, codec-safety, kernel-discipline and
 // ctx-threading contracts, enforced at the source level.
 //
-// Standalone mode (the usual way, and what CI runs):
+// Usage (what CI runs):
 //
 //	lovocheck ./...
 //
 // resolves the package patterns with `go list`, analyzes every non-test
 // file, prints findings as file:line:col: [analyzer] message, and exits 2
 // if there were any.
-//
-// The binary also speaks enough of the `go vet -vettool` unit-checker
-// protocol to run as:
-//
-//	go vet -vettool=$(which lovocheck) ./...
-//
-// (-V=full / -flags handshakes, then one JSON .cfg per package with
-// export-data imports).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"os/exec"
@@ -38,31 +25,13 @@ import (
 )
 
 func main() {
-	// go vet probes the tool before use: -V=full must answer a version
-	// line (it keys vet's result cache), -flags must answer a JSON list
-	// of extra flag definitions (we register none).
-	for _, arg := range os.Args[1:] {
-		switch {
-		case strings.HasPrefix(arg, "-V"):
-			fmt.Println("lovocheck version v1 (repro invariant suite)")
-			return
-		case arg == "-flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	debug := flag.Bool("debug", false, "print swallowed type-resolution errors")
 	flag.Parse()
 	args := flag.Args()
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0]))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(runStandalone(args, *debug))
+	os.Exit(run(args, *debug))
 }
 
 // listedPackage is the slice of `go list -json` output the driver needs.
@@ -73,7 +42,7 @@ type listedPackage struct {
 	GoFiles    []string
 }
 
-func runStandalone(patterns []string, debug bool) int {
+func run(patterns []string, debug bool) int {
 	cmd := exec.Command("go", append([]string{"list", "-json=Dir,ImportPath,Standard,GoFiles", "--"}, patterns...)...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -113,99 +82,6 @@ func runStandalone(patterns []string, debug bool) int {
 			fmt.Printf("%s: [%s] %s\n", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
 			exit = 2
 		}
-	}
-	return exit
-}
-
-// vetConfig is the subset of cmd/go's vet .cfg JSON the tool consumes.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one package described by a vet .cfg: files are
-// typechecked against the build's export data (PackageFile), findings are
-// printed plainly on stderr, and the facts file (VetxOutput) is written
-// empty — the suite exchanges no cross-package facts.
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lovocheck: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "lovocheck: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "lovocheck: writing facts: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	pkg := &lint.Package{Path: cfg.ImportPath, Fset: fset}
-	for _, fn := range cfg.GoFiles {
-		// Tests and bench harnesses are out of the invariants' scope (they
-		// may use clocks and RNGs freely); vet hands them over as part of
-		// the test variant's GoFiles, so drop them here.
-		if strings.HasSuffix(fn, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lovocheck: %v\n", err)
-			return 1
-		}
-		pkg.Files = append(pkg.Files, f)
-	}
-	if len(pkg.Files) == 0 {
-		return 0
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	tconf := types.Config{
-		Importer: importer.ForCompiler(fset, cfg.Compiler, lookup),
-		Error:    func(error) {},
-	}
-	tpkg, err := tconf.Check(cfg.ImportPath, fset, pkg.Files, info)
-	if err != nil && cfg.SucceedOnTypecheckFailure {
-		return 0
-	}
-	pkg.Types = tpkg
-	pkg.Info = info
-
-	exit := 0
-	for _, d := range lint.RunAll(pkg) {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-		exit = 2
 	}
 	return exit
 }

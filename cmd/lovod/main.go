@@ -1,6 +1,6 @@
 // Command lovod serves LOVO queries over HTTP: it ingests a benchmark
-// dataset into a sharded, optionally replicated scatter-gather engine at
-// boot (or restores a -save snapshot and skips ingest entirely), then
+// dataset into a sharded scatter-gather engine (one core.System per shard)
+// at boot (or restores a -save snapshot and skips ingest entirely), then
 // answers natural-language object queries as JSON, fronted by an LRU
 // result cache.
 //
@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	lovod -dataset bellevue -scale 0.1 -shards 4 -replicas 2 -addr 127.0.0.1:8077
+//	lovod -dataset bellevue -scale 0.1 -shards 4 -addr 127.0.0.1:8077
 //	lovod -dataset bellevue -scale 0.1 -shards 4 -save lovo.snap   # first boot
 //	lovod -dataset bellevue -scale 0.1 -shards 4 -load lovo.snap   # restart, no re-ingest
 //	lovod -dataset bellevue -scale 0.1 -seed 7 \
@@ -56,13 +56,12 @@ func main() {
 		scale      = flag.Float64("scale", 0.15, "dataset duration scale (1.0 = paper-sized)")
 		seed       = flag.Uint64("seed", 7, "workload and system seed")
 		shards     = flag.Int("shards", 4, "shard count (videos partition by ID modulo shards; ignored with -shard-addrs)")
-		replicas   = flag.Int("replicas", 1, "replicas per shard, for failover: queries pick one, ingest fans to all, answers are byte-identical whichever serves (throughput under R > 1 is unmeasured)")
 		index      = flag.String("index", "imi", "vector index: imi|ivfpq|hnsw|flat")
 		cache      = flag.Int("cache", 512, "query-result cache capacity in entries (0 disables; default from the cachesweep bench)")
 		addr       = flag.String("addr", ":8077", "listen address")
 		workers    = flag.Int("workers", 0, "per-shard worker pool (0 = NumCPU)")
 		saveFile   = flag.String("save", "", "after ingest and indexing, write an engine snapshot to this file")
-		loadFile   = flag.String("load", "", "restore a snapshot written by -save instead of re-ingesting (boot with the saver's -seed/-index/-shards; -replicas may differ)")
+		loadFile   = flag.String("load", "", "restore a snapshot written by -save instead of re-ingesting (boot with the saver's -seed/-index/-shards)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated lovoshard worker addresses; enables coordinator mode (one remote shard per address)")
 		connectTO  = flag.Duration("connect-timeout", 3*time.Second, "per-worker dial timeout for -shard-addrs (boot fails fast on an unreachable worker)")
 		rpcTimeout = flag.Duration("rpc-timeout", 30*time.Second, "per-call deadline for shard RPCs")
@@ -92,7 +91,7 @@ func main() {
 	if *shardAddrs != "" {
 		eng, err = connectWorkers(*shardAddrs, cfg, *connectTO, *rpcTimeout)
 	} else {
-		eng, err = shard.NewReplicated(*shards, *replicas, cfg)
+		eng, err = shard.New(*shards, cfg)
 	}
 	if err != nil {
 		fatal(err)

@@ -1,7 +1,6 @@
-// Command lovoshard hosts one LOVO shard — a replica group of R
-// equal-seeded core.Systems — and serves the shard RPC protocol, so a lovod
-// coordinator on another host can scatter-gather queries across a fleet of
-// workers.
+// Command lovoshard hosts one LOVO shard — one core.System — and serves the
+// shard RPC protocol, so a lovod coordinator on another host can
+// scatter-gather queries across a fleet of workers.
 //
 // A worker boots empty: the coordinator partitions the corpus by video ID
 // and routes each video's ingest (and the index build, snapshot save/load,
@@ -13,8 +12,8 @@
 //
 // Usage:
 //
-//	lovoshard -addr 127.0.0.1:9101 -seed 7 -index imi -replicas 2
-//	lovoshard -addr 127.0.0.1:9102 -seed 7 -index imi -replicas 2
+//	lovoshard -addr 127.0.0.1:9101 -seed 7 -index imi
+//	lovoshard -addr 127.0.0.1:9102 -seed 7 -index imi
 //	lovod -dataset bellevue -scale 0.1 -seed 7 -index imi \
 //	    -shard-addrs 127.0.0.1:9101,127.0.0.1:9102 -addr :8077
 package main
@@ -36,13 +35,12 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:9101", "shard RPC listen address")
-		seed     = flag.Uint64("seed", 7, "system seed (must match the coordinator's)")
-		index    = flag.String("index", "imi", "vector index: imi|ivfpq|hnsw|flat (must match the coordinator's)")
-		replicas = flag.Int("replicas", 1, "replicas hosted by this worker, for failover: queries pick one, ingest fans to all, answers are byte-identical whichever serves (throughput under R > 1 is unmeasured)")
-		workers  = flag.Int("workers", 0, "worker pool per replica (0 = NumCPU)")
-		kernels  = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
-		segSize  = flag.Int("segment-size", 0, "seal threshold: 0 = batch (never seals by size; each index build rebuilds one segment, later ingest is exact-scanned until the next); N > 0 = continuous ingest sealing every N vectors; must match the coordinator's")
+		addr    = flag.String("addr", "127.0.0.1:9101", "shard RPC listen address")
+		seed    = flag.Uint64("seed", 7, "system seed (must match the coordinator's)")
+		index   = flag.String("index", "imi", "vector index: imi|ivfpq|hnsw|flat (must match the coordinator's)")
+		workers = flag.Int("workers", 0, "worker pool (0 = NumCPU)")
+		kernels = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
+		segSize = flag.Int("segment-size", 0, "seal threshold: 0 = batch (never seals by size; each index build rebuilds one segment, later ingest is exact-scanned until the next); N > 0 = continuous ingest sealing every N vectors; must match the coordinator's")
 	)
 	flag.Parse()
 
@@ -60,7 +58,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	backend, err := shard.NewLocal(*replicas, core.Config{Seed: *seed, Index: kind, Workers: *workers, SegmentSize: *segSize})
+	backend, err := shard.NewLocal(1, core.Config{Seed: *seed, Index: kind, Workers: *workers, SegmentSize: *segSize})
 	if err != nil {
 		fatal(err)
 	}
@@ -74,8 +72,8 @@ func main() {
 	if *segSize > 0 {
 		store = fmt.Sprintf("segmented store sealing every %d vectors", *segSize)
 	}
-	log.Printf("lovoshard: hosting 1 shard x %d replicas (%s index, seed %d, %s), RPC on %s",
-		*replicas, kind, *seed, store, l.Addr())
+	log.Printf("lovoshard: hosting 1 shard (%s index, seed %d, %s), RPC on %s",
+		kind, *seed, store, l.Addr())
 	if err := srv.Serve(l); err != nil {
 		fatal(err)
 	}

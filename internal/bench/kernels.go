@@ -531,7 +531,7 @@ func kernelsExperiment(o Options) (*Table, error) {
 			sweepAVX2OverSSE2[dim], dim, sweepAVX2OverSSE2[128])
 	}
 	t.Note("ann.Rows.TopKBatch at Q=8 over 8 lone TopK scans: %.2fx (CI gate: >= 1.15x)", batch8Speedup)
-	t.Note("kernel reduction order is the canonical 4-lane order (see internal/mat/kernels.go); all query paths share it, so sharded/replicated answers stay byte-identical")
+	t.Note("kernel reduction order is the canonical 4-lane order (see internal/mat/kernels.go); all query paths share it, so sharded/remote answers stay byte-identical")
 	t.Note("allocs/op column is the kernel path; scan paths allocate only their result slice (pooled scratch + pooled top-k heaps)")
 	return t, nil
 }

@@ -17,8 +17,8 @@ import (
 // plans produce equal bytes on every deployment shape.
 //
 // The context carries the tracing recorder (see internal/obs) — targets
-// thread it into every leg so per-shard and per-replica spans land in the
-// query's trace. It carries no cancellation semantics here: plans run to
+// thread it into every leg so per-shard and remote-worker spans land in
+// the query's trace. It carries no cancellation semantics here: plans run to
 // completion for determinism.
 type PlanTarget interface {
 	// ScatterSearchBatch runs stage 1 for a batch of (text, plan) pairs —

@@ -36,8 +36,8 @@ type QueryOptions struct {
 	// Plan, when non-nil, pins the execution plan explicitly: the query
 	// runs these exact knobs (zero fields resolved against the Config by
 	// NormalizePlan) and ignores the other option fields.
-	// A pinned plan answers byte-identically across local, sharded,
-	// replicated and remote deployments.
+	// A pinned plan answers byte-identically across local, sharded and
+	// remote deployments.
 	Plan *Plan
 }
 

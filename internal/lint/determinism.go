@@ -8,7 +8,7 @@ import (
 )
 
 // queryPathPackages are the packages whose answers must be bit-identical
-// across serial/parallel/sharded/replicated/remote execution. Determinism
+// across serial/parallel/sharded/remote execution. Determinism
 // findings apply only here; elsewhere wall clocks and RNGs are fine.
 var queryPathPackages = []string{
 	"internal/core",

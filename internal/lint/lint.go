@@ -5,7 +5,7 @@
 //
 //   - determinism: query-path packages must not let map iteration order,
 //     math/rand, or the wall clock flow into answers (the bit-identity
-//     contract: sharded ≡ replicated ≡ remote ≡ single-system).
+//     contract: sharded ≡ remote ≡ single-system).
 //   - codecsafety: internal/remote must never size an allocation from a
 //     wire-decoded value that hasn't passed the sticky decoder's bound
 //     check, and every op* handler must settle the sticky error.

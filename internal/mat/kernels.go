@@ -12,7 +12,7 @@
 // implementations below produce bit-identical results — the property tests
 // pin this across odd lengths, zero lengths and non-multiple-of-4
 // dimensions. The order is a hard determinism contract: serial, parallel,
-// sharded and replicated query paths all score through these kernels, and
+// sharded and remote query paths all score through these kernels, and
 // their answers must match bit for bit whatever the architecture.
 //
 // MatMul is different: its per-output-element reduction stays in plain

@@ -8,7 +8,7 @@
 // answers every "what are you right now" question, and snapshot save/load.
 // Stage 1 and ingest each have one shape, a batch: a
 // lone query or a lone video is a batch of one. shard.Local implements the
-// surface in-process (a replica group of R equal-seeded systems); Client
+// surface in-process (one core.System); Client
 // implements it over a length-prefixed binary protocol on persistent
 // connections, and Server hosts any implementation behind a net.Listener.
 // Because both sides speak the exact stage functions core.ExecutePlanBatch
@@ -25,10 +25,7 @@
 // pool;
 // mutating operations (ingest, index builds, snapshot load) are dispatched
 // at most once — a transport failure after the request may have left the
-// client surfaces as an error instead of risking a double apply. Worker-side
-// replica failover (PR 3's replica groups) composes underneath: a worker
-// hosting R replicas fails over internally and only surfaces an error when
-// its whole group is down.
+// client surfaces as an error instead of risking a double apply.
 package remote
 
 import (
@@ -39,16 +36,6 @@ import (
 	"repro/internal/vectordb"
 	"repro/internal/video"
 )
-
-// ReplicaStat is the observable state of one replica of one shard, surfaced
-// by the serving tier's /stats and /metrics. (internal/shard aliases this
-// type; it lives here so remote workers can report it over the wire without
-// an import cycle.)
-type ReplicaStat struct {
-	Healthy  bool   `json:"healthy"`
-	Reads    uint64 `json:"reads"`
-	Inflight int64  `json:"inflight"`
-}
 
 // ConfigSummary is the codec-friendly digest of a shard's resolved
 // core.Config — the fields that must agree between a coordinator and its
@@ -70,14 +57,12 @@ type ConfigSummary struct {
 	// fleet would give shards differently-built approximate indexes for the
 	// same corpus slice.
 	SegmentSize int
-	// Replicas is the worker's replica count — informational, and
-	// deliberately excluded from Compatible: replica counts may differ
-	// across workers without changing any answer.
-	Replicas int
 }
 
-// Summarize digests a resolved core.Config (see core.Config.Resolved).
-func Summarize(cfg core.Config, replicas int) ConfigSummary {
+// Summarize digests a resolved core.Config (see core.Config.Resolved). The
+// second argument is ignored; it stays only because benchmark/ passes it
+// (ROADMAP item 1).
+func Summarize(cfg core.Config, _ int) ConfigSummary {
 	return ConfigSummary{
 		Dim:          cfg.Dim,
 		ProjDim:      cfg.ProjDim,
@@ -87,12 +72,11 @@ func Summarize(cfg core.Config, replicas int) ConfigSummary {
 		TopN:         cfg.TopN,
 		RerankFrames: cfg.RerankFrames,
 		SegmentSize:  cfg.SegmentSize,
-		Replicas:     replicas,
 	}
 }
 
 // Compatible reports whether two summaries describe the same query space
-// and merge parameters (replica counts are free to differ).
+// and merge parameters.
 func (s ConfigSummary) Compatible(o ConfigSummary) bool {
 	return s.Dim == o.Dim && s.ProjDim == o.ProjDim && s.Seed == o.Seed &&
 		s.Index == o.Index && s.FastK == o.FastK && s.TopN == o.TopN &&
@@ -114,19 +98,15 @@ type ShardStatus struct {
 	// Addr is the worker address, stamped by Client ("" in-process) — also
 	// beside an error, so an unreachable worker can still be named.
 	Addr string
-	// Gen is the shard's mutation generation — the minimum across replicas,
-	// so a cached answer can never outlive a laggard.
+	// Gen is the shard's mutation generation.
 	Gen uint64
-	// Built reports whether every non-empty replica has built its index.
+	// Built reports whether the shard is empty or has built its index.
 	Built bool
 	// Entities is the indexed patch-vector count and Ingest the ingest
-	// statistics (one replica's view; copies don't multiply the corpus).
+	// statistics.
 	Entities int
 	Ingest   core.IngestStats
-	// Replicas is per-replica health, read counts and in-flight load. A
-	// shard with no healthy replica cannot serve.
-	Replicas []ReplicaStat
-	// Segments is the primary replica's segment breakdown; the zero value
+	// Segments is the shard's segment breakdown; the zero value
 	// (Growing == 0) for a batch store.
 	Segments vectordb.SegmentStats
 	// Config digests the shard's resolved configuration.
@@ -157,9 +137,9 @@ var Unseen = Stamp{Gen: math.MaxUint64}
 // Engine composes, whether the shard lives in-process (shard.Local) or on
 // another host (Client). Every method is safe for concurrent use.
 type ShardBackend interface {
-	// IngestVideos ingests videos in order (fanning out to every replica
-	// worker-side), so the shard's state is byte-identical to ingesting
-	// them one by one. Mutating: dispatched at most once over the wire.
+	// IngestVideos ingests videos in order, so the shard's state is
+	// byte-identical to ingesting them one by one. Mutating: dispatched at
+	// most once over the wire.
 	IngestVideos(vs []*video.Video) error
 	// BuildIndex builds (or, on a segmented store, seals) the shard's index.
 	BuildIndex() error
@@ -180,10 +160,10 @@ type ShardBackend interface {
 	// the shard's Stamp differs from *since, or after Heartbeat when it
 	// does not.
 	Status(since *Stamp) (ShardStatus, error)
-	// SaveSnapshot serialises one replica's full system state.
+	// SaveSnapshot serialises the shard's full system state.
 	SaveSnapshot() ([]byte, error)
-	// LoadSnapshot restores a SaveSnapshot payload into every replica of
-	// this freshly-constructed shard.
+	// LoadSnapshot restores a SaveSnapshot payload into this
+	// freshly-constructed shard.
 	LoadSnapshot(data []byte) error
 	// Close releases client-side resources (no-op for in-process shards).
 	Close() error

@@ -533,7 +533,7 @@ func (c *Client) GroundCandidates(ctx context.Context, text string, refs []core.
 	return gs, nil
 }
 
-// SaveSnapshot fetches one replica's serialised system state.
+// SaveSnapshot fetches the worker's serialised system state.
 func (c *Client) SaveSnapshot() ([]byte, error) {
 	resp, err := c.call(opSaveSnapshot, nil, false)
 	if err != nil {
@@ -550,7 +550,7 @@ func (c *Client) SaveSnapshot() ([]byte, error) {
 	return out, nil
 }
 
-// LoadSnapshot restores a snapshot into the worker's (empty) replicas.
+// LoadSnapshot restores a snapshot into the worker's (empty) system.
 func (c *Client) LoadSnapshot(data []byte) error {
 	e := &enc{}
 	e.bytes(data)

@@ -405,33 +405,6 @@ func readStats(d *dec) core.IngestStats {
 	}
 }
 
-func appendReplicaStats(e *enc, sts []ReplicaStat) {
-	e.u32(uint32(len(sts)))
-	for _, st := range sts {
-		e.boolean(st.Healthy)
-		e.u64(st.Reads)
-		e.i64(st.Inflight)
-	}
-}
-
-// encReplicaStatSize is one encoded ReplicaStat: bool, u64, i64.
-const encReplicaStatSize = 17
-
-func readReplicaStats(d *dec) []ReplicaStat {
-	n := d.count(encReplicaStatSize)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	sts := make([]ReplicaStat, 0, n)
-	for i := 0; i < n; i++ {
-		sts = append(sts, ReplicaStat{Healthy: d.boolean(), Reads: d.u64(), Inflight: d.i64()})
-		if d.err != nil {
-			return nil
-		}
-	}
-	return sts
-}
-
 func appendConfigSummary(e *enc, s ConfigSummary) {
 	e.i64(int64(s.Dim))
 	e.i64(int64(s.ProjDim))
@@ -441,7 +414,6 @@ func appendConfigSummary(e *enc, s ConfigSummary) {
 	e.i64(int64(s.TopN))
 	e.i64(int64(s.RerankFrames))
 	e.i64(int64(s.SegmentSize))
-	e.i64(int64(s.Replicas))
 }
 
 func readConfigSummary(d *dec) ConfigSummary {
@@ -454,7 +426,6 @@ func readConfigSummary(d *dec) ConfigSummary {
 		TopN:         d.intv(),
 		RerankFrames: d.intv(),
 		SegmentSize:  d.intv(),
-		Replicas:     d.intv(),
 	}
 }
 
@@ -490,7 +461,6 @@ func appendStatus(e *enc, st ShardStatus) {
 	e.boolean(st.Built)
 	e.i64(int64(st.Entities))
 	appendStats(e, st.Ingest)
-	appendReplicaStats(e, st.Replicas)
 	appendSegmentStats(e, st.Segments)
 	appendConfigSummary(e, st.Config)
 }
@@ -504,7 +474,6 @@ func readStatus(d *dec) ShardStatus {
 		Built:    d.boolean(),
 		Entities: d.intv(),
 		Ingest:   readStats(d),
-		Replicas: readReplicaStats(d),
 		Segments: readSegmentStats(d),
 		Config:   readConfigSummary(d),
 	}

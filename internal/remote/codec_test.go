@@ -351,31 +351,12 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplicaStatsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	cases := [][]ReplicaStat{
-		nil,
-		{{Healthy: true, Reads: math.MaxUint64, Inflight: math.MinInt64}},
-	}
-	for i := 0; i < 50; i++ {
-		n := rng.Intn(6)
-		var sts []ReplicaStat
-		for j := 0; j < n; j++ {
-			sts = append(sts, ReplicaStat{Healthy: rng.Intn(2) == 0, Reads: rng.Uint64(), Inflight: rng.Int63() - (1 << 62)})
-		}
-		cases = append(cases, sts)
-	}
-	for _, c := range cases {
-		roundTrip(t, "replica-stats", c, appendReplicaStats, readReplicaStats)
-	}
-}
-
 func TestConfigSummaryRoundTrip(t *testing.T) {
 	cases := []ConfigSummary{
 		{}, // zero, empty index string
-		{Dim: 64, ProjDim: 32, Seed: math.MaxUint64, Index: "imi", FastK: 100, TopN: 10, RerankFrames: 16, Replicas: 3},
-		{Index: strings.Repeat("x", 1<<12)},            // max-field-width string
-		{Index: "imi", SegmentSize: 4096, Replicas: 2}, // segmented store
+		{Dim: 64, ProjDim: 32, Seed: math.MaxUint64, Index: "imi", FastK: 100, TopN: 10, RerankFrames: 16},
+		{Index: strings.Repeat("x", 1<<12)}, // max-field-width string
+		{Index: "imi", SegmentSize: 4096},   // segmented store
 		{SegmentSize: math.MaxInt32},
 		{SegmentSize: -1}, // a hostile worker's size still round-trips
 	}
@@ -411,33 +392,30 @@ func TestSegmentStatsRoundTrip(t *testing.T) {
 }
 
 // statusCases spans the ShardStatus shapes that matter on the wire: the
-// all-zero snapshot (zero replicas, no segments), a batch worker, a
-// segmented replica group, and every counter at its widest.
+// all-zero snapshot (no segments), a batch worker, a segmented worker, and
+// every counter at its widest.
 func statusCases() []ShardStatus {
 	return []ShardStatus{
 		{},
 		{BootID: 1, Gen: 7, Built: true, Entities: 4096,
-			Ingest:   core.IngestStats{Videos: 3, Frames: 900, Keyframes: 40, Tokens: 4096, Processing: time.Second, Indexing: time.Millisecond},
-			Replicas: []ReplicaStat{{Healthy: true, Reads: 12}},
-			Config:   ConfigSummary{Dim: 64, ProjDim: 32, Seed: 9, Index: "imi", FastK: 100, TopN: 10, RerankFrames: 16, Replicas: 1}},
+			Ingest: core.IngestStats{Videos: 3, Frames: 900, Keyframes: 40, Tokens: 4096, Processing: time.Second, Indexing: time.Millisecond},
+			Config: ConfigSummary{Dim: 64, ProjDim: 32, Seed: 9, Index: "imi", FastK: 100, TopN: 10, RerankFrames: 16}},
 		{BootID: 2, Gen: 1, Entities: 1,
-			Replicas: []ReplicaStat{{Healthy: true}, {Healthy: false, Inflight: 3}, {Healthy: true, Reads: 1}},
 			Segments: vectordb.SegmentStats{Sealed: 2, Building: 1, Growing: 1, GrowingLen: 17, SealedVectors: 128, RawBytes: 1 << 20, IndexBytes: 1 << 18, Seals: 3, Compactions: 1},
-			Config:   ConfigSummary{Index: "flat", SegmentSize: 64, Replicas: 3}},
+			Config:   ConfigSummary{Index: "flat", SegmentSize: 64}},
 		{BootID: math.MaxUint64, Gen: math.MaxUint64, Built: true, Entities: math.MaxInt,
 			Ingest: core.IngestStats{Videos: math.MaxInt, Frames: math.MaxInt, Keyframes: math.MaxInt, Tokens: math.MaxInt,
 				Processing: time.Duration(math.MaxInt64), Indexing: time.Duration(math.MinInt64)},
-			Replicas: []ReplicaStat{{Healthy: true, Reads: math.MaxUint64, Inflight: math.MinInt64}},
 			Segments: vectordb.SegmentStats{Sealed: math.MaxInt, Building: math.MaxInt, Growing: math.MaxInt,
 				GrowingLen: math.MaxInt, SealedVectors: math.MaxInt, RawBytes: math.MaxInt64, IndexBytes: math.MaxInt64,
 				Seals: math.MaxUint64, Compactions: math.MaxUint64},
 			Config: ConfigSummary{Dim: math.MaxInt, ProjDim: math.MaxInt, Seed: math.MaxUint64, Index: strings.Repeat("x", 1<<10),
-				FastK: math.MaxInt, TopN: math.MaxInt, RerankFrames: math.MaxInt, SegmentSize: math.MaxInt, Replicas: math.MaxInt}},
+				FastK: math.MaxInt, TopN: math.MaxInt, RerankFrames: math.MaxInt, SegmentSize: math.MaxInt}},
 	}
 }
 
-// forgedStatus encodes a status whose replica count claims far more
-// entries than the payload carries.
+// forgedStatus encodes a status whose index-kind string claims far more
+// bytes than the payload carries.
 func forgedStatus() []byte {
 	e := &enc{}
 	e.u64(1)        // boot id
@@ -445,7 +423,11 @@ func forgedStatus() []byte {
 	e.boolean(true) // built
 	e.i64(1)        // entities
 	appendStats(e, core.IngestStats{})
-	e.u32(1 << 28) // replica count, with nothing behind it
+	appendSegmentStats(e, vectordb.SegmentStats{})
+	e.i64(64)      // dim
+	e.i64(32)      // projection dim
+	e.u64(7)       // seed
+	e.u32(1 << 28) // index-kind length, with nothing behind it
 	return e.b
 }
 
@@ -456,11 +438,11 @@ func TestStatusRoundTrip(t *testing.T) {
 		roundTrip(t, "status", c, appendStatus, readStatus)
 	}
 	d := &dec{b: forgedStatus()}
-	if st := readStatus(d); len(st.Replicas) != 0 {
-		t.Fatalf("forged replica count decoded to %d replicas", len(st.Replicas))
+	if st := readStatus(d); st.Config.Index != "" {
+		t.Fatalf("forged index length decoded to a %d-byte index kind", len(st.Config.Index))
 	}
 	if err := d.finish(); err == nil {
-		t.Fatal("forged replica count must error")
+		t.Fatal("forged index length must error")
 	}
 }
 

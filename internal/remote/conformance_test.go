@@ -56,7 +56,7 @@ func TestRemoteEngineMatchesSingleSystemExact(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := core.Config{Seed: seed, Index: kind}
 			single := singleSystem(t, cfg, ds)
-			eng, _ := remoteEngine(t, 4, 1, cfg, remote.ClientOptions{})
+			eng, _ := remoteEngine(t, 4, cfg, remote.ClientOptions{})
 			ingestAll(t, eng, ds)
 
 			if got, want := eng.Entities(), single.Entities(); got != want {
@@ -117,7 +117,7 @@ func TestRemoteEngineMatchesLocalEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			ingestAll(t, local, ds)
-			eng, _ := remoteEngine(t, 4, 1, cfg, remote.ClientOptions{})
+			eng, _ := remoteEngine(t, 4, cfg, remote.ClientOptions{})
 			ingestAll(t, eng, ds)
 
 			if got, want := eng.Entities(), local.Entities(); got != want {
@@ -151,60 +151,5 @@ func TestRemoteEngineMatchesLocalEngine(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRemoteReplicatedWorker runs R=2 replica groups behind the RPC
-// boundary: worker-side failover (kill one replica of each worker) must be
-// invisible to the coordinator — same bytes, no errors.
-func TestRemoteReplicatedWorker(t *testing.T) {
-	const seed = 5
-	cfg := core.Config{Seed: seed}
-	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	eng, hosts := remoteEngine(t, 2, 2, cfg, remote.ClientOptions{})
-	ingestAll(t, eng, ds)
-
-	queries := ds.Queries
-	if testing.Short() {
-		queries = queries[:3]
-	}
-	want := make([]*core.Result, len(queries))
-	for i, q := range queries {
-		res, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-
-	stats := eng.Status().ReplicaGroups
-	for gi, g := range stats {
-		if len(g) != 2 {
-			t.Fatalf("shard %d: %d replica stats over RPC, want 2", gi, len(g))
-		}
-	}
-	// Kill replica 0 of every worker, worker-side — the coordinator's
-	// FailReplica is in-process only; a real operator would signal the
-	// worker. The pipe harness holds the worker's Local directly.
-	for _, h := range hosts {
-		h.local.Fail(0)
-	}
-	for i, q := range queries {
-		got, err := core.Query(context.Background(), eng, q.Text, core.QueryOptions{})
-		if err != nil {
-			t.Fatalf("%s with worker-side replica down: %v", q.ID, err)
-		}
-		if !reflect.DeepEqual(got.Objects, want[i].Objects) {
-			t.Fatalf("%s: failover changed the answer", q.ID)
-		}
-	}
-	st := eng.Status().ReplicaGroups
-	for gi, g := range st {
-		if g[0].Healthy {
-			t.Fatalf("shard %d replica 0 should report unhealthy over RPC", gi)
-		}
-		if !g[1].Healthy {
-			t.Fatalf("shard %d replica 1 should stay healthy", gi)
-		}
 	}
 }

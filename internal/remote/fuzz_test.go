@@ -47,11 +47,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// Requests a coordinator older than the planner's deletion sends: the
-	// retired stage-1 op and planning-digest op. Then real opStatus
+	// Requests an older coordinator sends: the retired stage-1 op and
+	// planning-digest op, and the status read that carried per-replica
+	// health. Then real opStatus
 	// responses, the frame every serving request reads, and real stage-1
 	// requests and responses, the frames every cache miss sends.
-	payloads := [][]byte{{20}, {20, 0xFF, 0xFF, 0xFF, 0xFF}, {21}}
+	payloads := [][]byte{{20}, {20, 0xFF, 0xFF, 0xFF, 0xFF}, {21}, {23}}
 	for _, st := range statusCases() {
 		e := &enc{b: []byte{statusOK}}
 		appendStatus(e, st)

@@ -4,8 +4,8 @@ package remote_test
 // each "worker" is a shard.Local served by a remote.Server over net.Pipe
 // connections, and the coordinator's remote.Clients dial fresh pipes on
 // demand. No sockets, no ports, no sleeps — and the transport is the real
-// one, byte for byte: frames, codec, deadlines, retries and failover all
-// execute exactly as they would across hosts.
+// one, byte for byte: frames, codec, deadlines and retries all execute
+// exactly as they would across hosts.
 
 import (
 	"errors"
@@ -103,12 +103,12 @@ func (h *pipeHost) restart(backend remote.ShardBackend) {
 
 // remoteEngine builds an n-shard engine whose every backend is a
 // remote.Client speaking the wire protocol to a shard.Local over pipes.
-func remoteEngine(t *testing.T, n, r int, cfg core.Config, opts remote.ClientOptions) (*shard.Engine, []*pipeHost) {
+func remoteEngine(t *testing.T, n int, cfg core.Config, opts remote.ClientOptions) (*shard.Engine, []*pipeHost) {
 	t.Helper()
 	hosts := make([]*pipeHost, n)
 	backends := make([]remote.ShardBackend, n)
 	for i := range hosts {
-		l, err := shard.NewLocal(r, cfg)
+		l, err := shard.NewLocal(1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,7 @@ package remote_test
 // Plan conformance: the bit-identity guarantee of plans. A pinned plan —
 // explicit stage-1 and stage-2 knobs, carried verbatim over the wire — must
 // answer byte-identically on every deployment shape: the monolithic
-// core.System, the in-process engine, the replicated engine, and the fully
-// remote engine.
+// core.System, the in-process engine and the fully remote engine.
 
 import (
 	"context"
@@ -28,10 +27,10 @@ var pinnedPlans = []core.Plan{
 }
 
 // TestPinnedPlanByteIdentityAcrossShapes pins the tentpole guarantee on
-// equal shard counts: a 4-shard in-process engine, a 4-shard remote engine,
-// and a 4-shard remote engine with replicated workers answer every pinned
-// plan byte for byte — any divergence is the executor's or the codec's —
-// and a remote batch of every query answers what each query answers alone.
+// equal shard counts: a 4-shard in-process engine and a 4-shard remote
+// engine answer every pinned plan byte for byte — any divergence is the
+// executor's or the codec's — and a remote batch of every query answers
+// what each query answers alone.
 func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 	const seed = 23
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
@@ -44,10 +43,8 @@ func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			ingestAll(t, local, ds)
-			rem, _ := remoteEngine(t, 4, 1, cfg, remote.ClientOptions{})
+			rem, _ := remoteEngine(t, 4, cfg, remote.ClientOptions{})
 			ingestAll(t, rem, ds)
-			repl, _ := remoteEngine(t, 4, 2, cfg, remote.ClientOptions{})
-			ingestAll(t, repl, ds)
 
 			queries := ds.Queries
 			if testing.Short() {
@@ -63,19 +60,17 @@ func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 						t.Fatalf("%s plan %d local: %v", q.ID, pi, err)
 					}
 					wants[pi] = append(wants[pi], want)
-					for name, eng := range map[string]*shard.Engine{"remote": rem, "replicated": repl} {
-						got, err := core.Query(context.Background(), eng, q.Text, opts)
-						if err != nil {
-							t.Fatalf("%s plan %d %s: %v", q.ID, pi, name, err)
-						}
-						if !reflect.DeepEqual(got.Objects, want.Objects) {
-							t.Errorf("%s plan %d: %s engine diverges from local\n got: %+v\nwant: %+v",
-								q.ID, pi, name, got.Objects, want.Objects)
-						}
-						if got.CandidateFrames != want.CandidateFrames {
-							t.Errorf("%s plan %d: %s candidate frames %d != %d",
-								q.ID, pi, name, got.CandidateFrames, want.CandidateFrames)
-						}
+					got, err := core.Query(context.Background(), rem, q.Text, opts)
+					if err != nil {
+						t.Fatalf("%s plan %d remote: %v", q.ID, pi, err)
+					}
+					if !reflect.DeepEqual(got.Objects, want.Objects) {
+						t.Errorf("%s plan %d: remote engine diverges from local\n got: %+v\nwant: %+v",
+							q.ID, pi, got.Objects, want.Objects)
+					}
+					if got.CandidateFrames != want.CandidateFrames {
+						t.Errorf("%s plan %d: remote candidate frames %d != %d",
+							q.ID, pi, got.CandidateFrames, want.CandidateFrames)
 					}
 				}
 			}
@@ -85,15 +80,13 @@ func TestPinnedPlanByteIdentityAcrossShapes(t *testing.T) {
 			}
 			for pi, plan := range pinnedPlans {
 				p := plan
-				for name, eng := range map[string]*shard.Engine{"remote": rem, "replicated": repl} {
-					got, err := core.QueryBatch(context.Background(), eng, texts, core.QueryOptions{Plan: &p}, 0)
-					if err != nil {
-						t.Fatalf("plan %d %s batch: %v", pi, name, err)
-					}
-					for i, want := range wants[pi] {
-						if !reflect.DeepEqual(got[i].Objects, want.Objects) || got[i].CandidateFrames != want.CandidateFrames {
-							t.Errorf("%s plan %d: %s batch answer diverges from the lone local answer", queries[i].ID, pi, name)
-						}
+				got, err := core.QueryBatch(context.Background(), rem, texts, core.QueryOptions{Plan: &p}, 0)
+				if err != nil {
+					t.Fatalf("plan %d remote batch: %v", pi, err)
+				}
+				for i, want := range wants[pi] {
+					if !reflect.DeepEqual(got[i].Objects, want.Objects) || got[i].CandidateFrames != want.CandidateFrames {
+						t.Errorf("%s plan %d: remote batch answer diverges from the lone local answer", queries[i].ID, pi)
 					}
 				}
 			}
@@ -112,7 +105,7 @@ func TestPinnedExactPlanMatchesMonolith(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := core.Config{Seed: seed, Index: kind}
 			single := singleSystem(t, cfg, ds)
-			rem, _ := remoteEngine(t, 4, 1, cfg, remote.ClientOptions{})
+			rem, _ := remoteEngine(t, 4, cfg, remote.ClientOptions{})
 			ingestAll(t, rem, ds)
 
 			queries := ds.Queries

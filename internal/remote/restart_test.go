@@ -38,7 +38,7 @@ func TestRestartedEmptyWorkerDetected(t *testing.T) {
 	const seed = 43
 	cfg := core.Config{Seed: seed}
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	eng, hosts := remoteEngine(t, 3, 1, cfg, remote.ClientOptions{})
+	eng, hosts := remoteEngine(t, 3, cfg, remote.ClientOptions{})
 	ingestAll(t, eng, ds)
 
 	// Learn the healthy baseline: boot nonces, generations, reference

@@ -32,7 +32,7 @@ import (
 // Request op bytes as they travel (see internal/remote/wire.go).
 const (
 	wireGround = 5
-	wireStatus = 23
+	wireStatus = 25
 	wireStage1 = 24
 )
 
@@ -141,7 +141,7 @@ func TestServingTierRPCCounts(t *testing.T) {
 	const seed = 47
 	cfg := core.Config{Seed: seed}
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	eng, hosts := remoteEngine(t, 2, 1, cfg, remote.ClientOptions{})
+	eng, hosts := remoteEngine(t, 2, cfg, remote.ClientOptions{})
 	// Installed before the first dial, so pooled connections count too.
 	logs := countFrames(hosts)
 	ingestAll(t, eng, ds)

@@ -1,7 +1,7 @@
 package remote_test
 
 // Streaming conformance: the acceptance pin for continuous ingest. A
-// sharded, replicated engine running entirely over the RPC transport in
+// sharded engine running entirely over the RPC transport in
 // streaming mode — videos arriving one at a time, background seals and
 // compactions in flight — must answer exact searches byte-identically to a
 // monolithic batch core.System holding the same corpus. Checked BEFORE any
@@ -28,7 +28,7 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 	// and the tiny seal threshold forces several seals plus compactions.
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
 	streamCfg := core.Config{Seed: seed, SegmentSize: 150}
-	eng, _ := remoteEngine(t, 2, 2, streamCfg, remote.ClientOptions{})
+	eng, _ := remoteEngine(t, 2, streamCfg, remote.ClientOptions{})
 
 	queries := ds.Queries
 	if testing.Short() {
@@ -102,7 +102,7 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 	}
 
 	// The segment breakdown travels the RPC boundary: one growing segment
-	// per shard (the primary replica speaks for its group), and the tiny
+	// per shard, and the tiny
 	// threshold must have forced seals on both shards.
 	st := eng.Status().Segments
 	if st.Growing != 2 {
@@ -116,7 +116,7 @@ func TestStreamingRemoteMatchesBatchMonolith(t *testing.T) {
 // TestBatchRemoteReportsNoSegments pins the negative: a batch fleet's
 // status carries zero segment stats and the engine folds it to the same.
 func TestBatchRemoteReportsNoSegments(t *testing.T) {
-	eng, _ := remoteEngine(t, 2, 1, core.Config{Seed: 7}, remote.ClientOptions{})
+	eng, _ := remoteEngine(t, 2, core.Config{Seed: 7}, remote.ClientOptions{})
 	if st := eng.Status().Segments; st != (vectordb.SegmentStats{}) {
 		t.Fatalf("batch remote engine must not report segment stats, got %+v", st)
 	}
@@ -128,7 +128,7 @@ func TestBatchRemoteReportsNoSegments(t *testing.T) {
 // only works if the sentinel survives the RPC boundary.
 func TestDuplicateIngestSentinelSurvivesWire(t *testing.T) {
 	ds := datasets.QVHighlights(datasets.Config{Seed: 7, Scale: 0.04})
-	eng, _ := remoteEngine(t, 2, 1, core.Config{Seed: 7, SegmentSize: 4096}, remote.ClientOptions{})
+	eng, _ := remoteEngine(t, 2, core.Config{Seed: 7, SegmentSize: 4096}, remote.ClientOptions{})
 	if err := eng.Ingest(&ds.Videos[0]); err != nil {
 		t.Fatal(err)
 	}

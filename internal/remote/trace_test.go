@@ -59,7 +59,7 @@ func TestTracedDistributedQuery(t *testing.T) {
 	const seed = 7
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
 	cfg := core.Config{Seed: seed}
-	eng, _ := remoteEngine(t, 3, 1, cfg, remote.ClientOptions{})
+	eng, _ := remoteEngine(t, 3, cfg, remote.ClientOptions{})
 	ingestAll(t, eng, ds)
 
 	text := ds.Queries[0].Text
@@ -112,7 +112,7 @@ func TestConformanceWithTracingForcedOn(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := core.Config{Seed: seed, Index: kind}
 			single := singleSystem(t, cfg, ds)
-			eng, _ := remoteEngine(t, 4, 1, cfg, remote.ClientOptions{})
+			eng, _ := remoteEngine(t, 4, cfg, remote.ClientOptions{})
 			ingestAll(t, eng, ds)
 
 			queries := ds.Queries

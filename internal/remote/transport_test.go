@@ -2,9 +2,8 @@ package remote_test
 
 // Transport hardening: the server must reject oversized and truncated
 // frames, garbage op codes and corrupt payloads with an error — never a
-// panic, never a hang — and the client's bounded retries plus worker-side
-// replica failover must make dropped, delayed and mid-stream-killed
-// connections invisible to answers.
+// panic, never a hang — and the client's bounded retries must make
+// dropped, delayed and mid-stream-killed connections invisible to answers.
 
 import (
 	"context"
@@ -121,9 +120,9 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 		"fast-search forged count": {24, 0xFF, 0xFF, 0xFF, 0xFF},
 		"ground corrupt count":     append([]byte{5, 0, 0, 0, 0}, 0xFF, 0xFF, 0xFF, 0xFF),
 		"ingest garbage gob":       {14, 1, 0, 0, 0, 4, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef},
-		"status truncated token":   {23, 1, 2, 3},
-		"status absurd built flag": append(append([]byte{23}, make([]byte, 16)...), 7),
-		"status trailing bytes":    append(append([]byte{23}, make([]byte, 17)...), 0),
+		"status truncated token":   {25, 1, 2, 3},
+		"status absurd built flag": append(append([]byte{25}, make([]byte, 16)...), 7),
+		"status trailing bytes":    append(append([]byte{25}, make([]byte, 17)...), 0),
 	}
 	for name, payload := range cases {
 		resp, err := rawExchange(t, newPipeHost(bootLocal(t)), frame(payload))
@@ -139,10 +138,11 @@ func TestServerRejectsMalformedPayloads(t *testing.T) {
 	// layout that lacked each rung's int8 bit, the stage-1 and digest
 	// layouts that carried the int8 bits, the status layout that carried
 	// two store-mode bools, the status read without a since token, the
-	// stage-1 layout whose plans carried a predicted recall and the
-	// retired planner's digest read — are unknown ops now, with or without
-	// a body, never a dispatch.
-	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19, 20, 21, 22} {
+	// stage-1 layout whose plans carried a predicted recall, the retired
+	// planner's digest read and the status layout that carried per-replica
+	// health — are unknown ops now, with or without a body, never a
+	// dispatch.
+	for _, op := range []byte{1, 2, 4, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19, 20, 21, 22, 23} {
 		for _, payload := range [][]byte{{op}, {op, 0xFF, 0xFF, 0xFF, 0xFF}} {
 			resp, err := rawExchange(t, h, frame(payload))
 			if err != nil {
@@ -212,20 +212,18 @@ func readFrameRaw(conn net.Conn) ([]byte, error) {
 
 // TestNoRecognisedTermsCrossesTheWire: the request-level sentinel must stay
 // errors.Is-able through the RPC boundary — the serving tier maps it to a
-// 400 and replica routing must not burn health on it.
+// 400 and no backend is marked down for it.
 func TestNoRecognisedTermsCrossesTheWire(t *testing.T) {
 	ds := datasets.Bellevue(datasets.Config{Seed: 1, Scale: 0.05})
-	eng, _ := remoteEngine(t, 2, 1, core.Config{Seed: 1}, remote.ClientOptions{})
+	eng, _ := remoteEngine(t, 2, core.Config{Seed: 1}, remote.ClientOptions{})
 	ingestAll(t, eng, ds)
 	_, err := core.Query(context.Background(), eng, "zorgon blaxt", core.QueryOptions{})
 	if !errors.Is(err, core.ErrNoRecognisedTerms) {
 		t.Fatalf("sentinel lost over RPC: %v", err)
 	}
-	for gi, g := range eng.Status().ReplicaGroups {
-		for ri, st := range g {
-			if !st.Healthy {
-				t.Fatalf("replica (%d,%d) burned health on a client error", gi, ri)
-			}
+	for i, bs := range eng.Status().Backends {
+		if !bs.Healthy {
+			t.Fatalf("backend %d unhealthy after a client error: %+v", i, bs)
 		}
 	}
 }
@@ -277,7 +275,7 @@ func TestFaultInjectionNeverChangesAnswers(t *testing.T) {
 	const seed = 13
 	cfg := core.Config{Seed: seed}
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	eng, hosts := remoteEngine(t, 3, 1, cfg, remote.ClientOptions{
+	eng, hosts := remoteEngine(t, 3, cfg, remote.ClientOptions{
 		Timeout: 5 * time.Second,
 		Retries: 3,
 	})

@@ -159,7 +159,7 @@ func TestOwnIngestMissesAtOnce(t *testing.T) {
 	const seed = 61
 	cfg := core.Config{Seed: seed}
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	eng, hosts := remoteEngine(t, 2, 1, cfg, remote.ClientOptions{})
+	eng, hosts := remoteEngine(t, 2, cfg, remote.ClientOptions{})
 	logs, gate := watchedHosts(hosts)
 	defer gate.open()
 	first, held := heldBack(t, ds)
@@ -206,7 +206,7 @@ func TestForeignIngestReachesTheCache(t *testing.T) {
 	const seed = 67
 	cfg := core.Config{Seed: seed}
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	eng, hosts := remoteEngine(t, 2, 1, cfg, remote.ClientOptions{})
+	eng, hosts := remoteEngine(t, 2, cfg, remote.ClientOptions{})
 	logs, _ := watchedHosts(hosts)
 	first, held := heldBack(t, ds)
 	ingestVideos(t, eng, first)
@@ -263,7 +263,7 @@ func TestRestartedWorkerRefusesCachedText(t *testing.T) {
 	const seed = 71
 	cfg := core.Config{Seed: seed}
 	ds := datasets.QVHighlights(datasets.Config{Seed: seed, Scale: 0.04})
-	eng, hosts := remoteEngine(t, 2, 1, cfg, remote.ClientOptions{})
+	eng, hosts := remoteEngine(t, 2, cfg, remote.ClientOptions{})
 	logs, _ := watchedHosts(hosts)
 	ingestAll(t, eng, ds)
 	srv := server.New(eng, server.Config{CacheSize: 8, Shards: 2})

@@ -24,10 +24,11 @@ import (
 // the server nor drive an unbounded allocation.
 //
 // Op values are explicit and never reused: a retired value (1, 2, 4, 6-11,
-// 15-22) must keep answering "unknown op". A message whose layout changes
+// 15-23) must keep answering "unknown op". A message whose layout changes
 // takes a fresh value rather than reinterpreting an old one. (20 was the
 // stage-1 op while a plan carried a predicted recall; 21 fetched the
-// retired accuracy-bounded planner's digest, PlanStats.)
+// retired accuracy-bounded planner's digest, PlanStats; 23 was the status
+// read while it carried per-replica health.)
 const (
 	opBuildIndex   byte = 3
 	opGround       byte = 5
@@ -38,13 +39,13 @@ const (
 	// dataset slice amortises the per-call dial and round trip.
 	opIngestBatch byte = 14
 	// opStatus fetches the shard's ShardStatus snapshot — the one metadata
-	// read: boot nonce, generation, built, entities, ingest stats,
-	// per-replica health, segment breakdown and config summary, all
-	// answered from memory worker-side. An empty body answers at once; a
-	// body holding a since token (the Stamp a watcher last saw) is a long
-	// poll, answered as soon as the shard's Stamp differs from it or after
-	// Heartbeat. (22 was the same read without the token.)
-	opStatus byte = 23
+	// read: boot nonce, generation, built, entities, ingest stats, segment
+	// breakdown and config summary, all answered from memory worker-side.
+	// An empty body answers at once; a body holding a since token (the
+	// Stamp a watcher last saw) is a long poll, answered as soon as the
+	// shard's Stamp differs from it or after Heartbeat. (22 was the same
+	// read without the token; 23 the same read with per-replica health.)
+	opStatus byte = 25
 	// opFastSearchBatch is the one stage-1 op: a list of (text, plan)
 	// pairs plus the trace id, answered by one hit list per query and then,
 	// for a traced request, the worker.stage1 span forest. A lone query is
@@ -64,7 +65,7 @@ const (
 	statusErr
 	// statusNoTerms marks core.ErrNoRecognisedTerms — a request-level
 	// error the coordinator must keep distinguishable (it maps to a client
-	// error, and must never burn replica or backend health).
+	// error, and must never burn backend health).
 	statusNoTerms
 	// statusDuplicate marks a duplicate-key ingest (vectordb.ErrDuplicate):
 	// the serving tier maps it to 409 Conflict, so the sentinel must

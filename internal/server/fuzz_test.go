@@ -35,9 +35,10 @@ func FuzzServeBodies(f *testing.F) {
 		`{"queries": ["a truck", "a person", "a truck"], "options": {"disable_rerank": true}}`,
 		`{"queries": []}`,
 		`{"queries": ["a car", "zorgon"]}`,
-		`{"id": 3, "frames": [{"video_id": 3, "index": 0}]}`,
+		`{"ID": 3, "Frames": [{"VideoID": 3, "Index": 0}]}`,
 		`{"id": -1, "frames": []}`,
-		`{"id": 3, "frames": [{"video_id": 4, "index": 0}]}`,
+		`{"ID": 3, "Frames": [{"VideoID": 4, "Index": 0}]}`,
+		`{"ID": 5, "Frames": [{"VideoID": 5, "Index": 0, "Objets": []}]}`,
 		`null`, `[]`, `{`, ``, `"a car"`, `{"query": 7}`,
 	} {
 		f.Add(seed)

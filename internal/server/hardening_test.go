@@ -35,6 +35,7 @@ type fakeBackend struct {
 	release  chan struct{} // gated QueryBatchPlanned calls block until closed, if set
 	gateText string        // only batches holding this text are gated, if set
 
+	ingests  int    // Ingest calls that reached the backend
 	notBuilt bool   // Status reports Built=false, so queries answer 503
 	queryErr error  // QueryBatchPlanned fails with this, if set
 	badText  string // a batch holding this text fails as unencodable, if set
@@ -104,7 +105,12 @@ func (f *fakeBackend) widths() []int {
 	return out
 }
 
-func (f *fakeBackend) Ingest(*video.Video) error { return nil }
+func (f *fakeBackend) Ingest(*video.Video) error {
+	f.mu.Lock()
+	f.ingests++
+	f.mu.Unlock()
+	return nil
+}
 
 func (f *fakeBackend) Status() shard.Status {
 	return shard.Status{Gen: 1, Built: !f.notBuilt, Entities: 1}
@@ -277,10 +283,11 @@ func TestOversizedQueryTextAnswers413(t *testing.T) {
 	}
 }
 
-// TestUnknownFieldsRefused: a query body naming a field the server does
-// not know — the retired "min_recall" bound or "int8" switch, say — answers
-// 400 naming it on both query endpoints, instead of running the default
-// plan as if the field were not there, and never reaches the backend.
+// TestUnknownFieldsRefused: a body naming a field the server does not know
+// — the retired "min_recall" bound or "int8" switch, or a misspelt clip
+// field — answers 400 naming it on every body-reading endpoint, instead of
+// running the default plan or storing the clip as if the field were not
+// there, and never reaches the backend.
 func TestUnknownFieldsRefused(t *testing.T) {
 	fb := &fakeBackend{}
 	srv := New(fb, Config{CacheSize: 4})
@@ -290,6 +297,7 @@ func TestUnknownFieldsRefused(t *testing.T) {
 		{"/query", `{"query": "a red car", "options": {"int8": true}}`, "int8"},
 		{"/query", `{"query": "a red car", "limit": 3}`, "limit"},
 		{"/query/batch", `{"queries": ["a red car"], "debug": true}`, "debug"},
+		{"/ingest", `{"ID": 5, "Frames": [{"VideoID": 5, "Index": 0, "Objets": []}]}`, "Objets"},
 	} {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
@@ -302,8 +310,8 @@ func TestUnknownFieldsRefused(t *testing.T) {
 			t.Errorf("%s %s: error body %s must name field %q", c.path, c.body, rec.Body, c.field)
 		}
 	}
-	if len(fb.planOpts) != 0 || len(fb.widths()) != 0 {
-		t.Fatalf("refused bodies must never reach the backend: %d plans, %d batches", len(fb.planOpts), len(fb.widths()))
+	if len(fb.planOpts) != 0 || len(fb.widths()) != 0 || fb.ingests != 0 {
+		t.Fatalf("refused bodies must never reach the backend: %d plans, %d batches, %d ingests", len(fb.planOpts), len(fb.widths()), fb.ingests)
 	}
 }
 
@@ -662,71 +670,12 @@ func TestUniformMethodGuards(t *testing.T) {
 	}
 }
 
-// TestStatsAndMetricsReportReplicas mounts a replicated engine and checks
-// the serving tier surfaces per-group replica health and reads.
-func TestStatsAndMetricsReportReplicas(t *testing.T) {
-	ds := datasets.ActivityNetQA(datasets.Config{Seed: 7, Scale: 0.04})
-	eng, err := shard.NewReplicated(2, 2, core.Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestDataset(ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	eng.FailReplica(1, 0)
-	ts := httptest.NewServer(New(eng, Config{CacheSize: 8, Shards: eng.Shards()}))
-	defer ts.Close()
-
-	_, _ = postJSON(t, ts.URL+"/query", queryRequest{Query: ds.Queries[0].Text})
-
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Replicas != 2 || len(st.ReplicaGroups) != 2 || len(st.ReplicaGroups[0]) != 2 {
-		t.Fatalf("replica stats malformed: replicas=%d groups=%+v", st.Replicas, st.ReplicaGroups)
-	}
-	if st.ReplicaGroups[1][0].Healthy || !st.ReplicaGroups[1][1].Healthy {
-		t.Fatalf("replica health not surfaced: %+v", st.ReplicaGroups[1])
-	}
-
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
-	for _, want := range []string{
-		`lovod_replica_healthy{group="1",replica="0"} 0`,
-		`lovod_replica_healthy{group="0",replica="0"} 1`,
-		`lovod_replica_reads_total{group="0",replica="0"}`,
-		"lovod_cache_coalesced_total",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q:\n%s", want, text)
-		}
-	}
-}
-
-// TestConcurrentQueryAndBatchDuringIngestReplicated is the serving-tier
-// acceptance race test: concurrent /query and /query/batch traffic over a
-// replicated engine while ingest and a rebuild proceed, plus a replica
-// kill/revive — run with -race.
-func TestConcurrentQueryAndBatchDuringIngestReplicated(t *testing.T) {
+// TestConcurrentQueryAndBatchDuringIngest is the serving-tier acceptance
+// race test: concurrent /query and /query/batch traffic over a sharded
+// engine while ingest and a rebuild proceed — run with -race.
+func TestConcurrentQueryAndBatchDuringIngest(t *testing.T) {
 	ds := datasets.QVHighlights(datasets.Config{Seed: 13, Scale: 0.04})
-	eng, err := shard.NewReplicated(2, 2, core.Config{Seed: 13})
+	eng, err := shard.New(2, core.Config{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -755,12 +704,6 @@ func TestConcurrentQueryAndBatchDuringIngestReplicated(t *testing.T) {
 		if err := eng.BuildIndex(); err != nil {
 			t.Error(err)
 		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		eng.FailReplica(1, 1)
-		eng.ReviveReplica(1, 1)
 	}()
 	for c := 0; c < 2; c++ {
 		wg.Add(1)

@@ -7,7 +7,7 @@
 //	POST /query          {"query": "...", "options": {...}} -> ranked objects
 //	POST /query/batch    {"queries": [...], "options": {...}} -> per-query results
 //	POST /ingest         one video.Video as JSON -> live ingest (any store)
-//	GET  /stats          ingest, cache, replica and latency statistics as JSON
+//	GET  /stats          ingest, cache, backend and latency statistics as JSON
 //	GET  /healthz        liveness (always 200 once listening; reports built)
 //	GET  /metrics        Prometheus text-format counters and latency histograms
 //	GET  /debug/queries  the slowest recent query traces as JSON (see debug.go)
@@ -334,14 +334,12 @@ func (s *Server) allowMethod(w http.ResponseWriter, r *http.Request, method stri
 
 // decodeBody reads at most limit bytes of JSON request body into v, so a
 // hostile request costs bounded memory: an oversized body answers 413
-// naming the limit, malformed JSON 400. A strict decode also answers 400
-// naming any field v does not have, so a retired or misspelt option is
-// refused rather than silently ignored. It reports whether v is usable.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, strict bool, v any) bool {
+// naming the limit, malformed JSON 400, and a field v does not have 400
+// naming it, so a retired option or a misspelt field is refused rather
+// than silently dropped. It reports whether v is usable.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
@@ -358,7 +356,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if !s.decodeBody(w, r, maxQueryBody, true, &req) {
+	if !s.decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	if len(req.Query) > maxQueryText {
@@ -381,7 +379,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if !s.decodeBody(w, r, maxQueryBody, true, &req) {
+	if !s.decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -605,7 +603,7 @@ const maxIngestFrames = 1 << 20
 const maxIngestBody = 64 << 20
 
 // handleIngest is the live-ingest serving path: one video.Video as JSON,
-// routed to the owning shard (which fans it out to its replicas). The
+// routed to the owning shard. The
 // ingest generation moving invalidates stale cache entries on their next
 // lookup, so queries racing the ingest never see a mix of old and new
 // corpus in one answer.
@@ -614,7 +612,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var v video.Video
-	if !s.decodeBody(w, r, maxIngestBody, false, &v) {
+	if !s.decodeBody(w, r, maxIngestBody, &v) {
 		return
 	}
 	switch {
@@ -635,7 +633,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if f.VideoID != v.ID {
-			s.fail(w, http.StatusBadRequest, "frame %d: video_id %d != video id %d", i, f.VideoID, v.ID)
+			s.fail(w, http.StatusBadRequest, "frame %d: VideoID %d != ID %d", i, f.VideoID, v.ID)
 			return
 		}
 	}
@@ -665,10 +663,6 @@ type StatsResponse struct {
 	Entities int              `json:"entities"`
 	Built    bool             `json:"built"`
 	Shards   int              `json:"shards"`
-	Replicas int              `json:"replicas,omitempty"`
-	// ReplicaGroups reports per-group replica health, read counts and
-	// in-flight load.
-	ReplicaGroups [][]shard.ReplicaStat `json:"replica_groups,omitempty"`
 	// Backends reports per-shard backend kind, address and health.
 	Backends []shard.BackendStat `json:"backends,omitempty"`
 	// Segments reports the segment breakdown (summed across shards) when
@@ -738,8 +732,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Entities:      st.Entities,
 		Built:         st.Built,
 		Shards:        s.cfg.Shards,
-		Replicas:      st.Replicas,
-		ReplicaGroups: st.ReplicaGroups,
 		Backends:      st.Backends,
 		Segments:      s.segmentStats(st.Segments),
 		IngestGen:     st.Gen,
@@ -797,34 +789,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge(w, "lovod_index_entities", float64(st.Entities))
 	gauge(w, "lovod_ingest_generation", float64(st.Gen))
 	writePlanMetrics(w, s.metrics.planCounts())
-	writeReplicaMetrics(w, st.ReplicaGroups)
 	writeBackendMetrics(w, st.Backends)
 	if seg := s.segmentStats(st.Segments); seg != nil {
 		writeSegmentMetrics(w, seg)
 	}
 	s.metrics.latency.writeProm(w, "lovod_query_latency_seconds")
 	s.metrics.writeStageMetrics(w, "lovod_stage_seconds")
-}
-
-// writeReplicaMetrics renders per-replica health and read counters with
-// group/replica labels.
-func writeReplicaMetrics(w io.Writer, groups [][]shard.ReplicaStat) {
-	fmt.Fprintf(w, "# TYPE lovod_replica_healthy gauge\n")
-	for gi, g := range groups {
-		for ri, st := range g {
-			v := 0
-			if st.Healthy {
-				v = 1
-			}
-			fmt.Fprintf(w, "lovod_replica_healthy{group=\"%d\",replica=\"%d\"} %d\n", gi, ri, v)
-		}
-	}
-	fmt.Fprintf(w, "# TYPE lovod_replica_reads_total counter\n")
-	for gi, g := range groups {
-		for ri, st := range g {
-			fmt.Fprintf(w, "lovod_replica_reads_total{group=\"%d\",replica=\"%d\"} %d\n", gi, ri, st.Reads)
-		}
-	}
 }
 
 // writeSegmentMetrics renders the streaming segment breakdown: a per-state

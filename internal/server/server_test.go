@@ -275,6 +275,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`lovod_query_latency_seconds_bucket{le="+Inf"} 1`,
 		"lovod_query_latency_seconds_count 1",
 		"lovod_index_entities",
+		"lovod_cache_coalesced_total 0",
+		`lovod_backend_healthy{shard="0",kind="local"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

@@ -1,7 +1,7 @@
 // Package shard implements LOVO's horizontal scaling tier: a scatter-gather
-// engine over N independent shards partitioned by video ID, each shard a
-// replica group of R byte-identical core.Systems — hosted in-process
-// (Local) or on another host behind the RPC boundary (remote.Client).
+// engine over N independent shards partitioned by video ID, each shard one
+// core.System — hosted in-process (Local) or on another host behind the RPC
+// boundary (remote.Client).
 //
 // LOVO's one-time, query-agnostic extraction makes the corpus trivially
 // partitionable — a video's keyframes, patch vectors and relational rows
@@ -18,17 +18,10 @@
 // process or over the wire — the conformance suite in internal/remote pins
 // remote answers bit-identical to local ones.
 //
-// Replication multiplies each shard into R equal-seeded systems: ingest
-// and index builds fan out to every replica of the owning shard, so the
-// replicas stay byte-identical by construction, and each query leg picks
-// one replica (round-robin with an in-flight-aware tiebreak). A replica
-// that returns a fault is marked unhealthy and the request transparently
-// retries the next healthy one — the answer is the same bytes whichever
-// replica serves it, so failover is invisible to callers as long as one
-// replica per shard survives. For remote shards this failover runs
-// worker-side; the coordinator additionally retries transport faults on
-// fresh connections, and a shard that stays unreachable fails the query
-// cleanly — a partial merge is never returned.
+// Every patch is stored once, under its shard's one index. The coordinator
+// retries transport faults to a remote shard on fresh connections, and a
+// shard that stays unreachable or errors fails the query cleanly — a
+// partial merge is never returned.
 package shard
 
 import (
@@ -55,7 +48,6 @@ import (
 type Engine struct {
 	backends []remote.ShardBackend
 	cfg      core.Config // defaults resolved
-	replicas int         // R when uniform (local constructors), 0 otherwise
 	// lastGen, bootID and stateLost are the engine's durable per-backend
 	// record, maintained by observe on every status read: the highest
 	// generation each backend reported, its server-instance nonce (0 = not
@@ -65,9 +57,6 @@ type Engine struct {
 	lastGen   []atomic.Uint64
 	bootID    []atomic.Uint64
 	stateLost []atomic.Bool
-	// faultHook, when set (tests only), may inject an error before a
-	// replica call on a local backend, exercising the failover path.
-	faultHook func(group, replica int) error
 
 	// The watch state behind Pushed, per backend: epoch counts the starts
 	// and ends of the mutations this engine issues to the backend, pending
@@ -102,49 +91,33 @@ type view struct {
 // a dial's grace its silence means it is dead or cut off.
 const viewTTL = remote.Heartbeat + remote.DefaultDialTimeout
 
-// New constructs an engine with n in-process shards of one replica each.
+// New constructs an engine with n in-process shards, each one core.System
+// built from cfg. Equal seeds mean every system encodes identically: a
+// keyframe grounds to the same score regardless of which shard owns it.
 func New(n int, cfg core.Config) (*Engine, error) {
-	return NewReplicated(n, 1, cfg)
-}
-
-// NewReplicated constructs an engine with n in-process shards of r replicas
-// each — n*r full core.Systems built from cfg. Equal seeds mean every
-// system encodes identically: a keyframe grounds to the same score
-// regardless of which shard owns it, and the replicas of a shard answer
-// with the same bytes regardless of which one is picked.
-func NewReplicated(n, r int, cfg core.Config) (*Engine, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
-	if r <= 0 {
-		return nil, fmt.Errorf("shard: need at least 1 replica per shard, got %d", r)
-	}
 	backends := make([]remote.ShardBackend, n)
-	locals := make([]*Local, n)
 	for i := range backends {
-		l, err := NewLocal(r, cfg)
+		l, err := NewLocal(1, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard: creating shard %d: %w", i, err)
 		}
-		locals[i] = l
 		backends[i] = l
 	}
-	e, err := NewWithBackends(backends, cfg)
-	if err != nil {
-		return nil, err
+	return NewWithBackends(backends, cfg)
+}
+
+// NewReplicated is New for r = 1 and refuses any other r.
+//
+// Deprecated: a shard is one core.System — call New. Kept only because
+// benchmark/ calls it (ROADMAP item 1).
+func NewReplicated(n, r int, cfg core.Config) (*Engine, error) {
+	if r != 1 {
+		return nil, fmt.Errorf("shard: a shard holds one system, got %d replicas", r)
 	}
-	e.replicas = r
-	// Route the engine-level test fault hook into each local group.
-	for gi, l := range locals {
-		gi := gi
-		l.faultHook = func(ri int) error {
-			if h := e.faultHook; h != nil {
-				return h(gi, ri)
-			}
-			return nil
-		}
-	}
-	return e, nil
+	return New(n, cfg)
 }
 
 // NewWithBackends constructs an engine over an explicit backend set — any
@@ -174,30 +147,9 @@ func NewWithBackends(backends []remote.ShardBackend, cfg core.Config) (*Engine, 
 // Shards returns the shard (backend) count.
 func (e *Engine) Shards() int { return len(e.backends) }
 
-// Backend exposes one shard backend (tests, experiments).
+// Backend exposes one shard backend (tests, experiments). An in-process
+// shard is a *Local; benchmark/ asserts that (ROADMAP item 1).
 func (e *Engine) Backend(i int) remote.ShardBackend { return e.backends[i] }
-
-// local asserts shard i is hosted in-process — the per-replica surface
-// below (Shard, Replica, FailReplica, ReviveReplica) only exists for local
-// backends; remote workers manage their own replicas.
-func (e *Engine) local(i int) *Local {
-	l, ok := e.backends[i].(*Local)
-	if !ok {
-		panic(fmt.Sprintf("shard: shard %d is remote; per-replica access is in-process only", i))
-	}
-	return l
-}
-
-// Shard exposes one in-process shard's primary replica (stats,
-// experiments). Every replica of the shard holds the same bytes, so the
-// primary speaks for all.
-func (e *Engine) Shard(i int) *core.System { return e.local(i).System(0) }
-
-// Replica exposes one specific replica of one in-process shard (tests,
-// experiments).
-func (e *Engine) Replica(group, replica int) *core.System {
-	return e.local(group).System(replica)
-}
 
 // owner maps a video ID to its shard: videos partition by ID modulo N.
 func (e *Engine) owner(videoID int) int {
@@ -208,8 +160,7 @@ func (e *Engine) owner(videoID int) int {
 	return o
 }
 
-// Ingest routes one video to its owning shard (which fans it out to every
-// replica) as a batch of one.
+// Ingest routes one video to its owning shard as a batch of one.
 func (e *Engine) Ingest(v *video.Video) error {
 	gi := e.owner(v.ID)
 	if err := e.mutate(gi, func(b remote.ShardBackend) error { return b.IngestVideos([]*video.Video{v}) }); err != nil {
@@ -255,9 +206,8 @@ func (e *Engine) BuildIndex() error {
 // stage 1 scatters every shard with the same plans, stage 2 routes each
 // candidate frame to the shard owning its keyframe and reassembles
 // groundings in global candidate order — so the final ranking sees exactly
-// what a single system would. Any shard leg that fails (after worker-side
-// failover and transport retries) fails the whole query: a partial merge is
-// never returned.
+// what a single system would. Any shard leg that fails (after transport
+// retries) fails the whole query: a partial merge is never returned.
 type engineTarget struct{ e *Engine }
 
 // ScatterSearchBatch runs stage 1 for the whole batch as one call per shard,
@@ -360,13 +310,12 @@ func (e *Engine) QueryPlanned(ctx context.Context, text string, plan core.Plan, 
 // QueryBatchPlanned executes one pre-resolved plan per query through the
 // shared executor (core.ExecutePlanBatch) — the same stage composition a
 // core.System runs, scattered across shards, so equal plans answer
-// byte-identically on every deployment shape, whichever replicas — or
-// hosts — served. Stage 1 for the whole batch scatters as ONE call per
+// byte-identically on every deployment shape, whichever hosts served. Stage 1 for the whole batch scatters as ONE call per
 // shard, so an in-process shard amortizes one memory sweep over every query
 // of the batch; stage 2 fans out per query across at most clients
 // goroutines. The context carries the tracing recorder (see internal/obs):
-// a traced caller sees both scattered stages down to per-shard legs,
-// replica attempts and remote-worker spans; an untraced context runs the
+// a traced caller sees both scattered stages down to per-shard legs and
+// remote-worker spans; an untraced context runs the
 // allocation-free disabled path.
 func (e *Engine) QueryBatchPlanned(ctx context.Context, texts []string, plans []core.Plan, workers, clients int) ([]*core.Result, error) {
 	return core.ExecutePlanBatch(ctx, engineTarget{e}, e.cfg, texts, plans, workers, clients)
@@ -379,8 +328,8 @@ type BackendStat struct {
 	Kind string `json:"kind"`
 	// Addr is the worker address (remote shards only).
 	Addr string `json:"addr,omitempty"`
-	// Healthy reports the shard answered its status read, has a healthy
-	// replica and still holds the corpus this engine fed it.
+	// Healthy reports the shard answered its status read and still holds
+	// the corpus this engine fed it.
 	Healthy bool `json:"healthy"`
 	// Error carries the reason when unhealthy.
 	Error string `json:"error,omitempty"`
@@ -392,9 +341,8 @@ type BackendStat struct {
 // scrape both cost one metadata read per shard and describe one moment (a
 // request served wholly from the cache reads Pushed instead).
 type Status struct {
-	// Gen sums each shard's mutation generation (itself the minimum across
-	// the shard's replicas): any ingest or index build anywhere advances it
-	// once every replica has it, which is all a result cache needs. An
+	// Gen sums each shard's mutation generation: any ingest or index build
+	// anywhere advances it, which is all a result cache needs. An
 	// unreachable shard contributes its last reported generation, so Gen
 	// holds steady — rather than wobbling cache validity — while a worker
 	// is down.
@@ -403,19 +351,10 @@ type Status struct {
 	// or state-lost shard makes it false — the engine cannot serve complete
 	// answers without it.
 	Built bool
-	// Entities and Ingest total the reachable shards, counting each shard's
-	// primary replica once — replicas hold the same corpus, so an R-replica
-	// engine reports what an R=1 engine does. Ingest's duration fields sum
-	// too, so they report aggregate shard-time, not wall-clock.
+	// Entities and Ingest total the reachable shards. Ingest's duration
+	// fields sum too, so they report aggregate shard-time, not wall-clock.
 	Entities int
 	Ingest   core.IngestStats
-	// Replicas is the uniform replica count of a local engine (see
-	// Engine.Replicas).
-	Replicas int
-	// ReplicaGroups is per-replica health, read counts and in-flight load,
-	// indexed [shard][replica]; an unreachable shard reports a single
-	// unhealthy placeholder entry.
-	ReplicaGroups [][]ReplicaStat
 	// Backends is per-shard kind, address and health.
 	Backends []BackendStat
 	// Segments sums the segment breakdown across reachable segmented
@@ -431,10 +370,8 @@ func (e *Engine) Status() Status {
 	n := len(e.backends)
 	shards := make([]remote.ShardStatus, n)
 	out := Status{
-		Built:         true,
-		Replicas:      e.replicas,
-		ReplicaGroups: make([][]ReplicaStat, n),
-		Backends:      make([]BackendStat, n),
+		Built:    true,
+		Backends: make([]BackendStat, n),
 	}
 	core.ParallelFor(n, n, func(i int) {
 		st, err := e.backends[i].Status(nil)
@@ -452,10 +389,6 @@ func (e *Engine) Status() Status {
 		out.Ingest.Tokens += st.Ingest.Tokens
 		out.Ingest.Processing += st.Ingest.Processing
 		out.Ingest.Indexing += st.Ingest.Indexing
-		out.ReplicaGroups[i] = st.Replicas
-		if len(st.Replicas) == 0 {
-			out.ReplicaGroups[i] = []ReplicaStat{{Healthy: false}}
-		}
 		if seg := st.Segments; seg.Growing > 0 {
 			agg := &out.Segments
 			agg.Sealed += seg.Sealed
@@ -498,13 +431,6 @@ func (e *Engine) observe(i int, st *remote.ShardStatus, err error) BackendStat {
 		}
 		for last < st.Gen && !e.lastGen[i].CompareAndSwap(last, st.Gen) {
 			last = e.lastGen[i].Load()
-		}
-		healthy := false
-		for _, r := range st.Replicas {
-			healthy = healthy || r.Healthy
-		}
-		if !healthy {
-			bs.Healthy, bs.Error = false, ErrAllReplicasDown.Error()
 		}
 	}
 	if e.stateLost[i].Load() {
@@ -625,19 +551,6 @@ func (e *Engine) awaitIdle(i int) bool {
 // Entities returns the total indexed patch vectors across reachable shards.
 func (e *Engine) Entities() int { return e.Status().Entities }
 
-// Replicas returns the replica count per shard for uniformly-replicated
-// local engines (New, NewReplicated); 0 for explicit backend sets, whose
-// shards each manage their own replica count (see Status.ReplicaGroups).
-func (e *Engine) Replicas() int { return e.replicas }
-
-// FailReplica removes one in-process replica from query routing — the
-// operational "kill" used by failover drills. The replica keeps receiving
-// ingest, so ReviveReplica restores it with the same corpus as its peers.
-func (e *Engine) FailReplica(group, replica int) { e.local(group).Fail(replica) }
-
-// ReviveReplica returns a failed in-process replica to query routing.
-func (e *Engine) ReviveReplica(group, replica int) { e.local(group).Revive(replica) }
-
 // Close stops the watchers, drops their views and releases every backend's
 // resources (remote connection pools and watch connections, in-process
 // shards' held watches).
@@ -671,19 +584,15 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// Snapshot format: magic, shard count, then one replica's system snapshot
-// per shard in shard order, length-prefixed (uint64) — the per-system
-// loader reads through buffered decoders that may consume past their own
-// section, so each shard gets a bounded segment of the stream. Replicas
-// are byte-identical, so one copy per shard is the whole engine; the
-// replica count is deliberately absent from the format, letting any R load
-// a snapshot saved under any other R. The format predates remote shards
-// and is unchanged: segments simply travel over RPC when a shard is
-// remote.
+// Snapshot format: magic, shard count, then each shard's system snapshot
+// in shard order, length-prefixed (uint64) — the per-system loader reads
+// through buffered decoders that may consume past their own section, so
+// each shard gets a bounded segment of the stream. The format predates
+// remote shards and is unchanged: segments simply travel over RPC when a
+// shard is remote.
 const snapMagic = "LOVOSHD1\n"
 
-// SaveSnapshot persists one copy of every shard's state (the primary
-// replica speaks for its byte-identical group). Must not run concurrently
+// SaveSnapshot persists every shard's state. Must not run concurrently
 // with ingest or index builds.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
 	if _, err := io.WriteString(w, snapMagic); err != nil {
@@ -708,9 +617,8 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 }
 
 // LoadSnapshot restores a snapshot written by SaveSnapshot into this
-// freshly-constructed engine, fanning each shard's segment out to all of
-// its replicas. The shard count and Config must match the saver's; the
-// replica count need not.
+// freshly-constructed engine, one segment per shard. The shard count and
+// Config must match the saver's.
 func (e *Engine) LoadSnapshot(r io.Reader) error {
 	head := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(r, head); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -272,8 +273,14 @@ func TestUnknownTermsError(t *testing.T) {
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Query(context.Background(), eng, "zorgon blaxt", core.QueryOptions{}); err == nil {
-		t.Fatal("unparseable query must error")
+	if _, err := core.Query(context.Background(), eng, "zorgon blaxt", core.QueryOptions{}); !errors.Is(err, core.ErrNoRecognisedTerms) {
+		t.Fatalf("unparseable query: got %v, want ErrNoRecognisedTerms", err)
+	}
+	// The query is the caller's problem: no shard is marked down for it.
+	for i, bs := range eng.Status().Backends {
+		if !bs.Healthy {
+			t.Fatalf("shard %d unhealthy after a client error: %+v", i, bs)
+		}
 	}
 }
 
@@ -336,6 +343,26 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 func TestNewRejectsZeroShards(t *testing.T) {
 	if _, err := New(0, core.Config{}); err == nil {
 		t.Fatal("zero shards must error")
+	}
+}
+
+// TestNewReplicatedRejectsZeroReplicas: the deprecated constructor and
+// NewLocal build one system per shard and refuse any other replica count.
+func TestNewReplicatedRejectsZeroReplicas(t *testing.T) {
+	for _, r := range []int{0, 2} {
+		if _, err := NewReplicated(2, r, core.Config{}); err == nil {
+			t.Fatalf("NewReplicated with %d replicas must error", r)
+		}
+		if _, err := NewLocal(r, core.Config{}); err == nil {
+			t.Fatalf("NewLocal with %d replicas must error", r)
+		}
+	}
+	eng, err := NewReplicated(2, 1, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Shards() != 2 {
+		t.Fatalf("NewReplicated(2, 1) built %d shards", eng.Shards())
 	}
 }
 

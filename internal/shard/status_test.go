@@ -22,7 +22,6 @@ func (b *scriptedBackend) Status(*remote.Stamp) (remote.ShardStatus, error) { re
 func up(bootID, gen uint64) remote.ShardStatus {
 	return remote.ShardStatus{
 		BootID: bootID, Addr: "worker:1", Gen: gen, Built: true, Entities: 10,
-		Replicas: []ReplicaStat{{Healthy: true}},
 	}
 }
 
@@ -53,9 +52,6 @@ func TestObserveFoldsEveryStatusRead(t *testing.T) {
 		}
 		if bs := st.Backends[0]; bs.Healthy || bs.Addr != "worker:1" || bs.Error != "connection refused" {
 			t.Fatalf("down shard must be named with its error: %+v", bs)
-		}
-		if g := st.ReplicaGroups[0]; len(g) != 1 || g[0].Healthy {
-			t.Fatalf("down shard reports one unhealthy placeholder replica, got %+v", g)
 		}
 		b.st, b.err = up(7, 5), nil
 		if st := e.Status(); !st.Built || st.Gen != 5 || !st.Backends[0].Healthy {
@@ -91,18 +87,6 @@ func TestObserveFoldsEveryStatusRead(t *testing.T) {
 		b.st = up(8, 3)
 		if st := e.Status(); st.Built || !strings.Contains(st.Backends[0].Error, "state lost") {
 			t.Fatalf("new nonce behind recorded progress must mark state lost: %+v", st)
-		}
-	})
-
-	t.Run("no healthy replica", func(t *testing.T) {
-		e, b := newEngine()
-		b.st.Replicas = []ReplicaStat{{Healthy: false}, {Healthy: false}}
-		st := e.Status()
-		if bs := st.Backends[0]; bs.Healthy || bs.Error != ErrAllReplicasDown.Error() {
-			t.Fatalf("a group with every replica down is unhealthy: %+v", bs)
-		}
-		if !st.Built {
-			t.Fatal("replica health is a routing state, not an index state")
 		}
 	})
 }

@@ -60,7 +60,7 @@ type (
 	// stage-1 and stage-2 knob resolved to a concrete value. Obtain one
 	// from PlanQuery and pin it via QueryOptions.Plan to replay the exact
 	// same execution later — a pinned plan answers byte-identically on
-	// every deployment shape (single system, sharded, replicated, remote).
+	// every deployment shape (single system, sharded, remote).
 	Plan = core.Plan
 	// IngestStats reports Video Summary counters and timings.
 	IngestStats = core.IngestStats
@@ -112,18 +112,9 @@ type Options struct {
 	// global top-k (score, then patch ID), and candidate frames rerank
 	// on the shard owning their keyframes. Zero or one keeps the
 	// single-system path; a one-shard engine answers byte-identically to
-	// it. Ingest of a dataset fans out across shards in parallel.
+	// it. Ingest of a dataset fans out across shards in parallel. Each
+	// patch is stored once, under its shard's one index.
 	Shards int
-	// Replicas runs R copies of every shard for failover: ingest and index
-	// builds fan out to all replicas of the owning shard (equal seeds keep
-	// them byte-identical by construction), each query leg picks one
-	// replica (round-robin with an in-flight-aware tiebreak), and a
-	// replica that errors is marked unhealthy and transparently failed
-	// over — answers are the same bytes whichever replica serves, as long
-	// as one replica per shard survives. Read throughput under R > 1 is
-	// unmeasured. Zero or one keeps single copies. Replicas > 1 forces the
-	// engine path even when Shards <= 1.
-	Replicas int
 }
 
 // System is a LOVO instance: a single core system, or a sharded
@@ -160,15 +151,8 @@ func Open(opts Options) (*System, error) {
 	default:
 		return nil, fmt.Errorf("lovo: unknown keyframe strategy %q", opts.Keyframes)
 	}
-	if opts.Shards > 1 || opts.Replicas > 1 {
-		n, r := opts.Shards, opts.Replicas
-		if n < 1 {
-			n = 1
-		}
-		if r < 1 {
-			r = 1
-		}
-		engine, err := shard.NewReplicated(n, r, cfg)
+	if opts.Shards > 1 {
+		engine, err := shard.New(opts.Shards, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -295,8 +279,7 @@ func (s *System) Save(w io.Writer) error {
 // Load restores a snapshot written by Save into this freshly-opened,
 // empty system. Open with the same Options as the saver (seed, dimensions,
 // index, segment size and shard count must match; the index is rebuilt
-// from the recorded recipe). Replica counts need not match: snapshots hold one copy per
-// shard and Load fans each shard's state out to every replica.
+// from the recorded recipe).
 func (s *System) Load(r io.Reader) error {
 	if s.engine != nil {
 		return s.engine.LoadSnapshot(r)

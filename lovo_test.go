@@ -188,56 +188,3 @@ func TestShardedPublicAPI(t *testing.T) {
 		}
 	}
 }
-
-// TestReplicatedPublicAPI: Options.Replicas routes through the engine and
-// answers byte-identically to the unreplicated system, and the engine
-// surface exposes the failover controls.
-func TestReplicatedPublicAPI(t *testing.T) {
-	ds, err := LoadDataset("qvhighlights", DatasetConfig{Seed: 6, Scale: 0.04})
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := func(shards, replicas int) *System {
-		s, err := Open(Options{Seed: 6, Shards: shards, Replicas: replicas})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.IngestDataset(ds); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.BuildIndex(); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	base := open(2, 1)
-	repl := open(2, 2)
-	if repl.Engine() == nil || repl.Engine().Replicas() != 2 {
-		t.Fatal("Replicas option must build a 2-replica engine")
-	}
-	// Replicas > 1 with Shards unset still takes the engine path.
-	soloRepl, err := Open(Options{Seed: 6, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if soloRepl.Engine() == nil || soloRepl.Engine().Shards() != 1 {
-		t.Fatal("Replicas without Shards must build a 1-shard replicated engine")
-	}
-	if repl.Stats().Keyframes != base.Stats().Keyframes {
-		t.Fatalf("replicated keyframes %d != %d", repl.Stats().Keyframes, base.Stats().Keyframes)
-	}
-	repl.Engine().FailReplica(0, 0)
-	for _, q := range ds.Queries[:3] {
-		want, err := base.Query(q.Text, QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := repl.Query(q.Text, QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Objects, want.Objects) {
-			t.Fatalf("%s: replicated public API diverges (with a failed replica)", q.ID)
-		}
-	}
-}
