@@ -444,3 +444,208 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// bootReplicated builds an ingested, indexed engine of n shards through
+// the deprecated NewReplicated(n, 1, cfg) constructor that benchmark/
+// calls, over QVHighlights (the multi-clip corpus that populates every
+// shard).
+func bootReplicated(t *testing.T, n int, cfg core.Config) (*Engine, *datasets.Dataset) {
+	t.Helper()
+	ds := datasets.QVHighlights(datasets.Config{Seed: cfg.Seed, Scale: 0.04})
+	eng, err := NewReplicated(n, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	return eng, ds
+}
+
+// TestQueryFaultDoesNotFailover: an unanswerable query is the caller's
+// problem — it surfaces as ErrNoRecognisedTerms without marking any shard
+// down or unbuilt, and the next query answers exactly as before it.
+func TestQueryFaultDoesNotFailover(t *testing.T) {
+	eng, ds := bootReplicated(t, 2, core.Config{Seed: 3})
+	want, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Query(context.Background(), eng, "zorgon blaxt", core.QueryOptions{}); !errors.Is(err, core.ErrNoRecognisedTerms) {
+		t.Fatalf("unparseable query: got %v", err)
+	}
+	st := eng.Status()
+	if !st.Built {
+		t.Fatal("engine reads unbuilt after a client error")
+	}
+	for i, bs := range st.Backends {
+		if !bs.Healthy {
+			t.Fatalf("shard %d failed on a client error: %+v", i, bs)
+		}
+	}
+	got, err := core.Query(context.Background(), eng, ds.Queries[0].Text, core.QueryOptions{})
+	if err != nil {
+		t.Fatalf("query after a client error: %v", err)
+	}
+	if !reflect.DeepEqual(got.Objects, want.Objects) {
+		t.Fatal("answers changed after a client error")
+	}
+}
+
+// TestReplicatedSnapshotRoundTrip: snapshots hold one copy per shard, so
+// one saved by an engine from the deprecated NewReplicated(n, 1) restores
+// into an engine from New and back, with every shard populated and
+// answers unchanged.
+func TestReplicatedSnapshotRoundTrip(t *testing.T) {
+	cfg := core.Config{Seed: 21}
+	orig, ds := bootReplicated(t, 2, cfg)
+	var buf bytes.Buffer
+	if err := orig.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	viaNew, err := New(2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := viaNew.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("New restoring a NewReplicated snapshot: %v", err)
+	}
+	var again bytes.Buffer
+	if err := viaNew.SaveSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	back, err := NewReplicated(2, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.LoadSnapshot(bytes.NewReader(again.Bytes())); err != nil {
+		t.Fatalf("NewReplicated restoring a New snapshot: %v", err)
+	}
+
+	for name, restored := range map[string]*Engine{"New": viaNew, "NewReplicated": back} {
+		if restored.Entities() != orig.Entities() || !restored.Status().Built {
+			t.Fatalf("%s restored engine: %d entities (want %d), built=%t",
+				name, restored.Entities(), orig.Entities(), restored.Status().Built)
+		}
+		for i := 0; i < restored.Shards(); i++ {
+			if restored.Backend(i).(*Local).System(0).Entities() == 0 {
+				t.Fatalf("%s restored engine: shard %d is empty", name, i)
+			}
+		}
+		for _, q := range ds.Queries[:3] {
+			want, err := core.Query(context.Background(), orig, q.Text, core.QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.Query(context.Background(), restored, q.Text, core.QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Objects, want.Objects) {
+				t.Fatalf("%s %s: restored answers diverge", name, q.ID)
+			}
+		}
+	}
+}
+
+// TestReplicatedConcurrentQueriesDuringIngest races queries and status
+// reads against ongoing ingest plus a rebuild on an engine from the
+// deprecated NewReplicated(n, 1) (run with -race), then checks every shard
+// holds its slice and the engine answers like a twin built without the
+// race.
+func TestReplicatedConcurrentQueriesDuringIngest(t *testing.T) {
+	cfg := core.Config{Seed: 9}
+	ds := datasets.QVHighlights(datasets.Config{Seed: 9, Scale: 0.04})
+	eng, err := NewReplicated(2, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := (len(ds.Videos) + 1) / 2
+	for i := 0; i < half; i++ {
+		if err := eng.Ingest(&ds.Videos[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := half; i < len(ds.Videos); i++ {
+			if err := eng.Ingest(&ds.Videos[i]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := eng.BuildIndex(); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 4; i++ {
+			for j, bs := range eng.Status().Backends {
+				if !bs.Healthy {
+					t.Errorf("shard %d unhealthy during ingest: %+v", j, bs)
+					return
+				}
+			}
+			eng.Pushed()
+		}
+	}()
+	texts := queryMix(ds)
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if _, err := core.Query(context.Background(), eng, texts[(c+i)%len(texts)], core.QueryOptions{Workers: 1}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	st := eng.Status()
+	if st.Ingest.Videos != len(ds.Videos) {
+		t.Fatalf("stats videos = %d want %d", st.Ingest.Videos, len(ds.Videos))
+	}
+	sum := 0
+	for i := 0; i < eng.Shards(); i++ {
+		n := eng.Backend(i).(*Local).System(0).Entities()
+		if n == 0 {
+			t.Fatalf("shard %d holds no entities", i)
+		}
+		sum += n
+	}
+	if sum != st.Entities {
+		t.Fatalf("shards hold %d entities, engine reports %d", sum, st.Entities)
+	}
+
+	twin, _ := bootReplicated(t, 2, cfg)
+	for _, text := range texts[:3] {
+		want, err := core.Query(context.Background(), twin, text, core.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := core.Query(context.Background(), eng, text, core.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Objects, want.Objects) {
+			t.Fatalf("%q: engine built under the race answers unlike its twin", text)
+		}
+	}
+}
