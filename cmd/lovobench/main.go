@@ -1,5 +1,8 @@
 // Command lovobench regenerates the paper's tables and figures against the
-// synthetic workloads.
+// synthetic workloads. It prints each table and exits 1 on the first
+// experiment that fails. Performance claims are not made here: the
+// end-to-end gate lives in benchmark/, and kernel timings are the
+// packages' own Benchmark functions (go test -bench).
 //
 // Usage:
 //
@@ -8,6 +11,7 @@
 //	lovobench -list                # list experiment names
 //	lovobench -scale 0.5 -seed 9   # bigger workloads, different seed
 //	lovobench -quick               # smoke-test sweeps
+//	lovobench -quick -scale 0.05   # every experiment at CI smoke scale
 package main
 
 import (
@@ -26,7 +30,6 @@ func main() {
 		seed       = flag.Uint64("seed", 7, "workload seed")
 		scale      = flag.Float64("scale", 0, "dataset duration scale (0 = default)")
 		quick      = flag.Bool("quick", false, "shrink sweeps for smoke runs")
-		jsonDir    = flag.String("json", "", "also write each table as a BENCH_<id>.json snapshot into this directory")
 	)
 	flag.Parse()
 
@@ -44,13 +47,6 @@ func main() {
 			return err
 		}
 		fmt.Println(t)
-		if *jsonDir != "" {
-			path, err := t.WriteJSON(*jsonDir)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("(snapshot written to %s)\n", path)
-		}
 		fmt.Printf("(%s completed in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 		return nil
 	}

@@ -435,20 +435,29 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkRowsTopKBatch is one stage-1 leg of a serving batch: Q = 8
-// exhaustive queries at depth k = 100 over 9k rows of dimension 32.
+// BenchmarkRowsTopKBatch is one stage-1 leg of a serving batch: Q
+// exhaustive queries at depth k = 100 over 9k rows of dimension 32, in one
+// shared sweep. Q = 1 is a lone TopK scan, the flat kind's whole stage 1.
 func BenchmarkRowsTopKBatch(b *testing.B) {
-	const n, qn, k = 9000, 8, 100
+	const n, k = 9000, 100
 	rows := ann.NewRows(dim)
 	for i := 0; i < n; i++ {
 		rows.Append(int64(i), mat.UnitGaussianVec(dim, uint64(i)))
 	}
-	qs := make([]mat.Vec, qn)
-	for j := range qs {
-		qs[j] = mat.UnitGaussianVec(dim, uint64(n+j))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows.TopKBatch(qs, k)
+	for _, qn := range []int{1, 2, 4, 8} {
+		qs := make([]mat.Vec, qn)
+		for j := range qs {
+			qs[j] = mat.UnitGaussianVec(dim, uint64(n+j))
+		}
+		b.Run(fmt.Sprintf("Q=%d", qn), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if qn == 1 {
+					rows.TopK(qs[0], k)
+				} else {
+					rows.TopKBatch(qs, k)
+				}
+			}
+		})
 	}
 }

@@ -8,10 +8,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -107,26 +104,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// WriteJSON writes the table as a BENCH_<id>.json snapshot in dir and
-// returns the path — a machine-readable perf-trajectory record (the
-// kernels experiment's per-tier and per-batch-width splits especially)
-// that successive runs can diff.
-func (t *Table) WriteJSON(dir string) (string, error) {
-	snap := struct {
-		ID     string     `json:"id"`
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-		Notes  []string   `json:"notes"`
-	}{t.ID, t.Title, t.Header, t.Rows, t.Notes}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_"+t.ID+".json")
-	return path, os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // secs formats a duration as seconds with three decimals.
 func secs(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }
 
@@ -135,15 +112,6 @@ func ms(d time.Duration) string { return fmt.Sprintf("%.2fms", float64(d.Microse
 
 // f3 formats a float with three decimals.
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// percentile returns the q-quantile of sorted latencies (nearest-rank).
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	return sorted[max(0, min(i, len(sorted)-1))]
-}
 
 // rootCtx is the context every experiment queries under.
 func rootCtx() context.Context {
@@ -175,17 +143,4 @@ func Run(name string, o Options) (*Table, error) {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", name, Experiments())
 	}
 	return r(o.withDefaults())
-}
-
-// RunAll executes every experiment in name order.
-func RunAll(o Options) ([]*Table, error) {
-	var out []*Table
-	for _, name := range Experiments() {
-		t, err := Run(name, o)
-		if err != nil {
-			return out, fmt.Errorf("bench: experiment %s: %w", name, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

@@ -88,3 +88,49 @@ func TestQueryIdenticalAcrossIndexKindsExhaustive(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryIdenticalAcrossKernelTiers pins the full two-stage answer
+// across kernel tiers: every tier shares the canonical reduction order, so
+// each of the dataset's queries must return the same objects, scores bit
+// for bit, on the default plan whatever tier scores it. The purego tier is
+// the portable reference the others are compared with.
+func TestQueryIdenticalAcrossKernelTiers(t *testing.T) {
+	ds := datasets.Bellevue(datasets.Config{Seed: 7, FPS: 1, Scale: 0.08})
+	orig := mat.KernelTier()
+	defer mat.SetKernelTier(orig)
+	answer := func(s *System, tier string) []*Result {
+		t.Helper()
+		if _, err := mat.SetKernelTier(tier); err != nil {
+			t.Fatalf("SetKernelTier(%q): %v", tier, err)
+		}
+		out := make([]*Result, len(ds.Queries))
+		for i, q := range ds.Queries {
+			res, err := Query(context.Background(), s, q.Text, QueryOptions{})
+			if err != nil {
+				t.Fatalf("%s %q: %v", tier, q.Text, err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+	for _, kind := range []vectordb.IndexKind{vectordb.IndexFlat, vectordb.IndexIMI} {
+		s := buildSystem(t, ds, Config{Seed: 7, Index: kind})
+		want := answer(s, mat.TierPurego)
+		for _, tier := range mat.KernelTiers() {
+			got := answer(s, tier)
+			for i, q := range ds.Queries {
+				if len(got[i].Objects) != len(want[i].Objects) {
+					t.Fatalf("%s [%s] %q: %d objects, purego %d", kind, tier, q.Text,
+						len(got[i].Objects), len(want[i].Objects))
+				}
+				for j, o := range got[i].Objects {
+					w := want[i].Objects[j]
+					if o.VideoID != w.VideoID || o.FrameIdx != w.FrameIdx || o.Box != w.Box ||
+						o.PatchID != w.PatchID || math.Float32bits(o.Score) != math.Float32bits(w.Score) {
+						t.Fatalf("%s [%s] %q object %d: %+v != purego %+v", kind, tier, q.Text, j, o, w)
+					}
+				}
+			}
+		}
+	}
+}

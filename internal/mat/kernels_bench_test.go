@@ -39,6 +39,11 @@ func benchmarkDot(b *testing.B, n int) {
 func BenchmarkScoreRows32x1024(b *testing.B) { benchmarkScoreRows(b, 32, 1024) }
 func BenchmarkScoreRows64x1024(b *testing.B) { benchmarkScoreRows(b, 64, 1024) }
 
+// BenchmarkScoreRows128x1024 is the compute-bound width: at 128d the lanes
+// spend their time multiplying rather than folding, so this is where the
+// avx2 tier's lead over sse2 shows whole.
+func BenchmarkScoreRows128x1024(b *testing.B) { benchmarkScoreRows(b, 128, 1024) }
+
 func benchmarkScoreRows(b *testing.B, dim, rows int) {
 	q := benchVec(dim, 3)
 	block := benchVec(dim*rows, 4)
@@ -57,6 +62,19 @@ func BenchmarkMatMulT64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MatMulTInto(dst, x, y)
+	}
+}
+
+// BenchmarkGELU runs GELU over one feed-forward activation of the rerank
+// transformer: 48 region tokens × 64 hidden units.
+func BenchmarkGELU(b *testing.B) {
+	in := benchVec(48*64, 12)
+	v := make(Vec, len(in))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(v, in)
+		GELU(v)
 	}
 }
 
