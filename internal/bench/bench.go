@@ -3,7 +3,7 @@
 // returns a Table with the same rows/series the paper reports; absolute
 // numbers differ from the authors' GPU testbed, but the shapes — who wins,
 // by roughly what factor, where the crossovers fall — are the reproduction
-// targets (see EXPERIMENTS.md for the paper-vs-measured record).
+// targets (README's "Reproducing the paper's experiments" lists them).
 package bench
 
 import (

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // PlanKind records how a plan was chosen: the fixed defaults or a
 // caller-pinned plan. It is reporting provenance only: two plans with equal
@@ -114,13 +117,32 @@ func (c Config) NormalizePlan(p Plan) Plan {
 // Deprecated: the identity; remains only because benchmark/ calls it — removed with ROADMAP item 1.
 func (p Plan) Leg(int) Plan { return p }
 
-// Key canonicalises the plan's execution fields for result-cache keying.
-// The provenance field Kind is excluded: it never changes the answer
-// bytes, so a pinned plan and the fixed plan it equals share one cache
-// entry.
-func (p Plan) Key() string {
-	return fmt.Sprintf("x=%t k=%d sk=%d np=%d ef=%d rr=%d n=%d sr=%t",
-		p.Exact, p.FastK, p.ShardK, p.NProbe, p.Ef, p.RerankFrames, p.TopN, p.SkipRerank)
+// Key canonicalises the plan's execution fields for result-cache keying:
+// "x=<exact> k=<fast_k> sk=<shard_k> np=<nprobe> ef=<ef> rr=<rerank_frames>
+// n=<top_n> sr=<skip_rerank>". The provenance field Kind is excluded: it
+// never changes the answer bytes, so a pinned plan and the fixed plan it
+// equals share one cache entry.
+func (p Plan) Key() string { return string(p.AppendKey(make([]byte, 0, 64))) }
+
+// AppendKey appends Key's bytes to b, so a caller building a longer key
+// (the server's text + plan cache key) formats the plan into its own buffer.
+func (p Plan) AppendKey(b []byte) []byte {
+	b = append(b, "x="...)
+	b = strconv.AppendBool(b, p.Exact)
+	b = append(b, " k="...)
+	b = strconv.AppendInt(b, int64(p.FastK), 10)
+	b = append(b, " sk="...)
+	b = strconv.AppendInt(b, int64(p.ShardK), 10)
+	b = append(b, " np="...)
+	b = strconv.AppendInt(b, int64(p.NProbe), 10)
+	b = append(b, " ef="...)
+	b = strconv.AppendInt(b, int64(p.Ef), 10)
+	b = append(b, " rr="...)
+	b = strconv.AppendInt(b, int64(p.RerankFrames), 10)
+	b = append(b, " n="...)
+	b = strconv.AppendInt(b, int64(p.TopN), 10)
+	b = append(b, " sr="...)
+	return strconv.AppendBool(b, p.SkipRerank)
 }
 
 // String renders the plan for logs and /stats.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -63,6 +64,29 @@ func TestDefaultPlanMatchesFixedKnobs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[0].Objects, want.Objects) {
 			t.Fatalf("opts %+v: plan execution diverges from Query", opts)
+		}
+	}
+}
+
+// TestPlanKeyMatchesSprintf pins Key's bytes to the fmt.Sprintf form it
+// replaced: the server's cache and flight keys are built on them, so a
+// drift would split one answer's entries.
+func TestPlanKeyMatchesSprintf(t *testing.T) {
+	const maxInt, minInt = int(^uint(0) >> 1), -int(^uint(0)>>1) - 1
+	for _, p := range []Plan{
+		{},
+		{Kind: PlanFixed, FastK: 100, ShardK: 100, NProbe: 8, Ef: 64, RerankFrames: 32, TopN: 10},
+		{Kind: PlanPinned, Exact: true, FastK: 1, ShardK: 2, RerankFrames: 3, TopN: 4, SkipRerank: true},
+		{Exact: true, SkipRerank: false, FastK: -1, ShardK: -42, NProbe: -7, Ef: -1, RerankFrames: -3, TopN: -9},
+		{Exact: false, SkipRerank: true, FastK: maxInt, ShardK: minInt, NProbe: maxInt, Ef: minInt, RerankFrames: maxInt, TopN: minInt},
+	} {
+		want := fmt.Sprintf("x=%t k=%d sk=%d np=%d ef=%d rr=%d n=%d sr=%t",
+			p.Exact, p.FastK, p.ShardK, p.NProbe, p.Ef, p.RerankFrames, p.TopN, p.SkipRerank)
+		if got := p.Key(); got != want {
+			t.Errorf("Key(%+v) = %q, want %q", p, got, want)
+		}
+		if got := string(p.AppendKey([]byte("text\x00"))); got != "text\x00"+want {
+			t.Errorf("AppendKey(%+v) = %q, want the prefix kept and %q after it", p, got, want)
 		}
 	}
 }

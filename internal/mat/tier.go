@@ -34,6 +34,7 @@ package mat
 import (
 	"fmt"
 	"os"
+	"testing"
 )
 
 // Kernel tier names, as accepted by SetKernelTier and the LOVO_KERNELS
@@ -63,8 +64,11 @@ const (
 var activeTier tierID
 
 // envTierErr records an invalid or unsupported LOVO_KERNELS value seen at
-// init. init cannot fail, so the value is ignored there and the error
-// surfaced through KernelTierEnvError for the daemons to report at boot.
+// init. init cannot return it, so a program keeps the detected tier and the
+// error is surfaced through KernelTierEnvError for the daemons to report at
+// boot. A test or benchmark binary has no such report and would silently
+// run the widest tier under a label naming another, so it exits at once
+// instead, naming the value.
 var envTierErr error
 
 func init() {
@@ -72,6 +76,10 @@ func init() {
 	if v := os.Getenv("LOVO_KERNELS"); v != "" {
 		if _, err := SetKernelTier(v); err != nil {
 			envTierErr = err
+			if testing.Testing() {
+				fmt.Fprintf(os.Stderr, "LOVO_KERNELS=%s: %v\n", v, err)
+				os.Exit(2)
+			}
 		}
 	}
 }

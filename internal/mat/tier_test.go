@@ -3,6 +3,9 @@ package mat
 import (
 	"math"
 	"math/rand/v2"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -241,4 +244,38 @@ func TestGELUBitIdenticalAcrossTiers(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestKernelEnvRefusedUnderTest: a test or benchmark binary started under
+// an unknown or unsupported LOVO_KERNELS exits before any test runs, naming
+// the value, so a per-tier lane or -bench run can never time the widest
+// tier under another tier's label; "auto" and a supported tier start. It
+// re-runs this package's own test binary, running no test, under each
+// value, whatever LOVO_KERNELS the lane itself set.
+func TestKernelEnvRefusedUnderTest(t *testing.T) {
+	unsupported := TierNEON
+	if baselineTierName == TierNEON {
+		unsupported = TierSSE2
+	}
+	start := func(tier string) (string, error) {
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), "LOVO_KERNELS="+tier)
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	for _, bad := range []string{"bogus", unsupported, "AVX2"} {
+		out, err := start(bad)
+		if err == nil {
+			t.Errorf("LOVO_KERNELS=%s: the test binary started; want it to exit naming the value:\n%s", bad, out)
+			continue
+		}
+		if !strings.Contains(out, "LOVO_KERNELS="+bad) || !strings.Contains(out, `"`+bad+`"`) {
+			t.Errorf("LOVO_KERNELS=%s: exit %v must name the value:\n%s", bad, err, out)
+		}
+	}
+	for _, good := range []string{TierAuto, TierPurego} {
+		if out, err := start(good); err != nil {
+			t.Errorf("LOVO_KERNELS=%s is valid, but the test binary failed: %v\n%s", good, err, out)
+		}
+	}
 }

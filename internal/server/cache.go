@@ -2,25 +2,33 @@ package server
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
 )
 
-// cacheKey canonicalises (query text, resolved plan) into the cache key.
-// Plan.Key covers every field that changes the answer and excludes the
-// provenance field (kind), so a pinned plan and the fixed plan it equals
-// share one entry; request
+// cacheKey canonicalises (query text, resolved plan) into the cache key,
+// text + "\x00" + Plan.Key(), built in one allocation. Plan.Key covers every
+// field that changes the answer and excludes the provenance field (kind),
+// so a pinned plan and the fixed plan it equals share one entry; request
 // Workers never participates (results are identical at every width, by the
 // engine's determinism contract).
 func cacheKey(text string, plan core.Plan) string {
-	return text + "\x00" + plan.Key()
+	var kb [80]byte
+	pk := plan.AppendKey(kb[:0])
+	var sb strings.Builder
+	sb.Grow(len(text) + 1 + len(pk))
+	sb.WriteString(text)
+	sb.WriteByte(0)
+	sb.Write(pk)
+	return sb.String()
 }
 
-// resultCache is a bounded LRU over query results, stamped with the
-// backend's ingest generation: an entry computed under another generation
-// is stale — new footage may have changed the answer — which is how ingest
-// invalidates the cache without a callback. The first get or put at a
+// resultCache is a bounded LRU over encoded query answers (fragments),
+// stamped with the backend's ingest generation: an entry computed under
+// another generation is stale — new footage may have changed the answer —
+// which is how ingest invalidates the cache without a callback. The first get or put at a
 // generation newer than any seen before sweeps out every entry not stamped
 // with it, so stale answers do not hold memory until their own lookup. An
 // entry the sweep cannot judge — put late under an older generation, or
@@ -41,9 +49,9 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key string
-	gen uint64
-	res *core.Result
+	key  string
+	gen  uint64
+	frag *fragment
 }
 
 // newResultCache builds a cache holding at most capacity entries;
@@ -56,9 +64,9 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// get returns the cached result for key if present and computed under the
-// current generation. Results are shared pointers; callers must not mutate.
-func (c *resultCache) get(key string, gen uint64) (*core.Result, bool) {
+// get returns the cached answer for key if present and computed under the
+// current generation. Fragments are shared; callers must not mutate.
+func (c *resultCache) get(key string, gen uint64) (*fragment, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
@@ -80,12 +88,12 @@ func (c *resultCache) get(key string, gen uint64) (*core.Result, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return ent.res, true
+	return ent.frag, true
 }
 
-// put stores a result computed under gen, evicting the least-recently-used
+// put stores an answer computed under gen, evicting the least-recently-used
 // entry when full.
-func (c *resultCache) put(key string, gen uint64, res *core.Result) {
+func (c *resultCache) put(key string, gen uint64, frag *fragment) {
 	if c.cap <= 0 {
 		return
 	}
@@ -95,11 +103,11 @@ func (c *resultCache) put(key string, gen uint64, res *core.Result) {
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		ent.gen = gen
-		ent.res = res
+		ent.frag = frag
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, res: res})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, frag: frag})
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		c.ll.Remove(back)

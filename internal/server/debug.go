@@ -92,6 +92,18 @@ func newSlowLog(size int) *slowLog {
 
 func (l *slowLog) enabled() bool { return l.cap > 0 }
 
+// admits reports whether a query finished at now taking durationMs would
+// enter the log, so the server builds a span tree only for one that would.
+func (l *slowLog) admits(now time.Time, durationMs float64) bool {
+	if l.cap == 0 {
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.expire(now)
+	return l.victim(durationMs) >= 0
+}
+
 // note offers one finished query to the log.
 func (l *slowLog) note(e slowEntry) {
 	if l.cap == 0 {
@@ -100,20 +112,31 @@ func (l *slowLog) note(e slowEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.expire(e.At)
-	if len(l.entries) < l.cap {
+	switch i := l.victim(e.DurationMs); {
+	case i == len(l.entries):
 		l.entries = append(l.entries, e)
-		return
+	case i >= 0:
+		l.entries[i] = e
 	}
-	// Full: evict the fastest retained entry if this one is slower.
+}
+
+// victim is where an entry taking durationMs goes: len(entries) while the
+// log has room; once full, the fastest retained entry if this one is slower
+// (slowest wins), else -1. Callers hold l.mu and have expired the log.
+func (l *slowLog) victim(durationMs float64) int {
+	if len(l.entries) < l.cap {
+		return len(l.entries)
+	}
 	fastest := 0
 	for i := 1; i < len(l.entries); i++ {
 		if l.entries[i].DurationMs < l.entries[fastest].DurationMs {
 			fastest = i
 		}
 	}
-	if e.DurationMs > l.entries[fastest].DurationMs {
-		l.entries[fastest] = e
+	if durationMs > l.entries[fastest].DurationMs {
+		return fastest
 	}
+	return -1
 }
 
 // expire drops entries older than the recency window; callers hold l.mu.

@@ -1,21 +1,26 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"repro/internal/core"
 )
 
 // encoder appends the success bodies of /query and /query/batch to a pooled
 // buffer without reflection. Its output is byte for byte what
 // encoding/json's Encoder writes for the same QueryResponse or
-// batchResponse: field order and omitempty as the struct tags say, ES6
-// float formatting (bit size 32 for the float32 score), HTML-escaped
-// strings and a trailing newline. The trace subtree is rare (debug=true
-// only) and goes through json.Marshal. The first value JSON cannot carry
+// batchResponse, though it never builds one: each answer's fragment is
+// encoded once from its *core.Result and spliced into the replies (see
+// fragment). Field order and omitempty as the struct tags say, ES6 float
+// formatting (bit size 32 for the float32 score), HTML-escaped strings and
+// a trailing newline. The trace subtree is rare (debug=true only) and goes
+// through json.Marshal. The first value JSON cannot carry
 // (NaN, ±Inf) sticks in err, and the caller answers an error instead of
 // the body.
 type encoder struct {
@@ -163,58 +168,56 @@ func (e *encoder) string(s string) {
 	e.b = append(b, '"')
 }
 
-// batchResponse appends {"results":[...]}.
-func (e *encoder) batchResponse(results []QueryResponse) {
-	e.b = append(e.b, `{"results":`...)
-	if results == nil {
-		e.b = append(e.b, "null"...)
-	} else {
-		e.b = append(e.b, '[')
-		for i := range results {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.queryResponse(&results[i])
-		}
-		e.b = append(e.b, ']')
-	}
-	e.b = append(e.b, '}')
+// fragment is one computed answer's share of every reply that serves it:
+// `{"objects":[…],"candidate_frames":…,"fast_search_ms":…,"rerank_ms":…`,
+// open at its end, which holds every float the answer carries. It is
+// encoded once, when the answer's flight publishes, and spliced into each
+// reply — the miss, every coalesced waiter, every cache hit — with only
+// "cached" and the plan written around it. err is the encoding error of an
+// answer JSON cannot carry (NaN, ±Inf): every reply splicing it answers the
+// 500.
+type fragment struct {
+	b   []byte
+	err error
 }
 
-// queryResponse appends one QueryResponse.
-func (e *encoder) queryResponse(r *QueryResponse) {
-	e.b = append(e.b, `{"objects":`...)
-	if r.Objects == nil {
-		e.b = append(e.b, "null"...)
-	} else {
-		e.b = append(e.b, '[')
-		for i := range r.Objects {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.object(&r.Objects[i])
+// encodeFragment encodes res's fragment in a pooled encoder and keeps an
+// exact-size copy, so a cache entry holds no spare capacity.
+func encodeFragment(res *core.Result) *fragment {
+	e := encoderPool.Get().(*encoder)
+	defer func() {
+		if cap(e.b) <= maxPooledBody {
+			e.b, e.err = e.b[:0], nil
+			encoderPool.Put(e)
 		}
-		e.b = append(e.b, ']')
+	}()
+	e.result(res)
+	if e.err != nil {
+		return &fragment{err: e.err}
 	}
-	e.b = append(e.b, `,"candidate_frames":`...)
-	e.int(int64(r.CandidateFrames))
+	return &fragment{b: bytes.Clone(e.b)}
+}
+
+// result appends res's fragment. Objects are always an array (never null),
+// and the stage times are milliseconds at microsecond resolution.
+func (e *encoder) result(res *core.Result) {
+	e.b = append(e.b, `{"objects":[`...)
+	for i := range res.Objects {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.object(&res.Objects[i])
+	}
+	e.b = append(e.b, `],"candidate_frames":`...)
+	e.int(int64(res.CandidateFrames))
 	e.b = append(e.b, `,"fast_search_ms":`...)
-	e.float(r.FastSearchMs, 64)
+	e.float(float64(res.FastSearch.Microseconds())/1000, 64)
 	e.b = append(e.b, `,"rerank_ms":`...)
-	e.float(r.RerankMs, 64)
-	e.b = append(e.b, `,"cached":`...)
-	e.bool(r.Cached)
-	e.b = append(e.b, `,"plan":`...)
-	e.plan(&r.Plan)
-	if r.Trace != nil {
-		e.b = append(e.b, `,"trace":`...)
-		e.marshal(r.Trace)
-	}
-	e.b = append(e.b, '}')
+	e.float(float64(res.Rerank.Microseconds())/1000, 64)
 }
 
-// object appends one ObjectJSON.
-func (e *encoder) object(o *ObjectJSON) {
+// object appends one result object in ObjectJSON's wire form.
+func (e *encoder) object(o *core.ResultObject) {
 	e.b = append(e.b, `{"video_id":`...)
 	e.int(int64(o.VideoID))
 	e.b = append(e.b, `,"frame_idx":`...)
@@ -232,6 +235,48 @@ func (e *encoder) object(o *ObjectJSON) {
 	e.b = append(e.b, `,"patch_id":`...)
 	e.int(o.PatchID)
 	e.b = append(e.b, '}')
+}
+
+// answer is one query's reply: the fragment of the answer it serves, and
+// what this request adds around it.
+type answer struct {
+	frag   *fragment
+	cached bool
+	plan   core.Plan
+	// trace is the request's span tree, echoed when it asked for debug.
+	trace *SpanJSON
+}
+
+// answer appends one QueryResponse: a's fragment, then "cached", the plan
+// and the trace.
+func (e *encoder) answer(a *answer) {
+	if a.frag.err != nil {
+		e.fail(a.frag.err)
+		return
+	}
+	e.b = append(e.b, a.frag.b...)
+	e.b = append(e.b, `,"cached":`...)
+	e.bool(a.cached)
+	e.b = append(e.b, `,"plan":`...)
+	plan := toPlanJSON(a.plan)
+	e.plan(&plan)
+	if a.trace != nil {
+		e.b = append(e.b, `,"trace":`...)
+		e.marshal(a.trace)
+	}
+	e.b = append(e.b, '}')
+}
+
+// answers appends a batchResponse: {"results":[...]}.
+func (e *encoder) answers(as []answer) {
+	e.b = append(e.b, `{"results":[`...)
+	for i := range as {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.answer(&as[i])
+	}
+	e.b = append(e.b, "]}"...)
 }
 
 // plan appends one PlanJSON, leaving out its omitempty fields at zero.

@@ -2,10 +2,9 @@ package server
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
+	"strings"
 	"sync"
-
-	"repro/internal/core"
 )
 
 // flightGroup coalesces concurrent duplicate work: while one request (the
@@ -24,7 +23,7 @@ type flightGroup struct {
 type flightCall struct {
 	key  string
 	done chan struct{}
-	res  *core.Result
+	frag *fragment
 	err  error
 	// shared marks an outcome of a batch of several keys: an error then may
 	// belong to another key's query, not this one.
@@ -36,7 +35,7 @@ func newFlightGroup() *flightGroup {
 }
 
 // errFlightAborted is what waiters see when the leader's computation
-// panicked instead of returning: an error, not a nil result — and never a
+// panicked instead of returning: an error, not a nil answer — and never a
 // hang.
 var errFlightAborted = errors.New("server: coalesced query aborted: leader panicked")
 
@@ -55,19 +54,19 @@ func (g *flightGroup) join(keys []string) (calls []*flightCall, led []bool) {
 	return calls, led
 }
 
-// run computes the calls this caller leads with one fn call (results align
-// with calls), then drops their keys and wakes their waiters. fn must leave
-// its results visible to late arrivals (e.g. by writing the cache) before
-// returning. The finish runs even if fn panics (net/http recovers the
+// run computes the calls this caller leads with one fn call (its encoded
+// answers align with calls), then drops their keys and wakes their
+// waiters. fn must leave its answers visible to late arrivals (e.g. by
+// writing the cache) before returning. The finish runs even if fn panics (net/http recovers the
 // leader's handler goroutine): a flight left behind would wedge its key
 // forever. Waiters then see errFlightAborted.
-func (g *flightGroup) run(calls []*flightCall, fn func() ([]*core.Result, error)) {
+func (g *flightGroup) run(calls []*flightCall, fn func() ([]*fragment, error)) {
 	completed := false
 	defer func() {
 		g.mu.Lock()
 		for _, c := range calls {
 			if !completed {
-				c.res, c.err = nil, errFlightAborted
+				c.frag, c.err = nil, errFlightAborted
 			}
 			c.shared = len(calls) > 1
 			delete(g.calls, c.key)
@@ -77,18 +76,26 @@ func (g *flightGroup) run(calls []*flightCall, fn func() ([]*core.Result, error)
 			close(c.done)
 		}
 	}()
-	results, err := fn()
+	frags, err := fn()
 	for i, c := range calls {
 		c.err = err
 		if err == nil {
-			c.res = results[i]
+			c.frag = frags[i]
 		}
 	}
 	completed = true
 }
 
-// flightKey scopes a cache key to an ingest generation: waiters must only
-// share a result computed against the corpus they queried.
+// flightKey scopes a cache key to an ingest generation, as
+// "<gen>\x00<key>": waiters must only share an answer computed against the
+// corpus they queried.
 func flightKey(key string, gen uint64) string {
-	return fmt.Sprintf("%d\x00%s", gen, key)
+	var gb [20]byte
+	g := strconv.AppendUint(gb[:0], gen, 10)
+	var sb strings.Builder
+	sb.Grow(len(g) + 1 + len(key))
+	sb.Write(g)
+	sb.WriteByte(0)
+	sb.WriteString(key)
+	return sb.String()
 }

@@ -40,6 +40,11 @@ func FuzzServeBodies(f *testing.F) {
 		`{"ID": 3, "Frames": [{"VideoID": 4, "Index": 0}]}`,
 		`{"ID": 5, "Frames": [{"VideoID": 5, "Index": 0, "Objets": []}]}`,
 		`null`, `[]`, `{`, ``, `"a car"`, `{"query": 7}`,
+		`{"query":"a red car"} trailing`,
+		`{"query":"a red car"}{"query":"x"}`,
+		`{"queries":["a red car"]} ]`,
+		"{\"query\": \"a red car\"}\n",
+		`{"ID": 3, "Frames": [{"VideoID": 3, "Index": 0}]} {}`,
 	} {
 		f.Add(seed)
 	}

@@ -287,17 +287,24 @@ func TestOversizedQueryTextAnswers413(t *testing.T) {
 // — the retired "min_recall" bound or "int8" switch, or a misspelt clip
 // field — answers 400 naming it on every body-reading endpoint, instead of
 // running the default plan or storing the clip as if the field were not
-// there, and never reaches the backend.
+// there; a body with anything but whitespace after its one JSON value
+// answers 400 too, instead of serving the first value and dropping the
+// rest. Neither reaches the backend.
 func TestUnknownFieldsRefused(t *testing.T) {
+	const trailing = "trailing data after the JSON body"
 	fb := &fakeBackend{}
 	srv := New(fb, Config{CacheSize: 4})
-	for _, c := range []struct{ path, body, field string }{
-		{"/query", `{"query": "a red car", "options": {"min_recall": 0.9}}`, "min_recall"},
-		{"/query/batch", `{"queries": ["a red car"], "options": {"min_recall": 0.9}}`, "min_recall"},
-		{"/query", `{"query": "a red car", "options": {"int8": true}}`, "int8"},
-		{"/query", `{"query": "a red car", "limit": 3}`, "limit"},
-		{"/query/batch", `{"queries": ["a red car"], "debug": true}`, "debug"},
-		{"/ingest", `{"ID": 5, "Frames": [{"VideoID": 5, "Index": 0, "Objets": []}]}`, "Objets"},
+	for _, c := range []struct{ path, body, want string }{
+		{"/query", `{"query": "a red car", "options": {"min_recall": 0.9}}`, `"min_recall"`},
+		{"/query/batch", `{"queries": ["a red car"], "options": {"min_recall": 0.9}}`, `"min_recall"`},
+		{"/query", `{"query": "a red car", "options": {"int8": true}}`, `"int8"`},
+		{"/query", `{"query": "a red car", "limit": 3}`, `"limit"`},
+		{"/query/batch", `{"queries": ["a red car"], "debug": true}`, `"debug"`},
+		{"/ingest", `{"ID": 5, "Frames": [{"VideoID": 5, "Index": 0, "Objets": []}]}`, `"Objets"`},
+		{"/query", `{"query":"a red car"} trailing`, trailing},
+		{"/query", `{"query":"a red car"}{"query":"x"}`, trailing},
+		{"/query/batch", `{"queries":["a red car"]} ]`, trailing},
+		{"/ingest", "{\"ID\": 5, \"Frames\": [{\"VideoID\": 5, \"Index\": 0}]}\n{}", trailing},
 	} {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
@@ -306,12 +313,23 @@ func TestUnknownFieldsRefused(t *testing.T) {
 			continue
 		}
 		var e map[string]string
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e["error"], `"`+c.field+`"`) {
-			t.Errorf("%s %s: error body %s must name field %q", c.path, c.body, rec.Body, c.field)
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e["error"], c.want) {
+			t.Errorf("%s %s: error body %s must say %s", c.path, c.body, rec.Body, c.want)
 		}
 	}
 	if len(fb.planOpts) != 0 || len(fb.widths()) != 0 || fb.ingests != 0 {
 		t.Fatalf("refused bodies must never reach the backend: %d plans, %d batches, %d ingests", len(fb.planOpts), len(fb.widths()), fb.ingests)
+	}
+	// Whitespace after the value is no trailing data.
+	for _, c := range []struct{ path, body string }{
+		{"/query", "{\"query\": \"a red car\"}\n"},
+		{"/query/batch", "{\"queries\": [\"a red car\"]} \r\n\t "},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s %q: status %d want 200: %s", c.path, c.body, rec.Code, rec.Body)
+		}
 	}
 }
 
@@ -608,7 +626,7 @@ func TestFlightPanicDoesNotWedgeKey(t *testing.T) {
 				t.Fatal("panic must propagate to the leader")
 			}
 		}()
-		g.run(calls, func() ([]*core.Result, error) { panic("backend exploded") })
+		g.run(calls, func() ([]*fragment, error) { panic("backend exploded") })
 	}()
 	<-waiting[0].done
 	if !errors.Is(waiting[0].err, errFlightAborted) {
@@ -621,7 +639,7 @@ func TestFlightPanicDoesNotWedgeKey(t *testing.T) {
 			done <- fmt.Errorf("post-panic call wrongly coalesced onto the dead leader")
 			return
 		}
-		g.run(calls, func() ([]*core.Result, error) { return []*core.Result{{}}, nil })
+		g.run(calls, func() ([]*fragment, error) { return []*fragment{{}}, nil })
 		done <- calls[0].err
 	}()
 	select {

@@ -271,27 +271,6 @@ type batchResponse struct {
 	Results []QueryResponse `json:"results"`
 }
 
-func toResponse(res *core.Result, plan core.Plan, cached bool) QueryResponse {
-	objs := make([]ObjectJSON, len(res.Objects))
-	for i, o := range res.Objects {
-		objs[i] = ObjectJSON{
-			VideoID:  o.VideoID,
-			FrameIdx: o.FrameIdx,
-			Box:      BoxJSON{X: o.Box.X, Y: o.Box.Y, W: o.Box.W, H: o.Box.H},
-			Score:    o.Score,
-			PatchID:  o.PatchID,
-		}
-	}
-	return QueryResponse{
-		Objects:         objs,
-		CandidateFrames: res.CandidateFrames,
-		FastSearchMs:    float64(res.FastSearch.Microseconds()) / 1000,
-		RerankMs:        float64(res.Rerank.Microseconds()) / 1000,
-		Cached:          cached,
-		Plan:            toPlanJSON(plan),
-	}
-}
-
 // downBackends names the unhealthy shard backends: the worker address for
 // a remote shard, the kind otherwise.
 func downBackends(st shard.Status) []string {
@@ -332,19 +311,33 @@ func (s *Server) allowMethod(w http.ResponseWriter, r *http.Request, method stri
 	return true
 }
 
+// errTrailingData marks a request body holding more than one JSON value:
+// a second value would otherwise be dropped without a word.
+var errTrailingData = errors.New("trailing data after the JSON body")
+
 // decodeBody reads at most limit bytes of JSON request body into v, so a
 // hostile request costs bounded memory: an oversized body answers 413
-// naming the limit, malformed JSON 400, and a field v does not have 400
-// naming it, so a retired option or a misspelt field is refused rather
-// than silently dropped. It reports whether v is usable.
+// naming the limit, malformed JSON 400, a field v does not have 400 naming
+// it, so a retired option or a misspelt field is refused rather than
+// silently dropped, and anything but whitespace after the one JSON value
+// 400. It reports whether v is usable.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooBig) {
+			err = errTrailingData
+		}
+	}
 	switch {
 	case errors.As(err, &tooBig):
 		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", limit)
+	case err == errTrailingData:
+		s.fail(w, http.StatusBadRequest, "%v", err)
 	case err != nil:
 		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
 	}
@@ -368,7 +361,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if out := s.serve(w, r, []string{req.Query}, req.Options, req.Debug); out != nil {
-		if s.reply(w, func(e *encoder) { e.queryResponse(&out[0]) }) {
+		if s.reply(w, func(e *encoder) { e.answer(&out[0]) }) {
 			s.metrics.queries.Add(1)
 		}
 	}
@@ -401,7 +394,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if out := s.serve(w, r, req.Queries, req.Options, false); out != nil {
-		if s.reply(w, func(e *encoder) { e.batchResponse(out) }) {
+		if s.reply(w, func(e *encoder) { e.answers(out) }) {
 			s.metrics.batchQueries.Add(uint64(len(req.Queries)))
 		}
 	}
@@ -410,7 +403,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // serve is the one serving pipeline under /query (a batch of one) and
 // /query/batch: plan each query under a "plan" span, look each plan up in
 // the result cache under a "cache" span, join the misses' flights, run the
-// misses this request leads as ONE backend batch, wait for the ones other
+// misses this request leads as ONE backend batch — encoding each answer's
+// fragment once, before its flight publishes — wait for the ones other
 // requests lead, then record latency and offer the trace to the slow log.
 // Cache entries and flights key on (text, resolved plan) at the generation
 // this request saw, so requests that resolve to the same execution share
@@ -421,9 +415,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // built — reads Status, answers 503 when the backend is not built, and runs
 // the misses at that read's generation. The request is traced whenever
 // anyone could see the trace (the slow log, or debug, which echoes it on
-// the first response); tracing never steers an answer. On failure serve has
-// answered w itself and returns nil.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o QueryOptionsJSON, debug bool) []QueryResponse {
+// the first response), but its span tree is built only when debug echoes it
+// or the slow log would admit it; tracing never steers an answer. On failure
+// serve has answered w itself and returns nil.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o QueryOptionsJSON, debug bool) []answer {
 	if err := validateOptions(o); err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return nil
@@ -461,7 +456,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 	plans := make([]core.Plan, len(texts))
 	cacheKeys := make([]string, len(texts))
 	cacheSpans := make([]obs.Span, len(texts))
-	out := make([]QueryResponse, len(texts))
+	out := make([]answer, len(texts))
 	var keys []string             // distinct flight keys of the misses, in query order
 	waiting := map[string][]int{} // flight key -> its queries; the first one executes
 	for i, text := range texts {
@@ -481,7 +476,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 		plans[i], cacheKeys[i] = plan, cacheKey(text, plan)
 		cacheStart := time.Now()
 		_, cacheSpans[i] = obs.Start(ctx, "cache")
-		res, hit := s.cache.get(cacheKeys[i], gen)
+		frag, hit := s.cache.get(cacheKeys[i], gen)
 		if hit {
 			cacheSpans[i].Detail("hit")
 		} else {
@@ -490,7 +485,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 		cacheSpans[i].End()
 		s.metrics.observeStage("cache", time.Since(cacheStart))
 		if hit {
-			out[i] = toResponse(res, plan, true)
+			out[i] = answer{frag: frag, cached: true, plan: plan}
 			continue
 		}
 		if pushed {
@@ -523,16 +518,18 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 			}
 		}
 		if len(run) > 0 {
-			s.flight.run(run, func() ([]*core.Result, error) {
+			s.flight.run(run, func() ([]*fragment, error) {
 				results, err := s.backend.QueryBatchPlanned(ctx, runTexts, runPlans, opts.Workers, 0)
+				frags := make([]*fragment, len(results))
 				for j, res := range results {
 					s.metrics.observeStage("stage1", res.FastSearch)
 					s.metrics.observeStage("rerank", res.Rerank)
+					frags[j] = encodeFragment(res)
 					// Published before the flights end, so a request arriving
 					// after them hits the cache instead of recomputing.
-					s.cache.put(cacheKeys[runQueries[j]], gen, res)
+					s.cache.put(cacheKeys[runQueries[j]], gen, frags[j])
 				}
-				return results, err
+				return frags, err
 			})
 		}
 		var retry []string
@@ -547,7 +544,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 				return nil
 			}
 			for n, i := range waiting[keys[j]] {
-				out[i] = toResponse(c.res, plans[i], false)
+				out[i] = answer{frag: c.frag, plan: plans[i]}
 				if !led[j] || n > 0 {
 					// This query's stage-1/rerank spans are in another
 					// execution's trace; the cache span says why.
@@ -566,18 +563,21 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 	}
 	if trace != nil {
 		root.End()
-		tree := spanTree(trace.Export())
-		s.slow.note(slowEntry{
-			At:         time.Now(),
-			Query:      texts[0],
-			BatchSize:  len(texts),
-			PlanKind:   string(plans[0].Kind),
-			Cached:     cached,
-			DurationMs: float64(elapsed.Microseconds()) / 1000,
-			Trace:      tree,
-		})
-		if debug {
-			out[0].Trace = tree
+		at, ms := time.Now(), float64(elapsed.Microseconds())/1000
+		if debug || s.slow.admits(at, ms) {
+			tree := spanTree(trace.Export())
+			s.slow.note(slowEntry{
+				At:         at,
+				Query:      texts[0],
+				BatchSize:  len(texts),
+				PlanKind:   string(plans[0].Kind),
+				Cached:     cached,
+				DurationMs: ms,
+				Trace:      tree,
+			})
+			if debug {
+				out[0].trace = tree
+			}
 		}
 	}
 	return out

@@ -354,7 +354,7 @@ func TestConcurrentHTTPQueriesDuringIngest(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(0)
-	c.put("k", 1, &core.Result{})
+	c.put("k", 1, &fragment{})
 	if _, ok := c.get("k", 1); ok {
 		t.Fatal("disabled cache must never hit")
 	}
@@ -362,7 +362,7 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	c := newResultCache(2)
-	r := &core.Result{}
+	r := &fragment{}
 	c.put("a", 1, r)
 	c.put("b", 1, r)
 	c.put("c", 1, r) // evicts a
@@ -383,7 +383,7 @@ func TestCacheEviction(t *testing.T) {
 // evicted, while hits and misses advance exactly as one lookup each.
 func TestCacheDropsSupersededGenerations(t *testing.T) {
 	c := newResultCache(8)
-	r := &core.Result{}
+	r := &fragment{}
 	for _, k := range []string{"a", "b", "c"} {
 		c.put(k, 1, r)
 	}
