@@ -14,16 +14,18 @@
 //
 // Codes are stored packed (one contiguous []uint16 with stride P) and
 // addressed by the dense row position of the borrowed ann.Rows. A query's
-// votes are a pooled dense array over positions, read in one linear pass;
-// ADC runs only when the candidates outnumber the shortlist, and the exact
-// re-score reads the collection's own rows. Params.Exhaustive is the shared
-// ann.Rows.TopK scan: every vote would be P, so the vote never breaks a tie.
+// votes are a pooled dense array over positions, read in one linear pass.
+// No step keeps a heap or sorts more than it returns: S_A is quickselected
+// from each subspace's centroids, ADC runs only when the candidates
+// outnumber the 4k shortlist and then quickselects it, the exact re-score
+// copies the shortlisted rows into blocks for mat.ScoreRows, and only the k
+// answers are sorted. Params.Exhaustive is the shared ann.Rows.TopK scan:
+// every vote would be P, so the vote never breaks a tie.
 package imi
 
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/ann"
@@ -125,15 +127,23 @@ type cand struct {
 
 // scratch is a Search's pooled working set; votes is all zero between uses.
 type scratch struct {
-	votes []uint8
-	cands []cand
+	votes  []uint8
+	cands  []cand
+	cents  []mat.Scored // one subspace's centroid scores, selected for S_A
+	block  []float32    // up to rescoreRows shortlisted rows, back to back
+	scores [rescoreRows]float32
 }
+
+// rescoreRows is the row count of one blocked exact re-score pass.
+const rescoreRows = 32
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Search implements ann.Index following Algorithm 1. At most 4k candidates
-// are the whole shortlist and skip ADC: the answer's (score, vote, ID) order
-// is total, so the shortlist's own order never reaches it.
+// Search implements ann.Index following Algorithm 1. Each step selects
+// rather than sorts: S_A and the 4k shortlist are quickselected (at most 4k
+// candidates are the whole shortlist and skip ADC), and only the k answers
+// are sorted. The answer's (score, vote, ID) order is total, so no
+// intermediate order reaches it.
 func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	if k <= 0 || ix.Len() == 0 {
 		return nil
@@ -154,17 +164,20 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	votes, cands := sc.votes[:ix.Len()], sc.cands[:0]
 	a := cmp.Or(max(p.NProbe, 0), 8) // A, the centroids probed per subspace
 	for sp := 0; sp < ix.pq.P; sp++ {
-		row := table.Row(sp)
-		topA := mat.GetTopK(min(a, len(row)))
-		for m, s := range row {
-			topA.Push(int64(m), s)
+		sc.cents = sc.cents[:0]
+		for m, s := range table.Row(sp) {
+			sc.cents = append(sc.cents, mat.Scored{ID: int64(m), Score: s})
 		}
-		for _, c := range topA.Items() { // line 6: S_A; votes count the set, in any order
+		sa := sc.cents
+		if a < len(sa) {
+			ann.SelectTop(sa, a)
+			sa = sa[:a]
+		}
+		for _, c := range sa { // line 6: S_A; votes count the set, in any order
 			for _, pos := range ix.lists[sp][c.ID] {
 				votes[pos]++
 			}
 		}
-		mat.PutTopK(topA)
 	}
 	for pos, v := range votes { // in position order, zeroing what it takes
 		if v != 0 {
@@ -176,36 +189,131 @@ func (ix *Index) Search(q mat.Vec, k int, p ann.Params) []mat.Scored {
 	// Beyond 4k candidates, score them by ADC (lines 8–11) and keep the 4k
 	// best in the canonical (score, ID) order: the set a 4k heap retains.
 	if len(cands) > 4*k {
-		top := mat.GetTopK(4 * k)
-		defer mat.PutTopK(top)
 		for i, c := range cands {
 			cands[i].Score = ix.pq.ApproxDotPacked(table, ix.codeAt(c.pos))
-			top.Push(c.ID, cands[i].Score)
 		}
-		cands = slices.DeleteFunc(cands, func(c cand) bool { return mat.Before(top.Worst(), c.Scored) })
+		selectCands(cands, 4*k, byID)
+		cands = cands[:4*k]
 	}
 
-	// Exact re-scoring (lines 13–17) with the patch-ID vote as the
-	// tie-break: more subspace agreement ranks first.
-	for i, c := range cands {
-		cands[i].Score = mat.Dot(q, ix.rows.Row(int(c.pos)))
+	// Exact re-scoring (lines 13–17): the shortlisted rows are copied side
+	// by side and scored by one mat.ScoreRows pass per block, which gives
+	// mat.Dot's bits.
+	dim := ix.rows.Dim()
+	if len(sc.block) < rescoreRows*dim {
+		sc.block = make([]float32, rescoreRows*dim)
 	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		switch {
-		case a.Score != b.Score:
-			return cmp.Compare(b.Score, a.Score)
-		case a.votes != b.votes:
-			return int(b.votes) - int(a.votes)
+	for lo := 0; lo < len(cands); lo += rescoreRows {
+		part, block := cands[lo:min(lo+rescoreRows, len(cands))], sc.block[:0]
+		for _, c := range part {
+			block = append(block, ix.rows.Row(int(c.pos))...)
 		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	out := make([]mat.Scored, min(k, len(cands)))
+		for i, s := range mat.ScoreRows(sc.scores[:], q, block, dim) {
+			part[i].Score = s
+		}
+	}
+
+	// The k best under the patch-ID vote tie-break — more subspace
+	// agreement ranks first — and only they are sorted.
+	n := min(k, len(cands))
+	if n < len(cands) {
+		selectCands(cands, n, byVotes)
+	}
+	sortCands(cands[:n])
+	out := make([]mat.Scored, n)
 	for i := range out {
 		out[i] = cands[i].Scored
 	}
 	sc.cands = cands[:0]
 	scratchPool.Put(sc)
 	return out
+}
+
+// Candidate orders, as the mask applied to votes before they are compared.
+const (
+	byID    uint8 = 0    // descending score, then ascending ID: the canonical order
+	byVotes uint8 = 0xff // descending score, then descending vote, then ascending ID
+)
+
+// before reports whether a ranks strictly before b under the order by.
+func before(a, b cand, by uint8) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if av, bv := a.votes&by, b.votes&by; av != bv {
+		return av > bv
+	}
+	return a.ID < b.ID
+}
+
+// selectCands reorders s so that s[:k] holds its k best candidates under
+// the order by, with the k-th best at s[k-1]; 0 < k <= len(s). It is
+// ann.SelectTop's quickselect over candidates.
+func selectCands(s []cand, k int, by uint8) {
+	for lo, hi := 0, len(s); hi-lo > 1; {
+		switch j := lo + pivot(s[lo:hi], by); {
+		case j > k-1:
+			hi = j
+		case j < k-1:
+			lo = j + 1
+		default:
+			return
+		}
+	}
+}
+
+// sortCands sorts s in the byVotes order: quicksort over pivot down to
+// runs of 12, which insertion sort finishes. The branch-free partition
+// sorts the k answers faster than slices.SortFunc's comparator calls.
+func sortCands(s []cand) {
+	for len(s) > 12 {
+		j := pivot(s, byVotes)
+		sortCands(s[:j])
+		s = s[j+1:]
+	}
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && before(s[j], s[j-1], byVotes); j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+// pivot partitions s around the median of its first, middle and last
+// candidates and returns the pivot's final index j: s[:j] rank before it
+// and s[j+1:] do not. Like ann's partition it is Lomuto's scheme without a
+// data-dependent branch (score ties aside): scores arrive in random order,
+// so a branch would mispredict about half the time. It places the pivot
+// for good, so callers' ranges shrink every round and stay in bounds even
+// if a NaN score makes the order inconsistent.
+func pivot(s []cand, by uint8) int {
+	hi, mid := len(s)-1, (len(s)-1)/2
+	if before(s[mid], s[0], by) {
+		s[mid], s[0] = s[0], s[mid]
+	}
+	if before(s[hi], s[mid], by) {
+		s[hi], s[mid] = s[mid], s[hi]
+		if before(s[mid], s[0], by) {
+			s[mid], s[0] = s[0], s[mid]
+		}
+	}
+	s[0], s[mid] = s[mid], s[0]
+	p, store := s[0], 1
+	for i := 1; i <= hi; i++ {
+		x := s[i]
+		s[i] = s[store]
+		s[store] = x
+		store += b2i(before(x, p, by))
+	}
+	j := store - 1
+	s[0], s[j] = s[j], s[0]
+	return j
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Memory implements ann.Index: codes, lists and codebooks.

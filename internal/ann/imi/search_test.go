@@ -1,9 +1,11 @@
 package imi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/ann"
@@ -113,6 +115,164 @@ func TestSearchMatchesReference(t *testing.T) {
 	if skipped == 0 || selected == 0 {
 		t.Fatalf("both shortlist branches must run: %d skipped ADC, %d selected by it", skipped, selected)
 	}
+
+	// Equal exact scores whose votes differ, straddling the k cut, with
+	// and without ADC: the vote, not the ID, decides who makes the answer.
+	var decided [2]int // searches where it did: [skipped ADC, selected by it]
+	for si, n := range []int{30, 60, 300} {
+		ix := buildStraddle(t, n, Config{P: 4, M: 8, Seed: uint64(si)}, uint64(si)+40)
+		rng := rand.New(rand.NewPCG(uint64(si), 78))
+		for qi := 0; qi < 6; qi++ {
+			q := make(mat.Vec, dim)
+			for j := range 3 * dim / 4 { // zero on the subspace the rows vary on
+				q[j] = float32(rng.IntN(5) - 2)
+			}
+			for _, k := range []int{5, 8, 12, 20, 100} {
+				for _, np := range []int{1, 2, 3} {
+					prm := ann.Params{NProbe: np}
+					sameAnswer(t, "straddle", ix.Search(q, k, prm), refSearch(ix, q, k, prm))
+					if decides, adc := voteDecides(ix, q, k, prm); decides && adc {
+						decided[1]++
+					} else if decides {
+						decided[0]++
+					}
+				}
+			}
+		}
+	}
+	if decided[0] == 0 || decided[1] == 0 {
+		t.Fatalf("the vote must decide the k cut on both shortlist branches: %d skipped ADC, %d selected by it", decided[0], decided[1])
+	}
+}
+
+// buildStraddle builds an index over n rows, each one of three integer
+// patterns on subspaces 0–2 and random integers on subspace 3. A query
+// that is zero on subspace 3 scores a pattern's rows equal, exactly and by
+// ADC, while their subspace-3 codes, and so their votes, differ: every
+// centroid of that subspace ties at 0, so S_A takes the lowest-numbered.
+func buildStraddle(tb testing.TB, n int, cfg Config, seed uint64) *Index {
+	tb.Helper()
+	rng := rand.New(rand.NewPCG(seed, 2))
+	var patterns [3][3 * dim / 4]float32
+	for i := range patterns {
+		for j := range patterns[i] {
+			patterns[i][j] = float32(rng.IntN(5) - 2)
+		}
+	}
+	rows := ann.NewRows(dim)
+	for i, id := range rng.Perm(3 * n)[:n] {
+		v := append(mat.Vec(nil), patterns[i%3][:]...)
+		for len(v) < dim {
+			v = append(v, float32(rng.IntN(5)-2))
+		}
+		rows.Append(int64(id+1), v)
+	}
+	ix, err := Build(rows, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// voteDecides reports whether the patch-ID vote decides which candidates
+// make Search's k cut — ranking the shortlist by score and ID alone would
+// keep another set — and whether ADC selected that shortlist. It rebuilds
+// S_A, the votes and the shortlist by full sorts.
+func voteDecides(ix *Index, q mat.Vec, k int, p ann.Params) (decides, adc bool) {
+	table := ix.pq.DotTableInto(make([]float32, ix.pq.TableLen()), q)
+	a := cmp.Or(max(p.NProbe, 0), 8)
+	votes := map[int32]uint8{}
+	for sp := 0; sp < ix.pq.P; sp++ {
+		var cents []mat.Scored
+		for m, s := range table.Row(sp) {
+			cents = append(cents, mat.Scored{ID: int64(m), Score: s})
+		}
+		mat.SortScoredDesc(cents)
+		for _, c := range cents[:min(a, len(cents))] {
+			for _, pos := range ix.lists[sp][c.ID] {
+				votes[pos]++
+			}
+		}
+	}
+	var cands []cand
+	for pos, v := range votes {
+		cands = append(cands, cand{mat.Scored{ID: ix.rows.ID(int(pos))}, pos, v})
+	}
+	if adc = len(cands) > 4*k; adc {
+		for i, c := range cands {
+			cands[i].Score = ix.pq.ApproxDotPacked(table, ix.codeAt(c.pos))
+		}
+		slices.SortFunc(cands, func(a, b cand) int { return refOrder(a, b, false) })
+		cands = cands[:4*k]
+	}
+	for i, c := range cands {
+		cands[i].Score = mat.Dot(q, ix.rows.Row(int(c.pos)))
+	}
+	if len(cands) <= k {
+		return false, adc
+	}
+	cut := func(withVotes bool) []int64 {
+		slices.SortFunc(cands, func(a, b cand) int { return refOrder(a, b, withVotes) })
+		ids := make([]int64, k)
+		for i := range ids {
+			ids[i] = cands[i].ID
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	return !slices.Equal(cut(true), cut(false)), adc
+}
+
+// refOrder is a candidate order spelled out with cmp: descending score,
+// then descending vote when withVotes, then ascending ID.
+func refOrder(a, b cand, withVotes bool) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.votes, a.votes); withVotes && c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// TestSelectCandsMatchesSort checks the candidate quickselect in both
+// orders against a full sort on inputs whose scores and votes tie heavily:
+// s[:k] must hold the sorted prefix as a set, with the k-th item at s[k-1],
+// for k = 1, len-1 and len. sortCands must equal the full sort.
+func TestSelectCandsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, n := range []int{1, 2, 3, 5, 13, 64, 300} {
+		for rep := 0; rep < 20; rep++ {
+			src := make([]cand, n)
+			for i, id := range rng.Perm(3 * n)[:n] {
+				src[i] = cand{mat.Scored{ID: int64(id), Score: float32(rng.IntN(4))}, int32(i), uint8(1 + rng.IntN(3))}
+			}
+			for _, by := range []uint8{byID, byVotes} {
+				want := slices.Clone(src)
+				slices.SortFunc(want, func(a, b cand) int { return refOrder(a, b, by == byVotes) })
+				for _, k := range []int{1, n - 1, n} {
+					if k < 1 {
+						continue
+					}
+					got := slices.Clone(src)
+					selectCands(got, k, by)
+					prefix := slices.Clone(got[:k])
+					slices.SortFunc(prefix, func(a, b cand) int { return refOrder(a, b, by == byVotes) })
+					if got[k-1] != want[k-1] || !slices.Equal(prefix, want[:k]) {
+						t.Fatalf("n=%d order=%#x k=%d: s[k-1] = %+v, want %+v; prefix %+v, want %+v",
+							n, by, k, got[k-1], want[k-1], prefix, want[:k])
+					}
+				}
+				if by == byVotes {
+					got := slices.Clone(src)
+					sortCands(got)
+					if !slices.Equal(got, want) {
+						t.Fatalf("n=%d: sortCands = %+v, want %+v", n, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // FuzzIMISearch compares Search with refSearch on fuzzed index shapes,
@@ -135,9 +295,10 @@ func FuzzIMISearch(f *testing.F) {
 
 // BenchmarkSearch times one approximate Search against refSearch at the
 // default probe width: a 512-row segment, whose candidates all fit the 4k
-// shortlist, and an 8192-row one, where ADC selects the shortlist.
+// shortlist; a 2048-row one, a compacted streaming segment and the first
+// size where ADC selects the shortlist; and an 8192-row one.
 func BenchmarkSearch(b *testing.B) {
-	for _, n := range []int{512, 8192} {
+	for _, n := range []int{512, 2048, 8192} {
 		ix := buildRef(b, n, Config{P: 4, M: 64, Seed: 1}, false, 1)
 		q := mat.UnitGaussianVec(dim, 5)
 		for _, impl := range []struct {

@@ -174,7 +174,7 @@ func getSelection(k, n int) *selection {
 
 // cut keeps buf's k best and makes the k-th best the gate.
 func (sel *selection) cut(buf []mat.Scored, k int) []mat.Scored {
-	selectTop(buf, k)
+	SelectTop(buf, k)
 	sel.thr, sel.thrID = buf[k-1].Score, buf[k-1].ID
 	return buf[:k]
 }
@@ -183,7 +183,7 @@ func (sel *selection) cut(buf []mat.Scored, k int) []mat.Scored {
 func (sel *selection) sorted(k int) []mat.Scored {
 	buf := sel.buf
 	if len(buf) > k {
-		selectTop(buf, k)
+		SelectTop(buf, k)
 		buf = buf[:k]
 	}
 	out := slices.Clone(buf)
@@ -191,12 +191,12 @@ func (sel *selection) sorted(k int) []mat.Scored {
 	return out
 }
 
-// selectTop reorders s so that s[:k] holds its k best items in the
+// SelectTop reorders s so that s[:k] holds its k best items in the
 // canonical order, with the k-th best at s[k-1]; 0 < k <= len(s). It is
 // quickselect with a median-of-three pivot. Every partition step places
 // its pivot for good, so the range shrinks each round and every index
 // stays in bounds even if a NaN score makes the order inconsistent.
-func selectTop(s []mat.Scored, k int) {
+func SelectTop(s []mat.Scored, k int) {
 	lo, hi := 0, len(s)-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2

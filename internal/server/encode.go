@@ -38,7 +38,8 @@ const maxPooledBody = 1 << 20
 // reply answers 200 with the body fill appends to a pooled encoder. A body
 // that fails to encode answers a 500 JSON error, counted as "internal",
 // instead: the body is complete before any header goes out, so a NaN can
-// no longer turn into a 200 with an empty body. It reports whether the
+// no longer turn into a 200 with an empty body, and the 200 carries its
+// Content-Length rather than chunked framing. It reports whether the
 // success body went out.
 func (s *Server) reply(w http.ResponseWriter, fill func(e *encoder)) bool {
 	e := encoderPool.Get().(*encoder)
@@ -55,6 +56,7 @@ func (s *Server) reply(w http.ResponseWriter, fill func(e *encoder)) bool {
 	}
 	e.b = append(e.b, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(e.b)
 	return true

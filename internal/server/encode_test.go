@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -368,5 +369,50 @@ func TestRepliesSpliceOneEncoding(t *testing.T) {
 	head := bytes.TrimSuffix(asHit(miss), []byte("}\n"))
 	if !bytes.HasPrefix(debug, append(head, `,"trace":{"name":"query"`...)) {
 		t.Fatalf("debug hit must splice the hit's bytes and then echo the trace:\n%s\n%s", debug, head)
+	}
+}
+
+// TestRepliesCarryContentLength: a buffered success body goes out with its
+// length, not chunked framing, even past net/http's 2 KiB pre-chunking
+// buffer — a 20-object /query answer and its hit, and a /query/batch
+// answer — while a body that cannot encode still answers a JSON 500.
+func TestRepliesCarryContentLength(t *testing.T) {
+	ts := httptest.NewServer(New(&wideBackend{n: 20}, Config{CacheSize: 16}))
+	defer ts.Close()
+	for i, req := range []struct{ path, body string }{
+		{"/query", `{"query": "A red car driving in the center of the road."}`},
+		{"/query", `{"query": "A red car driving in the center of the road."}`}, // the hit
+		{"/query/batch", `{"queries": ["a truck", "a bus", "a person"]}`},
+	} {
+		resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d (%s): status %d (%v)", i, req.path, resp.StatusCode, err)
+		}
+		if len(body) <= 2048 {
+			t.Fatalf("request %d (%s): a %d-byte body does not pass the pre-chunking buffer", i, req.path, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("request %d (%s): Content-Length %d, Transfer-Encoding %v; want %d and none",
+				i, req.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+
+	bad := httptest.NewServer(New(&nanBackend{}, Config{CacheSize: 4}))
+	defer bad.Close()
+	resp, err := http.Post(bad.URL+"/query", "application/json", strings.NewReader(`{"query": "a red car"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusInternalServerError ||
+		resp.Header.Get("Content-Type") != "application/json" || body["error"] == "" {
+		t.Fatalf("encoding failure: status %d, Content-Type %q, body %v (%v); want a JSON 500",
+			resp.StatusCode, resp.Header.Get("Content-Type"), body, err)
 	}
 }

@@ -493,18 +493,41 @@ func (s *SegmentedCollection) SearchBatch(qs []mat.Vec, k int, p ann.Params) ([]
 			return nil, err
 		}
 	}
-	top := mat.GetTopK(k)
-	defer mat.PutTopK(top)
+	runs := make([][]mat.Scored, len(lists))
 	for qi := range qs {
-		top.Reset(k)
-		for _, l := range lists {
-			for _, h := range l[qi] {
-				top.Push(h.ID, h.Score)
-			}
+		for i, l := range lists {
+			runs[i] = l[qi]
 		}
-		out[qi] = top.Sorted()
+		out[qi] = mergeTop(runs, k)
 	}
 	return out, nil
+}
+
+// mergeTop folds one query's per-segment hit lists into its global top k
+// in the canonical order: a k-way merge that stops at the cut, consuming
+// runs. Segment IDs are disjoint, so the answer is the canonical top k of
+// the union, what a TopK heap over every hit keeps, and never nil. A list
+// in another order (IMI breaks exact-score ties by vote) is sorted in place
+// first: each list is its own search's fresh answer.
+func mergeTop(runs [][]mat.Scored, k int) []mat.Scored {
+	total := 0
+	for _, r := range runs {
+		if !slices.IsSortedFunc(r, mat.Canonical) {
+			slices.SortFunc(r, mat.Canonical)
+		}
+		total += len(r)
+	}
+	merged := make([]mat.Scored, min(total, k))
+	for i := range merged {
+		best := -1
+		for r, l := range runs {
+			if len(l) > 0 && (best < 0 || mat.Before(l[0], runs[best][0])) {
+				best = r
+			}
+		}
+		merged[i], runs[best] = runs[best][0], runs[best][1:]
+	}
+	return merged
 }
 
 // snapshotSegments captures the current searchable segment set in

@@ -2,6 +2,7 @@ package vectordb
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -246,5 +247,105 @@ func TestSegmentedNoFullRebuild(t *testing.T) {
 	}
 	if s.frozen[0].col != firstSeg {
 		t.Fatal("sealed segment was rebuilt by later inserts")
+	}
+}
+
+// TestSegmentedMergeMatchesHeap: SearchBatch's k-way merge answers what
+// pushing every per-segment hit through a TopK heap kept, bit for bit and
+// nil-ness included, and a lone segment's lists pass through as they
+// stand. Vectors repeat under IDs in different segments, so scores tie
+// across segments; k runs below and above the hits there are, and the
+// grown stores end with an empty growing segment. The vote-tie store's
+// rows share a pattern and vary only where the query is zero, so IMI's
+// vote tie-break leaves per-segment lists out of the canonical order.
+func TestSegmentedMergeMatchesHeap(t *testing.T) {
+	heapMerge := func(s *SegmentedCollection, qs []mat.Vec, k int, p ann.Params) [][]mat.Scored {
+		out := make([][]mat.Scored, len(qs))
+		segs := s.snapshotSegments()
+		if k <= 0 {
+			return out
+		}
+		if len(segs) == 1 {
+			out, _ = segs[0].SearchBatch(qs, k, p)
+			return out
+		}
+		top := mat.NewTopK(k)
+		for qi := range qs {
+			top.Reset(k)
+			for _, seg := range segs {
+				l, _ := seg.SearchBatch(qs, k, p)
+				for _, h := range l[qi] {
+					top.Push(h.ID, h.Score)
+				}
+			}
+			out[qi] = top.Sorted()
+		}
+		return out
+	}
+	repeat := func(distinct int) func(i int) mat.Vec {
+		return func(i int) mat.Vec { return unit(uint64(i % distinct)) }
+	}
+	// voteTie is one of three integer patterns on coordinates 0–11 and a
+	// signed permutation of (2, 1, 0, 0) on 12–15: every row of a pattern
+	// has the same norm and, against a query zero on 12–15, the same score.
+	voteTie := func(i int) mat.Vec {
+		v := make(mat.Vec, dim)
+		for j := 0; j < 12; j++ {
+			v[j] = float32((i%3+1)*(j%5) - 3)
+		}
+		r := i / 3
+		v[12+r%4], v[12+(r+1+r/4%3)%4] = float32(2-4*(r/16%2)), float32(1-2*(r/32%2))
+		return v
+	}
+	tieQ := func(seed uint64) mat.Vec {
+		q := unit(seed)
+		clear(q[12:])
+		return q
+	}
+	for _, tc := range []struct {
+		name      string
+		threshold int
+		n         int
+		vec       func(i int) mat.Vec
+		qs        []mat.Vec
+		segs      int // searchable segments once maintenance is done; 0: more than one
+	}{
+		{"ties across segments", 20, 70, repeat(15), []mat.Vec{unit(3), unit(11), unit(4242)}, 0},
+		{"empty growing segment", 10, 60, repeat(7), []mat.Vec{unit(3), unit(4242)}, 0},
+		{"vote ties", 40, 200, voteTie, []mat.Vec{tieQ(1), tieQ(2), tieQ(3)}, 0},
+		{"lone segment", 30, 30, repeat(7), []mat.Vec{unit(3), unit(4242)}, 1},
+		{"lone growing segment", 100, 30, repeat(7), []mat.Vec{unit(3), unit(4242)}, 1},
+	} {
+		s := newSeg(t, tc.threshold)
+		for i := 0; i < tc.n; i++ {
+			if err := s.Insert(int64(i+1), tc.vec(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.WaitMaintenance(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.snapshotSegments()); tc.segs == 0 && got < 2 || tc.segs > 0 && got != tc.segs {
+			t.Fatalf("%s: %d searchable segments", tc.name, got)
+		}
+		for _, k := range []int{0, 1, 3, 7, 25, 300} {
+			for _, p := range []ann.Params{{NProbe: 1}, {NProbe: 4}, {Exhaustive: true}} {
+				got, err := s.SearchBatch(tc.qs, k, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := heapMerge(s, tc.qs, k, p)
+				for qi := range tc.qs {
+					g, w := got[qi], want[qi]
+					same := (g == nil) == (w == nil) && len(g) == len(w)
+					for i := 0; same && i < len(w); i++ {
+						same = g[i].ID == w[i].ID && math.Float32bits(g[i].Score) == math.Float32bits(w[i].Score)
+					}
+					if !same {
+						t.Fatalf("%s: k=%d %+v query %d: merge %v (nil %v), heap %v (nil %v)", tc.name, k, p, qi, g, g == nil, w, w == nil)
+					}
+				}
+			}
+		}
 	}
 }
