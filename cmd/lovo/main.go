@@ -35,15 +35,10 @@ func main() {
 		shards   = flag.Int("shards", 0, "partition across N scatter-gather shards (0/1 = single system)")
 		saveFile = flag.String("save", "", "after ingest and indexing, write a system snapshot to this file")
 		loadFile = flag.String("load", "", "restore a snapshot written by -save instead of re-ingesting (open with the saver's -seed/-index/-shards)")
-		kernels  = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
 	)
 	flag.Parse()
 
-	if *kernels != "" {
-		if _, err := mat.SetKernelTier(*kernels); err != nil {
-			fatal(fmt.Errorf("-kernels: %w", err))
-		}
-	} else if err := mat.KernelTierEnvError(); err != nil {
+	if err := mat.KernelTierEnvError(); err != nil {
 		fatal(fmt.Errorf("LOVO_KERNELS: %w", err))
 	}
 

@@ -66,16 +66,11 @@ func main() {
 		connectTO  = flag.Duration("connect-timeout", 3*time.Second, "per-worker dial timeout for -shard-addrs (boot fails fast on an unreachable worker)")
 		rpcTimeout = flag.Duration("rpc-timeout", 30*time.Second, "per-call deadline for shard RPCs")
 		debugAddr  = flag.String("debug-addr", "", "optional second listen address for the debug tier (/debug/queries, /debug/pprof/*); keep it off the public port")
-		kernels    = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
 		segSize    = flag.Int("segment-size", 0, "seal threshold: 0 = batch (never seals by size; each index build rebuilds one segment, later ingest is exact-scanned until the next); N > 0 = continuous ingest sealing every N vectors; must match the workers'")
 	)
 	flag.Parse()
 
-	if *kernels != "" {
-		if _, err := mat.SetKernelTier(*kernels); err != nil {
-			fatal(fmt.Errorf("-kernels: %w", err))
-		}
-	} else if err := mat.KernelTierEnvError(); err != nil {
+	if err := mat.KernelTierEnvError(); err != nil {
 		fatal(fmt.Errorf("LOVO_KERNELS: %w", err))
 	}
 	log.Printf("kernels: %s tier active (host supports: %s)",

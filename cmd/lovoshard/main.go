@@ -39,16 +39,11 @@ func main() {
 		seed    = flag.Uint64("seed", 7, "system seed (must match the coordinator's)")
 		index   = flag.String("index", "imi", "vector index: imi|ivfpq|hnsw|flat (must match the coordinator's)")
 		workers = flag.Int("workers", 0, "worker pool (0 = NumCPU)")
-		kernels = flag.String("kernels", "", "pin the float32 scoring-kernel tier: auto|avx2|sse2|neon|purego (default: $LOVO_KERNELS, else widest supported; all tiers are bit-identical)")
 		segSize = flag.Int("segment-size", 0, "seal threshold: 0 = batch (never seals by size; each index build rebuilds one segment, later ingest is exact-scanned until the next); N > 0 = continuous ingest sealing every N vectors; must match the coordinator's")
 	)
 	flag.Parse()
 
-	if *kernels != "" {
-		if _, err := mat.SetKernelTier(*kernels); err != nil {
-			fatal(fmt.Errorf("-kernels: %w", err))
-		}
-	} else if err := mat.KernelTierEnvError(); err != nil {
+	if err := mat.KernelTierEnvError(); err != nil {
 		fatal(fmt.Errorf("LOVO_KERNELS: %w", err))
 	}
 	log.Printf("kernels: %s tier active (host supports: %s)",

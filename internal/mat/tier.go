@@ -24,10 +24,11 @@
 // eight lanes of the portable formula's exact operation sequence on avx2
 // (gelu_amd64.s), the portable loop everywhere else.
 //
-// The active tier can be pinned with SetKernelTier (the lovod/lovo
-// -kernels flag) or the LOVO_KERNELS environment variable — deployments
-// pin a tier for reproducible triage, and bit-identity investigations
-// force the purego reference path.
+// The active tier is pinned by the LOVO_KERNELS environment variable, read
+// once at init — the one way lovo, lovod and lovoshard take a tier:
+// deployments pin a tier for reproducible triage, and bit-identity
+// investigations force the purego reference path. Tests switch tiers in
+// process with SetKernelTier.
 
 package mat
 
@@ -127,9 +128,9 @@ func KernelTiers() []string {
 // SetKernelTier selects the kernel tier by name ("auto" resolves to the
 // widest supported tier), returning the previously active tier's name. It
 // fails if the named tier is unknown or is not supported by this host, so
-// a deployment that pins -kernels=avx2 fails fast on a machine without
-// AVX2 rather than silently degrading. It must not be called while other
-// goroutines are scoring.
+// a deployment that pins LOVO_KERNELS=avx2 fails fast on a machine
+// without AVX2 rather than silently degrading (KernelTierEnvError). It
+// must not be called while other goroutines are scoring.
 func SetKernelTier(name string) (prev string, err error) {
 	prev = tierName(activeTier)
 	var want tierID

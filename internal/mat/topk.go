@@ -67,11 +67,6 @@ func (t *TopK) Reset(k int) {
 // Len returns the number of items currently retained.
 func (t *TopK) Len() int { return len(t.heap) }
 
-// Items returns the retained items in heap order, not sorted, without a
-// copy: for callers that use only the set. The slice aliases the
-// collector's storage and is valid until its next Push, Reset or PutTopK.
-func (t *TopK) Items() []Scored { return t.heap }
-
 // Threshold returns the lowest retained score once the collector is full,
 // and negative infinity semantics (-MaxFloat32) before that. Callers can use
 // it to skip work for candidates that cannot enter the result.
@@ -81,10 +76,6 @@ func (t *TopK) Threshold() float32 {
 	}
 	return t.heap[0].Score
 }
-
-// Worst returns the lowest-ranked retained item in the canonical order: the
-// k-th best once the collector is full. The collector must not be empty.
-func (t *TopK) Worst() Scored { return t.heap[0] }
 
 // Push offers an item to the collector.
 func (t *TopK) Push(id int64, score float32) {

@@ -20,21 +20,11 @@ type ClientOptions struct {
 	// Dial opens one connection to the worker. The default dials TCP to
 	// the client's address with DialTimeout; tests substitute net.Pipe.
 	Dial func() (net.Conn, error)
-	// PoolSize bounds the idle persistent-connection pool (default 4).
-	// More conns dial on demand under concurrency; surplus conns close on
-	// release instead of pooling.
-	PoolSize int
 	// Timeout is the per-call deadline for read-only operations, covering
 	// write + execute + read (default 30s). A call that exceeds it
 	// surfaces a transport error — and a bounded retry on a fresh
-	// connection.
+	// connection. Mutating calls wait at least mutateTimeout.
 	Timeout time.Duration
-	// MutateTimeout is the per-call deadline for mutating operations
-	// (ingest, index builds, snapshot load), which do corpus-sized work
-	// worker-side; it defaults to the larger of Timeout and 5 minutes so
-	// a serving deadline tuned for queries never aborts an ingest
-	// mid-flight.
-	MutateTimeout time.Duration
 	// DialTimeout bounds connection establishment (DefaultDialTimeout when
 	// zero) — the fail-fast bound for unreachable workers at boot — and is
 	// a watch's grace past Heartbeat.
@@ -43,34 +33,32 @@ type ClientOptions struct {
 	// transport error (default 2). Mutating calls never consume it: once
 	// a request may have left the client, retrying could double-apply.
 	Retries int
-	// MaxFrame bounds response payloads (DefaultMaxFrame when zero).
-	MaxFrame uint32
 }
 
 // DefaultDialTimeout is ClientOptions.DialTimeout's default.
 const DefaultDialTimeout = 3 * time.Second
 
+const (
+	// poolSize bounds the idle persistent-connection pool. More conns
+	// dial on demand under concurrency; surplus conns close on release
+	// instead of pooling.
+	poolSize = 4
+	// mutateTimeout is the least per-call deadline for mutating
+	// operations (ingest, index builds, snapshot load), which do
+	// corpus-sized work worker-side: a serving deadline tuned for
+	// queries never aborts an ingest mid-flight.
+	mutateTimeout = 5 * time.Minute
+)
+
 func (o ClientOptions) withDefaults(addr string) ClientOptions {
-	if o.PoolSize == 0 {
-		o.PoolSize = 4
-	}
 	if o.Timeout == 0 {
 		o.Timeout = 30 * time.Second
-	}
-	if o.MutateTimeout == 0 {
-		o.MutateTimeout = 5 * time.Minute
-		if o.Timeout > o.MutateTimeout {
-			o.MutateTimeout = o.Timeout
-		}
 	}
 	if o.DialTimeout == 0 {
 		o.DialTimeout = DefaultDialTimeout
 	}
 	if o.Retries == 0 {
 		o.Retries = 2
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.Dial == nil {
 		dt := o.DialTimeout
@@ -100,7 +88,7 @@ type Client struct {
 // for fail-fast boots).
 func NewClient(addr string, opts ClientOptions) *Client {
 	opts = opts.withDefaults(addr)
-	return &Client{addr: addr, opts: opts, idle: make(chan net.Conn, opts.PoolSize)}
+	return &Client{addr: addr, opts: opts, idle: make(chan net.Conn, poolSize)}
 }
 
 // Addr returns the worker address this client dials.
@@ -233,7 +221,7 @@ func (c *Client) do(ctx context.Context, op byte, body []byte, mutating, light b
 			// dial, not like a query.
 			timeout = c.opts.DialTimeout
 		case mutating:
-			timeout = c.opts.MutateTimeout
+			timeout = max(c.opts.Timeout, mutateTimeout)
 		}
 		_, asp := obs.Start(ctx, "rpc")
 		resp, err := c.exchange(conn, req, timeout)
@@ -274,10 +262,10 @@ func (c *Client) exchange(conn net.Conn, req []byte, timeout time.Duration) ([]b
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
-	if err := writeFrame(conn, req, c.opts.MaxFrame); err != nil {
+	if err := writeFrame(conn, req, DefaultMaxFrame); err != nil {
 		return nil, err
 	}
-	resp, err := readFrame(conn, c.opts.MaxFrame)
+	resp, err := readFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -389,8 +377,8 @@ func (c *Client) watch(since *Stamp) ([]byte, error) {
 }
 
 // ingestBatchBudget bounds one opIngestBatch frame's video payload. Chunks
-// stay far under MaxFrame while still amortising the per-call dial and
-// round trip across many videos.
+// stay far under DefaultMaxFrame while still amortising the per-call dial
+// and round trip across many videos.
 const ingestBatchBudget = 8 << 20
 
 // IngestVideos ships a slice of videos in order as size-bounded batch
@@ -451,7 +439,7 @@ func (c *Client) FastSearch(ctx context.Context, text string, plan core.Plan) ([
 // stage1FrameBudget bounds the hits one opFastSearchBatch response can
 // carry: a frame holds queries until their summed ShardK × encObjectSize
 // would pass it (always at least one query), so no stage-1 response comes
-// near MaxFrame however large the batch.
+// near DefaultMaxFrame however large the batch.
 const stage1FrameBudget = 4 << 20
 
 // FastSearchBatch runs stage 1 on the worker for every (text, plan) pair

@@ -30,14 +30,6 @@ type Server struct {
 	// drop its slice from every merge. A watch whose since token carries
 	// another nonce is answered at once.
 	nonce uint64
-	// MaxFrame bounds request payloads (DefaultMaxFrame when zero).
-	MaxFrame uint32
-	// IdleTimeout bounds how long a connection may sit between requests —
-	// and how long a peer may dawdle delivering one request's bytes —
-	// before the server reclaims the goroutine and fd (default 5m). The
-	// client's pool absorbs the churn: a reclaimed idle connection is
-	// discarded and redialed for free on its next use.
-	IdleTimeout time.Duration
 	// Logf, when set, receives per-connection error logs (log.Printf
 	// signature). Silent otherwise — tests inject failures on purpose.
 	Logf func(format string, args ...any)
@@ -61,19 +53,12 @@ func NewServer(backend ShardBackend) *Server {
 	return &Server{backend: backend, nonce: nonce, conns: make(map[net.Conn]struct{})}
 }
 
-func (s *Server) maxFrame() uint32 {
-	if s.MaxFrame == 0 {
-		return DefaultMaxFrame
-	}
-	return s.MaxFrame
-}
-
-func (s *Server) idleTimeout() time.Duration {
-	if s.IdleTimeout == 0 {
-		return 5 * time.Minute
-	}
-	return s.IdleTimeout
-}
+// idleTimeout bounds how long a connection may sit between requests — and
+// how long a peer may dawdle delivering one request's bytes — before the
+// server reclaims the goroutine and fd. The client's pool absorbs the
+// churn: a reclaimed idle connection is discarded and redialed for free on
+// its next use.
+const idleTimeout = 5 * time.Minute
 
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
@@ -138,8 +123,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 		// builds legitimately run long) and re-arms for the response
 		// write.
 		//lovo:nondeterministic-ok transport deadline arithmetic; the wire payload never carries the clock value
-		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout()))
-		payload, err := readFrame(conn, s.maxFrame())
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
+		payload, err := readFrame(conn, DefaultMaxFrame)
 		if err != nil {
 			// An oversized declared length is a protocol violation the
 			// peer should hear about; answer once, then drop the
@@ -147,7 +132,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			if errors.Is(err, errFrameTooBig) {
 				st, body := encodeError(err)
 				resp := append([]byte{st}, body...)
-				_ = writeFrame(conn, resp, s.maxFrame())
+				_ = writeFrame(conn, resp, DefaultMaxFrame)
 			} else if err != io.EOF {
 				s.logf("remote: reading request: %v", err)
 			}
@@ -155,14 +140,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		if len(payload) == 0 {
 			st, body := encodeError(errors.New("remote: empty request frame"))
-			_ = writeFrame(conn, append([]byte{st}, body...), s.maxFrame())
+			_ = writeFrame(conn, append([]byte{st}, body...), DefaultMaxFrame)
 			return
 		}
 		_ = conn.SetReadDeadline(time.Time{})
 		status, body := s.handle(payload[0], payload[1:])
 		//lovo:nondeterministic-ok transport deadline arithmetic; the wire payload never carries the clock value
-		_ = conn.SetWriteDeadline(time.Now().Add(s.idleTimeout()))
-		if err := writeFrame(conn, append([]byte{status}, body...), s.maxFrame()); err != nil {
+		_ = conn.SetWriteDeadline(time.Now().Add(idleTimeout))
+		if err := writeFrame(conn, append([]byte{status}, body...), DefaultMaxFrame); err != nil {
 			s.logf("remote: writing response: %v", err)
 			return
 		}

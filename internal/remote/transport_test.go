@@ -69,7 +69,6 @@ func bootLocal(t *testing.T) *shard.Local {
 // claimed size or panicking.
 func TestServerRejectsOversizedFrame(t *testing.T) {
 	h := newPipeHost(bootLocal(t))
-	h.srv.MaxFrame = 1 << 16
 
 	var head [4]byte
 	binary.LittleEndian.PutUint32(head[:], 1<<30) // 1 GiB claim

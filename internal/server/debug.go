@@ -60,9 +60,9 @@ type slowEntry struct {
 	Trace      *SpanJSON `json:"trace,omitempty"`
 }
 
-// defaultSlowLogSize is the /debug/queries retention when Config.SlowLogSize
-// is zero.
-const defaultSlowLogSize = 16
+// slowLogSize is the /debug/queries retention: the slowest recent traces
+// it keeps.
+const slowLogSize = 16
 
 // slowLogWindow bounds how long an entry stays interesting: a morning's
 // slow query should not crowd out this minute's incident.
@@ -74,30 +74,12 @@ const slowLogWindow = 10 * time.Minute
 // "the slowest queries lately" rather than "the slowest queries ever".
 type slowLog struct {
 	mu      sync.Mutex
-	cap     int
 	entries []slowEntry
 }
-
-// newSlowLog sizes the log: 0 selects the default, negative disables it
-// (enabled() false — the server then only traces debug=true requests).
-func newSlowLog(size int) *slowLog {
-	if size == 0 {
-		size = defaultSlowLogSize
-	}
-	if size < 0 {
-		size = 0
-	}
-	return &slowLog{cap: size}
-}
-
-func (l *slowLog) enabled() bool { return l.cap > 0 }
 
 // admits reports whether a query finished at now taking durationMs would
 // enter the log, so the server builds a span tree only for one that would.
 func (l *slowLog) admits(now time.Time, durationMs float64) bool {
-	if l.cap == 0 {
-		return false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.expire(now)
@@ -106,9 +88,6 @@ func (l *slowLog) admits(now time.Time, durationMs float64) bool {
 
 // note offers one finished query to the log.
 func (l *slowLog) note(e slowEntry) {
-	if l.cap == 0 {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.expire(e.At)
@@ -124,7 +103,7 @@ func (l *slowLog) note(e slowEntry) {
 // log has room; once full, the fastest retained entry if this one is slower
 // (slowest wins), else -1. Callers hold l.mu and have expired the log.
 func (l *slowLog) victim(durationMs float64) int {
-	if len(l.entries) < l.cap {
+	if len(l.entries) < slowLogSize {
 		return len(l.entries)
 	}
 	fastest := 0
@@ -192,7 +171,7 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, debugQueriesResponse{
-		Capacity: s.slow.cap,
+		Capacity: slowLogSize,
 		Queries:  s.slow.snapshot(),
 	})
 }

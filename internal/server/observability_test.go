@@ -112,8 +112,8 @@ func TestDebugQueriesInspector(t *testing.T) {
 	if err := json.Unmarshal(getBody(t, ts.URL+"/debug/queries"), &dq); err != nil {
 		t.Fatal(err)
 	}
-	if dq.Capacity != defaultSlowLogSize {
-		t.Fatalf("capacity = %d, want %d", dq.Capacity, defaultSlowLogSize)
+	if dq.Capacity != slowLogSize {
+		t.Fatalf("capacity = %d, want %d", dq.Capacity, slowLogSize)
 	}
 	if len(dq.Queries) != 3 {
 		t.Fatalf("slow log holds %d entries, want 3", len(dq.Queries))
@@ -153,32 +153,6 @@ func TestDebugQueriesInspector(t *testing.T) {
 	}
 	if got := srv.cache.stats(); got != cacheBefore {
 		t.Fatalf("debug traffic touched the result cache: %+v -> %+v", cacheBefore, got)
-	}
-}
-
-// TestSlowLogDisabled pins SlowLogSize < 0: no tracing for plain requests,
-// an empty inspector, but debug=true still traces its own request.
-func TestSlowLogDisabled(t *testing.T) {
-	fb := &fakeBackend{}
-	srv := New(fb, Config{CacheSize: 4, SlowLogSize: -1})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	postQuery(t, ts.URL, `{"query": "plain"}`)
-	var dq debugQueriesResponse
-	if err := json.Unmarshal(getBody(t, ts.URL+"/debug/queries"), &dq); err != nil {
-		t.Fatal(err)
-	}
-	if len(dq.Queries) != 0 {
-		t.Fatalf("disabled slow log retained %d entries", len(dq.Queries))
-	}
-	_, body := postQuery(t, ts.URL, `{"query": "debugged", "debug": true}`)
-	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Trace == nil {
-		t.Fatal("debug=true must trace even with the slow log disabled")
 	}
 }
 

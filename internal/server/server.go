@@ -82,11 +82,6 @@ type Config struct {
 	// Shards is reported in /stats (informational; the backend hides its
 	// own partitioning).
 	Shards int
-	// SlowLogSize bounds the /debug/queries ring of slowest recent traces
-	// (0 selects the default of 16; negative disables the slow log and
-	// with it per-request tracing for requests that don't ask for
-	// debug=true).
-	SlowLogSize int
 }
 
 // Server is the HTTP serving tier. It implements http.Handler.
@@ -114,7 +109,7 @@ func New(backend Backend, cfg Config) *Server {
 		cache:   newResultCache(cfg.CacheSize),
 		metrics: newServerMetrics(),
 		flight:  newFlightGroup(),
-		slow:    newSlowLog(cfg.SlowLogSize),
+		slow:    new(slowLog),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 	}
@@ -444,14 +439,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 		opts.Workers = 1
 	}
 	defer s.inflight.Add(-1)
-	ctx := r.Context()
-	var trace *obs.Trace
-	var root obs.Span
-	if debug || s.slow.enabled() {
-		trace = obs.NewTrace(obs.NewID())
-		root = trace.Root("query")
-		ctx = obs.With(ctx, root)
-	}
+	trace := obs.NewTrace(obs.NewID())
+	root := trace.Root("query")
+	ctx := obs.With(r.Context(), root)
 	start := time.Now()
 	plans := make([]core.Plan, len(texts))
 	cacheKeys := make([]string, len(texts))
@@ -561,23 +551,21 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, texts []string, o
 	for range texts {
 		s.metrics.latency.observe(elapsed / time.Duration(len(texts)))
 	}
-	if trace != nil {
-		root.End()
-		at, ms := time.Now(), float64(elapsed.Microseconds())/1000
-		if debug || s.slow.admits(at, ms) {
-			tree := spanTree(trace.Export())
-			s.slow.note(slowEntry{
-				At:         at,
-				Query:      texts[0],
-				BatchSize:  len(texts),
-				PlanKind:   string(plans[0].Kind),
-				Cached:     cached,
-				DurationMs: ms,
-				Trace:      tree,
-			})
-			if debug {
-				out[0].trace = tree
-			}
+	root.End()
+	at, ms := time.Now(), float64(elapsed.Microseconds())/1000
+	if debug || s.slow.admits(at, ms) {
+		tree := spanTree(trace.Export())
+		s.slow.note(slowEntry{
+			At:         at,
+			Query:      texts[0],
+			BatchSize:  len(texts),
+			PlanKind:   string(plans[0].Kind),
+			Cached:     cached,
+			DurationMs: ms,
+			Trace:      tree,
+		})
+		if debug {
+			out[0].trace = tree
 		}
 	}
 	return out

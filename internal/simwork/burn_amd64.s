@@ -7,7 +7,7 @@
 // rounded before each add), with the loop head aligned to a 64-byte line
 // so all 38 bytes of the loop sit in one line wherever the linker places
 // this function. Unrolling it would be faster and would silently
-// recalibrate every modelled cost built on Burn (vit.go's EncodeCost).
+// recalibrate every modelled cost built on Burn (vit.go's encodeCost).
 TEXT ·burnLoop(SB), NOSPLIT, $0-12
 	MOVQ  cost+0(FP), DX
 	XORPS X0, X0               // acc

@@ -68,7 +68,7 @@ func TestBurnLoopMatchesGo(t *testing.T) {
 }
 
 // BenchmarkBurn measures one keyframe's modelled ViT cost: 16×9 patches at
-// vit's default EncodeCost of 220 units each.
+// vit's encodeCost of 220 units each.
 func BenchmarkBurn(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		Burn(16 * 9 * 220)

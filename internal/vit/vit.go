@@ -28,17 +28,20 @@ type Config struct {
 	GridW, GridH int
 	// Encoder is the vision encoder producing patch embeddings.
 	Encoder *embed.VisionEncoder
-	// MinObjectness filters background tokens; zero defaults to 0.5.
-	MinObjectness float32
-	// BoxJitter is the localisation error σ as a fraction of object size;
-	// zero defaults to 0.05.
-	BoxJitter float64
-	// EncodeCost is the simulated ViT forward-pass cost per patch in
-	// simwork units; zero defaults to 220 (calibrated so one-time video
-	// processing dominates query latency the way the paper's Fig. 9
-	// time distribution shows). Negative disables.
-	EncodeCost int
 }
+
+// The encoder's fixed heads and cost, like the pre-trained ViT they stand
+// in for.
+const (
+	// minObjectness filters background tokens.
+	minObjectness = 0.5
+	// boxJitter is the localisation error σ as a fraction of object size.
+	boxJitter = 0.05
+	// encodeCost is the simulated ViT forward-pass cost per patch in
+	// simwork units, calibrated so one-time video processing dominates
+	// query latency the way the paper's Fig. 9 time distribution shows.
+	encodeCost = 220
+)
 
 func (c Config) withDefaults() Config {
 	if c.GridW == 0 {
@@ -46,15 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GridH == 0 {
 		c.GridH = 9
-	}
-	if c.MinObjectness == 0 {
-		c.MinObjectness = 0.5
-	}
-	if c.BoxJitter == 0 {
-		c.BoxJitter = 0.05
-	}
-	if c.EncodeCost == 0 {
-		c.EncodeCost = 220
 	}
 	return c
 }
@@ -103,16 +97,14 @@ func anchor(cfg Config, patch int) video.Box {
 // because background patches are encoded before being filtered.
 func EncodeFrame(cfg Config, f *video.Frame) []Token {
 	cfg = cfg.withDefaults()
-	if cfg.EncodeCost > 0 {
-		simwork.Burn(cfg.GridW * cfg.GridH * cfg.EncodeCost)
-	}
+	simwork.Burn(cfg.GridW * cfg.GridH * encodeCost)
 	tokens := make([]Token, 0, len(f.Objects)*2)
 	covered := make([]bool, len(f.Objects))
 	emit := func(p int, objIdx int, rng *rand.Rand) {
 		o := &f.Objects[objIdx]
 		emb := cfg.Encoder.ObjectEmbedding(f, objIdx)
 		objness := float32(0.75 + 0.2*rng.Float64())
-		if objness < cfg.MinObjectness {
+		if objness < minObjectness {
 			return
 		}
 		covered[objIdx] = true
@@ -120,7 +112,7 @@ func EncodeFrame(cfg Config, f *video.Frame) []Token {
 			Patch:      p,
 			Embedding:  emb,
 			Class:      cfg.Encoder.Space.Project(emb),
-			Box:        refineBox(o.Box, cfg.BoxJitter, rng),
+			Box:        refineBox(o.Box, rng),
 			Objectness: objness,
 			Track:      o.Track,
 		})
@@ -140,18 +132,14 @@ func EncodeFrame(cfg Config, f *video.Frame) []Token {
 				}
 			}
 		}
-		seed := obsSeed(f, p)
-		rng := rand.New(rand.NewPCG(seed, seed^0xfeed))
 		if best < 0 {
-			// Background: encode (cost parity), then filter.
-			emb := cfg.Encoder.BackgroundEmbedding(f, p)
-			objness := float32(0.08 + 0.1*rng.Float64())
-			if objness >= cfg.MinObjectness {
-				_ = emb // below threshold in practice; kept for clarity
-			}
+			// Background: encode (cost parity), then filter: its
+			// objectness, below 0.18, never reaches minObjectness.
+			_ = cfg.Encoder.BackgroundEmbedding(f, p)
 			continue
 		}
-		emit(p, best, rng)
+		seed := obsSeed(f, p)
+		emit(p, best, rand.New(rand.NewPCG(seed, seed^0xfeed)))
 	}
 	// Centre sampling: an object smaller than a patch cell can straddle
 	// the grid so that no patch centre falls inside its box, making it
@@ -203,8 +191,8 @@ const MaxGridPatches = centerAnchorOffset
 
 // refineBox applies the trained-head error model: the true box perturbed by
 // bounded jitter proportional to its size, clipped to the frame.
-func refineBox(b video.Box, jitter float64, rng *rand.Rand) video.Box {
-	j := func(scale float64) float64 { return rng.NormFloat64() * jitter * scale }
+func refineBox(b video.Box, rng *rand.Rand) video.Box {
+	j := func(scale float64) float64 { return rng.NormFloat64() * boxJitter * scale }
 	out := video.Box{
 		X: b.X + j(b.W),
 		Y: b.Y + j(b.H),

@@ -19,6 +19,16 @@ func TestPatchesDefaultGrid(t *testing.T) {
 	}
 }
 
+// TestMinObjectnessRecorded pins the background filter's threshold. No
+// answer shows it: foreground objectness is drawn from [0.75, 0.95) and
+// background from [0.08, 0.18), so any threshold between the two keeps the
+// same tokens, and only this check makes moving it a visible change.
+func TestMinObjectnessRecorded(t *testing.T) {
+	if got := float32(minObjectness); got != 0.5 {
+		t.Fatalf("minObjectness = %v, recorded 0.5", got)
+	}
+}
+
 func TestAnchorTiling(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	a0 := anchor(cfg, 0)

@@ -37,22 +37,28 @@ import (
 	"repro/internal/mat"
 )
 
+// The layers' fixed shape: every block has heads attention heads, and
+// every weight matrix is the identity perturbed by Gaussian noise of σ
+// weightNoise.
+const (
+	heads       = 4
+	weightNoise = 0.02
+)
+
 // mha is one multi-head cross-attention block with output projection.
 type mha struct {
-	heads int
-	wq    *mat.Matrix // D×D, consumed in per-head column blocks
-	wk    *mat.Matrix
-	wv    *mat.Matrix
-	wo    *mat.Matrix
+	wq *mat.Matrix // D×D, consumed in per-head column blocks
+	wk *mat.Matrix
+	wv *mat.Matrix
+	wo *mat.Matrix
 }
 
-func newMHA(dim, heads int, sigma float64, seed uint64) *mha {
+func newMHA(dim int, seed uint64) *mha {
 	return &mha{
-		heads: heads,
-		wq:    mat.NearIdentity(dim, sigma, seed^0x71),
-		wk:    mat.NearIdentity(dim, sigma, seed^0x72),
-		wv:    mat.NearIdentity(dim, sigma, seed^0x73),
-		wo:    mat.NearIdentity(dim, sigma, seed^0x74),
+		wq: mat.NearIdentity(dim, weightNoise, seed^0x71),
+		wk: mat.NearIdentity(dim, weightNoise, seed^0x72),
+		wv: mat.NearIdentity(dim, weightNoise, seed^0x73),
+		wo: mat.NearIdentity(dim, weightNoise, seed^0x74),
 	}
 }
 
@@ -78,7 +84,7 @@ type seg struct{ off, n int }
 // the arena, so a forward pass is allocation-free in steady state.
 func (m *mha) apply(ar *mat.Arena, a *mat.Matrix, as []seg, b *mat.Matrix, bs []seg) *mat.Matrix {
 	dim := a.Cols
-	dh := dim / m.heads
+	dh := dim / heads
 	nb := b.Rows
 	var rows, maxA, maxB int
 	for f := range as {
@@ -87,13 +93,13 @@ func (m *mha) apply(ar *mat.Arena, a *mat.Matrix, as []seg, b *mat.Matrix, bs []
 	}
 	q := mat.MatMulInto(ar.MatrixUninit(a.Rows, dim), a, m.wq)
 	v := mat.MatMulInto(ar.MatrixUninit(nb, dim), b, m.wv)
-	k := ar.MatrixUninit(m.heads*nb, dh)
-	for h := 0; h < m.heads; h++ {
+	k := ar.MatrixUninit(heads*nb, dh)
+	for h := 0; h < heads; h++ {
 		mat.Gemm(k.Data[h*nb*dh:(h+1)*nb*dh], dh, b.Data, dim, m.wk.Data[h*dh:], dim, nb, dh, dim)
 	}
 	scores := ar.MatrixUninit(maxA, maxB).Data
 	concat := ar.MatrixUninit(rows, dim)
-	if m.heads*dh != dim {
+	if heads*dh != dim {
 		clear(concat.Data) // columns no head writes
 	}
 	scale := float32(1 / math.Sqrt(float64(dh)))
@@ -101,7 +107,7 @@ func (m *mha) apply(ar *mat.Arena, a *mat.Matrix, as []seg, b *mat.Matrix, bs []
 	for f, sa := range as {
 		sb := bs[f]
 		sc := scores[:sa.n*sb.n]
-		for h := 0; h < m.heads; h++ {
+		for h := 0; h < heads; h++ {
 			c0 := h * dh
 			kh := k.Data[(h*nb+sb.off)*dh : (h*nb+sb.off+sb.n)*dh]
 			for i := 0; i < sa.n; i++ {
@@ -125,10 +131,10 @@ type ffn struct {
 	act func(mat.Vec) mat.Vec
 }
 
-func newFFN(dim int, sigma float64, seed uint64) *ffn {
+func newFFN(dim int, seed uint64) *ffn {
 	return &ffn{
-		w1:  mat.NearIdentity(dim, sigma, seed^0x75),
-		w2:  mat.NearIdentity(dim, sigma, seed^0x76),
+		w1:  mat.NearIdentity(dim, weightNoise, seed^0x75),
+		w2:  mat.NearIdentity(dim, weightNoise, seed^0x76),
 		act: mat.GELU,
 	}
 }
@@ -149,12 +155,12 @@ type enhancerLayer struct {
 	ft  *ffn
 }
 
-func newEnhancerLayer(dim, heads int, sigma float64, seed uint64) *enhancerLayer {
+func newEnhancerLayer(dim int, seed uint64) *enhancerLayer {
 	return &enhancerLayer{
-		i2t: newMHA(dim, heads, sigma, seed^0xe1),
-		t2i: newMHA(dim, heads, sigma, seed^0xe2),
-		fi:  newFFN(dim, sigma, seed^0xe3),
-		ft:  newFFN(dim, sigma, seed^0xe4),
+		i2t: newMHA(dim, seed^0xe1),
+		t2i: newMHA(dim, seed^0xe2),
+		fi:  newFFN(dim, seed^0xe3),
+		ft:  newFFN(dim, seed^0xe4),
 	}
 }
 

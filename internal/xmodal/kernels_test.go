@@ -95,11 +95,11 @@ func mhaCopiedHeads(m *mha, a, b *mat.Matrix) *mat.Matrix {
 		return out
 	}
 	dim := a.Cols
-	dh := dim / m.heads
+	dh := dim / heads
 	aw, bk, bv := mat.MatMul(a, m.wq), mat.MatMul(b, m.wk), mat.MatMul(b, m.wv)
 	concat := mat.NewMatrix(a.Rows, dim)
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	for h := 0; h < m.heads; h++ {
+	for h := 0; h < heads; h++ {
 		scores := mat.MatMulT(headSlice(aw, h, dh), headSlice(bk, h, dh))
 		scores.ScaleInPlace(scale)
 		scores.SoftmaxRows()
@@ -117,7 +117,7 @@ func mhaCopiedHeads(m *mha, a, b *mat.Matrix) *mat.Matrix {
 // frame's output rows must still be its own reference — attention is
 // block-diagonal, and the shared projections add rows, never bits.
 func TestMHAStridedViewsMatchCopiedHeads(t *testing.T) {
-	m := newMHA(64, 4, 0.02, 9)
+	m := newMHA(64, 9)
 	shapes := [][2]int{{1, 1}, {5, 3}, {3, 5}, {8, 48}, {48, 8}, {47, 9}}
 	sameBits := func(path, what string, got []float32, want *mat.Matrix) {
 		t.Helper()
@@ -178,10 +178,8 @@ func geluFloat64(v mat.Vec) mat.Vec {
 
 // setActivation makes every feed-forward block of m run act.
 func setActivation(m *Model, act func(mat.Vec) mat.Vec) {
-	for _, layers := range [][]*enhancerLayer{m.enhancer, m.decoder} {
-		for _, l := range layers {
-			l.fi.act, l.ft.act = act, act
-		}
+	for _, l := range []*enhancerLayer{m.enhancer, m.decoder} {
+		l.fi.act, l.ft.act = act, act
 	}
 }
 

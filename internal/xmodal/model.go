@@ -13,70 +13,41 @@ import (
 	"repro/internal/vocab"
 )
 
-// Config shapes the cross-modality transformer.
+// Config seeds the cross-modality transformer.
 type Config struct {
-	// Heads is the attention head count; zero defaults to 4.
-	Heads int
-	// EnhancerLayers is the feature-enhancer depth; zero defaults to 1.
-	EnhancerLayers int
-	// DecoderLayers is the decoder depth; zero defaults to 1.
-	DecoderLayers int
-	// WeightNoise is the σ of the near-identity weight perturbation;
-	// zero defaults to 0.02.
-	WeightNoise float64
-	// TokenNoise is the per-region-token observation noise σ; zero
-	// defaults to 0.05.
-	TokenNoise float64
-	// RelationDropout is the probability a relation token goes
-	// unobserved; zero defaults to 0.08. Rerank is strong, not perfect.
-	RelationDropout float64
 	// Seed drives weights and noise.
 	Seed uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Heads == 0 {
-		c.Heads = 4
-	}
-	if c.EnhancerLayers == 0 {
-		c.EnhancerLayers = 1
-	}
-	if c.DecoderLayers == 0 {
-		c.DecoderLayers = 1
-	}
-	if c.WeightNoise == 0 {
-		c.WeightNoise = 0.02
-	}
-	if c.TokenNoise == 0 {
-		c.TokenNoise = 0.05
-	}
-	if c.RelationDropout == 0 {
-		c.RelationDropout = 0.08
-	}
-	return c
-}
+// The region tokens' observation noise, fixed like the pre-trained
+// grounding model it stands in for.
+const (
+	// tokenNoise is the per-region-token observation noise σ.
+	tokenNoise = 0.05
+	// relationDropout is the probability a relation token goes
+	// unobserved: rerank is strong, not perfect.
+	relationDropout = 0.08
+)
 
-// Model is the cross-modality transformer.
+// Model is the cross-modality transformer: one feature-enhancer layer and
+// one decoder layer.
 type Model struct {
 	space    *embed.Space
-	cfg      Config
-	enhancer []*enhancerLayer
-	decoder  []*enhancerLayer
+	seed     uint64
+	enhancer *enhancerLayer
+	decoder  *enhancerLayer
 	posProj  *mat.Matrix // 8 -> D positional projection
 }
 
 // New builds a model over the shared embedding space.
 func New(space *embed.Space, cfg Config) *Model {
-	cfg = cfg.withDefaults()
-	m := &Model{space: space, cfg: cfg}
-	for i := 0; i < cfg.EnhancerLayers; i++ {
-		m.enhancer = append(m.enhancer, newEnhancerLayer(space.Dim, cfg.Heads, cfg.WeightNoise, cfg.Seed+uint64(i)*7919))
+	return &Model{
+		space:    space,
+		seed:     cfg.Seed,
+		enhancer: newEnhancerLayer(space.Dim, cfg.Seed),
+		decoder:  newEnhancerLayer(space.Dim, cfg.Seed+0xdec0),
+		posProj:  mat.RandGaussian(space.Dim, 8, 1.0/8, cfg.Seed^0x905e),
 	}
-	for i := 0; i < cfg.DecoderLayers; i++ {
-		m.decoder = append(m.decoder, newEnhancerLayer(space.Dim, cfg.Heads, cfg.WeightNoise, cfg.Seed+0xdec0+uint64(i)*104729))
-	}
-	m.posProj = mat.RandGaussian(space.Dim, 8, 1.0/8, cfg.Seed^0x905e)
-	return m
 }
 
 // Grounding is one grounded object in a reranked frame.
@@ -165,23 +136,23 @@ func (m *Model) regionTokens(ar *mat.Arena, sc *groundScratch, f *video.Frame, i
 	pos := m.posEncoding(ar, o.Box)
 
 	appendTok := func(term string, weight float32) {
-		seed := tokenSeed(m.cfg.Seed, o.Track, f.Index, "", term)
+		seed := tokenSeed(m.seed, o.Track, f.Index, "", term)
 		sc.pcg.Seed(seed, seed^0x70c5)
 		base := m.space.TermVec(term)
 		v := ar.Vec(m.space.Dim)
 		mat.Axpy(v, 1, base)
 		mat.Axpy(v, 0.12, pos)
 		for d := range v {
-			v[d] += float32(sc.rng.NormFloat64() * m.cfg.TokenNoise)
+			v[d] += float32(sc.rng.NormFloat64() * tokenNoise)
 		}
 		sc.toks = append(sc.toks, regionTok{vec: mat.Normalize(v), owner: i, weight: weight})
 	}
 
 	for _, term := range f.ObjectTerms(i) {
 		if isRelationTerm(term) {
-			seed := tokenSeed(m.cfg.Seed, o.Track, f.Index, "drop:", term)
+			seed := tokenSeed(m.seed, o.Track, f.Index, "drop:", term)
 			sc.pcg.Seed(seed, seed^0xd20b)
-			if sc.rng.Float64() < m.cfg.RelationDropout {
+			if sc.rng.Float64() < relationDropout {
 				continue
 			}
 		}
@@ -327,12 +298,10 @@ func (m *Model) GroundFrames(frames []*video.Frame, toks []embed.Token) (out [][
 	}
 
 	is, ts := sc.is, sc.ts
-	for _, layers := range [2][]*enhancerLayer{m.enhancer, m.decoder} {
-		for _, l := range layers {
-			xt = l.apply(ar, xi, is, xt, ts)
-			for f := range ts { // the text side is per frame from the first layer on
-				ts[f] = seg{f * len(toks), len(toks)}
-			}
+	for _, l := range [2]*enhancerLayer{m.enhancer, m.decoder} {
+		xt = l.apply(ar, xi, is, xt, ts)
+		for f := range ts { // the text side is per frame from the first layer on
+			ts[f] = seg{f * len(toks), len(toks)}
 		}
 	}
 
@@ -434,6 +403,6 @@ func (m *Model) GroundFrames(frames []*video.Frame, toks []embed.Token) (out [][
 // performs for a frame with n region tokens and t text tokens; used by the
 // rerank-scalability experiment.
 func (m *Model) TokenWork(n, t int) int {
-	layers := len(m.enhancer) + len(m.decoder)
+	const layers = 2 // the enhancer and the decoder
 	return layers * n * t * m.space.Dim
 }

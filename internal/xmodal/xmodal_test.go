@@ -19,7 +19,7 @@ func toks(te *embed.TextEncoder, q string) []embed.Token {
 }
 
 func TestMHAShapePreserved(t *testing.T) {
-	m := newMHA(64, 4, 0.02, 1)
+	m := newMHA(64, 1)
 	a := mat.RandGaussian(5, 64, 1, 2)
 	b := mat.RandGaussian(3, 64, 1, 3)
 	ar := mat.GetArena()
@@ -33,7 +33,7 @@ func TestMHAShapePreserved(t *testing.T) {
 func TestEnhancerPreservesSignal(t *testing.T) {
 	// Near-identity layers must keep token directions recognisable.
 	space := embed.NewSpace(64, 32, 42)
-	l := newEnhancerLayer(64, 4, 0.02, 5)
+	l := newEnhancerLayer(64, 5)
 	car := space.TermVec("car")
 	dog := space.TermVec("dog")
 	xi := mat.FromRows([]mat.Vec{car})
@@ -177,12 +177,5 @@ func TestTokenWorkScales(t *testing.T) {
 	m, _ := testModel()
 	if m.TokenWork(10, 5) >= m.TokenWork(100, 5) {
 		t.Fatal("work must grow with region tokens")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Heads != 4 || c.EnhancerLayers != 1 || c.DecoderLayers != 1 {
-		t.Fatalf("defaults: %+v", c)
 	}
 }
